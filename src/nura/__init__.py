@@ -20,7 +20,6 @@ from .intra_ue import InternalAllocation, allocate_internal, split_value
 from .oracle import OracleResult, centralized_solve, grid_search_solve
 from .price_response import (
     BisectionSettings,
-    OffsetMode,
     app_rate_at_price,
     damp_bid,
     user_rate_at_price,
@@ -76,7 +75,6 @@ __all__ = [
     "LogarithmicUtility",
     "NonConvergenceError",
     "NuraError",
-    "OffsetMode",
     "OracleResult",
     "ProtocolError",
     "ProtocolParams",

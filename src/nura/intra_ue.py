@@ -25,9 +25,8 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ContractError, DomainError, SolverError
-from .price_response import BisectionSettings, OffsetMode, app_rate_at_price
-from .protocol import CaseFlag
-from .utility import NEG_INF, UserProfile
+from .price_response import BisectionSettings, app_rate_at_price
+from .utility import NEG_INF, AppRow, CaseFlag, UserProfile, app_rows
 
 # Tighter than the app-level default so that summed per-app wobble stays
 # far below the budget tolerance even for many applications.
@@ -53,28 +52,12 @@ class InternalAllocation:
 
 
 def _per_app_rates(
-    user: UserProfile, price: float, first_case: bool, settings: BisectionSettings
+    rows: tuple[AppRow, ...], price: float, case: CaseFlag, settings: BisectionSettings
 ) -> list[float]:
-    rates = []
-    for app in user.apps:
-        if first_case:
-            rates.append(
-                app_rate_at_price(
-                    app,
-                    price,
-                    cap=app.target_rate,
-                    offset_mode=OffsetMode.WITHOUT_OFFSETS,
-                    settings=settings,
-                )
-            )
-        else:
-            rates.append(
-                app.offset
-                + app_rate_at_price(
-                    app, price, offset_mode=OffsetMode.WITH_OFFSETS, settings=settings
-                )
-            )
-    return rates
+    return [
+        row.offset + app_rate_at_price(row.app, price, row.cap, case, settings)
+        for row in rows
+    ]
 
 
 def allocate_internal(
@@ -94,18 +77,18 @@ def allocate_internal(
         settings = _SPLIT_SETTINGS
     if not (math.isfinite(r_opt) and r_opt >= 0.0):
         raise DomainError(f"r_opt must be finite and nonnegative, got {r_opt!r}")
-    first_case = case is CaseFlag.TARGETS_EXCEED_CAPACITY
-    total_target = user.total_target
+    rows = app_rows([user], case)
+    granted = case.user_offset(user)
     budget = r_opt
     feas_tol = 1e-6 * max(r_opt, 1.0)
 
-    if not first_case and r_opt < total_target - feas_tol:
+    if r_opt < granted - feas_tol:
         raise ContractError(
             f"user {user.user_id!r}: r_opt {r_opt} does not cover total target "
-            f"{total_target} under abundant capacity"
+            f"{granted} under abundant capacity"
         )
 
-    offsets = [0.0 if first_case else app.offset for app in user.apps]
+    offsets = [row.offset for row in rows]
 
     if all(app.weight == 0.0 for app in user.apps):
         # Unreachable for valid scenarios (weights sum to 1); handled so a
@@ -122,7 +105,7 @@ def allocate_internal(
     if budget == 0.0:
         return InternalAllocation(tuple(0.0 for _ in user.apps), math.inf, 0.0)
 
-    if not first_case and budget <= total_target + feas_tol:
+    if case is CaseFlag.TARGETS_BELOW_CAPACITY and budget <= granted + feas_tol:
         # Nothing meaningful above the targets; grant exactly those.
         rates = tuple(offsets)
         return InternalAllocation(rates, math.inf, budget - sum(rates))
@@ -130,14 +113,14 @@ def allocate_internal(
     tol_sum = 1e-9 * max(budget, 1.0)
 
     lo = _PRICE_EPS
-    rates_lo = _per_app_rates(user, lo, first_case, settings)
+    rates_lo = _per_app_rates(rows, lo, case, settings)
     if sum(rates_lo) <= budget + tol_sum:
         # Even a vanishing price under-consumes; positive slack is legal.
         return InternalAllocation(tuple(rates_lo), lo, budget - sum(rates_lo))
 
     hi = 1.0
     doublings = 0
-    while sum(_per_app_rates(user, hi, first_case, settings)) > budget:
+    while sum(_per_app_rates(rows, hi, case, settings)) > budget:
         lo = hi
         hi *= 2.0
         doublings += 1
@@ -151,7 +134,7 @@ def allocate_internal(
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break  # bracket collapsed to adjacent floats
-        rates_mid = _per_app_rates(user, mid, first_case, settings)
+        rates_mid = _per_app_rates(rows, mid, case, settings)
         total_mid = sum(rates_mid)
         if abs(total_mid - budget) <= tol_sum:
             return InternalAllocation(tuple(rates_mid), mid, budget - total_mid)
@@ -164,8 +147,8 @@ def allocate_internal(
     # on the flat part of its marginal-value curve and its demand jumps
     # across one representable price. Take the feasible side and park
     # the leftover on the flattest responders, capped where caps apply.
-    rates_hi = _per_app_rates(user, hi, first_case, settings)
-    rates_lo = _per_app_rates(user, lo, first_case, settings)
+    rates_hi = _per_app_rates(rows, hi, case, settings)
+    rates_lo = _per_app_rates(rows, lo, case, settings)
     final = list(rates_hi)
     residual = budget - sum(final)
     order = sorted(
@@ -174,11 +157,8 @@ def allocate_internal(
     for j in order:
         if residual <= 0.0:
             break
-        if first_case and user.apps[j].target_rate is not None:
-            room = user.apps[j].target_rate - final[j]
-        else:
-            room = residual
-        give = min(residual, room)
+        cap = rows[j].cap
+        give = residual if cap is None else min(residual, cap - final[j])
         if give > 0.0:
             final[j] += give
             residual -= give
@@ -197,20 +177,19 @@ def split_value(user: UserProfile, rates, case: CaseFlag) -> float:
             f"user {user.user_id!r} has {len(user.apps)} applications "
             f"but {len(rates)} rates were given"
         )
-    first_case = case is CaseFlag.TARGETS_EXCEED_CAPACITY
     total = 0.0
-    for app, rate in zip(user.apps, rates):
+    for row, rate in zip(app_rows([user], case), rates):
         if rate < 0.0:
             raise ContractError(f"infeasible split: negative rate {rate!r}")
-        if first_case and app.target_rate is not None and rate > app.target_rate + 1e-9:
+        if row.cap is not None and rate > row.cap + 1e-9:
             raise ContractError(
-                f"infeasible split: rate {rate!r} above target cap {app.target_rate!r} "
+                f"infeasible split: rate {rate!r} above target cap {row.cap!r} "
                 "under scarce capacity"
             )
-        if app.weight == 0.0:
+        if row.app.weight == 0.0:
             continue
-        log_value = app.utility.log_evaluate(rate if first_case else rate + app.offset)
+        log_value = row.app.utility.log_evaluate(rate + row.offset)
         if log_value == NEG_INF:
             return NEG_INF
-        total += app.weight * log_value
+        total += row.app.weight * log_value
     return total

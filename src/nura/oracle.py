@@ -8,12 +8,14 @@ budget (and, under scarce capacity, per-user and per-application caps).
 centralized_solve runs a dual bisection on one global price. Its demand
 curves are re-derived from the raw log-utilities by golden-section
 search, never by calling the production demand solver, so a bug there
-cannot certify itself. Because golden section resolves an argmax only
-to the square root of float precision, rates on the sigmoid's flat
-marginal-value stretch come out noisy; a pairwise-exchange refinement
-(bisection on rate transfers between application pairs, using only the
-utility module's derivatives) then sharpens the assembled point into
-the exact constrained optimum.
+cannot certify itself; only the statement of the problem (the regime
+table of the utility module) is shared with the pipeline. Because
+golden section resolves an argmax only to the square root of float
+precision, rates on the sigmoid's flat marginal-value stretch come out
+noisy; a pairwise-exchange refinement (bisection on rate transfers
+between application pairs, using only the utility module's
+derivatives) then sharpens the assembled point into the exact
+constrained optimum.
 
 grid_search_solve is the brute-force anti-hallucination oracle for tiny
 instances: exhaustive enumeration over the step-grid of the feasible
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ContractError, DomainError, SolverError
-from .utility import NEG_INF, Application, UserProfile
+from .utility import NEG_INF, AppRow, RegimeTable, UserProfile, regime_table
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_DOUBLINGS = 500
@@ -50,41 +52,7 @@ class OracleResult:
     method: str
 
 
-@dataclass(frozen=True)
-class _Entry:
-    """One decision variable: the rate above offset of one application."""
-
-    user_slot: int
-    app: Application
-    factor: float  # beta * weight
-    offset: float  # added to the rate inside the utility argument
-    cap: float | None  # upper bound on the variable itself
-
-
-def _scarce(users: Sequence[UserProfile], capacity: float) -> bool:
-    total = sum(user.total_target for user in users if user.is_vip)
-    return total >= capacity
-
-
-def _flatten(
-    participants: Sequence[UserProfile], first_case: bool
-) -> list[_Entry]:
-    entries = []
-    for slot, user in enumerate(participants):
-        for app in user.apps:
-            entries.append(
-                _Entry(
-                    user_slot=slot,
-                    app=app,
-                    factor=user.beta * app.weight,
-                    offset=0.0 if first_case else app.offset,
-                    cap=app.target_rate if first_case else None,
-                )
-            )
-    return entries
-
-
-def _entry_value(entry: _Entry, rate: float) -> float:
+def _entry_value(entry: AppRow, rate: float) -> float:
     """factor * ln U(rate + offset); -inf propagates."""
     if entry.factor == 0.0:
         return 0.0
@@ -94,7 +62,7 @@ def _entry_value(entry: _Entry, rate: float) -> float:
     return entry.factor * log_value
 
 
-def _objective(entries: Sequence[_Entry], rates: Sequence[float]) -> float:
+def _objective(entries: Sequence[AppRow], rates: Sequence[float]) -> float:
     total = 0.0
     for entry, rate in zip(entries, rates):
         value = _entry_value(entry, rate)
@@ -104,7 +72,7 @@ def _objective(entries: Sequence[_Entry], rates: Sequence[float]) -> float:
     return total
 
 
-def _marginal(entry: _Entry, rate: float) -> float:
+def _marginal(entry: AppRow, rate: float) -> float:
     if entry.factor == 0.0:
         return 0.0
     arg = rate + entry.offset
@@ -133,7 +101,7 @@ def _golden_max(objective, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _entry_demand(entry: _Entry, price: float) -> float:
+def _entry_demand(entry: AppRow, price: float) -> float:
     """Rate maximizing factor * ln U(rate + offset) - price * rate.
 
     Golden-section on the 1-D objective; the bracket is grown by value
@@ -168,47 +136,42 @@ def _entry_demand(entry: _Entry, price: float) -> float:
     return _golden_max(phi, 0.0, hi, 1e-10 * max(hi, 1.0))
 
 
-def _user_demands(
-    participants: Sequence[UserProfile],
-    entries: Sequence[_Entry],
-    price: float,
-    user_caps: Sequence[float] | None,
-) -> tuple[list[float], list[float]]:
-    """Per-entry demands at a price, and per-user totals with caps applied.
+def _user_demands(table: RegimeTable, price: float) -> tuple[list[float], list[float]]:
+    """Per-row demands at a price, and per-participant totals with caps applied.
 
     A capped user takes min(sum of its demands, cap): when the cap binds
     the user's tightened internal price moves demand exactly onto it.
     """
-    demands = [_entry_demand(entry, price) for entry in entries]
-    totals = [0.0] * len(participants)
-    for entry, demand in zip(entries, demands):
+    demands = [_entry_demand(entry, price) for entry in table.rows]
+    totals = [0.0] * len(table.participants)
+    for entry, demand in zip(table.rows, demands):
         totals[entry.user_slot] += demand
-    if user_caps is not None:
-        totals = [min(t, c) for t, c in zip(totals, user_caps)]
+    totals = [t if c is None else min(t, c) for t, c in zip(totals, table.user_caps)]
     return demands, totals
 
 
 def _room_into(
-    entries: Sequence[_Entry],
+    entries: Sequence[AppRow],
     rates: Sequence[float],
     user_totals: Sequence[float],
-    user_caps: Sequence[float] | None,
+    user_caps: Sequence[float | None],
     index: int,
 ) -> float:
     entry = entries[index]
     room = math.inf
     if entry.cap is not None:
         room = entry.cap - rates[index]
-    if user_caps is not None:
-        room = min(room, user_caps[entry.user_slot] - user_totals[entry.user_slot])
+    user_cap = user_caps[entry.user_slot]
+    if user_cap is not None:
+        room = min(room, user_cap - user_totals[entry.user_slot])
     return max(room, 0.0)
 
 
 def _exchange_polish(
-    entries: Sequence[_Entry],
+    entries: Sequence[AppRow],
     rates: list[float],
     num_users: int,
-    user_caps: Sequence[float] | None,
+    user_caps: Sequence[float | None],
     sweeps: int = 12,
 ) -> None:
     """Sharpen a feasible point into the constrained optimum in place.
@@ -283,43 +246,35 @@ def centralized_solve(
 ) -> OracleResult:
     """Solve the global allocation problem by bisection on one dual price.
 
-    Scarce capacity: only VIP users enter, each capped at its total
-    target, target-bearing applications capped at their targets, and
-    the objective is evaluated at the raw rates. Abundant capacity: all
-    users enter, every target is granted off the top, and the rest of
-    the capacity is priced out with utilities evaluated above targets.
+    The regime table sets who enters, the budget priced out above the
+    offsets, and the caps. Scarce capacity: VIP users only, each capped
+    at its total target and each targeted application at its target,
+    utilities evaluated at the raw rates. Abundant capacity: all users,
+    every target granted off the top, utilities evaluated above targets.
     """
     if not (math.isfinite(capacity) and capacity > 0.0):
         raise DomainError(f"capacity must be positive, got {capacity!r}")
     if not users:
         raise ContractError("at least one user is required")
-    first_case = _scarce(users, capacity)
-    if first_case:
-        participants = [u for u in users if u.is_vip]
-        budget = capacity
-        user_caps = [u.total_target for u in participants]
-    else:
-        participants = list(users)
-        budget = capacity - sum(u.total_target for u in participants)
-        user_caps = None
-    entries = _flatten(participants, first_case)
+    table = regime_table(users, capacity)
+    budget, user_caps, entries = table.budget, table.user_caps, table.rows
 
     # Bracket the dual price: demand rises as the price falls.
     lo = hi = 1.0
-    _, totals = _user_demands(participants, entries, hi, user_caps)
+    _, totals = _user_demands(table, hi)
     steps = 0
     while sum(totals) > budget:
         hi *= 2.0
-        _, totals = _user_demands(participants, entries, hi, user_caps)
+        _, totals = _user_demands(table, hi)
         steps += 1
         if steps > _MAX_DOUBLINGS:
             raise SolverError("total demand stays above budget at any price",
                               bracket=(lo, hi))
     steps = 0
-    _, totals = _user_demands(participants, entries, lo, user_caps)
+    _, totals = _user_demands(table, lo)
     while sum(totals) < budget:
         lo *= 0.5
-        _, totals = _user_demands(participants, entries, lo, user_caps)
+        _, totals = _user_demands(table, lo)
         steps += 1
         if steps > _MAX_DOUBLINGS:
             raise SolverError("total demand stays below budget at any price",
@@ -331,7 +286,7 @@ def centralized_solve(
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break  # price resolution exhausted (a demand jumps across one float)
-        _, totals = _user_demands(participants, entries, mid, user_caps)
+        _, totals = _user_demands(table, mid)
         total = sum(totals)
         if abs(total - budget) <= tol:
             price = mid
@@ -345,23 +300,24 @@ def centralized_solve(
 
     # Assemble a feasible point at the chosen price, push the unspent
     # budget onto the hungriest applications, then polish.
-    demands, _ = _user_demands(participants, entries, price, user_caps)
+    demands, _ = _user_demands(table, price)
     rates = list(demands)
-    if user_caps is not None:
-        # Shrink over-cap users proportionally; the polish restores the
-        # optimal internal split under the cap.
-        sums = [0.0] * len(participants)
-        for entry, rate in zip(entries, rates):
-            sums[entry.user_slot] += rate
-        for j, entry in enumerate(entries):
-            cap = user_caps[entry.user_slot]
-            total_user = sums[entry.user_slot]
-            if total_user > cap > 0.0:
-                rates[j] *= cap / total_user
-            elif total_user > cap:
-                rates[j] = 0.0
+    # Shrink over-cap users proportionally; the polish restores the
+    # optimal internal split under the cap.
+    sums = [0.0] * len(table.participants)
+    for entry, rate in zip(entries, rates):
+        sums[entry.user_slot] += rate
+    for j, entry in enumerate(entries):
+        cap = user_caps[entry.user_slot]
+        if cap is None:
+            continue
+        total_user = sums[entry.user_slot]
+        if total_user > cap > 0.0:
+            rates[j] *= cap / total_user
+        elif total_user > cap:
+            rates[j] = 0.0
 
-    user_totals = [0.0] * len(participants)
+    user_totals = [0.0] * len(table.participants)
     for entry, rate in zip(entries, rates):
         user_totals[entry.user_slot] += rate
     residual = budget - sum(rates)
@@ -381,27 +337,20 @@ def centralized_solve(
                 user_totals[entries[j].user_slot] += give
                 residual -= give
 
-    _exchange_polish(entries, rates, len(participants), user_caps)
+    _exchange_polish(entries, rates, len(table.participants), user_caps)
 
-    return _assemble(users, participants, entries, rates, first_case, "dual_bisection")
+    return _assemble(users, table, rates, "dual_bisection")
 
 
 def _assemble(
     users: Sequence[UserProfile],
-    participants: Sequence[UserProfile],
-    entries: Sequence[_Entry],
+    table: RegimeTable,
     rates: Sequence[float],
-    first_case: bool,
     method: str,
 ) -> OracleResult:
-    per_user: dict[str, list[float]] = {u.user_id: [] for u in participants}
-    index = 0
-    for user in participants:
-        for app in user.apps:
-            entry = entries[index]
-            final = rates[index] + (app.offset if not first_case else 0.0)
-            per_user[user.user_id].append(final)
-            index += 1
+    per_user: dict[str, list[float]] = {u.user_id: [] for u in table.participants}
+    for entry, rate in zip(table.rows, rates):
+        per_user[table.participants[entry.user_slot].user_id].append(rate + entry.offset)
     app_rates = {}
     user_rates = {}
     for user in users:
@@ -412,7 +361,7 @@ def _assemble(
         else:
             app_rates[user.user_id] = tuple(0.0 for _ in user.apps)
             user_rates[user.user_id] = 0.0
-    objective = _objective(entries, rates)
+    objective = _objective(table.rows, rates)
     return OracleResult(
         user_rates=user_rates,
         app_rates=app_rates,
@@ -439,25 +388,14 @@ def grid_search_solve(
         raise DomainError(f"step must be positive, got {step!r}")
     if not users:
         raise ContractError("at least one user is required")
-    first_case = _scarce(users, capacity)
-    if first_case:
-        participants = [u for u in users if u.is_vip]
-        budget = capacity
-        user_caps = [u.total_target for u in participants]
-    else:
-        participants = list(users)
-        budget = capacity - sum(u.total_target for u in participants)
-        user_caps = None
-    entries = _flatten(participants, first_case)
-    total_apps = sum(len(u.apps) for u in participants)
-    if total_apps > 3:
-        raise ContractError(
-            f"grid search is guarded to at most 3 applications, got {total_apps}"
-        )
-
+    table = regime_table(users, capacity)
+    entries, user_caps = table.rows, table.user_caps
     n = len(entries)
+    if n > 3:
+        raise ContractError(f"grid search is guarded to at most 3 applications, got {n}")
+
     values = [0.0] * n
-    user_used = [0.0] * len(participants)
+    user_used = [0.0] * len(table.participants)
     best: list[float] | None = None
     best_objective = NEG_INF
 
@@ -466,8 +404,9 @@ def grid_search_solve(
         lim = remaining
         if entry.cap is not None:
             lim = min(lim, entry.cap)
-        if user_caps is not None:
-            lim = min(lim, user_caps[entry.user_slot] - user_used[entry.user_slot])
+        user_cap = user_caps[entry.user_slot]
+        if user_cap is not None:
+            lim = min(lim, user_cap - user_used[entry.user_slot])
         return max(lim, 0.0)
 
     def recurse(j: int, remaining: float) -> None:
@@ -497,6 +436,6 @@ def grid_search_solve(
             recurse(j + 1, remaining - q)
             user_used[entry.user_slot] -= q
 
-    recurse(0, budget)
+    recurse(0, table.budget)
     assert best is not None
-    return _assemble(users, participants, entries, best, first_case, "grid_search")
+    return _assemble(users, table, best, "grid_search")

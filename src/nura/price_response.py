@@ -3,9 +3,10 @@
 Given a shadow price p, each application demands the rate maximizing
 weight * ln U(r + c) - p * (r + c). Because ln U is strictly concave,
 the first-order condition weight * (ln U)'(r + c) = p has at most one
-root and bisection on the derivative is exact and fast. A user's demand
-is the sum of its applications' demands at price p / beta, optionally
-clipped by an aggregate cap.
+root and bisection on the derivative is exact and fast. The capacity
+regime sets c (the target when capacity is abundant, else 0). A user's
+demand is the sum of its applications' demands at price p / beta,
+optionally clipped by an aggregate cap.
 
 Bids are price times demanded rate, smoothed between rounds by an
 exponentially shrinking step so the fixed-point iteration of the
@@ -16,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DomainError, SolverError
-from .utility import Application, UserProfile
+from .utility import Application, CaseFlag, UserProfile
 
 
 @dataclass(frozen=True)
@@ -36,18 +36,6 @@ class BisectionSettings:
             raise DomainError(f"max_iters must be at least 1, got {self.max_iters!r}")
 
 
-class OffsetMode(Enum):
-    """Whether demand objectives evaluate U at (rate + target) or at rate.
-
-    WITH_OFFSETS is the abundant-capacity form where targets are already
-    granted and utilities are evaluated above them; WITHOUT_OFFSETS is the
-    scarce-capacity form where rates compete below the targets.
-    """
-
-    WITH_OFFSETS = "with_offsets"
-    WITHOUT_OFFSETS = "without_offsets"
-
-
 _DEFAULT_SETTINGS = BisectionSettings()
 _MAX_BRACKET_DOUBLINGS = 60
 
@@ -56,13 +44,13 @@ def app_rate_at_price(
     app: Application,
     price: float,
     cap: float | None = None,
-    offset_mode: OffsetMode = OffsetMode.WITH_OFFSETS,
+    case: CaseFlag = CaseFlag.TARGETS_BELOW_CAPACITY,
     settings: BisectionSettings | None = None,
 ) -> float:
     """Rate maximizing weight * ln U(r + c) - price * (r + c) over [0, cap].
 
-    c is the application's target offset under WITH_OFFSETS and 0
-    otherwise. Zero-weight applications demand nothing.
+    c is the application's offset under the capacity regime. Zero-weight
+    applications demand nothing.
     """
     if not (math.isfinite(price) and price > 0.0):
         raise DomainError(f"price must be positive, got {price!r}")
@@ -70,7 +58,7 @@ def app_rate_at_price(
         settings = _DEFAULT_SETTINGS
     if app.weight == 0.0:
         return 0.0
-    offset = app.offset if offset_mode is OffsetMode.WITH_OFFSETS else 0.0
+    offset = case.app_offset(app)
 
     def excess(rate: float) -> float:
         return app.weight * app.utility.dlog_evaluate(rate + offset) - price
@@ -125,16 +113,17 @@ def user_rate_at_price(
     user: UserProfile,
     price: float,
     user_cap: float | None = None,
-    offset_mode: OffsetMode = OffsetMode.WITH_OFFSETS,
+    case: CaseFlag = CaseFlag.TARGETS_BELOW_CAPACITY,
     settings: BisectionSettings | None = None,
 ) -> float:
-    """Total rate the user demands at the given price.
+    """Total rate above its offsets the user demands at the given price.
 
     The subscription weight beta scales the whole log-utility sum, so it
-    enters exactly as a price rescale and the uncapped problem separates
-    into independent per-application solves. When an aggregate cap binds
-    the user simply takes the cap: the capped optimum always exhausts it
-    because marginal utilities stay positive.
+    enters exactly as a price rescale and the problem separates into
+    independent per-application solves, each within its own cap under
+    the regime. When the aggregate cap binds the user simply takes it:
+    the capped optimum always exhausts it because marginal utilities
+    stay positive.
     """
     if not (math.isfinite(price) and price > 0.0):
         raise DomainError(f"price must be positive, got {price!r}")
@@ -142,7 +131,7 @@ def user_rate_at_price(
         raise DomainError(f"user_cap must be nonnegative, got {user_cap!r}")
     per_app_price = price / user.beta
     total = sum(
-        app_rate_at_price(app, per_app_price, None, offset_mode, settings)
+        app_rate_at_price(app, per_app_price, case.app_cap(app), case, settings)
         for app in user.apps
     )
     if user_cap is not None and total > user_cap:
@@ -176,33 +165,16 @@ def vip_bid(
     l1: float,
     l2: float,
     *,
-    first_case: bool,
+    case: CaseFlag,
     settings: BisectionSettings | None = None,
 ) -> float:
     """One user's damped bid for the current round.
 
-    Scarce capacity (first_case): demand is capped at the user's total
-    target and the bid is price * rate. Abundant capacity: demand is
-    uncapped, evaluated above the targets, and the bid covers both, i.e.
-    price * (rate + total target). A user without targets reduces to the
-    plain price * rate bid in either form.
+    The user demands a rate above its offsets under the regime (capped
+    per application and in total when capacity is scarce) and bids for
+    that rate and its offsets, price * (rate + offsets): the plain
+    price * rate under scarce capacity or without targets.
     """
-    if first_case:
-        rate = user_rate_at_price(
-            user,
-            price,
-            user_cap=user.total_target,
-            offset_mode=OffsetMode.WITHOUT_OFFSETS,
-            settings=settings,
-        )
-        proposed = price * rate
-    else:
-        rate = user_rate_at_price(
-            user,
-            price,
-            user_cap=None,
-            offset_mode=OffsetMode.WITH_OFFSETS,
-            settings=settings,
-        )
-        proposed = price * (rate + user.total_target)
+    rate = user_rate_at_price(user, price, case.user_cap(user), case, settings)
+    proposed = price * (rate + case.user_offset(user))
     return damp_bid(proposed, prev_bid, round_index, l1, l2)

@@ -8,28 +8,23 @@ threshold delta. Final rates are bid / price, which makes the allocated
 total exactly the capacity.
 
 When the VIP users' aggregate target rates reach the capacity, only VIP
-users participate and their demand is capped at their targets; regular
-users are excluded and end with zero rate. Otherwise everyone bids,
-with VIP bids carrying their targets on top of demand.
+users participate and their demand is capped at their targets, per
+application and in total; regular users are excluded and end with zero
+rate. Otherwise everyone bids, with VIP bids carrying their targets on
+top of demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping, Sequence
 
 from .errors import ContractError, DomainError, NonConvergenceError, ProtocolError
 from .price_response import BisectionSettings, vip_bid
-from .utility import UserProfile
 
-
-class CaseFlag(Enum):
-    """Capacity regime, fixed once per run from targets vs capacity."""
-
-    TARGETS_EXCEED_CAPACITY = "targets_exceed_capacity"
-    TARGETS_BELOW_CAPACITY = "targets_below_capacity"
+# determine_case is re-exported: the regime is part of this stage's interface.
+from .utility import CaseFlag, UserProfile, determine_case, regime_table  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -96,16 +91,6 @@ class FirstStageResult:
     rounds_used: int
 
 
-def determine_case(users: Sequence[UserProfile], capacity: float) -> CaseFlag:
-    """Scarce capacity iff the VIP users' summed target rates reach it."""
-    if not (math.isfinite(capacity) and capacity > 0.0):
-        raise DomainError(f"capacity must be positive, got {capacity!r}")
-    total = sum(user.total_target for user in users if user.is_vip)
-    if total >= capacity:
-        return CaseFlag.TARGETS_EXCEED_CAPACITY
-    return CaseFlag.TARGETS_BELOW_CAPACITY
-
-
 def enodeb_step(
     bids: Mapping[str, float],
     prev_bids: Mapping[str, float],
@@ -146,12 +131,8 @@ def run_first_stage(
     if len({user.user_id for user in users}) != len(users):
         raise ContractError("user ids must be unique")
 
-    case = determine_case(users, capacity)
-    first_case = case is CaseFlag.TARGETS_EXCEED_CAPACITY
-    if first_case:
-        participants = [user for user in users if user.is_vip]
-    else:
-        participants = list(users)
+    table = regime_table(users, capacity)
+    participants = table.participants
     if not participants:
         raise ProtocolError("scenario has no participating users")
 
@@ -179,7 +160,7 @@ def run_first_stage(
                 for user in users
             }
             return FirstStageResult(
-                case=case,
+                case=table.case,
                 rates=rates,
                 final_price=final_price,
                 trace=tuple(trace),
@@ -196,7 +177,7 @@ def run_first_stage(
                 prev[user.user_id],
                 params.l1,
                 params.l2,
-                first_case=first_case,
+                case=table.case,
                 settings=settings,
             )
             for user in participants
@@ -210,10 +191,12 @@ def run_first_stage(
     )
 
 
-def trace_records(result: FirstStageResult) -> list[tuple[int, str, float, float]]:
+def trace_records(result) -> list[tuple[int, str, float, float]]:
     """Flatten a trace into (round, user_id, bid, price) rows.
 
-    Rows are ordered by round, then by the participant order of the run.
+    result is a FirstStageResult, or anything else carrying its trace
+    (such as a RunRecord kept with its trace). Rows are ordered by
+    round, then by the participant order of the run.
     """
     rows: list[tuple[int, str, float, float]] = []
     for state in result.trace:

@@ -23,9 +23,9 @@ from typing import Sequence
 
 import yaml
 
-from .errors import ContractError, SweepError, ValidationError
+from .errors import ContractError, DomainError, SweepError, ValidationError
 from .intra_ue import allocate_internal
-from .protocol import CaseFlag, ProtocolParams, RoundState, run_first_stage
+from .protocol import CaseFlag, ProtocolParams, RoundState, run_first_stage, trace_records
 from .utility import (
     Application,
     LogarithmicUtility,
@@ -148,22 +148,35 @@ def _parse_utility(node, path: str, violations: list[str]):
     return None
 
 
-def _parse_app(node, path: str, violations: list[str]) -> Application | None:
+def _check_weight_row(weights: list[float | None], path: str, violations: list[str]) -> bool:
+    """One user's application weights: each in [0, 1], together summing to 1.
+
+    None marks a weight already reported as unreadable; it fails the row
+    and skips the sum check without a second report.
+    """
+    ok = None not in weights
+    for j, w in enumerate(weights):
+        if w is not None and not 0.0 <= w <= 1.0:
+            violations.append(f"{path}[{j}]: weight must lie in [0, 1], got {w!r}")
+            ok = False
+    if ok and abs(sum(weights) - 1.0) > 1e-9:
+        violations.append(f"{path}: weights must sum to 1, got {sum(weights)!r}")
+        ok = False
+    return ok
+
+
+def _parse_app(node, path: str, violations: list[str]):
+    """(utility, weight, target) of one application, None for unreadable parts."""
     if not isinstance(node, dict):
         violations.append(f"{path}: expected a mapping, got {node!r}")
-        return None
+        return None, None, None
     _check_keys(node, _APP_KEYS, path, violations)
     utility = _parse_utility(node.get("utility"), f"{path}.utility", violations)
     weight = _get_number(node, "weight", path, violations)
-    if weight is not None and not (0.0 <= weight <= 1.0):
-        violations.append(f"{path}.weight: must lie in [0, 1], got {weight}")
-        weight = None
     target = _get_number(
         node, "target_rate", path, violations, required=False, positive=True
     )
-    if utility is None or weight is None:
-        return None
-    return Application(utility=utility, weight=weight, target_rate=target)
+    return utility, weight, target
 
 
 def _parse_user(node, path: str, violations: list[str]) -> UserProfile | None:
@@ -186,31 +199,25 @@ def _parse_user(node, path: str, violations: list[str]) -> UserProfile | None:
     beta = _get_number(node, "beta", path, violations, required=False,
                        positive=True, default=1.0)
     apps_node = node.get("apps")
-    apps: list[Application] = []
-    apps_ok = False
     if not isinstance(apps_node, list) or not apps_node:
         violations.append(f"{path}.apps: expected a nonempty list")
-    else:
-        for j, app_node in enumerate(apps_node):
-            app = _parse_app(app_node, f"{path}.apps[{j}]", violations)
-            if app is not None:
-                apps.append(app)
-        apps_ok = len(apps) == len(apps_node)
-        if apps_ok:
-            weight_sum = sum(app.weight for app in apps)
-            if abs(weight_sum - 1.0) > 1e-9:
-                violations.append(
-                    f"{path}: application weights must sum to 1, got {weight_sum!r}"
-                )
-                apps_ok = False
-            if cls is UserClass.REGULAR and any(
-                app.target_rate is not None for app in apps
-            ):
-                violations.append(f"{path}: regular users must not carry target rates")
-                apps_ok = False
+        return None
+    parts = [
+        _parse_app(app_node, f"{path}.apps[{j}]", violations)
+        for j, app_node in enumerate(apps_node)
+    ]
+    apps_ok = _check_weight_row(
+        [weight for _, weight, _ in parts], f"{path}.apps", violations
+    )
+    if cls is UserClass.REGULAR and any(target is not None for _, _, target in parts):
+        violations.append(f"{path}: regular users must not carry target rates")
+        apps_ok = False
+    if any(utility is None for utility, _, _ in parts):
+        apps_ok = False
     if uid is None or cls is None or beta is None or not apps_ok:
         return None
-    return UserProfile(user_id=uid, user_class=cls, beta=beta, apps=tuple(apps))
+    apps = tuple(Application(*part) for part in parts)
+    return UserProfile(user_id=uid, user_class=cls, beta=beta, apps=apps)
 
 
 def scenario_from_dict(raw, source: str = "<dict>") -> ScenarioConfig:
@@ -252,7 +259,7 @@ def scenario_from_dict(raw, source: str = "<dict>") -> ScenarioConfig:
                 kwargs["max_rounds"] = max_rounds
         try:
             params = ProtocolParams(**kwargs)
-        except Exception as exc:  # domain errors already itemized above
+        except DomainError as exc:
             violations.append(f"{source}.protocol: {exc}")
 
     users_node = raw.get("users")
@@ -304,16 +311,20 @@ def _warn_if_capacity_dwarfs_saturation(config: ScenarioConfig) -> None:
         )
 
 
-def load_scenario(path) -> ScenarioConfig:
-    """Read and validate a scenario YAML file."""
+def _read_yaml(path):
+    """Parse a YAML file; syntax errors become a ValidationError naming the line."""
     with open(path, encoding="utf-8") as handle:
         try:
-            raw = yaml.safe_load(handle)
+            return yaml.safe_load(handle)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f" (line {mark.line + 1})" if mark is not None else ""
             raise ValidationError(f"{path}: cannot parse YAML{where}: {exc}") from exc
-    return scenario_from_dict(raw, source=str(path))
+
+
+def load_scenario(path) -> ScenarioConfig:
+    """Read and validate a scenario YAML file."""
+    return scenario_from_dict(_read_yaml(path), source=str(path))
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
@@ -367,13 +378,7 @@ def load_schedule(path) -> WeightSchedule:
     Compatibility with a particular scenario (matching user ids and
     application counts) is checked when the schedule is run.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            raw = yaml.safe_load(handle)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f" (line {mark.line + 1})" if mark is not None else ""
-            raise ValidationError(f"{path}: cannot parse YAML{where}: {exc}") from exc
+    raw = _read_yaml(path)
     source = str(path)
     violations: list[str] = []
     if not isinstance(raw, dict):
@@ -412,28 +417,14 @@ def load_schedule(path) -> WeightSchedule:
                     violations.append(f"{row_path}: expected a nonempty list of weights")
                     continue
                 values = []
-                ok = True
                 for w in row:
                     if isinstance(w, bool) or not isinstance(w, (int, float)):
                         violations.append(f"{row_path}: expected numbers, got {w!r}")
-                        ok = False
-                        break
-                    w = float(w)
-                    if not (math.isfinite(w) and 0.0 <= w <= 1.0):
-                        violations.append(
-                            f"{row_path}: weights must lie in [0, 1], got {w!r}"
-                        )
-                        ok = False
-                        break
-                    values.append(w)
-                if not ok:
-                    continue
-                if abs(sum(values) - 1.0) > 1e-9:
-                    violations.append(
-                        f"{row_path}: weights must sum to 1, got {sum(values)!r}"
-                    )
-                    continue
-                weights[uid] = tuple(values)
+                        values.append(None)
+                    else:
+                        values.append(float(w))
+                if _check_weight_row(values, row_path, violations):
+                    weights[uid] = tuple(values)
         if start is None or end is None or not weights:
             continue
         epochs.append(Epoch(start=start, end=end, weights=weights))
@@ -612,9 +603,10 @@ def emit_csv(records: Sequence[RunRecord], path, kind: str) -> None:
                 raise ContractError(
                     "trace emission requires records produced with keep_trace"
                 )
-            for state in record.trace:
-                for uid, bid in state.bids.items():
-                    rows.append([str(state.round_index), uid, _fmt(bid), _fmt(state.price)])
+            rows.extend(
+                [str(round_index), uid, _fmt(bid), _fmt(price)]
+                for round_index, uid, bid, price in trace_records(record)
+            )
     else:
         raise ContractError(
             f"kind must be 'allocations', 'app_allocations' or 'trace', got {kind!r}"

@@ -12,6 +12,10 @@ the numerically delicate pieces are concentrated in this module. All
 branches exponentiate only non-positive (or safely bounded) arguments;
 steepness-times-inflection products up to about 700 are handled without
 overflow, and saturation degrades gracefully rather than raising.
+
+The capacity regime (CaseFlag) and what it means for every user and
+application also live here, so the bidding stage, the intra-user split
+and the certifying solvers all read one statement of the problem.
 """
 
 from __future__ import annotations
@@ -259,3 +263,98 @@ def aggregate_user_utility(user: UserProfile, rates: Sequence[float]) -> float:
             return 0.0
         total += app.weight * log_value
     return math.exp(total)
+
+
+class CaseFlag(Enum):
+    """Capacity regime of one solve, fixed by determine_case.
+
+    Scarce capacity (the VIP targets reach it): only VIP users take part,
+    nothing is granted off the top, and each target caps its
+    application's rate and, summed, its user's rate. Abundant capacity:
+    every user takes part, every target is granted off the top as an
+    offset, and nothing is capped. These methods and regime_table are the
+    only statement of these rules; the solvers read them through a
+    RegimeTable or through a CaseFlag argument.
+    """
+
+    TARGETS_EXCEED_CAPACITY = "targets_exceed_capacity"
+    TARGETS_BELOW_CAPACITY = "targets_below_capacity"
+
+    def app_offset(self, app: Application) -> float:
+        """Rate granted to the application before it competes."""
+        return 0.0 if self is CaseFlag.TARGETS_EXCEED_CAPACITY else app.offset
+
+    def app_cap(self, app: Application) -> float | None:
+        """Bound on the application's rate above its offset (None: unbounded)."""
+        return app.target_rate if self is CaseFlag.TARGETS_EXCEED_CAPACITY else None
+
+    def user_offset(self, user: UserProfile) -> float:
+        """Rate granted to the user before it competes: its apps' offsets."""
+        return 0.0 if self is CaseFlag.TARGETS_EXCEED_CAPACITY else user.total_target
+
+    def user_cap(self, user: UserProfile) -> float | None:
+        """Bound on the user's rate above its offset (None: unbounded)."""
+        return user.total_target if self is CaseFlag.TARGETS_EXCEED_CAPACITY else None
+
+
+def determine_case(users: Sequence[UserProfile], capacity: float) -> CaseFlag:
+    """Scarce capacity iff the VIP users' summed target rates reach it."""
+    if not (math.isfinite(capacity) and capacity > 0.0):
+        raise DomainError(f"capacity must be positive, got {capacity!r}")
+    total = sum(user.total_target for user in users if user.is_vip)
+    if total >= capacity:
+        return CaseFlag.TARGETS_EXCEED_CAPACITY
+    return CaseFlag.TARGETS_BELOW_CAPACITY
+
+
+@dataclass(frozen=True)
+class AppRow:
+    """One application under a regime; its decision variable is the rate
+    above offset, at most cap."""
+
+    user_slot: int  # index of its user among those the rows were built for
+    app: Application
+    factor: float  # beta * weight
+    offset: float  # added to the rate inside the utility argument
+    cap: float | None  # upper bound on the variable itself
+
+
+@dataclass(frozen=True)
+class RegimeTable:
+    """One solve's problem under its capacity regime.
+
+    participants are the users taking part, in declaration order; budget
+    is the capacity they share above their offsets; user_caps holds each
+    participant's cap and rows their applications, user by user.
+    """
+
+    case: CaseFlag
+    participants: tuple[UserProfile, ...]
+    budget: float
+    user_caps: tuple[float | None, ...]
+    rows: tuple[AppRow, ...]
+
+
+def app_rows(users: Sequence[UserProfile], case: CaseFlag) -> tuple[AppRow, ...]:
+    """Rows of the users' applications in order; user_slot indexes users."""
+    return tuple(
+        AppRow(slot, app, user.beta * app.weight, case.app_offset(app), case.app_cap(app))
+        for slot, user in enumerate(users)
+        for app in user.apps
+    )
+
+
+def regime_table(users: Sequence[UserProfile], capacity: float) -> RegimeTable:
+    """Decide the regime for this capacity and lay out who shares what."""
+    case = determine_case(users, capacity)
+    if case is CaseFlag.TARGETS_EXCEED_CAPACITY:
+        participants = tuple(user for user in users if user.is_vip)
+    else:
+        participants = tuple(users)
+    return RegimeTable(
+        case=case,
+        participants=participants,
+        budget=capacity - sum(case.user_offset(user) for user in participants),
+        user_caps=tuple(case.user_cap(user) for user in participants),
+        rows=app_rows(participants, case),
+    )

@@ -147,6 +147,20 @@ REDUCED_SCENARIOS = [
         ],
         7.0,
     ),
+    (
+        "VIP with two targeted apps, scarce",
+        [
+            _vip(
+                "x",
+                [
+                    _app(LogarithmicUtility(k=3.0, r_max=100.0), 0.9, 1.0),
+                    _app(SigmoidalUtility(a=1.0, b=30.0), 0.1, 20.0),
+                ],
+            ),
+            _vip("y", [_app(SigmoidalUtility(a=1.0, b=15.0), 1.0, 30.0)]),
+        ],
+        20.0,
+    ),
 ]
 
 

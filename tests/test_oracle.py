@@ -1,5 +1,8 @@
 """Centralized solvers: analytic points, grid cross-checks, tie rules."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from nura import (
@@ -169,3 +172,19 @@ def test_methods_labelled():
     user = _user("solo", UserClass.REGULAR, [_app(LOG_UNIT, 1.0)])
     assert centralized_solve([user], 2.0).method == "dual_bisection"
     assert grid_search_solve([user], 2.0).method == "grid_search"
+
+
+def test_oracle_imports_only_errors_and_utility():
+    # The reference solver may share the problem statement (the regime
+    # table in utility) with the pipeline, but none of its demand code,
+    # so a pipeline bug cannot certify itself.
+    path = Path(__file__).resolve().parents[1] / "src" / "nura" / "oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            imported.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "nura":
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "nura")
+    assert imported == {"errors", "utility"}

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from nura import (
     Application,
     BisectionSettings,
+    CaseFlag,
     DomainError,
     LogarithmicUtility,
-    OffsetMode,
     SigmoidalUtility,
     UserClass,
     UserProfile,
@@ -88,15 +88,15 @@ def test_offset_shifts_demand_down():
     # with the target already granted the FOC root moves to rate+target,
     # so the surplus demand drops by exactly the target
     app = log_app(target=3.0)
-    with_offset = app_rate_at_price(app, price=0.1, offset_mode=OffsetMode.WITH_OFFSETS)
-    without = app_rate_at_price(app, price=0.1, offset_mode=OffsetMode.WITHOUT_OFFSETS)
+    with_offset = app_rate_at_price(app, price=0.1, case=CaseFlag.TARGETS_BELOW_CAPACITY)
+    without = app_rate_at_price(app, price=0.1, case=CaseFlag.TARGETS_EXCEED_CAPACITY)
     assert without == pytest.approx(4.728925565386941, abs=1e-6)
     assert with_offset == pytest.approx(4.728925565386941 - 3.0, abs=1e-6)
 
 
 def test_offset_demand_zero_when_target_saturates():
     app = log_app(target=10.0)
-    assert app_rate_at_price(app, price=0.5, offset_mode=OffsetMode.WITH_OFFSETS) == 0.0
+    assert app_rate_at_price(app, price=0.5, case=CaseFlag.TARGETS_BELOW_CAPACITY) == 0.0
 
 
 def test_price_validation():
@@ -116,8 +116,8 @@ def test_bisection_settings_validation():
 # demand as argmax: golden-section and grid cross-checks
 
 
-def _surplus(app, offset_mode, price):
-    offset = app.offset if offset_mode is OffsetMode.WITH_OFFSETS else 0.0
+def _surplus(app, case, price):
+    offset = case.app_offset(app)
 
     def value(rate):
         if rate + offset <= 0.0:
@@ -140,7 +140,7 @@ def _surplus(app, offset_mode, price):
 )
 def test_demand_matches_golden_section(app, price):
     rate = app_rate_at_price(app, price)
-    value = _surplus(app, OffsetMode.WITH_OFFSETS, price)
+    value = _surplus(app, CaseFlag.TARGETS_BELOW_CAPACITY, price)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, app.utility.rate_scale
     while value(2.0 * hi) > value(hi):  # expand until the peak is enclosed
@@ -245,10 +245,14 @@ def test_vip_bid_scarce_form():
     # per-app FOC demand at p=0.05 is ~4.73, total ~9.46, capped at the
     # total target 4
     user = _vip()
-    bid = vip_bid(user, 0.05, 50, prev_bid=0.0, l1=5.0, l2=10.0, first_case=True)
+    bid = vip_bid(
+        user, 0.05, 50, prev_bid=0.0, l1=5.0, l2=10.0, case=CaseFlag.TARGETS_EXCEED_CAPACITY
+    )
     # round 50 step 5e^{-5} ~ 0.0337 from 0: damping binds
     assert bid == pytest.approx(5.0 * math.exp(-5.0), rel=1e-12)
-    bid = vip_bid(user, 0.05, 1, prev_bid=0.19, l1=5.0, l2=10.0, first_case=True)
+    bid = vip_bid(
+        user, 0.05, 1, prev_bid=0.19, l1=5.0, l2=10.0, case=CaseFlag.TARGETS_EXCEED_CAPACITY
+    )
     assert bid == pytest.approx(0.05 * 4.0, abs=1e-8)  # undamped: p * capped rate
 
 
@@ -257,6 +261,8 @@ def test_vip_bid_abundant_form():
     # (w/p = 10); the targeted app keeps the surplus above 4, and the
     # bid covers surplus + target
     user = _vip()
-    bid = vip_bid(user, 0.05, 1, prev_bid=0.9, l1=50.0, l2=10.0, first_case=False)
+    bid = vip_bid(
+        user, 0.05, 1, prev_bid=0.9, l1=50.0, l2=10.0, case=CaseFlag.TARGETS_BELOW_CAPACITY
+    )
     surplus = (4.728925565386941 - 4.0) + 4.728925565386941
     assert bid == pytest.approx(0.05 * (surplus + 4.0), abs=1e-6)

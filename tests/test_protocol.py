@@ -20,6 +20,7 @@ from nura import (
     run_first_stage,
     trace_records,
 )
+from nura.utility import regime_table
 
 
 def _params(**kw):
@@ -75,6 +76,25 @@ def test_case_boundary_counts_as_scarce(cell):
     assert determine_case(cell.users, 50.0) is CaseFlag.TARGETS_EXCEED_CAPACITY
     assert determine_case(cell.users, 50.0001) is CaseFlag.TARGETS_BELOW_CAPACITY
     assert determine_case(cell.users, 5.0) is CaseFlag.TARGETS_EXCEED_CAPACITY
+
+    apps = [app for user in cell.users for app in user.apps]
+    targets = [app.target_rate for app in apps]
+
+    scarce = regime_table(cell.users, 50.0)
+    assert scarce.case is CaseFlag.TARGETS_EXCEED_CAPACITY
+    assert [user.user_id for user in scarce.participants] == ["ue1", "ue2"]
+    assert scarce.budget == 50.0
+    assert scarce.user_caps == (20.0, 30.0)
+    assert [row.cap for row in scarce.rows] == targets[: len(scarce.rows)]
+    assert all(row.offset == 0.0 for row in scarce.rows)
+
+    abundant = regime_table(cell.users, 50.0001)
+    assert abundant.case is CaseFlag.TARGETS_BELOW_CAPACITY
+    assert abundant.participants == cell.users
+    assert abundant.budget == pytest.approx(1e-4, rel=1e-6)
+    assert abundant.user_caps == (None,) * 4
+    assert [row.offset for row in abundant.rows] == [t or 0.0 for t in targets]
+    assert all(row.cap is None for row in abundant.rows)
 
 
 # ---------------------------------------------------------------------------
