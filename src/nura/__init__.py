@@ -19,7 +19,6 @@ from .errors import (
 from .intra_ue import InternalAllocation, allocate_internal, split_value
 from .oracle import OracleResult, centralized_solve, grid_search_solve
 from .price_response import (
-    BisectionSettings,
     app_rate_at_price,
     damp_bid,
     user_rate_at_price,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Application",
-    "BisectionSettings",
     "CaseFlag",
     "ContractError",
     "DomainError",

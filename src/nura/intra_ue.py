@@ -25,15 +25,16 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ContractError, DomainError, SolverError
-from .price_response import BisectionSettings, app_rate_at_price
+from .price_response import app_rate_at_price
 from .utility import NEG_INF, AppRow, CaseFlag, UserProfile, app_rows
 
 # Tighter than the app-level default so that summed per-app wobble stays
 # far below the budget tolerance even for many applications.
-_SPLIT_SETTINGS = BisectionSettings(abs_tol=1e-10, max_iters=200)
+_SPLIT_TOL = 1e-10
 
 _PRICE_EPS = 1e-12
 _MAX_PRICE_DOUBLINGS = 200
+_MAX_PRICE_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,9 @@ class InternalAllocation:
     slack: float
 
 
-def _per_app_rates(
-    rows: tuple[AppRow, ...], price: float, case: CaseFlag, settings: BisectionSettings
-) -> list[float]:
+def _per_app_rates(rows: tuple[AppRow, ...], price: float, case: CaseFlag) -> list[float]:
     return [
-        row.offset + app_rate_at_price(row.app, price, row.cap, case, settings)
+        row.offset + app_rate_at_price(row.app, price, row.cap, case, _SPLIT_TOL)
         for row in rows
     ]
 
@@ -64,7 +63,6 @@ def allocate_internal(
     user: UserProfile,
     r_opt: float,
     case: CaseFlag,
-    settings: BisectionSettings | None = None,
 ) -> InternalAllocation:
     """Split r_opt among the user's applications by internal-price bisection.
 
@@ -73,8 +71,6 @@ def allocate_internal(
     beyond the target caps flows to the uncapped applications; if every
     application is capped, the leftover stays as slack.
     """
-    if settings is None:
-        settings = _SPLIT_SETTINGS
     if not (math.isfinite(r_opt) and r_opt >= 0.0):
         raise DomainError(f"r_opt must be finite and nonnegative, got {r_opt!r}")
     rows = app_rows([user], case)
@@ -113,14 +109,14 @@ def allocate_internal(
     tol_sum = 1e-9 * max(budget, 1.0)
 
     lo = _PRICE_EPS
-    rates_lo = _per_app_rates(rows, lo, case, settings)
+    rates_lo = _per_app_rates(rows, lo, case)
     if sum(rates_lo) <= budget + tol_sum:
         # Even a vanishing price under-consumes; positive slack is legal.
         return InternalAllocation(tuple(rates_lo), lo, budget - sum(rates_lo))
 
     hi = 1.0
     doublings = 0
-    while sum(_per_app_rates(rows, hi, case, settings)) > budget:
+    while sum(_per_app_rates(rows, hi, case)) > budget:
         lo = hi
         hi *= 2.0
         doublings += 1
@@ -130,11 +126,11 @@ def allocate_internal(
                 bracket=(lo, hi),
             )
 
-    for _ in range(settings.max_iters):
+    for _ in range(_MAX_PRICE_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break  # bracket collapsed to adjacent floats
-        rates_mid = _per_app_rates(rows, mid, case, settings)
+        rates_mid = _per_app_rates(rows, mid, case)
         total_mid = sum(rates_mid)
         if abs(total_mid - budget) <= tol_sum:
             return InternalAllocation(tuple(rates_mid), mid, budget - total_mid)
@@ -147,8 +143,8 @@ def allocate_internal(
     # on the flat part of its marginal-value curve and its demand jumps
     # across one representable price. Take the feasible side and park
     # the leftover on the flattest responders, capped where caps apply.
-    rates_hi = _per_app_rates(rows, hi, case, settings)
-    rates_lo = _per_app_rates(rows, lo, case, settings)
+    rates_hi = _per_app_rates(rows, hi, case)
+    rates_lo = _per_app_rates(rows, lo, case)
     final = list(rates_hi)
     residual = budget - sum(final)
     order = sorted(

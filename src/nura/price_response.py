@@ -16,27 +16,12 @@ bidding protocol cannot oscillate forever.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, SolverError
 from .utility import Application, CaseFlag, UserProfile
 
 
-@dataclass(frozen=True)
-class BisectionSettings:
-    """Tolerances shared by the rate-domain bisection solvers."""
-
-    abs_tol: float = 1e-8
-    max_iters: int = 200
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if self.max_iters < 1:
-            raise DomainError(f"max_iters must be at least 1, got {self.max_iters!r}")
-
-
-_DEFAULT_SETTINGS = BisectionSettings()
+_MAX_ITERS = 200
 _MAX_BRACKET_DOUBLINGS = 60
 
 
@@ -45,17 +30,15 @@ def app_rate_at_price(
     price: float,
     cap: float | None = None,
     case: CaseFlag = CaseFlag.TARGETS_BELOW_CAPACITY,
-    settings: BisectionSettings | None = None,
+    abs_tol: float = 1e-8,
 ) -> float:
     """Rate maximizing weight * ln U(r + c) - price * (r + c) over [0, cap].
 
     c is the application's offset under the capacity regime. Zero-weight
-    applications demand nothing.
+    applications demand nothing. The rate is resolved to abs_tol.
     """
     if not (math.isfinite(price) and price > 0.0):
         raise DomainError(f"price must be positive, got {price!r}")
-    if settings is None:
-        settings = _DEFAULT_SETTINGS
     if app.weight == 0.0:
         return 0.0
     offset = case.app_offset(app)
@@ -66,7 +49,7 @@ def app_rate_at_price(
     # Demand collapses to 0 when the marginal value just above zero rate
     # is already below the price. With no offset the derivative blows up
     # at 0, so probe a hair inside the domain.
-    probe = 0.0 if offset > 0.0 else settings.abs_tol
+    probe = 0.0 if offset > 0.0 else abs_tol
     if excess(probe) <= 0.0:
         return 0.0
 
@@ -90,8 +73,8 @@ def app_rate_at_price(
                 )
 
     lo = 0.0
-    for _ in range(settings.max_iters):
-        if hi - lo <= settings.abs_tol:
+    for _ in range(_MAX_ITERS):
+        if hi - lo <= abs_tol:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
@@ -103,8 +86,8 @@ def app_rate_at_price(
         else:
             hi = mid
     raise SolverError(
-        f"demand bisection did not reach tolerance {settings.abs_tol} "
-        f"in {settings.max_iters} iterations",
+        f"demand bisection did not reach tolerance {abs_tol} "
+        f"in {_MAX_ITERS} iterations",
         bracket=(lo, hi),
     )
 
@@ -114,7 +97,6 @@ def user_rate_at_price(
     price: float,
     user_cap: float | None = None,
     case: CaseFlag = CaseFlag.TARGETS_BELOW_CAPACITY,
-    settings: BisectionSettings | None = None,
 ) -> float:
     """Total rate above its offsets the user demands at the given price.
 
@@ -131,7 +113,7 @@ def user_rate_at_price(
         raise DomainError(f"user_cap must be nonnegative, got {user_cap!r}")
     per_app_price = price / user.beta
     total = sum(
-        app_rate_at_price(app, per_app_price, case.app_cap(app), case, settings)
+        app_rate_at_price(app, per_app_price, case.app_cap(app), case)
         for app in user.apps
     )
     if user_cap is not None and total > user_cap:
@@ -166,7 +148,6 @@ def vip_bid(
     l2: float,
     *,
     case: CaseFlag,
-    settings: BisectionSettings | None = None,
 ) -> float:
     """One user's damped bid for the current round.
 
@@ -175,6 +156,6 @@ def vip_bid(
     that rate and its offsets, price * (rate + offsets): the plain
     price * rate under scarce capacity or without targets.
     """
-    rate = user_rate_at_price(user, price, case.user_cap(user), case, settings)
+    rate = user_rate_at_price(user, price, case.user_cap(user), case)
     proposed = price * (rate + case.user_offset(user))
     return damp_bid(proposed, prev_bid, round_index, l1, l2)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import ContractError, DomainError, NonConvergenceError, ProtocolError
-from .price_response import BisectionSettings, vip_bid
+from .price_response import vip_bid
 
 # determine_case is re-exported: the regime is part of this stage's interface.
 from .utility import CaseFlag, UserProfile, determine_case, regime_table  # noqa: F401
@@ -115,7 +115,6 @@ def run_first_stage(
     users: Sequence[UserProfile],
     capacity: float,
     params: ProtocolParams | None = None,
-    settings: BisectionSettings | None = None,
 ) -> FirstStageResult:
     """Run the bidding loop to convergence and extract per-user rates.
 
@@ -178,7 +177,6 @@ def run_first_stage(
                 params.l1,
                 params.l2,
                 case=table.case,
-                settings=settings,
             )
             for user in participants
         }

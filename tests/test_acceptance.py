@@ -178,6 +178,13 @@ def test_criterion_3_pipeline_matches_reference_solvers(sweep, oracle_solutions)
                 f"R={record.capacity}: {uid} off by {deviation:.4f} "
                 f"(tolerance {tolerance:.4f})"
             )
+            for got, want in zip(record.app_rates[uid], reference.app_rates[uid]):
+                deviation = abs(got - want)
+                worst_ratio = max(worst_ratio, deviation / tolerance)
+                assert deviation <= tolerance, (
+                    f"R={record.capacity}: {uid} app rate off by {deviation:.4f} "
+                    f"(tolerance {tolerance:.4f})"
+                )
 
     worst_grid = 0.0
     for label, users, capacity in REDUCED_SCENARIOS:

@@ -1,6 +1,7 @@
 """Centralized solvers: analytic points, grid cross-checks, tie rules."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,15 @@ def test_scarce_capacity_zeroes_regulars(cell):
     # per-user caps: nobody exceeds their total target under scarcity
     assert result.user_rates["ue1"] <= 20.0 + 1e-9
     assert result.user_rates["ue2"] <= 30.0 + 1e-9
+    # ue1 sits at its cap; its two apps split the 20 where their weighted
+    # marginal log-utilities agree.
+    ue1 = next(user for user in cell.users if user.user_id == "ue1")
+    assert result.user_rates["ue1"] == pytest.approx(20.0, rel=1e-9)
+    marginals = [
+        user_app.weight * user_app.utility.dlog_evaluate(rate)
+        for user_app, rate in zip(ue1.apps, result.app_rates["ue1"])
+    ]
+    assert marginals[0] == pytest.approx(marginals[1], rel=1e-6)
 
 
 def test_abundant_capacity_covers_targets(cell):
@@ -72,6 +82,24 @@ def test_abundant_capacity_covers_targets(cell):
     assert result.user_rates["ue2"] >= 30.0 - 1e-9
     assert result.app_rates["ue1"][0] >= 20.0 - 1e-9  # targeted app floor
     assert sum(result.user_rates.values()) == pytest.approx(120.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("capacity", [120.0, 30.0])
+def test_replicated_cell_matches_single_cell(cell, capacity):
+    """Sixteen copies of every user at sixteen times the capacity get the
+    single cell's rates, abundant (120) and scarce (30) alike."""
+    copies = 16
+    users = [
+        replace(user, user_id=f"{user.user_id}-{i}")
+        for i in range(copies)
+        for user in cell.users
+    ]
+    single = centralized_solve(cell.users, capacity)
+    result = centralized_solve(users, copies * capacity)
+    for user in users:
+        base = user.user_id.rsplit("-", 1)[0]
+        for got, want in zip(result.app_rates[user.user_id], single.app_rates[base]):
+            assert got == pytest.approx(want, abs=1e-6)
 
 
 def test_capacity_validation(cell):

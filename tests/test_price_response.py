@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nura import (
     Application,
-    BisectionSettings,
     CaseFlag,
     DomainError,
     LogarithmicUtility,
@@ -103,13 +102,6 @@ def test_price_validation():
     for bad in [0.0, -1.0, math.inf, math.nan]:
         with pytest.raises(DomainError):
             app_rate_at_price(log_app(), price=bad)
-
-
-def test_bisection_settings_validation():
-    with pytest.raises(DomainError):
-        BisectionSettings(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        BisectionSettings(max_iters=0)
 
 
 # ---------------------------------------------------------------------------
