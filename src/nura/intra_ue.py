@@ -3,8 +3,9 @@
 Given the rate r_opt a user won in the bidding stage, find per-app
 rates maximizing the weighted sum of log-utilities subject to the
 budget. The dual view: each trial internal price p induces per-app
-demands; total demand is nonincreasing in p, so bisection on p finds
-the price where demand meets the budget.
+demands; total demand is nonincreasing in p, so a search on p finds
+the price where demand meets the budget. The search takes Newton steps
+in ln p inside a bracket that bisection steps keep shrinking.
 
 Under scarce capacity the split competes below the targets (objective
 on U(r), target-bearing apps capped at their targets). Under abundant
@@ -13,7 +14,7 @@ them (U(r + target)); returned rates then include the targets.
 
 The sigmoid's marginal-value curve has a long flat stretch below the
 inflection, where demand can jump across a single representable price.
-When bisection runs out of price resolution before meeting the budget,
+When the search runs out of price resolution before meeting the budget,
 the leftover is parked on the app with the flattest response, which is
 exactly where the optimum puts it.
 """
@@ -34,7 +35,7 @@ _SPLIT_TOL = 1e-10
 
 _PRICE_EPS = 1e-12
 _MAX_PRICE_DOUBLINGS = 200
-_MAX_PRICE_BISECTIONS = 200
+_MAX_PRICE_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def allocate_internal(
     r_opt: float,
     case: CaseFlag,
 ) -> InternalAllocation:
-    """Split r_opt among the user's applications by internal-price bisection.
+    """Split r_opt among the user's applications by an internal-price search.
 
     Under abundant capacity r_opt must cover the user's total target
     (the bidding stage guarantees it). Under scarce capacity any budget
@@ -115,9 +116,10 @@ def allocate_internal(
         return InternalAllocation(tuple(rates_lo), lo, budget - sum(rates_lo))
 
     hi = 1.0
+    rates_hi = _per_app_rates(rows, hi, case)
     doublings = 0
-    while sum(_per_app_rates(rows, hi, case)) > budget:
-        lo = hi
+    while sum(rates_hi) > budget:
+        lo, rates_lo = hi, rates_hi
         hi *= 2.0
         doublings += 1
         if doublings > _MAX_PRICE_DOUBLINGS:
@@ -125,26 +127,47 @@ def allocate_internal(
                 f"no internal price below {hi} meets the budget {budget}",
                 bracket=(lo, hi),
             )
+        rates_hi = _per_app_rates(rows, hi, case)
 
-    for _ in range(_MAX_PRICE_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break  # bracket collapsed to adjacent floats
-        rates_mid = _per_app_rates(rows, mid, case)
-        total_mid = sum(rates_mid)
-        if abs(total_mid - budget) <= tol_sum:
-            return InternalAllocation(tuple(rates_mid), mid, budget - total_mid)
-        if total_mid > budget:
-            lo = mid
+    # Newton on ln(demand above the offsets) as a function of ln p, from
+    # the upper end of the bracket; for log apps it is nearly linear.
+    # Each app strictly inside (0, cap) moves with ln p at 1 / (its
+    # dlog_slope), the others not at all. A step that leaves the bracket,
+    # or does not halve the step before last, becomes a bisection step
+    # in ln p. The demand at lo stays above the budget, at hi not.
+    price, rates = hi, rates_hi
+    last_step = prior_step = math.inf
+    for _ in range(_MAX_PRICE_STEPS):
+        total = sum(rates)
+        if abs(total - budget) <= tol_sum:
+            return InternalAllocation(tuple(rates), price, budget - total)
+        response = sum(
+            1.0 / row.app.utility.dlog_slope(rate)
+            for row, rate in zip(rows, rates)
+            if row.offset < rate and (row.cap is None or rate < row.offset + row.cap)
+        )
+        surplus = total - granted
+        step = math.nan
+        if response < 0.0 and surplus > 0.0:
+            step = math.log((budget - granted) / surplus) * surplus / response
+        trial = math.nan
+        if abs(step) <= min(0.5 * prior_step, 700.0):
+            trial = price * math.exp(step)
+        if not (lo < trial < hi):
+            trial = math.sqrt(lo * hi)
+            if not (lo < trial < hi):
+                break  # bracket collapsed to adjacent floats
+        prior_step, last_step = last_step, abs(math.log(trial / price))
+        price, rates = trial, _per_app_rates(rows, trial, case)
+        if sum(rates) > budget:
+            lo, rates_lo = price, rates
         else:
-            hi = mid
+            hi, rates_hi = price, rates
 
     # Price resolution exhausted before the sum tolerance: some app sits
     # on the flat part of its marginal-value curve and its demand jumps
     # across one representable price. Take the feasible side and park
     # the leftover on the flattest responders, capped where caps apply.
-    rates_hi = _per_app_rates(rows, hi, case)
-    rates_lo = _per_app_rates(rows, lo, case)
     final = list(rates_hi)
     residual = budget - sum(final)
     order = sorted(

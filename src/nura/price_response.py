@@ -3,7 +3,9 @@
 Given a shadow price p, each application demands the rate maximizing
 weight * ln U(r + c) - p * (r + c). Because ln U is strictly concave,
 the first-order condition weight * (ln U)'(r + c) = p has at most one
-root and bisection on the derivative is exact and fast. The capacity
+root. It is found by Newton steps on the log of the derivative, using
+the utility's closed-form dlog_slope, inside a bisection bracket that
+keeps them safe on the sigmoid's flat stretch. The capacity
 regime sets c (the target when capacity is abundant, else 0). A user's
 demand is the sum of its applications' demands at price p / beta,
 optionally clipped by an aggregate cap.
@@ -42,51 +44,81 @@ def app_rate_at_price(
     if app.weight == 0.0:
         return 0.0
     offset = case.app_offset(app)
-
-    def excess(rate: float) -> float:
-        return app.weight * app.utility.dlog_evaluate(rate + offset) - price
+    weight = app.weight
+    utility = app.utility
 
     # Demand collapses to 0 when the marginal value just above zero rate
     # is already below the price. With no offset the derivative blows up
     # at 0, so probe a hair inside the domain.
     probe = 0.0 if offset > 0.0 else abs_tol
-    if excess(probe) <= 0.0:
+    if weight * utility.dlog_evaluate(probe + offset) <= price:
         return 0.0
 
+    lo = 0.0
     if cap is not None:
         if cap < 0.0:
             raise DomainError(f"cap must be nonnegative, got {cap!r}")
         if cap == 0.0:
             return 0.0
-        if excess(cap) >= 0.0:
-            return cap
         hi = cap
+        marginal = utility.dlog_evaluate(hi + offset)
+        if weight * marginal >= price:
+            return cap
     else:
-        hi = app.utility.rate_scale
+        hi = utility.rate_scale
+        marginal = utility.dlog_evaluate(hi + offset)
         doublings = 0
-        while excess(hi) > 0.0:
-            hi *= 2.0
+        while weight * marginal > price:
+            lo, hi = hi, 2.0 * hi
             doublings += 1
             if doublings > _MAX_BRACKET_DOUBLINGS:
                 raise SolverError(
                     f"no finite demand bracket below rate {hi}", bracket=(0.0, hi)
                 )
+            marginal = utility.dlog_evaluate(hi + offset)
 
-    lo = 0.0
+    # Newton on h(r) = ln (ln U)'(r + c) - ln(price / weight), stepping in
+    # ln(r + c), where h is nearly linear at small rates; its slope is
+    # dlog_slope * (r + c). It starts from the upper end of the bracket
+    # [lo, hi], which always holds the root. A step that leaves the
+    # bracket, or does not halve the step before last, becomes a
+    # bisection step. The answer is the midpoint of a bracket at most
+    # abs_tol wide.
+    log_target = math.log(price / weight)
+    half_tol = 0.5 * abs_tol
+    rate = hi
+    last_step = prior_step = math.inf
     for _ in range(_MAX_ITERS):
         if hi - lo <= abs_tol:
             return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            # Adjacent floats: for rates this large one ulp exceeds the
-            # absolute tolerance, so this is as exact as it gets.
-            return 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
+        step = math.nan
+        arg = rate + offset
+        if 0.0 < marginal < math.inf:
+            slope = utility.dlog_slope(arg) * arg
+            if slope < 0.0:
+                log_step = (log_target - math.log(marginal)) / slope
+                step = arg * math.expm1(log_step) if log_step < 700.0 else math.inf
+                if abs(step) <= half_tol:
+                    # Converged: land half a tolerance past the estimate,
+                    # beyond the root, so the next test closes the bracket.
+                    above = weight * marginal > price
+                    step = abs(step) + half_tol if above else -abs(step) - half_tol
+        trial = rate + step
+        if not (abs(step) <= 0.5 * prior_step and lo < trial < hi):
+            trial = 0.5 * (lo + hi)
+            if not (lo < trial < hi):
+                # Adjacent floats: for rates this large one ulp exceeds the
+                # absolute tolerance, so this is as exact as it gets.
+                return trial
+        prior_step, last_step = last_step, abs(trial - rate)
+        rate = trial
+        marginal = utility.dlog_evaluate(rate + offset)
+        if weight * marginal > price:
+            lo = rate
         else:
-            hi = mid
+            hi = rate
     raise SolverError(
-        f"demand bisection did not reach tolerance {abs_tol} "
+        f"demand search did not reach tolerance {abs_tol} "
         f"in {_MAX_ITERS} iterations",
         bracket=(lo, hi),
     )

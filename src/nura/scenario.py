@@ -23,7 +23,7 @@ from typing import Sequence
 
 import yaml
 
-from .errors import ContractError, DomainError, SweepError, ValidationError
+from .errors import ContractError, DomainError, NuraError, SweepError, ValidationError
 from .intra_ue import allocate_internal
 from .protocol import CaseFlag, ProtocolParams, RoundState, run_first_stage, trace_records
 from .utility import (
@@ -481,9 +481,10 @@ def sweep_R(
 ) -> list[RunRecord]:
     """Independent runs over capacities r_start, r_start + r_step, ..., r_end.
 
-    The sweep always runs to completion; if any points failed, the
-    collected errors are raised afterwards with the successful records
-    attached.
+    The sweep always runs to completion; if any points failed with a
+    NuraError, the collected errors are raised afterwards with the
+    successful records attached. Any other exception is a bug and
+    propagates at once.
     """
     if not (0.0 < r_start <= r_end):
         raise ContractError(
@@ -493,13 +494,13 @@ def sweep_R(
         raise ContractError(f"r_step must be positive, got {r_step!r}")
     count = int(math.floor((r_end - r_start) / r_step + 1e-9)) + 1
     records: list[RunRecord] = []
-    failures: list[tuple[float, Exception]] = []
+    failures: list[tuple[float, NuraError]] = []
     for i in range(count):
         capacity = r_start + i * r_step
         point = replace(config, capacity=capacity)
         try:
             records.append(run_once(point, keep_trace=keep_trace))
-        except Exception as exc:  # gather everything, report at the end
+        except NuraError as exc:  # gather every library failure, report at the end
             failures.append((capacity, exc))
     if failures:
         summary = "; ".join(f"R={capacity:g}: {exc}" for capacity, exc in failures)

@@ -126,6 +126,25 @@ class SigmoidalUtility:
             return math.inf
         return scale / denom
 
+    def dlog_slope(self, rate: float) -> float:
+        """d/dr ln (ln U)'(r); negative.
+
+        Closed form -a(e^{a(r-b)} + e^{-ar}) / D with D the denominator of
+        dlog_evaluate; -a in deep saturation, where (ln U)' is a pure
+        exponential. The Newton steps of the demand solvers use it.
+        """
+        if rate <= 0.0:
+            raise DomainError(f"rate must be positive, got {rate!r}")
+        x = self.a * (rate - self.b)
+        if x > 700.0:
+            return -self.a
+        e_x = math.exp(x)
+        e_ar = math.exp(-self.a * rate)
+        denom = e_x + 1.0 - math.exp(-self.a * self.b) - e_ar
+        if denom <= 0.0:
+            return -math.inf
+        return -self.a * (e_x + e_ar) / denom
+
 
 @dataclass(frozen=True)
 class LogarithmicUtility:
@@ -172,6 +191,16 @@ class LogarithmicUtility:
         if denom <= 0.0:
             return math.inf
         return self.k / denom
+
+    def dlog_slope(self, rate: float) -> float:
+        """d/dr ln (ln U)'(r) = -k / (1 + k r) * (1 + 1 / ln(1 + k r)); negative."""
+        if rate <= 0.0:
+            raise DomainError(f"rate must be positive, got {rate!r}")
+        kr = self.k * rate
+        log_term = math.log1p(kr)
+        if log_term <= 0.0:
+            return -math.inf
+        return -self.k / (1.0 + kr) * (1.0 + 1.0 / log_term)
 
 
 UtilityFunction = Union[SigmoidalUtility, LogarithmicUtility]

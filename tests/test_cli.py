@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +164,21 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
 def test_console_script_entry_point():
     result = subprocess.run(
         ["nura", "--help"], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0
+    assert "run" in result.stdout and "validate" in result.stdout
+
+
+def test_module_entry_point():
+    """python -m nura works where the console script is not installed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "nura", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "run" in result.stdout and "validate" in result.stdout

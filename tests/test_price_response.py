@@ -1,11 +1,13 @@
 """Demand solves and bid shaping against closed forms and brute force."""
 
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nura import intra_ue, price_response, scenario
 from nura import (
     Application,
     CaseFlag,
@@ -16,6 +18,7 @@ from nura import (
     UserProfile,
     app_rate_at_price,
     damp_bid,
+    run_once,
     user_rate_at_price,
     vip_bid,
 )
@@ -185,6 +188,114 @@ def test_user_rate_scales_price_by_beta():
     total = user_rate_at_price(user, price=1.0 / 11.0)
     assert total == pytest.approx(2.0 * 5.089113931609503, abs=1e-5)
     assert user_rate_at_price(user, price=1.0 / 11.0, user_cap=8.0) == 8.0
+
+
+# ---------------------------------------------------------------------------
+# Newton kernel against plain bisection on the same stationarity condition
+
+
+def _bisection_demand(app, price, cap, case, abs_tol):
+    """Reference demand: bisect weight * (ln U)'(r + c) = price on [0, cap].
+
+    Same probe, cap and bracket rules as the kernel, but only midpoint
+    steps, stopping once the bracket is at most abs_tol wide.
+    """
+    offset = case.app_offset(app)
+
+    def above(rate):
+        return app.weight * app.utility.dlog_evaluate(rate + offset) > price
+
+    if not above(0.0 if offset > 0.0 else abs_tol) or cap == 0.0:
+        return 0.0
+    if cap is not None:
+        if app.weight * app.utility.dlog_evaluate(cap + offset) >= price:
+            return cap
+        hi = cap
+    else:
+        hi = app.utility.rate_scale
+        while above(hi):
+            hi *= 2.0
+    lo = 0.0
+    while hi - lo > abs_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# The curve ranges of the fuzz generator in bench/cells.py, prices
+# 1e-6..1e3, and a target that is an offset (abundant), a cap (scarce)
+# or absent.
+_CURVES = st.one_of(
+    st.builds(
+        SigmoidalUtility,
+        a=st.sampled_from([0.1, 0.5, 1.0, 3.0, 10.0]),
+        b=st.floats(5.0, 60.0),
+    ),
+    st.builds(
+        LogarithmicUtility,
+        k=st.sampled_from([0.1, 0.5, 1.0, 3.0, 10.0]),
+        r_max=st.floats(20.0, 200.0),
+    ),
+)
+
+
+@given(
+    utility=_CURVES,
+    weight=st.floats(0.01, 1.0),
+    log10_price=st.floats(-6.0, 3.0),
+    target=st.one_of(st.none(), st.floats(1.0, 30.0)),
+    case=st.sampled_from(list(CaseFlag)),
+    abs_tol=st.sampled_from([1e-8, 1e-10]),
+)
+@example(UNIT_LOG, 1.0, 3.0, 10.0, CaseFlag.TARGETS_BELOW_CAPACITY, 1e-8)  # zero demand
+@example(UNIT_LOG, 1.0, -3.0, 4.0, CaseFlag.TARGETS_EXCEED_CAPACITY, 1e-8)  # cap binds
+@example(SigmoidalUtility(a=3.0, b=20.0), 0.5, math.log10(1.5000000037252903),
+         20.0, CaseFlag.TARGETS_EXCEED_CAPACITY, 1e-10)  # flat stretch below b
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_newton_demand_matches_bisection(utility, weight, log10_price, target, case, abs_tol):
+    app = Application(utility=utility, weight=weight, target_rate=target)
+    price = 10.0**log10_price
+    cap = case.app_cap(app)
+    rate = app_rate_at_price(app, price, cap, case, abs_tol)
+    reference = _bisection_demand(app, price, cap, case, abs_tol)
+    assert 0.0 <= rate <= (math.inf if cap is None else cap)
+    assert rate == pytest.approx(reference, abs=abs_tol, rel=0.0)
+
+
+@pytest.mark.parametrize("capacity", [30.0, 100.0])  # scarce, abundant
+def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
+    """Derivative evaluations per demand and demand calls per split.
+
+    Counts, not times: with plain bisection on rate and price these
+    were 32-37 evaluations per demand call and 34-52 demand calls per
+    split.
+    """
+    counts = {"dlog": 0, "demand": 0, "split_demand": 0, "splits": 0}
+
+    def counted(func, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (SigmoidalUtility, LogarithmicUtility):
+        monkeypatch.setattr(cls, "dlog_evaluate", counted(cls.dlog_evaluate, "dlog"))
+    demand = counted(price_response.app_rate_at_price, "demand")
+    monkeypatch.setattr(price_response, "app_rate_at_price", demand)
+    monkeypatch.setattr(intra_ue, "app_rate_at_price", counted(demand, "split_demand"))
+    monkeypatch.setattr(
+        scenario, "allocate_internal", counted(intra_ue.allocate_internal, "splits")
+    )
+    run_once(replace(cell, capacity=capacity))
+    assert counts["splits"] == len(cell.users)
+    assert counts["dlog"] <= 15 * counts["demand"]
+    assert counts["split_demand"] <= 35 * counts["splits"]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from nura import (
     scenario_to_dict,
     sweep_R,
 )
+from nura import scenario
 
 
 def _minimal_dict(**overrides):
@@ -223,6 +224,15 @@ def test_sweep_collects_failures(cell):
     assert len(error.failures) == 3
     assert error.completed == []
     assert "R=5" in str(error)
+
+
+def test_sweep_propagates_programming_errors(cell, monkeypatch):
+    def broken(config, keep_trace=False):
+        raise TypeError("not a library failure")
+
+    monkeypatch.setattr(scenario, "run_once", broken)
+    with pytest.raises(TypeError, match="not a library failure"):
+        sweep_R(cell, 5.0, 15.0, 5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ defining formulas; the library must reproduce them in double precision.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nura import (
@@ -138,6 +138,56 @@ def test_dlog_matches_finite_difference(utility):
             2.0 * h
         )
         assert utility.dlog_evaluate(rate) == pytest.approx(numeric, rel=1e-5)
+
+
+def _assert_slope_matches_central_difference(utility, rate):
+    # h stays below the curve's own scale; rounding of ln (ln U)' costs
+    # about 1e-15 / h, the O(h^2) truncation far less than 1e-4.
+    h = 1e-5 * min(rate, 1.0)
+    numeric = (
+        math.log(utility.dlog_evaluate(rate + h)) - math.log(utility.dlog_evaluate(rate - h))
+    ) / (2.0 * h)
+    assert utility.dlog_slope(rate) == pytest.approx(numeric, rel=1e-4, abs=1e-14 / h)
+
+
+@given(
+    utility=st.one_of(
+        st.builds(
+            SigmoidalUtility,
+            a=st.sampled_from([0.1, 0.5, 1.0, 3.0, 10.0]),
+            b=st.floats(5.0, 60.0),
+        ),
+        st.builds(
+            LogarithmicUtility,
+            k=st.sampled_from([0.1, 0.5, 1.0, 3.0, 10.0]),
+            r_max=st.floats(20.0, 200.0),
+        ),
+    ),
+    log10_rate=st.floats(-4.0, 2.5),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_dlog_slope_matches_central_difference(utility, log10_rate):
+    rate = 10.0**log10_rate
+    if isinstance(utility, SigmoidalUtility):
+        # keep (ln U)' a normal float: it underflows past a(r - b) = 708
+        assume(utility.a * (rate - utility.b) < 705.0)
+    _assert_slope_matches_central_difference(utility, rate)
+
+
+@pytest.mark.parametrize("rate", [69.9, 70.1, 70.4, 1e-4, 1e-3])
+def test_dlog_slope_saturation_branch_and_small_rates(rate):
+    # a = 10, b = 1e-3: a(r - b) crosses the deep-saturation cutoff of 700
+    # between 69.9 and 70.1, where the slope becomes exactly -a.
+    utility = SigmoidalUtility(a=10.0, b=1e-3)
+    _assert_slope_matches_central_difference(utility, rate)
+    if rate > 70.0:
+        assert utility.dlog_slope(rate) == -10.0
+
+
+@pytest.mark.parametrize("utility", [SIG_STEEP, LOG_FAST])
+def test_dlog_slope_rejects_nonpositive_rate(utility):
+    with pytest.raises(DomainError):
+        utility.dlog_slope(0.0)
 
 
 @pytest.mark.parametrize("utility", [SIG_STEEP, SIG_SHALLOW, LOG_FAST, LOG_SLOW])
