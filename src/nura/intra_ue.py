@@ -5,7 +5,12 @@ rates maximizing the weighted sum of log-utilities subject to the
 budget. The dual view: each trial internal price p induces per-app
 demands; total demand is nonincreasing in p, so a search on p finds
 the price where demand meets the budget. The search takes Newton steps
-in ln p inside a bracket that bisection steps keep shrinking.
+in ln p inside a bracket that bisection steps keep shrinking. It starts
+from a given price, in a full run the bidding stage's final price /
+beta, which by KKT is the answer itself under abundant capacity; from
+there the bracket grows by doubling the price or by halving it down to
+a vanishing floor. Each trial price starts every
+application's demand search from its rate at the previous trial.
 
 Under scarce capacity the split competes below the targets (objective
 on U(r), target-bearing apps capped at their targets). Under abundant
@@ -34,7 +39,6 @@ from .utility import NEG_INF, AppRow, CaseFlag, UserProfile, app_rows
 _SPLIT_TOL = 1e-10
 
 _PRICE_EPS = 1e-12
-_MAX_PRICE_DOUBLINGS = 200
 _MAX_PRICE_STEPS = 200
 
 
@@ -53,10 +57,17 @@ class InternalAllocation:
     slack: float
 
 
-def _per_app_rates(rows: tuple[AppRow, ...], price: float, case: CaseFlag) -> list[float]:
+def _per_app_rates(
+    rows: tuple[AppRow, ...], price: float, case: CaseFlag, prior: list[float] | None = None
+) -> list[float]:
+    """Rates (offsets included) at price, each search starting from its prior rate."""
+    starts = [None] * len(rows) if prior is None else prior
     return [
-        row.offset + app_rate_at_price(row.app, price, row.cap, case, _SPLIT_TOL)
-        for row in rows
+        row.offset
+        + app_rate_at_price(
+            row.app, price, row.cap, case, _SPLIT_TOL, None if start is None else start - row.offset
+        )
+        for row, start in zip(rows, starts)
     ]
 
 
@@ -64,16 +75,21 @@ def allocate_internal(
     user: UserProfile,
     r_opt: float,
     case: CaseFlag,
+    start_price: float = 1.0,
 ) -> InternalAllocation:
     """Split r_opt among the user's applications by an internal-price search.
 
     Under abundant capacity r_opt must cover the user's total target
     (the bidding stage guarantees it). Under scarce capacity any budget
     beyond the target caps flows to the uncapped applications; if every
-    application is capped, the leftover stays as slack.
+    application is capped, the leftover stays as slack. The search
+    begins at start_price; the first stage's final price / beta is the
+    answer itself when capacity is abundant.
     """
     if not (math.isfinite(r_opt) and r_opt >= 0.0):
         raise DomainError(f"r_opt must be finite and nonnegative, got {r_opt!r}")
+    if not (math.isfinite(start_price) and start_price > 0.0):
+        raise DomainError(f"start_price must be positive, got {start_price!r}")
     rows = app_rows([user], case)
     granted = case.user_offset(user)
     budget = r_opt
@@ -109,38 +125,31 @@ def allocate_internal(
 
     tol_sum = 1e-9 * max(budget, 1.0)
 
-    lo = _PRICE_EPS
-    rates_lo = _per_app_rates(rows, lo, case)
-    if sum(rates_lo) <= budget + tol_sum:
-        # Even a vanishing price under-consumes; positive slack is legal.
-        return InternalAllocation(tuple(rates_lo), lo, budget - sum(rates_lo))
-
-    hi = 1.0
-    rates_hi = _per_app_rates(rows, hi, case)
-    doublings = 0
-    while sum(rates_hi) > budget:
-        lo, rates_lo = hi, rates_hi
-        hi *= 2.0
-        doublings += 1
-        if doublings > _MAX_PRICE_DOUBLINGS:
-            raise SolverError(
-                f"no internal price below {hi} meets the budget {budget}",
-                bracket=(lo, hi),
-            )
-        rates_hi = _per_app_rates(rows, hi, case)
-
-    # Newton on ln(demand above the offsets) as a function of ln p, from
-    # the upper end of the bracket; for log apps it is nearly linear.
-    # Each app strictly inside (0, cap) moves with ln p at 1 / (its
-    # dlog_slope), the others not at all. A step that leaves the bracket,
-    # or does not halve the step before last, becomes a bisection step
-    # in ln p. The demand at lo stays above the budget, at hi not.
-    price, rates = hi, rates_hi
+    # Newton on ln(demand above the offsets) as a function of ln p; for
+    # log apps it is nearly linear. Each app strictly inside (0, cap)
+    # moves with ln p at 1 / (its dlog_slope), the others not at all.
+    # The bracket [lo, hi] holds the price: the demand at lo exceeds the
+    # budget, at hi not. An end not yet found is open (lo = 0, hi = inf),
+    # and a step toward it may at most double or halve the price, which
+    # is also the fallback; halving stops at _PRICE_EPS, where a demand
+    # still short of the budget leaves slack. Otherwise a step that
+    # leaves the bracket, or does not halve the step before last,
+    # becomes a bisection step in ln p.
+    lo, hi = 0.0, math.inf
+    rates_lo = rates_hi = None
+    price = max(start_price, _PRICE_EPS)
+    rates = _per_app_rates(rows, price, case)
     last_step = prior_step = math.inf
     for _ in range(_MAX_PRICE_STEPS):
         total = sum(rates)
-        if abs(total - budget) <= tol_sum:
+        if abs(total - budget) <= tol_sum or (price == _PRICE_EPS and total < budget):
+            # Met the budget, or even a vanishing price under-consumes:
+            # positive slack is legal.
             return InternalAllocation(tuple(rates), price, budget - total)
+        if total > budget:
+            lo, rates_lo = price, rates
+        else:
+            hi, rates_hi = price, rates
         response = sum(
             1.0 / row.app.utility.dlog_slope(rate)
             for row, rate in zip(rows, rates)
@@ -153,17 +162,31 @@ def allocate_internal(
         trial = math.nan
         if abs(step) <= min(0.5 * prior_step, 700.0):
             trial = price * math.exp(step)
-        if not (lo < trial < hi):
-            trial = math.sqrt(lo * hi)
-            if not (lo < trial < hi):
-                break  # bracket collapsed to adjacent floats
+        floor = lo if lo > 0.0 else max(0.5 * hi, _PRICE_EPS)
+        ceiling = hi if hi < math.inf else 2.0 * lo
+        if not (floor < trial < ceiling):
+            if hi == math.inf:
+                trial = ceiling
+            elif lo == 0.0:
+                # No app can take more at a lower price once all sit at
+                # their caps, so go straight to the smallest one.
+                saturated = all(
+                    row.app.weight == 0.0 or (row.cap is not None and rate >= row.offset + row.cap)
+                    for row, rate in zip(rows, rates)
+                )
+                trial = _PRICE_EPS if saturated else floor
+            else:
+                trial = math.sqrt(lo * hi)
+                if not (lo < trial < hi):
+                    break  # bracket collapsed to adjacent floats
         prior_step, last_step = last_step, abs(math.log(trial / price))
-        price, rates = trial, _per_app_rates(rows, trial, case)
-        if sum(rates) > budget:
-            lo, rates_lo = price, rates
-        else:
-            hi, rates_hi = price, rates
+        price, rates = trial, _per_app_rates(rows, trial, case, rates)
 
+    if rates_lo is None or rates_hi is None:
+        raise SolverError(
+            f"no internal price in ({lo}, {hi}) meets the budget {budget}",
+            bracket=(lo, hi),
+        )
     # Price resolution exhausted before the sum tolerance: some app sits
     # on the flat part of its marginal-value curve and its demand jumps
     # across one representable price. Take the feasible side and park

@@ -5,7 +5,9 @@ the current bid vector into a shadow price (total bids / capacity),
 every participating user answers with a damped bid built from its
 demand at that price, and the loop stops once no bid moved by the
 threshold delta. Final rates are bid / price, which makes the allocated
-total exactly the capacity.
+total exactly the capacity. The price moves little between rounds, so
+each user keeps its per-application demands and every demand search of
+the next round starts from them; the first round starts cold.
 
 When the VIP users' aggregate target rates reach the capacity, only VIP
 users participate and their demand is capped at their targets, per
@@ -147,6 +149,8 @@ def run_first_stage(
 
     bids = {user.user_id: w_init for user in participants}
     prev = {user.user_id: 0.0 for user in participants}
+    # Each participant's per-app demands of the last round (None: none yet).
+    demands = {user.user_id: [None] * len(user.apps) for user in participants}
     trace: list[RoundState] = []
 
     for round_index in range(1, params.max_rounds + 1):
@@ -177,6 +181,7 @@ def run_first_stage(
                 params.l1,
                 params.l2,
                 case=table.case,
+                demands=demands[user.user_id],
             )
             for user in participants
         }

@@ -458,7 +458,9 @@ def run_once(
     first = run_first_stage(config.users, config.capacity, params)
     app_rates: dict[str, tuple[float, ...]] = {}
     for user in config.users:
-        allocation = allocate_internal(user, first.rates[user.user_id], first.case)
+        allocation = allocate_internal(
+            user, first.rates[user.user_id], first.case, first.final_price / user.beta
+        )
         app_rates[user.user_id] = allocation.rates
     return RunRecord(
         scenario=config.description,

@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nura import intra_ue
 from nura import (
     Application,
     CaseFlag,
@@ -14,6 +17,7 @@ from nura import (
     UserClass,
     UserProfile,
     allocate_internal,
+    app_rate_at_price,
     split_value,
 )
 from nura.utility import NEG_INF
@@ -137,6 +141,71 @@ def test_scarce_all_caps_saturated_leaves_slack():
     allocation = allocate_internal(user, 6.0, SCARCE)
     assert allocation.rates == (2.0, 3.0)
     assert allocation.slack == pytest.approx(1.0, abs=1e-8)
+
+
+def _all_capped():
+    return UserProfile(
+        "v",
+        UserClass.VIP,
+        beta=1.0,
+        apps=(
+            Application(
+                utility=LogarithmicUtility(k=1.0, r_max=10.0), weight=0.5, target_rate=2.0
+            ),
+            Application(
+                utility=LogarithmicUtility(k=2.0, r_max=10.0), weight=0.5, target_rate=3.0
+            ),
+        ),
+    )
+
+
+# (user, budget, case): scarce with one app capped, scarce with every app
+# capped and slack left, abundant with the budget exactly the targets,
+# and abundant with room above them.
+_SPLITS = [
+    (_ue1(), 15.0, SCARCE),
+    (_all_capped(), 6.0, SCARCE),
+    (_ue1(), 20.0, ABUNDANT),
+    (_ue1(), 60.0, ABUNDANT),
+]
+
+
+@given(split=st.sampled_from(_SPLITS), log10_start=st.floats(-9.0, 9.0))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_split_start_price_matches_default(split, log10_start):
+    user, budget, case = split
+    cold = allocate_internal(user, budget, case)
+    warm = allocate_internal(user, budget, case, 10.0**log10_start)
+    tol_sum = 1e-9 * max(budget, 1.0)
+    assert sum(warm.rates) + warm.slack == pytest.approx(budget, abs=tol_sum)
+    assert warm.slack == pytest.approx(cold.slack, abs=tol_sum)
+    # both prices meet the budget within tol_sum and every app's demand
+    # falls with the price, so no rate moves by more than both sums do,
+    # plus the apps' own 1e-10 search tolerance
+    for warm_rate, cold_rate in zip(warm.rates, cold.rates):
+        assert warm_rate == pytest.approx(cold_rate, abs=2.0 * tol_sum + 1e-9)
+
+
+def test_all_capped_slack_skips_to_the_price_floor(monkeypatch):
+    # once every app sits at its cap no lower price can raise demand, so
+    # the search stops halving and tries the vanishing price at once:
+    # 12 demand calls from price 1, 82 when halving all the way down
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return app_rate_at_price(*args, **kwargs)
+
+    monkeypatch.setattr(intra_ue, "app_rate_at_price", counted)
+    allocation = allocate_internal(_all_capped(), 6.0, SCARCE)
+    assert allocation.rates == (2.0, 3.0)
+    assert len(calls) <= 16
+
+
+def test_start_price_validation():
+    for bad in [0.0, -1.0, math.inf, math.nan]:
+        with pytest.raises(DomainError):
+            allocate_internal(_ue1(), 15.0, SCARCE, bad)
 
 
 def test_all_zero_weights_degrade_with_warning():

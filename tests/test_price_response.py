@@ -1,6 +1,7 @@
 """Demand solves and bid shaping against closed forms and brute force."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -79,6 +80,28 @@ def test_cap_binds_at_low_price():
     assert app_rate_at_price(log_app(), price=0.01, cap=0.0) == 0.0
     with pytest.raises(DomainError):
         app_rate_at_price(log_app(), price=0.01, cap=-1.0)
+
+
+def test_negative_cap_rejected_before_early_exits():
+    # zero weight, and zero demand at the probe, both return 0 before any
+    # search; a negative cap is still an error there
+    with pytest.raises(DomainError):
+        app_rate_at_price(log_app(weight=0.0), price=0.01, cap=-1.0)
+    sigmoid = Application(utility=SigmoidalUtility(a=1.0, b=20.0), weight=0.5)
+    assert app_rate_at_price(sigmoid, price=1e12) == 0.0
+    with pytest.raises(DomainError):
+        app_rate_at_price(sigmoid, price=1e12, cap=-1.0)
+
+
+def test_start_outside_the_domain():
+    sigmoid = Application(utility=SigmoidalUtility(a=3.0, b=20.0), weight=0.5)
+    cold = app_rate_at_price(sigmoid, price=0.5)
+    # a start below zero or above every rate is clipped to the range searched
+    for start in [-5.0, 0.0, math.inf]:
+        assert app_rate_at_price(sigmoid, price=0.5, start=start) == pytest.approx(cold, abs=1e-8)
+        assert app_rate_at_price(sigmoid, price=0.5, cap=10.0, start=start) == 10.0
+    with pytest.raises(DomainError):
+        app_rate_at_price(sigmoid, price=0.5, start=math.nan)
 
 
 def test_cap_slack_at_high_price():
@@ -190,6 +213,20 @@ def test_user_rate_scales_price_by_beta():
     assert user_rate_at_price(user, price=1.0 / 11.0, user_cap=8.0) == 8.0
 
 
+def test_user_rate_keeps_per_app_demands():
+    apps = (log_app(weight=0.5), Application(utility=SigmoidalUtility(a=1.0, b=5.0), weight=0.5))
+    user = UserProfile("u", UserClass.REGULAR, beta=2.0, apps=apps)
+    demands = [None, None]
+    total = user_rate_at_price(user, 0.1, demands=demands)
+    assert demands == [app_rate_at_price(app, 0.05) for app in apps]
+    assert total == sum(demands)
+    # the next price starts from them and overwrites them
+    before = list(demands)
+    user_rate_at_price(user, 0.11, demands=demands)
+    assert demands != before
+    assert demands == pytest.approx([app_rate_at_price(app, 0.055) for app in apps], abs=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # Newton kernel against plain bisection on the same stationarity condition
 
@@ -267,23 +304,111 @@ def test_newton_demand_matches_bisection(utility, weight, log10_price, target, c
     assert rate == pytest.approx(reference, abs=abs_tol, rel=0.0)
 
 
+# Where a warm search may begin: a hair above zero, near the root, on
+# the sigmoid's flat stretch below its inflection, at or above the cap
+# (at or above rate_scale when uncapped), and far above every root.
+_START_KINDS = ["tiny", "near", "flat", "cap", "huge"]
+
+
+def _start(kind, jitter, reference, utility, cap):
+    if kind == "tiny":
+        return 1e-9
+    if kind == "near":
+        return reference * (1.0 + jitter) + abs(jitter)
+    if kind == "flat":
+        return utility.rate_scale * (0.5 + jitter)
+    if kind == "cap":
+        return (utility.rate_scale if cap is None else cap) * (1.0 + 20.0 * abs(jitter))
+    return 1e6 * utility.rate_scale
+
+
+@given(
+    utility=_CURVES,
+    weight=st.floats(0.01, 1.0),
+    log10_price=st.floats(-6.0, 3.0),
+    target=st.one_of(st.none(), st.floats(1.0, 30.0)),
+    case=st.sampled_from(list(CaseFlag)),
+    abs_tol=st.sampled_from([1e-8, 1e-10]),
+    kind=st.sampled_from(_START_KINDS),
+    jitter=st.floats(-0.1, 0.1),
+)
+# An unbounded Newton step up from the flat stretch once jumped to ~1e48
+# here and ran out of iterations; steps up are bounded by the doubling.
+@example(SigmoidalUtility(a=3.0, b=20.0), 0.5, math.log10(1.494274840696366),
+         None, CaseFlag.TARGETS_BELOW_CAPACITY, 1e-8, "flat", 2.2665 / 20.0 - 0.5)
+@example(UNIT_LOG, 1.0, 3.0, 10.0, CaseFlag.TARGETS_BELOW_CAPACITY, 1e-8, "huge", 0.0)
+@example(UNIT_LOG, 1.0, -3.0, 4.0, CaseFlag.TARGETS_EXCEED_CAPACITY, 1e-8, "tiny", 0.0)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_warm_demand_matches_bisection(
+    utility, weight, log10_price, target, case, abs_tol, kind, jitter
+):
+    app = Application(utility=utility, weight=weight, target_rate=target)
+    price = 10.0**log10_price
+    cap = case.app_cap(app)
+    reference = _bisection_demand(app, price, cap, case, abs_tol)
+    start = _start(kind, jitter, reference, utility, cap)
+    rate = app_rate_at_price(app, price, cap, case, abs_tol, start=start)
+    assert 0.0 <= rate <= (math.inf if cap is None else cap)
+    assert rate == pytest.approx(reference, abs=abs_tol, rel=0.0)
+
+
+def test_flat_stretch_start_steps_up_by_doubling():
+    tried = []
+
+    class Recording(SigmoidalUtility):
+        def dlog_evaluate(self, rate):
+            tried.append(rate)
+            return super().dlog_evaluate(rate)
+
+    price = 1.494274840696366
+    cold = app_rate_at_price(
+        Application(utility=SigmoidalUtility(a=3.0, b=20.0), weight=0.5), price
+    )
+    app = Application(utility=Recording(a=3.0, b=20.0), weight=0.5)
+    assert app_rate_at_price(app, price, start=2.2665) == pytest.approx(cold, abs=1e-8)
+    # no rate tried exceeds twice every rate tried before it, or rate_scale
+    for i in range(1, len(tried)):
+        assert tried[i] <= max(2.0 * max(tried[:i]), 20.0)
+    assert len(tried) <= 15
+
+
+# Warm-start bounds, about 30% above the measured values: first-stage
+# dlog_evaluate calls per demand call (5.04 at R = 30, 3.27 at R = 100;
+# 8.2 and 6.6 when every search started cold) and demand calls per split
+# (4.0 and 6.0; 12.5 and 12.0 from the fixed start at price 1).
+_WARM_EFFORT = {30.0: (6.5, 5.2), 100.0: (4.25, 7.8)}
+
+
 @pytest.mark.parametrize("capacity", [30.0, 100.0])  # scarce, abundant
 def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
     """Derivative evaluations per demand and demand calls per split.
 
     Counts, not times: with plain bisection on rate and price these
     were 32-37 evaluations per demand call and 34-52 demand calls per
-    split.
+    split. Each bidding round starts every demand search from the
+    previous round's demand, and the split starts from the final
+    price / beta, which the tighter warm-start bounds check.
     """
-    counts = {"dlog": 0, "demand": 0, "split_demand": 0, "splits": 0}
+    counts = Counter()  # each count also keeps its first-stage share
+    in_first_stage = [False]
 
     def counted(func, key):
         def wrapper(*args, **kwargs):
             counts[key] += 1
+            counts["stage1_" + key] += in_first_stage[0]
             return func(*args, **kwargs)
 
         return wrapper
 
+    def first_stage(*args, **kwargs):
+        in_first_stage[0] = True
+        try:
+            return run_first_stage(*args, **kwargs)
+        finally:
+            in_first_stage[0] = False
+
+    run_first_stage = scenario.run_first_stage
+    monkeypatch.setattr(scenario, "run_first_stage", first_stage)
     for cls in (SigmoidalUtility, LogarithmicUtility):
         monkeypatch.setattr(cls, "dlog_evaluate", counted(cls.dlog_evaluate, "dlog"))
     demand = counted(price_response.app_rate_at_price, "demand")
@@ -296,6 +421,9 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
     assert counts["splits"] == len(cell.users)
     assert counts["dlog"] <= 15 * counts["demand"]
     assert counts["split_demand"] <= 35 * counts["splits"]
+    dlog_per_demand, demands_per_split = _WARM_EFFORT[capacity]
+    assert counts["stage1_dlog"] <= dlog_per_demand * counts["stage1_demand"]
+    assert counts["split_demand"] <= demands_per_split * counts["splits"]
 
 
 # ---------------------------------------------------------------------------
