@@ -1,27 +1,17 @@
-"""Second-stage split of one user's allocated rate among its applications.
+"""Price clearing: the end of the bidding stage and the whole second stage.
 
-Given the rate r_opt a user won in the bidding stage, find per-app
-rates maximizing the weighted sum of log-utilities subject to the
-budget. The dual view: each trial internal price p induces per-app
-demands; total demand is nonincreasing in p, so a search on p finds
-the price where demand meets the budget. The search takes Newton steps
-in ln p inside a bracket that bisection steps keep shrinking. It starts
-from a given price, in a full run the bidding stage's final price /
-beta, which by KKT is the answer itself under abundant capacity; from
-there the bracket grows by doubling the price or by halving it down to
-a vanishing floor. Each trial price starts every
-application's demand search from its rate at the previous trial.
+clear_price finds the price at which a regime table's participants
+spend its budget: each application demands the rate where its marginal
+value meets price / beta; an uncapped user competes app by app, a
+capped one as min(its demand, its cap). Safeguarded Newton steps in
+ln p find that price. Where demand jumps across a relative price change
+below float resolution (a sigmoid's flat stretch), every amount is
+topped up between its demands at the ends of a 1e-10-wide bracket by
+one common fraction.
 
-Under scarce capacity the split competes below the targets (objective
-on U(r), target-bearing apps capped at their targets). Under abundant
-capacity every target is granted first and the objective works above
-them (U(r + target)); returned rates then include the targets.
-
-The sigmoid's marginal-value curve has a long flat stretch below the
-inflection, where demand can jump across a single representable price.
-When the search runs out of price resolution before meeting the budget,
-the leftover is parked on the app with the flattest response, which is
-exactly where the optimum puts it.
+The bidding stage ends with one clearing (protocol); allocate_internal
+clears a user's rate among its applications: on U(r) with targets as
+caps under scarce capacity, else on U(r + target), rates including it.
 """
 
 from __future__ import annotations
@@ -32,13 +22,11 @@ from dataclasses import dataclass
 
 from .errors import ContractError, DomainError, SolverError
 from .price_response import app_rate_at_price
-from .utility import NEG_INF, AppRow, CaseFlag, UserProfile, app_rows
+from .utility import NEG_INF, CaseFlag, RegimeTable, UserProfile, app_rows
 
-# Tighter than the app-level default so that summed per-app wobble stays
-# far below the budget tolerance even for many applications.
-_SPLIT_TOL = 1e-10
-
-_PRICE_EPS = 1e-12
+_RATE_TOL = 1e-10  # summed over many apps, still far below the budget tolerance
+_PRICE_RTOL = 1e-10
+_PRICE_FLOOR = 1e-150
 _MAX_PRICE_STEPS = 200
 
 
@@ -47,28 +35,116 @@ class InternalAllocation:
     """Per-app rates handed out by the second stage.
 
     rates are final allocations (targets included under abundant
-    capacity); internal_price is the dual value the split settled on;
-    slack is the unspent part of the budget, nonzero only when even a
-    vanishing price cannot consume it.
+    capacity); slack is the unspent part of the budget, nonzero only
+    when every application sits at its cap.
     """
 
     rates: tuple[float, ...]
-    internal_price: float
     slack: float
 
 
-def _per_app_rates(
-    rows: tuple[AppRow, ...], price: float, case: CaseFlag, prior: list[float] | None = None
-) -> list[float]:
-    """Rates (offsets included) at price, each search starting from its prior rate."""
-    starts = [None] * len(rows) if prior is None else prior
-    return [
-        row.offset
-        + app_rate_at_price(
-            row.app, price, row.cap, case, _SPLIT_TOL, None if start is None else start - row.offset
-        )
-        for row, start in zip(rows, starts)
+def clear_price(
+    table: RegimeTable, price: float, starts: list[float | None]
+) -> tuple[float, list[float], list[float]]:
+    """(price, per-user shares, per-row rates) that spend table.budget.
+
+    Shares and rates are amounts above the offsets; a capped user's rows
+    hold its demand at the price, not a split of its share. The search
+    starts at price and each row's demand search at its entry of starts
+    (None: cold). Slack is left only when every application sits at its
+    cap; a budget no price above the floor spends raises SolverError.
+    """
+    rows, caps, budget = table.rows, table.user_caps, table.budget
+    betas = [user.beta for user in table.participants]
+    # No row can take more than its cap, its user's cap or the budget.
+    limits = [
+        min(c for c in (row.cap, caps[row.user_slot], budget) if c is not None) for row in rows
     ]
+
+    def demand(price: float, starts) -> tuple[list[float], list[float]]:  # (shares, rates)
+        rates = [
+            app_rate_at_price(
+                row.app, price / betas[row.user_slot], limit, table.case, _RATE_TOL, start
+            )
+            for row, limit, start in zip(rows, limits, starts)
+        ]
+        shares = [0.0] * len(caps)
+        for row, rate in zip(rows, rates):
+            shares[row.user_slot] += rate
+        return [s if cap is None else min(s, cap) for s, cap in zip(shares, caps)], rates
+
+    # Newton on ln(total demand) as a function of ln p; for log apps it
+    # is nearly linear. Each free row (weighted, and neither it nor its
+    # user at a cap) moves with ln p at 1 / (its dlog_slope). The bracket
+    # [lo, hi] holds the price: the demand at lo exceeds the budget, at
+    # hi not; an end not yet found is open (lo = 0, hi = inf). A step
+    # that leaves the bracket, or does not halve the step before last,
+    # becomes a bisection step in ln p, or while the bracket is open a
+    # step out by a factor that starts at 2 and squares on each repeat.
+    tol = 1e-9 * max(budget, 1.0)
+    lo, hi = 0.0, math.inf
+    price = max(price, _PRICE_FLOOR)
+    shares, rates = demand(price, starts)
+    last_step = prior_step = math.inf
+    stretch = 2.0
+    for _ in range(_MAX_PRICE_STEPS):
+        total = sum(shares)
+        if abs(total - budget) <= tol:
+            return price, shares, rates
+        full = [cap is not None and share >= cap for share, cap in zip(shares, caps)]
+        room = [
+            (row, rate)
+            for row, rate, limit in zip(rows, rates, limits)
+            if rate < limit and not full[row.user_slot]
+        ]
+        free = [(row, rate) for row, rate in room if row.app.weight > 0.0]
+        if total > budget:
+            lo, lower = price, (shares, rates)
+        elif free and price > _PRICE_FLOOR:
+            hi, upper = price, (shares, rates)
+        elif not room:
+            return price, shares, rates  # every application sits at its cap: slack
+        else:
+            raise SolverError(
+                f"demand saturates: {total} stays below the budget {budget} "
+                f"at every price down to {price}",
+                bracket=(price, hi),
+            )
+        if hi - lo <= _PRICE_RTOL * hi < math.inf:
+            # Rows that jump inside the bracket are told apart to adjacent floats.
+            jumps = sum(v - u > tol for u, v in zip(upper[1], lower[1]))
+            if jumps <= 1 or not lo < math.sqrt(lo * hi) < hi:
+                break
+        response = sum(
+            1.0 / row.app.utility.dlog_slope(rate + row.offset) for row, rate in free if rate > 0.0
+        )
+        step = math.nan
+        if response < 0.0 and total > 0.0:
+            step = math.log(budget / total) * total / response
+        trial = math.nan
+        if abs(step) <= 0.5 * prior_step and step < 700.0:
+            trial = max(price * math.exp(step), _PRICE_FLOOR)
+        if not lo < trial < hi:
+            trial = math.sqrt(lo * hi)  # fails the test below while open
+        if lo < trial < hi:
+            prior_step, last_step = last_step, abs(math.log(trial / price))
+            stretch = 2.0
+        else:
+            trial = lo * stretch if hi == math.inf else max(hi / stretch, _PRICE_FLOOR)
+            prior_step = last_step = math.inf
+            stretch *= stretch
+        price = trial
+        shares, rates = demand(price, rates)
+    else:
+        raise SolverError(f"no price in ({lo}, {hi}) meets the budget {budget}", bracket=(lo, hi))
+
+    # Some demand jumps inside the bracket: top every amount up from the
+    # upper price's demand toward the lower price's by one fraction.
+    fraction = (budget - sum(upper[0])) / (sum(lower[0]) - sum(upper[0]))
+    shares, rates = (
+        [u + fraction * (v - u) for u, v in zip(high, low)] for high, low in zip(upper, lower)
+    )
+    return hi, shares, rates
 
 
 def allocate_internal(
@@ -77,14 +153,14 @@ def allocate_internal(
     case: CaseFlag,
     start_price: float = 1.0,
 ) -> InternalAllocation:
-    """Split r_opt among the user's applications by an internal-price search.
+    """Split r_opt among the user's applications by clearing their price.
 
     Under abundant capacity r_opt must cover the user's total target
     (the bidding stage guarantees it). Under scarce capacity any budget
     beyond the target caps flows to the uncapped applications; if every
     application is capped, the leftover stays as slack. The search
-    begins at start_price; the first stage's final price / beta is the
-    answer itself when capacity is abundant.
+    begins at the internal price start_price; the first stage's final
+    price / beta is the answer itself for a user its cap does not bind.
     """
     if not (math.isfinite(r_opt) and r_opt >= 0.0):
         raise DomainError(f"r_opt must be finite and nonnegative, got {r_opt!r}")
@@ -92,7 +168,6 @@ def allocate_internal(
         raise DomainError(f"start_price must be positive, got {start_price!r}")
     rows = app_rows([user], case)
     granted = case.user_offset(user)
-    budget = r_opt
     feas_tol = 1e-6 * max(r_opt, 1.0)
 
     if r_opt < granted - feas_tol:
@@ -101,9 +176,9 @@ def allocate_internal(
             f"{granted} under abundant capacity"
         )
 
-    offsets = [row.offset for row in rows]
-
-    if all(app.weight == 0.0 for app in user.apps):
+    offsets = tuple(row.offset for row in rows)
+    weightless = all(app.weight == 0.0 for app in user.apps)
+    if weightless:
         # Unreachable for valid scenarios (weights sum to 1); handled so a
         # hand-built profile degrades predictably instead of looping.
         warnings.warn(
@@ -112,99 +187,19 @@ def allocate_internal(
             RuntimeWarning,
             stacklevel=2,
         )
-        rates = tuple(offsets)
-        return InternalAllocation(rates, math.inf, budget - sum(rates))
-
-    if budget == 0.0:
-        return InternalAllocation(tuple(0.0 for _ in user.apps), math.inf, 0.0)
-
-    if case is CaseFlag.TARGETS_BELOW_CAPACITY and budget <= granted + feas_tol:
+    elif r_opt == 0.0:
+        return InternalAllocation(tuple(0.0 for _ in user.apps), 0.0)
+    if weightless or (case is CaseFlag.TARGETS_BELOW_CAPACITY and r_opt <= granted + feas_tol):
         # Nothing meaningful above the targets; grant exactly those.
-        rates = tuple(offsets)
-        return InternalAllocation(rates, math.inf, budget - sum(rates))
+        return InternalAllocation(offsets, r_opt - sum(offsets))
 
-    tol_sum = 1e-9 * max(budget, 1.0)
-
-    # Newton on ln(demand above the offsets) as a function of ln p; for
-    # log apps it is nearly linear. Each app strictly inside (0, cap)
-    # moves with ln p at 1 / (its dlog_slope), the others not at all.
-    # The bracket [lo, hi] holds the price: the demand at lo exceeds the
-    # budget, at hi not. An end not yet found is open (lo = 0, hi = inf),
-    # and a step toward it may at most double or halve the price, which
-    # is also the fallback; halving stops at _PRICE_EPS, where a demand
-    # still short of the budget leaves slack. Otherwise a step that
-    # leaves the bracket, or does not halve the step before last,
-    # becomes a bisection step in ln p.
-    lo, hi = 0.0, math.inf
-    rates_lo = rates_hi = None
-    price = max(start_price, _PRICE_EPS)
-    rates = _per_app_rates(rows, price, case)
-    last_step = prior_step = math.inf
-    for _ in range(_MAX_PRICE_STEPS):
-        total = sum(rates)
-        if abs(total - budget) <= tol_sum or (price == _PRICE_EPS and total < budget):
-            # Met the budget, or even a vanishing price under-consumes:
-            # positive slack is legal.
-            return InternalAllocation(tuple(rates), price, budget - total)
-        if total > budget:
-            lo, rates_lo = price, rates
-        else:
-            hi, rates_hi = price, rates
-        response = sum(
-            1.0 / row.app.utility.dlog_slope(rate)
-            for row, rate in zip(rows, rates)
-            if row.offset < rate and (row.cap is None or rate < row.offset + row.cap)
-        )
-        surplus = total - granted
-        step = math.nan
-        if response < 0.0 and surplus > 0.0:
-            step = math.log((budget - granted) / surplus) * surplus / response
-        trial = math.nan
-        if abs(step) <= min(0.5 * prior_step, 700.0):
-            trial = price * math.exp(step)
-        floor = lo if lo > 0.0 else max(0.5 * hi, _PRICE_EPS)
-        ceiling = hi if hi < math.inf else 2.0 * lo
-        if not (floor < trial < ceiling):
-            if hi == math.inf:
-                trial = ceiling
-            elif lo == 0.0:
-                # No app can take more at a lower price once all sit at
-                # their caps, so go straight to the smallest one.
-                saturated = all(
-                    row.app.weight == 0.0 or (row.cap is not None and rate >= row.offset + row.cap)
-                    for row, rate in zip(rows, rates)
-                )
-                trial = _PRICE_EPS if saturated else floor
-            else:
-                trial = math.sqrt(lo * hi)
-                if not (lo < trial < hi):
-                    break  # bracket collapsed to adjacent floats
-        prior_step, last_step = last_step, abs(math.log(trial / price))
-        price, rates = trial, _per_app_rates(rows, trial, case, rates)
-
-    if rates_lo is None or rates_hi is None:
-        raise SolverError(
-            f"no internal price in ({lo}, {hi}) meets the budget {budget}",
-            bracket=(lo, hi),
-        )
-    # Price resolution exhausted before the sum tolerance: some app sits
-    # on the flat part of its marginal-value curve and its demand jumps
-    # across one representable price. Take the feasible side and park
-    # the leftover on the flattest responders, capped where caps apply.
-    final = list(rates_hi)
-    residual = budget - sum(final)
-    order = sorted(
-        range(len(final)), key=lambda j: rates_lo[j] - rates_hi[j], reverse=True
+    # The user's rows share r_opt above its offsets, each app within its
+    # own cap; the user's cap is already inside r_opt.
+    table = RegimeTable(case, (user,), r_opt - granted, (None,), rows)
+    _, shares, rates = clear_price(table, start_price * user.beta, [None] * len(rows))
+    return InternalAllocation(
+        tuple(rate + offset for rate, offset in zip(rates, offsets)), table.budget - shares[0]
     )
-    for j in order:
-        if residual <= 0.0:
-            break
-        cap = rows[j].cap
-        give = residual if cap is None else min(residual, cap - final[j])
-        if give > 0.0:
-            final[j] += give
-            residual -= give
-    return InternalAllocation(tuple(final), 0.5 * (lo + hi), budget - sum(final))
 
 
 def split_value(user: UserProfile, rates, case: CaseFlag) -> float:

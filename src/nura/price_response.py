@@ -7,7 +7,7 @@ root. It is found by Newton steps on the log of the derivative, using
 the utility's closed-form dlog_slope, inside a bisection bracket that
 keeps them safe on the sigmoid's flat stretch. The search starts from
 a given rate: in the bidding stage the application's demand of the
-previous round, in the split its demand at the previous trial price,
+previous round, in a price clearing its demand at the previous trial,
 and otherwise the cap, or the curve's rate_scale when uncapped. The
 marginal value there tells on which side the root lies; above, the
 bracket grows by bounded doubling, below, it reaches down to the

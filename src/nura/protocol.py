@@ -4,10 +4,12 @@ A deterministic synchronous-round simulation: the base station turns
 the current bid vector into a shadow price (total bids / capacity),
 every participating user answers with a damped bid built from its
 demand at that price, and the loop stops once no bid moved by the
-threshold delta. Final rates are bid / price, which makes the allocated
-total exactly the capacity. The price moves little between rounds, so
-each user keeps its per-application demands and every demand search of
-the next round starts from them; the first round starts cold.
+threshold delta. The price moves little between rounds, so each user
+keeps its per-application demands and every demand search of the next
+round starts from them; the first round starts cold. Damped bids stop
+short of the fixed point, so the rates come from one exact clearing
+(intra_ue.clear_price) from the stop round's price, each application
+warm from its last-round demand.
 
 When the VIP users' aggregate target rates reach the capacity, only VIP
 users participate and their demand is capped at their targets, per
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import ContractError, DomainError, NonConvergenceError, ProtocolError
+from .intra_ue import clear_price
 from .price_response import vip_bid
 
 # determine_case is re-exported: the regime is part of this stage's interface.
@@ -81,9 +84,9 @@ class RoundState:
 class FirstStageResult:
     """Outcome of the bidding stage.
 
-    rates covers every user of the scenario in declaration order;
-    excluded users hold exactly 0.0. trace lists one RoundState per
-    executed round including the stop round.
+    rates (every user in declaration order, excluded ones at exactly 0.0)
+    and final_price come from the clearing after the loop; trace lists
+    one RoundState per executed round, the stop round included.
     """
 
     case: CaseFlag
@@ -103,7 +106,7 @@ def enodeb_step(
 
     Stops when every participant's bid moved by less than delta since
     the previous round (absent previous bids count as 0). The price is
-    total bids / capacity, floored so rate = bid / price stays defined
+    total bids / capacity, floored so that demand at it stays defined
     even for an all-zero bid vector.
     """
     if not bids:
@@ -118,7 +121,7 @@ def run_first_stage(
     capacity: float,
     params: ProtocolParams | None = None,
 ) -> FirstStageResult:
-    """Run the bidding loop to convergence and extract per-user rates.
+    """Run the bidding loop to convergence, then clear the price exactly.
 
     Synchronous rounds: price from current bids, then all participants
     respond, then repeat. Deterministic: identical inputs produce an
@@ -156,12 +159,13 @@ def run_first_stage(
     for round_index in range(1, params.max_rounds + 1):
         outcome = enodeb_step(bids, prev, capacity, params)
         if outcome is None:
-            final_price = max(sum(bids.values()) / capacity, params.price_floor)
-            trace.append(RoundState(round_index, dict(bids), final_price, True))
-            rates = {
-                user.user_id: (bids[user.user_id] / final_price if user.user_id in bids else 0.0)
-                for user in users
-            }
+            price = max(sum(bids.values()) / capacity, params.price_floor)
+            trace.append(RoundState(round_index, dict(bids), price, True))
+            starts = [rate for user in participants for rate in demands[user.user_id]]
+            final_price, shares, _ = clear_price(table, price, starts)
+            rates = dict.fromkeys((user.user_id for user in users), 0.0)
+            for user, share in zip(participants, shares):
+                rates[user.user_id] = share + table.case.user_offset(user)
             return FirstStageResult(
                 case=table.case,
                 rates=rates,

@@ -456,12 +456,12 @@ def run_once(
     if params is None:
         params = config.protocol
     first = run_first_stage(config.users, config.capacity, params)
-    app_rates: dict[str, tuple[float, ...]] = {}
-    for user in config.users:
-        allocation = allocate_internal(
+    app_rates = {
+        user.user_id: allocate_internal(
             user, first.rates[user.user_id], first.case, first.final_price / user.beta
-        )
-        app_rates[user.user_id] = allocation.rates
+        ).rates
+        for user in config.users
+    }
     return RunRecord(
         scenario=config.description,
         capacity=config.capacity,

@@ -164,11 +164,6 @@ REDUCED_SCENARIOS = [
 ]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: stage 1 stops at round 86 with x above its "
-    "target cap of 21, and the split hands out only the cap",
-)
 def test_two_targeted_apps_conserve_at_40():
     """The two-app VIP cell at R = 40: x's app rates must add up to x."""
     label, users, _ = REDUCED_SCENARIOS[-1]

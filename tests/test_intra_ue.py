@@ -159,14 +159,31 @@ def _all_capped():
     )
 
 
+def _saturating_sigmoids():
+    # Two steep sigmoids past their inflection soak up little of a large
+    # budget, so a Newton step from price 1 leaps toward a vanishing
+    # price, where the light log app's demand has no finite bracket.
+    return UserProfile(
+        "s",
+        UserClass.REGULAR,
+        beta=1.0,
+        apps=(
+            Application(utility=SigmoidalUtility(a=10.0, b=60.0), weight=0.495),
+            Application(utility=SigmoidalUtility(a=10.0, b=60.0), weight=0.495),
+            Application(utility=LogarithmicUtility(k=0.1, r_max=20.0), weight=0.01),
+        ),
+    )
+
+
 # (user, budget, case): scarce with one app capped, scarce with every app
 # capped and slack left, abundant with the budget exactly the targets,
-# and abundant with room above them.
+# abundant with room above them, and abundant far past two sigmoids.
 _SPLITS = [
     (_ue1(), 15.0, SCARCE),
     (_all_capped(), 6.0, SCARCE),
     (_ue1(), 20.0, ABUNDANT),
     (_ue1(), 60.0, ABUNDANT),
+    (_saturating_sigmoids(), 300.0, ABUNDANT),
 ]
 
 
@@ -188,8 +205,8 @@ def test_split_start_price_matches_default(split, log10_start):
 
 def test_all_capped_slack_skips_to_the_price_floor(monkeypatch):
     # once every app sits at its cap no lower price can raise demand, so
-    # the search stops halving and tries the vanishing price at once:
-    # 12 demand calls from price 1, 82 when halving all the way down
+    # the clearing returns the slack at its first trial (2 demand calls;
+    # 82 when halving all the way down to a vanishing price)
     calls = []
 
     def counted(*args, **kwargs):

@@ -389,33 +389,40 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
     previous round's demand, and the split starts from the final
     price / beta, which the tighter warm-start bounds check.
     """
-    counts = Counter()  # each count also keeps its first-stage share
-    in_first_stage = [False]
+    counts = Counter()  # each count also keeps its share per stage
+    stage = [None]  # "stage1" or "split" while that stage runs
 
     def counted(func, key):
         def wrapper(*args, **kwargs):
             counts[key] += 1
-            counts["stage1_" + key] += in_first_stage[0]
+            if stage[0] is not None:
+                counts[f"{stage[0]}_{key}"] += 1
             return func(*args, **kwargs)
 
         return wrapper
 
-    def first_stage(*args, **kwargs):
-        in_first_stage[0] = True
-        try:
-            return run_first_stage(*args, **kwargs)
-        finally:
-            in_first_stage[0] = False
+    def staged(func, name):
+        def wrapper(*args, **kwargs):
+            stage[0] = name
+            try:
+                return func(*args, **kwargs)
+            finally:
+                stage[0] = None
 
-    run_first_stage = scenario.run_first_stage
-    monkeypatch.setattr(scenario, "run_first_stage", first_stage)
+        return wrapper
+
+    # The first stage's closing clearing also calls intra_ue's demand;
+    # only calls made while allocate_internal runs count as split_demand.
+    monkeypatch.setattr(scenario, "run_first_stage", staged(scenario.run_first_stage, "stage1"))
     for cls in (SigmoidalUtility, LogarithmicUtility):
         monkeypatch.setattr(cls, "dlog_evaluate", counted(cls.dlog_evaluate, "dlog"))
     demand = counted(price_response.app_rate_at_price, "demand")
     monkeypatch.setattr(price_response, "app_rate_at_price", demand)
-    monkeypatch.setattr(intra_ue, "app_rate_at_price", counted(demand, "split_demand"))
+    monkeypatch.setattr(intra_ue, "app_rate_at_price", demand)
     monkeypatch.setattr(
-        scenario, "allocate_internal", counted(intra_ue.allocate_internal, "splits")
+        scenario,
+        "allocate_internal",
+        counted(staged(intra_ue.allocate_internal, "split"), "splits"),
     )
     run_once(replace(cell, capacity=capacity))
     assert counts["splits"] == len(cell.users)
