@@ -75,12 +75,12 @@ def clear_price(
 
     # Newton on ln(total demand) as a function of ln p; for log apps it
     # is nearly linear. Each free row (weighted, and neither it nor its
-    # user at a cap) moves with ln p at 1 / (its dlog_slope). The bracket
-    # [lo, hi] holds the price: the demand at lo exceeds the budget, at
-    # hi not; an end not yet found is open (lo = 0, hi = inf). A step
-    # that leaves the bracket, or does not halve the step before last,
-    # becomes a bisection step in ln p, or while the bracket is open a
-    # step out by a factor that starts at 2 and squares on each repeat.
+    # user at a cap) moves with ln p at 1 / (d/dr ln (ln U)' at its rate).
+    # The bracket [lo, hi] holds the price: the demand at lo exceeds the
+    # budget, at hi not; an end not yet found is open (lo = 0, hi = inf).
+    # A step that leaves the bracket, or does not halve the step before
+    # last, becomes a bisection step in ln p, or while the bracket is open
+    # a step out by a factor that starts at 2 and squares on each repeat.
     tol = 1e-9 * max(budget, 1.0)
     lo, hi = 0.0, math.inf
     price = max(price, _PRICE_FLOOR)
@@ -116,7 +116,8 @@ def clear_price(
             if jumps <= 1 or not lo < math.sqrt(lo * hi) < hi:
                 break
         response = sum(
-            1.0 / row.app.utility.dlog_slope(rate + row.offset) for row, rate in free if rate > 0.0
+            1.0 / row.app.utility.dlog_and_slope(rate + row.offset)[1]
+            for row, rate in free if rate > 0.0
         )
         step = math.nan
         if response < 0.0 and total > 0.0:

@@ -3,12 +3,13 @@
 Given a shadow price p, each application demands the rate maximizing
 weight * ln U(r + c) - p * (r + c). Because ln U is strictly concave,
 the first-order condition weight * (ln U)'(r + c) = p has at most one
-root. It is found by Newton steps on the log of the derivative, using
-the utility's closed-form dlog_slope, inside a bisection bracket that
-keeps them safe on the sigmoid's flat stretch. The search starts from
-a given rate: in the bidding stage the application's demand of the
-previous round, in a price clearing its demand at the previous trial,
-and otherwise the cap, or the curve's rate_scale when uncapped. The
+root. A log curve's root is a closed-form Lambert W value; a sigmoid's
+is found by Newton steps on the log of the derivative, one call of the
+utility's dlog_and_slope per trial, inside a bisection bracket that
+keeps them safe on the flat stretch. That search starts from a given
+rate: in the bidding stage the application's demand of the previous
+round, in a price clearing its demand at the previous trial, and
+otherwise the cap, or the curve's rate_scale when uncapped. The
 marginal value there tells on which side the root lies; above, the
 bracket grows by bounded doubling, below, it reaches down to the
 zero-demand probe. The capacity regime sets c (the target when
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, SolverError
-from .utility import Application, CaseFlag, UserProfile
+from .utility import Application, CaseFlag, LogarithmicUtility, UserProfile
 
 
 _MAX_ITERS = 200
@@ -44,9 +45,10 @@ def app_rate_at_price(
     """Rate maximizing weight * ln U(r + c) - price * (r + c) over [0, cap].
 
     c is the application's offset under the capacity regime. Zero-weight
-    applications demand nothing. The search begins at start, typically
-    the demand at a nearby price (by default the cap, or the curve's
-    rate_scale when uncapped), and resolves the rate to abs_tol.
+    applications demand nothing. A log curve's demand is closed-form. A
+    sigmoid's search begins at start, typically the demand at a nearby
+    price (by default the cap, or the curve's rate_scale when uncapped),
+    and resolves the rate to abs_tol.
     """
     if not (math.isfinite(price) and price > 0.0):
         raise DomainError(f"price must be positive, got {price!r}")
@@ -60,6 +62,11 @@ def app_rate_at_price(
     weight = app.weight
     utility = app.utility
     top = math.inf if cap is None else cap
+    if isinstance(utility, LogarithmicUtility):
+        rate = utility.rate_at_log_dlog(math.log(price) - math.log(weight)) - offset
+        if rate == math.inf and cap is None:
+            raise SolverError(f"demand at price {price} exceeds float range", bracket=(0.0, rate))
+        return min(max(rate, 0.0), top)
 
     # Demand collapses to 0 when the marginal value just above zero rate
     # is already below the price. With no offset the derivative blows up
@@ -69,7 +76,7 @@ def app_rate_at_price(
     if start is None:
         start = utility.rate_scale if cap is None else cap
     rate = min(max(start, probe), top)
-    marginal = utility.dlog_evaluate(rate + offset)
+    marginal, slope = utility.dlog_and_slope(rate + offset)
     if rate == cap and weight * marginal >= price:
         return cap
     if weight * marginal > price:
@@ -81,7 +88,7 @@ def app_rate_at_price(
 
     # Newton on h(r) = ln (ln U)'(r + c) - ln(price / weight), stepping in
     # ln(r + c), where h is nearly linear at small rates; its slope is
-    # dlog_slope * (r + c). The bracket [lo, hi] holds the root; hi is
+    # d/dr ln (ln U)' * (r + c). The bracket [lo, hi] holds the root; hi is
     # infinite while no rate above the root has been seen, and a step up
     # may then at most double the rate (to at least rate_scale, never
     # past the cap), which is also the fallback. A step that leaves the
@@ -97,16 +104,14 @@ def app_rate_at_price(
             return 0.5 * (lo + hi)
         step = math.nan
         arg = rate + offset
-        if 0.0 < marginal < math.inf:
-            slope = utility.dlog_slope(arg) * arg
-            if slope < 0.0:
-                log_step = (log_target - math.log(marginal)) / slope
-                step = arg * math.expm1(log_step) if log_step < 700.0 else math.inf
-                if abs(step) <= half_tol:
-                    # Converged: land half a tolerance past the estimate,
-                    # beyond the root, so the next test closes the bracket.
-                    above = weight * marginal > price
-                    step = abs(step) + half_tol if above else -abs(step) - half_tol
+        if 0.0 < marginal < math.inf and slope < 0.0:
+            log_step = (log_target - math.log(marginal)) / (slope * arg)
+            step = arg * math.expm1(log_step) if log_step < 700.0 else math.inf
+            if abs(step) <= half_tol:
+                # Converged: land half a tolerance past the estimate,
+                # beyond the root, so the next test closes the bracket.
+                above = weight * marginal > price
+                step = abs(step) + half_tol if above else -abs(step) - half_tol
         trial = rate + step
         ceiling = hi if hi < math.inf else min(max(2.0 * lo, utility.rate_scale), top)
         if not (abs(step) <= 0.5 * prior_step and lo < trial < ceiling):
@@ -125,7 +130,7 @@ def app_rate_at_price(
                     return trial
         prior_step, last_step = last_step, abs(trial - rate)
         rate = trial
-        marginal = utility.dlog_evaluate(rate + offset)
+        marginal, slope = utility.dlog_and_slope(rate + offset)
         if rate == cap and weight * marginal >= price:
             return cap
         if weight * marginal > price:

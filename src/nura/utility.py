@@ -49,15 +49,17 @@ class SigmoidalUtility:
     def __post_init__(self) -> None:
         _require_positive_finite(self.a, "a")
         _require_positive_finite(self.b, "b")
+        # Per-curve constants; not fields, so ==, hash, repr and replace see a, b only.
+        object.__setattr__(self, "_e_ab", math.exp(-self.a * self.b))
+        object.__setattr__(self, "_scale", self.a * (1.0 + self._e_ab))
 
     @property
     def c_norm(self) -> float:
-        return 1.0 + math.exp(-self.a * self.b)
+        return 1.0 + self._e_ab
 
     @property
     def d_norm(self) -> float:
-        e = math.exp(-self.a * self.b)
-        return e / (1.0 + e)
+        return self._e_ab / (1.0 + self._e_ab)
 
     @property
     def rate_scale(self) -> float:
@@ -73,7 +75,6 @@ class SigmoidalUtility:
         """
         if rate < 0.0:
             raise DomainError(f"rate must be nonnegative, got {rate!r}")
-        ab = self.a * self.b
         x = self.a * (rate - self.b)
         if x <= 0.0:
             ar = self.a * rate
@@ -81,9 +82,9 @@ class SigmoidalUtility:
             # relative accuracy near rate 0, the direct form takes over
             # when ar alone would overflow expm1 (needs ab > 700 too).
             if ar <= 700.0:
-                num = math.exp(-ab) * math.expm1(ar)
+                num = self._e_ab * math.expm1(ar)
             else:
-                num = math.exp(x) - math.exp(-ab)
+                num = math.exp(x) - self._e_ab
             return num / (1.0 + math.exp(x))
         return -math.expm1(-self.a * rate) / (1.0 + math.exp(-x))
 
@@ -114,36 +115,36 @@ class SigmoidalUtility:
         """
         if rate <= 0.0:
             raise DomainError(f"rate must be positive, got {rate!r}")
-        ab = self.a * self.b
         x = self.a * (rate - self.b)
-        scale = self.a * (1.0 + math.exp(-ab))
         if x > 700.0:
-            return scale * math.exp(-x)
-        denom = math.exp(x) + 1.0 - math.exp(-ab) - math.exp(-self.a * rate)
+            return self._scale * math.exp(-x)
+        denom = math.exp(x) + 1.0 - self._e_ab - math.exp(-self.a * rate)
         if denom <= 0.0:
-            # Rounding collapse, only reachable at denormal rates where
-            # the true value exceeds float range anyway.
+            # Rounding collapse once a * rate is below about 1e-16, where
+            # the true value, about 1 / rate, exceeds any price in use.
             return math.inf
-        return scale / denom
+        return self._scale / denom
 
-    def dlog_slope(self, rate: float) -> float:
-        """d/dr ln (ln U)'(r); negative.
+    def dlog_and_slope(self, rate: float) -> tuple[float, float]:
+        """(dlog_evaluate(rate), d/dr ln (ln U)'(rate)) from one set of exponentials.
 
-        Closed form -a(e^{a(r-b)} + e^{-ar}) / D with D the denominator of
+        The first value is bit-equal to dlog_evaluate. The second is
+        -a(e^{a(r-b)} + e^{-ar}) / D with D the denominator of
         dlog_evaluate; -a in deep saturation, where (ln U)' is a pure
-        exponential. The Newton steps of the demand solvers use it.
+        exponential. The Newton steps of the demand and the price
+        clearing use it.
         """
         if rate <= 0.0:
             raise DomainError(f"rate must be positive, got {rate!r}")
         x = self.a * (rate - self.b)
         if x > 700.0:
-            return -self.a
+            return self._scale * math.exp(-x), -self.a
         e_x = math.exp(x)
         e_ar = math.exp(-self.a * rate)
-        denom = e_x + 1.0 - math.exp(-self.a * self.b) - e_ar
+        denom = e_x + 1.0 - self._e_ab - e_ar
         if denom <= 0.0:
-            return -math.inf
-        return -self.a * (e_x + e_ar) / denom
+            return math.inf, -math.inf
+        return self._scale / denom, -self.a * (e_x + e_ar) / denom
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,8 @@ class LogarithmicUtility:
     def __post_init__(self) -> None:
         _require_positive_finite(self.k, "k")
         _require_positive_finite(self.r_max, "r_max")
+        # ln of the normalisation, set once; not a field (see SigmoidalUtility).
+        object.__setattr__(self, "_log_norm", math.log(math.log1p(self.k * self.r_max)))
 
     @property
     def rate_scale(self) -> float:
@@ -180,7 +183,7 @@ class LogarithmicUtility:
         num = math.log1p(self.k * rate)
         if num <= 0.0:  # k*rate underflowed to zero
             return NEG_INF
-        return math.log(num) - math.log(math.log1p(self.k * self.r_max))
+        return math.log(num) - self._log_norm
 
     def dlog_evaluate(self, rate: float) -> float:
         """d/dr ln U(r) = k / ((1 + k r) ln(1 + k r))."""
@@ -192,15 +195,46 @@ class LogarithmicUtility:
             return math.inf
         return self.k / denom
 
-    def dlog_slope(self, rate: float) -> float:
-        """d/dr ln (ln U)'(r) = -k / (1 + k r) * (1 + 1 / ln(1 + k r)); negative."""
+    def dlog_and_slope(self, rate: float) -> tuple[float, float]:
+        """(dlog_evaluate(rate), d/dr ln (ln U)'(rate)), the second being
+        -k / (1 + k r) * (1 + 1 / ln(1 + k r)); negative."""
         if rate <= 0.0:
             raise DomainError(f"rate must be positive, got {rate!r}")
         kr = self.k * rate
         log_term = math.log1p(kr)
-        if log_term <= 0.0:
-            return -math.inf
-        return -self.k / (1.0 + kr) * (1.0 + 1.0 / log_term)
+        denom = (1.0 + kr) * log_term
+        if denom <= 0.0:
+            return math.inf, -math.inf
+        return self.k / denom, -self.k / (1.0 + kr) * (1.0 + 1.0 / log_term)
+
+    def rate_at_log_dlog(self, log_marginal: float) -> float:
+        """The rate r with ln (ln U)'(r) = log_marginal; inf past float range.
+
+        v = ln(1 + k r) solves v e^v = z, ln z = ln k - log_marginal: it is
+        the Lambert W of z (Corless et al., 1996). Below z = 1e-6 the series
+        k r = z - z^2/2 + 2z^3/3 is exact to the rounding of z; above, two Halley
+        steps on v + ln v = ln z (no product to under- or overflow) from
+        ln z - ln ln z + ln ln z / ln z, or Winitzki's guess for ln z <= 2,
+        land within about |ln z| ulps of W(z).
+        """
+        log_z = math.log(self.k) - log_marginal
+        if log_z < -13.8:
+            z = math.exp(log_z)
+            return z / self.k * (1.0 - z * (0.5 - z * (2.0 / 3.0)))
+        if log_z > 2.0:
+            log_log_z = math.log(log_z)
+            v = log_z - log_log_z + log_log_z / log_z
+        else:
+            w0 = math.log1p(math.exp(log_z))
+            v = w0 * (1.0 - math.log1p(w0) / (2.0 + w0))
+        for _ in range(2):
+            f = v + math.log(v) - log_z
+            df = 1.0 + 1.0 / v  # and f'' = -1 / v^2
+            v -= f / (df + 0.5 * f / (v * v * df))
+        if v <= 700.0:
+            return math.expm1(v) / self.k
+        log_rate = v - math.log(self.k)  # e^v - 1 is e^v here
+        return math.exp(log_rate) if log_rate < 709.78 else math.inf
 
 
 UtilityFunction = Union[SigmoidalUtility, LogarithmicUtility]

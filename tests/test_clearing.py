@@ -3,7 +3,7 @@
 import warnings
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nura import (
@@ -97,6 +97,13 @@ def _cell(draw):
     return {"description": "drawn", "R": draw(st.floats(5, 400)), "users": users}
 
 
+# A log app of weight 1.49e-215 beside one of weight 1: its demand is
+# about w / p, far below any tolerance, and must come out as such.
+@example(tree={"description": "vanishing weight", "R": 5.0, "users": [
+    {"id": "u0", "class": "regular", "beta": 0.5, "apps": [
+        {"utility": {"kind": "logarithmic", "k": 0.1, "r_max": 20.0}, "weight": 1.0},
+        {"utility": {"kind": "logarithmic", "k": 0.1, "r_max": 20.0}, "weight": 1.49e-215},
+    ]}]})
 @given(tree=_cell())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_drawn_cells_match_the_oracle_or_name_saturation(tree):

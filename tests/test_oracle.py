@@ -206,11 +206,15 @@ def test_oracle_imports_only_errors_and_utility():
     # The reference solver may share the problem statement (the regime
     # table in utility) with the pipeline, but none of its demand code,
     # so a pipeline bug cannot certify itself.
-    # Nor does it use dlog_slope, which only the pipeline's Newton steps use.
+    # Nor does it use the utility methods only the pipeline's demand
+    # uses: the fused derivative kernel of its Newton steps and the
+    # closed-form log demand.
+    barred = {"dlog_and_slope", "rate_at_log_dlog"}
     path = Path(__file__).resolve().parents[1] / "src" / "nura" / "oracle.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        assert not (isinstance(node, ast.Attribute) and node.attr == "dlog_slope")
+        assert not (isinstance(node, ast.Attribute) and node.attr in barred)
+        assert not (isinstance(node, ast.Name) and node.id in barred)
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             imported.add(node.module)
         elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "nura":

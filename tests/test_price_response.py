@@ -15,6 +15,7 @@ from nura import (
     DomainError,
     LogarithmicUtility,
     SigmoidalUtility,
+    SolverError,
     UserClass,
     UserProfile,
     app_rate_at_price,
@@ -40,9 +41,9 @@ def test_log_demand_closed_form():
     # FOC: w k / ((1 + k r) ln(1 + k r)) = p, i.e. (1 + r) ln(1 + r) = w/p
     # for k = 1; roots below frozen from mpmath.lambertw
     rate = app_rate_at_price(log_app(), price=1.0 / 11.0)
-    assert rate == pytest.approx(5.089113931609503, abs=1e-6)
+    assert rate == pytest.approx(5.089113931609503, abs=1e-12)
     rate = app_rate_at_price(log_app(weight=0.5), price=0.25)
-    assert rate == pytest.approx(1.345750754922765, abs=1e-6)
+    assert rate == pytest.approx(1.345750754922765, abs=1e-12)
 
 
 def test_sigmoid_demand_closed_form():
@@ -352,6 +353,45 @@ def test_warm_demand_matches_bisection(
     assert rate == pytest.approx(reference, abs=abs_tol, rel=0.0)
 
 
+@given(
+    log10_k=st.floats(-6.0, 3.0),
+    r_max=st.floats(1.0, 200.0),
+    log10_weight=st.floats(-300.0, 0.0),
+    log10_price=st.floats(-150.0, 6.0),
+    target=st.one_of(st.none(), st.floats(1.0, 30.0)),
+    case=st.sampled_from(list(CaseFlag)),
+)
+# Demand w/p of about 1e-306 where z = w k / p is about 1e-312, a denormal.
+@example(-6.0, 10.0, -300.0, 6.0, None, CaseFlag.TARGETS_BELOW_CAPACITY)
+# Demand of about 1e147 at the clearing's price floor, and the same capped.
+@example(-6.0, 10.0, 0.0, -150.0, None, CaseFlag.TARGETS_BELOW_CAPACITY)
+@example(-6.0, 10.0, 0.0, -150.0, 5.0, CaseFlag.TARGETS_EXCEED_CAPACITY)
+# z = e^-13.9, just inside the series branch.
+@example(0.0, 10.0, 0.0, 13.9 / math.log(10.0), None, CaseFlag.TARGETS_BELOW_CAPACITY)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_log_demand_closed_form_matches_bisection(
+    log10_k, r_max, log10_weight, log10_price, target, case
+):
+    app = Application(LogarithmicUtility(10.0**log10_k, r_max), 10.0**log10_weight, target)
+    price = 10.0**log10_price
+    cap = case.app_cap(app)
+    rate = app_rate_at_price(app, price, cap, case)
+    reference = _bisection_demand(app, price, cap, case, 1e-10)
+    assert 0.0 <= rate <= (math.inf if cap is None else cap)
+    assert rate == pytest.approx(reference, abs=1e-10, rel=1e-12)
+    # a closed form has no search: start and abs_tol play no part
+    assert app_rate_at_price(app, price, cap, case, abs_tol=1e-3, start=1e6) == rate
+
+
+def test_log_demand_past_float_range_raises():
+    # demand is about w / (p ln z), here 1 / (5e-324 * 737): past float range
+    app = Application(LogarithmicUtility(k=1.0, r_max=10.0), weight=1.0)
+    with pytest.raises(SolverError, match="float range"):
+        app_rate_at_price(app, price=5e-324)
+    assert app_rate_at_price(app, price=5e-324, cap=7.0) == 7.0
+    assert app_rate_at_price(app, price=1e-300) == pytest.approx(1.45e297, rel=1e-2)
+
+
 def test_flat_stretch_start_steps_up_by_doubling():
     tried = []
 
@@ -360,23 +400,30 @@ def test_flat_stretch_start_steps_up_by_doubling():
             tried.append(rate)
             return super().dlog_evaluate(rate)
 
+        def dlog_and_slope(self, rate):
+            tried.append(rate)
+            return super().dlog_and_slope(rate)
+
     price = 1.494274840696366
     cold = app_rate_at_price(
         Application(utility=SigmoidalUtility(a=3.0, b=20.0), weight=0.5), price
     )
     app = Application(utility=Recording(a=3.0, b=20.0), weight=0.5)
     assert app_rate_at_price(app, price, start=2.2665) == pytest.approx(cold, abs=1e-8)
+    assert tried
     # no rate tried exceeds twice every rate tried before it, or rate_scale
     for i in range(1, len(tried)):
         assert tried[i] <= max(2.0 * max(tried[:i]), 20.0)
     assert len(tried) <= 15
 
 
-# Warm-start bounds, about 30% above the measured values: first-stage
-# dlog_evaluate calls per demand call (5.04 at R = 30, 3.27 at R = 100;
-# 8.2 and 6.6 when every search started cold) and demand calls per split
-# (4.0 and 6.0; 12.5 and 12.0 from the fixed start at price 1).
-_WARM_EFFORT = {30.0: (6.5, 5.2), 100.0: (4.25, 7.8)}
+# Bounds about 30% above the measured values: first-stage derivative
+# calls (dlog_evaluate and dlog_and_slope) per demand call, 3.16 at
+# R = 30 and 1.58 at R = 100, where log apps make none (with a separate
+# slope call and a Newton search for log apps: 8.6 and 5.5), and demand
+# calls per split (3.0 and 2.0; 12.5 and 12.0 from the fixed start at
+# price 1).
+_WARM_EFFORT = {30.0: (4.1, 3.9), 100.0: (2.05, 2.6)}
 
 
 @pytest.mark.parametrize("capacity", [30.0, 100.0])  # scarce, abundant
@@ -415,7 +462,8 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
     # only calls made while allocate_internal runs count as split_demand.
     monkeypatch.setattr(scenario, "run_first_stage", staged(scenario.run_first_stage, "stage1"))
     for cls in (SigmoidalUtility, LogarithmicUtility):
-        monkeypatch.setattr(cls, "dlog_evaluate", counted(cls.dlog_evaluate, "dlog"))
+        for method in ("dlog_evaluate", "dlog_and_slope"):
+            monkeypatch.setattr(cls, method, counted(getattr(cls, method), "dlog"))
     demand = counted(price_response.app_rate_at_price, "demand")
     monkeypatch.setattr(price_response, "app_rate_at_price", demand)
     monkeypatch.setattr(intra_ue, "app_rate_at_price", demand)

@@ -5,19 +5,24 @@ defining formulas; the library must reproduce them in double precision.
 """
 
 import math
+from dataclasses import fields, replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nura import (
     Application,
     DomainError,
     LogarithmicUtility,
+    ProtocolParams,
+    ScenarioConfig,
     SigmoidalUtility,
     UserClass,
     UserProfile,
     aggregate_user_utility,
+    scenario_from_dict,
+    scenario_to_dict,
 )
 from nura.utility import NEG_INF
 
@@ -147,7 +152,7 @@ def _assert_slope_matches_central_difference(utility, rate):
     numeric = (
         math.log(utility.dlog_evaluate(rate + h)) - math.log(utility.dlog_evaluate(rate - h))
     ) / (2.0 * h)
-    assert utility.dlog_slope(rate) == pytest.approx(numeric, rel=1e-4, abs=1e-14 / h)
+    assert utility.dlog_and_slope(rate)[1] == pytest.approx(numeric, rel=1e-4, abs=1e-14 / h)
 
 
 @given(
@@ -181,13 +186,93 @@ def test_dlog_slope_saturation_branch_and_small_rates(rate):
     utility = SigmoidalUtility(a=10.0, b=1e-3)
     _assert_slope_matches_central_difference(utility, rate)
     if rate > 70.0:
-        assert utility.dlog_slope(rate) == -10.0
+        assert utility.dlog_and_slope(rate)[1] == -10.0
 
 
 @pytest.mark.parametrize("utility", [SIG_STEEP, LOG_FAST])
 def test_dlog_slope_rejects_nonpositive_rate(utility):
     with pytest.raises(DomainError):
-        utility.dlog_slope(0.0)
+        utility.dlog_and_slope(0.0)
+
+
+def _separate_dlog_slope(utility, rate):
+    """d/dr ln (ln U)'(r) as a method of its own computed it before the
+    fused kernel, every exponential and constant recomputed per call."""
+    if isinstance(utility, SigmoidalUtility):
+        x = utility.a * (rate - utility.b)
+        if x > 700.0:
+            return -utility.a
+        e_x = math.exp(x)
+        e_ar = math.exp(-utility.a * rate)
+        denom = e_x + 1.0 - math.exp(-utility.a * utility.b) - e_ar
+        if denom <= 0.0:
+            return -math.inf
+        return -utility.a * (e_x + e_ar) / denom
+    kr = utility.k * rate
+    log_term = math.log1p(kr)
+    if log_term <= 0.0:
+        return -math.inf
+    return -utility.k / (1.0 + kr) * (1.0 + 1.0 / log_term)
+
+
+@given(
+    utility=st.one_of(
+        st.builds(SigmoidalUtility, a=st.floats(0.05, 10.0), b=st.floats(1e-3, 300.0)),
+        st.builds(
+            LogarithmicUtility,
+            k=st.floats(-6.0, 3.0).map(lambda e: 10.0**e),
+            r_max=st.floats(1.0, 500.0),
+        ),
+    ),
+    log10_rate=st.floats(-320.0, 4.0),
+)
+@example(SigmoidalUtility(a=10.0, b=1e-3), 2.0)  # a(r - b) > 700: deep saturation
+@example(SIG_STEEP, -20.0)  # e^{-ar} rounds to 1: the denominator collapses to 0
+@example(SIG_STEEP, -10.0)  # a r = 3e-10: the denominator cancels but stays positive
+@example(LogarithmicUtility(k=1e-6, r_max=10.0), -323.3)  # k r underflows to 0
+@example(LogarithmicUtility(k=1.0, r_max=10.0), -323.3)  # k / denormal overflows to inf
+@example(LogarithmicUtility(k=1e-6, r_max=10.0), -300.0)  # tiny but resolved
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_fused_kernel_is_dlog_evaluate_and_the_separate_slope(utility, log10_rate):
+    rate = 10.0**log10_rate
+    assume(rate > 0.0)
+    dlog, slope = utility.dlog_and_slope(rate)
+    assert dlog == utility.dlog_evaluate(rate)  # bit-equal, inf included
+    assert slope == _separate_dlog_slope(utility, rate)
+    assert slope < 0.0 <= dlog  # (ln U)' underflows past a(r - b) = 745
+
+
+@pytest.mark.parametrize(
+    "utility, changes",
+    [(SIG_STEEP, {"b": 25.0}), (SIG_SHALLOW, {"a": 0.5}), (LOG_FAST, {"k": 0.5}),
+     (LOG_SLOW, {"r_max": 40.0})],
+)
+def test_cached_constants_follow_replace_and_stay_out_of_equality(utility, changes):
+    params = {field.name: getattr(utility, field.name) for field in fields(utility)}
+    changed = replace(utility, **changes)
+    fresh = type(utility)(**{**params, **changes})
+    rates = [1e-3, 0.5, 20.0, 60.0, 400.0]
+    for rate in rates:
+        assert changed.dlog_and_slope(rate) == fresh.dlog_and_slope(rate)
+        assert changed.dlog_evaluate(rate) == fresh.dlog_evaluate(rate)
+        assert changed.log_evaluate(rate) == fresh.log_evaluate(rate)
+    assert any(changed.log_evaluate(rate) != utility.log_evaluate(rate) for rate in rates)
+    back = replace(changed, **params)
+    assert back == utility and hash(back) == hash(utility) and repr(back) == repr(utility)
+    assert set(params) == ({"a", "b"} if isinstance(utility, SigmoidalUtility) else {"k", "r_max"})
+
+
+def test_cached_constants_survive_the_scenario_round_trip():
+    apps = tuple(Application(utility, 0.25) for utility in (SIG_STEEP, SIG_SHALLOW, LOG_FAST,
+                                                             LOG_SLOW))
+    user = UserProfile("u", UserClass.REGULAR, beta=1.0, apps=apps)
+    config = ScenarioConfig(users=(user,), capacity=50.0, protocol=ProtocolParams())
+    tree = scenario_to_dict(config)
+    again = scenario_from_dict(tree)
+    assert again == config and scenario_to_dict(again) == tree
+    for app, original in zip(again.users[0].apps, apps):
+        assert app.utility.dlog_and_slope(7.5) == original.utility.dlog_and_slope(7.5)
+        assert app.utility.log_evaluate(7.5) == original.utility.log_evaluate(7.5)
 
 
 @pytest.mark.parametrize("utility", [SIG_STEEP, SIG_SHALLOW, LOG_FAST, LOG_SLOW])
