@@ -29,10 +29,12 @@ class ContractError(NuraError, ValueError):
 
 
 class SolverError(NuraError, RuntimeError):
-    """A numerical routine exhausted its iteration budget.
+    """A numerical routine found no answer in float range.
 
-    ``bracket`` carries the last enclosing interval so the caller can
-    see how far the search got.
+    Raised when a demand leaves float range, when demand saturates (no
+    price above the floor spends the budget), or when a search exhausts
+    its iteration budget. ``bracket`` carries the last enclosing interval
+    so the caller can see how far the search got.
     """
 
     def __init__(self, message: str, *, bracket: tuple[float, float] | None = None):

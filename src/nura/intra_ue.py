@@ -2,12 +2,13 @@
 
 clear_price finds the price at which a regime table's participants
 spend its budget: each application demands the rate where its marginal
-value meets price / beta; an uncapped user competes app by app, a
-capped one as min(its demand, its cap). Safeguarded Newton steps in
-ln p find that price. Where demand jumps across a relative price change
-below float resolution (a sigmoid's flat stretch), every amount is
-topped up between its demands at the ends of a 1e-10-wide bracket by
-one common fraction.
+value meets price / beta, in closed form at each trial price; an
+uncapped user competes app by app, a capped one as min(its demand, its
+cap). Safeguarded Newton steps in ln p find that price from a given
+start price. Where demand jumps across a relative price change below
+float resolution (a sigmoid's flat stretch), every amount is topped up
+between its demands at the ends of a 1e-10-wide bracket by one common
+fraction.
 
 The bidding stage ends with one clearing (protocol); allocate_internal
 clears a user's rate among its applications: on U(r) with targets as
@@ -24,7 +25,6 @@ from .errors import ContractError, DomainError, SolverError
 from .price_response import app_rate_at_price
 from .utility import NEG_INF, CaseFlag, RegimeTable, UserProfile, app_rows
 
-_RATE_TOL = 1e-10  # summed over many apps, still far below the budget tolerance
 _PRICE_RTOL = 1e-10
 _PRICE_FLOOR = 1e-150
 _MAX_PRICE_STEPS = 200
@@ -43,16 +43,13 @@ class InternalAllocation:
     slack: float
 
 
-def clear_price(
-    table: RegimeTable, price: float, starts: list[float | None]
-) -> tuple[float, list[float], list[float]]:
+def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], list[float]]:
     """(price, per-user shares, per-row rates) that spend table.budget.
 
     Shares and rates are amounts above the offsets; a capped user's rows
     hold its demand at the price, not a split of its share. The search
-    starts at price and each row's demand search at its entry of starts
-    (None: cold). Slack is left only when every application sits at its
-    cap; a budget no price above the floor spends raises SolverError.
+    starts at price. Slack is left only when every application sits at
+    its cap; a budget no price above the floor spends raises SolverError.
     """
     rows, caps, budget = table.rows, table.user_caps, table.budget
     betas = [user.beta for user in table.participants]
@@ -61,12 +58,10 @@ def clear_price(
         min(c for c in (row.cap, caps[row.user_slot], budget) if c is not None) for row in rows
     ]
 
-    def demand(price: float, starts) -> tuple[list[float], list[float]]:  # (shares, rates)
+    def demand(price: float) -> tuple[list[float], list[float]]:  # (shares, rates)
         rates = [
-            app_rate_at_price(
-                row.app, price / betas[row.user_slot], limit, table.case, _RATE_TOL, start
-            )
-            for row, limit, start in zip(rows, limits, starts)
+            app_rate_at_price(row.app, price / betas[row.user_slot], limit, table.case)
+            for row, limit in zip(rows, limits)
         ]
         shares = [0.0] * len(caps)
         for row, rate in zip(rows, rates):
@@ -84,7 +79,7 @@ def clear_price(
     tol = 1e-9 * max(budget, 1.0)
     lo, hi = 0.0, math.inf
     price = max(price, _PRICE_FLOOR)
-    shares, rates = demand(price, starts)
+    shares, rates = demand(price)
     last_step = prior_step = math.inf
     stretch = 2.0
     for _ in range(_MAX_PRICE_STEPS):
@@ -135,7 +130,7 @@ def clear_price(
             prior_step = last_step = math.inf
             stretch *= stretch
         price = trial
-        shares, rates = demand(price, rates)
+        shares, rates = demand(price)
     else:
         raise SolverError(f"no price in ({lo}, {hi}) meets the budget {budget}", bracket=(lo, hi))
 
@@ -197,7 +192,7 @@ def allocate_internal(
     # The user's rows share r_opt above its offsets, each app within its
     # own cap; the user's cap is already inside r_opt.
     table = RegimeTable(case, (user,), r_opt - granted, (None,), rows)
-    _, shares, rates = clear_price(table, start_price * user.beta, [None] * len(rows))
+    _, shares, rates = clear_price(table, start_price * user.beta)
     return InternalAllocation(
         tuple(rate + offset for rate, offset in zip(rates, offsets)), table.budget - shares[0]
     )

@@ -4,12 +4,9 @@ A deterministic synchronous-round simulation: the base station turns
 the current bid vector into a shadow price (total bids / capacity),
 every participating user answers with a damped bid built from its
 demand at that price, and the loop stops once no bid moved by the
-threshold delta. The price moves little between rounds, so each user
-keeps its per-application demands and every demand search of the next
-round starts from them; the first round starts cold. Damped bids stop
-short of the fixed point, so the rates come from one exact clearing
-(intra_ue.clear_price) from the stop round's price, each application
-warm from its last-round demand.
+threshold delta. Damped bids stop short of the fixed point, so the
+rates come from one exact clearing (intra_ue.clear_price) that starts
+from the stop round's price.
 
 When the VIP users' aggregate target rates reach the capacity, only VIP
 users participate and their demand is capped at their targets, per
@@ -54,12 +51,14 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise DomainError(f"delta must be positive, got {self.delta!r}")
-        if not (self.l1 > 0.0 and self.l2 > 0.0):
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.l1, self.l2)):
             raise DomainError(
-                f"damping constants must be positive, got l1={self.l1!r}, l2={self.l2!r}"
+                f"damping constants must be positive and finite, "
+                f"got l1={self.l1!r}, l2={self.l2!r}"
             )
-        if self.max_rounds < 2:
-            raise DomainError(f"max_rounds must be at least 2, got {self.max_rounds!r}")
+        rounds = self.max_rounds
+        if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 2:
+            raise DomainError(f"max_rounds must be an integer of at least 2, got {rounds!r}")
         if self.w_init is not None and not (math.isfinite(self.w_init) and self.w_init > 0.0):
             raise DomainError(f"w_init must be positive when given, got {self.w_init!r}")
         if not (math.isfinite(self.price_floor) and self.price_floor > 0.0):
@@ -152,8 +151,6 @@ def run_first_stage(
 
     bids = {user.user_id: w_init for user in participants}
     prev = {user.user_id: 0.0 for user in participants}
-    # Each participant's per-app demands of the last round (None: none yet).
-    demands = {user.user_id: [None] * len(user.apps) for user in participants}
     trace: list[RoundState] = []
 
     for round_index in range(1, params.max_rounds + 1):
@@ -161,8 +158,7 @@ def run_first_stage(
         if outcome is None:
             price = max(sum(bids.values()) / capacity, params.price_floor)
             trace.append(RoundState(round_index, dict(bids), price, True))
-            starts = [rate for user in participants for rate in demands[user.user_id]]
-            final_price, shares, _ = clear_price(table, price, starts)
+            final_price, shares, _ = clear_price(table, price)
             rates = dict.fromkeys((user.user_id for user in users), 0.0)
             for user, share in zip(participants, shares):
                 rates[user.user_id] = share + table.case.user_offset(user)
@@ -185,7 +181,6 @@ def run_first_stage(
                 params.l1,
                 params.l2,
                 case=table.case,
-                demands=demands[user.user_id],
             )
             for user in participants
         }

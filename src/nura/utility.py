@@ -131,8 +131,7 @@ class SigmoidalUtility:
         The first value is bit-equal to dlog_evaluate. The second is
         -a(e^{a(r-b)} + e^{-ar}) / D with D the denominator of
         dlog_evaluate; -a in deep saturation, where (ln U)' is a pure
-        exponential. The Newton steps of the demand and the price
-        clearing use it.
+        exponential. The Newton steps of the price clearing use it.
         """
         if rate <= 0.0:
             raise DomainError(f"rate must be positive, got {rate!r}")
@@ -145,6 +144,39 @@ class SigmoidalUtility:
         if denom <= 0.0:
             return math.inf, -math.inf
         return self._scale / denom, -self.a * (e_x + e_ar) / denom
+
+    def rate_at_marginal(self, price: float, weight: float) -> float:
+        """The rate r >= 0 with weight * (ln U)'(r) = price, in closed form.
+
+        With t = e^{ar} - 1 the denominator of dlog_evaluate is
+        (e^{-ab} t^2 + (1 + e^{-ab}) t) / (1 + t), so t is the positive
+        root of e^{-ab} t^2 + B t - M = 0, M = weight a (1 + e^{-ab}) / price,
+        B = (1 + e^{-ab})(price - a weight) / price. a * weight is split
+        exactly (Dekker, 1971), which keeps B accurate where price is
+        near a * weight (the flat stretch). For B > 0 the root is taken
+        in the rationalized form, for B <= 0 as ln t, so nothing is divided
+        by an e^{-ab} that has underflowed. Past M = e^700 this is the
+        deep-saturation branch of dlog_evaluate, r = b + ln M / a.
+        """
+        m = weight * self._scale / price
+        if m > 1.0142320547350045e304:  # e^700; inf when m overflows
+            return self.b + (math.log(weight * self._scale) - math.log(price)) / self.a
+        aw = self.a * weight
+        c = 134217729.0  # 2^27 + 1, Veltkamp's splitter
+        a_hi = c * self.a - (c * self.a - self.a)
+        w_hi = c * weight - (c * weight - weight)
+        a_lo, w_lo = self.a - a_hi, weight - w_hi
+        aw_lo = ((a_hi * w_hi - aw) + a_hi * w_lo + a_lo * w_hi) + a_lo * w_lo
+        half_b = 0.5 * (1.0 + self._e_ab) * ((price - aw) - aw_lo) / price
+        root = math.hypot(half_b, math.sqrt(self._e_ab * m))
+        if half_b > 0.0:
+            return math.log1p(m / (half_b + root)) / self.a
+        ab = self.a * self.b
+        if half_b == 0.0:  # the plateau price itself: t^2 = M e^{ab}, e^{-ab} may be 0
+            log_t = 0.5 * (ab + math.log(m))
+        else:
+            log_t = ab + math.log(root - half_b)
+        return (log_t + math.log1p(math.exp(-log_t))) / self.a
 
 
 @dataclass(frozen=True)
@@ -207,17 +239,17 @@ class LogarithmicUtility:
             return math.inf, -math.inf
         return self.k / denom, -self.k / (1.0 + kr) * (1.0 + 1.0 / log_term)
 
-    def rate_at_log_dlog(self, log_marginal: float) -> float:
-        """The rate r with ln (ln U)'(r) = log_marginal; inf past float range.
+    def rate_at_marginal(self, price: float, weight: float) -> float:
+        """The rate r with weight * (ln U)'(r) = price; inf past float range.
 
-        v = ln(1 + k r) solves v e^v = z, ln z = ln k - log_marginal: it is
-        the Lambert W of z (Corless et al., 1996). Below z = 1e-6 the series
+        v = ln(1 + k r) solves v e^v = z, ln z = ln k - (ln price - ln weight):
+        it is the Lambert W of z (Corless et al., 1996). Below z = 1e-6 the series
         k r = z - z^2/2 + 2z^3/3 is exact to the rounding of z; above, two Halley
         steps on v + ln v = ln z (no product to under- or overflow) from
         ln z - ln ln z + ln ln z / ln z, or Winitzki's guess for ln z <= 2,
         land within about |ln z| ulps of W(z).
         """
-        log_z = math.log(self.k) - log_marginal
+        log_z = math.log(self.k) - (math.log(price) - math.log(weight))
         if log_z < -13.8:
             z = math.exp(log_z)
             return z / self.k * (1.0 - z * (0.5 - z * (2.0 / 3.0)))

@@ -4,11 +4,12 @@ import math
 from collections import Counter
 from dataclasses import replace
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nura import intra_ue, price_response, scenario
+from nura import intra_ue, price_response, protocol, scenario
 from nura import (
     Application,
     CaseFlag,
@@ -84,25 +85,15 @@ def test_cap_binds_at_low_price():
 
 
 def test_negative_cap_rejected_before_early_exits():
-    # zero weight, and zero demand at the probe, both return 0 before any
-    # search; a negative cap is still an error there
+    # zero weight returns 0 before any solve, and a vanishing demand
+    # (about weight / price near rate 0) is still solved; a negative cap
+    # is an error in both
     with pytest.raises(DomainError):
         app_rate_at_price(log_app(weight=0.0), price=0.01, cap=-1.0)
     sigmoid = Application(utility=SigmoidalUtility(a=1.0, b=20.0), weight=0.5)
-    assert app_rate_at_price(sigmoid, price=1e12) == 0.0
+    assert app_rate_at_price(sigmoid, price=1e12) == pytest.approx(5.0e-13, rel=1e-12)
     with pytest.raises(DomainError):
         app_rate_at_price(sigmoid, price=1e12, cap=-1.0)
-
-
-def test_start_outside_the_domain():
-    sigmoid = Application(utility=SigmoidalUtility(a=3.0, b=20.0), weight=0.5)
-    cold = app_rate_at_price(sigmoid, price=0.5)
-    # a start below zero or above every rate is clipped to the range searched
-    for start in [-5.0, 0.0, math.inf]:
-        assert app_rate_at_price(sigmoid, price=0.5, start=start) == pytest.approx(cold, abs=1e-8)
-        assert app_rate_at_price(sigmoid, price=0.5, cap=10.0, start=start) == 10.0
-    with pytest.raises(DomainError):
-        app_rate_at_price(sigmoid, price=0.5, start=math.nan)
 
 
 def test_cap_slack_at_high_price():
@@ -214,29 +205,16 @@ def test_user_rate_scales_price_by_beta():
     assert user_rate_at_price(user, price=1.0 / 11.0, user_cap=8.0) == 8.0
 
 
-def test_user_rate_keeps_per_app_demands():
-    apps = (log_app(weight=0.5), Application(utility=SigmoidalUtility(a=1.0, b=5.0), weight=0.5))
-    user = UserProfile("u", UserClass.REGULAR, beta=2.0, apps=apps)
-    demands = [None, None]
-    total = user_rate_at_price(user, 0.1, demands=demands)
-    assert demands == [app_rate_at_price(app, 0.05) for app in apps]
-    assert total == sum(demands)
-    # the next price starts from them and overwrites them
-    before = list(demands)
-    user_rate_at_price(user, 0.11, demands=demands)
-    assert demands != before
-    assert demands == pytest.approx([app_rate_at_price(app, 0.055) for app in apps], abs=1e-8)
-
-
 # ---------------------------------------------------------------------------
-# Newton kernel against plain bisection on the same stationarity condition
+# closed forms against bisection on the same stationarity condition
 
 
 def _bisection_demand(app, price, cap, case, abs_tol):
     """Reference demand: bisect weight * (ln U)'(r + c) = price on [0, cap].
 
-    Same probe, cap and bracket rules as the kernel, but only midpoint
-    steps, stopping once the bracket is at most abs_tol wide.
+    Zero demand when the marginal a hair above zero (abs_tol, or 0 with
+    an offset) is already below the price; midpoint steps stop once the
+    bracket is at most abs_tol wide.
     """
     offset = case.app_offset(app)
 
@@ -265,92 +243,60 @@ def _bisection_demand(app, price, cap, case, abs_tol):
     return 0.5 * (lo + hi)
 
 
-# The curve ranges of the fuzz generator in bench/cells.py, prices
+def _mpmath_demand(a, b, weight, price, cap, offset):
+    """Reference sigmoid demand: bisect weight * (ln U)'(r + c) = price in mpmath.
+
+    The working precision, 30 + a*b/2.3 digits, keeps e^{-ab} next to 1
+    and the marginal's flat stretch (where price is near a * weight)
+    resolved; the root is clamped to [0, cap] as the demand is.
+    """
+    with mpmath.workdps(30 + int(a * b / 2.3)):
+        a, b, weight, price = (mpmath.mpf(v) for v in (a, b, weight, price))
+        e_ab = mpmath.exp(-a * b)
+
+        def above(rate):  # the denominator of dlog_evaluate without cancellation
+            denom = e_ab * mpmath.expm1(a * rate) - mpmath.expm1(-a * rate)
+            return weight * a * (1 + e_ab) > price * denom
+
+        if not above(mpmath.mpf(offset)):
+            return 0.0
+        if cap is not None and above(mpmath.mpf(cap) + offset):
+            return cap
+        lo, hi = mpmath.mpf(offset), mpmath.mpf(b) + offset
+        while above(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > mpmath.mpf(10) ** -20 * hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if above(mid) else (lo, mid)
+        return float((lo + hi) / 2 - offset)
+
+
+# The sigmoid ranges of the fuzz generator in bench/cells.py, prices
 # 1e-6..1e3, and a target that is an offset (abundant), a cap (scarce)
 # or absent.
-_CURVES = st.one_of(
-    st.builds(
-        SigmoidalUtility,
-        a=st.sampled_from([0.1, 0.5, 1.0, 3.0, 10.0]),
-        b=st.floats(5.0, 60.0),
-    ),
-    st.builds(
-        LogarithmicUtility,
-        k=st.sampled_from([0.1, 0.5, 1.0, 3.0, 10.0]),
-        r_max=st.floats(20.0, 200.0),
-    ),
-)
-
-
 @given(
-    utility=_CURVES,
+    a=st.sampled_from([0.1, 0.5, 1.0, 3.0, 10.0]),
+    b=st.floats(5.0, 60.0),
     weight=st.floats(0.01, 1.0),
     log10_price=st.floats(-6.0, 3.0),
     target=st.one_of(st.none(), st.floats(1.0, 30.0)),
     case=st.sampled_from(list(CaseFlag)),
-    abs_tol=st.sampled_from([1e-8, 1e-10]),
 )
-@example(UNIT_LOG, 1.0, 3.0, 10.0, CaseFlag.TARGETS_BELOW_CAPACITY, 1e-8)  # zero demand
-@example(UNIT_LOG, 1.0, -3.0, 4.0, CaseFlag.TARGETS_EXCEED_CAPACITY, 1e-8)  # cap binds
-@example(SigmoidalUtility(a=3.0, b=20.0), 0.5, math.log10(1.5000000037252903),
-         20.0, CaseFlag.TARGETS_EXCEED_CAPACITY, 1e-10)  # flat stretch below b
-@settings(max_examples=400, deadline=None, derandomize=True)
-def test_newton_demand_matches_bisection(utility, weight, log10_price, target, case, abs_tol):
-    app = Application(utility=utility, weight=weight, target_rate=target)
+# On the flat stretch below b, capped and uncapped.
+@example(3.0, 20.0, 0.5, math.log10(1.5000000037252903), 20.0, CaseFlag.TARGETS_EXCEED_CAPACITY)
+@example(3.0, 20.0, 0.5, math.log10(1.494274840696366), None, CaseFlag.TARGETS_BELOW_CAPACITY)
+# The plateau price a * weight itself, also where e^{-ab} underflows to 0.
+@example(10.0, 5.0, 1.0, 1.0, None, CaseFlag.TARGETS_BELOW_CAPACITY)
+@example(10.0, 100.0, 1.0, 1.0, None, CaseFlag.TARGETS_BELOW_CAPACITY)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_sigmoid_demand_closed_form_matches_mpmath(a, b, weight, log10_price, target, case):
+    app = Application(SigmoidalUtility(a, b), weight, target)
     price = 10.0**log10_price
     cap = case.app_cap(app)
-    rate = app_rate_at_price(app, price, cap, case, abs_tol)
-    reference = _bisection_demand(app, price, cap, case, abs_tol)
+    rate = app_rate_at_price(app, price, cap, case)
+    reference = _mpmath_demand(a, b, weight, price, cap, case.app_offset(app))
     assert 0.0 <= rate <= (math.inf if cap is None else cap)
-    assert rate == pytest.approx(reference, abs=abs_tol, rel=0.0)
-
-
-# Where a warm search may begin: a hair above zero, near the root, on
-# the sigmoid's flat stretch below its inflection, at or above the cap
-# (at or above rate_scale when uncapped), and far above every root.
-_START_KINDS = ["tiny", "near", "flat", "cap", "huge"]
-
-
-def _start(kind, jitter, reference, utility, cap):
-    if kind == "tiny":
-        return 1e-9
-    if kind == "near":
-        return reference * (1.0 + jitter) + abs(jitter)
-    if kind == "flat":
-        return utility.rate_scale * (0.5 + jitter)
-    if kind == "cap":
-        return (utility.rate_scale if cap is None else cap) * (1.0 + 20.0 * abs(jitter))
-    return 1e6 * utility.rate_scale
-
-
-@given(
-    utility=_CURVES,
-    weight=st.floats(0.01, 1.0),
-    log10_price=st.floats(-6.0, 3.0),
-    target=st.one_of(st.none(), st.floats(1.0, 30.0)),
-    case=st.sampled_from(list(CaseFlag)),
-    abs_tol=st.sampled_from([1e-8, 1e-10]),
-    kind=st.sampled_from(_START_KINDS),
-    jitter=st.floats(-0.1, 0.1),
-)
-# An unbounded Newton step up from the flat stretch once jumped to ~1e48
-# here and ran out of iterations; steps up are bounded by the doubling.
-@example(SigmoidalUtility(a=3.0, b=20.0), 0.5, math.log10(1.494274840696366),
-         None, CaseFlag.TARGETS_BELOW_CAPACITY, 1e-8, "flat", 2.2665 / 20.0 - 0.5)
-@example(UNIT_LOG, 1.0, 3.0, 10.0, CaseFlag.TARGETS_BELOW_CAPACITY, 1e-8, "huge", 0.0)
-@example(UNIT_LOG, 1.0, -3.0, 4.0, CaseFlag.TARGETS_EXCEED_CAPACITY, 1e-8, "tiny", 0.0)
-@settings(max_examples=400, deadline=None, derandomize=True)
-def test_warm_demand_matches_bisection(
-    utility, weight, log10_price, target, case, abs_tol, kind, jitter
-):
-    app = Application(utility=utility, weight=weight, target_rate=target)
-    price = 10.0**log10_price
-    cap = case.app_cap(app)
-    reference = _bisection_demand(app, price, cap, case, abs_tol)
-    start = _start(kind, jitter, reference, utility, cap)
-    rate = app_rate_at_price(app, price, cap, case, abs_tol, start=start)
-    assert 0.0 <= rate <= (math.inf if cap is None else cap)
-    assert rate == pytest.approx(reference, abs=abs_tol, rel=0.0)
+    assert rate == pytest.approx(reference, abs=1e-12 * max(abs(reference), 1.0), rel=0.0)
 
 
 @given(
@@ -379,8 +325,6 @@ def test_log_demand_closed_form_matches_bisection(
     reference = _bisection_demand(app, price, cap, case, 1e-10)
     assert 0.0 <= rate <= (math.inf if cap is None else cap)
     assert rate == pytest.approx(reference, abs=1e-10, rel=1e-12)
-    # a closed form has no search: start and abs_tol play no part
-    assert app_rate_at_price(app, price, cap, case, abs_tol=1e-3, start=1e6) == rate
 
 
 def test_log_demand_past_float_range_raises():
@@ -392,52 +336,24 @@ def test_log_demand_past_float_range_raises():
     assert app_rate_at_price(app, price=1e-300) == pytest.approx(1.45e297, rel=1e-2)
 
 
-def test_flat_stretch_start_steps_up_by_doubling():
-    tried = []
-
-    class Recording(SigmoidalUtility):
-        def dlog_evaluate(self, rate):
-            tried.append(rate)
-            return super().dlog_evaluate(rate)
-
-        def dlog_and_slope(self, rate):
-            tried.append(rate)
-            return super().dlog_and_slope(rate)
-
-    price = 1.494274840696366
-    cold = app_rate_at_price(
-        Application(utility=SigmoidalUtility(a=3.0, b=20.0), weight=0.5), price
-    )
-    app = Application(utility=Recording(a=3.0, b=20.0), weight=0.5)
-    assert app_rate_at_price(app, price, start=2.2665) == pytest.approx(cold, abs=1e-8)
-    assert tried
-    # no rate tried exceeds twice every rate tried before it, or rate_scale
-    for i in range(1, len(tried)):
-        assert tried[i] <= max(2.0 * max(tried[:i]), 20.0)
-    assert len(tried) <= 15
-
-
-# Bounds about 30% above the measured values: first-stage derivative
-# calls (dlog_evaluate and dlog_and_slope) per demand call, 3.16 at
-# R = 30 and 1.58 at R = 100, where log apps make none (with a separate
-# slope call and a Newton search for log apps: 8.6 and 5.5), and demand
-# calls per split (3.0 and 2.0; 12.5 and 12.0 from the fixed start at
+# Demand calls per split, bounds about 30% above the measured 3.0 at
+# R = 30 and 2.0 at R = 100 (12.5 and 12.0 from the fixed start at
 # price 1).
-_WARM_EFFORT = {30.0: (4.1, 3.9), 100.0: (2.05, 2.6)}
+_DEMANDS_PER_SPLIT = {30.0: 3.9, 100.0: 2.6}
 
 
 @pytest.mark.parametrize("capacity", [30.0, 100.0])  # scarce, abundant
 def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
-    """Derivative evaluations per demand and demand calls per split.
+    """Derivative evaluations of the bidding rounds and demand calls per split.
 
     Counts, not times: with plain bisection on rate and price these
     were 32-37 evaluations per demand call and 34-52 demand calls per
-    split. Each bidding round starts every demand search from the
-    previous round's demand, and the split starts from the final
-    price / beta, which the tighter warm-start bounds check.
+    split. Every demand is now closed-form, so the bids make no
+    derivative call at all (only the clearings' Newton steps in ln p
+    do), and the split starts from the final price / beta.
     """
     counts = Counter()  # each count also keeps its share per stage
-    stage = [None]  # "stage1" or "split" while that stage runs
+    stage = [None]  # "bid" or "split" while one runs
 
     def counted(func, key):
         def wrapper(*args, **kwargs):
@@ -460,7 +376,7 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
 
     # The first stage's closing clearing also calls intra_ue's demand;
     # only calls made while allocate_internal runs count as split_demand.
-    monkeypatch.setattr(scenario, "run_first_stage", staged(scenario.run_first_stage, "stage1"))
+    monkeypatch.setattr(protocol, "vip_bid", staged(protocol.vip_bid, "bid"))
     for cls in (SigmoidalUtility, LogarithmicUtility):
         for method in ("dlog_evaluate", "dlog_and_slope"):
             monkeypatch.setattr(cls, method, counted(getattr(cls, method), "dlog"))
@@ -476,9 +392,9 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
     assert counts["splits"] == len(cell.users)
     assert counts["dlog"] <= 15 * counts["demand"]
     assert counts["split_demand"] <= 35 * counts["splits"]
-    dlog_per_demand, demands_per_split = _WARM_EFFORT[capacity]
-    assert counts["stage1_dlog"] <= dlog_per_demand * counts["stage1_demand"]
-    assert counts["split_demand"] <= demands_per_split * counts["splits"]
+    assert counts["bid_demand"] > 0
+    assert counts["bid_dlog"] == 0
+    assert counts["split_demand"] <= _DEMANDS_PER_SPLIT[capacity] * counts["splits"]
 
 
 # ---------------------------------------------------------------------------

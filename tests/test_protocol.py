@@ -67,6 +67,17 @@ def test_protocol_params_validation():
         _params(price_floor=0.0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"max_rounds": 100.0}, {"max_rounds": True}, {"l1": math.inf}, {"l2": math.inf}],
+)
+def test_protocol_params_reject_non_integer_rounds_and_infinite_damping(bad):
+    # a float round limit used to fail later in range(), and l1 = inf
+    # switched damping off
+    with pytest.raises(DomainError):
+        _params(**bad)
+
+
 # ---------------------------------------------------------------------------
 # case determination
 
