@@ -142,6 +142,17 @@ def test_validation_rejects_duplicate_ids():
     assert "duplicate" in str(excinfo.value).lower()
 
 
+def test_validation_reports_every_bad_protocol_value():
+    raw = _minimal_dict(
+        protocol={"delta": 0.0, "l1": "x", "max_rounds": 1, "price_floor": -1.0, "w_init": True}
+    )
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(raw)
+    named = sorted(v.split(": ")[0] for v in excinfo.value.violations)
+    keys = ["delta", "l1", "max_rounds", "price_floor", "w_init"]
+    assert named == [f"<dict>.protocol.{key}" for key in keys]
+
+
 def test_validation_rejects_unknown_utility_kind():
     raw = _minimal_dict()
     raw["users"][0]["apps"][0]["utility"] = {"kind": "linear", "slope": 1.0}
