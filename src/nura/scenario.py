@@ -17,7 +17,7 @@ import csv
 import math
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -36,12 +36,11 @@ from .utility import (
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9_.-]+$")
 
+# Each utility kind's name in files; its parameters are the class's fields.
+_UTILITY_KINDS = {"sigmoidal": SigmoidalUtility, "logarithmic": LogarithmicUtility}
 _TOP_KEYS = {"description", "R", "protocol", "users"}
-_PROTOCOL_KEYS = {"delta", "l1", "l2", "max_rounds", "w_init", "price_floor"}
 _USER_KEYS = {"id", "class", "beta", "apps"}
-_APP_KEYS = {"utility", "weight", "target_rate"}
-_SIGMOID_KEYS = {"kind", "a", "b"}
-_LOG_KEYS = {"kind", "k", "r_max"}
+_APP_KEYS = {f.name for f in fields(Application)}  # an app's file keys are its fields
 _SCHEDULE_KEYS = {"description", "epochs"}
 _EPOCH_KEYS = {"start", "end", "weights"}
 
@@ -95,6 +94,49 @@ def _check_keys(node: dict, allowed: set[str], path: str, violations: list[str])
             violations.append(f"{path}: unknown key {key!r}")
 
 
+def _is_mapping(node, path: str, violations: list[str]) -> bool:
+    ok = isinstance(node, dict)
+    if not ok:
+        violations.append(f"{path}: expected a mapping, got {node!r}")
+    return ok
+
+
+def _is_nonempty_list(node, path: str, violations: list[str]) -> bool:
+    ok = isinstance(node, list) and len(node) > 0
+    if not ok:
+        violations.append(f"{path}: expected a nonempty list")
+    return ok
+
+
+def _is_number(value, path: str, violations: list[str]) -> bool:
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not ok:
+        violations.append(f"{path}: expected a number, got {value!r}")
+    return ok
+
+
+def _is_user_id(value, path: str, violations: list[str]) -> bool:
+    ok = isinstance(value, str) and _ID_PATTERN.match(value) is not None
+    if not ok:
+        violations.append(
+            f"{path}: expected a name of letters, digits, '_', '-', '.', got {value!r}"
+        )
+    return ok
+
+
+def _number(value, path: str, violations: list[str], positive: bool = False) -> float | None:
+    if not _is_number(value, path, violations):
+        return None
+    value = float(value)
+    if not math.isfinite(value):
+        violations.append(f"{path}: must be finite, got {value!r}")
+        return None
+    if positive and value <= 0.0:
+        violations.append(f"{path}: must be positive, got {value!r}")
+        return None
+    return value
+
+
 def _get_number(
     node: dict,
     key: str,
@@ -109,43 +151,56 @@ def _get_number(
         if required:
             violations.append(f"{path}: missing required key {key!r}")
         return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        violations.append(f"{path}.{key}: expected a number, got {value!r}")
-        return None
-    value = float(value)
-    if not math.isfinite(value):
-        violations.append(f"{path}.{key}: must be finite, got {value!r}")
-        return None
-    if positive and value <= 0.0:
-        violations.append(f"{path}.{key}: must be positive, got {value!r}")
-        return None
-    return value
+    return _number(node[key], f"{path}.{key}", violations, positive)
+
+
+def _top_level(raw, allowed: set[str], source: str, violations: list[str]) -> str:
+    """Check a file's top-level mapping and keys; return its description."""
+    if not isinstance(raw, dict):
+        raise ValidationError(
+            f"{source}: expected a mapping at top level, got {type(raw).__name__}"
+        )
+    _check_keys(raw, allowed, source, violations)
+    description = raw.get("description", "")
+    if isinstance(description, str):
+        return description
+    violations.append(f"{source}.description: expected a string")
+    return ""
 
 
 def _parse_utility(node, path: str, violations: list[str]):
-    if not isinstance(node, dict):
-        violations.append(f"{path}: expected a mapping, got {node!r}")
+    if not _is_mapping(node, path, violations):
         return None
     kind = node.get("kind")
-    if kind == "sigmoidal":
-        _check_keys(node, _SIGMOID_KEYS, path, violations)
-        a = _get_number(node, "a", path, violations, positive=True)
-        b = _get_number(node, "b", path, violations, positive=True)
-        if a is None or b is None:
-            return None
-        return SigmoidalUtility(a=a, b=b)
-    if kind == "logarithmic":
-        _check_keys(node, _LOG_KEYS, path, violations)
-        k = _get_number(node, "k", path, violations, positive=True)
-        r_max = _get_number(node, "r_max", path, violations, positive=True)
-        if k is None or r_max is None:
-            return None
-        return LogarithmicUtility(k=k, r_max=r_max)
-    violations.append(
-        f"{path}.kind: expected 'sigmoidal' or 'logarithmic', got {kind!r}"
-    )
-    return None
+    cls = _UTILITY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        kinds = " or ".join(map(repr, _UTILITY_KINDS))
+        violations.append(f"{path}.kind: expected {kinds}, got {kind!r}")
+        return None
+    names = [f.name for f in fields(cls)]
+    _check_keys(node, {"kind", *names}, path, violations)
+    values = [_get_number(node, name, path, violations, positive=True) for name in names]
+    return None if None in values else cls(*values)
+
+
+def _parse_protocol(node, path: str, violations: list[str]) -> ProtocolParams:
+    """The keys are the fields of ProtocolParams, whose own checks judge each value."""
+    kwargs = {}
+    if _is_mapping(node, path, violations):
+        _check_keys(node, {f.name for f in fields(ProtocolParams)}, path, violations)
+        for f in fields(ProtocolParams):
+            value = node.get(f.name)
+            if f.name not in node or not _is_number(value, f"{path}.{f.name}", violations):
+                continue
+            if not isinstance(f.default, int):  # only an integer field keeps an int
+                value = float(value)
+            try:
+                ProtocolParams(**{f.name: value})
+            except DomainError as exc:
+                violations.append(f"{path}.{f.name}: {exc}")
+            else:
+                kwargs[f.name] = value
+    return ProtocolParams(**kwargs)
 
 
 def _check_weight_row(weights: list[float | None], path: str, violations: list[str]) -> bool:
@@ -167,8 +222,7 @@ def _check_weight_row(weights: list[float | None], path: str, violations: list[s
 
 def _parse_app(node, path: str, violations: list[str]):
     """(utility, weight, target) of one application, None for unreadable parts."""
-    if not isinstance(node, dict):
-        violations.append(f"{path}: expected a mapping, got {node!r}")
+    if not _is_mapping(node, path, violations):
         return None, None, None
     _check_keys(node, _APP_KEYS, path, violations)
     utility = _parse_utility(node.get("utility"), f"{path}.utility", violations)
@@ -180,15 +234,11 @@ def _parse_app(node, path: str, violations: list[str]):
 
 
 def _parse_user(node, path: str, violations: list[str]) -> UserProfile | None:
-    if not isinstance(node, dict):
-        violations.append(f"{path}: expected a mapping, got {node!r}")
+    if not _is_mapping(node, path, violations):
         return None
     _check_keys(node, _USER_KEYS, path, violations)
     uid = node.get("id")
-    if not isinstance(uid, str) or not _ID_PATTERN.match(uid):
-        violations.append(
-            f"{path}.id: expected a name of letters, digits, '_', '-', '.', got {uid!r}"
-        )
+    if not _is_user_id(uid, f"{path}.id", violations):
         uid = None
     cls_raw = node.get("class")
     try:
@@ -199,8 +249,7 @@ def _parse_user(node, path: str, violations: list[str]) -> UserProfile | None:
     beta = _get_number(node, "beta", path, violations, required=False,
                        positive=True, default=1.0)
     apps_node = node.get("apps")
-    if not isinstance(apps_node, list) or not apps_node:
-        violations.append(f"{path}.apps: expected a nonempty list")
+    if not _is_nonempty_list(apps_node, f"{path}.apps", violations):
         return None
     parts = [
         _parse_app(app_node, f"{path}.apps[{j}]", violations)
@@ -223,50 +272,13 @@ def _parse_user(node, path: str, violations: list[str]) -> UserProfile | None:
 def scenario_from_dict(raw, source: str = "<dict>") -> ScenarioConfig:
     """Build and validate a ScenarioConfig, reporting all violations at once."""
     violations: list[str] = []
-    if not isinstance(raw, dict):
-        raise ValidationError(
-            f"{source}: expected a mapping at top level, got {type(raw).__name__}"
-        )
-    _check_keys(raw, _TOP_KEYS, source, violations)
-    description = raw.get("description", "")
-    if not isinstance(description, str):
-        violations.append(f"{source}.description: expected a string")
-        description = ""
+    description = _top_level(raw, _TOP_KEYS, source, violations)
     capacity = _get_number(raw, "R", source, violations, positive=True)
-
-    protocol_node = raw.get("protocol", {})
-    params = ProtocolParams()
-    if not isinstance(protocol_node, dict):
-        violations.append(f"{source}.protocol: expected a mapping")
-    else:
-        _check_keys(protocol_node, _PROTOCOL_KEYS, f"{source}.protocol", violations)
-        kwargs = {}
-        for key in ("delta", "l1", "l2", "w_init", "price_floor"):
-            value = _get_number(
-                protocol_node, key, f"{source}.protocol", violations,
-                required=False, positive=True,
-            )
-            if value is not None:
-                kwargs[key] = value
-        if "max_rounds" in protocol_node:
-            max_rounds = protocol_node["max_rounds"]
-            if isinstance(max_rounds, bool) or not isinstance(max_rounds, int) or max_rounds < 2:
-                violations.append(
-                    f"{source}.protocol.max_rounds: expected an integer >= 2, "
-                    f"got {max_rounds!r}"
-                )
-            else:
-                kwargs["max_rounds"] = max_rounds
-        try:
-            params = ProtocolParams(**kwargs)
-        except DomainError as exc:
-            violations.append(f"{source}.protocol: {exc}")
+    params = _parse_protocol(raw.get("protocol", {}), f"{source}.protocol", violations)
 
     users_node = raw.get("users")
     users: list[UserProfile] = []
-    if not isinstance(users_node, list) or not users_node:
-        violations.append(f"{source}.users: expected a nonempty list")
-    else:
+    if _is_nonempty_list(users_node, f"{source}.users", violations):
         for i, user_node in enumerate(users_node):
             user = _parse_user(user_node, f"{source}.users[{i}]", violations)
             if user is not None:
@@ -280,12 +292,7 @@ def scenario_from_dict(raw, source: str = "<dict>") -> ScenarioConfig:
             f"{source}: scenario failed validation", violations=violations
         )
     assert capacity is not None
-    config = ScenarioConfig(
-        users=tuple(users),
-        capacity=capacity,
-        protocol=params,
-        description=description,
-    )
+    config = ScenarioConfig(tuple(users), capacity, params, description)
     _warn_if_capacity_dwarfs_saturation(config)
     return config
 
@@ -294,14 +301,10 @@ def _warn_if_capacity_dwarfs_saturation(config: ScenarioConfig) -> None:
     # Past these per-app scales the utilities are flat (sigmoid > 0.999)
     # or formally above 1 (logarithmic beyond r_max); allocations out
     # there are legal but usually indicate a misconfigured capacity.
-    saturation = 0.0
-    for user in config.users:
-        for app in user.apps:
-            u = app.utility
-            if isinstance(u, SigmoidalUtility):
-                saturation += u.b + 10.0 / u.a
-            else:
-                saturation += u.r_max
+    saturation = sum(
+        u.b + 10.0 / u.a if isinstance(u, SigmoidalUtility) else u.r_max
+        for u in (app.utility for user in config.users for app in user.apps)
+    )
     if config.capacity > saturation:
         warnings.warn(
             f"capacity {config.capacity} exceeds the combined saturation scale "
@@ -329,40 +332,25 @@ def load_scenario(path) -> ScenarioConfig:
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     """Plain-data form of a config; inverse of scenario_from_dict."""
-    protocol: dict = {
-        "delta": config.protocol.delta,
-        "l1": config.protocol.l1,
-        "l2": config.protocol.l2,
-        "max_rounds": config.protocol.max_rounds,
-        "price_floor": config.protocol.price_floor,
-    }
-    if config.protocol.w_init is not None:
-        protocol["w_init"] = config.protocol.w_init
-    users = []
-    for user in config.users:
-        apps = []
-        for app in user.apps:
-            u = app.utility
-            if isinstance(u, SigmoidalUtility):
-                utility = {"kind": "sigmoidal", "a": u.a, "b": u.b}
-            else:
-                utility = {"kind": "logarithmic", "k": u.k, "r_max": u.r_max}
-            app_node: dict = {"utility": utility, "weight": app.weight}
-            if app.target_rate is not None:
-                app_node["target_rate"] = app.target_rate
-            apps.append(app_node)
-        users.append(
-            {
-                "id": user.user_id,
-                "class": user.user_class.value,
-                "beta": user.beta,
-                "apps": apps,
-            }
-        )
+    kinds = {cls: kind for kind, cls in _UTILITY_KINDS.items()}
+
+    def app_node(app: Application) -> dict:
+        node = {key: value for key, value in asdict(app).items() if value is not None}
+        return {**node, "utility": {"kind": kinds[type(app.utility)], **node["utility"]}}
+
+    users = [
+        {
+            "id": user.user_id,
+            "class": user.user_class.value,
+            "beta": user.beta,
+            "apps": [app_node(app) for app in user.apps],
+        }
+        for user in config.users
+    ]
     return {
         "description": config.description,
         "R": config.capacity,
-        "protocol": protocol,
+        "protocol": {k: v for k, v in asdict(config.protocol).items() if v is not None},
         "users": users,
     }
 
@@ -370,6 +358,33 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 def save_scenario(config: ScenarioConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         yaml.safe_dump(scenario_to_dict(config), handle, sort_keys=False)
+
+
+def _parse_epoch(node, path: str, violations: list[str]) -> Epoch | None:
+    if not _is_mapping(node, path, violations):
+        return None
+    _check_keys(node, _EPOCH_KEYS, path, violations)
+    start = _get_number(node, "start", path, violations)
+    end = _get_number(node, "end", path, violations)
+    if start is not None and end is not None and not end > start:
+        violations.append(f"{path}: end must exceed start")
+    weights_node = node.get("weights")
+    if not _is_mapping(weights_node, f"{path}.weights", violations):
+        weights_node = {}
+    elif not weights_node:
+        violations.append(f"{path}.weights: expected a nonempty mapping")
+    weights: dict[str, tuple[float, ...]] = {}
+    for uid, row in weights_node.items():
+        row_path = f"{path}.weights[{uid!r}]"
+        if not (_is_user_id(uid, row_path, violations)
+                and _is_nonempty_list(row, row_path, violations)):
+            continue
+        values = [_number(w, f"{row_path}[{j}]", violations) for j, w in enumerate(row)]
+        if _check_weight_row(values, row_path, violations):
+            weights[uid] = tuple(values)
+    if start is None or end is None or not weights:
+        return None
+    return Epoch(start=start, end=end, weights=weights)
 
 
 def load_schedule(path) -> WeightSchedule:
@@ -381,54 +396,15 @@ def load_schedule(path) -> WeightSchedule:
     raw = _read_yaml(path)
     source = str(path)
     violations: list[str] = []
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{source}: expected a mapping at top level")
-    _check_keys(raw, _SCHEDULE_KEYS, source, violations)
-    description = raw.get("description", "")
-    if not isinstance(description, str):
-        violations.append(f"{source}.description: expected a string")
-        description = ""
+    description = _top_level(raw, _SCHEDULE_KEYS, source, violations)
     epochs_node = raw.get("epochs")
-    epochs: list[Epoch] = []
-    if not isinstance(epochs_node, list) or not epochs_node:
-        violations.append(f"{source}.epochs: expected a nonempty list")
+    if not _is_nonempty_list(epochs_node, f"{source}.epochs", violations):
         epochs_node = []
-    for i, node in enumerate(epochs_node):
-        path_i = f"{source}.epochs[{i}]"
-        if not isinstance(node, dict):
-            violations.append(f"{path_i}: expected a mapping")
-            continue
-        _check_keys(node, _EPOCH_KEYS, path_i, violations)
-        start = _get_number(node, "start", path_i, violations)
-        end = _get_number(node, "end", path_i, violations)
-        if start is not None and end is not None and not end > start:
-            violations.append(f"{path_i}: end must exceed start")
-        weights_node = node.get("weights")
-        weights: dict[str, tuple[float, ...]] = {}
-        if not isinstance(weights_node, dict) or not weights_node:
-            violations.append(f"{path_i}.weights: expected a nonempty mapping")
-        else:
-            for uid, row in weights_node.items():
-                row_path = f"{path_i}.weights[{uid!r}]"
-                if not isinstance(uid, str) or not _ID_PATTERN.match(uid):
-                    violations.append(f"{row_path}: bad user id")
-                    continue
-                if not isinstance(row, list) or not row:
-                    violations.append(f"{row_path}: expected a nonempty list of weights")
-                    continue
-                values = []
-                for w in row:
-                    if isinstance(w, bool) or not isinstance(w, (int, float)):
-                        violations.append(f"{row_path}: expected numbers, got {w!r}")
-                        values.append(None)
-                    else:
-                        values.append(float(w))
-                if _check_weight_row(values, row_path, violations):
-                    weights[uid] = tuple(values)
-        if start is None or end is None or not weights:
-            continue
-        epochs.append(Epoch(start=start, end=end, weights=weights))
-    if len(epochs) == len(epochs_node):
+    epochs = [
+        _parse_epoch(node, f"{source}.epochs[{i}]", violations)
+        for i, node in enumerate(epochs_node)
+    ]
+    if None not in epochs:
         for previous, current in zip(epochs, epochs[1:]):
             if abs(current.start - previous.end) > 1e-9:
                 violations.append(
@@ -447,15 +423,9 @@ def load_schedule(path) -> WeightSchedule:
 # runners
 
 
-def run_once(
-    config: ScenarioConfig,
-    params: ProtocolParams | None = None,
-    keep_trace: bool = False,
-) -> RunRecord:
-    """Solve both stages for one scenario and collect the results."""
-    if params is None:
-        params = config.protocol
-    first = run_first_stage(config.users, config.capacity, params)
+def run_once(config: ScenarioConfig, keep_trace: bool = False) -> RunRecord:
+    """Solve both stages for one scenario under its protocol and collect the results."""
+    first = run_first_stage(config.users, config.capacity, config.protocol)
     app_rates = {
         user.user_id: allocate_internal(
             user, first.rates[user.user_id], first.case, first.final_price / user.beta
@@ -515,13 +485,12 @@ def sweep_R(
 
 
 def _apply_weights(config: ScenarioConfig, epoch: Epoch) -> ScenarioConfig:
-    violations = []
-    missing = [u.user_id for u in config.users if u.user_id not in epoch.weights]
-    extra = [uid for uid in epoch.weights if uid not in {u.user_id for u in config.users}]
-    for uid in missing:
-        violations.append(f"epoch [{epoch.start}, {epoch.end}]: no weights for user {uid!r}")
-    for uid in extra:
-        violations.append(f"epoch [{epoch.start}, {epoch.end}]: unknown user {uid!r}")
+    where = f"epoch [{epoch.start}, {epoch.end}]"
+    ids = [user.user_id for user in config.users]
+    violations = [
+        f"{where}: no weights for user {uid!r}" for uid in ids if uid not in epoch.weights
+    ]
+    violations += [f"{where}: unknown user {uid!r}" for uid in epoch.weights if uid not in ids]
     users = []
     for user in config.users:
         row = epoch.weights.get(user.user_id)
@@ -529,18 +498,12 @@ def _apply_weights(config: ScenarioConfig, epoch: Epoch) -> ScenarioConfig:
             continue
         if len(row) != len(user.apps):
             violations.append(
-                f"epoch [{epoch.start}, {epoch.end}]: user {user.user_id!r} has "
-                f"{len(user.apps)} applications but {len(row)} weights"
+                f"{where}: user {user.user_id!r} has {len(user.apps)} applications "
+                f"but {len(row)} weights"
             )
             continue
-        users.append(
-            replace(
-                user,
-                apps=tuple(
-                    replace(app, weight=w) for app, w in zip(user.apps, row)
-                ),
-            )
-        )
+        apps = tuple(replace(app, weight=w) for app, w in zip(user.apps, row))
+        users.append(replace(user, apps=apps))
     if violations:
         raise ValidationError("schedule does not fit the scenario", violations=violations)
     return replace(config, users=tuple(users))
@@ -620,15 +583,17 @@ def emit_csv(records: Sequence[RunRecord], path, kind: str) -> None:
         writer.writerows(rows)
 
 
-def bundled_scenario_path() -> Path:
-    """Filesystem path of the packaged reference scenario."""
+def _bundled(name: str) -> Path:
     from importlib import resources
 
-    return Path(str(resources.files("nura").joinpath("data/reference_cell.yaml")))
+    return Path(str(resources.files("nura").joinpath("data", name)))
+
+
+def bundled_scenario_path() -> Path:
+    """Filesystem path of the packaged reference scenario."""
+    return _bundled("reference_cell.yaml")
 
 
 def bundled_schedule_path() -> Path:
     """Filesystem path of the packaged reference weight schedule."""
-    from importlib import resources
-
-    return Path(str(resources.files("nura").joinpath("data/reference_schedule.yaml")))
+    return _bundled("reference_schedule.yaml")
