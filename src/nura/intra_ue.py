@@ -18,6 +18,7 @@ caps under scarce capacity, else on U(r + target), rates including it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -43,16 +44,24 @@ class InternalAllocation:
     slack: float
 
 
+def _geometric_mean(lo: float, hi: float) -> float:
+    """sqrt(lo * hi), also where the product overflows; nan for 0 and inf."""
+    product = lo * hi
+    return math.sqrt(product) if product < math.inf else math.sqrt(lo) * math.sqrt(hi)
+
+
 def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], list[float]]:
     """(price, per-user shares, per-row rates) that spend table.budget.
 
     Shares and rates are amounts above the offsets; a capped user's rows
     hold its demand at the price, not a split of its share. The search
     starts at price. Slack is left only when every application sits at
-    its cap; a budget no price above the floor spends raises SolverError.
+    its cap; a budget no price above the floor spends, or one that every
+    price up to the float range overspends, raises SolverError.
     """
     rows, caps, budget = table.rows, table.user_caps, table.budget
     betas = [user.beta for user in table.participants]
+    ceiling = sys.float_info.max * min(1.0, *betas)  # keeps every price / beta finite
     # No row can take more than its cap, its user's cap or the budget.
     limits = [
         min(c for c in (row.cap, caps[row.user_slot], budget) if c is not None) for row in rows
@@ -76,9 +85,9 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
     # A step that leaves the bracket, or does not halve the step before
     # last, becomes a bisection step in ln p, or while the bracket is open
     # a step out by a factor that starts at 2 and squares on each repeat.
-    tol = 1e-9 * max(budget, 1.0)
+    tol = 1e-9 * budget
     lo, hi = 0.0, math.inf
-    price = max(price, _PRICE_FLOOR)
+    price = min(max(price, _PRICE_FLOOR), ceiling)
     shares, rates = demand(price)
     last_step = prior_step = math.inf
     stretch = 2.0
@@ -93,8 +102,13 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
             if rate < limit and not full[row.user_slot]
         ]
         free = [(row, rate) for row, rate in room if row.app.weight > 0.0]
-        if total > budget:
+        if total > budget and price < ceiling:
             lo, lower = price, (shares, rates)
+        elif total > budget:
+            raise SolverError(
+                f"demand {total} exceeds the budget {budget} at every price up to {price}",
+                bracket=(lo, price),
+            )
         elif free and price > _PRICE_FLOOR:
             hi, upper = price, (shares, rates)
         elif not room:
@@ -108,7 +122,7 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
         if hi - lo <= _PRICE_RTOL * hi < math.inf:
             # Rows that jump inside the bracket are told apart to adjacent floats.
             jumps = sum(v - u > tol for u, v in zip(upper[1], lower[1]))
-            if jumps <= 1 or not lo < math.sqrt(lo * hi) < hi:
+            if jumps <= 1 or not lo < _geometric_mean(lo, hi) < hi:
                 break
         response = sum(
             1.0 / row.app.utility.dlog_and_slope(rate + row.offset)[1]
@@ -121,12 +135,12 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
         if abs(step) <= 0.5 * prior_step and step < 700.0:
             trial = max(price * math.exp(step), _PRICE_FLOOR)
         if not lo < trial < hi:
-            trial = math.sqrt(lo * hi)  # fails the test below while open
+            trial = _geometric_mean(lo, hi)  # fails the test below while open
         if lo < trial < hi:
             prior_step, last_step = last_step, abs(math.log(trial / price))
             stretch = 2.0
         else:
-            trial = lo * stretch if hi == math.inf else max(hi / stretch, _PRICE_FLOOR)
+            trial = min(lo * stretch, ceiling) if hi == math.inf else max(hi / stretch, _PRICE_FLOOR)
             prior_step = last_step = math.inf
             stretch *= stretch
         price = trial
@@ -185,7 +199,7 @@ def allocate_internal(
         )
     elif r_opt == 0.0:
         return InternalAllocation(tuple(0.0 for _ in user.apps), 0.0)
-    if weightless or (case is CaseFlag.TARGETS_BELOW_CAPACITY and r_opt <= granted + feas_tol):
+    if weightless or (case is CaseFlag.TARGETS_BELOW_CAPACITY and r_opt <= granted):
         # Nothing meaningful above the targets; grant exactly those.
         return InternalAllocation(offsets, r_opt - sum(offsets))
 

@@ -28,6 +28,7 @@ from typing import Sequence, Union
 from .errors import ContractError, DomainError
 
 NEG_INF = float("-inf")
+_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitter
 
 
 def _require_positive_finite(value: float, name: str) -> None:
@@ -52,6 +53,10 @@ class SigmoidalUtility:
         # Per-curve constants; not fields, so ==, hash, repr and replace see a, b only.
         object.__setattr__(self, "_e_ab", math.exp(-self.a * self.b))
         object.__setattr__(self, "_scale", self.a * (1.0 + self._e_ab))
+        # a's upper half for rate_at_marginal, split on the mantissa so no product overflows.
+        mantissa, exponent = math.frexp(self.a)
+        head = _SPLITTER * mantissa - (_SPLITTER * mantissa - mantissa)
+        object.__setattr__(self, "_a_hi", math.ldexp(head, exponent))
 
     @property
     def c_norm(self) -> float:
@@ -109,19 +114,26 @@ class SigmoidalUtility:
     def dlog_evaluate(self, rate: float) -> float:
         """d/dr ln U(r); strictly positive and strictly decreasing.
 
-        Closed form a(1 + e^{-ab}) / (e^{a(r-b)} + 1 - e^{-ab} - e^{-ar});
+        Closed form a(1 + e^{-ab}) / D with D = e^{a(r-b)} + 1 - e^{-ab} - e^{-ar};
         near rate 0 this behaves like 1/r, in deep saturation like
-        a * e^{-a(r-b)}.
+        a * e^{-a(r-b)}. D is summed as e^{-ab} expm1(ar) - expm1(-ar), two
+        positive terms, so it keeps full relative accuracy at small a * r;
+        only past a * r = 700, where expm1 overflows and nothing cancels,
+        is it summed directly.
         """
         if rate <= 0.0:
             raise DomainError(f"rate must be positive, got {rate!r}")
         x = self.a * (rate - self.b)
         if x > 700.0:
             return self._scale * math.exp(-x)
-        denom = math.exp(x) + 1.0 - self._e_ab - math.exp(-self.a * rate)
+        ar = self.a * rate
+        if ar > 700.0:
+            denom = math.exp(x) + 1.0 - self._e_ab - math.exp(-ar)
+        else:
+            denom = self._e_ab * math.expm1(ar) - math.expm1(-ar)
         if denom <= 0.0:
-            # Rounding collapse once a * rate is below about 1e-16, where
-            # the true value, about 1 / rate, exceeds any price in use.
+            # a * rate underflowed to 0; the true value, about 1 / rate,
+            # exceeds any price in use.
             return math.inf
         return self._scale / denom
 
@@ -139,8 +151,12 @@ class SigmoidalUtility:
         if x > 700.0:
             return self._scale * math.exp(-x), -self.a
         e_x = math.exp(x)
-        e_ar = math.exp(-self.a * rate)
-        denom = e_x + 1.0 - self._e_ab - e_ar
+        ar = self.a * rate
+        e_ar = math.exp(-ar)
+        if ar > 700.0:
+            denom = e_x + 1.0 - self._e_ab - e_ar
+        else:
+            denom = self._e_ab * math.expm1(ar) - math.expm1(-ar)
         if denom <= 0.0:
             return math.inf, -math.inf
         return self._scale / denom, -self.a * (e_x + e_ar) / denom
@@ -162,9 +178,8 @@ class SigmoidalUtility:
         if m > 1.0142320547350045e304:  # e^700; inf when m overflows
             return self.b + (math.log(weight * self._scale) - math.log(price)) / self.a
         aw = self.a * weight
-        c = 134217729.0  # 2^27 + 1, Veltkamp's splitter
-        a_hi = c * self.a - (c * self.a - self.a)
-        w_hi = c * weight - (c * weight - weight)
+        a_hi = self._a_hi
+        w_hi = _SPLITTER * weight - (_SPLITTER * weight - weight)
         a_lo, w_lo = self.a - a_hi, weight - w_hi
         aw_lo = ((a_hi * w_hi - aw) + a_hi * w_lo + a_lo * w_hi) + a_lo * w_lo
         half_b = 0.5 * (1.0 + self._e_ab) * ((price - aw) - aw_lo) / price

@@ -1,6 +1,7 @@
 """The exact price clearing that ends both stages, against the oracle."""
 
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -61,6 +62,39 @@ def test_sigmoids_jumping_at_one_price_split_like_the_oracle():
     reference = centralized_solve(users, 40.0)
     for uid, rate in record.user_rates.items():
         assert rate == pytest.approx(reference.user_rates[uid], abs=0.2)
+
+
+def _assert_conserved(record):
+    """User rates sum to R, and each user's app rates to its user rate, to 1e-9."""
+    assert sum(record.user_rates.values()) == pytest.approx(record.capacity, rel=1e-9, abs=0)
+    for uid, rate in record.user_rates.items():
+        assert sum(record.app_rates[uid]) == pytest.approx(rate, rel=1e-9, abs=0), uid
+
+
+@pytest.mark.parametrize("capacity", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("regular_only", [False, True], ids=["reference", "regular_only"])
+def test_tiny_capacities_are_conserved(cell, capacity, regular_only):
+    # The reference cell is scarce at these capacities; its two regular
+    # users alone, without targets, are abundant at any capacity.
+    users = cell.users[2:] if regular_only else cell.users
+    _assert_conserved(run_once(replace(cell, users=users, capacity=capacity)))
+
+
+@pytest.mark.parametrize("capacity", [5.0, 60.0, 200.0])
+@pytest.mark.parametrize(
+    "extreme",
+    [
+        # Veltkamp's split of a = 1e301 in the closed-form demand overflowed to nan.
+        lambda ue1: replace(ue1, apps=(
+            replace(ue1.apps[0], utility=SigmoidalUtility(a=1e301, b=20.0)), ue1.apps[1])),
+        # Prices near 1e301 overflowed the clearing's bracket search to inf.
+        lambda ue1: replace(ue1, beta=1e301),
+    ],
+    ids=["sigmoid_a_1e301", "beta_1e301"],
+)
+def test_extreme_valid_parameters_give_a_conserving_allocation(cell, capacity, extreme):
+    users = (extreme(cell.users[0]),) + cell.users[1:]
+    _assert_conserved(run_once(replace(cell, users=users, capacity=capacity)))
 
 
 @st.composite

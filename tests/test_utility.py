@@ -7,6 +7,7 @@ defining formulas; the library must reproduce them in double precision.
 import math
 from dataclasses import fields, replace
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,20 @@ def test_log_evaluate_frozen(utility, rate, reference):
 )
 def test_dlog_evaluate_frozen(utility, rate, reference):
     assert_close(utility.dlog_evaluate(rate), reference)
+
+
+@pytest.mark.parametrize(
+    "a, b, rate", [(0.1, 5.0, 1e-8), (0.1, 20.0, 1e-10), (1.0, 0.5, 1e-12), (1.0, 0.5, 1e-20)]
+)
+def test_sigmoid_dlog_keeps_relative_accuracy_at_small_rates(a, b, rate):
+    # The denominator e^{a(r-b)} + 1 - e^{-ab} - e^{-ar} cancels as a r -> 0;
+    # 50 digits leave at least 30 after the cancellation.
+    with mpmath.workdps(50):
+        a_, b_, r_ = (mpmath.mpf(v) for v in (a, b, rate))
+        e_ab = mpmath.exp(-a_ * b_)
+        denom = mpmath.exp(a_ * (r_ - b_)) + 1 - e_ab - mpmath.exp(-a_ * r_)
+        reference = float(a_ * (1 + e_ab) / denom)
+    assert_close(SigmoidalUtility(a=a, b=b).dlog_evaluate(rate), reference, rel=1e-14)
 
 
 def test_sigmoid_midpoint_is_half():
@@ -196,15 +211,20 @@ def test_dlog_slope_rejects_nonpositive_rate(utility):
 
 
 def _separate_dlog_slope(utility, rate):
-    """d/dr ln (ln U)'(r) as a method of its own computed it before the
-    fused kernel, every exponential and constant recomputed per call."""
+    """d/dr ln (ln U)'(r) as a method of its own would compute it, every
+    exponential and constant recomputed per call."""
     if isinstance(utility, SigmoidalUtility):
         x = utility.a * (rate - utility.b)
         if x > 700.0:
             return -utility.a
         e_x = math.exp(x)
-        e_ar = math.exp(-utility.a * rate)
-        denom = e_x + 1.0 - math.exp(-utility.a * utility.b) - e_ar
+        ar = utility.a * rate
+        e_ab = math.exp(-utility.a * utility.b)
+        e_ar = math.exp(-ar)
+        if ar > 700.0:
+            denom = e_x + 1.0 - e_ab - e_ar
+        else:
+            denom = e_ab * math.expm1(ar) - math.expm1(-ar)
         if denom <= 0.0:
             return -math.inf
         return -utility.a * (e_x + e_ar) / denom
@@ -227,8 +247,10 @@ def _separate_dlog_slope(utility, rate):
     log10_rate=st.floats(-320.0, 4.0),
 )
 @example(SigmoidalUtility(a=10.0, b=1e-3), 2.0)  # a(r - b) > 700: deep saturation
-@example(SIG_STEEP, -20.0)  # e^{-ar} rounds to 1: the denominator collapses to 0
-@example(SIG_STEEP, -10.0)  # a r = 3e-10: the denominator cancels but stays positive
+@example(SIG_STEEP, -20.0)  # a r = 3e-20: summed directly, the denominator was 0
+@example(SIG_STEEP, -10.0)  # a r = 3e-10: summed directly, the denominator cancelled
+@example(SigmoidalUtility(a=10.0, b=100.0), math.log10(80.0))  # a r > 700 > a(r - b)
+@example(SigmoidalUtility(a=0.1, b=5.0), -323.5)  # a r underflows to 0: so does the denominator
 @example(LogarithmicUtility(k=1e-6, r_max=10.0), -323.3)  # k r underflows to 0
 @example(LogarithmicUtility(k=1.0, r_max=10.0), -323.3)  # k / denormal overflows to inf
 @example(LogarithmicUtility(k=1e-6, r_max=10.0), -300.0)  # tiny but resolved
