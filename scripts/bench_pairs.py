@@ -6,12 +6,14 @@
 PARENT_DIR and CHANGE_DIR are two checkouts (for example a `git archive`
 of the parent commit and the working tree). Each run is
 `python3 bench/run.py --workload W --seed S --seconds T` started in that
-checkout, and its last stdout line, a JSON object, is kept as is. The
-pairs alternate which side runs first. Per workload the file holds every
-run's line, the median and quartiles (statistics.quantiles, inclusive)
-of each end-to-end metric per side, how many pairs the change won per
-metric (lower is better for all of them), and one `--trace 1` line per
-side for the per-layer metrics.
+checkout, and its last stdout line, a JSON object, is kept with the run's
+output digest (its `digest` line) added under "digest". The pairs
+alternate which side runs first. Per workload the file holds every run's
+line, the median and quartiles (statistics.quantiles, inclusive) of each
+end-to-end metric per side, how many pairs the change won per metric
+(lower is better for all of them), whether every run of both sides
+printed the same digest (a change that must not move any output shows
+true), and one `--trace 1` line per side for the per-layer metrics.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    run = json.loads(lines[-1])
+    run["digest"] = next(line.split(" ", 1)[1] for line in lines if line.startswith("digest "))
+    return run
 
 
 def _summary(runs: list[dict]) -> dict:
@@ -69,6 +74,7 @@ def main(argv=None) -> None:
         result["workloads"][workload] = {
             "summary": {side: _summary(runs[side]) for side in sides},
             "change_wins": wins,
+            "digests_agree": len({run["digest"] for side in sides for run in runs[side]}) == 1,
             "trace": {side: _run(path, workload, args.seed, args.seconds, 1)
                       for side, path in sides.items()},
             "runs": runs,

@@ -140,7 +140,10 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
             prior_step, last_step = last_step, abs(math.log(trial / price))
             stretch = 2.0
         else:
-            trial = min(lo * stretch, ceiling) if hi == math.inf else max(hi / stretch, _PRICE_FLOOR)
+            if hi == math.inf:
+                trial = min(lo * stretch, ceiling)
+            else:
+                trial = max(hi / stretch, _PRICE_FLOOR)
             prior_step = last_step = math.inf
             stretch *= stretch
         price = trial
