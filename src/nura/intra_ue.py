@@ -124,10 +124,13 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
             jumps = sum(v - u > tol for u, v in zip(upper[1], lower[1]))
             if jumps <= 1 or not lo < _geometric_mean(lo, hi) < hi:
                 break
-        response = sum(
-            1.0 / row.app.utility.dlog_and_slope(rate + row.offset)[1]
+        # A row whose slope is 0 or not finite (k * r overflowed a log
+        # app) tells nothing of the response and is left out.
+        slopes = (
+            row.app.utility.dlog_and_slope(rate + row.offset)[1]
             for row, rate in free if rate > 0.0
         )
+        response = sum(1.0 / slope for slope in slopes if -math.inf < slope < 0.0)
         step = math.nan
         if response < 0.0 and total > 0.0:
             step = math.log(budget / total) * total / response

@@ -6,16 +6,20 @@ sum of log-utilities over all applications subject to the capacity
 budget (and, under scarce capacity, per-user and per-application caps).
 
 centralized_solve clears one global price. Each application's demand at
-a price is the rate where its marginal value factor * (ln U)'(rate +
-offset) meets the price, found by the oracle's own bisection on the
-utility module's derivatives, never by calling the production demand
-solver, so a bug there cannot certify itself; only the statement of the
-problem (the regime table of the utility module) is shared with the
-pipeline. One clearing routine bisects the price until demand meets the
-budget; where a demand jumps across one representable price it tops
-every application up from its demand at the upper price toward its
-demand at the lower one, by the same fraction. The same routine splits
-a capped user's share among its applications.
+a price is the rate, at most its cap, its user's cap and the budget,
+where its marginal value factor * (ln U)'(rate + offset) meets the
+price, found by the oracle's own Illinois steps (regula falsi that
+halves a stale end's value) on dlog_evaluate alone. It never calls the
+production demand solver or its Newton kernel, so a bug there cannot
+certify itself; only the statement of the problem (the regime table of
+the utility module) is shared with the pipeline. One clearing routine
+takes Illinois steps on the price in ln p until demand meets the
+budget, starting each demand from its rates at the ends of the price
+bracket, which enclose it. Where a demand jumps across one
+representable price it tops every application up from its demand at
+the upper price toward its demand at the lower one, by the same
+fraction. The same routine splits a capped user's share among its
+applications.
 
 grid_search_solve is the brute-force anti-hallucination oracle for tiny
 instances: exhaustive enumeration over the step-grid of the feasible
@@ -26,14 +30,25 @@ uses no derivative.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ContractError, DomainError, SolverError
 from .utility import NEG_INF, AppRow, RegimeTable, UserProfile, regime_table
 
-_MAX_DOUBLINGS = 500
-_MAX_BISECT = 200
+_FLOAT_MAX = sys.float_info.max
+_PRICE_FLOOR = math.ulp(0.0)  # the smallest positive float
+# A step that finds its bracket not halved within the last _STALL_STEPS
+# steps bisects it, so the bracket halves at least once in every 5 steps.
+# A rate bracket, under 2^1024 wide, reaches adjacent floats (2^-1074
+# apart) within 2098 halvings. A price bracket spans one step out, a
+# factor of at most 2^512, so it is under 2^9 wide in ln p and reaches
+# adjacent floats (2^-53 apart in ln p) within 62. The bounds leave a
+# few halvings to rounding.
+_STALL_STEPS = 4
+_MAX_DEMAND_STEPS = 5 * 2100
+_MAX_PRICE_STEPS = 5 * 70
 
 
 @dataclass(frozen=True)
@@ -72,94 +87,164 @@ def _objective(entries: Sequence[AppRow], rates: Sequence[float]) -> float:
     return total
 
 
-def _marginal(entry: AppRow, rate: float) -> float:
+class _Illinois:
+    """Step fractions for a bracket [lo, hi] around the root of a
+    decreasing function, valued f_lo >= 0 at lo and f_hi <= 0 at hi.
+
+    A step goes to the fraction f_lo / (f_lo - f_hi) of the bracket
+    (regula falsi); an end kept twice running has its value halved
+    (Illinois, Dowell & Jarratt 1971), so both ends close in. A step
+    that finds the bracket not halved within the last _STALL_STEPS steps
+    bisects it instead, which bounds the steps to close any bracket.
+    """
+
+    def __init__(self, f_lo: float, f_hi: float) -> None:
+        self.f_lo, self.f_hi = f_lo, f_hi
+        self.kept = 0  # +1: hi kept by the last step, -1: lo kept
+        self.widths: list[float] = []
+
+    def fraction(self, width: float) -> float:
+        """Where the next step goes, as a fraction of the bracket (nan if
+        an end's value is infinite; the caller then bisects)."""
+        self.widths.append(width)
+        if len(self.widths) > _STALL_STEPS and width > 0.5 * self.widths[-1 - _STALL_STEPS]:
+            return 0.5
+        gap = self.f_lo - self.f_hi
+        return self.f_lo / gap if gap > 0.0 else 0.5
+
+    def moved(self, value: float) -> None:
+        """Record the value at the new point: it replaces lo if > 0, else hi."""
+        if value > 0.0:
+            if self.kept > 0:
+                self.f_hi *= 0.5
+            self.f_lo, self.kept = value, 1
+        else:
+            if self.kept < 0:
+                self.f_lo *= 0.5
+            self.f_hi, self.kept = value, -1
+
+
+def _demand(entry: AppRow, limit: float, log_price: float, lo: float, hi: float) -> float:
+    """Rate in [0, limit] maximizing factor * ln U(rate + offset) - price * rate.
+
+    ln U is strictly concave, so this is where ln(factor * (ln U)') falls
+    to ln price; Illinois steps find it on that difference, which
+    decreases in the rate. The search starts from [lo, hi]: 0 and limit,
+    or the rates demanded at a higher and at a lower price. Those are
+    approximations, so each end's sign is checked, and an end that fails
+    falls back to 0 or limit.
+    """
     if entry.factor == 0.0:
         return 0.0
-    arg = rate + entry.offset
-    if arg <= 0.0:
-        return math.inf
-    return entry.factor * entry.app.utility.dlog_evaluate(arg)
+    shift = log_price - math.log(entry.factor)
+    utility, offset = entry.app.utility, entry.offset
 
+    def excess(rate: float) -> float:
+        arg = rate + offset
+        if arg <= 0.0:
+            return math.inf
+        slope = utility.dlog_evaluate(arg)
+        return math.log(slope) - shift if slope > 0.0 else -math.inf
 
-def _demand(entry: AppRow, price: float) -> float:
-    """Rate in [0, cap] maximizing factor * ln U(rate + offset) - price * rate.
-
-    ln U is strictly concave, so this is where the marginal value falls
-    to the price, found by bisection.
-    """
-    if _marginal(entry, 0.0) <= price:
-        return 0.0
-    hi = entry.cap
-    if hi is None:
-        hi = entry.app.utility.rate_scale
-        doublings = 0
-        while _marginal(entry, hi) > price:
-            hi *= 2.0
-            doublings += 1
-            if doublings > _MAX_DOUBLINGS:
-                raise SolverError(
-                    f"demand bracket did not close below rate {hi}", bracket=(0.0, hi)
-                )
-    elif _marginal(entry, hi) >= price:
-        return hi
-    lo = 0.0
-    while hi - lo > 1e-12 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break  # adjacent floats
-        if _marginal(entry, mid) > price:
-            lo = mid
+    f_lo = excess(lo)
+    if f_lo <= 0.0:  # the demand is at most lo
+        if f_lo == 0.0 or lo == 0.0:
+            return lo
+        hi, f_hi = lo, f_lo
+        lo, f_lo = 0.0, excess(0.0)
+        if f_lo <= 0.0:
+            return 0.0
+    else:
+        f_hi = excess(hi)
+        if f_hi >= 0.0:  # the demand is at least hi
+            if f_hi == 0.0 or hi == limit:
+                return hi
+            lo, f_lo = hi, f_hi
+            hi, f_hi = limit, excess(limit)
+            if f_hi >= 0.0:
+                return limit
+    search = _Illinois(f_lo, f_hi)
+    for _ in range(_MAX_DEMAND_STEPS):
+        width = hi - lo
+        if width <= 1e-12 * hi:
+            break
+        rate = lo + search.fraction(width) * width
+        if not lo < rate < hi:
+            rate = lo + 0.5 * width
+            if not lo < rate < hi:
+                break  # adjacent floats
+        value = excess(rate)
+        if value == 0.0:
+            return rate
+        search.moved(value)
+        if value > 0.0:
+            lo = rate
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = rate
+    else:
+        raise SolverError(f"demand bracket ({lo}, {hi}) did not close", bracket=(lo, hi))
+    return lo + 0.5 * (hi - lo)
 
 
-def _clear(demand: Callable[[float], list[float]], budget: float) -> list[float]:
+def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float) -> list[float]:
     """Amounts summing to budget at the price where demand meets it.
 
-    demand(price) lists nonincreasing amounts. The price is bracketed,
-    then bisected until the demands at both ends agree with the budget
-    or the bracket collapses onto adjacent floats, where some demand
-    jumps. The answer starts from the feasible upper end and tops every
-    amount up toward its demand at the lower end by the one fraction
-    that spends the budget, so no amount leaves the range it spans.
+    demand(price, higher, lower) returns nonincreasing amounts and the
+    per-row rates behind them; higher and lower, when given, are the
+    rates at a higher and at a lower price, which enclose those at this
+    one. The price is bracketed by steps out from 1 by a factor that
+    starts at 2 and squares on each repeat, then found by Illinois steps
+    on total demand minus budget in ln p, until the demands at both ends
+    agree with the budget or the bracket collapses onto adjacent floats,
+    where some demand jumps. The answer starts from the feasible upper
+    end and tops every amount up toward its demand at the lower end by
+    the one fraction that spends the budget, so no amount leaves the
+    range it spans.
     """
     lo = hi = 1.0
-    upper = lower = demand(hi)
-    steps = 0
-    while sum(upper) > budget:
-        lo, lower = hi, upper
-        hi *= 2.0
-        upper = demand(hi)
-        steps += 1
-        if steps > _MAX_DOUBLINGS:
+    upper = lower = demand(hi, None, None)
+    stretch = 2.0
+    while sum(upper[0]) > budget:
+        if hi == _FLOAT_MAX:
             raise SolverError("total demand stays above budget at any price",
                               bracket=(lo, hi))
-    steps = 0
-    while sum(lower) < budget:
-        hi, upper = lo, lower
-        lo *= 0.5
-        lower = demand(lo)
-        steps += 1
-        if steps > _MAX_DOUBLINGS:
+        lo, lower = hi, upper
+        hi = min(hi * stretch, _FLOAT_MAX)
+        stretch *= stretch
+        upper = demand(hi, None, lower[1])
+    stretch = 2.0
+    while sum(lower[0]) < budget:
+        if lo == _PRICE_FLOOR:
             raise SolverError("total demand stays below budget at any price",
                               bracket=(lo, hi))
+        hi, upper = lo, lower
+        lo = max(lo / stretch, _PRICE_FLOOR)
+        stretch *= stretch
+        lower = demand(lo, upper[1], None)
 
-    tol = 1e-9 * max(budget, 1.0)
-    for _ in range(_MAX_BISECT):
-        if sum(lower) - sum(upper) <= tol:
+    tol = 1e-9 * budget
+    search = _Illinois(sum(lower[0]) - budget, sum(upper[0]) - budget)
+    for _ in range(_MAX_PRICE_STEPS):
+        if sum(lower[0]) - sum(upper[0]) <= tol:
             break
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break  # a demand jumps across one representable price
-        middle = demand(mid)
-        if sum(middle) > budget:
-            lo, lower = mid, middle
+        span = math.log(hi / lo)
+        price = lo * math.exp(search.fraction(span) * span)
+        if not lo < price < hi:
+            price = lo * math.exp(0.5 * span)
+            if not lo < price < hi:
+                break  # a demand jumps across one representable price
+        middle = demand(price, upper[1], lower[1])
+        value = sum(middle[0]) - budget
+        search.moved(value)
+        if value > 0.0:
+            lo, lower = price, middle
         else:
-            hi, upper = mid, middle
-    gap = sum(lower) - sum(upper)
-    fraction = (budget - sum(upper)) / gap if gap > 0.0 else 0.0
-    return [u + fraction * (v - u) for u, v in zip(upper, lower)]
+            hi, upper = price, middle
+    else:
+        raise SolverError(f"price bracket ({lo}, {hi}) did not close", bracket=(lo, hi))
+    gap = sum(lower[0]) - sum(upper[0])
+    fraction = (budget - sum(upper[0])) / gap if gap > 0.0 else 0.0
+    return [u + fraction * (v - u) for u, v in zip(upper[0], lower[0])]
 
 
 def centralized_solve(
@@ -182,22 +267,36 @@ def centralized_solve(
     if not users:
         raise ContractError("at least one user is required")
     table = regime_table(users, capacity)
-    groups: list[list[AppRow]] = [[] for _ in table.participants]
-    for entry in table.rows:
-        groups[entry.user_slot].append(entry)
+    # No row can take more than its cap, its user's cap or the budget.
+    limits = [
+        min(c for c in (entry.cap, table.user_caps[entry.user_slot], table.budget)
+            if c is not None)
+        for entry in table.rows
+    ]
+    groups: list[list[int]] = [[] for _ in table.participants]
+    for index, entry in enumerate(table.rows):
+        groups[entry.user_slot].append(index)
 
-    def demands(group: list[AppRow], price: float) -> list[float]:
-        return [_demand(entry, price) for entry in group]
+    def rates_at(indices, price, higher, lower) -> list[float]:
+        log_price = math.log(price)
+        higher = higher or [0.0] * len(indices)
+        lower = lower or [limits[i] for i in indices]
+        return [
+            _demand(table.rows[i], limits[i], log_price, a, b)
+            for i, a, b in zip(indices, higher, lower)
+        ]
 
-    def competing(price: float) -> list[float]:
+    every_row = range(len(table.rows))
+
+    def competing(price, higher, lower) -> tuple[list[float], list[float]]:
+        rates = rates_at(every_row, price, higher, lower)
         amounts: list[float] = []
         for group, cap in zip(groups, table.user_caps):
-            wanted = demands(group, price)
             if cap is None:
-                amounts.extend(wanted)
+                amounts.extend(rates[i] for i in group)
             else:
-                amounts.append(min(sum(wanted), cap))
-        return amounts
+                amounts.append(min(sum(rates[i] for i in group), cap))
+        return amounts, rates
 
     shares = iter(_clear(competing, table.budget))
     rates: list[float] = []
@@ -207,7 +306,8 @@ def centralized_solve(
             continue
         share = next(shares)
         if share > 0.0:
-            rates.extend(_clear(lambda price: demands(group, price), share))
+            # Its rows are its amounts.
+            rates.extend(_clear(lambda *trial: (rates_at(group, *trial),) * 2, share))
         else:  # a VIP without targets has nothing to split under scarcity
             rates.extend(0.0 for _ in group)
     return _assemble(users, table, rates, "dual_bisection")

@@ -124,10 +124,18 @@ def _is_user_id(value, path: str, violations: list[str]) -> bool:
     return ok
 
 
+def _as_float(value: int | float) -> float:
+    """float(value), an integer beyond the float range becoming +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _number(value, path: str, violations: list[str], positive: bool = False) -> float | None:
     if not _is_number(value, path, violations):
         return None
-    value = float(value)
+    value = _as_float(value)
     if not math.isfinite(value):
         violations.append(f"{path}: must be finite, got {value!r}")
         return None
@@ -193,7 +201,7 @@ def _parse_protocol(node, path: str, violations: list[str]) -> ProtocolParams:
             if f.name not in node or not _is_number(value, f"{path}.{f.name}", violations):
                 continue
             if not isinstance(f.default, int):  # only an integer field keeps an int
-                value = float(value)
+                value = _as_float(value)
             try:
                 ProtocolParams(**{f.name: value})
             except DomainError as exc:

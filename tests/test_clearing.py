@@ -97,6 +97,51 @@ def test_extreme_valid_parameters_give_a_conserving_allocation(cell, capacity, e
     _assert_conserved(run_once(replace(cell, users=users, capacity=capacity)))
 
 
+@pytest.mark.parametrize("capacity", [1e-12, 1e-300])
+def test_the_oracle_certifies_tiny_capacities(cell, capacity):
+    # Absolute stopping widths put every demand at 5e-13 or more, so no
+    # price brought the total down to a budget of 1e-12.
+    record = run_once(replace(cell, capacity=capacity))
+    reference = centralized_solve(cell.users, capacity)
+    for uid, rate in record.user_rates.items():
+        assert rate == pytest.approx(reference.user_rates[uid], rel=1e-6, abs=0), uid
+
+
+def _sigmoid_a_1e301(ue1):
+    return replace(ue1, apps=(
+        replace(ue1.apps[0], utility=SigmoidalUtility(a=1e301, b=20.0)), ue1.apps[1]))
+
+
+def _beta_1e301(ue1):
+    return replace(ue1, beta=1e301)
+
+
+@pytest.mark.parametrize(
+    ("extreme", "capacity"),
+    [(_sigmoid_a_1e301, 5.0), (_sigmoid_a_1e301, 40.0)]
+    + [(_beta_1e301, capacity) for capacity in (5.0, 40.0, 60.0, 200.0)],
+)
+def test_the_oracle_certifies_extreme_valid_parameters(cell, extreme, capacity):
+    # Their prices lie past 2^500, where the oracle's price bracket
+    # stopped growing, and beta = 1e301 sends uncapped demand past the
+    # rate where its demand bracket stopped doubling.
+    users = (extreme(cell.users[0]),) + cell.users[1:]
+    record = run_once(replace(cell, users=users, capacity=capacity))
+    reference = centralized_solve(users, capacity)
+    tol = max(0.1, 0.005 * capacity)
+    for uid, rate in record.user_rates.items():
+        assert abs(rate - reference.user_rates[uid]) <= tol, uid
+
+
+def test_an_overflowing_log_slope_is_left_out_of_the_newton_response(cell):
+    # k * r overflows ue1's log app, whose slope (ln (ln U)')' is then 0;
+    # the clearing divided by it and raised ZeroDivisionError.
+    ue1 = cell.users[0]
+    app = replace(ue1.apps[1], utility=LogarithmicUtility(k=1.7e308, r_max=100.0))
+    users = (replace(ue1, apps=(ue1.apps[0], app)),) + cell.users[1:]
+    _assert_conserved(run_once(replace(cell, users=users, capacity=1e6)))
+
+
 @st.composite
 def _app(draw, vip):
     if draw(st.booleans()):

@@ -4,11 +4,12 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from nura import bundled_scenario_path, bundled_schedule_path
+from nura import bundled_scenario_path, bundled_schedule_path, centralized_solve
 from nura.cli import main
 
 TINY_SCENARIO = """\
@@ -98,7 +99,15 @@ def test_validate_reports_grid_for_small_scenarios(tmp_path, capsys):
     assert "grid search" in out
 
 
-def test_validate_fails_on_impossible_tolerance(capsys):
+def test_validate_fails_on_impossible_tolerance(capsys, monkeypatch):
+    # The two exact solvers agree to rounding, which no tolerance may
+    # rely on; the reference is moved 1e-6 off, far past the 1e-12.
+    def shifted(users, capacity):
+        result = centralized_solve(users, capacity)
+        return replace(result, user_rates={**result.user_rates,
+                                           "ue1": result.user_rates["ue1"] + 1e-6})
+
+    monkeypatch.setattr("nura.cli.centralized_solve", shifted)
     code = main(
         [
             "validate",

@@ -14,8 +14,11 @@ from nura import (
     SigmoidalUtility,
     UserClass,
     UserProfile,
+    bundled_schedule_path,
     centralized_solve,
     grid_search_solve,
+    load_schedule,
+    scenario,
 )
 
 
@@ -200,6 +203,26 @@ def test_methods_labelled():
     user = _user("solo", UserClass.REGULAR, [_app(LOG_UNIT, 1.0)])
     assert centralized_solve([user], 2.0).method == "dual_bisection"
     assert grid_search_solve([user], 2.0).method == "grid_search"
+
+
+def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeypatch):
+    """The 40 sweep points and the 3 schedule epochs at R = 200 cost about
+    49k dlog_evaluate calls; nested bisections took 542753."""
+    calls = 0
+    for cls in (SigmoidalUtility, LogarithmicUtility):
+        def counted(self, rate, original=cls.dlog_evaluate):
+            nonlocal calls
+            calls += 1
+            return original(self, rate)
+
+        monkeypatch.setattr(cls, "dlog_evaluate", counted)
+    configs = [replace(cell, capacity=5.0 * i) for i in range(1, 41)] + [
+        scenario._apply_weights(cell, epoch)
+        for epoch in load_schedule(bundled_schedule_path()).epochs
+    ]
+    for config in configs:
+        centralized_solve(config.users, config.capacity)
+    assert calls <= 55_000
 
 
 def test_oracle_imports_only_errors_and_utility():

@@ -153,6 +153,22 @@ def test_validation_reports_every_bad_protocol_value():
     assert named == [f"<dict>.protocol.{key}" for key in keys]
 
 
+def test_integers_beyond_the_float_range_are_violations():
+    # A YAML literal like 1 followed by 400 zeros loads as an int that
+    # float() cannot convert; it raised OverflowError.
+    raw = _minimal_dict(R=10**400, protocol={"delta": 10**400})
+    raw["users"][0]["beta"] = 10**400
+    raw["users"][0]["apps"][0]["weight"] = -(10**400)
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(raw)
+    assert excinfo.value.violations == [
+        "<dict>.R: must be finite, got inf",
+        "<dict>.protocol.delta: delta must be positive, got inf",
+        "<dict>.users[0].beta: must be finite, got inf",
+        "<dict>.users[0].apps[0].weight: must be finite, got -inf",
+    ]
+
+
 def test_validation_rejects_unknown_utility_kind():
     raw = _minimal_dict()
     raw["users"][0]["apps"][0]["utility"] = {"kind": "linear", "slope": 1.0}
