@@ -7,21 +7,23 @@ root, and both curve shapes give it in closed form (the utility's
 rate_at_marginal): a Lambert W value for a log curve, the root of a
 quadratic in e^{ar} for a sigmoid. No search runs, so no demand needs a
 start or a tolerance. The capacity regime sets c (the target when
-capacity is abundant, else 0). A user's demand is the sum of its
-applications' demands at price p / beta, optionally clipped by an
-aggregate cap.
+capacity is abundant, else 0): app_rate_at_price, used by the clearings.
 
-Bids are price times demanded rate, smoothed between rounds by an
-exponentially shrinking step so the fixed-point iteration of the
-bidding protocol cannot oscillate forever.
+A user's demand has one path, user_demand on a Bidder laid out once per
+run: its rows' min(max(r(p / beta) - c, 0), cap) summed and clipped at
+the user's cap. A bid is price times that demand plus the user's
+offsets, smoothed between rounds by an exponentially shrinking step
+(damp_bid) so the bidding protocol's fixed-point iteration cannot
+oscillate forever. user_rate_at_price and vip_bid wrap them for one user.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, SolverError
-from .utility import Application, CaseFlag, UserProfile
+from .utility import Application, CaseFlag, UserProfile, app_rows
 
 
 def app_rate_at_price(
@@ -48,32 +50,67 @@ def app_rate_at_price(
     return min(max(rate, 0.0), math.inf if cap is None else cap)
 
 
+class Bidder(NamedTuple):
+    """One participant as the bidding rounds read it: cap (inf: none) bounds
+    its rate above offset, and rows hold (rate_at_marginal, weight, offset,
+    cap or inf) of each application whose weight and cap are nonzero."""
+
+    user_id: str
+    beta: float
+    cap: float
+    offset: float
+    rows: tuple[tuple[Callable[[float, float], float], float, float, float], ...]
+
+
+def bidders(case: CaseFlag, users: Sequence[UserProfile], caps: Sequence) -> tuple[Bidder, ...]:
+    """The users as Bidders under the regime, in order, caps[i] (None: no
+    cap) bounding user i's total rate above its offset."""
+    rows: list[list] = [[] for _ in users]
+    for row in app_rows(users, case):
+        if row.app.weight != 0.0 and row.cap != 0.0:
+            cap = math.inf if row.cap is None else row.cap
+            rows[row.user_slot].append((row.app.utility.rate_at_marginal, row.app.weight,
+                                        row.offset, cap))
+    return tuple(
+        Bidder(user.user_id, user.beta, math.inf if cap is None else cap,
+               case.user_offset(user), tuple(user_rows))
+        for user, cap, user_rows in zip(users, caps, rows)
+    )
+
+
+def user_demand(bidder: Bidder, price: float) -> float:
+    """Total rate above its offset the bidder demands at the given price.
+
+    beta scales the whole log-utility sum, so it enters as a price
+    rescale and the rows demand independently. A binding cap is taken
+    whole: marginal utilities stay positive.
+    """
+    _, beta, cap, _, rows = bidder
+    p = price / beta
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"price must be positive, got {p!r}")
+    total = sum([min(max(f(p, w) - c, 0.0), lim) for f, w, c, lim in rows], 0.0)
+    # Raise where an uncapped row's demand (lim inf) is itself inf.
+    if total == math.inf and any(lim == f(p, w) - c == math.inf for f, w, c, lim in rows):
+        raise SolverError(f"demand at price {p} exceeds float range", bracket=(0.0, math.inf))
+    return min(total, cap)
+
+
+def bid(bidder: Bidder, price: float, round_index: int, prev: float, l1: float, l2: float) -> float:
+    """The bidder's damped bid for round round_index: it bids for its
+    demand and its offset, price * (rate + offset)."""
+    proposed = price * (user_demand(bidder, price) + bidder.offset)
+    return damp_bid(proposed, prev, round_index, l1, l2)
+
+
 def user_rate_at_price(
-    user: UserProfile,
-    price: float,
-    user_cap: float | None = None,
+    user: UserProfile, price: float, user_cap: float | None = None,
     case: CaseFlag = CaseFlag.TARGETS_BELOW_CAPACITY,
 ) -> float:
-    """Total rate above its offsets the user demands at the given price.
-
-    The subscription weight beta scales the whole log-utility sum, so it
-    enters exactly as a price rescale and the problem separates into
-    independent per-application solves, each within its own cap under
-    the regime. When the aggregate cap binds the user simply takes it:
-    the capped optimum always exhausts it because marginal utilities
-    stay positive.
-    """
-    if not (math.isfinite(price) and price > 0.0):
-        raise DomainError(f"price must be positive, got {price!r}")
+    """user_demand of one user under the regime, capped in total by user_cap."""
     if user_cap is not None and user_cap < 0.0:
         raise DomainError(f"user_cap must be nonnegative, got {user_cap!r}")
-    per_app_price = price / user.beta
-    total = sum(
-        app_rate_at_price(app, per_app_price, case.app_cap(app), case) for app in user.apps
-    )
-    if user_cap is not None and total > user_cap:
-        return user_cap
-    return total
+    return user_demand(bidders(case, (user,), (user_cap,))[0], price)
 
 
 def damp_bid(proposed: float, prev: float, round_index: int, l1: float, l2: float) -> float:
@@ -95,22 +132,10 @@ def damp_bid(proposed: float, prev: float, round_index: int, l1: float, l2: floa
 
 
 def vip_bid(
-    user: UserProfile,
-    price: float,
-    round_index: int,
-    prev_bid: float,
-    l1: float,
-    l2: float,
-    *,
-    case: CaseFlag,
+    user: UserProfile, price: float, round_index: int, prev_bid: float, l1: float, l2: float,
+    *, case: CaseFlag,
 ) -> float:
-    """One user's damped bid for the current round.
-
-    The user demands a rate above its offsets under the regime (capped
-    per application and in total when capacity is scarce) and bids for
-    that rate and its offsets, price * (rate + offsets): the plain
-    price * rate under scarce capacity or without targets.
-    """
-    rate = user_rate_at_price(user, price, case.user_cap(user), case)
-    proposed = price * (rate + case.user_offset(user))
-    return damp_bid(proposed, prev_bid, round_index, l1, l2)
+    """The bid of one user under the regime (capped per application and
+    in total when capacity is scarce)."""
+    bidder = bidders(case, (user,), (case.user_cap(user),))[0]
+    return bid(bidder, price, round_index, prev_bid, l1, l2)

@@ -4,9 +4,11 @@ A deterministic synchronous-round simulation: the base station turns
 the current bid vector into a shadow price (total bids / capacity),
 every participating user answers with a damped bid built from its
 demand at that price, and the loop stops once no bid moved by the
-threshold delta. Damped bids stop short of the fixed point, so the
-rates come from one exact clearing (intra_ue.clear_price) that starts
-from the stop round's price.
+threshold delta. The participants are laid out once per run as
+price_response Bidders, and every bid is price_response.bid on one.
+Damped bids stop short of the fixed point, so the rates come from one
+exact clearing (intra_ue.clear_price) that starts from the stop
+round's price.
 
 When the VIP users' aggregate target rates reach the capacity, only VIP
 users participate and their demand is capped at their targets, per
@@ -23,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .errors import ContractError, DomainError, NonConvergenceError, ProtocolError
 from .intra_ue import clear_price
-from .price_response import vip_bid
+from .price_response import bid, bidders, vip_bid  # noqa: F401 (tracers rebind vip_bid here)
 
 # determine_case is re-exported: the regime is part of this stage's interface.
 from .utility import CaseFlag, UserProfile, determine_case, regime_table  # noqa: F401
@@ -135,8 +137,8 @@ def run_first_stage(
         raise ContractError("user ids must be unique")
 
     table = regime_table(users, capacity)
-    participants = table.participants
-    if not participants:
+    layout = bidders(table.case, table.participants, table.user_caps)
+    if not layout:
         raise ProtocolError("scenario has no participating users")
 
     if params.w_init is not None:
@@ -147,10 +149,11 @@ def run_first_stage(
         # overshoot before turning around, so the start point must leave
         # most of that budget unspent or bids freeze short of the fixed
         # point once the steps shrink below delta.
-        w_init = min(capacity / len(participants), 0.4 * params.l1 * params.l2)
+        w_init = min(capacity / len(layout), 0.4 * params.l1 * params.l2)
 
-    bids = {user.user_id: w_init for user in participants}
-    prev = {user.user_id: 0.0 for user in participants}
+    l1, l2 = params.l1, params.l2
+    bids = {bidder.user_id: w_init for bidder in layout}
+    prev = dict.fromkeys(bids, 0.0)
     trace: list[RoundState] = []
 
     for round_index in range(1, params.max_rounds + 1):
@@ -160,8 +163,8 @@ def run_first_stage(
             trace.append(RoundState(round_index, dict(bids), price, True))
             final_price, shares, _ = clear_price(table, price)
             rates = dict.fromkeys((user.user_id for user in users), 0.0)
-            for user, share in zip(participants, shares):
-                rates[user.user_id] = share + table.case.user_offset(user)
+            for bidder, share in zip(layout, shares):
+                rates[bidder.user_id] = share + bidder.offset
             return FirstStageResult(
                 case=table.case,
                 rates=rates,
@@ -172,18 +175,7 @@ def run_first_stage(
         price = outcome
         trace.append(RoundState(round_index, dict(bids), price, False))
         prev = bids
-        bids = {
-            user.user_id: vip_bid(
-                user,
-                price,
-                round_index + 1,
-                prev[user.user_id],
-                params.l1,
-                params.l2,
-                case=table.case,
-            )
-            for user in participants
-        }
+        bids = {b.user_id: bid(b, price, round_index + 1, prev[b.user_id], l1, l2) for b in layout}
 
     raise NonConvergenceError(
         f"bidding did not converge within {params.max_rounds} rounds "

@@ -109,6 +109,10 @@ class SigmoidalUtility:
                     return NEG_INF
                 return -ab + math.log(num) - math.log1p(math.exp(x))
             return x + math.log1p(-math.exp(-ar)) - math.log1p(math.exp(x))
+        # ln(1 - e^{-ar}) as log1mexp (Maechler, 2012): e^{-ar} may round to 1
+        # here, as ar >= x > 0 may be tiny; ln 2 splits the two accurate forms.
+        if ar <= 0.6931471805599453:
+            return math.log(-math.expm1(-ar)) - math.log1p(math.exp(-x))
         return math.log1p(-math.exp(-ar)) - math.log1p(math.exp(-x))
 
     def dlog_evaluate(self, rate: float) -> float:
@@ -131,10 +135,8 @@ class SigmoidalUtility:
             denom = math.exp(x) + 1.0 - self._e_ab - math.exp(-ar)
         else:
             denom = self._e_ab * math.expm1(ar) - math.expm1(-ar)
-        if denom <= 0.0:
-            # a * rate underflowed to 0; the true value, about 1 / rate,
-            # exceeds any price in use.
-            return math.inf
+        if denom <= 0.0:  # a * rate underflowed to 0: 1 / rate is the leading term
+            return 1.0 / rate
         return self._scale / denom
 
     def dlog_and_slope(self, rate: float) -> tuple[float, float]:
@@ -158,7 +160,7 @@ class SigmoidalUtility:
         else:
             denom = self._e_ab * math.expm1(ar) - math.expm1(-ar)
         if denom <= 0.0:
-            return math.inf, -math.inf
+            return 1.0 / rate, -1.0 / rate
         return self._scale / denom, -self.a * (e_x + e_ar) / denom
 
     def rate_at_marginal(self, price: float, weight: float) -> float:
@@ -238,8 +240,8 @@ class LogarithmicUtility:
             raise DomainError(f"rate must be positive, got {rate!r}")
         kr = self.k * rate
         denom = (1.0 + kr) * math.log1p(kr)
-        if denom <= 0.0:
-            return math.inf
+        if denom <= 0.0:  # k * rate underflowed to 0: 1 / rate is the leading term
+            return 1.0 / rate
         return self.k / denom
 
     def dlog_and_slope(self, rate: float) -> tuple[float, float]:
@@ -251,7 +253,7 @@ class LogarithmicUtility:
         log_term = math.log1p(kr)
         denom = (1.0 + kr) * log_term
         if denom <= 0.0:
-            return math.inf, -math.inf
+            return 1.0 / rate, -1.0 / rate
         return self.k / denom, -self.k / (1.0 + kr) * (1.0 + 1.0 / log_term)
 
     def rate_at_marginal(self, price: float, weight: float) -> float:

@@ -116,21 +116,44 @@ def _beta_1e301(ue1):
     return replace(ue1, beta=1e301)
 
 
+def _sigmoid_a_1e_neg300(ue1):
+    return replace(ue1, apps=(
+        replace(ue1.apps[0], utility=SigmoidalUtility(a=1e-300, b=20.0)), ue1.apps[1]))
+
+
+def _log_k_1e_neg300(ue1):
+    return replace(ue1, apps=(
+        ue1.apps[0], replace(ue1.apps[1], utility=LogarithmicUtility(k=1e-300, r_max=100.0))))
+
+
 @pytest.mark.parametrize(
     ("extreme", "capacity"),
     [(_sigmoid_a_1e301, 5.0), (_sigmoid_a_1e301, 40.0)]
-    + [(_beta_1e301, capacity) for capacity in (5.0, 40.0, 60.0, 200.0)],
+    + [(_beta_1e301, capacity) for capacity in (5.0, 40.0, 60.0, 200.0)]
+    + [(_sigmoid_a_1e_neg300, 200.0), (_sigmoid_a_1e_neg300, 1e6)],
 )
 def test_the_oracle_certifies_extreme_valid_parameters(cell, extreme, capacity):
     # Their prices lie past 2^500, where the oracle's price bracket
     # stopped growing, and beta = 1e301 sends uncapped demand past the
-    # rate where its demand bracket stopped doubling.
+    # rate where its demand bracket stopped doubling. At a = 1e-300,
+    # e^{-ar} rounds to 1 and ln U took log1p(-1): ValueError.
     users = (extreme(cell.users[0]),) + cell.users[1:]
     record = run_once(replace(cell, users=users, capacity=capacity))
     reference = centralized_solve(users, capacity)
     tol = max(0.1, 0.005 * capacity)
     for uid, rate in record.user_rates.items():
         assert abs(rate - reference.user_rates[uid]) <= tol, uid
+
+
+@pytest.mark.parametrize("extreme", [_sigmoid_a_1e_neg300, _log_k_1e_neg300])
+def test_the_oracle_certifies_where_rate_products_underflow(cell, extreme):
+    # At R = 1e-300 ue1's a r or k r rounds to 0, where (ln U)' was inf,
+    # so every price overspent. Near rate 0 each app demands weight / p,
+    # and both scarce VIPs' weights sum to 1: they split R evenly.
+    users = (extreme(cell.users[0]),) + cell.users[1:]
+    reference = centralized_solve(users, 1e-300)
+    assert reference.user_rates["ue1"] == pytest.approx(0.5e-300, rel=1e-9, abs=0)
+    assert reference.user_rates["ue2"] == pytest.approx(0.5e-300, rel=1e-9, abs=0)
 
 
 def test_an_overflowing_log_slope_is_left_out_of_the_newton_response(cell):

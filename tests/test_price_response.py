@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nura import intra_ue, price_response, protocol, scenario
+from nura import intra_ue, price_response, scenario
 from nura import (
     Application,
     CaseFlag,
@@ -374,9 +374,14 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
 
         return wrapper
 
-    # The first stage's closing clearing also calls intra_ue's demand;
-    # only calls made while allocate_internal runs count as split_demand.
-    monkeypatch.setattr(protocol, "vip_bid", staged(protocol.vip_bid, "bid"))
+    # A bid makes one user demand (counted as bid_demand). The first
+    # stage's closing clearing also calls intra_ue's per-app demand; only
+    # calls made while allocate_internal runs count as split_demand.
+    monkeypatch.setattr(
+        price_response,
+        "user_demand",
+        staged(counted(price_response.user_demand, "demand"), "bid"),
+    )
     for cls in (SigmoidalUtility, LogarithmicUtility):
         for method in ("dlog_evaluate", "dlog_and_slope"):
             monkeypatch.setattr(cls, method, counted(getattr(cls, method), "dlog"))

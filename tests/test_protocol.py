@@ -1,6 +1,7 @@
 """Bidding loop: pricing step, case split, convergence, determinism."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -15,9 +16,14 @@ from nura import (
     SigmoidalUtility,
     UserClass,
     UserProfile,
+    app_rate_at_price,
+    bundled_schedule_path,
+    damp_bid,
     determine_case,
     enodeb_step,
+    load_schedule,
     run_first_stage,
+    scenario,
     trace_records,
 )
 from nura.utility import regime_table
@@ -226,3 +232,38 @@ def test_single_vip_takes_whole_scarce_pool():
     result = run_first_stage([vip], 8.0, _params())
     assert result.case is CaseFlag.TARGETS_EXCEED_CAPACITY
     assert result.rates["v"] == pytest.approx(8.0, rel=1e-6)
+
+
+def _paper_bid(user, case, price, prev_bid, round_index, params):
+    """The paper's damped bid, restated from the per-application demand."""
+    total = sum(
+        app_rate_at_price(app, price / user.beta, case.app_cap(app), case) for app in user.apps
+    )
+    user_cap = case.user_cap(user)
+    if user_cap is not None:
+        total = min(total, user_cap)
+    proposed = price * (total + case.user_offset(user))
+    return damp_bid(proposed, prev_bid, round_index, params.l1, params.l2)
+
+
+def test_every_round_bids_the_papers_damped_demand(cell):
+    """Round n + 1's bid is damp(price_n * (demand at price_n + offset)),
+    bit for bit, over the reference sweep and the schedule's epochs."""
+    configs = [replace(cell, capacity=5.0 * i) for i in range(1, 41)] + [
+        scenario._apply_weights(cell, epoch)
+        for epoch in load_schedule(bundled_schedule_path()).epochs
+    ]
+    checked = 0
+    for config in configs:
+        result = run_first_stage(config.users, config.capacity, config.protocol)
+        users = {user.user_id: user for user in config.users}
+        for state, following in zip(result.trace, result.trace[1:]):
+            assert following.bids.keys() == state.bids.keys()
+            for uid, bid in following.bids.items():
+                expected = _paper_bid(
+                    users[uid], result.case, state.price, state.bids[uid],
+                    state.round_index + 1, config.protocol,
+                )
+                assert bid == expected, (config.capacity, state.round_index, uid)
+                checked += 1
+    assert checked > 5_000

@@ -99,6 +99,45 @@ def test_sigmoid_dlog_keeps_relative_accuracy_at_small_rates(a, b, rate):
     assert_close(SigmoidalUtility(a=a, b=b).dlog_evaluate(rate), reference, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "a, b, rate",
+    [(1e-300, 20.0, 25.0), (1e-300, 20.0, 1e6), (0.01, 10.0, 50.0), (0.01, 10.0, 69.0),
+     (0.01, 10.0, 70.0), (3.0, 20.0, 25.0)],
+)
+def test_sigmoid_log_evaluate_past_the_inflection_matches_mpmath(a, b, rate):
+    # ln(1 - e^{-ar}) past b: log1p(-exp(-ar)) raised ValueError once
+    # e^{-ar} rounded to 1 (a = 1e-300); a r = 0.5, 0.69 and 0.7 check
+    # both sides of the switch at a r = ln 2.
+    with mpmath.workdps(50):
+        a_, b_, r_ = (mpmath.mpf(v) for v in (a, b, rate))
+        reference = float(
+            mpmath.log(-mpmath.expm1(-a_ * r_)) - mpmath.log1p(mpmath.exp(-a_ * (r_ - b_)))
+        )
+    assert_close(SigmoidalUtility(a=a, b=b).log_evaluate(rate), reference, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "utility, rate",
+    [(SigmoidalUtility(a=1e-300, b=20.0), 1e-300), (SigmoidalUtility(a=1e-20, b=5.0), 1e-305),
+     (LogarithmicUtility(k=1e-300, r_max=100.0), 1e-300),
+     (LogarithmicUtility(k=1e-20, r_max=10.0), 1e-305)],
+)
+def test_dlog_where_the_rate_product_underflows_matches_mpmath(utility, rate):
+    # a r or k r rounds to 0, where (ln U)' is 1 / r to leading order; it was inf.
+    with mpmath.workdps(50):
+        r_ = mpmath.mpf(rate)
+        if isinstance(utility, SigmoidalUtility):
+            a_, b_ = mpmath.mpf(utility.a), mpmath.mpf(utility.b)
+            e_ab = mpmath.exp(-a_ * b_)
+            reference = a_ * (1 + e_ab) / (e_ab * mpmath.expm1(a_ * r_) - mpmath.expm1(-a_ * r_))
+        else:
+            k_ = mpmath.mpf(utility.k)
+            reference = k_ / ((1 + k_ * r_) * mpmath.log1p(k_ * r_))
+        reference = float(reference)
+    assert_close(utility.dlog_evaluate(rate), reference, rel=1e-15)
+    assert utility.dlog_and_slope(rate) == (1.0 / rate, -1.0 / rate)
+
+
 def test_sigmoid_midpoint_is_half():
     # c_norm * (1/2 - d_norm) = (1 - e^{-ab}) / 2; for ab = 60 the
     # correction is ~4e-27, so the result is 0.5 up to rounding of the
@@ -226,12 +265,12 @@ def _separate_dlog_slope(utility, rate):
         else:
             denom = e_ab * math.expm1(ar) - math.expm1(-ar)
         if denom <= 0.0:
-            return -math.inf
+            return -1.0 / rate
         return -utility.a * (e_x + e_ar) / denom
     kr = utility.k * rate
     log_term = math.log1p(kr)
     if log_term <= 0.0:
-        return -math.inf
+        return -1.0 / rate
     return -utility.k / (1.0 + kr) * (1.0 + 1.0 / log_term)
 
 
