@@ -3,24 +3,28 @@
 Given a shadow price p, each application demands the rate maximizing
 weight * ln U(r + c) - p * (r + c). Because ln U is strictly concave,
 the first-order condition weight * (ln U)'(r + c) = p has at most one
-root, and both curve shapes give it in closed form (the utility's
-rate_at_marginal): a Lambert W value for a log curve, the root of a
-quadratic in e^{ar} for a sigmoid. No search runs, so no demand needs a
-start or a tolerance. The capacity regime sets c (the target when
+root, and both curve shapes give it in closed form: a Lambert W value
+for a log curve, the root of a quadratic in e^{ar} for a sigmoid. Each
+Application caches that closed form for its weight (demand_at, built by
+the utility's demand_curve), so no demand needs a start, a tolerance or
+a per-call constant. The capacity regime sets c (the target when
 capacity is abundant, else 0): app_rate_at_price, used by the clearings.
 
-A user's demand has one path, user_demand on a Bidder laid out once per
-run: its rows' min(max(r(p / beta) - c, 0), cap) summed and clipped at
-the user's cap. A bid is price times that demand plus the user's
-offsets, smoothed between rounds by an exponentially shrinking step
-(damp_bid) so the bidding protocol's fixed-point iteration cannot
-oscillate forever. user_rate_at_price and vip_bid wrap them for one user.
+The bidding rounds read a BidLayout built once per run (bidders): each
+distinct (utility, weight, beta) once as a curve, and per participant
+its rows' curve slots, offsets and caps. demands evaluates each curve
+once at price / beta and sums every participant's rows'
+min(max(r - c, 0), cap), clipped at the user's cap. A bid is price
+times that demand plus the user's offsets, smoothed between rounds by
+an exponentially shrinking step (damp_bid) so the bidding protocol's
+fixed-point iteration cannot oscillate forever (round_bids).
+user_rate_at_price and vip_bid wrap them for one user.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, SolverError
 from .utility import Application, CaseFlag, UserProfile, app_rows
@@ -44,7 +48,7 @@ def app_rate_at_price(
         raise DomainError(f"cap must be nonnegative, got {cap!r}")
     if app.weight == 0.0 or cap == 0.0:
         return 0.0
-    rate = app.utility.rate_at_marginal(price, app.weight) - case.app_offset(app)
+    rate = app.demand_at(price) - case.app_offset(app)
     if rate == math.inf and cap is None:
         raise SolverError(f"demand at price {price} exceeds float range", bracket=(0.0, rate))
     return min(max(rate, 0.0), math.inf if cap is None else cap)
@@ -52,65 +56,96 @@ def app_rate_at_price(
 
 class Bidder(NamedTuple):
     """One participant as the bidding rounds read it: cap (inf: none) bounds
-    its rate above offset, and rows hold (rate_at_marginal, weight, offset,
-    cap or inf) of each application whose weight and cap are nonzero."""
+    its rate above offset, and rows hold (curve slot, offset, cap or inf) of
+    each application whose weight and cap are nonzero, the slot indexing
+    its BidLayout's curves."""
 
     user_id: str
     beta: float
     cap: float
     offset: float
-    rows: tuple[tuple[Callable[[float, float], float], float, float, float], ...]
+    rows: tuple[tuple[int, float, float], ...]
 
 
-def bidders(case: CaseFlag, users: Sequence[UserProfile], caps: Sequence) -> tuple[Bidder, ...]:
-    """The users as Bidders under the regime, in order, caps[i] (None: no
-    cap) bounding user i's total rate above its offset."""
+class BidLayout(NamedTuple):
+    """Participants laid out for the rounds: curves holds each distinct
+    (utility, weight, beta) once, as (the application's demand, beta)."""
+
+    curves: tuple[tuple[Callable[[float], float], float], ...]
+    members: tuple[Bidder, ...]
+
+
+def bidders(case: CaseFlag, users: Sequence[UserProfile], caps: Sequence) -> BidLayout:
+    """The users as a BidLayout under the regime, in order, caps[i] (None:
+    no cap) bounding user i's total rate above its offset."""
+    slots: dict[tuple, int] = {}
+    curves = []
     rows: list[list] = [[] for _ in users]
     for row in app_rows(users, case):
         if row.app.weight != 0.0 and row.cap != 0.0:
+            beta = users[row.user_slot].beta
+            slot = slots.setdefault((row.app.utility, row.app.weight, beta), len(curves))
+            if slot == len(curves):
+                curves.append((row.app.demand_at, beta))
             cap = math.inf if row.cap is None else row.cap
-            rows[row.user_slot].append((row.app.utility.rate_at_marginal, row.app.weight,
-                                        row.offset, cap))
-    return tuple(
+            rows[row.user_slot].append((slot, row.offset, cap))
+    members = tuple(
         Bidder(user.user_id, user.beta, math.inf if cap is None else cap,
                case.user_offset(user), tuple(user_rows))
         for user, cap, user_rows in zip(users, caps, rows)
     )
+    return BidLayout(tuple(curves), members)
 
 
-def user_demand(bidder: Bidder, price: float) -> float:
-    """Total rate above its offset the bidder demands at the given price.
+def demands(layout: BidLayout, price: float) -> list[float]:
+    """Each member's total rate above its offset at the given price.
 
     beta scales the whole log-utility sum, so it enters as a price
-    rescale and the rows demand independently. A binding cap is taken
-    whole: marginal utilities stay positive.
+    rescale and the rows demand independently: each distinct curve is
+    evaluated once, at price / beta, and each member sums its own rows
+    between 0 and their caps. A binding cap is taken whole: marginal
+    utilities stay positive.
     """
-    _, beta, cap, _, rows = bidder
-    p = price / beta
-    if not 0.0 < p < math.inf:
-        raise DomainError(f"price must be positive, got {p!r}")
-    total = sum([min(max(f(p, w) - c, 0.0), lim) for f, w, c, lim in rows], 0.0)
-    # Raise where an uncapped row's demand (lim inf) is itself inf.
-    if total == math.inf and any(lim == f(p, w) - c == math.inf for f, w, c, lim in rows):
-        raise SolverError(f"demand at price {p} exceeds float range", bracket=(0.0, math.inf))
-    return min(total, cap)
+    # nan marks a price out of range; its members raise below, in order.
+    values = [
+        curve(p) if 0.0 < (p := price / beta) < math.inf else math.nan
+        for curve, beta in layout.curves
+    ]
+    out = []
+    for _, beta, cap, _, rows in layout.members:
+        p = price / beta
+        if not 0.0 < p < math.inf:
+            raise DomainError(f"price must be positive, got {p!r}")
+        total = sum([min(max(values[i] - c, 0.0), lim) for i, c, lim in rows], 0.0)
+        # Raise where an uncapped row's demand (lim inf) is itself inf.
+        if total == math.inf and any(lim == values[i] - c == math.inf for i, c, lim in rows):
+            raise SolverError(f"demand at price {p} exceeds float range", bracket=(0.0, math.inf))
+        out.append(min(total, cap))
+    return out
 
 
-def bid(bidder: Bidder, price: float, round_index: int, prev: float, l1: float, l2: float) -> float:
-    """The bidder's damped bid for round round_index: it bids for its
-    demand and its offset, price * (rate + offset)."""
-    proposed = price * (user_demand(bidder, price) + bidder.offset)
-    return damp_bid(proposed, prev, round_index, l1, l2)
+def round_bids(
+    layout: BidLayout, price: float, round_index: int, prev: Mapping[str, float],
+    l1: float, l2: float,
+) -> dict[str, float]:
+    """Every member's damped bid for round round_index, by user id: it bids
+    for its demand and its offset, price * (rate + offset)."""
+    return {
+        member.user_id: damp_bid(
+            price * (rate + member.offset), prev[member.user_id], round_index, l1, l2
+        )
+        for member, rate in zip(layout.members, demands(layout, price))
+    }
 
 
 def user_rate_at_price(
     user: UserProfile, price: float, user_cap: float | None = None,
     case: CaseFlag = CaseFlag.TARGETS_BELOW_CAPACITY,
 ) -> float:
-    """user_demand of one user under the regime, capped in total by user_cap."""
+    """The demand of one user under the regime, capped in total by user_cap."""
     if user_cap is not None and user_cap < 0.0:
         raise DomainError(f"user_cap must be nonnegative, got {user_cap!r}")
-    return user_demand(bidders(case, (user,), (user_cap,))[0], price)
+    return demands(bidders(case, (user,), (user_cap,)), price)[0]
 
 
 def damp_bid(proposed: float, prev: float, round_index: int, l1: float, l2: float) -> float:
@@ -137,5 +172,5 @@ def vip_bid(
 ) -> float:
     """The bid of one user under the regime (capped per application and
     in total when capacity is scarce)."""
-    bidder = bidders(case, (user,), (case.user_cap(user),))[0]
-    return bid(bidder, price, round_index, prev_bid, l1, l2)
+    layout = bidders(case, (user,), (case.user_cap(user),))
+    return round_bids(layout, price, round_index, {user.user_id: prev_bid}, l1, l2)[user.user_id]

@@ -4,8 +4,10 @@ A deterministic synchronous-round simulation: the base station turns
 the current bid vector into a shadow price (total bids / capacity),
 every participating user answers with a damped bid built from its
 demand at that price, and the loop stops once no bid moved by the
-threshold delta. The participants are laid out once per run as
-price_response Bidders, and every bid is price_response.bid on one.
+threshold delta. The participants are laid out once per run as a
+price_response BidLayout, and each round is one price_response.round_bids
+call: every distinct demand curve is evaluated once, and users that
+share one (same utility, weight and beta) read the same value.
 Damped bids stop short of the fixed point, so the rates come from one
 exact clearing (intra_ue.clear_price) that starts from the stop
 round's price.
@@ -25,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .errors import ContractError, DomainError, NonConvergenceError, ProtocolError
 from .intra_ue import clear_price
-from .price_response import bid, bidders, vip_bid  # noqa: F401 (tracers rebind vip_bid here)
+from .price_response import bidders, round_bids, vip_bid  # noqa: F401 (tracers rebind vip_bid here)
 
 # determine_case is re-exported: the regime is part of this stage's interface.
 from .utility import CaseFlag, UserProfile, determine_case, regime_table  # noqa: F401
@@ -138,7 +140,7 @@ def run_first_stage(
 
     table = regime_table(users, capacity)
     layout = bidders(table.case, table.participants, table.user_caps)
-    if not layout:
+    if not layout.members:
         raise ProtocolError("scenario has no participating users")
 
     if params.w_init is not None:
@@ -149,10 +151,10 @@ def run_first_stage(
         # overshoot before turning around, so the start point must leave
         # most of that budget unspent or bids freeze short of the fixed
         # point once the steps shrink below delta.
-        w_init = min(capacity / len(layout), 0.4 * params.l1 * params.l2)
+        w_init = min(capacity / len(layout.members), 0.4 * params.l1 * params.l2)
 
     l1, l2 = params.l1, params.l2
-    bids = {bidder.user_id: w_init for bidder in layout}
+    bids = {bidder.user_id: w_init for bidder in layout.members}
     prev = dict.fromkeys(bids, 0.0)
     trace: list[RoundState] = []
 
@@ -163,7 +165,7 @@ def run_first_stage(
             trace.append(RoundState(round_index, dict(bids), price, True))
             final_price, shares, _ = clear_price(table, price)
             rates = dict.fromkeys((user.user_id for user in users), 0.0)
-            for bidder, share in zip(layout, shares):
+            for bidder, share in zip(layout.members, shares):
                 rates[bidder.user_id] = share + bidder.offset
             return FirstStageResult(
                 case=table.case,
@@ -175,7 +177,7 @@ def run_first_stage(
         price = outcome
         trace.append(RoundState(round_index, dict(bids), price, False))
         prev = bids
-        bids = {b.user_id: bid(b, price, round_index + 1, prev[b.user_id], l1, l2) for b in layout}
+        bids = round_bids(layout, price, round_index + 1, prev, l1, l2)
 
     raise NonConvergenceError(
         f"bidding did not converge within {params.max_rounds} rounds "

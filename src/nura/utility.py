@@ -8,7 +8,10 @@ tops out at 1, which makes weighted products across applications
 meaningful.
 
 Every solver in this package works on ln U and its rate derivative, so
-the numerically delicate pieces are concentrated in this module. All
+the numerically delicate pieces are concentrated in this module; the
+pipeline's demand (the rate where weight * (ln U)' meets a price) is
+here too, as demand_curve, one closed form per shape with its per-weight
+constants taken once, cached on each Application as demand_at. All
 branches exponentiate only non-positive (or safely bounded) arguments;
 steepness-times-inflection products up to about 700 are handled without
 overflow, and saturation degrades gracefully rather than raising.
@@ -23,12 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import ContractError, DomainError
 
 NEG_INF = float("-inf")
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitter
+_TINY = 2.2250738585072014e-308  # the smallest normal float
 
 
 def _require_positive_finite(value: float, name: str) -> None:
@@ -53,10 +57,6 @@ class SigmoidalUtility:
         # Per-curve constants; not fields, so ==, hash, repr and replace see a, b only.
         object.__setattr__(self, "_e_ab", math.exp(-self.a * self.b))
         object.__setattr__(self, "_scale", self.a * (1.0 + self._e_ab))
-        # a's upper half for rate_at_marginal, split on the mantissa so no product overflows.
-        mantissa, exponent = math.frexp(self.a)
-        head = _SPLITTER * mantissa - (_SPLITTER * mantissa - mantissa)
-        object.__setattr__(self, "_a_hi", math.ldexp(head, exponent))
 
     @property
     def c_norm(self) -> float:
@@ -163,37 +163,52 @@ class SigmoidalUtility:
             return 1.0 / rate, -1.0 / rate
         return self._scale / denom, -self.a * (e_x + e_ar) / denom
 
-    def rate_at_marginal(self, price: float, weight: float) -> float:
-        """The rate r >= 0 with weight * (ln U)'(r) = price, in closed form.
+    def demand_curve(self, weight: float) -> Callable[[float], float]:
+        """The rate r >= 0 with weight * (ln U)'(r) = price, in closed form,
+        as a function of price; weight must be positive.
 
         With t = e^{ar} - 1 the denominator of dlog_evaluate is
         (e^{-ab} t^2 + (1 + e^{-ab}) t) / (1 + t), so t is the positive
         root of e^{-ab} t^2 + B t - M = 0, M = weight a (1 + e^{-ab}) / price,
         B = (1 + e^{-ab})(price - a weight) / price. a * weight is split
-        exactly (Dekker, 1971), which keeps B accurate where price is
-        near a * weight (the flat stretch). For B > 0 the root is taken
-        in the rationalized form, for B <= 0 as ln t, so nothing is divided
-        by an e^{-ab} that has underflowed. Past M = e^700 this is the
-        deep-saturation branch of dlog_evaluate, r = b + ln M / a.
+        exactly (Dekker, 1971), once per weight, which keeps B accurate
+        where price is near a * weight (the flat stretch). For B > 0 the
+        root is taken in the rationalized form, for B <= 0 as ln t, so
+        nothing is divided by an e^{-ab} that has underflowed. Past
+        M = e^700 this is the deep-saturation branch of dlog_evaluate,
+        r = b + ln M / a. Where M underflows, (ln U)' is 1 / r to within
+        rounding, so the rate is weight / price.
         """
-        m = weight * self._scale / price
-        if m > 1.0142320547350045e304:  # e^700; inf when m overflows
-            return self.b + (math.log(weight * self._scale) - math.log(price)) / self.a
-        aw = self.a * weight
-        a_hi = self._a_hi
+        a, b, e_ab = self.a, self.b, self._e_ab
+        scaled = weight * self._scale
+        log_scaled = math.log(scaled) if scaled > 0.0 else NEG_INF
+        ab = a * b
+        half_c = 0.5 * (1.0 + e_ab)
+        # a's upper half split on the mantissa, so no product overflows.
+        mantissa, exponent = math.frexp(a)
+        a_hi = math.ldexp(_SPLITTER * mantissa - (_SPLITTER * mantissa - mantissa), exponent)
+        aw = a * weight
         w_hi = _SPLITTER * weight - (_SPLITTER * weight - weight)
-        a_lo, w_lo = self.a - a_hi, weight - w_hi
+        a_lo, w_lo = a - a_hi, weight - w_hi
         aw_lo = ((a_hi * w_hi - aw) + a_hi * w_lo + a_lo * w_hi) + a_lo * w_lo
-        half_b = 0.5 * (1.0 + self._e_ab) * ((price - aw) - aw_lo) / price
-        root = math.hypot(half_b, math.sqrt(self._e_ab * m))
-        if half_b > 0.0:
-            return math.log1p(m / (half_b + root)) / self.a
-        ab = self.a * self.b
-        if half_b == 0.0:  # the plateau price itself: t^2 = M e^{ab}, e^{-ab} may be 0
-            log_t = 0.5 * (ab + math.log(m))
-        else:
-            log_t = ab + math.log(root - half_b)
-        return (log_t + math.log1p(math.exp(-log_t))) / self.a
+
+        def demand(price: float) -> float:
+            m = scaled / price
+            if m > 1.0142320547350045e304:  # e^700; inf when m overflows
+                return b + (log_scaled - math.log(price)) / a
+            if m < _TINY:
+                return weight / price
+            half_b = half_c * ((price - aw) - aw_lo) / price
+            root = math.hypot(half_b, math.sqrt(e_ab * m))
+            if half_b > 0.0:
+                return math.log1p(m / (half_b + root)) / a
+            if half_b == 0.0:  # the plateau price itself: t^2 = M e^{ab}, e^{-ab} may be 0
+                log_t = 0.5 * (ab + math.log(m))
+            else:
+                log_t = ab + math.log(root - half_b)
+            return (log_t + math.log1p(math.exp(-log_t))) / a
+
+        return demand
 
 
 @dataclass(frozen=True)
@@ -256,34 +271,44 @@ class LogarithmicUtility:
             return 1.0 / rate, -1.0 / rate
         return self.k / denom, -self.k / (1.0 + kr) * (1.0 + 1.0 / log_term)
 
-    def rate_at_marginal(self, price: float, weight: float) -> float:
-        """The rate r with weight * (ln U)'(r) = price; inf past float range.
+    def demand_curve(self, weight: float) -> Callable[[float], float]:
+        """The rate r with weight * (ln U)'(r) = price as a function of
+        price, inf past float range; weight must be positive.
 
         v = ln(1 + k r) solves v e^v = z, ln z = ln k - (ln price - ln weight):
         it is the Lambert W of z (Corless et al., 1996). Below z = 1e-6 the series
-        k r = z - z^2/2 + 2z^3/3 is exact to the rounding of z; above, two Halley
+        k r = z - z^2/2 + 2z^3/3 is exact to the rounding of z, and where z
+        underflows the rate is weight / price; above, two Halley
         steps on v + ln v = ln z (no product to under- or overflow) from
         ln z - ln ln z + ln ln z / ln z, or Winitzki's guess for ln z <= 2,
         land within about |ln z| ulps of W(z).
         """
-        log_z = math.log(self.k) - (math.log(price) - math.log(weight))
-        if log_z < -13.8:
-            z = math.exp(log_z)
-            return z / self.k * (1.0 - z * (0.5 - z * (2.0 / 3.0)))
-        if log_z > 2.0:
-            log_log_z = math.log(log_z)
-            v = log_z - log_log_z + log_log_z / log_z
-        else:
-            w0 = math.log1p(math.exp(log_z))
-            v = w0 * (1.0 - math.log1p(w0) / (2.0 + w0))
-        for _ in range(2):
-            f = v + math.log(v) - log_z
-            df = 1.0 + 1.0 / v  # and f'' = -1 / v^2
-            v -= f / (df + 0.5 * f / (v * v * df))
-        if v <= 700.0:
-            return math.expm1(v) / self.k
-        log_rate = v - math.log(self.k)  # e^v - 1 is e^v here
-        return math.exp(log_rate) if log_rate < 709.78 else math.inf
+        k = self.k
+        log_k, log_w = math.log(k), math.log(weight)
+
+        def demand(price: float) -> float:
+            log_z = log_k - (math.log(price) - log_w)
+            if log_z < -13.8:
+                z = math.exp(log_z)
+                if z < _TINY:
+                    return weight / price
+                return z / k * (1.0 - z * (0.5 - z * (2.0 / 3.0)))
+            if log_z > 2.0:
+                log_log_z = math.log(log_z)
+                v = log_z - log_log_z + log_log_z / log_z
+            else:
+                w0 = math.log1p(math.exp(log_z))
+                v = w0 * (1.0 - math.log1p(w0) / (2.0 + w0))
+            for _ in range(2):
+                f = v + math.log(v) - log_z
+                df = 1.0 + 1.0 / v  # and f'' = -1 / v^2
+                v -= f / (df + 0.5 * f / (v * v * df))
+            if v <= 700.0:
+                return math.expm1(v) / k
+            log_rate = v - log_k  # e^v - 1 is e^v here
+            return math.exp(log_rate) if log_rate < 709.78 else math.inf
+
+        return demand
 
 
 UtilityFunction = Union[SigmoidalUtility, LogarithmicUtility]
@@ -296,7 +321,8 @@ class Application:
 
     The target rate doubles as the offset added to the rate argument in
     the aggregated utility: a target-bearing application is evaluated at
-    (extra rate + target).
+    (extra rate + target). demand_at is the utility's demand_curve at the
+    weight, built once (None at weight 0, which demands nothing).
     """
 
     utility: UtilityFunction
@@ -312,6 +338,12 @@ class Application:
             raise DomainError(f"weight must lie in [0, 1], got {self.weight!r}")
         if self.target_rate is not None:
             _require_positive_finite(self.target_rate, "target_rate")
+        # Not a field, so ==, hash and repr ignore it and replace rebuilds it.
+        curve = self.utility.demand_curve(self.weight) if self.weight > 0.0 else None
+        object.__setattr__(self, "demand_at", curve)
+
+    def __reduce__(self):  # rebuild demand rather than pickle a closure
+        return (Application, (self.utility, self.weight, self.target_rate))
 
     @property
     def offset(self) -> float:

@@ -156,6 +156,19 @@ def test_the_oracle_certifies_where_rate_products_underflow(cell, extreme):
     assert reference.user_rates["ue2"] == pytest.approx(0.5e-300, rel=1e-9, abs=0)
 
 
+@pytest.mark.parametrize("extreme", [_sigmoid_a_1e_neg300, _log_k_1e_neg300])
+def test_demand_where_its_closed_form_underflows_splits_as_the_oracle(cell, extreme):
+    # At R = 1e-300 prices reach about 1e300, where z = k w / p (log) or
+    # M = w a (1 + e^{-ab}) / p (sigmoid) underflows. The closed form
+    # then gave ue1's app demand 0, not about w / p, and run_once handed
+    # ue1 1/3 of R and ue2 2/3, against 1/2 each.
+    users = (extreme(cell.users[0]),) + cell.users[1:]
+    record = run_once(replace(cell, users=users, capacity=1e-300))
+    reference = centralized_solve(users, 1e-300)
+    for uid, rate in record.user_rates.items():
+        assert rate == pytest.approx(reference.user_rates[uid], rel=1e-9, abs=0), uid
+
+
 def test_an_overflowing_log_slope_is_left_out_of_the_newton_response(cell):
     # k * r overflows ue1's log app, whose slope (ln (ln U)')' is then 0;
     # the clearing divided by it and raised ZeroDivisionError.

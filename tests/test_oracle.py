@@ -231,8 +231,8 @@ def test_oracle_imports_only_errors_and_utility():
     # so a pipeline bug cannot certify itself.
     # Nor does it use the utility methods only the pipeline uses: the
     # fused derivative kernel of its Newton steps and the closed-form
-    # demand.
-    barred = {"dlog_and_slope", "rate_at_marginal"}
+    # demand, built by demand_curve and cached as Application.demand_at.
+    barred = {"dlog_and_slope", "rate_at_marginal", "demand_curve", "demand_at"}
     path = Path(__file__).resolve().parents[1] / "src" / "nura" / "oracle.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

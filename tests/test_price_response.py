@@ -25,6 +25,7 @@ from nura import (
     user_rate_at_price,
     vip_bid,
 )
+from nura.utility import regime_table
 
 # log1p(k * r_max) = 1 exactly, so demand has the closed form w/p - 1
 UNIT_LOG = LogarithmicUtility(k=1.0, r_max=math.e - 1.0)
@@ -374,13 +375,14 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
 
         return wrapper
 
-    # A bid makes one user demand (counted as bid_demand). The first
-    # stage's closing clearing also calls intra_ue's per-app demand; only
-    # calls made while allocate_internal runs count as split_demand.
+    # A bidding round makes one demand call for all its bidders (counted
+    # as bid_demand). The first stage's closing clearing also calls
+    # intra_ue's per-app demand; only calls made while allocate_internal
+    # runs count as split_demand.
     monkeypatch.setattr(
         price_response,
-        "user_demand",
-        staged(counted(price_response.user_demand, "demand"), "bid"),
+        "demands",
+        staged(counted(price_response.demands, "demand"), "bid"),
     )
     for cls in (SigmoidalUtility, LogarithmicUtility):
         for method in ("dlog_evaluate", "dlog_and_slope"):
@@ -400,6 +402,33 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
     assert counts["bid_demand"] > 0
     assert counts["bid_dlog"] == 0
     assert counts["split_demand"] <= _DEMANDS_PER_SPLIT[capacity] * counts["splits"]
+
+
+def _curve_slots(users, capacity):
+    """Each participant's curve slots in the bidding layout, and the
+    number of distinct curves."""
+    table = regime_table(users, capacity)
+    layout = price_response.bidders(table.case, table.participants, table.user_caps)
+    slots = {member.user_id: [slot for slot, _, _ in member.rows] for member in layout.members}
+    return slots, len(layout.curves)
+
+
+def test_bidders_share_a_curve_only_at_equal_utility_weight_and_beta(cell):
+    # ue3 and ue4 hold ue1's and ue2's curves and weights at beta 1
+    slots, distinct = _curve_slots(cell.users, 200.0)
+    assert slots == {"ue1": [0, 1], "ue2": [2, 3], "ue3": [0, 1], "ue4": [2, 3]}
+    assert distinct == 4
+    # ue3 at beta 2 demands at half the price: no shared evaluation
+    users = tuple(replace(u, beta=2.0) if u.user_id == "ue3" else u for u in cell.users)
+    slots, distinct = _curve_slots(users, 200.0)
+    assert slots["ue3"] == [4, 5] and distinct == 6
+    # other weights make other curves
+    ue4 = cell.users[3]
+    apps = tuple(replace(app, weight=1.0 - app.weight) for app in ue4.apps)
+    slots, distinct = _curve_slots(cell.users[:3] + (replace(ue4, apps=apps),), 200.0)
+    assert slots["ue4"] == [4, 5] and distinct == 6
+    # under scarce capacity only the VIPs bid
+    assert _curve_slots(cell.users, 40.0) == ({"ue1": [0, 1], "ue2": [2, 3]}, 4)
 
 
 # ---------------------------------------------------------------------------

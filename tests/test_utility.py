@@ -5,6 +5,7 @@ defining formulas; the library must reproduce them in double precision.
 """
 
 import math
+import pickle
 from dataclasses import fields, replace
 
 import mpmath
@@ -22,8 +23,10 @@ from nura import (
     UserClass,
     UserProfile,
     aggregate_user_utility,
+    app_rate_at_price,
     scenario_from_dict,
     scenario_to_dict,
+    user_rate_at_price,
 )
 from nura.utility import NEG_INF
 
@@ -334,6 +337,74 @@ def test_cached_constants_survive_the_scenario_round_trip():
     for app, original in zip(again.users[0].apps, apps):
         assert app.utility.dlog_and_slope(7.5) == original.utility.dlog_and_slope(7.5)
         assert app.utility.log_evaluate(7.5) == original.utility.log_evaluate(7.5)
+
+
+@pytest.mark.parametrize("utility", [SIG_STEEP, SIG_SHALLOW, LOG_FAST, LOG_SLOW])
+def test_cached_demand_follows_replace_and_stays_out_of_equality(utility):
+    # The schedule's epochs set every application's weight by replace.
+    app = Application(utility, 0.5, target_rate=20.0)
+    changed = replace(app, weight=0.9)
+    prices = [1e-3, 0.1, 1.0, 2.7, 10.0]
+    demand = [utility.demand_curve(0.9)(price) for price in prices]
+    assert [changed.demand_at(price) for price in prices] == demand
+    assert [app.demand_at(price) for price in prices] != demand
+    back = replace(changed, weight=0.5)
+    assert back.demand_at is not app.demand_at
+    assert back == app and hash(back) == hash(app) and repr(back) == repr(app)
+    assert [field.name for field in fields(app)] == ["utility", "weight", "target_rate"]
+    again = pickle.loads(pickle.dumps(app))
+    assert again == app
+    assert [again.demand_at(p) for p in prices] == [app.demand_at(p) for p in prices]
+
+
+def test_cached_demand_survives_the_scenario_round_trip():
+    apps = tuple(Application(utility, 0.25) for utility in (SIG_STEEP, SIG_SHALLOW, LOG_FAST,
+                                                             LOG_SLOW))
+    user = UserProfile("u", UserClass.REGULAR, beta=1.0, apps=apps)
+    config = ScenarioConfig(users=(user,), capacity=50.0, protocol=ProtocolParams())
+    again = scenario_from_dict(scenario_to_dict(config))
+    for app, original in zip(again.users[0].apps, apps):
+        for price in (1e-3, 0.05, 0.75, 4.0):
+            assert app.demand_at(price) == original.demand_at(price)
+
+
+def test_a_weightless_application_builds_no_demand_and_demands_nothing():
+    app = Application(LOG_FAST, 0.0)
+    assert app.demand_at is None and replace(app, weight=0.5).demand_at is not None
+    assert replace(Application(SIG_STEEP, 0.5), weight=0.0).demand_at is None
+    assert app_rate_at_price(app, 1e-6) == 0.0
+    user = UserProfile("u", UserClass.REGULAR, beta=1.0, apps=(app, Application(LOG_SLOW, 1.0)))
+    assert user_rate_at_price(user, 0.1) == app_rate_at_price(user.apps[1], 0.1)
+
+
+@pytest.mark.parametrize(
+    "utility, weight, price",
+    [(LogarithmicUtility(k=1e-300, r_max=100.0), 0.5, 1e300),
+     (LogarithmicUtility(k=1e-20, r_max=10.0), 1.0, 1e300),
+     (SigmoidalUtility(a=1e-300, b=20.0), 0.5, 1e300),
+     (SigmoidalUtility(a=1e-20, b=5.0), 0.25, 1e290)],
+)
+def test_demand_where_the_closed_form_underflows_is_weight_over_price(utility, weight, price):
+    # z = k w / p (log) or M = w a (1 + e^{-ab}) / p (sigmoid) underflows,
+    # and the demand was 0. Near rate 0, (ln U)' is 1 / r to within
+    # rounding, so the demand is w / p, a normal float here. The
+    # reference solves the same roots (Lambert W, the quadratic in
+    # t = e^{ar} - 1) in mpmath, which does not underflow.
+    rate = utility.demand_curve(weight)(price)
+    assert rate == weight / price and rate >= 2.2250738585072014e-308
+    with mpmath.workdps(50):
+        w_, p_ = mpmath.mpf(weight), mpmath.mpf(price)
+        if isinstance(utility, SigmoidalUtility):
+            a_, b_ = mpmath.mpf(utility.a), mpmath.mpf(utility.b)
+            e_ab = mpmath.exp(-a_ * b_)
+            m_ = w_ * a_ * (1 + e_ab) / p_
+            half_b = (1 + e_ab) * (p_ - a_ * w_) / (2 * p_)
+            reference = mpmath.log1p(m_ / (half_b + mpmath.sqrt(half_b**2 + e_ab * m_))) / a_
+        else:
+            k_ = mpmath.mpf(utility.k)
+            reference = mpmath.expm1(mpmath.lambertw(k_ * w_ / p_).real) / k_
+        reference = float(reference)
+    assert_close(rate, reference, rel=1e-15)
 
 
 @pytest.mark.parametrize("utility", [SIG_STEEP, SIG_SHALLOW, LOG_FAST, LOG_SLOW])
