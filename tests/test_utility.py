@@ -382,7 +382,9 @@ def test_a_weightless_application_builds_no_demand_and_demands_nothing():
     [(LogarithmicUtility(k=1e-300, r_max=100.0), 0.5, 1e300),
      (LogarithmicUtility(k=1e-20, r_max=10.0), 1.0, 1e300),
      (SigmoidalUtility(a=1e-300, b=20.0), 0.5, 1e300),
-     (SigmoidalUtility(a=1e-20, b=5.0), 0.25, 1e290)],
+     (SigmoidalUtility(a=1e-20, b=5.0), 0.25, 1e290),
+     # w a (1 + e^{-ab}) itself underflows to 0, and its log is not taken
+     (SigmoidalUtility(a=1e-300, b=20.0), 1e-30, 1e-300)],
 )
 def test_demand_where_the_closed_form_underflows_is_weight_over_price(utility, weight, price):
     # z = k w / p (log) or M = w a (1 + e^{-ab}) / p (sigmoid) underflows,
