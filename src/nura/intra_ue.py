@@ -8,7 +8,9 @@ cap). Safeguarded Newton steps in ln p find that price from a given
 start price. Where demand jumps across a relative price change below
 float resolution (a sigmoid's flat stretch), every amount is topped up
 between its demands at the ends of a 1e-10-wide bracket by one common
-fraction.
+fraction. Each trial is one loop over the rows for the demands and
+one for the Newton step's bookkeeping, and every total is added left
+to right, so a clearing gives the same bits on every CPython version.
 
 The bidding stage ends with one clearing (protocol); allocate_internal
 clears a user's rate among its applications: on U(r) with targets as
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import ContractError, DomainError, SolverError
 from .price_response import app_rate_at_price
-from .utility import NEG_INF, CaseFlag, RegimeTable, UserProfile, app_rows
+from .utility import NEG_INF, CaseFlag, RegimeTable, UserProfile, add_up, app_rows
 
 _PRICE_RTOL = 1e-10
 _PRICE_FLOOR = 1e-150
@@ -59,23 +61,29 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
     its cap; a budget no price above the floor spends, or one that every
     price up to the float range overspends, raises SolverError.
     """
-    rows, caps, budget = table.rows, table.user_caps, table.budget
+    rows, caps, budget, case = table.rows, table.user_caps, table.budget, table.case
     betas = [user.beta for user in table.participants]
     ceiling = sys.float_info.max * min(1.0, *betas)  # keeps every price / beta finite
-    # No row can take more than its cap, its user's cap or the budget.
-    limits = [
-        min(c for c in (row.cap, caps[row.user_slot], budget) if c is not None) for row in rows
-    ]
+    # Each row's user slot and limit: no row can take more than its cap,
+    # its user's cap or the budget.
+    slots, limits = [], []
+    for row in rows:
+        slots.append(row.user_slot)
+        limits.append(min(c for c in (row.cap, caps[row.user_slot], budget) if c is not None))
 
-    def demand(price: float) -> tuple[list[float], list[float]]:  # (shares, rates)
-        rates = [
-            app_rate_at_price(row.app, price / betas[row.user_slot], limit, table.case)
-            for row, limit in zip(rows, limits)
-        ]
+    def demand(price: float) -> tuple[list[float], list[float], float]:  # shares, rates, total
+        rates = []
         shares = [0.0] * len(caps)
-        for row, rate in zip(rows, rates):
-            shares[row.user_slot] += rate
-        return [s if cap is None else min(s, cap) for s, cap in zip(shares, caps)], rates
+        for row, slot, limit in zip(rows, slots, limits):
+            rate = app_rate_at_price(row.app, price / betas[slot], limit, case)
+            rates.append(rate)
+            shares[slot] += rate
+        total = 0.0  # added left to right, the same bits on every CPython
+        for slot, cap in enumerate(caps):
+            if cap is not None and shares[slot] > cap:
+                shares[slot] = cap
+            total += shares[slot]
+        return shares, rates, total
 
     # Newton on ln(total demand) as a function of ln p; for log apps it
     # is nearly linear. Each free row (weighted, and neither it nor its
@@ -88,29 +96,33 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
     tol = 1e-9 * budget
     lo, hi = 0.0, math.inf
     price = min(max(price, _PRICE_FLOOR), ceiling)
-    shares, rates = demand(price)
+    shares, rates, total = demand(price)
     last_step = prior_step = math.inf
     stretch = 2.0
     for _ in range(_MAX_PRICE_STEPS):
-        total = sum(shares)
         if abs(total - budget) <= tol:
             return price, shares, rates
-        full = [cap is not None and share >= cap for share, cap in zip(shares, caps)]
-        room = [
-            (row, rate)
-            for row, rate, limit in zip(rows, rates, limits)
-            if rate < limit and not full[row.user_slot]
-        ]
-        free = [(row, rate) for row, rate in room if row.app.weight > 0.0]
+        # One pass over the rows: does any have room (below its limit, its
+        # user not at its cap), is one of those free (weighted), and which
+        # free rows demand a positive rate (their slopes give the step).
+        room = free = False
+        moving = []
+        for row, slot, rate, limit in zip(rows, slots, rates, limits):
+            if rate < limit and not (caps[slot] is not None and shares[slot] >= caps[slot]):
+                room = True
+                if row.app.weight > 0.0:
+                    free = True
+                    if rate > 0.0:
+                        moving.append((row, rate))
         if total > budget and price < ceiling:
-            lo, lower = price, (shares, rates)
+            lo, lower = price, (shares, rates, total)
         elif total > budget:
             raise SolverError(
                 f"demand {total} exceeds the budget {budget} at every price up to {price}",
                 bracket=(lo, price),
             )
         elif free and price > _PRICE_FLOOR:
-            hi, upper = price, (shares, rates)
+            hi, upper = price, (shares, rates, total)
         elif not room:
             return price, shares, rates  # every application sits at its cap: slack
         else:
@@ -126,11 +138,11 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
                 break
         # A row whose slope is 0 or not finite (k * r overflowed a log
         # app) tells nothing of the response and is left out.
-        slopes = (
-            row.app.utility.dlog_and_slope(rate + row.offset)[1]
-            for row, rate in free if rate > 0.0
-        )
-        response = sum(1.0 / slope for slope in slopes if -math.inf < slope < 0.0)
+        response = 0.0
+        for row, rate in moving:
+            slope = row.app.utility.dlog_and_slope(rate + row.offset)[1]
+            if -math.inf < slope < 0.0:
+                response += 1.0 / slope
         step = math.nan
         if response < 0.0 and total > 0.0:
             step = math.log(budget / total) * total / response
@@ -150,15 +162,16 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
             prior_step = last_step = math.inf
             stretch *= stretch
         price = trial
-        shares, rates = demand(price)
+        shares, rates, total = demand(price)
     else:
         raise SolverError(f"no price in ({lo}, {hi}) meets the budget {budget}", bracket=(lo, hi))
 
     # Some demand jumps inside the bracket: top every amount up from the
     # upper price's demand toward the lower price's by one fraction.
-    fraction = (budget - sum(upper[0])) / (sum(lower[0]) - sum(upper[0]))
+    fraction = (budget - upper[2]) / (lower[2] - upper[2])
     shares, rates = (
-        [u + fraction * (v - u) for u, v in zip(high, low)] for high, low in zip(upper, lower)
+        [u + fraction * (v - u) for u, v in zip(high, low)]
+        for high, low in zip(upper[:2], lower[:2])
     )
     return hi, shares, rates
 
@@ -207,7 +220,7 @@ def allocate_internal(
         return InternalAllocation(tuple(0.0 for _ in user.apps), 0.0)
     if weightless or (case is CaseFlag.TARGETS_BELOW_CAPACITY and r_opt <= granted):
         # Nothing meaningful above the targets; grant exactly those.
-        return InternalAllocation(offsets, r_opt - sum(offsets))
+        return InternalAllocation(offsets, r_opt - add_up(offsets))
 
     # The user's rows share r_opt above its offsets, each app within its
     # own cap; the user's cap is already inside r_opt.

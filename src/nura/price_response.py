@@ -10,15 +10,17 @@ the utility's demand_curve), so no demand needs a start, a tolerance or
 a per-call constant. The capacity regime sets c (the target when
 capacity is abundant, else 0): app_rate_at_price, used by the clearings.
 
-The bidding rounds read a BidLayout built once per run (bidders): each
-distinct (utility, weight, beta) once as a curve, and per participant
-its rows' curve slots, offsets and caps. demands evaluates each curve
-once at price / beta and sums every participant's rows'
-min(max(r - c, 0), cap), clipped at the user's cap. A bid is price
-times that demand plus the user's offsets, smoothed between rounds by
-an exponentially shrinking step (damp_bid) so the bidding protocol's
+The bidding rounds read a BidLayout that bidders builds once per run
+from the run's RegimeTable: each distinct (utility, weight, beta) once
+as a curve, and per participant its rows' curve slots, offsets and
+caps. demands evaluates each curve once at price / beta, and each
+participant adds its rows' min(max(r - c, 0), cap) left to right in a
+plain loop, clipped at the user's cap. A bid is price times that demand
+plus the user's offsets, smoothed between rounds by an exponentially
+shrinking step (damp_bid, looked up per bid) so the bidding protocol's
 fixed-point iteration cannot oscillate forever (round_bids).
-user_rate_at_price and vip_bid wrap them for one user.
+user_rate_at_price and vip_bid wrap them for one user, through a
+one-user table.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, SolverError
-from .utility import Application, CaseFlag, UserProfile, app_rows
+from .utility import Application, CaseFlag, RegimeTable, UserProfile, app_rows
 
 
 def app_rate_at_price(
@@ -75,13 +77,14 @@ class BidLayout(NamedTuple):
     members: tuple[Bidder, ...]
 
 
-def bidders(case: CaseFlag, users: Sequence[UserProfile], caps: Sequence) -> BidLayout:
-    """The users as a BidLayout under the regime, in order, caps[i] (None:
-    no cap) bounding user i's total rate above its offset."""
+def bidders(table: RegimeTable) -> BidLayout:
+    """The table's participants as a BidLayout, in order, each bounded by
+    its user cap (None: no cap) above its offset."""
+    users, case = table.participants, table.case
     slots: dict[tuple, int] = {}
     curves = []
     rows: list[list] = [[] for _ in users]
-    for row in app_rows(users, case):
+    for row in table.rows:
         if row.app.weight != 0.0 and row.cap != 0.0:
             beta = users[row.user_slot].beta
             slot = slots.setdefault((row.app.utility, row.app.weight, beta), len(curves))
@@ -92,9 +95,14 @@ def bidders(case: CaseFlag, users: Sequence[UserProfile], caps: Sequence) -> Bid
     members = tuple(
         Bidder(user.user_id, user.beta, math.inf if cap is None else cap,
                case.user_offset(user), tuple(user_rows))
-        for user, cap, user_rows in zip(users, caps, rows)
+        for user, cap, user_rows in zip(users, table.user_caps, rows)
     )
     return BidLayout(tuple(curves), members)
+
+
+def _one_user(user: UserProfile, user_cap: float | None, case: CaseFlag) -> BidLayout:
+    """The BidLayout of one user; bids read no budget."""
+    return bidders(RegimeTable(case, (user,), math.inf, (user_cap,), app_rows((user,), case)))
 
 
 def demands(layout: BidLayout, price: float) -> list[float]:
@@ -102,9 +110,9 @@ def demands(layout: BidLayout, price: float) -> list[float]:
 
     beta scales the whole log-utility sum, so it enters as a price
     rescale and the rows demand independently: each distinct curve is
-    evaluated once, at price / beta, and each member sums its own rows
-    between 0 and their caps. A binding cap is taken whole: marginal
-    utilities stay positive.
+    evaluated once, at price / beta, and each member adds its own rows,
+    each between 0 and its cap, left to right, as a plain loop. A
+    binding cap is taken whole: marginal utilities stay positive.
     """
     # nan marks a price out of range; its members raise below, in order.
     values = [
@@ -116,11 +124,15 @@ def demands(layout: BidLayout, price: float) -> list[float]:
         p = price / beta
         if not 0.0 < p < math.inf:
             raise DomainError(f"price must be positive, got {p!r}")
-        total = sum([min(max(values[i] - c, 0.0), lim) for i, c, lim in rows], 0.0)
+        total = 0.0
+        for i, c, lim in rows:
+            rate = values[i] - c
+            if rate > 0.0:  # a rate of 0 or below adds nothing
+                total += rate if rate <= lim else lim
         # Raise where an uncapped row's demand (lim inf) is itself inf.
         if total == math.inf and any(lim == values[i] - c == math.inf for i, c, lim in rows):
             raise SolverError(f"demand at price {p} exceeds float range", bracket=(0.0, math.inf))
-        out.append(min(total, cap))
+        out.append(total if total <= cap else cap)
     return out
 
 
@@ -130,12 +142,10 @@ def round_bids(
 ) -> dict[str, float]:
     """Every member's damped bid for round round_index, by user id: it bids
     for its demand and its offset, price * (rate + offset)."""
-    return {
-        member.user_id: damp_bid(
-            price * (rate + member.offset), prev[member.user_id], round_index, l1, l2
-        )
-        for member, rate in zip(layout.members, demands(layout, price))
-    }
+    bids = {}
+    for (user_id, _, _, offset, _), rate in zip(layout.members, demands(layout, price)):
+        bids[user_id] = damp_bid(price * (rate + offset), prev[user_id], round_index, l1, l2)
+    return bids
 
 
 def user_rate_at_price(
@@ -145,7 +155,7 @@ def user_rate_at_price(
     """The demand of one user under the regime, capped in total by user_cap."""
     if user_cap is not None and user_cap < 0.0:
         raise DomainError(f"user_cap must be nonnegative, got {user_cap!r}")
-    return demands(bidders(case, (user,), (user_cap,)), price)[0]
+    return demands(_one_user(user, user_cap, case), price)[0]
 
 
 def damp_bid(proposed: float, prev: float, round_index: int, l1: float, l2: float) -> float:
@@ -172,5 +182,5 @@ def vip_bid(
 ) -> float:
     """The bid of one user under the regime (capped per application and
     in total when capacity is scarce)."""
-    layout = bidders(case, (user,), (case.user_cap(user),))
+    layout = _one_user(user, case.user_cap(user), case)
     return round_bids(layout, price, round_index, {user.user_id: prev_bid}, l1, l2)[user.user_id]

@@ -5,9 +5,11 @@ the current bid vector into a shadow price (total bids / capacity),
 every participating user answers with a damped bid built from its
 demand at that price, and the loop stops once no bid moved by the
 threshold delta. The participants are laid out once per run as a
-price_response BidLayout, and each round is one price_response.round_bids
-call: every distinct demand curve is evaluated once, and users that
-share one (same utility, weight and beta) read the same value.
+price_response BidLayout, read from the run's regime table, and each
+round is one price_response.round_bids call: every distinct demand
+curve is evaluated once, and users that share one (same utility,
+weight and beta) read the same value. Bids are totalled left to right
+(add_up), so a run gives the same bits on every CPython version.
 Damped bids stop short of the fixed point, so the rates come from one
 exact clearing (intra_ue.clear_price) that starts from the stop
 round's price.
@@ -30,7 +32,7 @@ from .intra_ue import clear_price
 from .price_response import bidders, round_bids, vip_bid  # noqa: F401 (tracers rebind vip_bid here)
 
 # determine_case is re-exported: the regime is part of this stage's interface.
-from .utility import CaseFlag, UserProfile, determine_case, regime_table  # noqa: F401
+from .utility import CaseFlag, UserProfile, add_up, determine_case, regime_table  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def enodeb_step(
         raise ProtocolError("no participating users, cannot price an empty bid vector")
     if all(abs(bid - prev_bids.get(uid, 0.0)) < params.delta for uid, bid in bids.items()):
         return None
-    return max(sum(bids.values()) / capacity, params.price_floor)
+    return max(add_up(bids.values()) / capacity, params.price_floor)
 
 
 def run_first_stage(
@@ -139,7 +141,7 @@ def run_first_stage(
         raise ContractError("user ids must be unique")
 
     table = regime_table(users, capacity)
-    layout = bidders(table.case, table.participants, table.user_caps)
+    layout = bidders(table)
     if not layout.members:
         raise ProtocolError("scenario has no participating users")
 
@@ -161,7 +163,7 @@ def run_first_stage(
     for round_index in range(1, params.max_rounds + 1):
         outcome = enodeb_step(bids, prev, capacity, params)
         if outcome is None:
-            price = max(sum(bids.values()) / capacity, params.price_floor)
+            price = max(add_up(bids.values()) / capacity, params.price_floor)
             trace.append(RoundState(round_index, dict(bids), price, True))
             final_price, shares, _ = clear_price(table, price)
             rates = dict.fromkeys((user.user_id for user in users), 0.0)

@@ -188,7 +188,13 @@ def _parse_utility(node, path: str, violations: list[str]):
     names = [f.name for f in fields(cls)]
     _check_keys(node, {"kind", *names}, path, violations)
     values = [_get_number(node, name, path, violations, positive=True) for name in names]
-    return None if None in values else cls(*values)
+    if None in values:
+        return None
+    try:  # the curve's own checks judge the parameters together
+        return cls(*values)
+    except DomainError as exc:
+        violations.append(f"{path}: {exc}")
+        return None
 
 
 def _parse_protocol(node, path: str, violations: list[str]) -> ProtocolParams:

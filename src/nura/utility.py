@@ -26,13 +26,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import ContractError, DomainError
 
 NEG_INF = float("-inf")
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitter
 _TINY = 2.2250738585072014e-308  # the smallest normal float
+
+
+def add_up(values: Iterable[float]) -> float:
+    """The values added left to right from 0.0, as sum() did before CPython
+    3.12 (which compensates float sums), so totals keep their bits on
+    every version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _require_positive_finite(value: float, name: str) -> None:
@@ -226,8 +236,14 @@ class LogarithmicUtility:
     def __post_init__(self) -> None:
         _require_positive_finite(self.k, "k")
         _require_positive_finite(self.r_max, "r_max")
+        norm = math.log1p(self.k * self.r_max)
+        if not 0.0 < norm < math.inf:  # k * r_max underflowed to 0 or overflowed
+            raise DomainError(
+                f"ln(1 + k * r_max) must be positive and finite, got {norm!r} "
+                f"(k={self.k!r}, r_max={self.r_max!r})"
+            )
         # ln of the normalisation, set once; not a field (see SigmoidalUtility).
-        object.__setattr__(self, "_log_norm", math.log(math.log1p(self.k * self.r_max)))
+        object.__setattr__(self, "_log_norm", math.log(norm))
 
     @property
     def rate_scale(self) -> float:
@@ -381,7 +397,7 @@ class UserProfile:
 
     @property
     def total_target(self) -> float:
-        return sum(app.offset for app in self.apps)
+        return add_up(app.offset for app in self.apps)
 
 
 def aggregate_user_utility(user: UserProfile, rates: Sequence[float]) -> float:
@@ -445,7 +461,7 @@ def determine_case(users: Sequence[UserProfile], capacity: float) -> CaseFlag:
     """Scarce capacity iff the VIP users' summed target rates reach it."""
     if not (math.isfinite(capacity) and capacity > 0.0):
         raise DomainError(f"capacity must be positive, got {capacity!r}")
-    total = sum(user.total_target for user in users if user.is_vip)
+    total = add_up(user.total_target for user in users if user.is_vip)
     if total >= capacity:
         return CaseFlag.TARGETS_EXCEED_CAPACITY
     return CaseFlag.TARGETS_BELOW_CAPACITY
@@ -498,7 +514,7 @@ def regime_table(users: Sequence[UserProfile], capacity: float) -> RegimeTable:
     return RegimeTable(
         case=case,
         participants=participants,
-        budget=capacity - sum(case.user_offset(user) for user in participants),
+        budget=capacity - add_up(case.user_offset(user) for user in participants),
         user_caps=tuple(case.user_cap(user) for user in participants),
         rows=app_rows(participants, case),
     )

@@ -170,10 +170,12 @@ def test_demand_where_its_closed_form_underflows_splits_as_the_oracle(cell, extr
 
 
 def test_an_overflowing_log_slope_is_left_out_of_the_newton_response(cell):
-    # k * r overflows ue1's log app, whose slope (ln (ln U)')' is then 0;
-    # the clearing divided by it and raised ZeroDivisionError.
+    # k * r overflows ue1's log app past r = 1.06, whose slope
+    # (ln (ln U)')' is then 0; the clearing divided by it and raised
+    # ZeroDivisionError. (r_max = 1 keeps k * r_max, the normalisation's
+    # argument, finite.)
     ue1 = cell.users[0]
-    app = replace(ue1.apps[1], utility=LogarithmicUtility(k=1.7e308, r_max=100.0))
+    app = replace(ue1.apps[1], utility=LogarithmicUtility(k=1.7e308, r_max=1.0))
     users = (replace(ue1, apps=(ue1.apps[0], app)),) + cell.users[1:]
     _assert_conserved(run_once(replace(cell, users=users, capacity=1e6)))
 

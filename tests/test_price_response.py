@@ -408,7 +408,7 @@ def _curve_slots(users, capacity):
     """Each participant's curve slots in the bidding layout, and the
     number of distinct curves."""
     table = regime_table(users, capacity)
-    layout = price_response.bidders(table.case, table.participants, table.user_caps)
+    layout = price_response.bidders(table)
     slots = {member.user_id: [slot for slot, _, _ in member.rows] for member in layout.members}
     return slots, len(layout.curves)
 
@@ -429,6 +429,100 @@ def test_bidders_share_a_curve_only_at_equal_utility_weight_and_beta(cell):
     assert slots["ue4"] == [4, 5] and distinct == 6
     # under scarce capacity only the VIPs bid
     assert _curve_slots(cell.users, 40.0) == ({"ue1": [0, 1], "ue2": [2, 3]}, 4)
+
+
+# ---------------------------------------------------------------------------
+# per-member demand sums against a left-to-right restatement
+
+_CURVE_APPS = (
+    Application(utility=LogarithmicUtility(k=2.0, r_max=60.0), weight=0.6),
+    Application(utility=SigmoidalUtility(a=0.7, b=9.0), weight=0.9),
+    Application(utility=SigmoidalUtility(a=1.0, b=30.0), weight=0.4),
+    Application(utility=UNIT_LOG, weight=1.0),
+)
+_BETAS = (0.5, 1.0, 2.0, 5.0)
+
+
+def _reference_demands(layout, price):
+    """Each member's min(max(v - c, 0), lim), added left to right, then
+    clipped at the member's cap."""
+    out = []
+    for member in layout.members:
+        total = 0.0
+        for slot, offset, lim in member.rows:
+            curve, beta = layout.curves[slot]
+            total = total + min(max(curve(price / beta) - offset, 0.0), lim)
+        out.append(min(total, member.cap))
+    return out
+
+
+@st.composite
+def _layouts(draw):
+    """A price and a BidLayout whose members share curves at equal beta,
+    with row offsets and caps on both sides of each row's demand."""
+    price = 10.0 ** draw(st.floats(-3.0, 2.0))
+    slots: dict[tuple[int, float], int] = {}
+    curves = []
+    members = []
+    fraction = st.floats(0.0, 2.0)
+    for index in range(draw(st.integers(1, 5))):
+        beta = draw(st.sampled_from(_BETAS))
+        rows = []
+        for app_index in draw(st.lists(st.integers(0, len(_CURVE_APPS) - 1), max_size=4)):
+            slot = slots.setdefault((app_index, beta), len(curves))
+            if slot == len(curves):
+                curves.append((_CURVE_APPS[app_index].demand_at, beta))
+            demand = curves[slot][0](price / beta)
+            offset = draw(fraction) * demand
+            cap = draw(st.one_of(st.just(math.inf), fraction.map(lambda f: f * demand)))
+            rows.append((slot, offset, cap))
+        cap = draw(st.one_of(st.just(math.inf), st.floats(0.0, 200.0)))
+        members.append(price_response.Bidder(f"u{index}", beta, cap, 0.0, tuple(rows)))
+    return price, price_response.BidLayout(tuple(curves), tuple(members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_layouts())
+def test_demands_add_each_members_rows_left_to_right(drawn):
+    price, layout = drawn
+    got = price_response.demands(layout, price)
+    assert [x.hex() for x in got] == [x.hex() for x in _reference_demands(layout, price)]
+
+
+def _member(user_id, beta, rows, cap=math.inf):
+    return price_response.Bidder(user_id, beta, cap, 0.0, tuple(rows))
+
+
+def test_demands_raise_at_the_first_member_out_of_range():
+    curves = tuple((app.demand_at, beta) for app in _CURVE_APPS[:1] for beta in (2.0, 0.5, 5.0))
+    fine = _member("a", 2.0, [(0, 0.0, 5.0)])
+    high, low = _member("b", 0.5, [(1, 0.0, 5.0)]), _member("c", 5.0, [(2, 0.0, 5.0)])
+    layout = price_response.BidLayout(curves, (fine, high, low))
+    with pytest.raises(DomainError, match=r"price must be positive, got inf"):
+        price_response.demands(layout, 1e308)  # 1e308 / 0.5 overflows
+    with pytest.raises(DomainError, match=r"price must be positive, got 0\.0"):
+        price_response.demands(layout, 5e-324)  # 5e-324 / 5 underflows
+    layout = price_response.BidLayout(curves, (fine, low, high))
+    with pytest.raises(DomainError, match=r"price must be positive, got 0\.0"):
+        price_response.demands(layout, 5e-324)
+
+
+def test_demands_past_float_range_raise_only_uncapped():
+    # demand is about w / (p ln z), past float range at 5e-324 and beta 1
+    app = Application(LogarithmicUtility(k=1.0, r_max=10.0), weight=1.0)
+    curves = ((app.demand_at, 1.0), (app.demand_at, 5.0))
+    capped = _member("a", 1.0, [(0, 3.0, 7.0), (0, 0.0, 2.0)])
+    uncapped = _member("b", 1.0, [(0, 0.0, 1.0), (0, 0.0, math.inf)])
+    low = _member("c", 5.0, [(1, 0.0, math.inf)])
+    layout = price_response.BidLayout(curves, (capped, _member("d", 1.0, [(0, 0.0, 7.0)], 4.0)))
+    assert price_response.demands(layout, 5e-324) == [9.0, 4.0]
+    layout = price_response.BidLayout(curves, (capped, uncapped, low))
+    with pytest.raises(SolverError, match="demand at price 5e-324 exceeds float range"):
+        price_response.demands(layout, 5e-324)
+    # members raise in order: the one out of range comes first here
+    layout = price_response.BidLayout(curves, (capped, low, uncapped))
+    with pytest.raises(DomainError, match=r"got 0\.0"):
+        price_response.demands(layout, 5e-324)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,23 @@ def test_integers_beyond_the_float_range_are_violations():
     ]
 
 
+@pytest.mark.parametrize(
+    ("k", "r_max", "norm"),
+    [(1.7e308, 100.0, "inf"), (1e-300, 1e-300, "0.0")],  # k * r_max overflows, underflows
+)
+def test_a_log_curve_without_a_finite_normalisation_is_a_violation(cell, k, r_max, norm):
+    # ln ln(1 + k r_max) was inf (accepted, with ln U = -inf at every
+    # rate) or ln 0 (a bare ValueError).
+    raw = scenario_to_dict(cell)
+    raw["users"][0]["apps"][1]["utility"].update(k=k, r_max=r_max)
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(raw)
+    assert excinfo.value.violations == [
+        f"<dict>.users[0].apps[1].utility: ln(1 + k * r_max) must be positive and finite, "
+        f"got {norm} (k={k!r}, r_max={r_max!r})"
+    ]
+
+
 def test_validation_rejects_unknown_utility_kind():
     raw = _minimal_dict()
     raw["users"][0]["apps"][0]["utility"] = {"kind": "linear", "slope": 1.0}
