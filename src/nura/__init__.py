@@ -16,7 +16,7 @@ from .errors import (
     SweepError,
     ValidationError,
 )
-from .intra_ue import InternalAllocation, allocate_internal, split_value
+from .intra_ue import allocate_internal, split_value
 from .oracle import OracleResult, centralized_solve, grid_search_solve
 from .price_response import (
     app_rate_at_price,
@@ -69,7 +69,6 @@ __all__ = [
     "DomainError",
     "Epoch",
     "FirstStageResult",
-    "InternalAllocation",
     "LogarithmicUtility",
     "NonConvergenceError",
     "NuraError",

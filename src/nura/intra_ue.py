@@ -1,4 +1,4 @@
-"""Price clearing: the end of the bidding stage and the whole second stage.
+"""Price clearing, which ends the bidding stage, and the second stage.
 
 clear_price finds the price at which a regime table's participants
 spend its budget: each application demands the rate where its marginal
@@ -12,38 +12,29 @@ fraction. Each trial is one loop over the rows for the demands and
 one for the Newton step's bookkeeping, and every total is added left
 to right, so a clearing gives the same bits on every CPython version.
 
-The bidding stage ends with one clearing (protocol); allocate_internal
-clears a user's rate among its applications: on U(r) with targets as
-caps under scarce capacity, else on U(r + target), rates including it.
+The bidding stage ends with one clearing (protocol), whose rows are
+every application's rate. allocate_internal hands a user those rows,
+and clears its own rows again only when it is capped and they pass its
+rate: on U(r) with targets as caps under scarce capacity, else on
+U(r + target), rates including it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .errors import ContractError, DomainError, SolverError
+from .errors import ContractError, SolverError
 from .price_response import app_rate_at_price
 from .utility import NEG_INF, CaseFlag, RegimeTable, UserProfile, add_up, app_rows
+
+if TYPE_CHECKING:  # protocol imports this module
+    from .protocol import FirstStageResult
 
 _PRICE_RTOL = 1e-10
 _PRICE_FLOOR = 1e-150
 _MAX_PRICE_STEPS = 200
-
-
-@dataclass(frozen=True)
-class InternalAllocation:
-    """Per-app rates handed out by the second stage.
-
-    rates are final allocations (targets included under abundant
-    capacity); slack is the unspent part of the budget, nonzero only
-    when every application sits at its cap.
-    """
-
-    rates: tuple[float, ...]
-    slack: float
 
 
 def _geometric_mean(lo: float, hi: float) -> float:
@@ -176,59 +167,22 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
     return hi, shares, rates
 
 
-def allocate_internal(
-    user: UserProfile,
-    r_opt: float,
-    case: CaseFlag,
-    start_price: float = 1.0,
-) -> InternalAllocation:
-    """Split r_opt among the user's applications by clearing their price.
+def allocate_internal(user: UserProfile, first: FirstStageResult) -> tuple[float, ...]:
+    """The user's application rates, targets included, given the first stage.
 
-    Under abundant capacity r_opt must cover the user's total target
-    (the bidding stage guarantees it). Under scarce capacity any budget
-    beyond the target caps flows to the uncapped applications; if every
-    application is capped, the leftover stays as slack. The search
-    begins at the internal price start_price; the first stage's final
-    price / beta is the answer itself for a user its cap does not bind.
+    They are the closing clearing's rows, unless the user has a cap and
+    those rows, its demand at the final price, pass its rate; then its
+    own rows alone clear the rate above its offsets, from the final
+    price.
     """
-    if not (math.isfinite(r_opt) and r_opt >= 0.0):
-        raise DomainError(f"r_opt must be finite and nonnegative, got {r_opt!r}")
-    if not (math.isfinite(start_price) and start_price > 0.0):
-        raise DomainError(f"start_price must be positive, got {start_price!r}")
+    uid, case = user.user_id, first.case
+    demands = first.app_demands[uid]
+    if case.user_cap(user) is None or add_up(demands) <= first.rates[uid]:
+        return demands
     rows = app_rows([user], case)
-    granted = case.user_offset(user)
-    feas_tol = 1e-6 * max(r_opt, 1.0)
-
-    if r_opt < granted - feas_tol:
-        raise ContractError(
-            f"user {user.user_id!r}: r_opt {r_opt} does not cover total target "
-            f"{granted} under abundant capacity"
-        )
-
-    offsets = tuple(row.offset for row in rows)
-    weightless = all(app.weight == 0.0 for app in user.apps)
-    if weightless:
-        # Unreachable for valid scenarios (weights sum to 1); handled so a
-        # hand-built profile degrades predictably instead of looping.
-        warnings.warn(
-            f"user {user.user_id!r} has all-zero application weights; "
-            "allocating target offsets only",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    elif r_opt == 0.0:
-        return InternalAllocation(tuple(0.0 for _ in user.apps), 0.0)
-    if weightless or (case is CaseFlag.TARGETS_BELOW_CAPACITY and r_opt <= granted):
-        # Nothing meaningful above the targets; grant exactly those.
-        return InternalAllocation(offsets, r_opt - add_up(offsets))
-
-    # The user's rows share r_opt above its offsets, each app within its
-    # own cap; the user's cap is already inside r_opt.
-    table = RegimeTable(case, (user,), r_opt - granted, (None,), rows)
-    _, shares, rates = clear_price(table, start_price * user.beta)
-    return InternalAllocation(
-        tuple(rate + offset for rate, offset in zip(rates, offsets)), table.budget - shares[0]
-    )
+    table = RegimeTable(case, (user,), first.rates[uid] - case.user_offset(user), (None,), rows)
+    _, _, rates = clear_price(table, first.final_price)
+    return tuple(rate + row.offset for rate, row in zip(rates, rows))
 
 
 def split_value(user: UserProfile, rates, case: CaseFlag) -> float:

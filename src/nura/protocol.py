@@ -12,7 +12,7 @@ weight and beta) read the same value. Bids are totalled left to right
 (add_up), so a run gives the same bits on every CPython version.
 Damped bids stop short of the fixed point, so the rates come from one
 exact clearing (intra_ue.clear_price) that starts from the stop
-round's price.
+round's price; its per-application rates are kept for the second stage.
 
 When the VIP users' aggregate target rates reach the capacity, only VIP
 users participate and their demand is capped at their targets, per
@@ -90,12 +90,17 @@ class FirstStageResult:
     """Outcome of the bidding stage.
 
     rates (every user in declaration order, excluded ones at exactly 0.0)
-    and final_price come from the clearing after the loop; trace lists
-    one RoundState per executed round, the stop round included.
+    and final_price come from the clearing after the loop, and so do
+    app_demands: each user's application rates there, targets included
+    (all 0.0 for an excluded user). A capped user's app_demands are its
+    demand at final_price, not a split of its rate, so they may sum past
+    it. trace lists one RoundState per executed round, the stop round
+    included.
     """
 
     case: CaseFlag
     rates: Mapping[str, float]
+    app_demands: Mapping[str, tuple[float, ...]]
     final_price: float
     trace: tuple[RoundState, ...] = field(repr=False)
     rounds_used: int
@@ -165,13 +170,19 @@ def run_first_stage(
         if outcome is None:
             price = max(add_up(bids.values()) / capacity, params.price_floor)
             trace.append(RoundState(round_index, dict(bids), price, True))
-            final_price, shares, _ = clear_price(table, price)
+            final_price, shares, row_rates = clear_price(table, price)
             rates = dict.fromkeys((user.user_id for user in users), 0.0)
-            for bidder, share in zip(layout.members, shares):
+            app_demands = {user.user_id: (0.0,) * len(user.apps) for user in users}
+            demands = [[] for _ in shares]
+            for row, rate in zip(table.rows, row_rates):
+                demands[row.user_slot].append(rate + row.offset)
+            for bidder, share, user_demands in zip(layout.members, shares, demands):
                 rates[bidder.user_id] = share + bidder.offset
+                app_demands[bidder.user_id] = tuple(user_demands)
             return FirstStageResult(
                 case=table.case,
                 rates=rates,
+                app_demands=app_demands,
                 final_price=final_price,
                 trace=tuple(trace),
                 rounds_used=round_index,

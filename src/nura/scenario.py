@@ -440,12 +440,7 @@ def load_schedule(path) -> WeightSchedule:
 def run_once(config: ScenarioConfig, keep_trace: bool = False) -> RunRecord:
     """Solve both stages for one scenario under its protocol and collect the results."""
     first = run_first_stage(config.users, config.capacity, config.protocol)
-    app_rates = {
-        user.user_id: allocate_internal(
-            user, first.rates[user.user_id], first.case, first.final_price / user.beta
-        ).rates
-        for user in config.users
-    }
+    app_rates = {user.user_id: allocate_internal(user, first) for user in config.users}
     return RunRecord(
         scenario=config.description,
         capacity=config.capacity,

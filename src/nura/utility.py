@@ -67,6 +67,10 @@ class SigmoidalUtility:
         # Per-curve constants; not fields, so ==, hash, repr and replace see a, b only.
         object.__setattr__(self, "_e_ab", math.exp(-self.a * self.b))
         object.__setattr__(self, "_scale", self.a * (1.0 + self._e_ab))
+        if self._scale == math.inf:  # (ln U)' near rate 0 and the demand need it
+            raise DomainError(
+                f"a * (1 + e^(-a * b)) must be finite, got inf (a={self.a!r}, b={self.b!r})"
+            )
 
     @property
     def c_norm(self) -> float:
@@ -192,7 +196,6 @@ class SigmoidalUtility:
         a, b, e_ab = self.a, self.b, self._e_ab
         scaled = weight * self._scale
         log_scaled = math.log(scaled) if scaled > 0.0 else NEG_INF
-        ab = a * b
         half_c = 0.5 * (1.0 + e_ab)
         # a's upper half split on the mantissa, so no product overflows.
         mantissa, exponent = math.frexp(a)
@@ -213,9 +216,12 @@ class SigmoidalUtility:
             if half_b > 0.0:
                 return math.log1p(m / (half_b + root)) / a
             if half_b == 0.0:  # the plateau price itself: t^2 = M e^{ab}, e^{-ab} may be 0
-                log_t = 0.5 * (ab + math.log(m))
+                head, log_term = 0.5 * b, 0.5 * math.log(m)
             else:
-                log_t = ab + math.log(root - half_b)
+                head, log_term = b, math.log(root - half_b)
+            log_t = a * head + log_term
+            if log_t == math.inf:  # a * b overflowed: r = ln t / a, as e^{-ln t} is 0
+                return head + log_term / a
             return (log_t + math.log1p(math.exp(-log_t))) / a
 
         return demand

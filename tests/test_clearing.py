@@ -145,6 +145,18 @@ def test_the_oracle_certifies_extreme_valid_parameters(cell, extreme, capacity):
         assert abs(rate - reference.user_rates[uid]) <= tol, uid
 
 
+def test_a_sigmoid_whose_a_times_b_overflows_solves_as_the_oracle(cell):
+    # a = b = 1e200: the closed-form demand took ln t = a b + ... = inf,
+    # and run_once raised "demand at price 0.4 exceeds float range".
+    users = (replace(cell.users[0], apps=(
+        replace(cell.users[0].apps[0], utility=SigmoidalUtility(a=1e200, b=1e200)),
+        cell.users[0].apps[1])),) + cell.users[1:]
+    record = run_once(replace(cell, users=users))
+    reference = centralized_solve(users, cell.capacity)
+    for uid, rate in record.user_rates.items():
+        assert abs(rate - reference.user_rates[uid]) <= max(0.1, 0.005 * cell.capacity), uid
+
+
 @pytest.mark.parametrize("extreme", [_sigmoid_a_1e_neg300, _log_k_1e_neg300])
 def test_the_oracle_certifies_where_rate_products_underflow(cell, extreme):
     # At R = 1e-300 ue1's a r or k r rounds to 0, where (ln U)' was inf,

@@ -337,10 +337,10 @@ def test_log_demand_past_float_range_raises():
     assert app_rate_at_price(app, price=1e-300) == pytest.approx(1.45e297, rel=1e-2)
 
 
-# Demand calls per split, bounds about 30% above the measured 3.0 at
-# R = 30 and 2.0 at R = 100 (12.5 and 12.0 from the fixed start at
-# price 1).
-_DEMANDS_PER_SPLIT = {30.0: 3.9, 100.0: 2.6}
+# Demand calls per split, bounds about 30% above the measured 2.5 at
+# R = 30 (only ue1's cap binds, and its rows are cleared again from the
+# final price) and exactly the measured 0 at R = 100 (no user is capped).
+_DEMANDS_PER_SPLIT = {30.0: 3.3, 100.0: 0.0}
 
 
 @pytest.mark.parametrize("capacity", [30.0, 100.0])  # scarce, abundant
@@ -351,7 +351,8 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
     were 32-37 evaluations per demand call and 34-52 demand calls per
     split. Every demand is now closed-form, so the bids make no
     derivative call at all (only the clearings' Newton steps in ln p
-    do), and the split starts from the final price / beta.
+    do), and only a user whose demand passes its rate is split again,
+    from the final price.
     """
     counts = Counter()  # each count also keeps its share per stage
     stage = [None]  # "bid" or "split" while one runs

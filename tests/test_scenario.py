@@ -186,6 +186,19 @@ def test_a_log_curve_without_a_finite_normalisation_is_a_violation(cell, k, r_ma
     ]
 
 
+def test_a_sigmoid_whose_scale_overflows_is_a_violation(cell):
+    # a (1 + e^{-ab}) = inf passed validation; (ln U)'(1) was nan, and
+    # run_once raised "demand ... exceeds float range".
+    raw = scenario_to_dict(cell)
+    raw["users"][0]["apps"][0]["utility"].update(a=1e308, b=1e-310)
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(raw)
+    assert excinfo.value.violations == [
+        "<dict>.users[0].apps[0].utility: a * (1 + e^(-a * b)) must be finite, "
+        "got inf (a=1e+308, b=1e-310)"
+    ]
+
+
 def test_validation_rejects_unknown_utility_kind():
     raw = _minimal_dict()
     raw["users"][0]["apps"][0]["utility"] = {"kind": "linear", "slope": 1.0}

@@ -9,10 +9,14 @@ leave it as it is.
 import hashlib
 from dataclasses import replace
 
+import pytest
+
 from nura import bundled_schedule_path, load_schedule, run_once, scenario
 
 # SHA-256 of _digest_lines over _cells, frozen from the code it guards.
-PINNED = "2667f2437cb3c73c3b43b3bf631a75c6435ab36fee6336f05e328b0343616cba"
+# Without the application rates the digest is
+# 7c6deee11f0742a7cd1c5424da11c316ae09c6d420054cd7ad66c5095404abe1.
+PINNED = "b8660e9c806f39388fb5e04b42cf8f0f09de46f1cf31d203f9936e752b1a26be"
 
 
 def _cells(cell):
@@ -39,9 +43,24 @@ def _digest_lines(record):
     yield f"final {record.final_price.hex()}"
 
 
-def test_trace_digest_is_pinned(cell):
+@pytest.fixture(scope="module")
+def records(cell):
+    return [run_once(config, keep_trace=True) for config in _cells(cell)]
+
+
+def test_trace_digest_is_pinned(records):
     digest = hashlib.sha256()
-    for config in _cells(cell):
-        for line in _digest_lines(run_once(config, keep_trace=True)):
+    for record in records:
+        for line in _digest_lines(record):
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == PINNED
+
+
+def test_app_rates_sum_to_user_rates(records):
+    # Each share is made of the closing clearing's rows, and a user whose
+    # demand passes its rate is cleared again from the final price; a
+    # fresh clearing of every user left sums up to 7.3e-11 off here.
+    for record in records:
+        for uid, rate in record.user_rates.items():
+            assert sum(record.app_rates[uid]) == pytest.approx(rate, rel=1e-12, abs=0), (
+                record.capacity, uid)

@@ -409,6 +409,17 @@ def test_demand_where_the_closed_form_underflows_is_weight_over_price(utility, w
     assert_close(rate, reference, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "weight, price, reference",
+    # past the plateau price a w, r = b + ln(...) / a; at it, r = b / 2 + ln(M) / 2a
+    [(0.5, 0.4, 1e160), (1.0, 1e160, 0.5e160)],
+)
+def test_sigmoid_demand_where_a_times_b_overflows_is_finite(weight, price, reference):
+    # ln t = a b + ln(...) overflowed to inf, and the demand with it.
+    rate = SigmoidalUtility(a=1e160, b=1e160).demand_curve(weight)(price)
+    assert rate == pytest.approx(reference, rel=1e-15)
+
+
 @pytest.mark.parametrize("utility", [SIG_STEEP, SIG_SHALLOW, LOG_FAST, LOG_SLOW])
 def test_log_concavity_on_grid(utility):
     """d/dr ln U must be nonincreasing: 200 geometrically spaced rates."""
@@ -478,6 +489,8 @@ def test_sigmoid_value_in_unit_interval(a, b, rate):
         lambda: SigmoidalUtility(a=math.nan, b=20.0),
         lambda: LogarithmicUtility(k=0.0, r_max=100.0),
         lambda: LogarithmicUtility(k=0.5, r_max=math.inf),
+        # a (1 + e^{-ab}) overflows: (ln U)'(1) was nan
+        lambda: SigmoidalUtility(a=1e308, b=1e-310),
     ],
 )
 def test_bad_parameters_rejected(factory):
