@@ -30,7 +30,6 @@ from .protocol import (
     ProtocolParams,
     RoundState,
     determine_case,
-    enodeb_step,
     run_first_stage,
     trace_records,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "damp_bid",
     "determine_case",
     "emit_csv",
-    "enodeb_step",
     "grid_search_solve",
     "load_scenario",
     "load_schedule",

@@ -16,11 +16,12 @@ as a curve, and per participant its rows' curve slots, offsets and
 caps. demands evaluates each curve once at price / beta, and each
 participant adds its rows' min(max(r - c, 0), cap) left to right in a
 plain loop, clipped at the user's cap. A bid is price times that demand
-plus the user's offsets, smoothed between rounds by an exponentially
-shrinking step (damp_bid, looked up per bid) so the bidding protocol's
-fixed-point iteration cannot oscillate forever (round_bids).
-user_rate_at_price and vip_bid wrap them for one user, through a
-one-user table.
+plus the user's offsets, moved from the previous bid by at most the
+round's step (round_bids). The step shrinks exponentially, so the
+bidding protocol's fixed-point iteration cannot oscillate forever; the
+caller computes it once per round, and damp_bid, looked up per bid,
+only clamps. user_rate_at_price and vip_bid wrap them for one user,
+through a one-user table.
 """
 
 from __future__ import annotations
@@ -137,14 +138,13 @@ def demands(layout: BidLayout, price: float) -> list[float]:
 
 
 def round_bids(
-    layout: BidLayout, price: float, round_index: int, prev: Mapping[str, float],
-    l1: float, l2: float,
+    layout: BidLayout, price: float, step: float, prev: Mapping[str, float],
 ) -> dict[str, float]:
-    """Every member's damped bid for round round_index, by user id: it bids
-    for its demand and its offset, price * (rate + offset)."""
+    """Every member's bid, by user id, for its demand and its offset,
+    price * (rate + offset), damped toward it from prev by the round's step."""
     bids = {}
     for (user_id, _, _, offset, _), rate in zip(layout.members, demands(layout, price)):
-        bids[user_id] = damp_bid(price * (rate + offset), prev[user_id], round_index, l1, l2)
+        bids[user_id] = damp_bid(price * (rate + offset), prev[user_id], step)
     return bids
 
 
@@ -158,18 +158,12 @@ def user_rate_at_price(
     return demands(_one_user(user, user_cap, case), price)[0]
 
 
-def damp_bid(proposed: float, prev: float, round_index: int, l1: float, l2: float) -> float:
-    """Clamp a bid update to the shrinking step l1 * e^{-n / l2}.
+def damp_bid(proposed: float, prev: float, step: float) -> float:
+    """Move a bid from prev toward proposed, never past it, by at most step.
 
-    Moves from prev toward proposed, never past it, by at most the step
-    for round n; once steps fall below the stop threshold the protocol's
-    convergence test necessarily fires.
+    The protocol's step for round n is l1 * e^{-n / l2}; once steps fall
+    below the stop threshold its convergence test necessarily fires.
     """
-    if round_index < 1:
-        raise DomainError(f"round_index must be at least 1, got {round_index!r}")
-    if not (l1 > 0.0 and l2 > 0.0):
-        raise DomainError(f"damping constants must be positive, got l1={l1!r}, l2={l2!r}")
-    step = l1 * math.exp(-round_index / l2)
     diff = proposed - prev
     if abs(diff) > step:
         return prev + math.copysign(step, diff)
@@ -180,7 +174,8 @@ def vip_bid(
     user: UserProfile, price: float, round_index: int, prev_bid: float, l1: float, l2: float,
     *, case: CaseFlag,
 ) -> float:
-    """The bid of one user under the regime (capped per application and
-    in total when capacity is scarce)."""
+    """The bid of one user for round round_index under the regime (capped
+    per application and in total when capacity is scarce)."""
     layout = _one_user(user, case.user_cap(user), case)
-    return round_bids(layout, price, round_index, {user.user_id: prev_bid}, l1, l2)[user.user_id]
+    step = l1 * math.exp(-round_index / l2)
+    return round_bids(layout, price, step, {user.user_id: prev_bid})[user.user_id]

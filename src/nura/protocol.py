@@ -6,9 +6,12 @@ every participating user answers with a damped bid built from its
 demand at that price, and the loop stops once no bid moved by the
 threshold delta. The participants are laid out once per run as a
 price_response BidLayout, read from the run's regime table, and each
-round is one price_response.round_bids call: every distinct demand
+round is one pass: the price, the stop test over the bids in member
+order, and one price_response.round_bids call with the round's damping
+step l1 * e^{-n / l2}, computed once. There every distinct demand
 curve is evaluated once, and users that share one (same utility,
-weight and beta) read the same value. Bids are totalled left to right
+weight and beta) read the same value. Each round's bid dict goes into
+the trace as it is, uncopied. Bids are totalled left to right
 (add_up), so a run gives the same bits on every CPython version.
 Damped bids stop short of the fixed point, so the rates come from one
 exact clearing (intra_ue.clear_price) that starts from the stop
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ContractError, DomainError, NonConvergenceError, ProtocolError
 from .intra_ue import clear_price
@@ -71,12 +74,12 @@ class ProtocolParams:
             raise DomainError(f"price_floor must be positive, got {self.price_floor!r}")
 
 
-@dataclass(frozen=True)
-class RoundState:
+class RoundState(NamedTuple):
     """Snapshot of one round: the bids received and the price they imply.
 
     Only participating users appear in bids; excluded users are absent,
-    not zero. converged marks the stop round.
+    not zero. Each round's bids are a dict of their own, never copied
+    and never changed after the round. converged marks the stop round.
     """
 
     round_index: int
@@ -104,26 +107,6 @@ class FirstStageResult:
     final_price: float
     trace: tuple[RoundState, ...] = field(repr=False)
     rounds_used: int
-
-
-def enodeb_step(
-    bids: Mapping[str, float],
-    prev_bids: Mapping[str, float],
-    capacity: float,
-    params: ProtocolParams,
-) -> float | None:
-    """One base-station decision: None to stop, else the next shadow price.
-
-    Stops when every participant's bid moved by less than delta since
-    the previous round (absent previous bids count as 0). The price is
-    total bids / capacity, floored so that demand at it stays defined
-    even for an all-zero bid vector.
-    """
-    if not bids:
-        raise ProtocolError("no participating users, cannot price an empty bid vector")
-    if all(abs(bid - prev_bids.get(uid, 0.0)) < params.delta for uid, bid in bids.items()):
-        return None
-    return max(add_up(bids.values()) / capacity, params.price_floor)
 
 
 def run_first_stage(
@@ -160,43 +143,49 @@ def run_first_stage(
         # point once the steps shrink below delta.
         w_init = min(capacity / len(layout.members), 0.4 * params.l1 * params.l2)
 
-    l1, l2 = params.l1, params.l2
+    delta, floor, l1, l2 = params.delta, params.price_floor, params.l1, params.l2
     bids = {bidder.user_id: w_init for bidder in layout.members}
     prev = dict.fromkeys(bids, 0.0)
     trace: list[RoundState] = []
 
     for round_index in range(1, params.max_rounds + 1):
-        outcome = enodeb_step(bids, prev, capacity, params)
-        if outcome is None:
-            price = max(add_up(bids.values()) / capacity, params.price_floor)
-            trace.append(RoundState(round_index, dict(bids), price, True))
-            final_price, shares, row_rates = clear_price(table, price)
-            rates = dict.fromkeys((user.user_id for user in users), 0.0)
-            app_demands = {user.user_id: (0.0,) * len(user.apps) for user in users}
-            demands = [[] for _ in shares]
-            for row, rate in zip(table.rows, row_rates):
-                demands[row.user_slot].append(rate + row.offset)
-            for bidder, share, user_demands in zip(layout.members, shares, demands):
-                rates[bidder.user_id] = share + bidder.offset
-                app_demands[bidder.user_id] = tuple(user_demands)
-            return FirstStageResult(
-                case=table.case,
-                rates=rates,
-                app_demands=app_demands,
-                final_price=final_price,
-                trace=tuple(trace),
-                rounds_used=round_index,
-            )
-        price = outcome
-        trace.append(RoundState(round_index, dict(bids), price, False))
+        price = max(add_up(bids.values()) / capacity, floor)
+        # Stop once every bid moved by less than delta; both dicts follow
+        # the layout's member order.
+        moved = False
+        for bid, last in zip(bids.values(), prev.values()):
+            if not abs(bid - last) < delta:
+                moved = True
+                break
+        trace.append(RoundState(round_index, bids, price, not moved))
+        if not moved:
+            break
         prev = bids
-        bids = round_bids(layout, price, round_index + 1, prev, l1, l2)
+        bids = round_bids(layout, price, l1 * math.exp(-(round_index + 1) / l2), prev)
+    else:
+        raise NonConvergenceError(
+            f"bidding did not converge within {params.max_rounds} rounds "
+            f"(delta={params.delta})",
+            trace=trace,
+            rounds=params.max_rounds,
+        )
 
-    raise NonConvergenceError(
-        f"bidding did not converge within {params.max_rounds} rounds "
-        f"(delta={params.delta})",
-        trace=trace,
-        rounds=params.max_rounds,
+    final_price, shares, row_rates = clear_price(table, price)
+    rates = dict.fromkeys((user.user_id for user in users), 0.0)
+    app_demands = {user.user_id: (0.0,) * len(user.apps) for user in users}
+    demands = [[] for _ in shares]
+    for row, rate in zip(table.rows, row_rates):
+        demands[row.user_slot].append(rate + row.offset)
+    for bidder, share, user_demands in zip(layout.members, shares, demands):
+        rates[bidder.user_id] = share + bidder.offset
+        app_demands[bidder.user_id] = tuple(user_demands)
+    return FirstStageResult(
+        case=table.case,
+        rates=rates,
+        app_demands=app_demands,
+        final_price=final_price,
+        trace=tuple(trace),
+        rounds_used=round_index,
     )
 
 

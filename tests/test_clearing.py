@@ -1,6 +1,8 @@
 """The exact price clearing that ends both stages, against the oracle."""
 
+import random
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -10,12 +12,14 @@ from hypothesis import strategies as st
 from nura import (
     Application,
     LogarithmicUtility,
+    NuraError,
     ProtocolParams,
     ScenarioConfig,
     SigmoidalUtility,
     SolverError,
     UserClass,
     UserProfile,
+    ValidationError,
     centralized_solve,
     run_first_stage,
     run_once,
@@ -254,3 +258,68 @@ def test_drawn_cells_match_the_oracle_or_name_saturation(tree):
         assert abs(sum(record.app_rates[uid]) - rate) <= 1e-6 * max(rate, 1.0)
         for got, want in zip(record.app_rates[uid], reference.app_rates[uid]):
             assert abs(got - want) <= tol
+
+
+def _wide_tree(rng, s):
+    """One tree of the wide-range differential run: 1-4 users, VIP or
+    not, with 1-3 apps each, weights summing to 1, and every curve
+    parameter, beta, target and R log-uniform in [10^-s, 10^s]."""
+    def draw():
+        return 10.0 ** rng.uniform(-s, s)
+
+    users = []
+    for index in range(rng.randint(1, 4)):
+        vip = rng.random() < 0.5
+        apps = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                utility = {"kind": "sigmoidal", "a": draw(), "b": draw()}
+            else:
+                utility = {"kind": "logarithmic", "k": draw(), "r_max": draw()}
+            app = {"utility": utility, "weight": rng.random()}
+            if vip and rng.random() < 0.5:
+                app["target_rate"] = draw()
+            apps.append(app)
+        total = sum(app["weight"] for app in apps)
+        for app in apps:
+            app["weight"] /= total
+        users.append({"id": f"u{index}", "class": "vip" if vip else "regular",
+                      "beta": draw(), "apps": apps})
+    return {"description": "wide", "R": draw(), "users": users}
+
+
+def _solve_or_name(solve, config):
+    try:
+        return solve(config)
+    except NuraError as exc:  # any other exception fails the test
+        return type(exc).__name__
+
+
+def test_wide_range_cells_agree_with_the_oracle_or_both_raise():
+    """400 trees at s = 12: each validates or raises ValidationError; a
+    valid one is solved alike by run_once and the oracle, within
+    max(0.1, 0.5% of R), or both raise a typed NuraError."""
+    rng = random.Random(1)
+    outcomes = Counter()
+    for draw in range(400):
+        tree = _wide_tree(rng, 12)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                config = scenario_from_dict(tree)
+        except ValidationError:
+            outcomes["invalid"] += 1
+            continue
+        record = _solve_or_name(run_once, config)
+        reference = _solve_or_name(lambda c: centralized_solve(c.users, c.capacity), config)
+        if isinstance(record, str) or isinstance(reference, str):
+            assert isinstance(record, str) and isinstance(reference, str), (draw, record, reference)
+            outcomes[f"{record}/{reference}"] += 1
+            continue
+        tol = max(0.1, 0.005 * config.capacity)
+        for uid, rate in record.user_rates.items():
+            assert abs(rate - reference.user_rates[uid]) <= tol, (draw, uid)
+            for got, want in zip(record.app_rates[uid], reference.app_rates[uid]):
+                assert abs(got - want) <= tol, (draw, uid)
+        outcomes["agree"] += 1
+    assert outcomes["agree"] >= 350, outcomes

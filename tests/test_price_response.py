@@ -531,18 +531,11 @@ def test_demands_past_float_range_raise_only_uncapped():
 
 
 def test_damp_bid_step_envelope():
-    # step at round 10 with l1=5, l2=10 is 5/e
+    # the protocol's step at round 10 with l1=5, l2=10 is 5/e
     step = 5.0 * math.exp(-1.0)
-    assert damp_bid(100.0, 10.0, 10, 5.0, 10.0) == pytest.approx(10.0 + step, rel=1e-15)
-    assert damp_bid(-50.0, 10.0, 10, 5.0, 10.0) == pytest.approx(10.0 - step, rel=1e-15)
-    assert damp_bid(10.5, 10.0, 10, 5.0, 10.0) == 10.5  # within step: passthrough
-
-
-def test_damp_bid_validation():
-    with pytest.raises(DomainError):
-        damp_bid(1.0, 0.0, 0, 5.0, 10.0)
-    with pytest.raises(DomainError):
-        damp_bid(1.0, 0.0, 1, -5.0, 10.0)
+    assert damp_bid(100.0, 10.0, step) == 10.0 + step
+    assert damp_bid(-50.0, 10.0, step) == 10.0 - step
+    assert damp_bid(10.5, 10.0, step) == 10.5  # within step: passthrough
 
 
 @given(
@@ -552,8 +545,8 @@ def test_damp_bid_validation():
 )
 @settings(max_examples=150, deadline=None)
 def test_damp_bid_never_exceeds_step_or_overshoots(proposed, prev, round_index):
-    result = damp_bid(proposed, prev, round_index, 5.0, 10.0)
     step = 5.0 * math.exp(-round_index / 10.0)
+    result = damp_bid(proposed, prev, step)
     # prev + step rounds once, so the realized delta may exceed the
     # nominal step by half an ulp of prev
     assert abs(result - prev) <= step + 1e-12

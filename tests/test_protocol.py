@@ -1,6 +1,7 @@
 """Bidding loop: pricing step, case split, convergence, determinism."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,8 +21,8 @@ from nura import (
     bundled_schedule_path,
     damp_bid,
     determine_case,
-    enodeb_step,
     load_schedule,
+    price_response,
     run_first_stage,
     scenario,
     trace_records,
@@ -33,31 +34,38 @@ def _params(**kw):
     return ProtocolParams(**kw)
 
 
-def test_enodeb_step_prices_aggregate_demand():
-    params = _params()
-    price = enodeb_step({"a": 10.0, "b": 30.0}, {"a": 0.0, "b": 0.0}, 100.0, params)
-    assert price == 0.4
+def test_round_one_prices_the_initial_bids(cell):
+    # four participants at the default start min(R / 4, 0.4 * l1 * l2) = 20
+    result = run_first_stage(cell.users, 200.0, _params())
+    assert result.trace[0].price == 4 * 20.0 / 200.0
+    result = run_first_stage(cell.users, 200.0, _params(w_init=7.0))
+    assert result.trace[0].price == 4 * 7.0 / 200.0
 
 
-def test_enodeb_step_signals_stop():
-    params = _params(delta=1e-3)
-    bids = {"a": 10.0, "b": 30.0}
-    prev = {"a": 10.0 + 5e-4, "b": 30.0 - 5e-4}
-    assert enodeb_step(bids, prev, 100.0, params) is None
-    # one user still moving keeps the loop alive
-    prev["b"] = 29.0
-    assert enodeb_step(bids, prev, 100.0, params) == 0.4
+def test_round_price_floor(cell):
+    # 4e-6 / 200 lies below the floor; every bid moved by 1e-6 < delta
+    # from 0, so round 1 is also the stop round
+    params = _params(w_init=1e-6, price_floor=1.0)
+    result = run_first_stage(cell.users, 200.0, params)
+    assert result.trace[0].price == params.price_floor
+    assert result.rounds_used == 1 and result.trace[0].converged
 
 
-def test_enodeb_step_price_floor():
-    params = _params()
-    price = enodeb_step({"a": 1e-15}, {"a": 1.0}, 1e9, params)
-    assert price == params.price_floor
+def _assert_stops_at_first_quiet_round(trace, delta):
+    prev = dict.fromkeys(trace[0].bids, 0.0)
+    for state in trace:
+        quiet = all(abs(bid - prev[uid]) < delta for uid, bid in state.bids.items())
+        assert state.converged == quiet, state.round_index
+        prev = state.bids
+    assert trace[-1].converged
 
 
-def test_enodeb_step_requires_bids():
-    with pytest.raises(ProtocolError):
-        enodeb_step({}, {}, 100.0, _params())
+def test_the_stop_fires_at_the_first_round_whose_bids_all_moved_less_than_delta(cell, sweep):
+    for record in sweep:
+        _assert_stops_at_first_quiet_round(record.trace, cell.protocol.delta)
+    loose = run_first_stage(cell.users, 100.0, _params(delta=0.5))
+    _assert_stops_at_first_quiet_round(loose.trace, 0.5)
+    assert loose.rounds_used < run_first_stage(cell.users, 100.0, _params()).rounds_used
 
 
 def test_protocol_params_validation():
@@ -194,6 +202,33 @@ def test_nonconvergence_carries_trace(cell):
     assert len(excinfo.value.trace) == 10
 
 
+def test_each_round_after_the_first_damps_each_bid_once(cell, monkeypatch):
+    """Tracers rebind price_response.damp_bid and divide by its call count:
+    every round after the first damps each participant's bid once, by
+    that round's one step."""
+    steps = []
+    damp = price_response.damp_bid
+
+    def counted(proposed, prev, step):
+        steps.append(step)
+        return damp(proposed, prev, step)
+
+    monkeypatch.setattr(price_response, "damp_bid", counted)
+    for capacity in (40.0, 200.0):  # scarce: two participants; abundant: four
+        steps.clear()
+        result = run_first_stage(cell.users, capacity, cell.protocol)
+        participants = len(result.trace[0].bids)
+        assert len(steps) == participants * (result.rounds_used - 1)
+        per_step = Counter(steps)
+        assert len(per_step) == result.rounds_used - 1
+        assert set(per_step.values()) == {participants}
+
+
+def test_every_round_keeps_its_own_bid_dict(cell):
+    result = run_first_stage(cell.users, 55.0, cell.protocol)
+    assert len({id(state.bids) for state in result.trace}) == len(result.trace)
+
+
 def test_duplicate_user_ids_rejected(cell):
     users = list(cell.users) + [cell.users[0]]
     with pytest.raises(ContractError):
@@ -243,7 +278,7 @@ def _paper_bid(user, case, price, prev_bid, round_index, params):
     if user_cap is not None:
         total = min(total, user_cap)
     proposed = price * (total + case.user_offset(user))
-    return damp_bid(proposed, prev_bid, round_index, params.l1, params.l2)
+    return damp_bid(proposed, prev_bid, params.l1 * math.exp(-round_index / params.l2))
 
 
 def test_every_round_bids_the_papers_damped_demand(cell):
