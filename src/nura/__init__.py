@@ -16,7 +16,7 @@ from .errors import (
     SweepError,
     ValidationError,
 )
-from .intra_ue import allocate_internal, split_value
+from .intra_ue import allocate_internal
 from .oracle import OracleResult, centralized_solve, grid_search_solve
 from .price_response import (
     app_rate_at_price,
@@ -102,7 +102,6 @@ __all__ = [
     "save_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
-    "split_value",
     "sweep_R",
     "trace_records",
     "user_rate_at_price",

@@ -8,6 +8,7 @@ problems. There is no seed flag anywhere; every run is deterministic.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -121,6 +122,8 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValidationError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     config = load_scenario(args.scenario)
     capacity = args.r if args.r is not None else config.capacity
     if capacity != config.capacity:

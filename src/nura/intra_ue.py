@@ -25,9 +25,9 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import ContractError, SolverError
+from .errors import SolverError
 from .price_response import app_rate_at_price
-from .utility import NEG_INF, CaseFlag, RegimeTable, UserProfile, add_up, app_rows
+from .utility import RegimeTable, UserProfile, add_up, app_rows
 
 if TYPE_CHECKING:  # protocol imports this module
     from .protocol import FirstStageResult
@@ -60,7 +60,7 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
     slots, limits = [], []
     for row in rows:
         slots.append(row.user_slot)
-        limits.append(min(c for c in (row.cap, caps[row.user_slot], budget) if c is not None))
+        limits.append(min(row.cap, caps[row.user_slot], budget))
 
     def demand(price: float) -> tuple[list[float], list[float], float]:  # shares, rates, total
         rates = []
@@ -71,7 +71,7 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
             shares[slot] += rate
         total = 0.0  # added left to right, the same bits on every CPython
         for slot, cap in enumerate(caps):
-            if cap is not None and shares[slot] > cap:
+            if shares[slot] > cap:
                 shares[slot] = cap
             total += shares[slot]
         return shares, rates, total
@@ -99,7 +99,7 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
         room = free = False
         moving = []
         for row, slot, rate, limit in zip(rows, slots, rates, limits):
-            if rate < limit and not (caps[slot] is not None and shares[slot] >= caps[slot]):
+            if rate < limit and shares[slot] < caps[slot]:
                 room = True
                 if row.app.weight > 0.0:
                     free = True
@@ -177,39 +177,10 @@ def allocate_internal(user: UserProfile, first: FirstStageResult) -> tuple[float
     """
     uid, case = user.user_id, first.case
     demands = first.app_demands[uid]
-    if case.user_cap(user) is None or add_up(demands) <= first.rates[uid]:
+    if case.user_cap(user) == math.inf or add_up(demands) <= first.rates[uid]:
         return demands
     rows = app_rows([user], case)
-    table = RegimeTable(case, (user,), first.rates[uid] - case.user_offset(user), (None,), rows)
+    table = RegimeTable(case, (user,), first.rates[uid] - case.user_offset(user), (math.inf,), rows)
     _, _, rates = clear_price(table, first.final_price)
     return tuple(rate + row.offset for rate, row in zip(rates, rows))
 
-
-def split_value(user: UserProfile, rates, case: CaseFlag) -> float:
-    """Weighted log-utility of a candidate split (comparison objective).
-
-    rates are the amounts above the target offsets; under abundant
-    capacity each application is evaluated at rate + target. Returns the
-    -inf sentinel when any positively weighted factor is zero.
-    """
-    if len(rates) != len(user.apps):
-        raise ContractError(
-            f"user {user.user_id!r} has {len(user.apps)} applications "
-            f"but {len(rates)} rates were given"
-        )
-    total = 0.0
-    for row, rate in zip(app_rows([user], case), rates):
-        if rate < 0.0:
-            raise ContractError(f"infeasible split: negative rate {rate!r}")
-        if row.cap is not None and rate > row.cap + 1e-9:
-            raise ContractError(
-                f"infeasible split: rate {rate!r} above target cap {row.cap!r} "
-                "under scarce capacity"
-            )
-        if row.app.weight == 0.0:
-            continue
-        log_value = row.app.utility.log_evaluate(rate + row.offset)
-        if log_value == NEG_INF:
-            return NEG_INF
-        total += row.app.weight * log_value
-    return total

@@ -11,8 +11,8 @@ where its marginal value factor * (ln U)'(rate + offset) meets the
 price, found by the oracle's own Illinois steps (regula falsi that
 halves a stale end's value) on dlog_evaluate alone. It never calls the
 production demand solver or its Newton kernel, so a bug there cannot
-certify itself; only the statement of the problem (the regime table of
-the utility module) is shared with the pipeline. One clearing routine
+certify itself; only the statement of the problem (the regime table
+and the objective of the utility module) is shared with the pipeline. One clearing routine
 takes Illinois steps on the price in ln p until demand meets the
 budget, starting each demand from its rates at the ends of the price
 bracket, which enclose it. Where a demand jumps across one
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ContractError, DomainError, SolverError
-from .utility import NEG_INF, AppRow, RegimeTable, UserProfile, regime_table
+from .utility import NEG_INF, AppRow, RegimeTable, UserProfile, objective, regime_table
 
 _FLOAT_MAX = sys.float_info.max
 _PRICE_FLOOR = math.ulp(0.0)  # the smallest positive float
@@ -65,26 +65,6 @@ class OracleResult:
     app_rates: dict[str, tuple[float, ...]]
     objective: float
     method: str
-
-
-def _entry_value(entry: AppRow, rate: float) -> float:
-    """factor * ln U(rate + offset); -inf propagates."""
-    if entry.factor == 0.0:
-        return 0.0
-    log_value = entry.app.utility.log_evaluate(rate + entry.offset)
-    if log_value == NEG_INF:
-        return NEG_INF
-    return entry.factor * log_value
-
-
-def _objective(entries: Sequence[AppRow], rates: Sequence[float]) -> float:
-    total = 0.0
-    for entry, rate in zip(entries, rates):
-        value = _entry_value(entry, rate)
-        if value == NEG_INF:
-            return NEG_INF
-        total += value
-    return total
 
 
 class _Illinois:
@@ -269,9 +249,7 @@ def centralized_solve(
     table = regime_table(users, capacity)
     # No row can take more than its cap, its user's cap or the budget.
     limits = [
-        min(c for c in (entry.cap, table.user_caps[entry.user_slot], table.budget)
-            if c is not None)
-        for entry in table.rows
+        min(entry.cap, table.user_caps[entry.user_slot], table.budget) for entry in table.rows
     ]
     groups: list[list[int]] = [[] for _ in table.participants]
     for index, entry in enumerate(table.rows):
@@ -292,7 +270,7 @@ def centralized_solve(
         rates = rates_at(every_row, price, higher, lower)
         amounts: list[float] = []
         for group, cap in zip(groups, table.user_caps):
-            if cap is None:
+            if cap == math.inf:
                 amounts.extend(rates[i] for i in group)
             else:
                 amounts.append(min(sum(rates[i] for i in group), cap))
@@ -301,7 +279,7 @@ def centralized_solve(
     shares = iter(_clear(competing, table.budget))
     rates: list[float] = []
     for group, cap in zip(groups, table.user_caps):
-        if cap is None:
+        if cap == math.inf:
             rates.extend(next(shares) for _ in group)
             continue
         share = next(shares)
@@ -332,11 +310,10 @@ def _assemble(
         else:
             app_rates[user.user_id] = tuple(0.0 for _ in user.apps)
             user_rates[user.user_id] = 0.0
-    objective = _objective(table.rows, rates)
     return OracleResult(
         user_rates=user_rates,
         app_rates=app_rates,
-        objective=objective,
+        objective=objective(table.rows, rates),
         method=method,
     )
 
@@ -372,13 +349,8 @@ def grid_search_solve(
 
     def limit(j: int, remaining: float) -> float:
         entry = entries[j]
-        lim = remaining
-        if entry.cap is not None:
-            lim = min(lim, entry.cap)
-        user_cap = user_caps[entry.user_slot]
-        if user_cap is not None:
-            lim = min(lim, user_cap - user_used[entry.user_slot])
-        return max(lim, 0.0)
+        slot = entry.user_slot
+        return max(min(remaining, entry.cap, user_caps[slot] - user_used[slot]), 0.0)
 
     def recurse(j: int, remaining: float) -> None:
         nonlocal best, best_objective
@@ -389,7 +361,7 @@ def grid_search_solve(
             # feasible value wins; zero-weight apps are flat, so they
             # take 0 (the lexicographically smallest choice).
             values[j] = lim if entry.factor > 0.0 else 0.0
-            candidate = _objective(entries, values)
+            candidate = objective(entries, values)
             if best is None or candidate > best_objective:
                 best = values.copy()
                 best_objective = candidate

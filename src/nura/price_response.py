@@ -36,7 +36,7 @@ from .utility import Application, CaseFlag, RegimeTable, UserProfile, app_rows
 def app_rate_at_price(
     app: Application,
     price: float,
-    cap: float | None = None,
+    cap: float = math.inf,
     case: CaseFlag = CaseFlag.TARGETS_BELOW_CAPACITY,
 ) -> float:
     """Rate maximizing weight * ln U(r + c) - price * (r + c) over [0, cap].
@@ -47,20 +47,20 @@ def app_rate_at_price(
     """
     if not (math.isfinite(price) and price > 0.0):
         raise DomainError(f"price must be positive, got {price!r}")
-    if cap is not None and cap < 0.0:
+    if cap < 0.0:
         raise DomainError(f"cap must be nonnegative, got {cap!r}")
     if app.weight == 0.0 or cap == 0.0:
         return 0.0
     rate = app.demand_at(price) - case.app_offset(app)
-    if rate == math.inf and cap is None:
+    if rate == cap == math.inf:
         raise SolverError(f"demand at price {price} exceeds float range", bracket=(0.0, rate))
-    return min(max(rate, 0.0), math.inf if cap is None else cap)
+    return min(max(rate, 0.0), cap)
 
 
 class Bidder(NamedTuple):
     """One participant as the bidding rounds read it: cap (inf: none) bounds
     its rate above offset, and rows hold (curve slot, offset, cap or inf) of
-    each application whose weight and cap are nonzero, the slot indexing
+    each application whose weight is nonzero, the slot indexing
     its BidLayout's curves."""
 
     user_id: str
@@ -80,28 +80,26 @@ class BidLayout(NamedTuple):
 
 def bidders(table: RegimeTable) -> BidLayout:
     """The table's participants as a BidLayout, in order, each bounded by
-    its user cap (None: no cap) above its offset."""
+    its user cap above its offset."""
     users, case = table.participants, table.case
     slots: dict[tuple, int] = {}
     curves = []
     rows: list[list] = [[] for _ in users]
     for row in table.rows:
-        if row.app.weight != 0.0 and row.cap != 0.0:
+        if row.app.weight != 0.0:
             beta = users[row.user_slot].beta
             slot = slots.setdefault((row.app.utility, row.app.weight, beta), len(curves))
             if slot == len(curves):
                 curves.append((row.app.demand_at, beta))
-            cap = math.inf if row.cap is None else row.cap
-            rows[row.user_slot].append((slot, row.offset, cap))
+            rows[row.user_slot].append((slot, row.offset, row.cap))
     members = tuple(
-        Bidder(user.user_id, user.beta, math.inf if cap is None else cap,
-               case.user_offset(user), tuple(user_rows))
+        Bidder(user.user_id, user.beta, cap, case.user_offset(user), tuple(user_rows))
         for user, cap, user_rows in zip(users, table.user_caps, rows)
     )
     return BidLayout(tuple(curves), members)
 
 
-def _one_user(user: UserProfile, user_cap: float | None, case: CaseFlag) -> BidLayout:
+def _one_user(user: UserProfile, user_cap: float, case: CaseFlag) -> BidLayout:
     """The BidLayout of one user; bids read no budget."""
     return bidders(RegimeTable(case, (user,), math.inf, (user_cap,), app_rows((user,), case)))
 
@@ -149,11 +147,11 @@ def round_bids(
 
 
 def user_rate_at_price(
-    user: UserProfile, price: float, user_cap: float | None = None,
+    user: UserProfile, price: float, user_cap: float = math.inf,
     case: CaseFlag = CaseFlag.TARGETS_BELOW_CAPACITY,
 ) -> float:
     """The demand of one user under the regime, capped in total by user_cap."""
-    if user_cap is not None and user_cap < 0.0:
+    if user_cap < 0.0:
         raise DomainError(f"user_cap must be nonnegative, got {user_cap!r}")
     return demands(_one_user(user, user_cap, case), price)[0]
 

@@ -467,12 +467,12 @@ def sweep_R(
     successful records attached. Any other exception is a bug and
     propagates at once.
     """
-    if not (0.0 < r_start <= r_end):
+    if not (0.0 < r_start <= r_end < math.inf):
         raise ContractError(
-            f"need 0 < r_start <= r_end, got r_start={r_start!r}, r_end={r_end!r}"
+            f"need finite 0 < r_start <= r_end, got r_start={r_start!r}, r_end={r_end!r}"
         )
-    if r_step <= 0.0:
-        raise ContractError(f"r_step must be positive, got {r_step!r}")
+    if not (0.0 < r_step < math.inf):
+        raise ContractError(f"r_step must be positive and finite, got {r_step!r}")
     count = int(math.floor((r_end - r_start) / r_step + 1e-9)) + 1
     records: list[RunRecord] = []
     failures: list[tuple[float, NuraError]] = []

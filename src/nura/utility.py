@@ -17,8 +17,9 @@ steepness-times-inflection products up to about 700 are handled without
 overflow, and saturation degrades gracefully rather than raising.
 
 The capacity regime (CaseFlag) and what it means for every user and
-application also live here, so the bidding stage, the intra-user split
-and the certifying solvers all read one statement of the problem.
+application also live here, with the objective those rows are scored
+by, so the bidding stage, the intra-user split and the certifying
+solvers all read one statement of the problem.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ def _require_positive_finite(value: float, name: str) -> None:
 
 @dataclass(frozen=True)
 class SigmoidalUtility:
-    """Normalized sigmoid U(r) = c_norm * (1 / (1 + e^{-a(r-b)}) - d_norm).
+    """Normalized sigmoid U(r) = (1 - e^{-ar}) / (1 + e^{-a(r-b)}).
 
-    The normalization constants are chosen so U(0) = 0 and U(r) -> 1 as
-    r grows; the inflection sits at r = b and a controls the steepness.
+    That is the logistic curve 1 / (1 + e^{-a(r-b)}) shifted and scaled
+    so U(0) = 0 and U(r) -> 1 as r grows; the inflection sits at r = b
+    and a controls the steepness.
     """
 
     a: float
@@ -71,14 +73,6 @@ class SigmoidalUtility:
             raise DomainError(
                 f"a * (1 + e^(-a * b)) must be finite, got inf (a={self.a!r}, b={self.b!r})"
             )
-
-    @property
-    def c_norm(self) -> float:
-        return 1.0 + self._e_ab
-
-    @property
-    def d_norm(self) -> float:
-        return self._e_ab / (1.0 + self._e_ab)
 
     @property
     def rate_scale(self) -> float:
@@ -450,17 +444,19 @@ class CaseFlag(Enum):
         """Rate granted to the application before it competes."""
         return 0.0 if self is CaseFlag.TARGETS_EXCEED_CAPACITY else app.offset
 
-    def app_cap(self, app: Application) -> float | None:
-        """Bound on the application's rate above its offset (None: unbounded)."""
-        return app.target_rate if self is CaseFlag.TARGETS_EXCEED_CAPACITY else None
+    def app_cap(self, app: Application) -> float:
+        """Bound on the application's rate above its offset (inf: unbounded)."""
+        if self is CaseFlag.TARGETS_EXCEED_CAPACITY and app.target_rate is not None:
+            return app.target_rate
+        return math.inf
 
     def user_offset(self, user: UserProfile) -> float:
         """Rate granted to the user before it competes: its apps' offsets."""
         return 0.0 if self is CaseFlag.TARGETS_EXCEED_CAPACITY else user.total_target
 
-    def user_cap(self, user: UserProfile) -> float | None:
-        """Bound on the user's rate above its offset (None: unbounded)."""
-        return user.total_target if self is CaseFlag.TARGETS_EXCEED_CAPACITY else None
+    def user_cap(self, user: UserProfile) -> float:
+        """Bound on the user's rate above its offset (inf: unbounded)."""
+        return user.total_target if self is CaseFlag.TARGETS_EXCEED_CAPACITY else math.inf
 
 
 def determine_case(users: Sequence[UserProfile], capacity: float) -> CaseFlag:
@@ -482,7 +478,7 @@ class AppRow:
     app: Application
     factor: float  # beta * weight
     offset: float  # added to the rate inside the utility argument
-    cap: float | None  # upper bound on the variable itself
+    cap: float  # upper bound on the variable itself, inf for none
 
 
 @dataclass(frozen=True)
@@ -491,13 +487,14 @@ class RegimeTable:
 
     participants are the users taking part, in declaration order; budget
     is the capacity they share above their offsets; user_caps holds each
-    participant's cap and rows their applications, user by user.
+    participant's cap (inf for none) and rows their applications, user by
+    user.
     """
 
     case: CaseFlag
     participants: tuple[UserProfile, ...]
     budget: float
-    user_caps: tuple[float | None, ...]
+    user_caps: tuple[float, ...]
     rows: tuple[AppRow, ...]
 
 
@@ -524,3 +521,18 @@ def regime_table(users: Sequence[UserProfile], capacity: float) -> RegimeTable:
         user_caps=tuple(case.user_cap(user) for user in participants),
         rows=app_rows(participants, case),
     )
+
+
+def objective(rows: Sequence[AppRow], rates: Sequence[float]) -> float:
+    """The problem's objective: sum of factor * ln U(rate + offset) over
+    the rows, rates being the amounts above the offsets. A zero factor
+    adds nothing; the result is -inf as soon as one term is -inf."""
+    total = 0.0
+    for row, rate in zip(rows, rates):
+        if row.factor == 0.0:
+            continue
+        log_value = row.app.utility.log_evaluate(rate + row.offset)
+        if log_value == NEG_INF:
+            return NEG_INF
+        total += row.factor * log_value
+    return total

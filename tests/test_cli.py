@@ -121,6 +121,24 @@ def test_validate_fails_on_impossible_tolerance(capsys, monkeypatch):
     assert "FAIL" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_validate_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol, capsys):
+    # Every comparison with nan is false, so "--tol nan" would pass any deviation.
+    code = main(["validate", "--scenario", str(bundled_scenario_path()), "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--tol" in captured.err and "OK" not in captured.out
+
+
+@pytest.mark.parametrize("flag, value", [("--r-end", "inf"), ("--r-step", "nan")])
+def test_sweep_with_a_non_finite_bound_is_validation_error(flag, value, tmp_path, capsys):
+    argv = ["sweep", "--scenario", str(bundled_scenario_path()), "--out", str(tmp_path / "o")]
+    code = main(argv + [flag, value])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_scenario_is_io_error(tmp_path, capsys):
     code = main(["run", "--scenario", str(tmp_path / "absent.yaml")])
     assert code == 4

@@ -11,7 +11,6 @@ from nura import intra_ue
 from nura import (
     Application,
     CaseFlag,
-    ContractError,
     DomainError,
     LogarithmicUtility,
     SigmoidalUtility,
@@ -22,10 +21,9 @@ from nura import (
     run_first_stage,
     run_once,
     scenario_from_dict,
-    split_value,
 )
 from nura.intra_ue import clear_price
-from nura.utility import NEG_INF, RegimeTable, app_rows
+from nura.utility import NEG_INF, RegimeTable, app_rows, objective
 
 SCARCE = CaseFlag.TARGETS_EXCEED_CAPACITY
 ABUNDANT = CaseFlag.TARGETS_BELOW_CAPACITY
@@ -48,7 +46,7 @@ def _ue1():
 def _split(user, budget, case, price=1.0):
     """Per-row rates above the offsets and the user's share from one
     clearing of budget among the user's applications, started at price."""
-    table = RegimeTable(case, (user,), budget, (None,), app_rows([user], case))
+    table = RegimeTable(case, (user,), budget, (math.inf,), app_rows([user], case))
     _, shares, rates = clear_price(table, price)
     return rates, shares[0]
 
@@ -76,13 +74,18 @@ def test_negative_budget_rejected():
         run_first_stage([_ue1()], -1.0)
 
 
+def _split_value(user, rates, case):
+    """The objective of one user's split, rates above the offsets."""
+    return objective(app_rows([user], case), rates)
+
+
 def _scan_best(user, budget, case, step):
     """1-D exhaustive scan over two-app splits (amounts above offsets)."""
     best_x, best_value = 0.0, -math.inf
     n = int(budget / step)
     for i in range(n + 1):
         x = min(i * step, budget)
-        value = split_value(user, [x, budget - x], case)
+        value = _split_value(user, [x, budget - x], case)
         if value > best_value:
             best_x, best_value = x, value
     return best_x, best_value
@@ -93,7 +96,7 @@ def test_abundant_split_beats_exhaustive_scan():
     extras, _ = _split(user, 40.0, ABUNDANT)
     assert sum(extras) == pytest.approx(40.0, rel=1e-9)
     assert min(extras) >= 0.0
-    value = split_value(user, extras, ABUNDANT)
+    value = _split_value(user, extras, ABUNDANT)
     best_x, best_value = _scan_best(user, 40.0, ABUNDANT, step=0.002)
     assert value >= best_value - 1e-6
     assert extras[0] == pytest.approx(best_x, abs=0.05)
@@ -103,7 +106,7 @@ def test_scarce_split_beats_exhaustive_scan():
     user = _ue1()
     rates, _ = _split(user, 15.0, SCARCE)
     assert sum(rates) == pytest.approx(15.0, rel=1e-9)
-    value = split_value(user, rates, SCARCE)
+    value = _split_value(user, rates, SCARCE)
     best_x, best_value = _scan_best(user, 15.0, SCARCE, step=0.002)
     assert value >= best_value - 1e-6
     assert rates[0] == pytest.approx(best_x, abs=0.05)
@@ -114,7 +117,7 @@ def test_pairwise_transfer_certificate(budget, case):
     """Moving epsilon between any app pair must not improve the split."""
     user = _ue1()
     extras, _ = _split(user, budget - case.user_offset(user), case)
-    base = split_value(user, extras, case)
+    base = _split_value(user, extras, case)
     eps = 0.01
     n = len(extras)
     for i in range(n):
@@ -124,11 +127,9 @@ def test_pairwise_transfer_certificate(budget, case):
             trial = list(extras)
             trial[i] -= eps
             trial[j] += eps
-            if case is SCARCE:
-                cap = user.apps[j].target_rate
-                if cap is not None and trial[j] > cap:
-                    continue
-            assert split_value(user, trial, case) <= base + 1e-6
+            if trial[j] > case.app_cap(user.apps[j]):
+                continue
+            assert _split_value(user, trial, case) <= base + 1e-6
 
 
 def _all_capped():
@@ -301,27 +302,10 @@ def test_rows_topped_up_past_a_rate_below_its_cap_are_split_again(tree):
 
 
 # ---------------------------------------------------------------------------
-# split_value contract
-
-
-def test_split_value_rejects_negative_rate():
-    with pytest.raises(ContractError):
-        split_value(_ue1(), [-0.1, 1.0], SCARCE)
-
-
-def test_split_value_rejects_rate_above_cap_when_scarce():
-    with pytest.raises(ContractError):
-        split_value(_ue1(), [20.5, 1.0], SCARCE)
-    # the same rate is fine when capacity is abundant
-    assert math.isfinite(split_value(_ue1(), [20.5, 1.0], ABUNDANT))
-
-
-def test_split_value_rate_count_mismatch():
-    with pytest.raises(ContractError):
-        split_value(_ue1(), [1.0], SCARCE)
+# the objective
 
 
 def test_split_value_starved_weighted_app_is_sentinel():
-    assert split_value(_ue1(), [0.0, 1.0], SCARCE) == NEG_INF
+    assert _split_value(_ue1(), [0.0, 1.0], SCARCE) == NEG_INF
     # abundant: the sigmoid app is evaluated at its 20.0 target instead
-    assert split_value(_ue1(), [0.0, 1.0], ABUNDANT) > NEG_INF
+    assert _split_value(_ue1(), [0.0, 1.0], ABUNDANT) > NEG_INF

@@ -224,7 +224,7 @@ def _bisection_demand(app, price, cap, case, abs_tol):
 
     if not above(0.0 if offset > 0.0 else abs_tol) or cap == 0.0:
         return 0.0
-    if cap is not None:
+    if cap < math.inf:
         if app.weight * app.utility.dlog_evaluate(cap + offset) >= price:
             return cap
         hi = cap
@@ -261,7 +261,7 @@ def _mpmath_demand(a, b, weight, price, cap, offset):
 
         if not above(mpmath.mpf(offset)):
             return 0.0
-        if cap is not None and above(mpmath.mpf(cap) + offset):
+        if cap < math.inf and above(mpmath.mpf(cap) + offset):
             return cap
         lo, hi = mpmath.mpf(offset), mpmath.mpf(b) + offset
         while above(hi):
@@ -296,7 +296,7 @@ def test_sigmoid_demand_closed_form_matches_mpmath(a, b, weight, log10_price, ta
     cap = case.app_cap(app)
     rate = app_rate_at_price(app, price, cap, case)
     reference = _mpmath_demand(a, b, weight, price, cap, case.app_offset(app))
-    assert 0.0 <= rate <= (math.inf if cap is None else cap)
+    assert 0.0 <= rate <= cap
     assert rate == pytest.approx(reference, abs=1e-12 * max(abs(reference), 1.0), rel=0.0)
 
 
@@ -324,7 +324,7 @@ def test_log_demand_closed_form_matches_bisection(
     cap = case.app_cap(app)
     rate = app_rate_at_price(app, price, cap, case)
     reference = _bisection_demand(app, price, cap, case, 1e-10)
-    assert 0.0 <= rate <= (math.inf if cap is None else cap)
+    assert 0.0 <= rate <= cap
     assert rate == pytest.approx(reference, abs=1e-10, rel=1e-12)
 
 

@@ -110,16 +110,16 @@ def test_case_boundary_counts_as_scarce(cell):
     assert [user.user_id for user in scarce.participants] == ["ue1", "ue2"]
     assert scarce.budget == 50.0
     assert scarce.user_caps == (20.0, 30.0)
-    assert [row.cap for row in scarce.rows] == targets[: len(scarce.rows)]
+    assert [row.cap for row in scarce.rows] == [t or math.inf for t in targets][: len(scarce.rows)]
     assert all(row.offset == 0.0 for row in scarce.rows)
 
     abundant = regime_table(cell.users, 50.0001)
     assert abundant.case is CaseFlag.TARGETS_BELOW_CAPACITY
     assert abundant.participants == cell.users
     assert abundant.budget == pytest.approx(1e-4, rel=1e-6)
-    assert abundant.user_caps == (None,) * 4
+    assert abundant.user_caps == (math.inf,) * 4
     assert [row.offset for row in abundant.rows] == [t or 0.0 for t in targets]
-    assert all(row.cap is None for row in abundant.rows)
+    assert all(row.cap == math.inf for row in abundant.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +274,7 @@ def _paper_bid(user, case, price, prev_bid, round_index, params):
     total = sum(
         app_rate_at_price(app, price / user.beta, case.app_cap(app), case) for app in user.apps
     )
-    user_cap = case.user_cap(user)
-    if user_cap is not None:
-        total = min(total, user_cap)
+    total = min(total, case.user_cap(user))
     proposed = price * (total + case.user_offset(user))
     return damp_bid(proposed, prev_bid, params.l1 * math.exp(-round_index / params.l2))
 

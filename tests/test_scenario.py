@@ -271,6 +271,11 @@ def test_sweep_validates_bounds(cell):
         sweep_R(cell, 50.0, 5.0, 5.0)
     with pytest.raises(ContractError):
         sweep_R(cell, 5.0, 50.0, 0.0)
+    # Non-finite bounds would overflow the point count or make a capacity nan.
+    for bounds in [(5.0, math.inf, 5.0), (5.0, 50.0, math.nan), (5.0, 50.0, math.inf),
+                   (math.inf, math.inf, 5.0)]:
+        with pytest.raises(ContractError, match="finite"):
+            sweep_R(cell, *bounds)
 
 
 def test_sweep_collects_failures(cell):

@@ -142,9 +142,9 @@ def test_dlog_where_the_rate_product_underflows_matches_mpmath(utility, rate):
 
 
 def test_sigmoid_midpoint_is_half():
-    # c_norm * (1/2 - d_norm) = (1 - e^{-ab}) / 2; for ab = 60 the
-    # correction is ~4e-27, so the result is 0.5 up to rounding of the
-    # exp/expm1 pair (a couple of ulps).
+    # U(b) = (1 - e^{-ab}) / 2; for ab = 60 the correction is ~4e-27, so
+    # the result is 0.5 up to rounding of the exp/expm1 pair (a couple of
+    # ulps).
     assert SIG_STEEP.evaluate(20.0) == pytest.approx(0.5, abs=5e-16)
     assert SIG_SHALLOW.evaluate(30.0) == pytest.approx(0.5, abs=1e-13)
 
@@ -406,6 +406,37 @@ def test_demand_where_the_closed_form_underflows_is_weight_over_price(utility, w
             k_ = mpmath.mpf(utility.k)
             reference = mpmath.expm1(mpmath.lambertw(k_ * w_ / p_).real) / k_
         reference = float(reference)
+    assert_close(rate, reference, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "utility, weight, price, deep",
+    [(SigmoidalUtility(a=10.0, b=5.0), 1.0, 1e-305, True),
+     # M = w a (1 + e^{-ab}) / p just past e^700 and just short of it
+     (SigmoidalUtility(a=10.0, b=5.0), 1.0, 9.8e-304, True),
+     (SigmoidalUtility(a=10.0, b=5.0), 1.0, 9.9e-304, False),
+     (SigmoidalUtility(a=0.5, b=40.0), 0.3, 1.45e-305, True),
+     (SigmoidalUtility(a=0.5, b=40.0), 0.3, 1.5e-305, False)],
+)
+def test_sigmoid_demand_on_both_sides_of_deep_saturation_matches_mpmath(
+    utility, weight, price, deep
+):
+    # Past M = e^700 the demand is b + ln M / a, the deep-saturation form
+    # of (ln U)'; short of it, the root of the quadratic in e^{ar} - 1.
+    # The reference solves w (ln U)'(r) = p in mpmath at 60 digits, in logs.
+    a, b = utility.a, utility.b
+    assert (weight * a * (1.0 + math.exp(-a * b)) / price > math.exp(700.0)) is deep
+    rate = utility.demand_curve(weight)(price)
+    with mpmath.workdps(60):
+        a_, b_, w_, p_ = (mpmath.mpf(v) for v in (a, b, weight, price))
+        e_ab = mpmath.exp(-a_ * b_)
+        scaled = w_ * a_ * (1 + e_ab)
+
+        def excess(r):
+            denom = mpmath.exp(a_ * (r - b_)) + 1 - e_ab - mpmath.exp(-a_ * r)
+            return mpmath.log(scaled / denom) - mpmath.log(p_)
+
+        reference = float(mpmath.findroot(excess, b_ + mpmath.log(scaled / p_) / a_))
     assert_close(rate, reference, rel=1e-15)
 
 
