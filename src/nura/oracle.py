@@ -9,17 +9,19 @@ centralized_solve clears one global price. Each application's demand at
 a price is the rate, at most its cap, its user's cap and the budget,
 where its marginal value factor * (ln U)'(rate + offset) meets the
 price, found by the oracle's own Illinois steps (regula falsi that
-halves a stale end's value) on dlog_evaluate alone. It never calls the
-production demand solver or its Newton kernel, so a bug there cannot
-certify itself; only the statement of the problem (the regime table
-and the objective of the utility module) is shared with the pipeline. One clearing routine
-takes Illinois steps on the price in ln p until demand meets the
-budget, starting each demand from its rates at the ends of the price
-bracket, which enclose it. Where a demand jumps across one
-representable price it tops every application up from its demand at
-the upper price toward its demand at the lower one, by the same
-fraction. The same routine splits a capped user's share among its
-applications.
+halves a stale end's value) on dlog_evaluate alone. Each distinct row
+(curve, factor, offset, limit) is searched once per price, with its
+bound dlog_evaluate and ln factor taken once per solve. It never calls
+the production demand solver or its Newton kernel, so a bug there
+cannot certify itself; only the statement of the problem (the regime
+table and the objective of the utility module) is shared with the
+pipeline. One clearing routine takes Illinois steps on the price in
+ln p until total demand, added left to right, meets the budget,
+starting each demand from its rates at the ends of the price bracket,
+which enclose it. Where a demand jumps across one representable price
+it tops every application up from its demand at the upper price toward
+its demand at the lower one, by the same fraction. The same routine
+splits a capped user's share among its applications.
 
 grid_search_solve is the brute-force anti-hallucination oracle for tiny
 instances: exhaustive enumeration over the step-grid of the feasible
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ContractError, DomainError, SolverError
-from .utility import NEG_INF, AppRow, RegimeTable, UserProfile, objective, regime_table
+from .utility import NEG_INF, RegimeTable, UserProfile, add_up, objective, regime_table
 
 _FLOAT_MAX = sys.float_info.max
 _PRICE_FLOOR = math.ulp(0.0)  # the smallest positive float
@@ -104,26 +106,26 @@ class _Illinois:
             self.f_hi, self.kept = value, -1
 
 
-def _demand(entry: AppRow, limit: float, log_price: float, lo: float, hi: float) -> float:
+def _demand(row: tuple | None, log_price: float, lo: float, hi: float) -> float:
     """Rate in [0, limit] maximizing factor * ln U(rate + offset) - price * rate.
 
-    ln U is strictly concave, so this is where ln(factor * (ln U)') falls
-    to ln price; Illinois steps find it on that difference, which
-    decreases in the rate. The search starts from [lo, hi]: 0 and limit,
-    or the rates demanded at a higher and at a lower price. Those are
-    approximations, so each end's sign is checked, and an end that fails
-    falls back to 0 or limit.
+    row is (bound dlog_evaluate, ln factor, offset, limit), or None for a
+    zero factor. ln U is strictly concave, so this is where ln(factor *
+    (ln U)') falls to ln price; _Illinois's steps, written out, find it on
+    that difference, which decreases in the rate. The search starts from
+    [lo, hi]: 0 and limit, or the rates at a higher and at a lower price,
+    approximations, so an end whose sign fails falls back to 0 or limit.
     """
-    if entry.factor == 0.0:
+    if row is None:
         return 0.0
-    shift = log_price - math.log(entry.factor)
-    utility, offset = entry.app.utility, entry.offset
+    dlog, log_factor, offset, limit = row
+    shift = log_price - log_factor
 
     def excess(rate: float) -> float:
         arg = rate + offset
         if arg <= 0.0:
             return math.inf
-        slope = utility.dlog_evaluate(arg)
+        slope = dlog(arg)
         return math.log(slope) - shift if slope > 0.0 else -math.inf
 
     f_lo = excess(lo)
@@ -143,12 +145,15 @@ def _demand(entry: AppRow, limit: float, log_price: float, lo: float, hi: float)
             hi, f_hi = limit, excess(limit)
             if f_hi >= 0.0:
                 return limit
-    search = _Illinois(f_lo, f_hi)
-    for _ in range(_MAX_DEMAND_STEPS):
+    kept, widths = 0, []  # _Illinois's kept and widths
+    for step in range(_MAX_DEMAND_STEPS):
         width = hi - lo
         if width <= 1e-12 * hi:
             break
-        rate = lo + search.fraction(width) * width
+        widths.append(width)
+        gap = f_lo - f_hi
+        stalled = step >= _STALL_STEPS and width > 0.5 * widths[step - _STALL_STEPS]
+        rate = lo + (0.5 if stalled or not gap > 0.0 else f_lo / gap) * width
         if not lo < rate < hi:
             rate = lo + 0.5 * width
             if not lo < rate < hi:
@@ -156,11 +161,14 @@ def _demand(entry: AppRow, limit: float, log_price: float, lo: float, hi: float)
         value = excess(rate)
         if value == 0.0:
             return rate
-        search.moved(value)
         if value > 0.0:
-            lo = rate
+            if kept > 0:
+                f_hi *= 0.5
+            lo, f_lo, kept = rate, value, 1
         else:
-            hi = rate
+            if kept < 0:
+                f_lo *= 0.5
+            hi, f_hi, kept = rate, value, -1
     else:
         raise SolverError(f"demand bracket ({lo}, {hi}) did not close", bracket=(lo, hi))
     return lo + 0.5 * (hi - lo)
@@ -181,31 +189,35 @@ def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float
     the one fraction that spends the budget, so no amount leaves the
     range it spans.
     """
+    def trial(price, higher, lower) -> tuple[float, list[float], list[float]]:
+        amounts, rates = demand(price, higher, lower)
+        return add_up(amounts), amounts, rates
+
     lo = hi = 1.0
-    upper = lower = demand(hi, None, None)
+    upper = lower = trial(hi, None, None)
     stretch = 2.0
-    while sum(upper[0]) > budget:
+    while upper[0] > budget:
         if hi == _FLOAT_MAX:
             raise SolverError("total demand stays above budget at any price",
                               bracket=(lo, hi))
         lo, lower = hi, upper
         hi = min(hi * stretch, _FLOAT_MAX)
         stretch *= stretch
-        upper = demand(hi, None, lower[1])
+        upper = trial(hi, None, lower[2])
     stretch = 2.0
-    while sum(lower[0]) < budget:
+    while lower[0] < budget:
         if lo == _PRICE_FLOOR:
             raise SolverError("total demand stays below budget at any price",
                               bracket=(lo, hi))
         hi, upper = lo, lower
         lo = max(lo / stretch, _PRICE_FLOOR)
         stretch *= stretch
-        lower = demand(lo, upper[1], None)
+        lower = trial(lo, upper[2], None)
 
     tol = 1e-9 * budget
-    search = _Illinois(sum(lower[0]) - budget, sum(upper[0]) - budget)
+    search = _Illinois(lower[0] - budget, upper[0] - budget)
     for _ in range(_MAX_PRICE_STEPS):
-        if sum(lower[0]) - sum(upper[0]) <= tol:
+        if lower[0] - upper[0] <= tol:
             break
         span = math.log(hi / lo)
         price = lo * math.exp(search.fraction(span) * span)
@@ -213,8 +225,8 @@ def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float
             price = lo * math.exp(0.5 * span)
             if not lo < price < hi:
                 break  # a demand jumps across one representable price
-        middle = demand(price, upper[1], lower[1])
-        value = sum(middle[0]) - budget
+        middle = trial(price, upper[2], lower[2])
+        value = middle[0] - budget
         search.moved(value)
         if value > 0.0:
             lo, lower = price, middle
@@ -222,9 +234,9 @@ def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float
             hi, upper = price, middle
     else:
         raise SolverError(f"price bracket ({lo}, {hi}) did not close", bracket=(lo, hi))
-    gap = sum(lower[0]) - sum(upper[0])
-    fraction = (budget - sum(upper[0])) / gap if gap > 0.0 else 0.0
-    return [u + fraction * (v - u) for u, v in zip(upper[0], lower[0])]
+    gap = lower[0] - upper[0]
+    fraction = (budget - upper[0]) / gap if gap > 0.0 else 0.0
+    return [u + fraction * (v - u) for u, v in zip(upper[1], lower[1])]
 
 
 def centralized_solve(
@@ -254,15 +266,23 @@ def centralized_solve(
     groups: list[list[int]] = [[] for _ in table.participants]
     for index, entry in enumerate(table.rows):
         groups[entry.user_slot].append(index)
+    # Equal rows start every search from equal brackets, so each is searched
+    # once per price; dlog_evaluate is bound per solve (tracers rebind it).
+    distinct: dict[tuple, int] = {}
+    kinds = [distinct.setdefault((entry.app.utility, entry.factor, entry.offset, limit),
+                                 len(distinct)) for entry, limit in zip(table.rows, limits)]
+    searches = [None if factor == 0.0 else (utility.dlog_evaluate, math.log(factor), offset, cap)
+                for utility, factor, offset, cap in distinct]
 
     def rates_at(indices, price, higher, lower) -> list[float]:
         log_price = math.log(price)
         higher = higher or [0.0] * len(indices)
         lower = lower or [limits[i] for i in indices]
-        return [
-            _demand(table.rows[i], limits[i], log_price, a, b)
-            for i, a, b in zip(indices, higher, lower)
-        ]
+        found: dict[int, float] = {}
+        for i, a, b in zip(indices, higher, lower):
+            if kinds[i] not in found:
+                found[kinds[i]] = _demand(searches[kinds[i]], log_price, a, b)
+        return [found[kinds[i]] for i in indices]
 
     every_row = range(len(table.rows))
 
@@ -273,7 +293,7 @@ def centralized_solve(
             if cap == math.inf:
                 amounts.extend(rates[i] for i in group)
             else:
-                amounts.append(min(sum(rates[i] for i in group), cap))
+                amounts.append(min(add_up(rates[i] for i in group), cap))
         return amounts, rates
 
     shares = iter(_clear(competing, table.budget))
@@ -306,7 +326,7 @@ def _assemble(
         if user.user_id in per_user:
             finals = per_user[user.user_id]
             app_rates[user.user_id] = tuple(finals)
-            user_rates[user.user_id] = sum(finals)
+            user_rates[user.user_id] = add_up(finals)
         else:
             app_rates[user.user_id] = tuple(0.0 for _ in user.apps)
             user_rates[user.user_id] = 0.0

@@ -43,6 +43,7 @@ _USER_KEYS = {"id", "class", "beta", "apps"}
 _APP_KEYS = {f.name for f in fields(Application)}  # an app's file keys are its fields
 _SCHEDULE_KEYS = {"description", "epochs"}
 _EPOCH_KEYS = {"start", "end", "weights"}
+_MAX_SWEEP_POINTS = 100_000  # at 0.7 ms a reference-cell point, about 70 s
 
 
 @dataclass(frozen=True)
@@ -465,7 +466,7 @@ def sweep_R(
     The sweep always runs to completion; if any points failed with a
     NuraError, the collected errors are raised afterwards with the
     successful records attached. Any other exception is a bug and
-    propagates at once.
+    propagates at once. A sweep of over _MAX_SWEEP_POINTS points is refused.
     """
     if not (0.0 < r_start <= r_end < math.inf):
         raise ContractError(
@@ -473,7 +474,11 @@ def sweep_R(
         )
     if not (0.0 < r_step < math.inf):
         raise ContractError(f"r_step must be positive and finite, got {r_step!r}")
-    count = int(math.floor((r_end - r_start) / r_step + 1e-9)) + 1
+    span = (r_end - r_start) / r_step + 1e-9  # inf where it overflows
+    if not span < _MAX_SWEEP_POINTS:
+        raise ContractError(f"a sweep runs at most {_MAX_SWEEP_POINTS} points, got "
+                            f"(r_end - r_start) / r_step = {span:.6g} steps past r_start")
+    count = int(span) + 1
     records: list[RunRecord] = []
     failures: list[tuple[float, NuraError]] = []
     for i in range(count):

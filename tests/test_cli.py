@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nura import bundled_scenario_path, bundled_schedule_path, centralized_solve
+from nura import bundled_scenario_path, bundled_schedule_path, centralized_solve, scenario
 from nura.cli import main
 
 TINY_SCENARIO = """\
@@ -136,6 +136,18 @@ def test_sweep_with_a_non_finite_bound_is_validation_error(flag, value, tmp_path
     code = main(argv + [flag, value])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_past_the_point_limit_is_validation_error(tmp_path, capsys, monkeypatch):
+    def point(config, keep_trace=False):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(scenario, "run_once", point)
+    argv = ["sweep", "--scenario", str(bundled_scenario_path()), "--out", str(tmp_path / "o"),
+            "--r-end", "1e300", "--r-step", "1"]
+    assert main(argv) == 2
+    assert "at most" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,6 +1,7 @@
 """Centralized solvers: analytic points, grid cross-checks, tie rules."""
 
 import ast
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,8 +19,10 @@ from nura import (
     centralized_solve,
     grid_search_solve,
     load_schedule,
+    oracle,
     scenario,
 )
+from nura.utility import regime_table
 
 
 def _user(uid, cls, apps):
@@ -207,7 +210,8 @@ def test_methods_labelled():
 
 def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeypatch):
     """The 40 sweep points and the 3 schedule epochs at R = 200 cost about
-    49k dlog_evaluate calls; nested bisections took 542753."""
+    41k dlog_evaluate calls (49k with every row searched, not each
+    distinct one); nested bisections took 542753."""
     calls = 0
     for cls in (SigmoidalUtility, LogarithmicUtility):
         def counted(self, rate, original=cls.dlog_evaluate):
@@ -222,7 +226,52 @@ def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeyp
     ]
     for config in configs:
         centralized_solve(config.users, config.capacity)
-    assert calls <= 55_000
+    assert calls <= 45_000
+
+
+@pytest.mark.parametrize("capacity", [30.0, 120.0])
+def test_users_equal_but_for_their_ids_get_equal_bits(cell, capacity):
+    twin = replace(cell.users[0], user_id="twin")
+    result = centralized_solve([*cell.users, twin], capacity)
+    assert result.user_rates["twin"].hex() == result.user_rates["ue1"].hex()
+    assert [r.hex() for r in result.app_rates["twin"]] == [
+        r.hex() for r in result.app_rates["ue1"]]
+
+
+def _spy_on_searches(monkeypatch):
+    """The rows _demand is asked to search, each with its log price."""
+    searched = []
+
+    def spy(row, log_price, lo, hi, original=oracle._demand):
+        searched.append((row, log_price))
+        return original(row, log_price, lo, hi)
+
+    monkeypatch.setattr(oracle, "_demand", spy)
+    return searched
+
+
+def test_each_price_trial_searches_each_distinct_row_once(cell, monkeypatch):
+    """Above the targets, ue3's and ue4's log rows equal ue1's and ue2's
+    (same curve, factor, offset 0 and limit the budget), so each price
+    trial of the one clearing searches 6 rows for 8."""
+    assert len(regime_table(cell.users, 100.0).rows) == 8
+    searched = _spy_on_searches(monkeypatch)
+    centralized_solve(cell.users, 100.0)
+    per_trial = Counter(log_price for _, log_price in searched)
+    assert len(per_trial) > 1 and set(per_trial.values()) == {6}
+
+
+@pytest.mark.parametrize("capacity, offsets_and_limits", [
+    (25.0, {(0.0, 10.0), (0.0, 20.0)}),  # scarce: capped at the targets
+    (100.0, {(10.0, 70.0), (20.0, 70.0)}),  # abundant: above the targets
+])
+def test_rows_differing_only_in_offset_or_limit_are_searched_apart(
+        capacity, offsets_and_limits, monkeypatch):
+    users = [_user(uid, UserClass.VIP, [_app(LOG_UNIT, 1.0, target)])
+             for uid, target in (("a", 10.0), ("b", 20.0))]
+    searched = _spy_on_searches(monkeypatch)
+    centralized_solve(users, capacity)
+    assert {row[2:] for row, _ in searched} == offsets_and_limits
 
 
 def test_oracle_imports_only_errors_and_utility():

@@ -278,6 +278,30 @@ def test_sweep_validates_bounds(cell):
             sweep_R(cell, *bounds)
 
 
+class _PointRan(Exception):
+    pass
+
+
+def _no_point_may_run(config, keep_trace=False):
+    raise _PointRan(config.capacity)
+
+
+def test_sweep_refuses_more_points_than_its_limit_before_any_runs(cell, monkeypatch):
+    monkeypatch.setattr(scenario, "run_once", _no_point_may_run)
+    limit = scenario._MAX_SWEEP_POINTS
+    with pytest.raises(_PointRan):  # exactly the limit: the first point starts
+        sweep_R(cell, 1.0, float(limit), 1.0)
+    with pytest.raises(ContractError, match=f"at most {limit} points"):
+        sweep_R(cell, 1.0, limit + 1.0, 1.0)
+
+
+def test_sweep_whose_point_count_overflows_is_refused(cell, monkeypatch):
+    # (r_end - r_start) / r_step is inf here; int() of it raised OverflowError.
+    monkeypatch.setattr(scenario, "run_once", _no_point_may_run)
+    with pytest.raises(ContractError, match="inf steps"):
+        sweep_R(cell, 1.0, 1e308, 1e-300)
+
+
 def test_sweep_collects_failures(cell):
     crippled = replace(cell, protocol=ProtocolParams(max_rounds=5))
     with pytest.raises(SweepError) as excinfo:
