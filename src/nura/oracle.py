@@ -15,13 +15,14 @@ bound dlog_evaluate and ln factor taken once per solve. It never calls
 the production demand solver or its Newton kernel, so a bug there
 cannot certify itself; only the statement of the problem (the regime
 table and the objective of the utility module) is shared with the
-pipeline. One clearing routine takes Illinois steps on the price in
-ln p until total demand, added left to right, meets the budget,
-starting each demand from its rates at the ends of the price bracket,
-which enclose it. Where a demand jumps across one representable price
-it tops every application up from its demand at the upper price toward
+pipeline. One clearing routine finds the price where total demand,
+added left to right, meets the budget, by secant steps on
+ln(total / budget) in ln p guarded by bisection, starting each demand
+from its rates at the ends of the price bracket, which enclose it. It
+tops every application up from its demand at the upper price toward
 its demand at the lower one, by the same fraction. The same routine
-splits a capped user's share among its applications.
+splits a capped user's share among its applications, once per distinct
+split.
 
 grid_search_solve is the brute-force anti-hallucination oracle for tiny
 instances: exhaustive enumeration over the step-grid of the feasible
@@ -34,13 +35,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ContractError, DomainError, SolverError
 from .utility import NEG_INF, RegimeTable, UserProfile, add_up, objective, regime_table
 
 _FLOAT_MAX = sys.float_info.max
 _PRICE_FLOOR = math.ulp(0.0)  # the smallest positive float
+_LOG_MAX_STRETCH = 512 * math.log(2.0)  # the widest step out, a factor of 2^512
 # A step that finds its bracket not halved within the last _STALL_STEPS
 # steps bisects it, so the bracket halves at least once in every 5 steps.
 # A rate bracket, under 2^1024 wide, reaches adjacent floats (2^-1074
@@ -69,50 +71,14 @@ class OracleResult:
     method: str
 
 
-class _Illinois:
-    """Step fractions for a bracket [lo, hi] around the root of a
-    decreasing function, valued f_lo >= 0 at lo and f_hi <= 0 at hi.
-
-    A step goes to the fraction f_lo / (f_lo - f_hi) of the bracket
-    (regula falsi); an end kept twice running has its value halved
-    (Illinois, Dowell & Jarratt 1971), so both ends close in. A step
-    that finds the bracket not halved within the last _STALL_STEPS steps
-    bisects it instead, which bounds the steps to close any bracket.
-    """
-
-    def __init__(self, f_lo: float, f_hi: float) -> None:
-        self.f_lo, self.f_hi = f_lo, f_hi
-        self.kept = 0  # +1: hi kept by the last step, -1: lo kept
-        self.widths: list[float] = []
-
-    def fraction(self, width: float) -> float:
-        """Where the next step goes, as a fraction of the bracket (nan if
-        an end's value is infinite; the caller then bisects)."""
-        self.widths.append(width)
-        if len(self.widths) > _STALL_STEPS and width > 0.5 * self.widths[-1 - _STALL_STEPS]:
-            return 0.5
-        gap = self.f_lo - self.f_hi
-        return self.f_lo / gap if gap > 0.0 else 0.5
-
-    def moved(self, value: float) -> None:
-        """Record the value at the new point: it replaces lo if > 0, else hi."""
-        if value > 0.0:
-            if self.kept > 0:
-                self.f_hi *= 0.5
-            self.f_lo, self.kept = value, 1
-        else:
-            if self.kept < 0:
-                self.f_lo *= 0.5
-            self.f_hi, self.kept = value, -1
-
-
 def _demand(row: tuple | None, log_price: float, lo: float, hi: float) -> float:
     """Rate in [0, limit] maximizing factor * ln U(rate + offset) - price * rate.
 
     row is (bound dlog_evaluate, ln factor, offset, limit), or None for a
     zero factor. ln U is strictly concave, so this is where ln(factor *
-    (ln U)') falls to ln price; _Illinois's steps, written out, find it on
-    that difference, which decreases in the rate. The search starts from
+    (ln U)') falls to ln price. Illinois steps find it on that difference,
+    which decreases in the rate: regula falsi, halving the value at an
+    end kept twice running (Dowell & Jarratt 1971). The search starts from
     [lo, hi]: 0 and limit, or the rates at a higher and at a lower price,
     approximations, so an end whose sign fails falls back to 0 or limit.
     """
@@ -145,7 +111,7 @@ def _demand(row: tuple | None, log_price: float, lo: float, hi: float) -> float:
             hi, f_hi = limit, excess(limit)
             if f_hi >= 0.0:
                 return limit
-    kept, widths = 0, []  # _Illinois's kept and widths
+    kept, widths = 0, []  # kept: +1 if the last step kept hi, -1 if it kept lo
     for step in range(_MAX_DEMAND_STEPS):
         width = hi - lo
         if width <= 1e-12 * hi:
@@ -174,69 +140,97 @@ def _demand(row: tuple | None, log_price: float, lo: float, hi: float) -> float:
     return lo + 0.5 * (hi - lo)
 
 
+class _Trial(NamedTuple):
+    """A price tried by _clear; g = ln(total / budget), -inf at total 0."""
+
+    price: float
+    g: float
+    total: float
+    amounts: list[float]
+    rates: list[float]
+
+
 def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float) -> list[float]:
     """Amounts summing to budget at the price where demand meets it.
 
     demand(price, higher, lower) returns nonincreasing amounts and the
     per-row rates behind them; higher and lower, when given, are the
     rates at a higher and at a lower price, which enclose those at this
-    one. The price is bracketed by steps out from 1 by a factor that
-    starts at 2 and squares on each repeat, then found by Illinois steps
-    on total demand minus budget in ln p, until the demands at both ends
-    agree with the budget or the bracket collapses onto adjacent floats,
-    where some demand jumps. The answer starts from the feasible upper
-    end and tops every amount up toward its demand at the lower end by
-    the one fraction that spends the budget, so no amount leaves the
-    range it spans.
+    one. The search runs on g = ln(total / budget) in ln p, nearly linear
+    where demand goes as 1 / p. From p = 1 it steps out by twice the
+    secant's reach through the last two trials (slope -1 after one), which
+    mirrors a linear g's root, but at least by a factor that starts at 2
+    and squares on each step and at most by 2^512. Bracketed, it takes
+    secant steps from the last two trials, bisecting in ln p where one
+    leaves the bracket or the bracket has not halved in _STALL_STEPS
+    steps. It stops when an end's total is within tol / 2 = 5e-10 * budget
+    of the budget (an end of the float range counts), or on adjacent
+    floats, where some demand jumps. The answer tops every amount at the
+    upper end up toward the lower end's by the one fraction that spends
+    the budget. Amounts do not rise with the price, so the exact ones lie
+    between the ends' as well and differ from the stopping end's by at
+    most tol / 2 in all; the top-up moves the amounts by at most tol / 2.
     """
-    def trial(price, higher, lower) -> tuple[float, list[float], list[float]]:
-        amounts, rates = demand(price, higher, lower)
-        return add_up(amounts), amounts, rates
+    log_budget = math.log(budget)
 
-    lo = hi = 1.0
-    upper = lower = trial(hi, None, None)
-    stretch = 2.0
-    while upper[0] > budget:
-        if hi == _FLOAT_MAX:
-            raise SolverError("total demand stays above budget at any price",
-                              bracket=(lo, hi))
-        lo, lower = hi, upper
-        hi = min(hi * stretch, _FLOAT_MAX)
-        stretch *= stretch
-        upper = trial(hi, None, lower[2])
-    stretch = 2.0
-    while lower[0] < budget:
-        if lo == _PRICE_FLOOR:
-            raise SolverError("total demand stays below budget at any price",
-                              bracket=(lo, hi))
-        hi, upper = lo, lower
-        lo = max(lo / stretch, _PRICE_FLOOR)
-        stretch *= stretch
-        lower = trial(lo, upper[2], None)
+    def trial(price: float, higher, lower) -> _Trial:
+        amounts, rates = demand(price, higher, lower)
+        total = add_up(amounts)
+        g = math.log(total) - log_budget if total > 0.0 else -math.inf
+        return _Trial(price, g, total, amounts, rates)
 
     tol = 1e-9 * budget
-    search = _Illinois(lower[0] - budget, upper[0] - budget)
-    for _ in range(_MAX_PRICE_STEPS):
-        if lower[0] - upper[0] <= tol:
+    previous = last = trial(1.0, None, None)
+    up = last.total > budget
+    stretch = 2.0
+    while last.total > budget if up else last.total < budget:
+        if last.price == (_FLOAT_MAX if up else _PRICE_FLOOR):
+            if abs(last.total - budget) > 0.5 * tol:
+                raise SolverError(f"total demand stays {'above' if up else 'below'} budget at "
+                                  "any price", bracket=tuple(sorted((previous.price, last.price))))
+            previous = last  # the end of the price range is within tol / 2
             break
+        run, fall = 1.0, 1.0  # slope -1 after one trial
+        if previous is not last:  # extrapolate the fall of |g|
+            run = abs(math.log(last.price / previous.price))
+            fall = abs(previous.g) - abs(last.g)
+        # How far the root lies in ln p; g tells nothing where nothing is demanded.
+        reach = abs(last.g) * run / fall if fall > 0.0 and last.g > -math.inf else 0.0
+        factor = math.exp(min(max(math.log(stretch), 2.0 * reach), _LOG_MAX_STRETCH))
+        if up:
+            price = min(last.price * factor, _FLOAT_MAX)
+        else:
+            price = max(last.price / factor, _PRICE_FLOOR)
+        stretch *= stretch
+        previous, last = last, trial(price, *((None, last.rates) if up else (last.rates, None)))
+    lower, upper = (previous, last) if up else (last, previous)
+
+    widths: list[float] = []
+    for step in range(_MAX_PRICE_STEPS):
+        if lower.total - budget <= 0.5 * tol or budget - upper.total <= 0.5 * tol:
+            break
+        lo, hi = lower.price, upper.price
         span = math.log(hi / lo)
-        price = lo * math.exp(search.fraction(span) * span)
+        widths.append(span)
+        rise = last.g - previous.g
+        shift = -last.g * math.log(last.price / previous.price) / rise if rise else math.nan
+        stalled = step >= _STALL_STEPS and span > 0.5 * widths[step - _STALL_STEPS]
+        price = last.price * math.exp(shift) if abs(shift) < span and not stalled else math.nan
         if not lo < price < hi:
             price = lo * math.exp(0.5 * span)
             if not lo < price < hi:
                 break  # a demand jumps across one representable price
-        middle = trial(price, upper[2], lower[2])
-        value = middle[0] - budget
-        search.moved(value)
-        if value > 0.0:
-            lo, lower = price, middle
+        previous, last = last, trial(price, upper.rates, lower.rates)
+        if last.total > budget:
+            lower = last
         else:
-            hi, upper = price, middle
+            upper = last
     else:
-        raise SolverError(f"price bracket ({lo}, {hi}) did not close", bracket=(lo, hi))
-    gap = lower[0] - upper[0]
-    fraction = (budget - upper[0]) / gap if gap > 0.0 else 0.0
-    return [u + fraction * (v - u) for u, v in zip(upper[1], lower[1])]
+        raise SolverError(f"price bracket ({lower.price}, {upper.price}) did not close",
+                          bracket=(lower.price, upper.price))
+    gap = lower.total - upper.total
+    fraction = (budget - upper.total) / gap if gap > 0.0 else 0.0
+    return [u + fraction * (v - u) for u, v in zip(upper.amounts, lower.amounts)]
 
 
 def centralized_solve(
@@ -297,6 +291,9 @@ def centralized_solve(
         return amounts, rates
 
     shares = iter(_clear(competing, table.budget))
+    # Users equal in row kinds and share (positive floats are equal only
+    # bit for bit) split alike, so each such split is cleared once.
+    splits: dict[tuple, list[float]] = {}
     rates: list[float] = []
     for group, cap in zip(groups, table.user_caps):
         if cap == math.inf:
@@ -304,8 +301,10 @@ def centralized_solve(
             continue
         share = next(shares)
         if share > 0.0:
-            # Its rows are its amounts.
-            rates.extend(_clear(lambda *trial: (rates_at(group, *trial),) * 2, share))
+            key = (tuple(kinds[i] for i in group), share)
+            if key not in splits:  # its rows are its amounts
+                splits[key] = _clear(lambda *trial: (rates_at(group, *trial),) * 2, share)
+            rates.extend(splits[key])
         else:  # a VIP without targets has nothing to split under scarcity
             rates.extend(0.0 for _ in group)
     return _assemble(users, table, rates, "dual_bisection")

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wide_trees import wide_tree
+
 from nura import (
     Application,
     LogarithmicUtility,
@@ -260,34 +262,6 @@ def test_drawn_cells_match_the_oracle_or_name_saturation(tree):
             assert abs(got - want) <= tol
 
 
-def _wide_tree(rng, s):
-    """One tree of the wide-range differential run: 1-4 users, VIP or
-    not, with 1-3 apps each, weights summing to 1, and every curve
-    parameter, beta, target and R log-uniform in [10^-s, 10^s]."""
-    def draw():
-        return 10.0 ** rng.uniform(-s, s)
-
-    users = []
-    for index in range(rng.randint(1, 4)):
-        vip = rng.random() < 0.5
-        apps = []
-        for _ in range(rng.randint(1, 3)):
-            if rng.random() < 0.5:
-                utility = {"kind": "sigmoidal", "a": draw(), "b": draw()}
-            else:
-                utility = {"kind": "logarithmic", "k": draw(), "r_max": draw()}
-            app = {"utility": utility, "weight": rng.random()}
-            if vip and rng.random() < 0.5:
-                app["target_rate"] = draw()
-            apps.append(app)
-        total = sum(app["weight"] for app in apps)
-        for app in apps:
-            app["weight"] /= total
-        users.append({"id": f"u{index}", "class": "vip" if vip else "regular",
-                      "beta": draw(), "apps": apps})
-    return {"description": "wide", "R": draw(), "users": users}
-
-
 def _solve_or_name(solve, config):
     try:
         return solve(config)
@@ -302,7 +276,7 @@ def test_wide_range_cells_agree_with_the_oracle_or_both_raise():
     rng = random.Random(1)
     outcomes = Counter()
     for draw in range(400):
-        tree = _wide_tree(rng, 12)
+        tree = wide_tree(rng, 12)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)

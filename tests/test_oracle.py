@@ -13,6 +13,7 @@ from nura import (
     DomainError,
     LogarithmicUtility,
     SigmoidalUtility,
+    SolverError,
     UserClass,
     UserProfile,
     bundled_schedule_path,
@@ -22,7 +23,7 @@ from nura import (
     oracle,
     scenario,
 )
-from nura.utility import regime_table
+from nura.utility import add_up, regime_table
 
 
 def _user(uid, cls, apps):
@@ -210,8 +211,9 @@ def test_methods_labelled():
 
 def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeypatch):
     """The 40 sweep points and the 3 schedule epochs at R = 200 cost about
-    41k dlog_evaluate calls (49k with every row searched, not each
-    distinct one); nested bisections took 542753."""
+    34k dlog_evaluate calls with secant steps on the price (41k with
+    Illinois steps, 49k with every row searched, not each distinct one);
+    nested bisections took 542753."""
     calls = 0
     for cls in (SigmoidalUtility, LogarithmicUtility):
         def counted(self, rate, original=cls.dlog_evaluate):
@@ -226,7 +228,7 @@ def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeyp
     ]
     for config in configs:
         centralized_solve(config.users, config.capacity)
-    assert calls <= 45_000
+    assert calls <= 35_500
 
 
 @pytest.mark.parametrize("capacity", [30.0, 120.0])
@@ -259,6 +261,89 @@ def test_each_price_trial_searches_each_distinct_row_once(cell, monkeypatch):
     centralized_solve(cell.users, 100.0)
     per_trial = Counter(log_price for _, log_price in searched)
     assert len(per_trial) > 1 and set(per_trial.values()) == {6}
+
+
+def test_the_reference_cell_clears_in_few_price_trials(cell, monkeypatch):
+    """At R = 200 the one clearing tries 9 prices (Illinois steps on
+    total - budget, after steps out by 2, 4, 16, ..., tried 14)."""
+    searched = _spy_on_searches(monkeypatch)
+    centralized_solve(cell.users, 200.0)
+    assert len({log_price for _, log_price in searched}) <= 10
+
+
+def test_equal_capped_users_with_equal_shares_split_once(cell, monkeypatch):
+    """At R = 800, 16 copies of the reference users sit at the scarce
+    boundary: all 32 VIPs are capped, and the copies of ue1 and of ue2
+    get equal shares, so 2 splits follow the one clearing, not 32."""
+    users = [replace(user, user_id=f"{user.user_id}-{copy}")
+             for copy in range(16) for user in cell.users]
+    budgets = []
+
+    def counted(demand, budget, original=oracle._clear):
+        budgets.append(budget)
+        return original(demand, budget)
+
+    monkeypatch.setattr(oracle, "_clear", counted)
+    result = centralized_solve(users, 800.0)
+    assert len(budgets) == 3
+    for copy in range(1, 16):
+        for uid in ("ue1", "ue2"):
+            assert result.app_rates[f"{uid}-{copy}"] == result.app_rates[f"{uid}-0"]
+
+
+def _water_fill(weights, limits, budget):
+    """Exact amounts min(w / p, limit) summing to budget."""
+    clipped = set()
+    while True:
+        free = sum(w for i, w in enumerate(weights) if i not in clipped)
+        price = free / (budget - sum(limits[i] for i in clipped))
+        over = {i for i, (w, limit) in enumerate(zip(weights, limits)) if w / price > limit}
+        if over <= clipped:
+            return [min(w / price, limit) for w, limit in zip(weights, limits)]
+        clipped |= over
+
+
+def test_clearing_a_closed_form_demand_meets_the_exact_amounts():
+    """Amounts w / p, clipped at the budget or at a tighter limit, clear
+    within 1e-9 * budget of the water-filled exact amounts, whether the
+    search stops at its lower end (total above the budget) or at its
+    upper end."""
+    stops = set()
+    for weights in ([1.0, 2.0, 3.0], [0.5, 0.25], [1e-3, 5.0, 7.0, 0.2]):
+        rest = len(weights) - 1
+        for budget in (3e-5, 0.01, 1.0, 7.0, 100.0, 1e6):
+            for limits in ([budget] * (rest + 1), [0.1 * budget] + [budget] * rest):
+                totals = []
+
+                def demand(price, higher, lower):
+                    amounts = [min(w / price, limit) for w, limit in zip(weights, limits)]
+                    totals.append(add_up(amounts))
+                    return amounts, amounts
+
+                got = oracle._clear(demand, budget)
+                want = _water_fill(weights, limits, budget)
+                assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * budget
+                near = [total for total in totals if abs(total - budget) <= 0.5e-9 * budget]
+                stops.update("lower" if total > budget else "upper" for total in near)
+    assert stops == {"lower", "upper"}
+
+
+@pytest.mark.parametrize("off", [1e-10, 1e-8, -1e-10, -1e-8])
+def test_a_total_near_the_budget_at_the_end_of_the_price_range_clears_there(off):
+    """A total that never meets the budget but is within 5e-10 * budget
+    of it at the highest (lowest) float price clears there; one further
+    off raises, as it did at any distance."""
+    budget, near = 2.0, 2.0 * (1.0 + off)
+
+    def demand(price, higher, lower):
+        amounts = [near, 1.0 / price] if off > 0.0 else [min(1.0 / price, near)]
+        return amounts, amounts
+
+    if abs(off) < 5e-10:
+        assert sum(oracle._clear(demand, budget)) == pytest.approx(budget, rel=1e-9)
+    else:
+        with pytest.raises(SolverError, match="above" if off > 0.0 else "below"):
+            oracle._clear(demand, budget)
 
 
 @pytest.mark.parametrize("capacity, offsets_and_limits", [
