@@ -11,8 +11,11 @@ and 11, and 400 wide-range trees each at s = 12, 60 and 300
 (`tests/wide_trees.py`, drawn from `random.Random(1)` per s; a tree that
 fails validation counts as the outcome `ValidationError`). Per set it
 prints the cell count, every cell whose outcome class differs (solved,
-or the NuraError class raised) and the largest |change in a user rate|
-/ R over the cells both sides solve. Standard library only.
+or the NuraError class raised), the largest |change in a user rate| / R
+over the cells both sides solve, and each side's total price trials
+(the distinct log prices passed to `oracle._demand` over all of a
+cell's clearings) with the number of cells whose trials rose and fell.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -31,20 +34,31 @@ WIDE_SCALES = (12, 60, 300)
 WIDE_DRAWS = 400
 
 # Run in the checkout: reads {set: [tree, ...]} on stdin, prints
-# {set: [[label, R, outcome], ...]}, an outcome being the user rates or
-# the name of the NuraError raised.
+# {set: [[label, R, outcome, trials], ...]}, an outcome being the user
+# rates or the name of the NuraError raised. The trials are counted by a
+# wrapper that takes any arguments, so that it fits every _demand.
 _CHILD = """
 import json, sys, warnings
 sys.path[:0] = ["src", "bench"]
 import cells
-from nura import NuraError, centralized_solve, scenario_from_dict
+from nura import NuraError, centralized_solve, oracle, scenario_from_dict
+
+prices = set()
+
+def counted(*args, original=oracle._demand):
+    prices.add(args[1])
+    return original(*args)
+
+oracle._demand = counted
 
 def outcome(make):
+    prices.clear()
     try:
         config = make()
-        return config.capacity, centralized_solve(config.users, config.capacity).user_rates
+        rates = centralized_solve(config.users, config.capacity).user_rates
+        return config.capacity, rates, len(prices)
     except NuraError as exc:
-        return None, type(exc).__name__
+        return None, type(exc).__name__, len(prices)
 
 def solved(labelled):
     return [[label, *outcome(lambda: config)] for label, config in labelled]
@@ -83,15 +97,19 @@ def main(argv=None) -> None:
         trees[f"wide s={s}"] = [wide_tree(rng, s) for _ in range(WIDE_DRAWS)]
     old, new = _solve_all(args.parent, trees), _solve_all(args.change, trees)
     for name, cells in old.items():
-        differ, worst = [], 0.0
-        for (label, capacity, before), (_, _, after) in zip(cells, new[name]):
+        differ, worst, rose, fell = [], 0.0, 0, 0
+        for (label, capacity, before, tried), (_, _, after, tries) in zip(cells, new[name]):
             if _class(before) != _class(after):
                 differ.append(f"{label}: {_class(before)} -> {_class(after)}")
             elif not isinstance(before, str):
                 worst = max([worst] + [abs(after[uid] - rate) / capacity
                                        for uid, rate in before.items()])
+            rose += tries > tried
+            fell += tries < tried
         print(f"{name}: {len(cells)} cells, {len(differ)} change outcome class, "
-              f"max |d user rate| / R = {worst:.3g}")
+              f"max |d user rate| / R = {worst:.3g}, price trials "
+              f"{sum(cell[3] for cell in cells)} -> {sum(cell[3] for cell in new[name])} "
+              f"({rose} rose, {fell} fell)")
         for line in differ:
             print(f"  {line}")
 

@@ -18,11 +18,15 @@ table and the objective of the utility module) is shared with the
 pipeline. One clearing routine finds the price where total demand,
 added left to right, meets the budget, by secant steps on
 ln(total / budget) in ln p guarded by bisection, starting each demand
-from its rates at the ends of the price bracket, which enclose it. It
-tops every application up from its demand at the upper price toward
-its demand at the lower one, by the same fraction. The same routine
-splits a capped user's share among its applications, once per distinct
-split.
+from its rates at the ends of the price bracket, which enclose it.
+Where the bracket holds the plateau price p0 of one of its sigmoid rows,
+the price where that row's demand crosses the curve's flat stretch, the
+steps take s = asinh((p - p0) / w) for ln p: w is the width of that
+crossing, beyond it s is ln|p - p0| less a constant, and the row's
+demand is linear in s throughout. The routine tops every application
+up from its demand at the upper price toward its demand at the lower
+one, by the same fraction. It also splits a capped user's share among
+its applications, once per distinct split.
 
 grid_search_solve is the brute-force anti-hallucination oracle for tiny
 instances: exhaustive enumeration over the step-grid of the feasible
@@ -38,7 +42,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ContractError, DomainError, SolverError
-from .utility import NEG_INF, RegimeTable, UserProfile, add_up, objective, regime_table
+from .utility import (NEG_INF, RegimeTable, SigmoidalUtility, UserProfile, add_up, objective,
+                      regime_table)
 
 _FLOAT_MAX = sys.float_info.max
 _PRICE_FLOOR = math.ulp(0.0)  # the smallest positive float
@@ -140,6 +145,24 @@ def _demand(row: tuple | None, log_price: float, lo: float, hi: float) -> float:
     return lo + 0.5 * (hi - lo)
 
 
+def _plateau(utility, factor: float) -> tuple[float, float] | None:
+    """(p0, w) for a sigmoid row: where and over what width its demand
+    crosses the curve's flat stretch; None for a log curve or factor 0.
+
+    Between the low-rate wall and the inflection (ln U)' stays near
+    a(1 + e^{-ab}), so the row demands little above p0 = factor * a(1 +
+    e^{-ab}) and much below it. With x = e^{-a(r - b/2)} the equation
+    factor * (ln U)'(r) = p reads x - 1 / x = (p - p0) / (p0 e^{-ab/2}) to
+    first order, so the demand is b/2 - s / a with s = asinh((p - p0) / w),
+    w = 2 p0 e^{-ab/2}: linear in s, and like -ln|p - p0| / a beyond w.
+    w is at least 2 ulps of p0, the finest step a price can take there.
+    """
+    if not isinstance(utility, SigmoidalUtility) or factor == 0.0:
+        return None
+    p0 = factor * utility.a * (1.0 + math.exp(-utility.a * utility.b))
+    return p0, max(2.0 * p0 * math.exp(-0.5 * utility.a * utility.b), 2.0 * math.ulp(p0))
+
+
 class _Trial(NamedTuple):
     """A price tried by _clear; g = ln(total / budget), -inf at total 0."""
 
@@ -150,7 +173,8 @@ class _Trial(NamedTuple):
     rates: list[float]
 
 
-def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float) -> list[float]:
+def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float,
+           plateaus: Sequence[tuple[float, float]] = ()) -> list[float]:
     """Amounts summing to budget at the price where demand meets it.
 
     demand(price, higher, lower) returns nonincreasing amounts and the
@@ -170,6 +194,21 @@ def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float
     the budget. Amounts do not rise with the price, so the exact ones lie
     between the ends' as well and differ from the stopping end's by at
     most tol / 2 in all; the top-up moves the amounts by at most tol / 2.
+
+    plateaus lists the (p0, w) of the sigmoid rows (_plateau). Such a row's
+    demand, linear in s = asinh((p - p0) / w), crosses its curve's whole
+    flat stretch within a few w of p0, so g is close to a step in ln p
+    there and secant steps in ln p creep up on it. Once the bracket holds
+    a p0 and lies where s resolves prices at least as finely as ln p
+    (lo >= p0 / 2 + w^2 / (2 p0)), the secant steps and the bisection run
+    in s; bisecting in s a bracket around p0 tries prices next to p0. The
+    plateau nearest the last trial is taken, each at most once, as a new
+    phase; ln p bisection stays for an s bisection that rounds onto an
+    end. A phase's bracket spans under 2^9 in s and at least its width in
+    ln p, so it too reaches adjacent floats within _MAX_PRICE_STEPS steps;
+    there are at most len(plateaus) + 1 phases. The plateaus choose trial
+    prices only: the bracket updates, both stop tests and the top-up do
+    not read them, so a wrong plateau costs trials, not accuracy.
     """
     log_budget = math.log(budget)
 
@@ -206,20 +245,42 @@ def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float
     lower, upper = (previous, last) if up else (last, previous)
 
     widths: list[float] = []
-    for step in range(_MAX_PRICE_STEPS):
+    anchor = width = None  # the plateau (p0, w) the search steps around, if any
+
+    def level(price: float) -> float:  # the search variable s around the plateau
+        return math.asinh((price - anchor) / width)
+
+    for _ in range(_MAX_PRICE_STEPS * (len(plateaus) + 1)):
         if lower.total - budget <= 0.5 * tol or budget - upper.total <= 0.5 * tol:
             break
         lo, hi = lower.price, upper.price
-        span = math.log(hi / lo)
+        if anchor is None or not lo <= anchor <= hi:
+            # A plateau in the bracket, which lies where ds >= d ln p, starts a phase.
+            near = [(p0, w) for p0, w in plateaus
+                    if lo <= p0 <= hi and p0 + w * (w / p0) <= 2.0 * lo]
+            if near:
+                anchor, width = min(near, key=lambda plateau: abs(last.price - plateau[0]))
+                widths = []
+        span = math.log(hi / lo) if anchor is None else level(hi) - level(lo)
         widths.append(span)
+        stalled = len(widths) > _STALL_STEPS and span > 0.5 * widths[-1 - _STALL_STEPS]
         rise = last.g - previous.g
-        shift = -last.g * math.log(last.price / previous.price) / rise if rise else math.nan
-        stalled = step >= _STALL_STEPS and span > 0.5 * widths[step - _STALL_STEPS]
-        price = last.price * math.exp(shift) if abs(shift) < span and not stalled else math.nan
-        if not lo < price < hi:
-            price = lo * math.exp(0.5 * span)
+        if anchor is None:
+            shift = -last.g * math.log(last.price / previous.price) / rise if rise else math.nan
+            price = last.price * math.exp(shift) if abs(shift) < span and not stalled else math.nan
             if not lo < price < hi:
-                break  # a demand jumps across one representable price
+                price = lo * math.exp(0.5 * span)
+        else:
+            here = level(last.price)
+            shift = -last.g * (here - level(previous.price)) / rise if rise else math.nan
+            price = (anchor + width * math.sinh(here + shift)
+                     if abs(shift) < span and not stalled else math.nan)
+            if not lo < price < hi:
+                price = anchor + width * math.sinh(0.5 * (level(lo) + level(hi)))
+                if not lo < price < hi:
+                    price = lo * math.exp(0.5 * math.log(hi / lo))
+        if not lo < price < hi:
+            break  # a demand jumps across one representable price
         previous, last = last, trial(price, upper.rates, lower.rates)
         if last.total > budget:
             lower = last
@@ -267,6 +328,10 @@ def centralized_solve(
                                  len(distinct)) for entry, limit in zip(table.rows, limits)]
     searches = [None if factor == 0.0 else (utility.dlog_evaluate, math.log(factor), offset, cap)
                 for utility, factor, offset, cap in distinct]
+    plateau_of = [_plateau(utility, factor) for utility, factor, _, _ in distinct]
+
+    def plateaus(indices) -> list[tuple[float, float]]:
+        return sorted({plateau_of[kinds[i]] for i in indices} - {None})
 
     def rates_at(indices, price, higher, lower) -> list[float]:
         log_price = math.log(price)
@@ -290,7 +355,7 @@ def centralized_solve(
                 amounts.append(min(add_up(rates[i] for i in group), cap))
         return amounts, rates
 
-    shares = iter(_clear(competing, table.budget))
+    shares = iter(_clear(competing, table.budget, plateaus(every_row)))
     # Users equal in row kinds and share (positive floats are equal only
     # bit for bit) split alike, so each such split is cleared once.
     splits: dict[tuple, list[float]] = {}
@@ -303,7 +368,8 @@ def centralized_solve(
         if share > 0.0:
             key = (tuple(kinds[i] for i in group), share)
             if key not in splits:  # its rows are its amounts
-                splits[key] = _clear(lambda *trial: (rates_at(group, *trial),) * 2, share)
+                splits[key] = _clear(lambda *trial: (rates_at(group, *trial),) * 2, share,
+                                     plateaus(group))
             rates.extend(splits[key])
         else:  # a VIP without targets has nothing to split under scarcity
             rates.extend(0.0 for _ in group)

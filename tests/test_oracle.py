@@ -1,6 +1,8 @@
 """Centralized solvers: analytic points, grid cross-checks, tie rules."""
 
 import ast
+import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -211,9 +213,10 @@ def test_methods_labelled():
 
 def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeypatch):
     """The 40 sweep points and the 3 schedule epochs at R = 200 cost about
-    34k dlog_evaluate calls with secant steps on the price (41k with
-    Illinois steps, 49k with every row searched, not each distinct one);
-    nested bisections took 542753."""
+    22.7k dlog_evaluate calls with the price search stepping around the
+    sigmoids' plateau prices (33.7k with secant steps in ln p alone, 41k
+    with Illinois steps, 49k with every row searched, not each distinct
+    one); nested bisections took 542753."""
     calls = 0
     for cls in (SigmoidalUtility, LogarithmicUtility):
         def counted(self, rate, original=cls.dlog_evaluate):
@@ -228,7 +231,7 @@ def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeyp
     ]
     for config in configs:
         centralized_solve(config.users, config.capacity)
-    assert calls <= 35_500
+    assert calls <= 23_900
 
 
 @pytest.mark.parametrize("capacity", [30.0, 120.0])
@@ -263,12 +266,35 @@ def test_each_price_trial_searches_each_distinct_row_once(cell, monkeypatch):
     assert len(per_trial) > 1 and set(per_trial.values()) == {6}
 
 
+def _price_trials(config, searched):
+    """Distinct prices over all of centralized_solve's clearings."""
+    searched.clear()
+    centralized_solve(config.users, config.capacity)
+    return len({log_price for _, log_price in searched})
+
+
 def test_the_reference_cell_clears_in_few_price_trials(cell, monkeypatch):
-    """At R = 200 the one clearing tries 9 prices (Illinois steps on
-    total - budget, after steps out by 2, 4, 16, ..., tried 14)."""
+    """At R = 100 to 200 and in the three schedule epochs each cell tries
+    at most 9 prices, as with steps in ln p alone; at R = 200 Illinois
+    steps on total - budget, after steps out by 2, 4, 16, ..., tried 14."""
+    configs = [replace(cell, capacity=5.0 * i) for i in range(20, 41)] + [
+        scenario._apply_weights(cell, epoch)
+        for epoch in load_schedule(bundled_schedule_path()).epochs
+    ]
     searched = _spy_on_searches(monkeypatch)
-    centralized_solve(cell.users, 200.0)
-    assert len({log_price for _, log_price in searched}) <= 10
+    for config in configs:
+        assert _price_trials(config, searched) <= 10, config.capacity
+
+
+@pytest.mark.parametrize("capacity, most", [(10.0, 26), (15.0, 37), (60.0, 15), (65.0, 14)])
+def test_a_cell_clearing_next_to_a_plateau_price_takes_few_price_trials(
+        cell, capacity, most, monkeypatch):
+    """These cells clear within 1e-7 of a sigmoid's plateau price (1.5 or
+    0.9), where that demand crosses its flat stretch: stepping in ln p
+    alone they took 117, 121, 50 and 55 price trials, and stepping in s
+    around the plateau 24, 35, 13 and 12."""
+    searched = _spy_on_searches(monkeypatch)
+    assert _price_trials(replace(cell, capacity=capacity), searched) <= most
 
 
 def test_equal_capped_users_with_equal_shares_split_once(cell, monkeypatch):
@@ -279,9 +305,9 @@ def test_equal_capped_users_with_equal_shares_split_once(cell, monkeypatch):
              for copy in range(16) for user in cell.users]
     budgets = []
 
-    def counted(demand, budget, original=oracle._clear):
+    def counted(demand, budget, plateaus, original=oracle._clear):
         budgets.append(budget)
-        return original(demand, budget)
+        return original(demand, budget, plateaus)
 
     monkeypatch.setattr(oracle, "_clear", counted)
     result = centralized_solve(users, 800.0)
@@ -292,39 +318,50 @@ def test_equal_capped_users_with_equal_shares_split_once(cell, monkeypatch):
 
 
 def _water_fill(weights, limits, budget):
-    """Exact amounts min(w / p, limit) summing to budget."""
+    """Exact amounts min(w / p, limit) summing to budget, and that p."""
     clipped = set()
     while True:
         free = sum(w for i, w in enumerate(weights) if i not in clipped)
         price = free / (budget - sum(limits[i] for i in clipped))
         over = {i for i, (w, limit) in enumerate(zip(weights, limits)) if w / price > limit}
         if over <= clipped:
-            return [min(w / price, limit) for w, limit in zip(weights, limits)]
+            return [min(w / price, limit) for w, limit in zip(weights, limits)], price
         clipped |= over
+
+
+# Plateaus (p0, w) that no row of the demand has, at the given price and
+# at both ends of the float price range: they may cost trials only.
+def _wrong_plateaus(price):
+    ends = [(sys.float_info.max, 2.0 * math.ulp(sys.float_info.max)),
+            (math.ulp(0.0), 2.0 * math.ulp(0.0))]
+    return [[(price, 2.0 * math.ulp(price))], [(price * (1.0 + 1e-7), 1e-9 * price)],
+            [(0.5 * price, 0.1 * price), (3.0 * price, 1e-3 * price)], ends]
 
 
 def test_clearing_a_closed_form_demand_meets_the_exact_amounts():
     """Amounts w / p, clipped at the budget or at a tighter limit, clear
     within 1e-9 * budget of the water-filled exact amounts, whether the
     search stops at its lower end (total above the budget) or at its
-    upper end."""
+    upper end, and whatever plateaus it is given: none, or wrong ones at
+    the clearing price, around it and at the ends of the price range."""
     stops = set()
     for weights in ([1.0, 2.0, 3.0], [0.5, 0.25], [1e-3, 5.0, 7.0, 0.2]):
         rest = len(weights) - 1
         for budget in (3e-5, 0.01, 1.0, 7.0, 100.0, 1e6):
             for limits in ([budget] * (rest + 1), [0.1 * budget] + [budget] * rest):
-                totals = []
+                want, root = _water_fill(weights, limits, budget)
+                for plateaus in [[], *_wrong_plateaus(root)]:
+                    totals = []
 
-                def demand(price, higher, lower):
-                    amounts = [min(w / price, limit) for w, limit in zip(weights, limits)]
-                    totals.append(add_up(amounts))
-                    return amounts, amounts
+                    def demand(price, higher, lower):
+                        amounts = [min(w / price, limit) for w, limit in zip(weights, limits)]
+                        totals.append(add_up(amounts))
+                        return amounts, amounts
 
-                got = oracle._clear(demand, budget)
-                want = _water_fill(weights, limits, budget)
-                assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * budget
-                near = [total for total in totals if abs(total - budget) <= 0.5e-9 * budget]
-                stops.update("lower" if total > budget else "upper" for total in near)
+                    got = oracle._clear(demand, budget, plateaus)
+                    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * budget
+                    near = [total for total in totals if abs(total - budget) <= 0.5e-9 * budget]
+                    stops.update("lower" if total > budget else "upper" for total in near)
     assert stops == {"lower", "upper"}
 
 
@@ -332,18 +369,20 @@ def test_clearing_a_closed_form_demand_meets_the_exact_amounts():
 def test_a_total_near_the_budget_at_the_end_of_the_price_range_clears_there(off):
     """A total that never meets the budget but is within 5e-10 * budget
     of it at the highest (lowest) float price clears there; one further
-    off raises, as it did at any distance."""
+    off raises, as it did at any distance. Wrong plateaus change neither."""
     budget, near = 2.0, 2.0 * (1.0 + off)
 
     def demand(price, higher, lower):
         amounts = [near, 1.0 / price] if off > 0.0 else [min(1.0 / price, near)]
         return amounts, amounts
 
-    if abs(off) < 5e-10:
-        assert sum(oracle._clear(demand, budget)) == pytest.approx(budget, rel=1e-9)
-    else:
-        with pytest.raises(SolverError, match="above" if off > 0.0 else "below"):
-            oracle._clear(demand, budget)
+    for plateaus in [[], *_wrong_plateaus(1.0)]:
+        if abs(off) < 5e-10:
+            got = sum(oracle._clear(demand, budget, plateaus))
+            assert got == pytest.approx(budget, rel=1e-9)
+        else:
+            with pytest.raises(SolverError, match="above" if off > 0.0 else "below"):
+                oracle._clear(demand, budget, plateaus)
 
 
 @pytest.mark.parametrize("capacity, offsets_and_limits", [
