@@ -1,20 +1,23 @@
-"""Compare centralized_solve in two checkouts, cell by cell.
+"""Compare centralized_solve and run_once in two checkouts, cell by cell.
 
     python3 scripts/oracle_diff.py PARENT_DIR CHANGE_DIR
 
 PARENT_DIR and CHANGE_DIR are two checkouts (for example a `git archive`
-of the parent commit and the working tree). Each checkout's oracle runs
+of the parent commit and the working tree). Each checkout's solvers run
 in its own subprocess, which imports the library from the checkout's
 `src` and the benchmark's cells from its `bench`. The sets are
 `ref_sweep` and `large_cell` at seed 7, `fuzz_cells` at seeds 3, 7, 8
 and 11, and 400 wide-range trees each at s = 12, 60 and 300
 (`tests/wide_trees.py`, drawn from `random.Random(1)` per s; a tree that
-fails validation counts as the outcome `ValidationError`). Per set it
-prints the cell count, every cell whose outcome class differs (solved,
-or the NuraError class raised), the largest |change in a user rate| / R
-over the cells both sides solve, and each side's total price trials
-(the distinct log prices passed to `oracle._demand` over all of a
-cell's clearings) with the number of cells whose trials rose and fell.
+fails validation counts as the outcome `ValidationError`). Per set and
+solver it prints each side's count of every outcome class (solved, or
+the NuraError class raised), every cell whose class differs, the largest
+|change in a user rate| / R over the cells both sides solve, and each
+side's total trials with the number of cells whose trials rose and fell.
+The oracle's trials are its price trials (the distinct log prices passed
+to `oracle._demand` over all of a cell's clearings); run_once's are its
+clearing trials (each `intra_ue.clear_price` call's
+`intra_ue.app_rate_at_price` calls over its rows, summed over the cell).
 Standard library only.
 """
 
@@ -25,6 +28,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -32,43 +36,69 @@ from wide_trees import wide_tree  # noqa: E402
 
 WIDE_SCALES = (12, 60, 300)
 WIDE_DRAWS = 400
+SOLVERS = ("centralized_solve", "run_once")
 
 # Run in the checkout: reads {set: [tree, ...]} on stdin, prints
-# {set: [[label, R, outcome, trials], ...]}, an outcome being the user
-# rates or the name of the NuraError raised. The trials are counted by a
-# wrapper that takes any arguments, so that it fits every _demand.
+# {set: [[label, R, {solver: [outcome, trials]}], ...]}, an outcome being
+# the user rates or the name of the NuraError raised. The counters wrap
+# with any arguments, so that they fit every version of what they wrap.
 _CHILD = """
 import json, sys, warnings
 sys.path[:0] = ["src", "bench"]
 import cells
-from nura import NuraError, centralized_solve, oracle, scenario_from_dict
+from nura import NuraError, centralized_solve, intra_ue, oracle, protocol, run_once
+from nura import scenario_from_dict
 
 prices = set()
+trials = [0.0, 0]  # clearing trials so far, demand calls in this clearing
 
-def counted(*args, original=oracle._demand):
+def searched(*args, original=oracle._demand):
     prices.add(args[1])
     return original(*args)
 
-oracle._demand = counted
+def demanded(*args, original=intra_ue.app_rate_at_price):
+    trials[1] += 1
+    return original(*args)
 
-def outcome(make):
-    prices.clear()
+def cleared(table, *args, original=intra_ue.clear_price):
+    trials[1] = 0
+    out = original(table, *args)
+    trials[0] += trials[1] / len(table.rows)
+    return out
+
+oracle._demand = searched
+intra_ue.app_rate_at_price = demanded
+intra_ue.clear_price = protocol.clear_price = cleared
+
+def certified(config):
+    return centralized_solve(config.users, config.capacity).user_rates
+
+def outcomes(make):
     try:
         config = make()
-        rates = centralized_solve(config.users, config.capacity).user_rates
-        return config.capacity, rates, len(prices)
     except NuraError as exc:
-        return None, type(exc).__name__, len(prices)
+        return None, {solver: [type(exc).__name__, 0] for solver in ("centralized_solve", "run_once")}
+    out = {}
+    for solver, solve in (("centralized_solve", certified),
+                          ("run_once", lambda config: run_once(config).user_rates)):
+        prices.clear()
+        trials[0] = 0.0
+        try:
+            rates = solve(config)
+        except NuraError as exc:
+            rates = type(exc).__name__
+        out[solver] = [rates, len(prices) if solver == "centralized_solve" else trials[0]]
+    return config.capacity, out
 
 def solved(labelled):
-    return [[label, *outcome(lambda: config)] for label, config in labelled]
+    return [[label, *outcomes(lambda: config)] for label, config in labelled]
 
 out = {"ref_sweep": solved(cells.ref_sweep(7)[0]), "large_cell": solved(cells.large_cell(7)[0])}
 for seed in (3, 7, 8, 11):
     out[f"fuzz_cells {seed}"] = solved(cells.fuzz_cells(seed)[0])
 warnings.simplefilter("ignore", RuntimeWarning)
 for name, trees in json.load(sys.stdin).items():
-    out[name] = [[f"draw {i}", *outcome(lambda: scenario_from_dict(tree))]
+    out[name] = [[f"draw {i}", *outcomes(lambda: scenario_from_dict(tree))]
                  for i, tree in enumerate(trees)]
 print(json.dumps(out))
 """
@@ -86,6 +116,11 @@ def _class(rates) -> str:
     return rates if isinstance(rates, str) else "solved"
 
 
+def _classes(cells, solver: str) -> str:
+    counts = Counter(_class(cell[2][solver][0]) for cell in cells)
+    return ", ".join(f"{name} {count}" for name, count in sorted(counts.items()))
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -97,21 +132,24 @@ def main(argv=None) -> None:
         trees[f"wide s={s}"] = [wide_tree(rng, s) for _ in range(WIDE_DRAWS)]
     old, new = _solve_all(args.parent, trees), _solve_all(args.change, trees)
     for name, cells in old.items():
-        differ, worst, rose, fell = [], 0.0, 0, 0
-        for (label, capacity, before, tried), (_, _, after, tries) in zip(cells, new[name]):
-            if _class(before) != _class(after):
-                differ.append(f"{label}: {_class(before)} -> {_class(after)}")
-            elif not isinstance(before, str):
-                worst = max([worst] + [abs(after[uid] - rate) / capacity
-                                       for uid, rate in before.items()])
-            rose += tries > tried
-            fell += tries < tried
-        print(f"{name}: {len(cells)} cells, {len(differ)} change outcome class, "
-              f"max |d user rate| / R = {worst:.3g}, price trials "
-              f"{sum(cell[3] for cell in cells)} -> {sum(cell[3] for cell in new[name])} "
-              f"({rose} rose, {fell} fell)")
-        for line in differ:
-            print(f"  {line}")
+        print(f"{name}: {len(cells)} cells")
+        for solver in SOLVERS:
+            differ, worst, rose, fell, total, totals = [], 0.0, 0, 0, 0.0, 0.0
+            for (label, capacity, parent), (_, _, change) in zip(cells, new[name]):
+                (before, tried), (after, tries) = parent[solver], change[solver]
+                if _class(before) != _class(after):
+                    differ.append(f"{label}: {_class(before)} -> {_class(after)}")
+                elif not isinstance(before, str):
+                    worst = max([worst] + [abs(after[uid] - rate) / capacity
+                                           for uid, rate in before.items()])
+                rose += tries > tried
+                fell += tries < tried
+                total, totals = total + tried, totals + tries
+            print(f"  {solver}: classes {_classes(cells, solver)} -> {_classes(new[name], solver)}"
+                  f"; {len(differ)} change outcome class, max |d user rate| / R = {worst:.3g}, "
+                  f"trials {total:g} -> {totals:g} ({rose} rose, {fell} fell)")
+            for line in differ:
+                print(f"    {line}")
 
 
 if __name__ == "__main__":

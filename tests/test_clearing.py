@@ -22,7 +22,10 @@ from nura import (
     UserClass,
     UserProfile,
     ValidationError,
+    allocate_internal,
     centralized_solve,
+    intra_ue,
+    protocol,
     run_first_stage,
     run_once,
     scenario_from_dict,
@@ -68,6 +71,69 @@ def test_sigmoids_jumping_at_one_price_split_like_the_oracle():
     reference = centralized_solve(users, 40.0)
     for uid, rate in record.user_rates.items():
         assert rate == pytest.approx(reference.user_rates[uid], abs=0.2)
+
+
+def _clearing_trials(monkeypatch, run, prices=None):
+    """run()'s result and the demand trials of each clear_price call it
+    makes, its app_rate_at_price calls over its rows; prices, if given,
+    collects the price / beta of every call."""
+    calls, trials = [0], []
+
+    def counted(app, price, limit, case, original=intra_ue.app_rate_at_price):
+        calls[0] += 1
+        if prices is not None:
+            prices.append(price)
+        return original(app, price, limit, case)
+
+    def clearing(table, price, original=intra_ue.clear_price):
+        calls[0] = 0
+        cleared = original(table, price)
+        trials.append(calls[0] / len(table.rows))
+        return cleared
+
+    monkeypatch.setattr(intra_ue, "app_rate_at_price", counted)
+    monkeypatch.setattr(intra_ue, "clear_price", clearing)
+    monkeypatch.setattr(protocol, "clear_price", clearing)
+    return run(), trials
+
+
+@pytest.mark.parametrize("capacity", [10.0, 15.0, 60.0, 65.0, 85.0])
+def test_a_clearing_next_to_a_plateau_price_takes_few_trials(cell, capacity, monkeypatch):
+    """These cells clear within 6e-7 of a sigmoid's plateau price (1.5 or
+    0.9), where the total is close to a step in ln p. Newton steps in ln p
+    and bisection took 24, 20, 21, 32 and 11 trials to close them; secant
+    steps in s = asinh((p - p0) / d) after the first rejected Newton step
+    take 8, 10, 8, 9 and 7."""
+    _, trials = _clearing_trials(monkeypatch, lambda: run_first_stage(cell.users, capacity))
+    assert len(trials) == 1 and trials[0] <= 11, trials
+
+
+def test_a_plateau_in_the_bracket_far_from_the_root_keeps_newtons_landing(cell, monkeypatch):
+    """At R = 50 ue1's demand passes its rate, so its own rows are cleared
+    again: budget 20 from the final price 0.49, root 1.094, with its
+    sigmoid's plateau price 1.5 inside the bracket. Newton steps in ln p,
+    none rejected, land on it in 7 trials; stepping in s as soon as the
+    bracket held 1.5 took 11."""
+    first = run_first_stage(cell.users, 50.0)
+    prices = []
+    rates, trials = _clearing_trials(
+        monkeypatch, lambda: allocate_internal(cell.users[0], first), prices)
+    assert len(trials) == 1 and trials[0] <= 7, trials
+    assert min(prices) < 1.1 and max(prices) > 1.5  # the bracket held the plateau
+    assert sum(rates) == pytest.approx(first.rates["ue1"], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("capacity", [60.0, 62.5, 65.0])
+def test_a_clearing_takes_the_plateau_its_bracket_moves_onto(cell, capacity, monkeypatch):
+    """With ue2's beta at 2 its plateau price is 1.8, above ue1's and ue3's
+    1.5, next to which these cells clear. The clearing first steps in s
+    around 1.8; kept there once the bracket fell below 1.8, bisection in
+    that s crept onto 1.5 in 35, 40 and 45 trials (Newton steps and
+    bisection in ln p took 37, 35 and 34). Taking 1.5, which the bracket
+    then holds, closes them in 9, 12 and 11."""
+    users = tuple(replace(u, beta=2.0) if u.user_id == "ue2" else u for u in cell.users)
+    _, trials = _clearing_trials(monkeypatch, lambda: run_first_stage(users, capacity))
+    assert len(trials) == 1 and trials[0] <= 13, trials
 
 
 def _assert_conserved(record):
