@@ -4,16 +4,17 @@ clear_price finds the price at which a regime table's participants
 spend its budget: each application demands the rate where its marginal
 value meets price / beta, in closed form at each trial price; an
 uncapped user competes app by app, a capped one as min(its demand, its
-cap). Safeguarded Newton steps in ln p find that price from a given
-start price; next to a sigmoid row's plateau price p0, where they
-overshoot, secant steps in s = asinh((p - p0) / d) take over, in which
-that row's demand is linear. Where demand jumps across a relative
-price change below float resolution (a sigmoid's flat stretch), every
-amount is topped up between its demands at the ends of a 1e-10-wide
-bracket by one common fraction. Each trial is one loop over the rows
-for the demands and one for the step's bookkeeping, and every total is
-added left to right, so a clearing gives the same bits on every
-CPython version.
+cap). One safeguarded Newton search finds that price from a given start
+price, in a coordinate t of the price: ln p, in which log apps' total
+demand is nearly linear, or next to a sigmoid row's plateau price p0,
+where steps in ln p overshoot, s = asinh((p - p0) / d), in which that
+row's demand is linear. Where demand jumps across a relative price
+change below what t resolves (a sigmoid's flat stretch), every amount
+is topped up between its demands at the ends of a 1e-10-wide bracket by
+one common fraction. Each trial is one loop over the rows for the
+demands and one for the step's bookkeeping, and every total is added
+left to right, so a clearing gives the same bits on every CPython
+version.
 
 The bidding stage ends with one clearing (protocol), whose rows are
 every application's rate. allocate_internal hands a user those rows,
@@ -38,18 +39,6 @@ if TYPE_CHECKING:  # protocol imports this module
 _PRICE_RTOL = 1e-10
 _PRICE_FLOOR = 1e-150
 _MAX_PRICE_STEPS = 200
-_STALL_STEPS = 4  # steps in s within which the bracket must halve, else it is bisected
-
-
-def _geometric_mean(lo: float, hi: float) -> float:
-    """sqrt(lo * hi), also where the product overflows; nan for 0 and inf."""
-    product = lo * hi
-    return math.sqrt(product) if product < math.inf else math.sqrt(lo) * math.sqrt(hi)
-
-
-def _excess(total: float, budget: float) -> float:
-    """ln(total / budget), -inf at total 0."""
-    return math.log(total) - math.log(budget) if total > 0.0 else -math.inf
 
 
 def _plateaus(rows: tuple[AppRow, ...]) -> list[tuple[float, float]]:
@@ -76,20 +65,19 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
     its cap; a budget no price above the floor spends, or one that every
     price up to the float range overspends, raises SolverError.
 
-    The s phase starts at the first Newton step rejected in a closed
-    bracket [lo, hi] that holds a plateau p0 (_plateaus) with lo >= p0 / 2
-    + d^2 / (2 p0), where s resolves prices at least as finely as ln p.
-    The plateau nearest the last trial is taken. Once the bracket has
-    moved past it, the plateau in the bracket nearest the last trial takes
-    over, if there is one; else it is kept, since past p0 its demand stays
-    linear in s. The bracket only shrinks, so each plateau is taken at
-    most once. From then on each trial is a secant step on ln(total /
-    budget) in s through the last two trials, or a bisection in s where
-    that step leaves the bracket or the bracket has not halved in
-    _STALL_STEPS steps (in ln p where that rounds onto an end). The
-    plateaus choose trial prices only: the bracket updates, the stop tests
-    and the top-up do not read them, and a clearing that rejects no Newton
-    step never computes them.
+    The bracket [lo, hi] holds the price. Each trial takes the Newton
+    step in ln p times dt / d ln p, a step in t: t is ln p, or s around a
+    plateau (p0, d) (_plateaus), where that factor is p / hypot(p - p0, d).
+    The step is taken if it lands inside the bracket and is at most half
+    the step before last. Else an open bracket steps out by a factor that
+    starts at 2 and squares on each repeat, and a closed one is bisected
+    in t, with t first taken around the plateau nearest where the line
+    through the bracket's totals in ln p meets the budget, among those
+    with lo / 2 <= p0 and p0 + d^2 / p0 <= 2 lo (s resolves prices at
+    least as finely as ln p there; p0 may lie just past an end). A
+    midpoint that rounds onto an end means that t resolves no price
+    between them: a demand jumps there. The plateaus choose trial prices
+    only: the bracket updates, the stop tests and the top-up ignore them.
     """
     rows, caps, budget, case = table.rows, table.user_caps, table.budget, table.case
     betas = [user.beta for user in table.participants]
@@ -115,32 +103,24 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
             total += shares[slot]
         return shares, rates, total
 
-    # Newton on ln(total demand) as a function of ln p; for log apps it
-    # is nearly linear. Each free row (weighted, and neither it nor its
-    # user at a cap) moves with ln p at 1 / (d/dr ln (ln U)' at its rate).
-    # The bracket [lo, hi] holds the price: the demand at lo exceeds the
-    # budget, at hi not; an end not yet found is open (lo = 0, hi = inf).
-    # A step that leaves the bracket, or does not halve the step before
-    # last, is rejected: it becomes a step in s (see above) or a bisection
-    # step in ln p, or while the bracket is open a step out by a factor
-    # that starts at 2 and squares on each repeat.
+    anchor = width = None  # the plateau (p0, d) that t is taken around, if any
+    plateaus = None  # computed at the first step rejected in a closed bracket
+
+    def to_t(price: float) -> float:
+        return math.log(price) if anchor is None else math.asinh((price - anchor) / width)
+
+    def price_at(t: float) -> float:  # to_t's inverse, where exp and sinh stay finite
+        if anchor is None:
+            return min(max(math.exp(min(t, 709.0)), _PRICE_FLOOR), ceiling)
+        return anchor + width * math.sinh(min(max(t, -710.0), 710.0))
+
+    # The demand at lo exceeds the budget, at hi not; an end not yet found is 0 or inf.
     tol = 1e-9 * budget
     lo, hi = 0.0, math.inf
     price = min(max(price, _PRICE_FLOOR), ceiling)
     shares, rates, total = demand(price)
-    last_step = prior_step = math.inf
+    last_step = prior_step = math.inf  # the last two steps taken in t
     stretch = 2.0
-    last_price = last_total = math.nan  # the trial before this one
-    plateaus = None  # computed at the first rejected Newton step
-    anchor = width = None  # the plateau (p0, d) the search steps around, if any
-    spans: list[float] = []  # the bracket's widths in s
-
-    def level(price: float) -> float:  # the search variable s around the plateau
-        return math.asinh((price - anchor) / width)
-
-    def at_level(s: float) -> float:  # the price at level s; sinh overflows past 710
-        return anchor + width * math.sinh(min(max(s, -710.0), 710.0))
-
     for _ in range(_MAX_PRICE_STEPS):
         if abs(total - budget) <= tol:
             return price, shares, rates
@@ -174,55 +154,46 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
                 bracket=(price, hi),
             )
         if hi - lo <= _PRICE_RTOL * hi < math.inf:
-            # Rows that jump inside the bracket are told apart to adjacent floats.
+            # Rows that jump inside the bracket are told apart as far as t resolves.
             jumps = sum(v - u > tol for u, v in zip(upper[1], lower[1]))
-            if jumps <= 1 or not lo < _geometric_mean(lo, hi) < hi:
+            if jumps <= 1:
                 break
-        if anchor is None:
-            # A row whose slope is 0 or not finite (k * r overflowed a log
-            # app) tells nothing of the response and is left out.
-            response = 0.0
-            for row, rate in moving:
-                slope = row.app.utility.dlog_and_slope(rate + row.offset)[1]
-                if -math.inf < slope < 0.0:
-                    response += 1.0 / slope
-            step = math.nan
-            if response < 0.0 and total > 0.0:
-                step = math.log(budget / total) * total / response
-            trial = math.nan
-            if abs(step) <= 0.5 * prior_step and step < 700.0:
-                trial = max(price * math.exp(step), _PRICE_FLOOR)
-            seek = 0.0 < lo and not lo < trial < hi  # rejected in a closed bracket
-        else:
-            seek = not lo <= anchor <= hi  # the bracket moved past the anchor
-        if seek:
-            # Step in s around the plateau in the bracket nearest the price,
-            # if there is one; else keep stepping as before.
+        # Newton on ln(total demand) as a function of ln p; for log apps it
+        # is nearly linear. Each free row (weighted, and neither it nor its
+        # user at a cap) moves with ln p at 1 / (d/dr ln (ln U)' at its
+        # rate); a row whose slope is 0 or not finite (k * r overflowed a
+        # log app) tells nothing of the response and is left out.
+        response = 0.0
+        for row, rate in moving:
+            slope = row.app.utility.dlog_and_slope(rate + row.offset)[1]
+            if -math.inf < slope < 0.0:
+                response += 1.0 / slope
+        step = math.nan
+        if response < 0.0 and total > 0.0:
+            step = math.log(budget / total) * total / response
+            if anchor is not None:
+                step *= price / math.hypot(price - anchor, width)  # dt / d ln p
+        here = to_t(price)
+        target = here + step
+        trial = price_at(target) if abs(step) <= 0.5 * prior_step else math.nan
+        if 0.0 < lo and hi < math.inf and not lo < trial < hi:
             if plateaus is None:
                 plateaus = _plateaus(rows)
             near = [(p0, d) for p0, d in plateaus
-                    if lo <= p0 <= hi < math.inf and p0 + d * (d / p0) <= 2.0 * lo]
+                    if 0.5 * lo <= p0 and p0 + d * (d / p0) <= 2.0 * lo]
             if near:
-                anchor, width = min(near, key=lambda plateau: abs(price - plateau[0]))
-                spans = []
-        if anchor is not None:
-            # Secant step on ln(total / budget) in s through the last two
-            # trials, or bisection in s where it leaves the bracket or the
-            # bracket has not halved in _STALL_STEPS steps.
-            bottom, top = level(lo), level(hi)
-            spans.append(top - bottom)
-            stalled = len(spans) > _STALL_STEPS and spans[-1] > 0.5 * spans[-1 - _STALL_STEPS]
-            here = level(price)
-            excess = _excess(total, budget)
-            rise = excess - _excess(last_total, budget)
-            target = here - excess * (here - level(last_price)) / rise if rise else math.nan
-            trial = at_level(target) if bottom < target < top and not stalled else math.nan
+                share = (lower[2] - budget) / (lower[2] - upper[2])  # of the bracket in ln p
+                aim = math.log(lo) + share * (math.log(hi) - math.log(lo))
+                plateau = min(near, key=lambda plateau: abs(math.log(plateau[0]) - aim))
+                if plateau != (anchor, width):  # a new t: halving starts afresh
+                    anchor, width = plateau
+                    here, last_step = to_t(price), math.inf
+            target = 0.5 * (to_t(lo) + to_t(hi))
+            trial = price_at(target)
             if not lo < trial < hi:
-                trial = at_level(0.5 * (bottom + top))
-        if not lo < trial < hi:
-            trial = _geometric_mean(lo, hi)  # fails the test below while open
+                break  # t resolves no price between lo and hi
         if lo < trial < hi:
-            prior_step, last_step = last_step, abs(math.log(trial / price))
+            prior_step, last_step = last_step, abs(target - here)
             stretch = 2.0
         else:
             if hi == math.inf:
@@ -231,7 +202,6 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
                 trial = max(hi / stretch, _PRICE_FLOOR)
             prior_step = last_step = math.inf
             stretch *= stretch
-        last_price, last_total = price, total
         price = trial
         shares, rates, total = demand(price)
     else:

@@ -202,9 +202,10 @@ def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float
     a p0 and lies where s resolves prices at least as finely as ln p
     (lo >= p0 / 2 + w^2 / (2 p0)), the secant steps and the bisection run
     in s; bisecting in s a bracket around p0 tries prices next to p0. The
-    plateau nearest the last trial is taken, each at most once, as a new
-    phase; ln p bisection stays for an s bisection that rounds onto an
-    end. A phase's bracket spans under 2^9 in s and at least its width in
+    plateau nearest where the secant step in ln p lands (the last trial
+    where there is none) is taken, each at most once, as a new phase;
+    ln p bisection stays for an s bisection that rounds onto an end. A
+    phase's bracket spans under 2^9 in s and at least its width in
     ln p, so it too reaches adjacent floats within _MAX_PRICE_STEPS steps;
     there are at most len(plateaus) + 1 phases. The plateaus choose trial
     prices only: the bracket updates, both stop tests and the top-up do
@@ -254,20 +255,23 @@ def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float
         if lower.total - budget <= 0.5 * tol or budget - upper.total <= 0.5 * tol:
             break
         lo, hi = lower.price, upper.price
+        rise = last.g - previous.g
+        secant = -last.g * math.log(last.price / previous.price) / rise if rise else math.nan
         if anchor is None or not lo <= anchor <= hi:
-            # A plateau in the bracket, which lies where ds >= d ln p, starts a phase.
+            # A plateau in the bracket, which lies where ds >= d ln p, starts a
+            # phase: the one nearest where the secant step in ln p lands.
             near = [(p0, w) for p0, w in plateaus
                     if lo <= p0 <= hi and p0 + w * (w / p0) <= 2.0 * lo]
             if near:
-                anchor, width = min(near, key=lambda plateau: abs(last.price - plateau[0]))
+                shift = 0.0 if math.isnan(secant) else min(max(secant, -700.0), 700.0)
+                aim = last.price * math.exp(shift)
+                anchor, width = min(near, key=lambda plateau: abs(aim - plateau[0]))
                 widths = []
         span = math.log(hi / lo) if anchor is None else level(hi) - level(lo)
         widths.append(span)
         stalled = len(widths) > _STALL_STEPS and span > 0.5 * widths[-1 - _STALL_STEPS]
-        rise = last.g - previous.g
         if anchor is None:
-            shift = -last.g * math.log(last.price / previous.price) / rise if rise else math.nan
-            price = last.price * math.exp(shift) if abs(shift) < span and not stalled else math.nan
+            price = last.price * math.exp(secant) if abs(secant) < span and not stalled else math.nan
             if not lo < price < hi:
                 price = lo * math.exp(0.5 * span)
         else:

@@ -297,6 +297,20 @@ def test_a_cell_clearing_next_to_a_plateau_price_takes_few_price_trials(
     assert _price_trials(replace(cell, capacity=capacity), searched) <= most
 
 
+def test_certifying_256_jittered_users_takes_few_price_trials(monkeypatch):
+    """The benchmark's large_tree(7, users=256) at R = 3200: each sigmoid
+    row has a plateau price of its own, so the first bracket holds dozens.
+    Taking the plateau nearest the last trial crept across them one phase
+    at a time, in 59 price trials; taking the one nearest where the secant
+    step in ln p lands takes 15."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import cells
+
+    config = scenario.scenario_from_dict(cells.large_tree(7, users=256))
+    searched = _spy_on_searches(monkeypatch)
+    assert _price_trials(config, searched) <= 16
+
+
 def test_equal_capped_users_with_equal_shares_split_once(cell, monkeypatch):
     """At R = 800, 16 copies of the reference users sit at the scarce
     boundary: all 32 VIPs are capped, and the copies of ue1 and of ue2
