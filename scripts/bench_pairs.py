@@ -14,6 +14,12 @@ end-to-end metric per side, how many pairs the change won per metric
 (lower is better for all of them), whether every run of both sides
 printed the same digest (a change that must not move any output shows
 true), and one `--trace 1` line per side for the per-layer metrics.
+For each end-to-end metric of the change checkout's BENCHMARK.json it
+also holds `gain_shown`, true when the change won at least 9 in 10 of
+the pairs (a tie counts for neither side) and its median is lower than
+the parent's by more than the parent's q3 - q1, and `regressed`, true
+when the change's median exceeds the parent's by more than the metric's
+relative `bound`.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
     result = {"seed": args.seed, "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
     for workload in args.workload or ["ref_sweep", "large_cell"]:
         runs = {"parent": [], "change": []}
@@ -71,9 +79,21 @@ def main(argv=None) -> None:
                       for old, new in zip(runs["parent"], runs["change"]))
             for name in runs["parent"][0]["metrics"]
         }
+        summary = {side: _summary(runs[side]) for side in sides}
+        old, new = summary["parent"], summary["change"]
+        gated = [name for name in bounds if name in old]
         result["workloads"][workload] = {
-            "summary": {side: _summary(runs[side]) for side in sides},
+            "summary": summary,
             "change_wins": wins,
+            "gain_shown": {
+                name: wins[name] * 10 >= 9 * args.pairs
+                and old[name]["median"] - new[name]["median"] > old[name]["q3"] - old[name]["q1"]
+                for name in gated
+            },
+            "regressed": {
+                name: new[name]["median"] > old[name]["median"] * (1.0 + bounds[name])
+                for name in gated
+            },
             "digests_agree": len({run["digest"] for side in sides for run in runs[side]}) == 1,
             "trace": {side: _run(path, workload, args.seed, args.seconds, 1)
                       for side, path in sides.items()},

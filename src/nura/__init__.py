@@ -56,7 +56,6 @@ from .utility import (
     SigmoidalUtility,
     UserClass,
     UserProfile,
-    aggregate_user_utility,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +83,6 @@ __all__ = [
     "UserProfile",
     "ValidationError",
     "WeightSchedule",
-    "aggregate_user_utility",
     "allocate_internal",
     "app_rate_at_price",
     "bundled_scenario_path",

@@ -88,12 +88,14 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
     for row in rows:
         slots.append(row.user_slot)
         limits.append(min(row.cap, caps[row.user_slot], budget))
+    entries = [(row.app, betas[slot], limit, slot)
+               for row, slot, limit in zip(rows, slots, limits)]
 
     def demand(price: float) -> tuple[list[float], list[float], float]:  # shares, rates, total
         rates = []
         shares = [0.0] * len(caps)
-        for row, slot, limit in zip(rows, slots, limits):
-            rate = app_rate_at_price(row.app, price / betas[slot], limit, case)
+        for app, beta, limit, slot in entries:
+            rate = app_rate_at_price(app, price / beta, limit, case)
             rates.append(rate)
             shares[slot] += rate
         total = 0.0  # added left to right, the same bits on every CPython

@@ -13,21 +13,22 @@ capacity is abundant, else 0): app_rate_at_price, used by the clearings.
 The bidding rounds read a BidLayout that bidders builds once per run
 from the run's RegimeTable: each distinct (utility, weight, beta) once
 as a curve, and per participant its rows' curve slots, offsets and
-caps. demands evaluates each curve once at price / beta, and each
-participant adds its rows' min(max(r - c, 0), cap) left to right in a
-plain loop, clipped at the user's cap. A bid is price times that demand
-plus the user's offsets, moved from the previous bid by at most the
-round's step (round_bids). The step shrinks exponentially, so the
-bidding protocol's fixed-point iteration cannot oscillate forever; the
-caller computes it once per round, and damp_bid, looked up per bid,
-only clamps. user_rate_at_price and vip_bid wrap them for one user,
-through a one-user table.
+caps. round_bids is one whole round in one pass: it evaluates each
+curve once at price / beta, then for each participant in layout order
+adds its rows' min(max(r - c, 0), cap) left to right, clips the sum at
+the user's cap, and bids price times that demand plus the user's
+offsets, moved from its last bid by at most the round's step. The step
+shrinks exponentially, so the bidding protocol's fixed-point iteration
+cannot oscillate forever; the caller computes it once per round, and
+damp_bid, looked up per bid, only clamps. user_rate_at_price adds one
+user's app_rate_at_price over its applications the same way, and
+vip_bid is round_bids for one user, through a one-user layout.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import DomainError, SolverError
 from .utility import Application, CaseFlag, RegimeTable, UserProfile, app_rows
@@ -99,29 +100,31 @@ def bidders(table: RegimeTable) -> BidLayout:
     return BidLayout(tuple(curves), members)
 
 
-def _one_user(user: UserProfile, user_cap: float, case: CaseFlag) -> BidLayout:
-    """The BidLayout of one user; bids read no budget."""
-    return bidders(RegimeTable(case, (user,), math.inf, (user_cap,), app_rows((user,), case)))
-
-
-def demands(layout: BidLayout, price: float) -> list[float]:
-    """Each member's total rate above its offset at the given price.
+def round_bids(
+    layout: BidLayout, price: float, step: float, prev: Mapping[str, float],
+) -> dict[str, float]:
+    """One bidding round: every member's bid, by user id, for its demand
+    and its offset, price * (rate + offset), damped toward it by the
+    round's step from its last bid, read from prev in member order.
 
     beta scales the whole log-utility sum, so it enters as a price
     rescale and the rows demand independently: each distinct curve is
     evaluated once, at price / beta, and each member adds its own rows,
-    each between 0 and its cap, left to right, as a plain loop. A
-    binding cap is taken whole: marginal utilities stay positive.
+    each between 0 and its cap, left to right, as a plain loop, clipped
+    at the member's cap. A binding cap is taken whole: marginal
+    utilities stay positive.
     """
+    inf = math.inf
     # nan marks a price out of range; its members raise below, in order.
-    values = [
-        curve(p) if 0.0 < (p := price / beta) < math.inf else math.nan
-        for curve, beta in layout.curves
-    ]
-    out = []
-    for _, beta, cap, _, rows in layout.members:
+    # A plain loop: p bound in a comprehension would be a closure cell here.
+    values = []
+    for curve, beta in layout.curves:
         p = price / beta
-        if not 0.0 < p < math.inf:
+        values.append(curve(p) if 0.0 < p < inf else math.nan)
+    bids = {}
+    for (user_id, beta, cap, offset, rows), last in zip(layout.members, prev.values()):
+        p = price / beta
+        if not 0.0 < p < inf:
             raise DomainError(f"price must be positive, got {p!r}")
         total = 0.0
         for i, c, lim in rows:
@@ -129,20 +132,9 @@ def demands(layout: BidLayout, price: float) -> list[float]:
             if rate > 0.0:  # a rate of 0 or below adds nothing
                 total += rate if rate <= lim else lim
         # Raise where an uncapped row's demand (lim inf) is itself inf.
-        if total == math.inf and any(lim == values[i] - c == math.inf for i, c, lim in rows):
+        if total == inf and any(lim == values[i] - c == inf for i, c, lim in rows):
             raise SolverError(f"demand at price {p} exceeds float range", bracket=(0.0, math.inf))
-        out.append(total if total <= cap else cap)
-    return out
-
-
-def round_bids(
-    layout: BidLayout, price: float, step: float, prev: Mapping[str, float],
-) -> dict[str, float]:
-    """Every member's bid, by user id, for its demand and its offset,
-    price * (rate + offset), damped toward it from prev by the round's step."""
-    bids = {}
-    for (user_id, _, _, offset, _), rate in zip(layout.members, demands(layout, price)):
-        bids[user_id] = damp_bid(price * (rate + offset), prev[user_id], step)
+        bids[user_id] = damp_bid(price * ((total if total <= cap else cap) + offset), last, step)
     return bids
 
 
@@ -150,10 +142,14 @@ def user_rate_at_price(
     user: UserProfile, price: float, user_cap: float = math.inf,
     case: CaseFlag = CaseFlag.TARGETS_BELOW_CAPACITY,
 ) -> float:
-    """The demand of one user under the regime, capped in total by user_cap."""
+    """The demand of one user under the regime: its applications' demands
+    at price / beta added left to right, capped in total by user_cap."""
     if user_cap < 0.0:
         raise DomainError(f"user_cap must be nonnegative, got {user_cap!r}")
-    return demands(_one_user(user, user_cap, case), price)[0]
+    total = 0.0
+    for app in user.apps:
+        total += app_rate_at_price(app, price / user.beta, case.app_cap(app), case)
+    return total if total <= user_cap else user_cap
 
 
 def damp_bid(proposed: float, prev: float, step: float) -> float:
@@ -174,6 +170,7 @@ def vip_bid(
 ) -> float:
     """The bid of one user for round round_index under the regime (capped
     per application and in total when capacity is scarce)."""
-    layout = _one_user(user, case.user_cap(user), case)
+    rows = app_rows((user,), case)
+    layout = bidders(RegimeTable(case, (user,), math.inf, (case.user_cap(user),), rows))
     step = l1 * math.exp(-round_index / l2)
     return round_bids(layout, price, step, {user.user_id: prev_bid})[user.user_id]

@@ -8,14 +8,17 @@ threshold delta. The participants are laid out once per run as a
 price_response BidLayout, read from the run's regime table, and each
 round is one pass: the price, the stop test over the bids in member
 order, and one price_response.round_bids call with the round's damping
-step l1 * e^{-n / l2}, computed once. There every distinct demand
-curve is evaluated once, and users that share one (same utility,
-weight and beta) read the same value. Each round's bid dict goes into
-the trace as it is, uncopied. Bids are totalled left to right
-(add_up), so a run gives the same bits on every CPython version.
-Damped bids stop short of the fixed point, so the rates come from one
-exact clearing (intra_ue.clear_price) that starts from the stop
-round's price; its per-application rates are kept for the second stage.
+step l1 * e^{-n / l2}, computed once. That call is the whole round in
+one loop: every distinct demand curve is evaluated once, users that
+share one (same utility, weight and beta) read the same value, and each
+user's rows are added, capped and turned into its damped bid in member
+order, next to its last bid from the previous round's dict. Each
+round's bid dict goes into the trace as it is, uncopied. Bids are
+totalled left to right (add_up), so a run gives the same bits on every
+CPython version. Damped bids stop short of the fixed point, so the
+rates come from one exact clearing (intra_ue.clear_price) that starts
+from the stop round's price; its per-application rates are kept for the
+second stage.
 
 When the VIP users' aggregate target rates reach the capacity, only VIP
 users participate and their demand is capped at their targets, per

@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import ContractError, DomainError
+from .errors import DomainError
 
 NEG_INF = float("-inf")
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitter
@@ -73,11 +73,6 @@ class SigmoidalUtility:
             raise DomainError(
                 f"a * (1 + e^(-a * b)) must be finite, got inf (a={self.a!r}, b={self.b!r})"
             )
-
-    @property
-    def rate_scale(self) -> float:
-        """Characteristic rate of the curve (the inflection point)."""
-        return self.b
 
     def evaluate(self, rate: float) -> float:
         """Utility at the given rate, exactly 0 at rate 0, < 1 for finite rate.
@@ -188,8 +183,9 @@ class SigmoidalUtility:
         rounding, so the rate is weight / price.
         """
         a, b, e_ab = self.a, self.b, self._e_ab
+        log, log1p, exp, hypot, sqrt = math.log, math.log1p, math.exp, math.hypot, math.sqrt
         scaled = weight * self._scale
-        log_scaled = math.log(scaled) if scaled > 0.0 else NEG_INF
+        log_scaled = log(scaled) if scaled > 0.0 else NEG_INF
         half_c = 0.5 * (1.0 + e_ab)
         # a's upper half split on the mantissa, so no product overflows.
         mantissa, exponent = math.frexp(a)
@@ -202,21 +198,21 @@ class SigmoidalUtility:
         def demand(price: float) -> float:
             m = scaled / price
             if m > 1.0142320547350045e304:  # e^700; inf when m overflows
-                return b + (log_scaled - math.log(price)) / a
+                return b + (log_scaled - log(price)) / a
             if m < _TINY:
                 return weight / price
             half_b = half_c * ((price - aw) - aw_lo) / price
-            root = math.hypot(half_b, math.sqrt(e_ab * m))
+            root = hypot(half_b, sqrt(e_ab * m))
             if half_b > 0.0:
-                return math.log1p(m / (half_b + root)) / a
+                return log1p(m / (half_b + root)) / a
             if half_b == 0.0:  # the plateau price itself: t^2 = M e^{ab}, e^{-ab} may be 0
-                head, log_term = 0.5 * b, 0.5 * math.log(m)
+                head, log_term = 0.5 * b, 0.5 * log(m)
             else:
-                head, log_term = b, math.log(root - half_b)
+                head, log_term = b, log(root - half_b)
             log_t = a * head + log_term
             if log_t == math.inf:  # a * b overflowed: r = ln t / a, as e^{-ln t} is 0
                 return head + log_term / a
-            return (log_t + math.log1p(math.exp(-log_t))) / a
+            return (log_t + log1p(exp(-log_t))) / a
 
         return demand
 
@@ -244,11 +240,6 @@ class LogarithmicUtility:
             )
         # ln of the normalisation, set once; not a field (see SigmoidalUtility).
         object.__setattr__(self, "_log_norm", math.log(norm))
-
-    @property
-    def rate_scale(self) -> float:
-        """Characteristic rate of the curve (the 100%-utilization rate)."""
-        return self.r_max
 
     def evaluate(self, rate: float) -> float:
         if rate < 0.0:
@@ -300,29 +291,33 @@ class LogarithmicUtility:
         land within about |ln z| ulps of W(z).
         """
         k = self.k
-        log_k, log_w = math.log(k), math.log(weight)
+        log, log1p, exp, expm1 = math.log, math.log1p, math.exp, math.expm1
+        log_k, log_w = log(k), log(weight)
 
         def demand(price: float) -> float:
-            log_z = log_k - (math.log(price) - log_w)
+            log_z = log_k - (log(price) - log_w)
             if log_z < -13.8:
-                z = math.exp(log_z)
+                z = exp(log_z)
                 if z < _TINY:
                     return weight / price
                 return z / k * (1.0 - z * (0.5 - z * (2.0 / 3.0)))
             if log_z > 2.0:
-                log_log_z = math.log(log_z)
+                log_log_z = log(log_z)
                 v = log_z - log_log_z + log_log_z / log_z
             else:
-                w0 = math.log1p(math.exp(log_z))
-                v = w0 * (1.0 - math.log1p(w0) / (2.0 + w0))
-            for _ in range(2):
-                f = v + math.log(v) - log_z
-                df = 1.0 + 1.0 / v  # and f'' = -1 / v^2
-                v -= f / (df + 0.5 * f / (v * v * df))
+                w0 = log1p(exp(log_z))
+                v = w0 * (1.0 - log1p(w0) / (2.0 + w0))
+            # Two Halley steps, written out.
+            f = v + log(v) - log_z
+            df = 1.0 + 1.0 / v  # and f'' = -1 / v^2
+            v -= f / (df + 0.5 * f / (v * v * df))
+            f = v + log(v) - log_z
+            df = 1.0 + 1.0 / v
+            v -= f / (df + 0.5 * f / (v * v * df))
             if v <= 700.0:
-                return math.expm1(v) / k
+                return expm1(v) / k
             log_rate = v - log_k  # e^v - 1 is e^v here
-            return math.exp(log_rate) if log_rate < 709.78 else math.inf
+            return exp(log_rate) if log_rate < 709.78 else math.inf
 
         return demand
 
@@ -336,7 +331,7 @@ class Application:
     optional guaranteed target rate.
 
     The target rate doubles as the offset added to the rate argument in
-    the aggregated utility: a target-bearing application is evaluated at
+    the objective: a target-bearing application is evaluated at
     (extra rate + target). demand_at is the utility's demand_curve at the
     weight, built once (None at weight 0, which demands nothing).
     """
@@ -400,31 +395,6 @@ class UserProfile:
         return add_up(app.offset for app in self.apps)
 
 
-def aggregate_user_utility(user: UserProfile, rates: Sequence[float]) -> float:
-    """Weighted geometric mean of per-application utilities.
-
-    Computed as exp(sum of weight * ln U(rate + offset)); a zero-weight
-    application contributes factor 1 regardless of its rate, while a
-    zero-utility factor with positive weight collapses the product to 0.
-    """
-    if len(rates) != len(user.apps):
-        raise ContractError(
-            f"user {user.user_id!r} has {len(user.apps)} applications "
-            f"but {len(rates)} rates were given"
-        )
-    total = 0.0
-    for app, rate in zip(user.apps, rates):
-        if rate < 0.0:
-            raise DomainError(f"rates must be nonnegative, got {rate!r}")
-        if app.weight == 0.0:
-            continue  # factor U^0 = 1, and 0 * (-inf) must not poison the sum
-        log_value = app.utility.log_evaluate(rate + app.offset)
-        if log_value == NEG_INF:
-            return 0.0
-        total += app.weight * log_value
-    return math.exp(total)
-
-
 class CaseFlag(Enum):
     """Capacity regime of one solve, fixed by determine_case.
 
@@ -469,8 +439,7 @@ def determine_case(users: Sequence[UserProfile], capacity: float) -> CaseFlag:
     return CaseFlag.TARGETS_BELOW_CAPACITY
 
 
-@dataclass(frozen=True)
-class AppRow:
+class AppRow(NamedTuple):
     """One application under a regime; its decision variable is the rate
     above offset, at most cap."""
 

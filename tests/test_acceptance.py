@@ -290,7 +290,8 @@ def test_criterion_7_utility_property_suite(cell):
             assert abs(utility.evaluate(utility.r_max) - 1.0) <= 1e-12
 
         # log-concavity: the log-derivative never increases
-        lo, hi = 1e-3, 4.0 * utility.rate_scale
+        scale = utility.b if isinstance(utility, SigmoidalUtility) else utility.r_max
+        lo, hi = 1e-3, 4.0 * scale
         ratio = (hi / lo) ** (1.0 / 199.0)
         slopes = [utility.dlog_evaluate(lo * ratio**i) for i in range(200)]
         for left, right in zip(slopes, slopes[1:]):

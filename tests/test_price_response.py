@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nura import intra_ue, price_response, scenario
+from nura import intra_ue, price_response, protocol, scenario
 from nura import (
     Application,
     CaseFlag,
@@ -153,7 +153,8 @@ def test_demand_matches_golden_section(app, price):
     rate = app_rate_at_price(app, price)
     value = _surplus(app, CaseFlag.TARGETS_BELOW_CAPACITY, price)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, app.utility.rate_scale
+    utility = app.utility
+    lo, hi = 0.0, utility.b if isinstance(utility, SigmoidalUtility) else utility.r_max
     while value(2.0 * hi) > value(hi):  # expand until the peak is enclosed
         hi *= 2.0
     hi *= 2.0
@@ -229,7 +230,8 @@ def _bisection_demand(app, price, cap, case, abs_tol):
             return cap
         hi = cap
     else:
-        hi = app.utility.rate_scale
+        utility = app.utility
+        hi = utility.b if isinstance(utility, SigmoidalUtility) else utility.r_max
         while above(hi):
             hi *= 2.0
     lo = 0.0
@@ -376,14 +378,14 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
 
         return wrapper
 
-    # A bidding round makes one demand call for all its bidders (counted
+    # A bidding round is one round_bids call for all its bidders (counted
     # as bid_demand). The first stage's closing clearing also calls
     # intra_ue's per-app demand; only calls made while allocate_internal
     # runs count as split_demand.
     monkeypatch.setattr(
-        price_response,
-        "demands",
-        staged(counted(price_response.demands, "demand"), "bid"),
+        protocol,
+        "round_bids",
+        staged(counted(protocol.round_bids, "demand"), "bid"),
     )
     for cls in (SigmoidalUtility, LogarithmicUtility):
         for method in ("dlog_evaluate", "dlog_and_slope"):
@@ -433,7 +435,7 @@ def test_bidders_share_a_curve_only_at_equal_utility_weight_and_beta(cell):
 
 
 # ---------------------------------------------------------------------------
-# per-member demand sums against a left-to-right restatement
+# per-member bids against a left-to-right restatement of their demand
 
 _CURVE_APPS = (
     Application(utility=LogarithmicUtility(k=2.0, r_max=60.0), weight=0.6),
@@ -486,12 +488,21 @@ def _layouts(draw):
 @given(_layouts())
 def test_demands_add_each_members_rows_left_to_right(drawn):
     price, layout = drawn
-    got = price_response.demands(layout, price)
-    assert [x.hex() for x in got] == [x.hex() for x in _reference_demands(layout, price)]
+    got = _undamped_bids(layout, price)
+    expected = [price * (demand + member.offset)
+                for demand, member in zip(_reference_demands(layout, price), layout.members)]
+    assert [x.hex() for x in got.values()] == [x.hex() for x in expected]
+    assert list(got) == [member.user_id for member in layout.members]
 
 
 def _member(user_id, beta, rows, cap=math.inf):
     return price_response.Bidder(user_id, beta, cap, 0.0, tuple(rows))
+
+
+def _undamped_bids(layout, price):
+    """One round's bids from bids of 0 with no step bound: price * (demand + offset)."""
+    prev = {member.user_id: 0.0 for member in layout.members}
+    return price_response.round_bids(layout, price, math.inf, prev)
 
 
 def test_demands_raise_at_the_first_member_out_of_range():
@@ -500,12 +511,12 @@ def test_demands_raise_at_the_first_member_out_of_range():
     high, low = _member("b", 0.5, [(1, 0.0, 5.0)]), _member("c", 5.0, [(2, 0.0, 5.0)])
     layout = price_response.BidLayout(curves, (fine, high, low))
     with pytest.raises(DomainError, match=r"price must be positive, got inf"):
-        price_response.demands(layout, 1e308)  # 1e308 / 0.5 overflows
+        _undamped_bids(layout, 1e308)  # 1e308 / 0.5 overflows
     with pytest.raises(DomainError, match=r"price must be positive, got 0\.0"):
-        price_response.demands(layout, 5e-324)  # 5e-324 / 5 underflows
+        _undamped_bids(layout, 5e-324)  # 5e-324 / 5 underflows
     layout = price_response.BidLayout(curves, (fine, low, high))
     with pytest.raises(DomainError, match=r"price must be positive, got 0\.0"):
-        price_response.demands(layout, 5e-324)
+        _undamped_bids(layout, 5e-324)
 
 
 def test_demands_past_float_range_raise_only_uncapped():
@@ -516,14 +527,17 @@ def test_demands_past_float_range_raise_only_uncapped():
     uncapped = _member("b", 1.0, [(0, 0.0, 1.0), (0, 0.0, math.inf)])
     low = _member("c", 5.0, [(1, 0.0, math.inf)])
     layout = price_response.BidLayout(curves, (capped, _member("d", 1.0, [(0, 0.0, 7.0)], 4.0)))
-    assert price_response.demands(layout, 5e-324) == [9.0, 4.0]
+    price = 5e-324
+    assert _undamped_bids(layout, price) == {"a": price * (9.0 + 0.0), "d": price * (4.0 + 0.0)}
+    # bids at 5e-324 resolve demand to about 1; at 1e-300 the same caps bind, to the bit
+    assert _undamped_bids(layout, 1e-300) == {"a": 1e-300 * 9.0, "d": 1e-300 * 4.0}
     layout = price_response.BidLayout(curves, (capped, uncapped, low))
     with pytest.raises(SolverError, match="demand at price 5e-324 exceeds float range"):
-        price_response.demands(layout, 5e-324)
+        _undamped_bids(layout, price)
     # members raise in order: the one out of range comes first here
     layout = price_response.BidLayout(curves, (capped, low, uncapped))
     with pytest.raises(DomainError, match=r"got 0\.0"):
-        price_response.demands(layout, 5e-324)
+        _undamped_bids(layout, price)
 
 
 # ---------------------------------------------------------------------------

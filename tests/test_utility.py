@@ -22,7 +22,6 @@ from nura import (
     SigmoidalUtility,
     UserClass,
     UserProfile,
-    aggregate_user_utility,
     app_rate_at_price,
     scenario_from_dict,
     scenario_to_dict,
@@ -454,7 +453,8 @@ def test_sigmoid_demand_where_a_times_b_overflows_is_finite(weight, price, refer
 @pytest.mark.parametrize("utility", [SIG_STEEP, SIG_SHALLOW, LOG_FAST, LOG_SLOW])
 def test_log_concavity_on_grid(utility):
     """d/dr ln U must be nonincreasing: 200 geometrically spaced rates."""
-    lo, hi = 1e-3, 4.0 * utility.rate_scale
+    scale = utility.b if isinstance(utility, SigmoidalUtility) else utility.r_max
+    lo, hi = 1e-3, 4.0 * scale
     ratio = (hi / lo) ** (1.0 / 199.0)
     rates = [lo * ratio**i for i in range(200)]
     slopes = [utility.dlog_evaluate(r) for r in rates]
@@ -561,45 +561,3 @@ def test_user_profile_validation():
         UserProfile("u", UserClass.VIP, beta=0.0, apps=[app])
     with pytest.raises(DomainError):
         UserProfile("u", UserClass.VIP, beta=1.0, apps=[])
-
-
-# ---------------------------------------------------------------------------
-# aggregate utility
-
-
-def _two_app_user(weights, targets=(None, None)):
-    apps = (
-        Application(utility=SIG_STEEP, weight=weights[0], target_rate=targets[0]),
-        Application(utility=LOG_FAST, weight=weights[1], target_rate=targets[1]),
-    )
-    return UserProfile("u", UserClass.VIP, beta=1.0, apps=apps)
-
-
-def test_aggregate_is_weighted_geometric_mean():
-    user = _two_app_user((0.5, 0.5))
-    value = aggregate_user_utility(user, [25.0, 50.0])
-    expected = math.sqrt(SIG_STEEP.evaluate(25.0) * LOG_FAST.evaluate(50.0))
-    assert value == pytest.approx(expected, rel=1e-12)
-
-
-def test_aggregate_zero_weight_ignores_starved_app():
-    user = _two_app_user((0.0, 1.0))
-    value = aggregate_user_utility(user, [0.0, 50.0])
-    assert value == pytest.approx(LOG_FAST.evaluate(50.0), rel=1e-12)
-
-
-def test_aggregate_starved_weighted_app_collapses_to_zero():
-    user = _two_app_user((0.5, 0.5))
-    assert aggregate_user_utility(user, [0.0, 50.0]) == 0.0
-
-
-def test_aggregate_includes_target_offset():
-    user = _two_app_user((1.0, 0.0), targets=(20.0, None))
-    value = aggregate_user_utility(user, [5.0, 0.0])
-    assert value == pytest.approx(SIG_STEEP.evaluate(25.0), rel=1e-12)
-
-
-def test_aggregate_rate_count_mismatch():
-    user = _two_app_user((0.5, 0.5))
-    with pytest.raises(Exception):
-        aggregate_user_utility(user, [1.0])
