@@ -129,7 +129,9 @@ def _demand(row: tuple | None, log_price: float, lo: float, hi: float) -> float:
             rate = lo + 0.5 * width
             if not lo < rate < hi:
                 break  # adjacent floats
-        value = excess(rate)
+        arg = rate + offset  # excess(rate), written out
+        slope = dlog(arg) if arg > 0.0 else math.inf
+        value = math.log(slope) - shift if slope > 0.0 else -math.inf
         if value == 0.0:
             return rate
         if value > 0.0:
