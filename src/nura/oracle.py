@@ -26,7 +26,7 @@ crossing, beyond it s is ln|p - p0| less a constant, and the row's
 demand is linear in s throughout. The routine tops every application
 up from its demand at the upper price toward its demand at the lower
 one, by the same fraction. It also splits a capped user's share among
-its applications, once per distinct split.
+its applications, starting at that upper price, once per distinct split.
 
 grid_search_solve is the brute-force anti-hallucination oracle for tiny
 instances: exhaustive enumeration over the step-grid of the feasible
@@ -176,26 +176,29 @@ class _Trial(NamedTuple):
 
 
 def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float,
-           plateaus: Sequence[tuple[float, float]] = ()) -> list[float]:
+           plateaus: Sequence[tuple[float, float]] = (),
+           start: tuple[float, list[float] | None] = (1.0, None)) -> list[float]:
     """Amounts summing to budget at the price where demand meets it.
 
     demand(price, higher, lower) returns nonincreasing amounts and the
     per-row rates behind them; higher and lower, when given, are the
     rates at a higher and at a lower price, which enclose those at this
     one. The search runs on g = ln(total / budget) in ln p, nearly linear
-    where demand goes as 1 / p. From p = 1 it steps out by twice the
-    secant's reach through the last two trials (slope -1 after one), which
-    mirrors a linear g's root, but at least by a factor that starts at 2
-    and squares on each step and at most by 2^512. Bracketed, it takes
-    secant steps from the last two trials, bisecting in ln p where one
-    leaves the bracket or the bracket has not halved in _STALL_STEPS
-    steps. It stops when an end's total is within tol / 2 = 5e-10 * budget
-    of the budget (an end of the float range counts), or on adjacent
-    floats, where some demand jumps. The answer tops every amount at the
-    upper end up toward the lower end's by the one fraction that spends
-    the budget. Amounts do not rise with the price, so the exact ones lie
-    between the ends' as well and differ from the stopping end's by at
-    most tol / 2 in all; the top-up moves the amounts by at most tol / 2.
+    where demand goes as 1 / p. From start, the first price and the rates
+    at it or at a higher price (None if unknown; p = 1 by default), it
+    steps out by twice the secant's reach through the last two trials
+    (slope -1 after one), which mirrors a linear g's root, but at least by
+    a factor that starts at 2 and squares on each step and at most by
+    2^512. Bracketed, it takes secant steps from the last two trials,
+    bisecting in ln p where one leaves the bracket or the bracket has not
+    halved in _STALL_STEPS steps. It stops when an end's total is within
+    tol / 2 = 5e-10 * budget of the budget (an end of the float range
+    counts), or on adjacent floats, where some demand jumps. The answer
+    tops every amount at the upper end up toward the lower end's by the
+    one fraction that spends the budget. Amounts do not rise with the
+    price, so the exact ones lie between the ends' as well and differ from
+    the stopping end's by at most tol / 2 in all; the top-up moves the
+    amounts by at most tol / 2.
 
     plateaus lists the (p0, w) of the sigmoid rows (_plateau). Such a row's
     demand, linear in s = asinh((p - p0) / w), crosses its curve's whole
@@ -222,7 +225,7 @@ def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float
         return _Trial(price, g, total, amounts, rates)
 
     tol = 1e-9 * budget
-    previous = last = trial(1.0, None, None)
+    previous = last = trial(start[0], start[1], None)
     up = last.total > budget
     stretch = 2.0
     while last.total > budget if up else last.total < budget:
@@ -313,7 +316,10 @@ def centralized_solve(
 
     Uncapped users compete application by application; a capped user
     competes as one amount, its demand held at its cap, and that amount
-    is then cleared among its own applications.
+    is then cleared among its own applications from the clearing's upper
+    end (its lowest price where total demand fell short of the budget),
+    with the rates there as lower bounds; its split price is at most that
+    one unless its amount there is its cap.
     """
     if not (math.isfinite(capacity) and capacity > 0.0):
         raise DomainError(f"capacity must be positive, got {capacity!r}")
@@ -351,7 +357,10 @@ def centralized_solve(
 
     every_row = range(len(table.rows))
 
+    upper = (math.inf, None)  # the lowest price where total demand falls short, and its rates
+
     def competing(price, higher, lower) -> tuple[list[float], list[float]]:
+        nonlocal upper
         rates = rates_at(every_row, price, higher, lower)
         amounts: list[float] = []
         for group, cap in zip(groups, table.user_caps):
@@ -359,6 +368,8 @@ def centralized_solve(
                 amounts.extend(rates[i] for i in group)
             else:
                 amounts.append(min(add_up(rates[i] for i in group), cap))
+        if price < upper[0] and add_up(amounts) < table.budget:
+            upper = price, rates
         return amounts, rates
 
     shares = iter(_clear(competing, table.budget, plateaus(every_row)))
@@ -374,8 +385,9 @@ def centralized_solve(
         if share > 0.0:
             key = (tuple(kinds[i] for i in group), share)
             if key not in splits:  # its rows are its amounts
+                start = (upper[0], [upper[1][i] for i in group]) if upper[1] else (1.0, None)
                 splits[key] = _clear(lambda *trial: (rates_at(group, *trial),) * 2, share,
-                                     plateaus(group))
+                                     plateaus(group), start)
             rates.extend(splits[key])
         else:  # a VIP without targets has nothing to split under scarcity
             rates.extend(0.0 for _ in group)

@@ -319,9 +319,9 @@ def test_equal_capped_users_with_equal_shares_split_once(cell, monkeypatch):
              for copy in range(16) for user in cell.users]
     budgets = []
 
-    def counted(demand, budget, plateaus, original=oracle._clear):
+    def counted(demand, budget, plateaus, *start, original=oracle._clear):
         budgets.append(budget)
-        return original(demand, budget, plateaus)
+        return original(demand, budget, plateaus, *start)
 
     monkeypatch.setattr(oracle, "_clear", counted)
     result = centralized_solve(users, 800.0)
@@ -329,6 +329,34 @@ def test_equal_capped_users_with_equal_shares_split_once(cell, monkeypatch):
     for copy in range(1, 16):
         for uid in ("ue1", "ue2"):
             assert result.app_rates[f"{uid}-{copy}"] == result.app_rates[f"{uid}-0"]
+
+
+def test_splits_start_from_the_clearing_in_few_price_trials(cell, monkeypatch):
+    """At R = 5, 10, ..., 50 the capped users' splits (every clearing after
+    a solve's first) start at the upper end of the global clearing's
+    bracket, with its rates as lower bounds. They took 214 price trials in
+    all from p = 1, and take 151; the global clearings keep their 90. A
+    split's first trial repeats a global price, so demand calls are
+    counted, not distinct prices."""
+    trials = []
+
+    def counted(demand, budget, *rest, original=oracle._clear):
+        trials.append(0)
+
+        def tried(*args):
+            trials[-1] += 1
+            return demand(*args)
+
+        return original(tried, budget, *rest)
+
+    monkeypatch.setattr(oracle, "_clear", counted)
+    clearings = []
+    for i in range(1, 11):
+        clearings.append(len(trials))
+        centralized_solve(cell.users, 5.0 * i)
+    first = sum(trials[i] for i in clearings)
+    assert first <= 90
+    assert sum(trials) - first <= 170
 
 
 def _water_fill(weights, limits, budget):
