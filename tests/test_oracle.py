@@ -213,10 +213,11 @@ def test_methods_labelled():
 
 def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeypatch):
     """The 40 sweep points and the 3 schedule epochs at R = 200 cost about
-    22.7k dlog_evaluate calls with the price search stepping around the
-    sigmoids' plateau prices (33.7k with secant steps in ln p alone, 41k
-    with Illinois steps, 49k with every row searched, not each distinct
-    one); nested bisections took 542753."""
+    21.0k dlog_evaluate calls with the splits starting from the global
+    clearing and the price search stepping around the sigmoids' plateau
+    prices (22.7k with splits from p = 1, 33.7k with secant steps in ln p
+    alone, 41k with Illinois steps, 49k with every row searched, not each
+    distinct one); nested bisections took 542753."""
     calls = 0
     for cls in (SigmoidalUtility, LogarithmicUtility):
         def counted(self, rate, original=cls.dlog_evaluate):
@@ -333,8 +334,9 @@ def test_equal_capped_users_with_equal_shares_split_once(cell, monkeypatch):
 
 def test_splits_start_from_the_clearing_in_few_price_trials(cell, monkeypatch):
     """At R = 5, 10, ..., 50 the capped users' splits (every clearing after
-    a solve's first) start at the upper end of the global clearing's
-    bracket, with its rates as lower bounds. They took 214 price trials in
+    a solve's first) start at the global clearing's upper end, its lowest
+    price where total demand fell short, with the rates there as lower
+    bounds. They took 214 price trials in
     all from p = 1, and take 151; the global clearings keep their 90. A
     split's first trial repeats a global price, so demand calls are
     counted, not distinct prices."""
