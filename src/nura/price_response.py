@@ -16,13 +16,14 @@ as a curve, and per participant its rows' curve slots, offsets and
 caps. round_bids is one whole round in one pass: it evaluates each
 curve once at price / beta, then for each participant in layout order
 adds its rows' min(max(r - c, 0), cap) left to right, clips the sum at
-the user's cap, and bids price times that demand plus the user's
-offsets, moved from its last bid by at most the round's step. The step
-shrinks exponentially, so the bidding protocol's fixed-point iteration
-cannot oscillate forever; the caller computes it once per round, and
-damp_bid, looked up per bid, only clamps. user_rate_at_price adds one
-user's app_rate_at_price over its applications the same way, and
-vip_bid is round_bids for one user, through a one-user layout.
+the user's cap, bids price times that demand plus the user's offsets,
+moved from its last bid by at most the round's step, and adds the bid
+to the round's total and stop test, which it returns with the bids.
+The step shrinks exponentially, so the bidding protocol's fixed-point
+iteration cannot oscillate forever; damp_bid, looked up per bid, only
+clamps. user_rate_at_price adds one user's app_rate_at_price over its
+applications the same way, and vip_bid is round_bids for one user,
+through a one-user layout.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def app_rate_at_price(
     applications demand nothing; otherwise the root of the first-order
     condition, less c, is clamped to [0, cap].
     """
-    if not (math.isfinite(price) and price > 0.0):
+    if not 0.0 < price < math.inf:
         raise DomainError(f"price must be positive, got {price!r}")
     if cap < 0.0:
         raise DomainError(f"cap must be nonnegative, got {cap!r}")
@@ -101,11 +102,13 @@ def bidders(table: RegimeTable) -> BidLayout:
 
 
 def round_bids(
-    layout: BidLayout, price: float, step: float, prev: Mapping[str, float],
-) -> dict[str, float]:
-    """One bidding round: every member's bid, by user id, for its demand
-    and its offset, price * (rate + offset), damped toward it by the
-    round's step from its last bid, read from prev in member order.
+    layout: BidLayout, price: float, step: float, prev: Mapping[str, float], delta: float,
+) -> tuple[dict[str, float], float, bool]:
+    """One bidding round: (bids, total, moved). bids holds every member's
+    bid, by user id, price * (rate + offset), damped toward it by the
+    round's step from its last bid, read from prev in member order; total
+    is their add_up, to the bit; moved is true when some bid is not
+    within delta of its last one (a nan difference is not).
 
     beta scales the whole log-utility sum, so it enters as a price
     rescale and the rows demand independently: each distinct curve is
@@ -122,20 +125,24 @@ def round_bids(
         p = price / beta
         values.append(curve(p) if 0.0 < p < inf else math.nan)
     bids = {}
+    total, moved = 0.0, False
     for (user_id, beta, cap, offset, rows), last in zip(layout.members, prev.values()):
         p = price / beta
         if not 0.0 < p < inf:
             raise DomainError(f"price must be positive, got {p!r}")
-        total = 0.0
+        demand = 0.0
         for i, c, lim in rows:
             rate = values[i] - c
             if rate > 0.0:  # a rate of 0 or below adds nothing
-                total += rate if rate <= lim else lim
+                demand += rate if rate <= lim else lim
         # Raise where an uncapped row's demand (lim inf) is itself inf.
-        if total == inf and any(lim == values[i] - c == inf for i, c, lim in rows):
+        if demand == inf and any(lim == values[i] - c == inf for i, c, lim in rows):
             raise SolverError(f"demand at price {p} exceeds float range", bracket=(0.0, math.inf))
-        bids[user_id] = damp_bid(price * ((total if total <= cap else cap) + offset), last, step)
-    return bids
+        bids[user_id] = bid = damp_bid(price * ((demand if demand <= cap else cap) + offset),
+                                       last, step)
+        total += bid
+        moved = moved or not abs(bid - last) < delta
+    return bids, total, moved
 
 
 def user_rate_at_price(
@@ -173,4 +180,4 @@ def vip_bid(
     rows = app_rows((user,), case)
     layout = bidders(RegimeTable(case, (user,), math.inf, (case.user_cap(user),), rows))
     step = l1 * math.exp(-round_index / l2)
-    return round_bids(layout, price, step, {user.user_id: prev_bid})[user.user_id]
+    return round_bids(layout, price, step, {user.user_id: prev_bid}, math.inf)[0][user.user_id]

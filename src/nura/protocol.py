@@ -5,20 +5,20 @@ the current bid vector into a shadow price (total bids / capacity),
 every participating user answers with a damped bid built from its
 demand at that price, and the loop stops once no bid moved by the
 threshold delta. The participants are laid out once per run as a
-price_response BidLayout, read from the run's regime table, and each
-round is one pass: the price, the stop test over the bids in member
-order, and one price_response.round_bids call with the round's damping
-step l1 * e^{-n / l2}, computed once. That call is the whole round in
-one loop: every distinct demand curve is evaluated once, users that
-share one (same utility, weight and beta) read the same value, and each
-user's rows are added, capped and turned into its damped bid in member
-order, next to its last bid from the previous round's dict. Each
-round's bid dict goes into the trace as it is, uncopied. Bids are
-totalled left to right (add_up), so a run gives the same bits on every
-CPython version. Damped bids stop short of the fixed point, so the
-rates come from one exact clearing (intra_ue.clear_price) that starts
-from the stop round's price; its per-application rates are kept for the
-second stage.
+price_response BidLayout, read from the run's regime table. A round is
+the price (floored), its trace entry and one price_response.round_bids
+call with the round's damping step l1 * e^{-n / l2}. That call is the
+whole round in one pass: every distinct demand curve is evaluated once,
+users that share one (same utility, weight and beta) read the same
+value, and each user's rows are added, capped and turned into its
+damped bid in member order, next to its last bid in the previous
+round's dict. It returns the bids, their total added left to right as
+add_up does (the same bits on every CPython version), and whether any
+bid moved by delta or more; round 1 takes both from the start bids
+against bids of 0. Each round's bid dict goes into the trace uncopied.
+Damped bids stop short of the fixed point, so the rates come from one
+exact clearing (intra_ue.clear_price) that starts from the stop round's
+price; its per-application rates are kept for the second stage.
 
 When the VIP users' aggregate target rates reach the capacity, only VIP
 users participate and their demand is capped at their targets, per
@@ -147,24 +147,20 @@ def run_first_stage(
         w_init = min(capacity / len(layout.members), 0.4 * params.l1 * params.l2)
 
     delta, floor, l1, l2 = params.delta, params.price_floor, params.l1, params.l2
+    # Round 1 prices the start bids and tests them against bids of 0.0.
     bids = {bidder.user_id: w_init for bidder in layout.members}
-    prev = dict.fromkeys(bids, 0.0)
+    total, moved = add_up(bids.values()), not w_init < delta
     trace: list[RoundState] = []
 
     for round_index in range(1, params.max_rounds + 1):
-        price = max(add_up(bids.values()) / capacity, floor)
-        # Stop once every bid moved by less than delta; both dicts follow
-        # the layout's member order.
-        moved = False
-        for bid, last in zip(bids.values(), prev.values()):
-            if not abs(bid - last) < delta:
-                moved = True
-                break
+        price = total / capacity
+        if price < floor:
+            price = floor
         trace.append(RoundState(round_index, bids, price, not moved))
         if not moved:
             break
-        prev = bids
-        bids = round_bids(layout, price, l1 * math.exp(-(round_index + 1) / l2), prev)
+        bids, total, moved = round_bids(layout, price, l1 * math.exp(-(round_index + 1) / l2),
+                                        bids, delta)
     else:
         raise NonConvergenceError(
             f"bidding did not converge within {params.max_rounds} rounds "

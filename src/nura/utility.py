@@ -332,8 +332,9 @@ class Application:
 
     The target rate doubles as the offset added to the rate argument in
     the objective: a target-bearing application is evaluated at
-    (extra rate + target). demand_at is the utility's demand_curve at the
-    weight, built once (None at weight 0, which demands nothing).
+    (extra rate + target). Two attributes are set once from the fields:
+    offset, that target (0.0 without one), and demand_at, the utility's
+    demand_curve at the weight (None at weight 0, which demands nothing).
     """
 
     utility: UtilityFunction
@@ -349,17 +350,13 @@ class Application:
             raise DomainError(f"weight must lie in [0, 1], got {self.weight!r}")
         if self.target_rate is not None:
             _require_positive_finite(self.target_rate, "target_rate")
-        # Not a field, so ==, hash and repr ignore it and replace rebuilds it.
+        # Not fields, so ==, hash and repr ignore them and replace rebuilds them.
+        object.__setattr__(self, "offset", 0.0 if self.target_rate is None else self.target_rate)
         curve = self.utility.demand_curve(self.weight) if self.weight > 0.0 else None
         object.__setattr__(self, "demand_at", curve)
 
     def __reduce__(self):  # rebuild demand rather than pickle a closure
         return (Application, (self.utility, self.weight, self.target_rate))
-
-    @property
-    def offset(self) -> float:
-        """Rate offset contributed by the target (0 when no target)."""
-        return 0.0 if self.target_rate is None else self.target_rate
 
 
 class UserClass(Enum):
@@ -369,7 +366,12 @@ class UserClass(Enum):
 
 @dataclass(frozen=True)
 class UserProfile:
-    """A user: service class, subscription weight beta, and its applications."""
+    """A user: service class, subscription weight beta, and its applications.
+
+    is_vip and total_target, its applications' offsets added left to
+    right, are set once from the fields; like Application's, they are
+    not fields.
+    """
 
     user_id: str
     user_class: UserClass
@@ -385,14 +387,8 @@ class UserProfile:
         object.__setattr__(self, "apps", tuple(self.apps))
         if not self.apps:
             raise DomainError(f"user {self.user_id!r} must have at least one application")
-
-    @property
-    def is_vip(self) -> bool:
-        return self.user_class is UserClass.VIP
-
-    @property
-    def total_target(self) -> float:
-        return add_up(app.offset for app in self.apps)
+        object.__setattr__(self, "is_vip", self.user_class is UserClass.VIP)
+        object.__setattr__(self, "total_target", add_up(app.offset for app in self.apps))
 
 
 class CaseFlag(Enum):

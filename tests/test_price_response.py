@@ -25,7 +25,7 @@ from nura import (
     user_rate_at_price,
     vip_bid,
 )
-from nura.utility import regime_table
+from nura.utility import add_up, regime_table
 
 # log1p(k * r_max) = 1 exactly, so demand has the closed form w/p - 1
 UNIT_LOG = LogarithmicUtility(k=1.0, r_max=math.e - 1.0)
@@ -488,11 +488,13 @@ def _layouts(draw):
 @given(_layouts())
 def test_demands_add_each_members_rows_left_to_right(drawn):
     price, layout = drawn
-    got = _undamped_bids(layout, price)
+    got, total, moved = _undamped_bids(layout, price)
     expected = [price * (demand + member.offset)
                 for demand, member in zip(_reference_demands(layout, price), layout.members)]
     assert [x.hex() for x in got.values()] == [x.hex() for x in expected]
     assert list(got) == [member.user_id for member in layout.members]
+    assert total.hex() == add_up(got.values()).hex()
+    assert moved == any(not abs(bid - 0.0) < 1.0 for bid in got.values())
 
 
 def _member(user_id, beta, rows, cap=math.inf):
@@ -500,9 +502,10 @@ def _member(user_id, beta, rows, cap=math.inf):
 
 
 def _undamped_bids(layout, price):
-    """One round's bids from bids of 0 with no step bound: price * (demand + offset)."""
+    """One round from bids of 0 with no step bound and delta 1: (bids, total,
+    moved), each bid price * (demand + offset)."""
     prev = {member.user_id: 0.0 for member in layout.members}
-    return price_response.round_bids(layout, price, math.inf, prev)
+    return price_response.round_bids(layout, price, math.inf, prev, 1.0)
 
 
 def test_demands_raise_at_the_first_member_out_of_range():
@@ -528,9 +531,13 @@ def test_demands_past_float_range_raise_only_uncapped():
     low = _member("c", 5.0, [(1, 0.0, math.inf)])
     layout = price_response.BidLayout(curves, (capped, _member("d", 1.0, [(0, 0.0, 7.0)], 4.0)))
     price = 5e-324
-    assert _undamped_bids(layout, price) == {"a": price * (9.0 + 0.0), "d": price * (4.0 + 0.0)}
+    bids, total, moved = _undamped_bids(layout, price)
+    assert bids == {"a": price * (9.0 + 0.0), "d": price * (4.0 + 0.0)}
+    assert total == price * 9.0 + price * 4.0 and not moved
     # bids at 5e-324 resolve demand to about 1; at 1e-300 the same caps bind, to the bit
-    assert _undamped_bids(layout, 1e-300) == {"a": 1e-300 * 9.0, "d": 1e-300 * 4.0}
+    bids, total, moved = _undamped_bids(layout, 1e-300)
+    assert bids == {"a": 1e-300 * 9.0, "d": 1e-300 * 4.0}
+    assert total == 1e-300 * 9.0 + 1e-300 * 4.0 and not moved
     layout = price_response.BidLayout(curves, (capped, uncapped, low))
     with pytest.raises(SolverError, match="demand at price 5e-324 exceeds float range"):
         _undamped_bids(layout, price)
@@ -538,6 +545,27 @@ def test_demands_past_float_range_raise_only_uncapped():
     layout = price_response.BidLayout(curves, (capped, low, uncapped))
     with pytest.raises(DomainError, match=r"got 0\.0"):
         _undamped_bids(layout, price)
+
+
+def test_a_round_moved_when_a_bid_changed_by_delta_or_more_or_its_last_bid_is_nan():
+    # members without rows bid price * offset, here exactly 3 and 5
+    members = tuple(price_response.Bidder(uid, 1.0, math.inf, offset, ())
+                    for uid, offset in (("a", 3.0), ("b", 5.0)))
+    layout = price_response.BidLayout((), members)
+
+    def one_round(last_a, last_b, step=math.inf):
+        return price_response.round_bids(layout, 1.0, step, {"a": last_a, "b": last_b}, 0.25)
+
+    assert one_round(3.0, 5.0) == ({"a": 3.0, "b": 5.0}, 8.0, False)
+    assert one_round(2.75, 5.0)[2]  # a move of exactly delta
+    assert not one_round(math.nextafter(2.75, 3.0), 5.0)[2]
+    assert not one_round(3.0, 5.0 + 0.125)[2]
+    # a nan last bid is no bound for damping, and it counts as a move
+    assert one_round(3.0, math.nan) == ({"a": 3.0, "b": 5.0}, 8.0, True)
+    assert one_round(math.nan, 5.0, step=1.0) == ({"a": 3.0, "b": 5.0}, 8.0, True)
+    # damped bids are what is added and tested
+    assert one_round(0.0, 5.0, step=0.25) == ({"a": 0.25, "b": 5.0}, 5.25, True)
+    assert one_round(0.0, 5.0, step=0.125) == ({"a": 0.125, "b": 5.0}, 5.125, False)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from nura import (
     scenario,
     trace_records,
 )
-from nura.utility import regime_table
+from nura.utility import add_up, regime_table
 
 
 def _params(**kw):
@@ -66,6 +66,32 @@ def test_the_stop_fires_at_the_first_round_whose_bids_all_moved_less_than_delta(
     loose = run_first_stage(cell.users, 100.0, _params(delta=0.5))
     _assert_stops_at_first_quiet_round(loose.trace, 0.5)
     assert loose.rounds_used < run_first_stage(cell.users, 100.0, _params()).rounds_used
+
+
+def test_each_round_is_one_round_bids_call_returning_its_total_and_stop_test(cell, sweep):
+    """Over every round of the reference sweep, round_bids on a round's
+    price and bids gives the next round's bids, their add_up total to the
+    bit, and the two-pass stop test the loop ran before it was folded in."""
+    params = cell.protocol
+    checked = 0
+    for record in sweep:
+        layout = price_response.bidders(regime_table(cell.users, record.capacity))
+        for state, following in zip(record.trace, record.trace[1:]):
+            step = params.l1 * math.exp(-following.round_index / params.l2)
+            bids, total, moved = price_response.round_bids(
+                layout, state.price, step, state.bids, params.delta
+            )
+            assert bids == following.bids
+            assert total.hex() == add_up(following.bids.values()).hex()
+            assert following.price == max(total / record.capacity, params.price_floor)
+            two_pass = False
+            for bid, last in zip(bids.values(), state.bids.values()):
+                if not abs(bid - last) < params.delta:
+                    two_pass = True
+                    break
+            assert moved == two_pass == (not following.converged)
+            checked += 1
+    assert checked == sum(record.rounds - 1 for record in sweep) > 2000
 
 
 def test_protocol_params_validation():

@@ -356,6 +356,32 @@ def test_cached_demand_follows_replace_and_stays_out_of_equality(utility):
     assert [again.demand_at(p) for p in prices] == [app.demand_at(p) for p in prices]
 
 
+def test_offset_and_total_target_follow_replace_and_stay_out_of_equality():
+    app = Application(LOG_FAST, 0.5, target_rate=20.0)
+    plain = Application(SIG_STEEP, 0.5)
+    user = UserProfile("u", UserClass.VIP, beta=1.0, apps=(app, plain))
+    assert (app.offset, plain.offset, user.total_target, user.is_vip) == (20.0, 0.0, 20.0, True)
+    retargeted = replace(app, target_rate=7.5)
+    assert retargeted.offset == 7.5 and replace(retargeted, target_rate=None).offset == 0.0
+    changed = replace(user, user_class=UserClass.REGULAR, apps=(retargeted, retargeted))
+    assert changed.total_target == 15.0 and not changed.is_vip
+    back = replace(changed, user_class=UserClass.VIP, apps=(replace(retargeted, target_rate=20.0),
+                                                           plain))
+    assert back == user and hash(back) == hash(user) and repr(back) == repr(user)
+    assert back.total_target == 20.0 and back.is_vip
+    assert [field.name for field in fields(user)] == ["user_id", "user_class", "beta", "apps"]
+    assert "offset" not in repr(app) and "total_target" not in repr(user)
+    again_app, again_plain, again_user = pickle.loads(pickle.dumps((app, plain, user)))
+    assert (again_app, again_app.offset, again_plain.offset) == (app, 20.0, 0.0)
+    assert (again_user.total_target, again_user.is_vip, again_user) == (20.0, True, user)
+    config = ScenarioConfig(users=(user,), capacity=50.0, protocol=ProtocolParams())
+    apps = scenario_to_dict(config)["users"][0]["apps"]
+    assert [set(node) for node in apps] == [{"utility", "weight", "target_rate"},
+                                            {"utility", "weight"}]
+    again = scenario_from_dict(scenario_to_dict(config)).users[0]
+    assert (again.total_target, again.is_vip, again) == (20.0, True, user)
+
+
 def test_cached_demand_survives_the_scenario_round_trip():
     apps = tuple(Application(utility, 0.25) for utility in (SIG_STEEP, SIG_SHALLOW, LOG_FAST,
                                                              LOG_SLOW))
