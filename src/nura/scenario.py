@@ -43,7 +43,7 @@ _USER_KEYS = {"id", "class", "beta", "apps"}
 _APP_KEYS = {f.name for f in fields(Application)}  # an app's file keys are its fields
 _SCHEDULE_KEYS = {"description", "epochs"}
 _EPOCH_KEYS = {"start", "end", "weights"}
-_MAX_SWEEP_POINTS = 100_000  # at 0.7 ms a reference-cell point, about 70 s
+_MAX_SWEEP_POINTS = 100_000  # at 0.6 ms a reference-cell point, about 60 s
 
 
 @dataclass(frozen=True)
@@ -548,8 +548,8 @@ def emit_csv(records: Sequence[RunRecord], path, kind: str) -> None:
     kind selects the layout: 'allocations' (one row per user per run),
     'app_allocations' (one row per application), or 'trace' (per-round
     bid/price rows; the records must have been produced with traces
-    kept). Rows appear in ascending capacity order as given, users in
-    declaration order, applications by index.
+    kept); each row leads with its record's capacity R, records in the
+    order given, users in declaration order, applications by index.
     """
     if not records:
         raise ContractError("nothing to write: empty record list")
@@ -576,15 +576,16 @@ def emit_csv(records: Sequence[RunRecord], path, kind: str) -> None:
             for j, rate in enumerate(rates)
         ]
     elif kind == "trace":
-        header = ["round", "user_id", "bid", "price"]
+        header = ["R", "round", "user_id", "bid", "price"]
         rows = []
         for record in records:
             if record.trace is None:
                 raise ContractError(
                     "trace emission requires records produced with keep_trace"
                 )
+            capacity = _fmt(record.capacity)
             rows.extend(
-                [str(round_index), uid, _fmt(bid), _fmt(price)]
+                [capacity, str(round_index), uid, _fmt(bid), _fmt(price)]
                 for round_index, uid, bid, price in trace_records(record)
             )
     else:

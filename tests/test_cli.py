@@ -46,7 +46,7 @@ def test_run_writes_trace(tmp_path, capsys):
     )
     assert code == 0
     header = trace.read_text().splitlines()[0]
-    assert header == "round,user_id,bid,price"
+    assert header == "R,round,user_id,bid,price"
 
 
 def test_sweep_writes_csvs(tmp_path, capsys):

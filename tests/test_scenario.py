@@ -420,12 +420,15 @@ def test_emit_app_allocations_csv(tmp_path, sweep):
 
 def test_emit_trace_csv(tmp_path, sweep):
     path = tmp_path / "trace.csv"
-    emit_csv(sweep[:1], path, kind="trace")
+    emit_csv(sweep[:2], path, kind="trace")
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    assert rows[0] == ["round", "user_id", "bid", "price"]
-    assert int(rows[1][0]) == 1
-    assert len(rows) == 1 + sweep[0].rounds * 2  # two VIP bidders below 50
+    assert rows[0] == ["R", "round", "user_id", "bid", "price"]
+    assert int(rows[1][1]) == 1
+    assert len(rows) == 1 + (sweep[0].rounds + sweep[1].rounds) * 2  # two VIP bidders below 50
+    # each row names its record's capacity, so the two records' rows stay apart
+    assert [row[0] for row in rows[1:]] == (["5"] * sweep[0].rounds * 2
+                                            + ["10"] * sweep[1].rounds * 2)
 
 
 def test_emit_trace_requires_traces(tmp_path, cell):
