@@ -19,7 +19,9 @@ also holds `gain_shown`, true when the change won at least 9 in 10 of
 the pairs (a tie counts for neither side) and its median is lower than
 the parent's by more than the parent's q3 - q1, and `regressed`, true
 when the change's median exceeds the parent's by more than the metric's
-relative `bound`.
+relative `bound`. Once the file is written, one stdout line per workload
+and gated metric gives both medians, the change in %, the pairs won,
+`gain_shown`, `regressed` and `digests_agree`.
 """
 
 from __future__ import annotations
@@ -100,6 +102,14 @@ def main(argv=None) -> None:
             "runs": runs,
         }
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    for workload, entry in result["workloads"].items():
+        old, new = (entry["summary"][side] for side in sides)
+        for name in entry["gain_shown"]:
+            before, after = old[name]["median"], new[name]["median"]
+            print(f"{workload} {name}: {before:.6g} -> {after:.6g} {old[name]['unit']} "
+                  f"({(after / before - 1.0) * 100.0:+.1f}%), won {entry['change_wins'][name]}"
+                  f"/{args.pairs}, gain_shown {entry['gain_shown'][name]}, "
+                  f"regressed {entry['regressed'][name]}, digests_agree {entry['digests_agree']}")
 
 
 if __name__ == "__main__":
