@@ -64,6 +64,8 @@ def main(argv=None) -> None:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    if args.pairs < 2:  # quartiles need two runs a side; fail before any run, not after all
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
     sides = {"parent": args.parent, "change": args.change}
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}

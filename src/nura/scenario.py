@@ -43,7 +43,7 @@ _USER_KEYS = {"id", "class", "beta", "apps"}
 _APP_KEYS = {f.name for f in fields(Application)}  # an app's file keys are its fields
 _SCHEDULE_KEYS = {"description", "epochs"}
 _EPOCH_KEYS = {"start", "end", "weights"}
-_MAX_SWEEP_POINTS = 100_000  # at 0.6 ms a reference-cell point, about 60 s
+_MAX_SWEEP_POINTS = 100_000  # at 0.57 ms a reference-cell point, about 57 s
 
 
 @dataclass(frozen=True)
