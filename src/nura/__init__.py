@@ -16,7 +16,6 @@ from .errors import (
     SweepError,
     ValidationError,
 )
-from .intra_ue import allocate_internal
 from .oracle import OracleResult, centralized_solve, grid_search_solve
 from .price_response import (
     app_rate_at_price,
@@ -29,6 +28,7 @@ from .protocol import (
     FirstStageResult,
     ProtocolParams,
     RoundState,
+    allocate_internal,
     determine_case,
     run_first_stage,
     trace_records,

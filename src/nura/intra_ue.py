@@ -1,4 +1,4 @@
-"""Price clearing, which ends the bidding stage, and the second stage.
+"""Price clearing, which ends the bidding stage.
 
 clear_price finds the price at which a regime table's participants
 spend its budget: each application demands the rate where its marginal
@@ -16,25 +16,20 @@ demands and one for the step's bookkeeping, and every total is added
 left to right, so a clearing gives the same bits on every CPython
 version.
 
-The bidding stage ends with one clearing (protocol), whose rows are
-every application's rate. allocate_internal hands a user those rows,
-and clears its own rows again only when it is capped and they pass its
-rate: on U(r) with targets as caps under scarce capacity, else on
-U(r + target), rates including it.
+The bidding stage ends with one clearing (protocol) of every
+participant's rows, and clears a capped user's own rows again where they
+pass its rate: on U(r) with targets as caps under scarce capacity, else
+on U(r + target), rates including it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import SolverError
 from .price_response import app_rate_at_price
-from .utility import AppRow, RegimeTable, SigmoidalUtility, UserProfile, add_up, app_rows
-
-if TYPE_CHECKING:  # protocol imports this module
-    from .protocol import FirstStageResult
+from .utility import AppRow, RegimeTable, SigmoidalUtility
 
 _PRICE_RTOL = 1e-10
 _PRICE_FLOOR = 1e-150
@@ -217,22 +212,4 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
         for high, low in zip(upper[:2], lower[:2])
     )
     return hi, shares, rates
-
-
-def allocate_internal(user: UserProfile, first: FirstStageResult) -> tuple[float, ...]:
-    """The user's application rates, targets included, given the first stage.
-
-    They are the closing clearing's rows, unless the user has a cap and
-    those rows, its demand at the final price, pass its rate; then its
-    own rows alone clear the rate above its offsets, from the final
-    price.
-    """
-    uid, case = user.user_id, first.case
-    demands = first.app_demands[uid]
-    if case.user_cap(user) == math.inf or add_up(demands) <= first.rates[uid]:
-        return demands
-    rows = app_rows([user], case)
-    table = RegimeTable(case, (user,), first.rates[uid] - case.user_offset(user), (math.inf,), rows)
-    _, _, rates = clear_price(table, first.final_price)
-    return tuple(rate + row.offset for rate, row in zip(rates, rows))
 

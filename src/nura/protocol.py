@@ -18,7 +18,9 @@ bid moved by delta or more; round 1 takes both from the start bids
 against bids of 0. Each round's bid dict goes into the trace uncopied.
 Damped bids stop short of the fixed point, so the rates come from one
 exact clearing (intra_ue.clear_price) that starts from the stop round's
-price; its per-application rates are kept for the second stage.
+price. Its rows are each user's split of its rate (the allocation), but
+a capped user's rows, its demand at that price, may pass its rate: then
+its own rows clear its share again from the final price.
 
 When the VIP users' aggregate target rates reach the capacity, only VIP
 users participate and their demand is capped at their targets, per
@@ -38,7 +40,8 @@ from .intra_ue import clear_price
 from .price_response import bidders, round_bids, vip_bid  # noqa: F401 (tracers rebind vip_bid here)
 
 # determine_case is re-exported: the regime is part of this stage's interface.
-from .utility import CaseFlag, UserProfile, add_up, determine_case, regime_table  # noqa: F401
+from .utility import CaseFlag, RegimeTable, UserProfile, add_up, regime_table
+from .utility import determine_case  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -97,16 +100,14 @@ class FirstStageResult:
 
     rates (every user in declaration order, excluded ones at exactly 0.0)
     and final_price come from the clearing after the loop, and so do
-    app_demands: each user's application rates there, targets included
-    (all 0.0 for an excluded user). A capped user's app_demands are its
-    demand at final_price, not a split of its rate, so they may sum past
-    it. trace lists one RoundState per executed round, the stop round
-    included.
+    app_rates, the allocation: each user's split of its rate among its
+    applications, targets included (all 0.0 for an excluded user). trace
+    lists one RoundState per executed round, the stop round included.
     """
 
     case: CaseFlag
     rates: Mapping[str, float]
-    app_demands: Mapping[str, tuple[float, ...]]
+    app_rates: Mapping[str, tuple[float, ...]]
     final_price: float
     trace: tuple[RoundState, ...] = field(repr=False)
     rounds_used: int
@@ -171,21 +172,34 @@ def run_first_stage(
 
     final_price, shares, row_rates = clear_price(table, price)
     rates = dict.fromkeys((user.user_id for user in users), 0.0)
-    app_demands = {user.user_id: (0.0,) * len(user.apps) for user in users}
-    demands = [[] for _ in shares]
+    app_rates = {user.user_id: (0.0,) * len(user.apps) for user in users}
+    splits = [[] for _ in shares]
     for row, rate in zip(table.rows, row_rates):
-        demands[row.user_slot].append(rate + row.offset)
-    for bidder, share, user_demands in zip(layout.members, shares, demands):
-        rates[bidder.user_id] = share + bidder.offset
-        app_demands[bidder.user_id] = tuple(user_demands)
+        splits[row.user_slot].append(rate + row.offset)
+    for slot, (bidder, share, split) in enumerate(zip(layout.members, shares, splits)):
+        rate = share + bidder.offset
+        if bidder.cap < math.inf and add_up(split) > rate:
+            # A capped user's rows are its demand at final_price: clear its share on them.
+            rows = tuple(row._replace(user_slot=0) for row in table.rows if row.user_slot == slot)
+            own = RegimeTable(table.case, (table.participants[slot],), share, (math.inf,), rows)
+            split = [r + row.offset for r, row in zip(clear_price(own, final_price)[2], rows)]
+        rates[bidder.user_id] = rate
+        app_rates[bidder.user_id] = tuple(split)
     return FirstStageResult(
         case=table.case,
         rates=rates,
-        app_demands=app_demands,
+        app_rates=app_rates,
         final_price=final_price,
         trace=tuple(trace),
         rounds_used=round_index,
     )
+
+
+def allocate_internal(user: UserProfile, first: FirstStageResult) -> tuple[float, ...]:
+    """The second stage: the user's application rates, targets included,
+    which run_first_stage has already split. It stays a function because
+    the benchmark's tracer spans it and its harness counts its calls."""
+    return first.app_rates[user.user_id]
 
 
 def trace_records(result) -> list[tuple[int, str, float, float]]:
@@ -193,8 +207,11 @@ def trace_records(result) -> list[tuple[int, str, float, float]]:
 
     result is a FirstStageResult, or anything else carrying its trace
     (such as a RunRecord kept with its trace). Rows are ordered by
-    round, then by the participant order of the run.
+    round, then by the participant order of the run. A record kept
+    without its trace raises ContractError.
     """
+    if result.trace is None:
+        raise ContractError("trace emission requires records produced with keep_trace")
     rows: list[tuple[int, str, float, float]] = []
     for state in result.trace:
         for uid, bid in state.bids.items():

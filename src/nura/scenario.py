@@ -24,8 +24,8 @@ from typing import Sequence
 import yaml
 
 from .errors import ContractError, DomainError, NuraError, SweepError, ValidationError
-from .intra_ue import allocate_internal
-from .protocol import CaseFlag, ProtocolParams, RoundState, run_first_stage, trace_records
+from .protocol import CaseFlag, ProtocolParams, RoundState, allocate_internal
+from .protocol import run_first_stage, trace_records
 from .utility import (
     Application,
     LogarithmicUtility,
@@ -579,10 +579,6 @@ def emit_csv(records: Sequence[RunRecord], path, kind: str) -> None:
         header = ["R", "round", "user_id", "bid", "price"]
         rows = []
         for record in records:
-            if record.trace is None:
-                raise ContractError(
-                    "trace emission requires records produced with keep_trace"
-                )
             capacity = _fmt(record.capacity)
             rows.extend(
                 [capacity, str(round_index), uid, _fmt(bid), _fmt(price)]

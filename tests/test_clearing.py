@@ -22,7 +22,6 @@ from nura import (
     UserClass,
     UserProfile,
     ValidationError,
-    allocate_internal,
     centralized_solve,
     intra_ue,
     protocol,
@@ -117,13 +116,13 @@ def test_a_plateau_in_the_bracket_far_from_the_root_keeps_newtons_landing(cell, 
     rejected there bisects in ln p, and Newton steps in ln p land on the
     root in 7 trials; stepping in s as soon as the bracket held 1.5 took
     11."""
-    first = run_first_stage(cell.users, 50.0)
     prices = []
-    rates, trials = _clearing_trials(
-        monkeypatch, lambda: allocate_internal(cell.users[0], first), prices)
-    assert len(trials) == 1 and trials[0] <= 7, trials
+    first, trials = _clearing_trials(
+        monkeypatch, lambda: run_first_stage(cell.users, 50.0), prices)
+    assert len(trials) == 2 and trials[1] <= 7, trials
+    prices = prices[-round(2 * trials[1]):]  # the second clearing's, over ue1's 2 rows
     assert min(prices) < 1.1 and max(prices) > 1.5  # the bracket held the plateau
-    assert sum(rates) == pytest.approx(first.rates["ue1"], rel=1e-12, abs=0)
+    assert sum(first.app_rates["ue1"]) == pytest.approx(first.rates["ue1"], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("capacity", [60.0, 62.5, 65.0])

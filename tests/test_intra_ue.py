@@ -23,7 +23,7 @@ from nura import (
     scenario_from_dict,
 )
 from nura.intra_ue import clear_price
-from nura.utility import NEG_INF, RegimeTable, app_rows, objective
+from nura.utility import NEG_INF, RegimeTable, add_up, app_rows, objective, regime_table
 
 SCARCE = CaseFlag.TARGETS_EXCEED_CAPACITY
 ABUNDANT = CaseFlag.TARGETS_BELOW_CAPACITY
@@ -230,19 +230,23 @@ def test_uncapped_users_take_the_clearings_rows_without_a_demand_call(cell, monk
     calls = []
     monkeypatch.setattr(intra_ue, "app_rate_at_price", lambda *args: calls.append(args))
     for user in cell.users:
-        assert allocate_internal(user, first) == first.app_demands[user.user_id]
+        assert allocate_internal(user, first) == first.app_rates[user.user_id]
     assert calls == []
 
 
 def test_a_binding_cap_is_split_again_to_the_users_rate(cell):
-    # At R = 30 ue1's demand passes its cap of 20 (its sigmoid's target),
-    # so the clearing's rows are no split of its rate.
+    # At R = 30 ue1's demand at the final price, its rows of a clearing
+    # from there, passes its cap of 20 (its sigmoid's target), so the
+    # first stage clears its own rows again to split its rate.
     first = run_first_stage(cell.users, 30.0)
-    demands, rate = first.app_demands["ue1"], first.rates["ue1"]
+    table = regime_table(cell.users, 30.0)
+    _, _, row_rates = clear_price(table, first.final_price)
+    demands = [rate for row, rate in zip(table.rows, row_rates) if row.user_slot == 0]
+    rate = first.rates["ue1"]
     assert rate == 20.0 and sum(demands) > rate + 0.1
-    rates = allocate_internal(cell.users[0], first)
+    rates = first.app_rates["ue1"]
     assert sum(rates) == pytest.approx(rate, rel=1e-9, abs=0)
-    assert rates[0] <= 20.0 and rates != demands
+    assert rates[0] <= 20.0
 
 
 def _sigmoid(a, b):
@@ -299,6 +303,15 @@ def test_rows_topped_up_past_a_rate_below_its_cap_are_split_again(tree):
     assert sum(record.user_rates.values()) == pytest.approx(config.capacity, rel=1e-9, abs=0)
     for uid, rate in record.user_rates.items():
         assert sum(record.app_rates[uid]) == pytest.approx(rate, rel=1e-9, abs=1e-12), uid
+
+
+def test_every_participants_app_rates_add_up_to_its_rate(cell):
+    cells = [(cell.users, 5.0 * i) for i in range(1, 41)]
+    cells += [(c.users, c.capacity) for c in map(scenario_from_dict, _TOP_UP_CELLS)]
+    for users, capacity in cells:
+        first = run_first_stage(users, capacity)
+        for uid, rate in first.rates.items():
+            assert add_up(first.app_rates[uid]) == pytest.approx(rate, rel=1e-12, abs=0), uid
 
 
 # ---------------------------------------------------------------------------

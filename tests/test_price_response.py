@@ -380,8 +380,9 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
 
     # A bidding round is one round_bids call for all its bidders (counted
     # as bid_demand). The first stage's closing clearing also calls
-    # intra_ue's per-app demand; only calls made while allocate_internal
-    # runs count as split_demand.
+    # intra_ue's per-app demand; only calls made while it clears a capped
+    # user's rows again (each protocol.clear_price call after the first)
+    # count as split_demand.
     monkeypatch.setattr(
         protocol,
         "round_bids",
@@ -393,11 +394,15 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
     demand = counted(price_response.app_rate_at_price, "demand")
     monkeypatch.setattr(price_response, "app_rate_at_price", demand)
     monkeypatch.setattr(intra_ue, "app_rate_at_price", demand)
+    closing, resplit = protocol.clear_price, staged(protocol.clear_price, "split")
+
+    def clearing(*args):
+        counts["clearings"] += 1
+        return (closing if counts["clearings"] == 1 else resplit)(*args)
+
+    monkeypatch.setattr(protocol, "clear_price", clearing)
     monkeypatch.setattr(
-        scenario,
-        "allocate_internal",
-        counted(staged(intra_ue.allocate_internal, "split"), "splits"),
-    )
+        scenario, "allocate_internal", counted(protocol.allocate_internal, "splits"))
     run_once(replace(cell, capacity=capacity))
     assert counts["splits"] == len(cell.users)
     assert counts["dlog"] <= 15 * counts["demand"]

@@ -285,6 +285,12 @@ def test_trace_records_layout(cell):
     assert [r[0] for r in rows] == sorted(r[0] for r in rows)
 
 
+def test_trace_records_of_a_record_kept_without_its_trace_raise(cell):
+    record = scenario.run_once(replace(cell, capacity=60.0))  # no keep_trace
+    with pytest.raises(ContractError, match="keep_trace"):
+        trace_records(record)
+
+
 def test_single_vip_takes_whole_scarce_pool():
     app = Application(
         utility=SigmoidalUtility(a=1.0, b=6.0), weight=1.0, target_rate=12.0
