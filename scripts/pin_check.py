@@ -11,8 +11,12 @@ rates and objectives) with those modules' own cells and digest lines. An
 interpreter without pytest or PyYAML gets them from a temporary directory
 put first on its path: a stub `pytest` module, which is all the two test
 modules need at import, and a copy of the pure-Python `yaml` package of
-the interpreter that runs this script. It prints one line per interpreter
-with its two digests and whether each equals the value pinned in its test
+the interpreter that runs this script. The directory comes first on
+every interpreter's path and the copy leaves out PyYAML's libyaml
+extension (`.so`), so every interpreter parses the bundled cell with
+`yaml.SafeLoader`, even one whose own PyYAML has libyaml; the test suite
+covers `CSafeLoader`. It prints one line per interpreter with its two
+digests and whether each equals the value pinned in its test
 file, and exits 1 if the interpreters do not all print the same digests.
 Standard library only.
 """

@@ -3,8 +3,12 @@
 Stage one is a distributed bidding protocol between users and the base
 station that prices the cell's capacity and fixes per-user rates; stage
 two splits each user's rate among its applications. Independent
-centralized solvers certify the distributed results.
+centralized solvers certify the distributed results. The certifier
+(`nura.oracle`) loads on first use of `centralized_solve`,
+`grid_search_solve` or `OracleResult`: solving never needs it.
 """
+
+from typing import TYPE_CHECKING
 
 from .errors import (
     ContractError,
@@ -16,7 +20,6 @@ from .errors import (
     SweepError,
     ValidationError,
 )
-from .oracle import OracleResult, centralized_solve, grid_search_solve
 from .price_response import (
     app_rate_at_price,
     damp_bid,
@@ -57,6 +60,9 @@ from .utility import (
     UserClass,
     UserProfile,
 )
+
+if TYPE_CHECKING:
+    from .oracle import OracleResult, centralized_solve, grid_search_solve
 
 __version__ = "0.1.0"
 
@@ -106,3 +112,12 @@ __all__ = [
     "vip_bid",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """Resolve the certifier's names on first access (PEP 562)."""
+    if name in ("OracleResult", "centralized_solve", "grid_search_solve"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .errors import NuraError, ProtocolError, SweepError, ValidationError
-from .oracle import centralized_solve, grid_search_solve
 from .scenario import (
     emit_csv,
     load_scenario,
@@ -122,6 +121,8 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .oracle import centralized_solve, grid_search_solve  # only validate certifies
+
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValidationError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     config = load_scenario(args.scenario)

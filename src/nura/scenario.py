@@ -329,15 +329,44 @@ def _warn_if_capacity_dwarfs_saturation(config: ScenarioConfig) -> None:
         )
 
 
+# PyYAML's libyaml parser where PyYAML was built with it. Both loaders
+# share the Python resolver and constructor, so they build the same trees.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# A scenario nests 6 levels and a schedule 5. Both composers recurse per
+# level: the Python one ends in a RecursionError near 1 000 levels, the C
+# one overflows the C stack. Both scanners take time quadratic in the depth.
+_MAX_YAML_DEPTH = 32
+
+
 def _read_yaml(path):
-    """Parse a YAML file; syntax errors become a ValidationError naming the line."""
+    """Parse a UTF-8 YAML file, in C where PyYAML has libyaml (`_YAML_LOADER`).
+
+    One pass over the parse events bounds the nesting before the load
+    composes the tree. A file that is not UTF-8, that nests collections
+    deeper than `_MAX_YAML_DEPTH`, or that is not YAML raises a
+    ValidationError naming the byte offset or the line.
+    """
     with open(path, encoding="utf-8") as handle:
         try:
-            return yaml.safe_load(handle)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f" (line {mark.line + 1})" if mark is not None else ""
-            raise ValidationError(f"{path}: cannot parse YAML{where}: {exc}") from exc
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    try:
+        depth = 0
+        for event in yaml.parse(text, Loader=_YAML_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_YAML_DEPTH:
+                    raise ValidationError(
+                        f"{path}: collections nested deeper than {_MAX_YAML_DEPTH} levels "
+                        f"(line {event.start_mark.line + 1})")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" (line {mark.line + 1})" if mark is not None else ""
+        raise ValidationError(f"{path}: cannot parse YAML{where}: {exc}") from exc
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -6,6 +6,7 @@ here is read-only from the tests' point of view.
 """
 
 import pytest
+import yaml
 
 from nura import bundled_scenario_path, centralized_solve, load_scenario, sweep_R
 
@@ -31,3 +32,11 @@ def oracle_solutions(cell):
         capacity: centralized_solve(cell.users, capacity)
         for capacity in SWEEP_CAPACITIES
     }
+
+
+@pytest.fixture(params=["SafeLoader", "CSafeLoader"])
+def yaml_loader(request):
+    """The name of each PyYAML safe loader the scenario reader may use."""
+    if not hasattr(yaml, request.param):
+        pytest.skip("PyYAML was built without libyaml")
+    return request.param

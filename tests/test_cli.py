@@ -12,6 +12,8 @@ import pytest
 from nura import bundled_scenario_path, bundled_schedule_path, centralized_solve, scenario
 from nura.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 TINY_SCENARIO = """\
 description: two log apps
 R: 6.0
@@ -107,7 +109,7 @@ def test_validate_fails_on_impossible_tolerance(capsys, monkeypatch):
         return replace(result, user_rates={**result.user_rates,
                                            "ue1": result.user_rates["ue1"] + 1e-6})
 
-    monkeypatch.setattr("nura.cli.centralized_solve", shifted)
+    monkeypatch.setattr("nura.oracle.centralized_solve", shifted)  # validate's import
     code = main(
         [
             "validate",
@@ -119,6 +121,7 @@ def test_validate_fails_on_impossible_tolerance(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert "FAIL" in captured.err
+    assert "centralized solver = 1e-06" in captured.out  # the patched reference
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
@@ -163,6 +166,66 @@ def test_invalid_scenario_is_validation_error(tmp_path, capsys):
     code = main(["run", "--scenario", str(bad)])
     assert code == 2
     assert "validation error" in capsys.readouterr().err
+
+
+def test_a_scenario_that_is_not_utf8_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes(TINY_SCENARIO.replace("two log apps", "caf\xe9").encode("latin-1"))
+    code = main(["run", "--scenario", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("validation error: ")
+
+
+# Runs the CLI as `python -m nura` does, with the scenario reader's loader
+# chosen by name.
+_RUN_WITH_LOADER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import yaml
+from nura import cli, scenario
+scenario._YAML_LOADER = getattr(yaml, sys.argv[2])
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def test_a_scenario_nested_100000_deep_is_validation_error(yaml_loader, tmp_path):
+    # Unbounded, the Python composer ends in a RecursionError and the C
+    # one in SIGSEGV (at 50 000 levels); a subprocess keeps a crash out of
+    # pytest.
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("R: " + "[" * 100_000 + "]" * 100_000 + "\n")
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_WITH_LOADER, str(SRC), yaml_loader,
+         "run", "--scenario", str(deep)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("validation error: ") and "nested" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+_CERTIFIER_LOADS_ONLY_TO_VALIDATE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from nura.cli import main
+assert main(["run", "--scenario", sys.argv[2]]) == 0
+assert "nura.oracle" not in sys.modules
+assert main(["validate", "--scenario", sys.argv[2]]) == 0
+assert "nura.oracle" in sys.modules
+"""
+
+
+def test_run_leaves_the_certifier_unloaded_and_validate_loads_it():
+    result = subprocess.run(
+        [sys.executable, "-c", _CERTIFIER_LOADS_ONLY_TO_VALIDATE, str(SRC),
+         str(bundled_scenario_path())],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_round_limit_is_convergence_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -462,3 +463,29 @@ def test_oracle_imports_only_errors_and_utility():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.split(".")[0] == "nura")
     assert imported == {"errors", "utility"}
+
+
+# In a fresh interpreter: the package's certifier names resolve on first
+# use, to the oracle's own objects, and star-import still binds them.
+_LAZY_CERTIFIER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import nura
+assert "nura.oracle" not in sys.modules
+from nura import OracleResult, centralized_solve, grid_search_solve
+from nura import oracle
+assert centralized_solve is oracle.centralized_solve
+assert grid_search_solve is oracle.grid_search_solve
+assert OracleResult is oracle.OracleResult
+namespace = {}
+exec("from nura import *", namespace)
+assert set(nura.__all__) <= set(namespace), set(nura.__all__) - set(namespace)
+assert not hasattr(nura, "no_such_name")
+"""
+
+
+def test_import_nura_leaves_the_certifier_unloaded_until_asked_for():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", _LAZY_CERTIFIER, str(src)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

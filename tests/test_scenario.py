@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 
 import pytest
+import yaml
 
 from nura import (
     CaseFlag,
@@ -212,6 +213,70 @@ def test_yaml_syntax_error_reports_line(tmp_path):
     with pytest.raises(ValidationError) as excinfo:
         load_scenario(bad)
     assert "line" in str(excinfo.value)
+
+
+_PARITY_SNIPPETS = [
+    "n: " + "7" * 400,
+    "x: 1e3",  # a string in YAML 1.1
+    "x: [.inf, -.inf, .INF]",
+    "x: ~\ny: null",
+    "x: [yes, no, Yes, NO, on, off]",
+    "x: ['1', \"2.5\", '1e3']",
+    "a: &cell {R: 10, users: [u1]}\nb: *cell",
+    "k: 1\nk: 2",
+]
+
+
+def _assert_the_reader_builds_the_safe_loaders_tree(path):
+    if scenario._YAML_LOADER is yaml.SafeLoader:
+        pytest.skip("PyYAML was built without libyaml: the reader is the SafeLoader")
+    expected = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+    assert scenario._read_yaml(path) == expected
+
+
+@pytest.mark.parametrize("text", _PARITY_SNIPPETS)
+def test_the_reader_parses_snippets_as_the_pure_python_safe_loader(text, tmp_path):
+    path = tmp_path / "snippet.yaml"
+    path.write_text(text + "\n")
+    _assert_the_reader_builds_the_safe_loaders_tree(path)
+
+
+@pytest.mark.parametrize("bundled", [scenario.bundled_scenario_path, bundled_schedule_path])
+def test_the_reader_parses_the_bundled_files_as_the_pure_python_safe_loader(bundled):
+    _assert_the_reader_builds_the_safe_loaders_tree(bundled())
+
+
+def test_a_file_that_is_not_utf8_is_a_validation_error_naming_the_byte(tmp_path):
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes(b"R: 10\nusers: [\xff]\n")
+    with pytest.raises(ValidationError, match="not UTF-8 text at byte 14"):
+        load_scenario(bad)
+
+
+def test_yaml_syntax_error_names_its_line_under_each_loader(yaml_loader, tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setattr(scenario, "_YAML_LOADER", getattr(yaml, yaml_loader))
+    bad = tmp_path / "broken.yaml"
+    bad.write_text("R: 10\nusers: [1, 2\nx: ]\n")
+    with pytest.raises(ValidationError, match=r"cannot parse YAML \(line 3\)"):
+        load_scenario(bad)
+
+
+def test_nesting_past_the_bound_is_a_validation_error_under_each_loader(yaml_loader,
+                                                                        tmp_path,
+                                                                        monkeypatch):
+    monkeypatch.setattr(scenario, "_YAML_LOADER", getattr(yaml, yaml_loader))
+    limit = scenario._MAX_YAML_DEPTH
+    path = tmp_path / "deep.yaml"
+    # The top-level mapping is the first level.
+    path.write_text("R: 1\nx: " + "[" * (limit - 1) + "]" * (limit - 1) + "\n")
+    tree = scenario._read_yaml(path)["x"]
+    for _ in range(limit - 2):
+        (tree,) = tree
+    assert tree == []
+    path.write_text("R: 1\nx:\n  " + "[" * limit + "]" * limit + "\n")
+    with pytest.raises(ValidationError, match=f"nested deeper than {limit} levels \\(line 3\\)"):
+        scenario._read_yaml(path)
 
 
 def test_missing_file_raises_oserror(tmp_path):
