@@ -18,7 +18,9 @@ The oracle's trials are its price trials (the distinct log prices passed
 to `oracle._demand` over all of a cell's clearings); run_once's are its
 clearing trials (each `intra_ue.clear_price` call's
 `intra_ue.app_rate_at_price` calls over its rows, summed over the cell).
-Standard library only.
+For the oracle it also prints each side's total `dlog_evaluate` calls
+(both utility classes, counted on the class) over the set. The script
+and its subprocesses use the standard library only.
 """
 
 from __future__ import annotations
@@ -39,18 +41,29 @@ WIDE_DRAWS = 400
 SOLVERS = ("centralized_solve", "run_once")
 
 # Run in the checkout: reads {set: [tree, ...]} on stdin, prints
-# {set: [[label, R, {solver: [outcome, trials]}], ...]}, an outcome being
-# the user rates or the name of the NuraError raised. The counters wrap
-# with any arguments, so that they fit every version of what they wrap.
+# {set: [[label, R, {solver: [outcome, trials, dlog calls]}], ...]}, an
+# outcome being the user rates or the name of the NuraError raised. The
+# counters wrap with any arguments, so that they fit every version of what
+# they wrap.
 _CHILD = """
 import json, sys, warnings
 sys.path[:0] = ["src", "bench"]
 import cells
 from nura import NuraError, centralized_solve, intra_ue, oracle, protocol, run_once
-from nura import scenario_from_dict
+from nura import LogarithmicUtility, SigmoidalUtility, scenario_from_dict
 
 prices = set()
 trials = [0.0, 0]  # clearing trials so far, demand calls in this clearing
+calls = [0]  # dlog_evaluate calls
+
+def counting(original):
+    def dlog_evaluate(*args):
+        calls[0] += 1
+        return original(*args)
+    return dlog_evaluate
+
+for utility in (SigmoidalUtility, LogarithmicUtility):
+    utility.dlog_evaluate = counting(utility.dlog_evaluate)
 
 def searched(*args, original=oracle._demand):
     prices.add(args[1])
@@ -77,17 +90,19 @@ def outcomes(make):
     try:
         config = make()
     except NuraError as exc:
-        return None, {solver: [type(exc).__name__, 0] for solver in ("centralized_solve", "run_once")}
+        return None, {solver: [type(exc).__name__, 0, 0]
+                      for solver in ("centralized_solve", "run_once")}
     out = {}
     for solver, solve in (("centralized_solve", certified),
                           ("run_once", lambda config: run_once(config).user_rates)):
         prices.clear()
         trials[0] = 0.0
+        calls[0] = 0
         try:
             rates = solve(config)
         except NuraError as exc:
             rates = type(exc).__name__
-        out[solver] = [rates, len(prices) if solver == "centralized_solve" else trials[0]]
+        out[solver] = [rates, len(prices) if solver == "centralized_solve" else trials[0], calls[0]]
     return config.capacity, out
 
 def solved(labelled):
@@ -135,8 +150,10 @@ def main(argv=None) -> None:
         print(f"{name}: {len(cells)} cells")
         for solver in SOLVERS:
             differ, worst, rose, fell, total, totals = [], 0.0, 0, 0, 0.0, 0.0
+            called, calls = 0, 0  # each side's dlog_evaluate calls
             for (label, capacity, parent), (_, _, change) in zip(cells, new[name]):
-                (before, tried), (after, tries) = parent[solver], change[solver]
+                (before, tried, dlogs), (after, tries, dlogs_now) = parent[solver], change[solver]
+                called, calls = called + dlogs, calls + dlogs_now
                 if _class(before) != _class(after):
                     differ.append(f"{label}: {_class(before)} -> {_class(after)}")
                 elif not isinstance(before, str):
@@ -147,7 +164,9 @@ def main(argv=None) -> None:
                 total, totals = total + tried, totals + tries
             print(f"  {solver}: classes {_classes(cells, solver)} -> {_classes(new[name], solver)}"
                   f"; {len(differ)} change outcome class, max |d user rate| / R = {worst:.3g}, "
-                  f"trials {total:g} -> {totals:g} ({rose} rose, {fell} fell)")
+                  f"trials {total:g} -> {totals:g} ({rose} rose, {fell} fell)"
+                  + (f", dlog_evaluate calls {called} -> {calls}"
+                     if solver == "centralized_solve" else ""))
             for line in differ:
                 print(f"    {line}")
 

@@ -9,7 +9,8 @@ centralized_solve clears one global price. Each application's demand at
 a price is the rate, at most its cap, its user's cap and the budget,
 where its marginal value factor * (ln U)'(rate + offset) meets the
 price, found by the oracle's own Illinois steps (regula falsi that
-halves a stale end's value) on dlog_evaluate alone. Each distinct row
+halves a stale end's value) on dlog_evaluate alone, in the rate for a
+sigmoid and in ln(rate + offset) for a log curve. Each distinct row
 (curve, factor, offset, limit) is searched once per price, with its
 bound dlog_evaluate and ln factor taken once per solve. It never calls
 the production demand solver or its Newton kernel, so a bug there
@@ -17,8 +18,10 @@ cannot certify itself; only the statement of the problem (the regime
 table and the objective of the utility module) is shared with the
 pipeline. One clearing routine finds the price where total demand,
 added left to right, meets the budget, by secant steps on
-ln(total / budget) in ln p guarded by bisection, starting each demand
-from its rates at the ends of the price bracket, which enclose it.
+ln(total / budget) in ln p guarded by bisection. Each search returns
+its final bracket with the derivative values at its ends, and the
+searches at the two ends of the price bracket start the next trial's,
+whose rate they enclose, with no evaluation.
 Where the bracket holds the plateau price p0 of one of its sigmoid rows,
 the price where that row's demand crosses the curve's flat stretch, the
 steps take s = asinh((p - p0) / w) for ln p: w is the width of that
@@ -42,8 +45,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ContractError, DomainError, SolverError
-from .utility import (NEG_INF, RegimeTable, SigmoidalUtility, UserProfile, add_up, objective,
-                      regime_table)
+from .utility import (NEG_INF, LogarithmicUtility, RegimeTable, SigmoidalUtility, UserProfile,
+                      add_up, objective, regime_table)
 
 _FLOAT_MAX = sys.float_info.max
 _PRICE_FLOOR = math.ulp(0.0)  # the smallest positive float
@@ -76,46 +79,67 @@ class OracleResult:
     method: str
 
 
-def _demand(row: tuple | None, log_price: float, lo: float, hi: float) -> float:
-    """Rate in [0, limit] maximizing factor * ln U(rate + offset) - price * rate.
+def _log_slope(dlog, arg: float) -> float:
+    """ln dlog(arg): +inf at arg <= 0, -inf where the slope underflows."""
+    if arg <= 0.0:
+        return math.inf
+    slope = dlog(arg)
+    return math.log(slope) if slope > 0.0 else -math.inf
 
-    row is (bound dlog_evaluate, ln factor, offset, limit), or None for a
-    zero factor. ln U is strictly concave, so this is where ln(factor *
-    (ln U)') falls to ln price. Illinois steps find it on that difference,
-    which decreases in the rate: regula falsi, halving the value at an
-    end kept twice running (Dowell & Jarratt 1971). The search starts from
-    [lo, hi]: 0 and limit, or the rates at a higher and at a lower price,
-    approximations, so an end whose sign fails falls back to 0 or limit.
+
+def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
+            lower: tuple | None = None) -> tuple[float, tuple | None]:
+    """Rate in [0, limit] maximizing factor * ln U(rate + offset) - price * rate,
+    and the search's final bracket.
+
+    row is (bound dlog_evaluate, ln factor, offset, limit, whether the curve
+    is logarithmic), or None for a zero factor, whose rate is 0 (bracket
+    None). ln U is strictly concave, so this is where g = ln (ln U)'(rate +
+    offset) falls to shift = ln price - ln factor. Illinois steps find it on
+    g - shift, which decreases in the rate: regula falsi, halving the value
+    at an end kept twice running (Dowell & Jarratt 1971). They interpolate
+    in the rate for a sigmoid, and in ln(rate + offset) for a log curve,
+    where g is nearly linear. From lo = offset = 0, where (ln U)' goes as
+    1 / rate, they try e^{-shift}, or past hi a step of slope -1 in ln rate
+    from hi; a sigmoid, whose (ln U)' goes so only below 1 / a, tries
+    e^{-shift} only where bisection would take 10 steps to reach it. A step
+    that lands within 0.5e-12 * hi of an end goes that far past it instead,
+    so a root hugging an end is closed in one step (Brent 1973, ch. 4).
+
+    The bracket is ((lo, g(lo)), (hi, g(hi))), ends that enclose the rate
+    (equal where it is exact or an end of [0, limit]). higher and lower are
+    the brackets returned at a higher and at a lower price, or None. Their
+    ends, sign-tested on their g - shift at this price, start the search
+    with no evaluation; 0 and limit stand in for a missing end.
     """
     if row is None:
-        return 0.0
-    dlog, log_factor, offset, limit = row
+        return 0.0, None
+    dlog, log_factor, offset, limit, in_log = row
     shift = log_price - log_factor
-
-    def excess(rate: float) -> float:
-        arg = rate + offset
-        if arg <= 0.0:
-            return math.inf
-        slope = dlog(arg)
-        return math.log(slope) - shift if slope > 0.0 else -math.inf
-
-    f_lo = excess(lo)
-    if f_lo <= 0.0:  # the demand is at most lo
-        if f_lo == 0.0 or lo == 0.0:
-            return lo
-        hi, f_hi = lo, f_lo
-        lo, f_lo = 0.0, excess(0.0)
-        if f_lo <= 0.0:
-            return 0.0
-    else:
-        f_hi = excess(hi)
-        if f_hi >= 0.0:  # the demand is at least hi
-            if f_hi == 0.0 or hi == limit:
-                return hi
-            lo, f_lo = hi, f_hi
-            hi, f_hi = limit, excess(limit)
-            if f_hi >= 0.0:
-                return limit
+    lo, g_lo, hi, g_hi = 0.0, None, limit, None
+    for rate, g in (higher or ()) + (lower or ()):
+        value = g - shift
+        if value > 0.0:
+            if rate >= lo:
+                lo, g_lo = rate, g
+        elif value < 0.0:
+            if rate <= hi:
+                hi, g_hi = rate, g
+        else:
+            return rate, ((rate, g), (rate, g))
+    if g_lo is None:  # lo is 0
+        if hi == 0.0 and g_hi is not None:
+            return 0.0, ((0.0, g_hi), (0.0, g_hi))
+        g_lo = _log_slope(dlog, offset)
+        if g_lo - shift <= 0.0:
+            return 0.0, ((0.0, g_lo), (0.0, g_lo))
+    if g_hi is None:  # hi is limit
+        if lo == limit:
+            return limit, ((limit, g_lo), (limit, g_lo))
+        g_hi = _log_slope(dlog, limit + offset)
+        if g_hi - shift >= 0.0:
+            return limit, ((limit, g_hi), (limit, g_hi))
+    f_lo, f_hi = g_lo - shift, g_hi - shift
     kept, widths = 0, []  # kept: +1 if the last step kept hi, -1 if it kept lo
     for step in range(_MAX_DEMAND_STEPS):
         width = hi - lo
@@ -123,28 +147,47 @@ def _demand(row: tuple | None, log_price: float, lo: float, hi: float) -> float:
             break
         widths.append(width)
         gap = f_lo - f_hi
-        stalled = step >= _STALL_STEPS and width > 0.5 * widths[step - _STALL_STEPS]
-        rate = lo + (0.5 if stalled or not gap > 0.0 else f_lo / gap) * width
+        if step >= _STALL_STEPS and width > 0.5 * widths[step - _STALL_STEPS]:
+            rate = math.nan  # stalled: bisect, below
+        elif 0.0 < gap < math.inf:  # so f_lo < inf and lo + offset > 0
+            if in_log:
+                x_lo = math.log(lo + offset)
+                rate = math.exp(x_lo + f_lo / gap * (math.log(hi + offset) - x_lo)) - offset
+            else:
+                rate = lo + f_lo / gap * width
+        elif lo + offset == 0.0:  # both are 0, where (ln U)' goes as 1 / rate
+            if -shift >= math.log(hi):  # e^{-shift} >= hi
+                rate = hi * math.exp(g_hi - shift)
+            else:  # a sigmoid's (ln U)' goes so only below 1 / a
+                rate = math.exp(-shift) if in_log or -shift < math.log(hi / 1024.0) else math.nan
+        else:
+            rate = math.nan
+        nudge = 0.5e-12 * hi
+        if rate - lo < nudge:
+            rate = lo + nudge
+        elif hi - rate < nudge:
+            rate = hi - nudge
         if not lo < rate < hi:
             rate = lo + 0.5 * width
             if not lo < rate < hi:
                 break  # adjacent floats
-        arg = rate + offset  # excess(rate), written out
+        arg = rate + offset  # _log_slope(dlog, arg), written out
         slope = dlog(arg) if arg > 0.0 else math.inf
-        value = math.log(slope) - shift if slope > 0.0 else -math.inf
+        g = math.log(slope) if slope > 0.0 else -math.inf
+        value = g - shift
         if value == 0.0:
-            return rate
+            return rate, ((rate, g), (rate, g))
         if value > 0.0:
             if kept > 0:
                 f_hi *= 0.5
-            lo, f_lo, kept = rate, value, 1
+            lo, g_lo, f_lo, kept = rate, g, value, 1
         else:
             if kept < 0:
                 f_lo *= 0.5
-            hi, f_hi, kept = rate, value, -1
+            hi, g_hi, f_hi, kept = rate, g, value, -1
     else:
         raise SolverError(f"demand bracket ({lo}, {hi}) did not close", bracket=(lo, hi))
-    return lo + 0.5 * (hi - lo)
+    return lo + 0.5 * (hi - lo), ((lo, g_lo), (hi, g_hi))
 
 
 def _plateau(utility, factor: float) -> tuple[float, float] | None:
@@ -172,19 +215,20 @@ class _Trial(NamedTuple):
     g: float
     total: float
     amounts: list[float]
-    rates: list[float]
+    state: object  # demand's, passed back to it unread
 
 
-def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float,
+def _clear(demand: Callable[..., tuple[list[float], object]], budget: float,
            plateaus: Sequence[tuple[float, float]] = (),
-           start: tuple[float, list[float] | None] = (1.0, None)) -> list[float]:
+           start: tuple[float, object] = (1.0, None)) -> list[float]:
     """Amounts summing to budget at the price where demand meets it.
 
-    demand(price, higher, lower) returns nonincreasing amounts and the
-    per-row rates behind them; higher and lower, when given, are the
-    rates at a higher and at a lower price, which enclose those at this
-    one. The search runs on g = ln(total / budget) in ln p, nearly linear
-    where demand goes as 1 / p. From start, the first price and the rates
+    demand(price, higher, lower) returns nonincreasing amounts and a state
+    of the searches behind them, which this routine never reads: it passes
+    the state returned at a higher and at a lower price back as higher and
+    lower (None where there is no such trial), and demand starts from
+    them. The search runs on g = ln(total / budget) in ln p, nearly linear
+    where demand goes as 1 / p. From start, the first price and the state
     at it or at a higher price (None if unknown; p = 1 by default), it
     steps out by twice the secant's reach through the last two trials
     (slope -1 after one), which mirrors a linear g's root, but at least by
@@ -219,10 +263,10 @@ def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float
     log_budget = math.log(budget)
 
     def trial(price: float, higher, lower) -> _Trial:
-        amounts, rates = demand(price, higher, lower)
+        amounts, state = demand(price, higher, lower)
         total = add_up(amounts)
         g = math.log(total) - log_budget if total > 0.0 else -math.inf
-        return _Trial(price, g, total, amounts, rates)
+        return _Trial(price, g, total, amounts, state)
 
     tol = 1e-9 * budget
     previous = last = trial(start[0], start[1], None)
@@ -247,7 +291,7 @@ def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float
         else:
             price = max(last.price / factor, _PRICE_FLOOR)
         stretch *= stretch
-        previous, last = last, trial(price, *((None, last.rates) if up else (last.rates, None)))
+        previous, last = last, trial(price, *((None, last.state) if up else (last.state, None)))
     lower, upper = (previous, last) if up else (last, previous)
 
     widths: list[float] = []
@@ -290,7 +334,7 @@ def _clear(demand: Callable[..., tuple[list[float], list[float]]], budget: float
                     price = lo * math.exp(0.5 * math.log(hi / lo))
         if not lo < price < hi:
             break  # a demand jumps across one representable price
-        previous, last = last, trial(price, upper.rates, lower.rates)
+        previous, last = last, trial(price, upper.state, lower.state)
         if last.total > budget:
             lower = last
         else:
@@ -318,8 +362,8 @@ def centralized_solve(
     competes as one amount, its demand held at its cap, and that amount
     is then cleared among its own applications from the clearing's upper
     end (its lowest price where total demand fell short of the budget),
-    with the rates there as lower bounds; its split price is at most that
-    one unless its amount there is its cap.
+    with the searches there as its first trial's start; its split price is
+    at most that one unless its amount there is its cap.
     """
     if not (math.isfinite(capacity) and capacity > 0.0):
         raise DomainError(f"capacity must be positive, got {capacity!r}")
@@ -338,30 +382,30 @@ def centralized_solve(
     distinct: dict[tuple, int] = {}
     kinds = [distinct.setdefault((entry.app.utility, entry.factor, entry.offset, limit),
                                  len(distinct)) for entry, limit in zip(table.rows, limits)]
-    searches = [None if factor == 0.0 else (utility.dlog_evaluate, math.log(factor), offset, cap)
+    searches = [None if factor == 0.0 else (utility.dlog_evaluate, math.log(factor), offset, cap,
+                                            isinstance(utility, LogarithmicUtility))
                 for utility, factor, offset, cap in distinct]
     plateau_of = [_plateau(utility, factor) for utility, factor, _, _ in distinct]
 
     def plateaus(indices) -> list[tuple[float, float]]:
         return sorted({plateau_of[kinds[i]] for i in indices} - {None})
 
-    def rates_at(indices, price, higher, lower) -> list[float]:
+    def rates_at(indices, price, higher, lower) -> tuple[list[float], dict[int, tuple]]:
+        # The rows' rates and each kind's (rate, bracket), the state that
+        # _clear passes back as higher / lower.
         log_price = math.log(price)
-        higher = higher or [0.0] * len(indices)
-        lower = lower or [limits[i] for i in indices]
-        found: dict[int, float] = {}
-        for i, a, b in zip(indices, higher, lower):
-            if kinds[i] not in found:
-                found[kinds[i]] = _demand(searches[kinds[i]], log_price, a, b)
-        return [found[kinds[i]] for i in indices]
+        found = {kind: _demand(searches[kind], log_price, higher and higher[kind][1],
+                               lower and lower[kind][1])
+                 for kind in dict.fromkeys(kinds[i] for i in indices)}
+        return [found[kinds[i]][0] for i in indices], found
 
     every_row = range(len(table.rows))
 
-    upper = (math.inf, None)  # the lowest price where total demand falls short, and its rates
+    upper = (math.inf, None)  # the lowest price where total demand falls short, and its state
 
-    def competing(price, higher, lower) -> tuple[list[float], list[float]]:
+    def competing(price, higher, lower) -> tuple[list[float], dict[int, tuple]]:
         nonlocal upper
-        rates = rates_at(every_row, price, higher, lower)
+        rates, state = rates_at(every_row, price, higher, lower)
         amounts: list[float] = []
         for group, cap in zip(groups, table.user_caps):
             if cap == math.inf:
@@ -369,8 +413,8 @@ def centralized_solve(
             else:
                 amounts.append(min(add_up(rates[i] for i in group), cap))
         if price < upper[0] and add_up(amounts) < table.budget:
-            upper = price, rates
-        return amounts, rates
+            upper = price, state
+        return amounts, state
 
     shares = iter(_clear(competing, table.budget, plateaus(every_row)))
     # Users equal in row kinds and share (positive floats are equal only
@@ -385,9 +429,8 @@ def centralized_solve(
         if share > 0.0:
             key = (tuple(kinds[i] for i in group), share)
             if key not in splits:  # its rows are its amounts
-                start = (upper[0], [upper[1][i] for i in group]) if upper[1] else (1.0, None)
-                splits[key] = _clear(lambda *trial: (rates_at(group, *trial),) * 2, share,
-                                     plateaus(group), start)
+                splits[key] = _clear(lambda *trial: rates_at(group, *trial), share,
+                                     plateaus(group), upper if upper[1] else (1.0, None))
             rates.extend(splits[key])
         else:  # a VIP without targets has nothing to split under scarcity
             rates.extend(0.0 for _ in group)

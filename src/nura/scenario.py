@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import reprlib
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -44,6 +45,15 @@ _APP_KEYS = {f.name for f in fields(Application)}  # an app's file keys are its 
 _SCHEDULE_KEYS = {"description", "epochs"}
 _EPOCH_KEYS = {"start", "end", "weights"}
 _MAX_SWEEP_POINTS = 100_000  # at 0.57 ms a reference-cell point, about 57 s
+
+# Quotes a value a message reports. YAML aliases let a short file build a
+# tree deeper than the nesting bound sees and exponentially large, so the
+# quote stops 2 levels down, after 4 items a level and at 40 characters a
+# string, number or other value.
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 2
+_QUOTE.maxdict = _QUOTE.maxlist = _QUOTE.maxtuple = _QUOTE.maxset = 4
+_QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = 40
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ def _check_keys(node: dict, allowed: set[str], path: str, violations: list[str])
 def _is_mapping(node, path: str, violations: list[str]) -> bool:
     ok = isinstance(node, dict)
     if not ok:
-        violations.append(f"{path}: expected a mapping, got {node!r}")
+        violations.append(f"{path}: expected a mapping, got {_QUOTE.repr(node)}")
     return ok
 
 
@@ -112,7 +122,7 @@ def _is_nonempty_list(node, path: str, violations: list[str]) -> bool:
 def _is_number(value, path: str, violations: list[str]) -> bool:
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not ok:
-        violations.append(f"{path}: expected a number, got {value!r}")
+        violations.append(f"{path}: expected a number, got {_QUOTE.repr(value)}")
     return ok
 
 
@@ -120,7 +130,8 @@ def _is_user_id(value, path: str, violations: list[str]) -> bool:
     ok = isinstance(value, str) and _ID_PATTERN.match(value) is not None
     if not ok:
         violations.append(
-            f"{path}: expected a name of letters, digits, '_', '-', '.', got {value!r}"
+            f"{path}: expected a name of letters, digits, '_', '-', '.', "
+            f"got {_QUOTE.repr(value)}"
         )
     return ok
 
@@ -184,7 +195,7 @@ def _parse_utility(node, path: str, violations: list[str]):
     cls = _UTILITY_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         kinds = " or ".join(map(repr, _UTILITY_KINDS))
-        violations.append(f"{path}.kind: expected {kinds}, got {kind!r}")
+        violations.append(f"{path}.kind: expected {kinds}, got {_QUOTE.repr(kind)}")
         return None
     names = [f.name for f in fields(cls)]
     _check_keys(node, {"kind", *names}, path, violations)
@@ -259,7 +270,8 @@ def _parse_user(node, path: str, violations: list[str]) -> UserProfile | None:
     try:
         cls = UserClass(cls_raw)
     except ValueError:
-        violations.append(f"{path}.class: expected 'vip' or 'regular', got {cls_raw!r}")
+        violations.append(f"{path}.class: expected 'vip' or 'regular', "
+                          f"got {_QUOTE.repr(cls_raw)}")
         cls = None
     beta = _get_number(node, "beta", path, violations, required=False,
                        positive=True, default=1.0)

@@ -2,8 +2,10 @@
 
 import ast
 import math
+import random
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +17,7 @@ from nura import (
     ContractError,
     DomainError,
     LogarithmicUtility,
+    NuraError,
     SigmoidalUtility,
     SolverError,
     UserClass,
@@ -27,6 +30,7 @@ from nura import (
     scenario,
 )
 from nura.utility import add_up, regime_table
+from wide_trees import wide_tree
 
 
 def _user(uid, cls, apps):
@@ -212,28 +216,72 @@ def test_methods_labelled():
     assert grid_search_solve([user], 2.0).method == "grid_search"
 
 
-def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeypatch):
-    """The 40 sweep points and the 3 schedule epochs at R = 200 cost about
-    21.0k dlog_evaluate calls with the splits starting from the global
-    clearing and the price search stepping around the sigmoids' plateau
-    prices (22.7k with splits from p = 1, 33.7k with secant steps in ln p
-    alone, 41k with Illinois steps, 49k with every row searched, not each
-    distinct one); nested bisections took 542753."""
-    calls = 0
+def _count_derivative_calls(monkeypatch) -> list[int]:
+    """A one-item list counting dlog_evaluate calls on both curve kinds."""
+    calls = [0]
     for cls in (SigmoidalUtility, LogarithmicUtility):
         def counted(self, rate, original=cls.dlog_evaluate):
-            nonlocal calls
-            calls += 1
+            calls[0] += 1
             return original(self, rate)
 
         monkeypatch.setattr(cls, "dlog_evaluate", counted)
+    return calls
+
+
+def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeypatch):
+    """The 40 sweep points and the 3 schedule epochs at R = 200 cost about
+    12.4k dlog_evaluate calls with each demand search starting from the
+    brackets of the searches at the ends of the price bracket, log rows
+    searched in ln(rate + offset) and steps past an end the root hugs
+    (21.0k restarting each search from the rates there, 22.7k with splits
+    from p = 1, 33.7k with secant steps in ln p alone, 41k with Illinois
+    steps, 49k with every row searched, not each distinct one); nested
+    bisections took 542753."""
+    calls = _count_derivative_calls(monkeypatch)
     configs = [replace(cell, capacity=5.0 * i) for i in range(1, 41)] + [
         scenario._apply_weights(cell, epoch)
         for epoch in load_schedule(bundled_schedule_path()).epochs
     ]
     for config in configs:
         centralized_solve(config.users, config.capacity)
-    assert calls <= 23_900
+    assert calls[0] <= 15_000
+
+
+@pytest.mark.parametrize("capacity", [25.0, 40.0])
+def test_certifying_a_cell_whose_roots_hug_their_brackets_takes_few_derivative_calls(
+        cell, capacity, monkeypatch):
+    """At R = 25 ue1's sigmoid row searched [19.858533752246814, 20] for a
+    root 8.2e-12 above its lower end, bisecting the whole bracket, in 35
+    evaluations; at R = 40 ue2's log row restarted from 0 when a carried
+    end 1.8e-13 above its root failed its sign test, and took 41. The
+    cells cost 588 and 560 calls so, and 332 and 325 stepping past the
+    end and carrying the bracket."""
+    calls = _count_derivative_calls(monkeypatch)
+    centralized_solve(cell.users, capacity)
+    assert calls[0] <= 400
+
+
+def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
+    """The 400 trees drawn at s = 300 (tests/wide_trees.py): searches that
+    restarted from 0 bisected in the rate across hundreds of decades, 729k
+    calls in all; from the carried brackets, with log rows searched in
+    ln(rate + offset) and first tries at e^{-shift}, they take 165k. The
+    outcome classes stay as they were."""
+    calls = _count_derivative_calls(monkeypatch)
+    rng = random.Random(1)
+    outcomes = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in range(400):
+            try:
+                config = scenario.scenario_from_dict(wide_tree(rng, 300))
+                centralized_solve(config.users, config.capacity)
+            except NuraError as exc:
+                outcomes[type(exc).__name__] += 1
+            else:
+                outcomes["solved"] += 1
+    assert outcomes == {"solved": 167, "SolverError": 66, "ValidationError": 167}
+    assert calls[0] <= 350_000
 
 
 @pytest.mark.parametrize("capacity", [30.0, 120.0])
@@ -249,9 +297,9 @@ def _spy_on_searches(monkeypatch):
     """The rows _demand is asked to search, each with its log price."""
     searched = []
 
-    def spy(row, log_price, lo, hi, original=oracle._demand):
+    def spy(row, log_price, *brackets, original=oracle._demand):
         searched.append((row, log_price))
-        return original(row, log_price, lo, hi)
+        return original(row, log_price, *brackets)
 
     monkeypatch.setattr(oracle, "_demand", spy)
     return searched
@@ -362,6 +410,28 @@ def test_splits_start_from_the_clearing_in_few_price_trials(cell, monkeypatch):
     assert sum(trials) - first <= 170
 
 
+@pytest.mark.parametrize("utility, offset", [(LOG_UNIT, 0.0), (LOG_UNIT, 4.0),
+                                             (SigmoidalUtility(a=1.0, b=10.0), 0.0)])
+def test_a_search_started_from_its_own_bracket_evaluates_nothing(utility, offset):
+    """Both ends of a returned bracket keep their derivative values, so a
+    search at the same price started from it, as a split's first trial is
+    from the clearing's, repeats the rate without evaluating."""
+    calls = []
+
+    def dlog(rate):
+        calls.append(rate)
+        return utility.dlog_evaluate(rate)
+
+    row = (dlog, math.log(0.5), offset, 40.0, isinstance(utility, LogarithmicUtility))
+    for log_price in (-5.0, -4.0, -3.0):
+        rate, bracket = oracle._demand(row, log_price)
+        assert calls and 0.0 < rate < 40.0
+        calls.clear()
+        assert oracle._demand(row, log_price, bracket, None) == (rate, bracket)
+        assert oracle._demand(row, log_price, None, bracket) == (rate, bracket)
+        assert not calls
+
+
 def _water_fill(weights, limits, budget):
     """Exact amounts min(w / p, limit) summing to budget, and that p."""
     clipped = set()
@@ -440,7 +510,7 @@ def test_rows_differing_only_in_offset_or_limit_are_searched_apart(
              for uid, target in (("a", 10.0), ("b", 20.0))]
     searched = _spy_on_searches(monkeypatch)
     centralized_solve(users, capacity)
-    assert {row[2:] for row, _ in searched} == offsets_and_limits
+    assert {row[2:4] for row, _ in searched} == offsets_and_limits
 
 
 def test_oracle_imports_only_errors_and_utility():
