@@ -19,8 +19,11 @@ to `oracle._demand` over all of a cell's clearings); run_once's are its
 clearing trials (each `intra_ue.clear_price` call's
 `intra_ue.app_rate_at_price` calls over its rows, summed over the cell).
 For the oracle it also prints each side's total `dlog_evaluate` calls
-(both utility classes, counted on the class) over the set. The script
-and its subprocesses use the standard library only.
+(both utility classes, counted on the class) over the set, and its price
+trials counted per `oracle._clear` call (the distinct log prices within
+it): summed over the first clearings, summed over the capped users'
+splits, and the most in any one clearing. The script and its
+subprocesses use the standard library only.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ WIDE_DRAWS = 400
 SOLVERS = ("centralized_solve", "run_once")
 
 # Run in the checkout: reads {set: [tree, ...]} on stdin, prints
-# {set: [[label, R, {solver: [outcome, trials, dlog calls]}], ...]}, an
-# outcome being the user rates or the name of the NuraError raised. The
+# {set: [[label, R, {solver: [outcome, trials, dlog calls, clearings]}], ...]},
+# an outcome being the user rates or the name of the NuraError raised, and
+# clearings the oracle's distinct log prices per clearing, in order. The
 # counters wrap with any arguments, so that they fit every version of what
 # they wrap.
 _CHILD = """
@@ -53,6 +57,7 @@ from nura import NuraError, centralized_solve, intra_ue, oracle, protocol, run_o
 from nura import LogarithmicUtility, SigmoidalUtility, scenario_from_dict
 
 prices = set()
+clearings = []  # the distinct log prices of each oracle clearing so far
 trials = [0.0, 0]  # clearing trials so far, demand calls in this clearing
 calls = [0]  # dlog_evaluate calls
 
@@ -67,6 +72,12 @@ for utility in (SigmoidalUtility, LogarithmicUtility):
 
 def searched(*args, original=oracle._demand):
     prices.add(args[1])
+    if clearings:
+        clearings[-1].add(args[1])
+    return original(*args)
+
+def clearing(*args, original=oracle._clear):
+    clearings.append(set())
     return original(*args)
 
 def demanded(*args, original=intra_ue.app_rate_at_price):
@@ -80,6 +91,7 @@ def cleared(table, *args, original=intra_ue.clear_price):
     return out
 
 oracle._demand = searched
+oracle._clear = clearing
 intra_ue.app_rate_at_price = demanded
 intra_ue.clear_price = protocol.clear_price = cleared
 
@@ -90,19 +102,21 @@ def outcomes(make):
     try:
         config = make()
     except NuraError as exc:
-        return None, {solver: [type(exc).__name__, 0, 0]
+        return None, {solver: [type(exc).__name__, 0, 0, []]
                       for solver in ("centralized_solve", "run_once")}
     out = {}
     for solver, solve in (("centralized_solve", certified),
                           ("run_once", lambda config: run_once(config).user_rates)):
         prices.clear()
+        clearings.clear()
         trials[0] = 0.0
         calls[0] = 0
         try:
             rates = solve(config)
         except NuraError as exc:
             rates = type(exc).__name__
-        out[solver] = [rates, len(prices) if solver == "centralized_solve" else trials[0], calls[0]]
+        out[solver] = [rates, len(prices) if solver == "centralized_solve" else trials[0], calls[0],
+                       [len(tried) for tried in clearings]]
     return config.capacity, out
 
 def solved(labelled):
@@ -151,9 +165,15 @@ def main(argv=None) -> None:
         for solver in SOLVERS:
             differ, worst, rose, fell, total, totals = [], 0.0, 0, 0, 0.0, 0.0
             called, calls = 0, 0  # each side's dlog_evaluate calls
+            split = [[0, 0, 0], [0, 0, 0]]  # each side's first, split and most clearing trials
             for (label, capacity, parent), (_, _, change) in zip(cells, new[name]):
-                (before, tried, dlogs), (after, tries, dlogs_now) = parent[solver], change[solver]
+                (before, tried, dlogs, was), (after, tries, dlogs_now, now) = (parent[solver],
+                                                                              change[solver])
                 called, calls = called + dlogs, calls + dlogs_now
+                for side, counts in zip(split, (was, now)):
+                    side[0] += counts[0] if counts else 0
+                    side[1] += sum(counts[1:])
+                    side[2] = max([side[2]] + counts)
                 if _class(before) != _class(after):
                     differ.append(f"{label}: {_class(before)} -> {_class(after)}")
                 elif not isinstance(before, str):
@@ -165,7 +185,9 @@ def main(argv=None) -> None:
             print(f"  {solver}: classes {_classes(cells, solver)} -> {_classes(new[name], solver)}"
                   f"; {len(differ)} change outcome class, max |d user rate| / R = {worst:.3g}, "
                   f"trials {total:g} -> {totals:g} ({rose} rose, {fell} fell)"
-                  + (f", dlog_evaluate calls {called} -> {calls}"
+                  + (f", dlog_evaluate calls {called} -> {calls}; per clearing: first"
+                     f" {split[0][0]} -> {split[1][0]}, splits {split[0][1]} -> {split[1][1]},"
+                     f" most {split[0][2]} -> {split[1][2]}"
                      if solver == "centralized_solve" else ""))
             for line in differ:
                 print(f"    {line}")

@@ -17,19 +17,24 @@ the production demand solver or its Newton kernel, so a bug there
 cannot certify itself; only the statement of the problem (the regime
 table and the objective of the utility module) is shared with the
 pipeline. One clearing routine finds the price where total demand,
-added left to right, meets the budget, by secant steps on
-ln(total / budget) in ln p guarded by bisection. Each search returns
+added left to right, meets the budget, by interpolating
+ln(total / budget) in ln p through the last trials, with regula falsi
+against one-sided creep and bisection as guards. Each search returns
 its final bracket with the derivative values at its ends, and the
 searches at the two ends of the price bracket start the next trial's,
-whose rate they enclose, with no evaluation.
-Where the bracket holds the plateau price p0 of one of its sigmoid rows,
-the price where that row's demand crosses the curve's flat stretch, the
-steps take s = asinh((p - p0) / w) for ln p: w is the width of that
-crossing, beyond it s is ln|p - p0| less a constant, and the row's
-demand is linear in s throughout. The routine tops every application
-up from its demand at the upper price toward its demand at the lower
-one, by the same fraction. It also splits a capped user's share among
-its applications, starting at that upper price, once per distinct split.
+whose rate they enclose, with no evaluation. A row at its limit reports
+the price where it leaves it, e^{g(limit) + ln factor}, read off that
+bracket, so that a clearing whose total sits flat on such rows jumps to
+their exits instead of stepping across them.
+Where a step lands next to the plateau price p0 of one of its sigmoid
+rows, the price where that row's demand crosses the curve's flat
+stretch, the steps take s = asinh((p - p0) / w) for ln p: w is the width
+of that crossing, beyond it s is ln|p - p0| less a constant, and the
+row's demand is linear in s throughout. The routine tops every
+application up from its demand at the upper price toward its demand at
+the lower one, by the same fraction. It also splits a capped user's
+share among its applications, starting from the clearing's trial where
+that user's rows came nearest the share, once per distinct split.
 
 grid_search_solve is the brute-force anti-hallucination oracle for tiny
 instances: exhaustive enumeration over the step-grid of the feasible
@@ -50,14 +55,15 @@ from .utility import (NEG_INF, LogarithmicUtility, RegimeTable, SigmoidalUtility
 
 _FLOAT_MAX = sys.float_info.max
 _PRICE_FLOOR = math.ulp(0.0)  # the smallest positive float
-_LOG_MAX_STRETCH = 512 * math.log(2.0)  # the widest step out, a factor of 2^512
+_LN2 = math.log(2.0)
+_LOG_MAX_STRETCH = 512 * _LN2  # the widest step out, a factor of 2^512
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 # A step that finds its bracket not halved within the last _STALL_STEPS
 # steps bisects it, so the bracket halves at least once in every 5 steps.
 # A rate bracket, under 2^1024 wide, reaches adjacent floats (2^-1074
-# apart) within 2098 halvings. A price bracket spans one step out, a
-# factor of at most 2^512, so it is under 2^9 wide in ln p and reaches
-# adjacent floats (2^-53 apart in ln p) within 62. The bounds leave a
-# few halvings to rounding.
+# apart) within 2098 halvings. A price bracket lies in the float range, so
+# it is under 2^11 wide in ln p and reaches adjacent floats (2^-53 apart
+# in ln p) within 64. The bounds leave a few halvings to rounding.
 _STALL_STEPS = 4
 _MAX_DEMAND_STEPS = 5 * 2100
 _MAX_PRICE_STEPS = 5 * 70
@@ -102,9 +108,13 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
     where g is nearly linear. From lo = offset = 0, where (ln U)' goes as
     1 / rate, they try e^{-shift}, or past hi a step of slope -1 in ln rate
     from hi; a sigmoid, whose (ln U)' goes so only below 1 / a, tries
-    e^{-shift} only where bisection would take 10 steps to reach it. A step
-    that lands within 0.5e-12 * hi of an end goes that far past it instead,
-    so a root hugging an end is closed in one step (Brent 1973, ch. 4).
+    e^{-shift} only where bisection would take 10 steps to reach it. While
+    one end's g is infinite (a rate of 0 at offset 0, or a slope that
+    underflows) and the bracket spans over a factor of 4 in rate + offset,
+    it steps to the geometric mean of the ends' rate + offset instead of
+    bisecting across decades. A step that lands within 0.5e-12 * hi of an
+    end goes that far past it instead, so a root hugging an end is closed
+    in one step (Brent 1973, ch. 4).
 
     The bracket is ((lo, g(lo)), (hi, g(hi))), ends that enclose the rate
     (equal where it is exact or an end of [0, limit]). higher and lower are
@@ -160,6 +170,8 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
                 rate = hi * math.exp(g_hi - shift)
             else:  # a sigmoid's (ln U)' goes so only below 1 / a
                 rate = math.exp(-shift) if in_log or -shift < math.log(hi / 1024.0) else math.nan
+        elif hi + offset > 4.0 * (lo + offset):  # one end's g is infinite: step in ln(rate + offset)
+            rate = math.sqrt(lo + offset) * math.sqrt(hi + offset) - offset
         else:
             rate = math.nan
         nudge = 0.5e-12 * hi
@@ -209,69 +221,119 @@ def _plateau(utility, factor: float) -> tuple[float, float] | None:
 
 
 class _Trial(NamedTuple):
-    """A price tried by _clear; g = ln(total / budget), -inf at total 0."""
+    """A price tried by _clear; g = ln(total / budget), -inf at total 0;
+    exits, each price above it where a row at its limit leaves it, from the
+    highest, with the amount the rows leaving there or later hold."""
 
     price: float
     g: float
     total: float
     amounts: list[float]
     state: object  # demand's, passed back to it unread
+    exits: list[tuple[float, float]]
 
 
-def _clear(demand: Callable[..., tuple[list[float], object]], budget: float,
+def _clear(demand: Callable[..., tuple[list[float], object, list[tuple[float, float]]]],
+           budget: float,
            plateaus: Sequence[tuple[float, float]] = (),
            start: tuple[float, object] = (1.0, None)) -> list[float]:
     """Amounts summing to budget at the price where demand meets it.
 
-    demand(price, higher, lower) returns nonincreasing amounts and a state
-    of the searches behind them, which this routine never reads: it passes
-    the state returned at a higher and at a lower price back as higher and
-    lower (None where there is no such trial), and demand starts from
-    them. The search runs on g = ln(total / budget) in ln p, nearly linear
+    demand(price, higher, lower) returns nonincreasing amounts, a state of
+    the searches behind them, and the exits: for each row at its limit
+    past this price, the price where it leaves it and the amount it holds
+    until then. This routine never reads the state: it passes the state
+    returned at a higher and at a lower price back as higher and lower
+    (None where there is no such trial), and demand starts from them.
+    The search runs on g = ln(total / budget) in ln p, nearly linear
     where demand goes as 1 / p. From start, the first price and the state
     at it or at a higher price (None if unknown; p = 1 by default), it
     steps out by twice the secant's reach through the last two trials
     (slope -1 after one), which mirrors a linear g's root, but at least by
-    a factor that starts at 2 and squares on each step and at most by
-    2^512. Bracketed, it takes secant steps from the last two trials,
-    bisecting in ln p where one leaves the bracket or the bracket has not
-    halved in _STALL_STEPS steps. It stops when an end's total is within
-    tol / 2 = 5e-10 * budget of the budget (an end of the float range
-    counts), or on adjacent floats, where some demand jumps. The answer
-    tops every amount at the upper end up toward the lower end's by the
-    one fraction that spends the budget. Amounts do not rise with the
-    price, so the exact ones lie between the ends' as well and differ from
-    the stopping end's by at most tol / 2 in all; the top-up moves the
-    amounts by at most tol / 2.
+    a floor and at most by 2^512. The floor starts at a factor of 2, or
+    of e^{min(4|g|, ln 2)} at a warm start (one with a state), which often
+    lies next to the root, and squares on each step. Bracketed, it takes
+    the secant through the last two trials, or, where those straddle the
+    root, inverse quadratic interpolation through the last three (Brent
+    1973, ch. 4) where that lands in the bracket. Once the last three
+    trials lie on one side of the root and the last one cut |g| by less
+    than half, it takes regula falsi on the bracket's ends instead, with
+    the value at the other end halved for each trial past the second on
+    that side (Illinois; Dowell & Jarratt 1971); after a jump (below),
+    regula falsi as it stands. It bisects where a step leaves the bracket
+    or the bracket has not halved in _STALL_STEPS steps; a step that
+    rounds onto an end goes to the float next to it, and a bisection that
+    does bisects in ln p. It stops when an
+    end's total is within tol / 2 = 5e-10 * budget of the budget (an end
+    of the float range counts), or on adjacent floats, where some demand
+    jumps. The answer tops every amount at the upper end up toward the
+    lower end's by the one fraction that spends the budget. Amounts do
+    not rise with the price, so the exact ones lie between the ends' as
+    well and differ from the stopping end's by at most tol / 2 in all; the
+    top-up moves the amounts by at most tol / 2.
+
+    Rows at their limit keep g flat, where neither a step out nor a secant
+    has reach. The rows leaving last hold their amounts up to their exit
+    prices, so where the rows at the lower end hold budget - tol until
+    some exit above it, the total stays above budget - tol up to the
+    highest such exit, and any step out, or a step landing below that
+    exit, jumps to it instead; a step out goes on from a jump as from a
+    warm start. Each jump lands above the last trial, where the row
+    exiting there holds nothing more, so there are at most as many jumps
+    as rows, and the step bound below counts the other steps only.
 
     plateaus lists the (p0, w) of the sigmoid rows (_plateau). Such a row's
     demand, linear in s = asinh((p - p0) / w), crosses its curve's whole
     flat stretch within a few w of p0, so g is close to a step in ln p
-    there and secant steps in ln p creep up on it. Once the bracket holds
-    a p0 and lies where s resolves prices at least as finely as ln p
-    (lo >= p0 / 2 + w^2 / (2 p0)), the secant steps and the bisection run
-    in s; bisecting in s a bracket around p0 tries prices next to p0. The
-    plateau nearest where the secant step in ln p lands (the last trial
-    where there is none) is taken, each at most once, as a new phase;
-    ln p bisection stays for an s bisection that rounds onto an end. A
-    phase's bracket spans under 2^9 in s and at least its width in
-    ln p, so it too reaches adjacent floats within _MAX_PRICE_STEPS steps;
-    there are at most len(plateaus) + 1 phases. The plateaus choose trial
-    prices only: the bracket updates, both stop tests and the top-up do
-    not read them, so a wrong plateau costs trials, not accuracy.
+    there, and beyond w it goes as ln|p - p0|, where steps in ln p creep.
+    A plateau where s resolves prices at least as finely as ln p across
+    the bracket (lo / 2 <= p0 and p0 + w^2 / p0 <= 2 lo) starts a phase
+    where the step in ln p lands nearer p0 than last is, or where p0 lies
+    in the bracket, give or take 4 w, and the bracket has stalled or a jump
+    has just closed it (an exit jump can land just past p0): the one
+    nearest the bracket, then nearest that landing. In a phase the steps
+    interpolate the total, linear in s, by secant or regula falsi, and
+    bisect, in s. A phase ends for good once s is coarser than ln p, or
+    once its plateau lies outside a bracket that has stalled or that holds
+    another plateau; each plateau starts one phase at most, so there are
+    at most len(plateaus) + 1 phases. A bracket spans under 2^11 in ln p,
+    and in s under that plus 2 ln(p0 / w) <= 72, and adjacent floats in it
+    lie at least 2^-53 apart in either, so each phase reaches adjacent
+    floats within _MAX_PRICE_STEPS steps. The plateaus and the exits
+    choose trial prices only: the bracket updates, both stop tests and the
+    top-up do not read them, so a wrong one costs trials, not accuracy.
     """
     log_budget = math.log(budget)
+    tol = 1e-9 * budget
 
     def trial(price: float, higher, lower) -> _Trial:
-        amounts, state = demand(price, higher, lower)
+        amounts, state, exits = demand(price, higher, lower)
         total = add_up(amounts)
         g = math.log(total) - log_budget if total > 0.0 else -math.inf
-        return _Trial(price, g, total, amounts, state)
+        if not exits:
+            return _Trial(price, g, total, amounts, state, exits)
+        held, outs = 0.0, []
+        for out, amount in sorted(exits, reverse=True):  # the rows leaving last first
+            held += amount
+            if out > price:
+                outs.append((out, held))
+        return _Trial(price, g, total, amounts, state, outs)
 
-    tol = 1e-9 * budget
+    def exit_below(at: _Trial, hi: float) -> float:
+        """The highest exit below hi up to which at's rows at their limit
+        hold budget - tol, inf if none."""
+        for out, held in at.exits:
+            if out < hi and held >= budget - tol:
+                return out
+        return math.inf
+
+    def floor_at(at: _Trial) -> float:  # the first step's floor in ln p next to a root
+        return max(min(4.0 * abs(at.g), _LN2), 1e-15)
+
     previous = last = trial(start[0], start[1], None)
     up = last.total > budget
-    stretch = 2.0
+    floor = _LN2 if start[1] is None else floor_at(last)
+    jumped = False  # whether last was an exit jump
     while last.total > budget if up else last.total < budget:
         if last.price == (_FLOAT_MAX if up else _PRICE_FLOOR):
             if abs(last.total - budget) > 0.5 * tol:
@@ -279,69 +341,132 @@ def _clear(demand: Callable[..., tuple[list[float], object]], budget: float,
                                   "any price", bracket=tuple(sorted((previous.price, last.price))))
             previous = last  # the end of the price range is within tol / 2
             break
-        run, fall = 1.0, 1.0  # slope -1 after one trial
-        if previous is not last:  # extrapolate the fall of |g|
+        leave = exit_below(last, math.inf) if up else math.inf
+        if leave < math.inf:  # an exit jump, from which the steps start afresh
+            previous, last = last, trial(leave, None, last.state)
+            floor, jumped = floor_at(last), True
+            continue
+        run, fall = 1.0, 1.0  # slope -1 after one trial or a jump
+        if previous is not last and not jumped:  # extrapolate the fall of |g|
             run = abs(math.log(last.price / previous.price))
             fall = abs(previous.g) - abs(last.g)
         # How far the root lies in ln p; g tells nothing where nothing is demanded.
         reach = abs(last.g) * run / fall if fall > 0.0 and last.g > -math.inf else 0.0
-        factor = math.exp(min(max(math.log(stretch), 2.0 * reach), _LOG_MAX_STRETCH))
+        factor = math.exp(min(max(floor, 2.0 * reach), _LOG_MAX_STRETCH))
         if up:
             price = min(last.price * factor, _FLOAT_MAX)
         else:
             price = max(last.price / factor, _PRICE_FLOOR)
-        stretch *= stretch
+        floor *= 2.0
         previous, last = last, trial(price, *((None, last.state) if up else (last.state, None)))
+        jumped = False
     lower, upper = (previous, last) if up else (last, previous)
 
     widths: list[float] = []
     anchor = width = None  # the plateau (p0, w) the search steps around, if any
+    left: set[tuple[float, float]] = set()  # the plateaus it has stepped around
+    run = 1  # the trials in a row on last's side of the root since the last jump
+    older = None
 
     def level(price: float) -> float:  # the search variable s around the plateau
         return math.asinh((price - anchor) / width)
 
-    for _ in range(_MAX_PRICE_STEPS * (len(plateaus) + 1)):
-        if lower.total - budget <= 0.5 * tol or budget - upper.total <= 0.5 * tol:
-            break
-        lo, hi = lower.price, upper.price
-        rise = last.g - previous.g
-        secant = -last.g * math.log(last.price / previous.price) / rise if rise else math.nan
-        if anchor is None or not lo <= anchor <= hi:
-            # A plateau in the bracket, which lies where ds >= d ln p, starts a
-            # phase: the one nearest where the secant step in ln p lands.
-            near = [(p0, w) for p0, w in plateaus
-                    if lo <= p0 <= hi and p0 + w * (w / p0) <= 2.0 * lo]
-            if near:
-                shift = 0.0 if math.isnan(secant) else min(max(secant, -700.0), 700.0)
-                aim = last.price * math.exp(shift)
-                anchor, width = min(near, key=lambda plateau: abs(aim - plateau[0]))
-                widths = []
-        span = math.log(hi / lo) if anchor is None else level(hi) - level(lo)
-        widths.append(span)
-        stalled = len(widths) > _STALL_STEPS and span > 0.5 * widths[-1 - _STALL_STEPS]
+    def kept(p0: float, w: float, lo: float) -> bool:  # s as fine as ln p in the bracket
+        return 0.5 * lo <= p0 and p0 + w * (w / p0) <= 2.0 * lo
+
+    def inside(p0: float, w: float, lo: float, hi: float) -> bool:  # give or take 4 w
+        return lo - 4.0 * w <= p0 <= hi + 4.0 * w
+
+    def landing(lo: float, hi: float) -> tuple[float, float]:
+        """The bracket's span in t and where the step lands in t, from lo:
+        t is ln p, where the steps interpolate g, nearly linear in it, or s,
+        where they interpolate the total, linear in it."""
         if anchor is None:
-            price = last.price * math.exp(secant) if abs(secant) < span and not stalled else math.nan
-            if not lo < price < hi:
-                price = lo * math.exp(0.5 * span)
+            span = math.log(hi / lo)
+            f_lo, f_hi, f_a, f_b = lower.g, upper.g, previous.g, last.g
+            x_a = 0.0 if previous is lower else span if previous is upper else math.log(
+                previous.price / lo)
+            x_b = 0.0 if last is lower else span
         else:
-            here = level(last.price)
-            shift = -last.g * (here - level(previous.price)) / rise if rise else math.nan
-            price = (anchor + width * math.sinh(here + shift)
-                     if abs(shift) < span and not stalled else math.nan)
-            if not lo < price < hi:
-                price = anchor + width * math.sinh(0.5 * (level(lo) + level(hi)))
-                if not lo < price < hi:
-                    price = lo * math.exp(0.5 * math.log(hi / lo))
-        if not lo < price < hi:
+            s_lo = level(lo)
+            span, x_a, x_b = level(hi) - s_lo, level(previous.price) - s_lo, level(last.price) - s_lo
+            f_lo, f_hi = lower.total / budget - 1.0, upper.total / budget - 1.0
+            f_a, f_b = previous.total / budget - 1.0, last.total / budget - 1.0
+        if jumped or run > 2 and abs(f_b) > 0.5 * abs(f_a):  # regula falsi on the ends
+            if not jumped:  # Illinois: halve the value at the end kept since
+                if last is lower:
+                    f_hi *= 0.5 ** (run - 2)
+                else:
+                    f_lo *= 0.5 ** (run - 2)
+            return span, f_lo / (f_lo - f_hi) * span
+        if f_a == f_b:
+            return span, math.nan
+        x = x_a + f_a / (f_a - f_b) * (x_b - x_a)  # the secant through the last two
+        if older is not None and anchor is None and (f_a > 0.0) != (f_b > 0.0):
+            f_c = older.g  # inverse quadratic interpolation through the last three
+            if f_b != f_c and f_c != f_a:
+                x_c = math.log(older.price / lo)
+                bent = (x_a * f_b / (f_b - f_a) * f_c / (f_c - f_a)
+                        + x_b * f_a / (f_a - f_b) * f_c / (f_c - f_b)
+                        + x_c * f_a / (f_a - f_c) * f_b / (f_b - f_c))
+                if 0.0 < bent < span:
+                    return span, bent
+        return span, x
+
+    steps = 0
+    while lower.total - budget > 0.5 * tol and budget - upper.total > 0.5 * tol:
+        if steps == _MAX_PRICE_STEPS * (len(plateaus) + 1):
+            raise SolverError(f"price bracket ({lower.price}, {upper.price}) did not close",
+                              bracket=(lower.price, upper.price))
+        lo, hi = lower.price, upper.price
+        span, x = landing(lo, hi)
+        stalled = len(widths) >= _STALL_STEPS and span > 0.5 * widths[-_STALL_STEPS]
+        # A phase ends for good once s is coarser than ln p, or where its plateau
+        # lies outside a bracket that has stalled or that holds another one.
+        if anchor is not None and not (kept(anchor, width, lo) and (
+                inside(anchor, width, lo, hi) or not stalled
+                and not any(inside(p0, w, lo, hi) for p0, w in plateaus))):
+            anchor = None
+            span, x = landing(lo, hi)
+        near = [(p0, w) for p0, w in plateaus if 0.5 * lo <= p0 <= 2.0 * lo
+                and kept(p0, w, lo) and (p0, w) not in left] if anchor is None else ()
+        if near:  # those nearer where the step in ln p lands than last is, or in a
+            # bracket that has stalled or that a jump has just closed
+            aim = lo * math.exp(min(max(x, -700.0), 700.0)) if x == x else last.price
+            reach = abs(math.log(aim / last.price))
+            near = [(p0, w) for p0, w in near if abs(math.log(aim / p0)) < reach
+                    or (stalled or jumped) and inside(p0, w, lo, hi)]
+            if near:  # the nearest the bracket, then the nearest the landing, starts a phase
+                anchor, width = min(near, key=lambda plateau: (
+                    max(lo - plateau[0], plateau[0] - hi, 0.0) / plateau[0], abs(aim - plateau[0])))
+                left.add((anchor, width))
+                widths = []
+                span, x = landing(lo, hi)
+        widths.append(span)
+        bisect = stalled or not 0.0 < x < span  # stalled, or out of the bracket
+        if bisect:
+            x = 0.5 * span
+        price = lo * math.exp(x) if anchor is None else anchor + width * math.sinh(level(lo) + x)
+        if not lo < price < hi:  # rounded onto an end
+            if bisect:
+                price = lo * math.exp(0.5 * math.log(hi / lo))
+            else:  # a step finer than the float spacing there
+                price = math.nextafter(lo, hi) if price <= lo else math.nextafter(hi, lo)
+        leave = exit_below(lower, hi) if lower.exits else math.inf
+        jumped = price < leave < hi
+        if jumped:
+            price = leave
+        elif lo < price < hi:
+            steps += 1
+        else:
             break  # a demand jumps across one representable price
-        previous, last = last, trial(price, upper.state, lower.state)
+        side = last.total > budget
+        older, previous, last = previous, last, trial(price, upper.state, lower.state)
+        run = run + 1 if (last.total > budget) == side and not jumped else 1
         if last.total > budget:
             lower = last
         else:
             upper = last
-    else:
-        raise SolverError(f"price bracket ({lower.price}, {upper.price}) did not close",
-                          bracket=(lower.price, upper.price))
     gap = lower.total - upper.total
     fraction = (budget - upper.total) / gap if gap > 0.0 else 0.0
     return [u + fraction * (v - u) for u, v in zip(upper.amounts, lower.amounts)]
@@ -360,10 +485,11 @@ def centralized_solve(
 
     Uncapped users compete application by application; a capped user
     competes as one amount, its demand held at its cap, and that amount
-    is then cleared among its own applications from the clearing's upper
-    end (its lowest price where total demand fell short of the budget),
-    with the searches there as its first trial's start; its split price is
-    at most that one unless its amount there is its cap.
+    is then cleared among its own applications, starting from the
+    clearing's trial where the sum of those rows came nearest it (in ln),
+    with the searches there as its first trial's start. A row of a capped
+    user holds its limit toward the clearing's exits only up to the cap,
+    the rows leaving last first.
     """
     if not (math.isfinite(capacity) and capacity > 0.0):
         raise DomainError(f"capacity must be positive, got {capacity!r}")
@@ -390,31 +516,57 @@ def centralized_solve(
     def plateaus(indices) -> list[tuple[float, float]]:
         return sorted({plateau_of[kinds[i]] for i in indices} - {None})
 
-    def rates_at(indices, price, higher, lower) -> tuple[list[float], dict[int, tuple]]:
-        # The rows' rates and each kind's (rate, bracket), the state that
-        # _clear passes back as higher / lower.
+    def rates_at(indices, price, higher, lower) -> tuple[list[float], dict, dict[int, float]]:
+        # The rows' rates; each kind's (rate, bracket), the state that _clear
+        # passes back as higher / lower; and for each row at its limit past
+        # this price (by its place in indices) the price where it leaves it,
+        # e^{g(limit) + ln factor}, from the g(limit) in its bracket.
         log_price = math.log(price)
-        found = {kind: _demand(searches[kind], log_price, higher and higher[kind][1],
-                               lower and lower[kind][1])
-                 for kind in dict.fromkeys(kinds[i] for i in indices)}
-        return [found[kinds[i]][0] for i in indices], found
+        found, leaving = {}, {}
+        for kind in dict.fromkeys(kinds[i] for i in indices):
+            row = searches[kind]
+            rate, bracket = found[kind] = _demand(row, log_price, higher and higher[kind][1],
+                                                  lower and lower[kind][1])
+            if bracket and rate == row[3] and bracket[1][1] + row[1] > log_price:
+                leaving[kind] = math.exp(min(bracket[1][1] + row[1], _LOG_FLOAT_MAX))
+        rates = [found[kinds[i]][0] for i in indices]
+        if leaving:
+            leaving = {j: leaving[kinds[i]] for j, i in enumerate(indices) if kinds[i] in leaving}
+        return rates, found, leaving
 
     every_row = range(len(table.rows))
+    tried: list[tuple[float, dict]] = []  # the global clearing's trials: price and state
 
-    upper = (math.inf, None)  # the lowest price where total demand falls short, and its state
-
-    def competing(price, higher, lower) -> tuple[list[float], dict[int, tuple]]:
-        nonlocal upper
-        rates, state = rates_at(every_row, price, higher, lower)
+    def competing(price, higher, lower) -> tuple[list[float], dict, list[tuple[float, float]]]:
+        rates, state, leaving = rates_at(every_row, price, higher, lower)
+        tried.append((price, state))
         amounts: list[float] = []
         for group, cap in zip(groups, table.user_caps):
             if cap == math.inf:
                 amounts.extend(rates[i] for i in group)
             else:
                 amounts.append(min(add_up(rates[i] for i in group), cap))
-        if price < upper[0] and add_up(amounts) < table.budget:
-            upper = price, state
-        return amounts, state
+        exits: list[tuple[float, float]] = []
+        if leaving:  # the rows leaving last hold up to a capped user's cap
+            for group, cap in zip(groups, table.user_caps):
+                for leave, rate in sorted(((leaving[i], rates[i]) for i in group if i in leaving),
+                                          reverse=True):
+                    exits.append((leave, min(rate, cap)))
+                    cap -= min(rate, cap)
+        return amounts, state, exits
+
+    def splitting(group):
+        def split(price, higher, lower) -> tuple[list[float], dict, list[tuple[float, float]]]:
+            rates, state, leaving = rates_at(group, price, higher, lower)
+            return rates, state, [(leave, rates[j]) for j, leave in leaving.items()]
+        return split
+
+    def nearest(group, share: float) -> tuple[float, dict]:
+        # The global trial where the group's rows came nearest share, in ln.
+        def off(trial) -> float:
+            total = add_up(trial[1][kinds[i]][0] for i in group)
+            return abs(math.log(total / share)) if total > 0.0 else math.inf
+        return min(tried, key=off)
 
     shares = iter(_clear(competing, table.budget, plateaus(every_row)))
     # Users equal in row kinds and share (positive floats are equal only
@@ -429,8 +581,8 @@ def centralized_solve(
         if share > 0.0:
             key = (tuple(kinds[i] for i in group), share)
             if key not in splits:  # its rows are its amounts
-                splits[key] = _clear(lambda *trial: rates_at(group, *trial), share,
-                                     plateaus(group), upper if upper[1] else (1.0, None))
+                splits[key] = _clear(splitting(group), share, plateaus(group),
+                                     nearest(group, share))
             rates.extend(splits[key])
         else:  # a VIP without targets has nothing to split under scarcity
             rates.extend(0.0 for _ in group)

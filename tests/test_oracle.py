@@ -265,8 +265,11 @@ def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
     """The 400 trees drawn at s = 300 (tests/wide_trees.py): searches that
     restarted from 0 bisected in the rate across hundreds of decades, 729k
     calls in all; from the carried brackets, with log rows searched in
-    ln(rate + offset) and first tries at e^{-shift}, they take 165k. The
-    outcome classes stay as they were."""
+    ln(rate + offset) and first tries at e^{-shift}, they took 165k, 114k
+    of them in sigmoid searches with one infinite end bisecting across
+    decades. Stepping to the ends' geometric mean there, and jumping the
+    price search to the exits of rows at their limit, they take 33.6k.
+    The outcome classes stay as they were."""
     calls = _count_derivative_calls(monkeypatch)
     rng = random.Random(1)
     outcomes = Counter()
@@ -281,7 +284,23 @@ def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
             else:
                 outcomes["solved"] += 1
     assert outcomes == {"solved": 167, "SolverError": 66, "ValidationError": 167}
-    assert calls[0] <= 350_000
+    assert calls[0] <= 37_000
+
+
+def test_certifying_the_benchmark_large_cell_takes_few_derivative_calls(monkeypatch):
+    """The benchmark's large_cell, 64 jittered users at R = 3200: its cold
+    and one-end sigmoid searches bisected across decades of rate, 12.7 and
+    12.3 evaluations each, 6408 in all with 8 price trials; stepping to
+    the geometric mean of the ends there, and interpolating the price
+    through the last three trials, it takes 5349 in 7."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import cells
+
+    config = scenario.scenario_from_dict(cells.large_tree(7))
+    calls = _count_derivative_calls(monkeypatch)
+    searched = _spy_on_searches(monkeypatch)
+    assert _price_trials(config, searched) <= 7
+    assert calls[0] <= 5_800
 
 
 @pytest.mark.parametrize("capacity", [30.0, 120.0])
@@ -325,26 +344,49 @@ def _price_trials(config, searched):
 
 def test_the_reference_cell_clears_in_few_price_trials(cell, monkeypatch):
     """At R = 100 to 200 and in the three schedule epochs each cell tries
-    at most 9 prices, as with steps in ln p alone; at R = 200 Illinois
-    steps on total - budget, after steps out by 2, 4, 16, ..., tried 14."""
+    at most 9 prices, as with secant steps in ln p alone; at R = 200
+    Illinois steps on total - budget, after steps out by 2, 4, 16, ...,
+    tried 14."""
     configs = [replace(cell, capacity=5.0 * i) for i in range(20, 41)] + [
         scenario._apply_weights(cell, epoch)
         for epoch in load_schedule(bundled_schedule_path()).epochs
     ]
     searched = _spy_on_searches(monkeypatch)
     for config in configs:
-        assert _price_trials(config, searched) <= 10, config.capacity
+        assert _price_trials(config, searched) <= 9, config.capacity
 
 
-@pytest.mark.parametrize("capacity, most", [(10.0, 26), (15.0, 37), (60.0, 15), (65.0, 14)])
+def test_the_reference_sweep_tries_few_prices(cell, monkeypatch):
+    """The benchmark's ref_sweep cells tried 215 distinct prices in all at
+    R = 5 to 50, where both VIPs are capped and sigmoid rows sit at their
+    limits, and 292 at R = 55 to 200 and in the three epochs. With rows at
+    their limit handing the search their exit prices, splits starting from
+    their nearest trial at their own reach, plateaus taken only where the
+    step lands next to them and interpolation through three trials, they
+    try 121 and 249."""
+    configs = [replace(cell, capacity=5.0 * i) for i in range(1, 41)] + [
+        scenario._apply_weights(cell, epoch)
+        for epoch in load_schedule(bundled_schedule_path()).epochs
+    ]
+    searched = _spy_on_searches(monkeypatch)
+    trials = [_price_trials(config, searched) for config in configs]
+    assert sum(trials[:10]) <= 121
+    assert sum(trials[10:]) <= 249
+
+
+@pytest.mark.parametrize("capacity, before", [(10.0, 26), (15.0, 37), (60.0, 15), (65.0, 14)])
 def test_a_cell_clearing_next_to_a_plateau_price_takes_few_price_trials(
-        cell, capacity, most, monkeypatch):
+        cell, capacity, before, monkeypatch):
     """These cells clear within 1e-7 of a sigmoid's plateau price (1.5 or
     0.9), where that demand crosses its flat stretch: stepping in ln p
     alone they took 117, 121, 50 and 55 price trials, and stepping in s
-    around the plateau 24, 35, 13 and 12."""
+    around the plateau 24, 35, 13 and 12, held to `before`; jumping to the
+    exit of the row at its limit there and interpolating the total, linear
+    in s, they take 8, 8, 7 and 6."""
+    most = {10.0: 8, 15.0: 8, 60.0: 7, 65.0: 6}[capacity]
     searched = _spy_on_searches(monkeypatch)
-    assert _price_trials(replace(cell, capacity=capacity), searched) <= most
+    trials = _price_trials(replace(cell, capacity=capacity), searched)
+    assert trials <= most, (trials, before)
 
 
 def test_certifying_256_jittered_users_takes_few_price_trials(monkeypatch):
@@ -383,12 +425,21 @@ def test_equal_capped_users_with_equal_shares_split_once(cell, monkeypatch):
 
 def test_splits_start_from_the_clearing_in_few_price_trials(cell, monkeypatch):
     """At R = 5, 10, ..., 50 the capped users' splits (every clearing after
-    a solve's first) start at the global clearing's upper end, its lowest
-    price where total demand fell short, with the rates there as lower
-    bounds. They took 214 price trials in
-    all from p = 1, and take 151; the global clearings keep their 90. A
+    a solve's first) took 214 price trials in all from p = 1, and 148 from
+    the global clearing's upper end stepping out by at least 2; from the
+    global trial where the user's rows came nearest its share, stepping
+    by e^{4|g|} there, they take 77, and the global clearings 65 for 90. A
     split's first trial repeats a global price, so demand calls are
     counted, not distinct prices."""
+    clearings = [_demand_calls(replace(cell, capacity=5.0 * i), monkeypatch)
+                 for i in range(1, 11)]
+    assert sum(calls[0] for calls in clearings) <= 65
+    assert sum(sum(calls[1:]) for calls in clearings) <= 77
+
+
+def _demand_calls(config, monkeypatch) -> list[int]:
+    """Demand calls of each of centralized_solve's clearings, in order:
+    the global one, then each capped user's split."""
     trials = []
 
     def counted(demand, budget, *rest, original=oracle._clear):
@@ -400,14 +451,39 @@ def test_splits_start_from_the_clearing_in_few_price_trials(cell, monkeypatch):
 
         return original(tried, budget, *rest)
 
-    monkeypatch.setattr(oracle, "_clear", counted)
-    clearings = []
-    for i in range(1, 11):
-        clearings.append(len(trials))
-        centralized_solve(cell.users, 5.0 * i)
-    first = sum(trials[i] for i in clearings)
-    assert first <= 90
-    assert sum(trials) - first <= 170
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_clear", counted)
+        centralized_solve(config.users, config.capacity)
+    return trials
+
+
+def test_a_clearing_whose_total_sits_on_a_clipped_row_jumps_to_its_exit(cell, monkeypatch):
+    """At R = 5 ue1's sigmoid row holds its limit, the budget, up to 4.6e-7
+    above its plateau price 1.5, and the global clearing tried 1.5 -
+    1.8e-6, 1.5 - 6.9e-9 and 1.5 + 1.6e-9 at one total, 11 trials in all;
+    at R = 50 ue2's split (share 30) stepped across its sigmoid row held at
+    30 from p = 1 down to 0.0064 and crept back up to its exit near 0.45,
+    16 trials. Jumping to the exit, they take 7 each."""
+    assert _demand_calls(replace(cell, capacity=5.0), monkeypatch)[0] <= 8
+    assert _demand_calls(replace(cell, capacity=50.0), monkeypatch)[2] <= 8
+
+
+def test_a_split_started_next_to_its_root_steps_by_its_own_reach(cell, monkeypatch):
+    """At R = 15 ue1's split starts 1.1e-8 below the plateau price 1.5,
+    with a total 1.1e-8 short of its share: a first step of at least x2
+    and secant steps from one side took 17 trials, each halving the gap;
+    a first step of e^{4|g|} takes 2."""
+    assert _demand_calls(replace(cell, capacity=15.0), monkeypatch)[1] <= 4
+
+
+@pytest.mark.parametrize("capacity", [25.0, 30.0, 35.0, 40.0, 45.0])
+def test_a_split_far_from_a_plateau_in_its_bracket_keeps_away_from_it(
+        cell, capacity, monkeypatch):
+    """ue1's splits here have their root near 1.094 and the plateau price
+    1.5 in their bracket: entering s as soon as the bracket held 1.5 tried
+    1.5 itself, 10 trials each. The steps take s only where the step in
+    ln p lands nearer the plateau than it started, and take at most 7."""
+    assert _demand_calls(replace(cell, capacity=capacity), monkeypatch)[1] <= 7
 
 
 @pytest.mark.parametrize("utility, offset", [(LOG_UNIT, 0.0), (LOG_UNIT, 4.0),
@@ -453,6 +529,30 @@ def _wrong_plateaus(price):
             [(0.5 * price, 0.1 * price), (3.0 * price, 1e-3 * price)], ends]
 
 
+def _exits(weights, limits, price):
+    """(w / limit, limit) for each amount w / p clipped at its limit."""
+    return [(w / limit, limit) for w, limit in zip(weights, limits) if w / price > limit]
+
+
+def test_a_closed_form_demand_clipped_at_a_tiny_budget_clears_in_few_trials():
+    """Amounts w / p clipped at a budget of 3e-5: while rows sit at their
+    limit the total is flat, and the steps out by 2, 4, 16, ... took 14
+    trials to cross them; jumping to the highest exit below which the
+    rows still clipped hold the budget takes 4."""
+    weights, budget = [1e-3, 5.0, 7.0, 0.2], 3e-5
+    limits = [budget] * len(weights)
+    calls = []
+
+    def demand(price, higher, lower):
+        calls.append(price)
+        amounts = [min(w / price, limit) for w, limit in zip(weights, limits)]
+        return amounts, amounts, _exits(weights, limits, price)
+
+    got = oracle._clear(demand, budget)
+    assert got == pytest.approx(_water_fill(weights, limits, budget)[0], abs=1e-9 * budget)
+    assert len(calls) <= 6
+
+
 def test_clearing_a_closed_form_demand_meets_the_exact_amounts():
     """Amounts w / p, clipped at the budget or at a tighter limit, clear
     within 1e-9 * budget of the water-filled exact amounts, whether the
@@ -471,7 +571,7 @@ def test_clearing_a_closed_form_demand_meets_the_exact_amounts():
                     def demand(price, higher, lower):
                         amounts = [min(w / price, limit) for w, limit in zip(weights, limits)]
                         totals.append(add_up(amounts))
-                        return amounts, amounts
+                        return amounts, amounts, _exits(weights, limits, price)
 
                     got = oracle._clear(demand, budget, plateaus)
                     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * budget
@@ -489,7 +589,7 @@ def test_a_total_near_the_budget_at_the_end_of_the_price_range_clears_there(off)
 
     def demand(price, higher, lower):
         amounts = [near, 1.0 / price] if off > 0.0 else [min(1.0 / price, near)]
-        return amounts, amounts
+        return amounts, amounts, []
 
     for plateaus in [[], *_wrong_plateaus(1.0)]:
         if abs(off) < 5e-10:

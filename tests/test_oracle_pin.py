@@ -16,7 +16,7 @@ from nura import centralized_solve
 # SHA-256 of _digest_lines over test_trace_pin's _cells, frozen from the
 # code it guards; totals are added left to right, so it holds on every
 # supported CPython.
-PINNED = "3ccf1c47c15adcf9ecc613a0bbea5c6585d4e4ad6583165e4bd2de8215f626f5"
+PINNED = "7b837acb3751143f4136f73316f95c8693ddbb4fabde49a59709a495b49ebc08"
 
 
 def _digest_lines(result):
