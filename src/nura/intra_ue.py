@@ -2,13 +2,14 @@
 
 clear_price finds the price at which a regime table's participants
 spend its budget: each application demands the rate where its marginal
-value meets price / beta, in closed form at each trial price; an
-uncapped user competes app by app, a capped one as min(its demand, its
-cap). One safeguarded Newton search finds that price from a given start
-price, in a coordinate t of the price: ln p, in which log apps' total
-demand is nearly linear, or next to a sigmoid row's plateau price p0,
-where steps in ln p overshoot, s = asinh((p - p0) / d), in which that
-row's demand is linear. Where demand jumps across a relative price
+value meets price / beta, in closed form at each trial price, up to its
+row's limit in the table; an uncapped user competes app by app, a capped
+one as min(its demand, its cap). One safeguarded Newton search finds
+that price from a given start price, in a coordinate t of the price:
+ln p, in which log apps' total demand is nearly linear, or next to a
+sigmoid row's plateau price p0 (utility.sigmoid_plateau), where steps in
+ln p overshoot, s = asinh((p - p0) / d), in which that row's demand is
+linear. Where demand jumps across a relative price
 change below what t resolves (a sigmoid's flat stretch), every amount
 is topped up between its demands at the ends of a 1e-10-wide bracket by
 one common fraction. Each trial is one loop over the rows for the
@@ -29,26 +30,11 @@ import sys
 
 from .errors import SolverError
 from .price_response import app_rate_at_price
-from .utility import AppRow, RegimeTable, SigmoidalUtility
+from .utility import RegimeTable, sigmoid_plateau
 
 _PRICE_RTOL = 1e-10
 _PRICE_FLOOR = 1e-150
 _MAX_PRICE_STEPS = 200
-
-
-def _plateaus(rows: tuple[AppRow, ...]) -> list[tuple[float, float]]:
-    """(p0, d) of each weighted sigmoid row: its demand falls across the
-    curve's flat stretch at the price p0 = factor * a(1 + e^{-ab}), over a
-    width d = 2 p0 e^{-ab/2} (at least 2 ulps of p0), and is linear in
-    s = asinh((p - p0) / d) there; beyond d, s is ln|p - p0| less a constant."""
-    plateaus = set()
-    for row in rows:
-        curve = row.app.utility
-        if isinstance(curve, SigmoidalUtility) and row.factor > 0.0:
-            p0 = row.factor * curve.a * (1.0 + math.exp(-curve.a * curve.b))
-            plateaus.add((p0, max(2.0 * p0 * math.exp(-0.5 * curve.a * curve.b),
-                                  2.0 * math.ulp(p0))))
-    return sorted(plateaus)
 
 
 def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], list[float]]:
@@ -62,7 +48,8 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
 
     The bracket [lo, hi] holds the price. Each trial takes the Newton
     step in ln p times dt / d ln p, a step in t: t is ln p, or s around a
-    plateau (p0, d) (_plateaus), where that factor is p / hypot(p - p0, d).
+    weighted sigmoid row's plateau (p0, d) (utility.sigmoid_plateau), where
+    that factor is p / hypot(p - p0, d).
     The step is taken if it lands inside the bracket and is at most half
     the step before last. Else an open bracket steps out by a factor that
     starts at 2 and squares on each repeat, and a closed one is bisected
@@ -77,14 +64,8 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
     rows, caps, budget, case = table.rows, table.user_caps, table.budget, table.case
     betas = [user.beta for user in table.participants]
     ceiling = sys.float_info.max * min(1.0, *betas)  # keeps every price / beta finite
-    # Each row's user slot and limit: no row can take more than its cap,
-    # its user's cap or the budget.
-    slots, limits = [], []
-    for row in rows:
-        slots.append(row.user_slot)
-        limits.append(min(row.cap, caps[row.user_slot], budget))
-    entries = [(row.app, betas[slot], limit, slot)
-               for row, slot, limit in zip(rows, slots, limits)]
+    entries = [(row.app, betas[row.user_slot], limit, row.user_slot)
+               for row, limit in zip(rows, table.limits)]
 
     def demand(price: float) -> tuple[list[float], list[float], float]:  # shares, rates, total
         rates = []
@@ -126,7 +107,7 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
         # free rows demand a positive rate (their slopes give the step).
         room = free = False
         moving = []
-        for row, slot, rate, limit in zip(rows, slots, rates, limits):
+        for row, (_, _, limit, slot), rate in zip(rows, entries, rates):
             if rate < limit and shares[slot] < caps[slot]:
                 room = True
                 if row.app.weight > 0.0:
@@ -162,7 +143,7 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
         # log app) tells nothing of the response and is left out.
         response = 0.0
         for row, rate in moving:
-            slope = row.app.utility.dlog_and_slope(rate + row.offset)[1]
+            slope = row.app.utility.dlog_slope(rate + row.offset)
             if -math.inf < slope < 0.0:
                 response += 1.0 / slope
         step = math.nan
@@ -175,7 +156,8 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
         trial = price_at(target) if abs(step) <= 0.5 * prior_step else math.nan
         if 0.0 < lo and hi < math.inf and not lo < trial < hi:
             if plateaus is None:
-                plateaus = _plateaus(rows)
+                plateaus = sorted({sigmoid_plateau(row.app.utility, row.factor)
+                                   for row in rows} - {None})
             near = [(p0, d) for p0, d in plateaus
                     if 0.5 * lo <= p0 and p0 + d * (d / p0) <= 2.0 * lo]
             if near:

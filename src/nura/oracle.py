@@ -14,9 +14,10 @@ sigmoid and in ln(rate + offset) for a log curve. Each distinct row
 (curve, factor, offset, limit) is searched once per price, with its
 bound dlog_evaluate and ln factor taken once per solve. It never calls
 the production demand solver or its Newton kernel, so a bug there
-cannot certify itself; only the statement of the problem (the regime
-table and the objective of the utility module) is shared with the
-pipeline. One clearing routine finds the price where total demand,
+cannot certify itself; it shares with the pipeline only the statement of
+the problem in the utility module: the regime table, with its input
+checks and row limits, the objective, and each sigmoid row's plateau,
+which chooses trial prices only. One clearing routine finds the price where total demand,
 added left to right, meets the budget, by interpolating
 ln(total / budget) in ln p through the last trials, with regula falsi
 against one-sided creep and bisection as guards. Each search returns
@@ -50,8 +51,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ContractError, DomainError, SolverError
-from .utility import (NEG_INF, LogarithmicUtility, RegimeTable, SigmoidalUtility, UserProfile,
-                      add_up, objective, regime_table)
+from .utility import (NEG_INF, LogarithmicUtility, RegimeTable, UserProfile, add_up, objective,
+                      regime_table, sigmoid_plateau)
 
 _FLOAT_MAX = sys.float_info.max
 _PRICE_FLOOR = math.ulp(0.0)  # the smallest positive float
@@ -202,24 +203,6 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
     return lo + 0.5 * (hi - lo), ((lo, g_lo), (hi, g_hi))
 
 
-def _plateau(utility, factor: float) -> tuple[float, float] | None:
-    """(p0, w) for a sigmoid row: where and over what width its demand
-    crosses the curve's flat stretch; None for a log curve or factor 0.
-
-    Between the low-rate wall and the inflection (ln U)' stays near
-    a(1 + e^{-ab}), so the row demands little above p0 = factor * a(1 +
-    e^{-ab}) and much below it. With x = e^{-a(r - b/2)} the equation
-    factor * (ln U)'(r) = p reads x - 1 / x = (p - p0) / (p0 e^{-ab/2}) to
-    first order, so the demand is b/2 - s / a with s = asinh((p - p0) / w),
-    w = 2 p0 e^{-ab/2}: linear in s, and like -ln|p - p0| / a beyond w.
-    w is at least 2 ulps of p0, the finest step a price can take there.
-    """
-    if not isinstance(utility, SigmoidalUtility) or factor == 0.0:
-        return None
-    p0 = factor * utility.a * (1.0 + math.exp(-utility.a * utility.b))
-    return p0, max(2.0 * p0 * math.exp(-0.5 * utility.a * utility.b), 2.0 * math.ulp(p0))
-
-
 class _Trial(NamedTuple):
     """A price tried by _clear; g = ln(total / budget), -inf at total 0;
     exits, each price above it where a row at its limit leaves it, from the
@@ -282,10 +265,10 @@ def _clear(demand: Callable[..., tuple[list[float], object, list[tuple[float, fl
     exiting there holds nothing more, so there are at most as many jumps
     as rows, and the step bound below counts the other steps only.
 
-    plateaus lists the (p0, w) of the sigmoid rows (_plateau). Such a row's
-    demand, linear in s = asinh((p - p0) / w), crosses its curve's whole
-    flat stretch within a few w of p0, so g is close to a step in ln p
-    there, and beyond w it goes as ln|p - p0|, where steps in ln p creep.
+    plateaus lists the (p0, w) of the sigmoid rows (utility.sigmoid_plateau).
+    Such a row's demand, linear in s = asinh((p - p0) / w), crosses its
+    curve's whole flat stretch within a few w of p0, so g is close to a step
+    in ln p there, and beyond w it goes as ln|p - p0|, where steps in ln p creep.
     A plateau where s resolves prices at least as finely as ln p across
     the bracket (lo / 2 <= p0 and p0 + w^2 / p0 <= 2 lo) starts a phase
     where the step in ln p lands nearer p0 than last is, or where p0 lies
@@ -491,15 +474,7 @@ def centralized_solve(
     user holds its limit toward the clearing's exits only up to the cap,
     the rows leaving last first.
     """
-    if not (math.isfinite(capacity) and capacity > 0.0):
-        raise DomainError(f"capacity must be positive, got {capacity!r}")
-    if not users:
-        raise ContractError("at least one user is required")
     table = regime_table(users, capacity)
-    # No row can take more than its cap, its user's cap or the budget.
-    limits = [
-        min(entry.cap, table.user_caps[entry.user_slot], table.budget) for entry in table.rows
-    ]
     groups: list[list[int]] = [[] for _ in table.participants]
     for index, entry in enumerate(table.rows):
         groups[entry.user_slot].append(index)
@@ -507,11 +482,11 @@ def centralized_solve(
     # once per price; dlog_evaluate is bound per solve (tracers rebind it).
     distinct: dict[tuple, int] = {}
     kinds = [distinct.setdefault((entry.app.utility, entry.factor, entry.offset, limit),
-                                 len(distinct)) for entry, limit in zip(table.rows, limits)]
+                                 len(distinct)) for entry, limit in zip(table.rows, table.limits)]
     searches = [None if factor == 0.0 else (utility.dlog_evaluate, math.log(factor), offset, cap,
                                             isinstance(utility, LogarithmicUtility))
                 for utility, factor, offset, cap in distinct]
-    plateau_of = [_plateau(utility, factor) for utility, factor, _, _ in distinct]
+    plateau_of = [sigmoid_plateau(utility, factor) for utility, factor, _, _ in distinct]
 
     def plateaus(indices) -> list[tuple[float, float]]:
         return sorted({plateau_of[kinds[i]] for i in indices} - {None})
@@ -628,14 +603,10 @@ def grid_search_solve(
     enumerated: the objective increases in it, so it takes the largest
     feasible value outright.
     """
-    if not (math.isfinite(capacity) and capacity > 0.0):
-        raise DomainError(f"capacity must be positive, got {capacity!r}")
+    table = regime_table(users, capacity)
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"step must be positive, got {step!r}")
-    if not users:
-        raise ContractError("at least one user is required")
-    table = regime_table(users, capacity)
-    entries, user_caps = table.rows, table.user_caps
+    entries, limits, user_caps = table.rows, table.limits, table.user_caps
     n = len(entries)
     if n > 3:
         raise ContractError(f"grid search is guarded to at most 3 applications, got {n}")
@@ -645,15 +616,11 @@ def grid_search_solve(
     best: list[float] | None = None
     best_objective = NEG_INF
 
-    def limit(j: int, remaining: float) -> float:
-        entry = entries[j]
-        slot = entry.user_slot
-        return max(min(remaining, entry.cap, user_caps[slot] - user_used[slot]), 0.0)
-
     def recurse(j: int, remaining: float) -> None:
         nonlocal best, best_objective
         entry = entries[j]
-        lim = limit(j, remaining)
+        slot = entry.user_slot  # the row's limit, within what is left of the budget and user cap
+        lim = max(min(remaining, limits[j], user_caps[slot] - user_used[slot]), 0.0)
         if j == n - 1:
             # Objective is nondecreasing in the last coordinate, largest
             # feasible value wins; zero-weight apps are flat, so they
@@ -673,9 +640,9 @@ def grid_search_solve(
         for i in range(count + 1):
             q = min(i * step, lim)
             values[j] = q
-            user_used[entry.user_slot] += q
+            user_used[slot] += q
             recurse(j + 1, remaining - q)
-            user_used[entry.user_slot] -= q
+            user_used[slot] -= q
 
     recurse(0, table.budget)
     assert best is not None

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import ContractError, DomainError, NonConvergenceError, ProtocolError
+from .errors import ContractError, DomainError, NonConvergenceError
 from .intra_ue import clear_price
 from .price_response import bidders, round_bids, vip_bid  # noqa: F401 (tracers rebind vip_bid here)
 
@@ -127,16 +127,8 @@ def run_first_stage(
     """
     if params is None:
         params = ProtocolParams()
-    if not (math.isfinite(capacity) and capacity > 0.0):
-        raise DomainError(f"capacity must be positive, got {capacity!r}")
-    if len({user.user_id for user in users}) != len(users):
-        raise ContractError("user ids must be unique")
-
-    table = regime_table(users, capacity)
+    table = regime_table(users, capacity)  # checks the capacity and the users
     layout = bidders(table)
-    if not layout.members:
-        raise ProtocolError("scenario has no participating users")
-
     if params.w_init is not None:
         w_init = params.w_init
     else:

@@ -515,15 +515,18 @@ def sweep_R(
         )
     if not (0.0 < r_step < math.inf):
         raise ContractError(f"r_step must be positive and finite, got {r_step!r}")
-    span = (r_end - r_start) / r_step + 1e-9  # inf where it overflows
+    steps = (r_end - r_start) / r_step  # inf where it overflows
+    span = steps + 1e-9
     if not span < _MAX_SWEEP_POINTS:
         raise ContractError(f"a sweep runs at most {_MAX_SWEEP_POINTS} points, got "
                             f"(r_end - r_start) / r_step = {span:.6g} steps past r_start")
     count = int(span) + 1
+    capacities = [r_start + i * r_step for i in range(count)]
+    if steps - (count - 1) <= 1e-9:  # r_step divides the range: end at r_end itself
+        capacities[-1] = r_end
     records: list[RunRecord] = []
     failures: list[tuple[float, NuraError]] = []
-    for i in range(count):
-        capacity = r_start + i * r_step
+    for capacity in capacities:
         point = replace(config, capacity=capacity)
         try:
             records.append(run_once(point, keep_trace=keep_trace))

@@ -16,10 +16,10 @@ branches exponentiate only non-positive (or safely bounded) arguments;
 steepness-times-inflection products up to about 700 are handled without
 overflow, and saturation degrades gracefully rather than raising.
 
-The capacity regime (CaseFlag) and what it means for every user and
-application also live here, with the objective those rows are scored
-by, so the bidding stage, the intra-user split and the certifying
-solvers all read one statement of the problem.
+The problem's statement lives here too, read by the bidding stage, the
+intra-user split and the certifying solvers alike: the checks on their
+input, the capacity regime (CaseFlag) with each row's limit under it,
+each sigmoid row's plateau, and the objective the rows are scored by.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import DomainError
+from .errors import ContractError, DomainError
 
 NEG_INF = float("-inf")
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitter
@@ -142,19 +142,16 @@ class SigmoidalUtility:
             return 1.0 / rate
         return self._scale / denom
 
-    def dlog_and_slope(self, rate: float) -> tuple[float, float]:
-        """(dlog_evaluate(rate), d/dr ln (ln U)'(rate)) from one set of exponentials.
-
-        The first value is bit-equal to dlog_evaluate. The second is
-        -a(e^{a(r-b)} + e^{-ar}) / D with D the denominator of
-        dlog_evaluate; -a in deep saturation, where (ln U)' is a pure
-        exponential. The Newton steps of the price clearing use it.
+    def dlog_slope(self, rate: float) -> float:
+        """d/dr ln (ln U)'(rate): -a(e^{a(r-b)} + e^{-ar}) / D with D the
+        denominator of dlog_evaluate; -a in deep saturation, where (ln U)'
+        is a pure exponential. The Newton steps of the price clearing use it.
         """
         if rate <= 0.0:
             raise DomainError(f"rate must be positive, got {rate!r}")
         x = self.a * (rate - self.b)
         if x > 700.0:
-            return self._scale * math.exp(-x), -self.a
+            return -self.a
         e_x = math.exp(x)
         ar = self.a * rate
         e_ar = math.exp(-ar)
@@ -163,8 +160,8 @@ class SigmoidalUtility:
         else:
             denom = self._e_ab * math.expm1(ar) - math.expm1(-ar)
         if denom <= 0.0:
-            return 1.0 / rate, -1.0 / rate
-        return self._scale / denom, -self.a * (e_x + e_ar) / denom
+            return -1.0 / rate
+        return -self.a * (e_x + e_ar) / denom
 
     def demand_curve(self, weight: float) -> Callable[[float], float]:
         """The rate r >= 0 with weight * (ln U)'(r) = price, in closed form,
@@ -266,17 +263,15 @@ class LogarithmicUtility:
             return 1.0 / rate
         return self.k / denom
 
-    def dlog_and_slope(self, rate: float) -> tuple[float, float]:
-        """(dlog_evaluate(rate), d/dr ln (ln U)'(rate)), the second being
-        -k / (1 + k r) * (1 + 1 / ln(1 + k r)); negative."""
+    def dlog_slope(self, rate: float) -> float:
+        """d/dr ln (ln U)'(rate) = -k / (1 + k r) * (1 + 1 / ln(1 + k r)); negative."""
         if rate <= 0.0:
             raise DomainError(f"rate must be positive, got {rate!r}")
         kr = self.k * rate
         log_term = math.log1p(kr)
-        denom = (1.0 + kr) * log_term
-        if denom <= 0.0:
-            return 1.0 / rate, -1.0 / rate
-        return self.k / denom, -self.k / (1.0 + kr) * (1.0 + 1.0 / log_term)
+        if log_term <= 0.0:  # k * rate underflowed to 0
+            return -1.0 / rate
+        return -self.k / (1.0 + kr) * (1.0 + 1.0 / log_term)
 
     def demand_curve(self, weight: float) -> Callable[[float], float]:
         """The rate r with weight * (ln U)'(r) = price as a function of
@@ -368,9 +363,9 @@ class UserClass(Enum):
 class UserProfile:
     """A user: service class, subscription weight beta, and its applications.
 
-    is_vip and total_target, its applications' offsets added left to
-    right, are set once from the fields; like Application's, they are
-    not fields.
+    Only a VIP user's applications may carry target rates. is_vip and
+    total_target, its applications' offsets added left to right, are set
+    once from the fields; like Application's, they are not fields.
     """
 
     user_id: str
@@ -388,6 +383,8 @@ class UserProfile:
         if not self.apps:
             raise DomainError(f"user {self.user_id!r} must have at least one application")
         object.__setattr__(self, "is_vip", self.user_class is UserClass.VIP)
+        if not self.is_vip and any(app.target_rate is not None for app in self.apps):
+            raise DomainError(f"regular user {self.user_id!r} must not carry target rates")
         object.__setattr__(self, "total_target", add_up(app.offset for app in self.apps))
 
 
@@ -453,7 +450,8 @@ class RegimeTable:
     participants are the users taking part, in declaration order; budget
     is the capacity they share above their offsets; user_caps holds each
     participant's cap (inf for none) and rows their applications, user by
-    user.
+    user. limits, set once from the fields and not a field itself, holds
+    the most each row can take: min(its cap, its user's cap, the budget).
     """
 
     case: CaseFlag
@@ -461,6 +459,11 @@ class RegimeTable:
     budget: float
     user_caps: tuple[float, ...]
     rows: tuple[AppRow, ...]
+
+    def __post_init__(self) -> None:
+        caps, budget = self.user_caps, self.budget
+        limits = tuple(min(row.cap, caps[row.user_slot], budget) for row in self.rows)
+        object.__setattr__(self, "limits", limits)
 
 
 def app_rows(users: Sequence[UserProfile], case: CaseFlag) -> tuple[AppRow, ...]:
@@ -473,8 +476,15 @@ def app_rows(users: Sequence[UserProfile], case: CaseFlag) -> tuple[AppRow, ...]
 
 
 def regime_table(users: Sequence[UserProfile], capacity: float) -> RegimeTable:
-    """Decide the regime for this capacity and lay out who shares what."""
+    """Decide the regime for this capacity and lay out who shares what.
+
+    Every solver's input is checked here: a positive finite capacity
+    (DomainError), and at least one user, with unique ids (ContractError)."""
     case = determine_case(users, capacity)
+    if not users:
+        raise ContractError("at least one user is required")
+    if len({user.user_id for user in users}) != len(users):
+        raise ContractError("user ids must be unique")
     if case is CaseFlag.TARGETS_EXCEED_CAPACITY:
         participants = tuple(user for user in users if user.is_vip)
     else:
@@ -486,6 +496,24 @@ def regime_table(users: Sequence[UserProfile], capacity: float) -> RegimeTable:
         user_caps=tuple(case.user_cap(user) for user in participants),
         rows=app_rows(participants, case),
     )
+
+
+def sigmoid_plateau(utility: UtilityFunction, factor: float) -> tuple[float, float] | None:
+    """(p0, d) for a sigmoid row: where and over what width its demand
+    crosses the curve's flat stretch; None for a log curve or factor 0.
+
+    Between the low-rate wall and the inflection (ln U)' stays near
+    a(1 + e^{-ab}), so the row demands little above p0 = factor * a(1 +
+    e^{-ab}) and much below it. With x = e^{-a(r - b/2)} the equation
+    factor * (ln U)'(r) = p reads x - 1 / x = (p - p0) / (p0 e^{-ab/2}) to
+    first order, so the demand is b/2 - s / a with s = asinh((p - p0) / d),
+    d = 2 p0 e^{-ab/2}: linear in s, and like -ln|p - p0| / a beyond d.
+    d is at least 2 ulps of p0, the finest step a price can take there.
+    """
+    if not isinstance(utility, SigmoidalUtility) or factor == 0.0:
+        return None
+    p0 = factor * utility.a * (1.0 + math.exp(-utility.a * utility.b))
+    return p0, max(2.0 * p0 * math.exp(-0.5 * utility.a * utility.b), 2.0 * math.ulp(p0))
 
 
 def objective(rows: Sequence[AppRow], rates: Sequence[float]) -> float:

@@ -28,6 +28,7 @@ from nura import (
     run_first_stage,
     run_once,
     scenario_from_dict,
+    scenario_to_dict,
 )
 
 CURVATURES = (0.1, 0.5, 1, 3, 10)
@@ -271,6 +272,16 @@ def test_the_oracle_certifies_tiny_capacities(cell, capacity):
     reference = centralized_solve(cell.users, capacity)
     for uid, rate in record.user_rates.items():
         assert rate == pytest.approx(reference.user_rates[uid], rel=1e-6, abs=0), uid
+
+
+def test_a_capacity_below_every_demand_raises_in_both_solvers(cell):
+    # Validation accepts R = 1e-310, but the demands at the largest float
+    # price still overspend a budget that small.
+    config = scenario_from_dict({**scenario_to_dict(cell), "R": 1e-310})
+    with pytest.raises(SolverError, match=r"demand .* exceeds the budget .* at every price up to"):
+        run_once(config)
+    with pytest.raises(SolverError, match="total demand stays above budget at any price"):
+        centralized_solve(config.users, config.capacity)
 
 
 def _sigmoid_a_1e301(ue1):

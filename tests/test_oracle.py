@@ -27,6 +27,7 @@ from nura import (
     grid_search_solve,
     load_schedule,
     oracle,
+    run_first_stage,
     scenario,
 )
 from nura.utility import add_up, regime_table
@@ -123,8 +124,30 @@ def test_capacity_validation(cell):
         grid_search_solve(cell.users[:1], -3.0)
 
 
+@pytest.mark.parametrize("solve", [centralized_solve, grid_search_solve])
+def test_users_sharing_an_id_are_rejected(solve):
+    # Both solvers merged them: they gave {'u': 3.0} at R = 3.
+    curve = LogarithmicUtility(k=1.0, r_max=10.0)
+    users = [UserProfile("u", UserClass.REGULAR, beta=beta, apps=(_app(curve, 1.0),))
+             for beta in (1.0, 2.0)]
+    with pytest.raises(ContractError, match="user ids must be unique"):
+        solve(users, 3.0)
+
+
+@pytest.mark.parametrize("solve", [run_first_stage, centralized_solve, grid_search_solve])
+def test_an_empty_user_list_raises_the_same_error_in_every_solver(solve):
+    with pytest.raises(ContractError, match="at least one user is required"):
+        solve([], 10.0)
+
+
 # ---------------------------------------------------------------------------
 # grid search
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, math.inf, math.nan])
+def test_grid_rejects_a_step_that_is_not_positive_and_finite(cell, step):
+    with pytest.raises(DomainError, match="step must be positive"):
+        grid_search_solve(cell.users[:1], 10.0, step)
 
 
 def test_grid_refuses_large_instances(cell):
@@ -618,9 +641,9 @@ def test_oracle_imports_only_errors_and_utility():
     # table in utility) with the pipeline, but none of its demand code,
     # so a pipeline bug cannot certify itself.
     # Nor does it use the utility methods only the pipeline uses: the
-    # fused derivative kernel of its Newton steps and the closed-form
-    # demand, built by demand_curve and cached as Application.demand_at.
-    barred = {"dlog_and_slope", "rate_at_marginal", "demand_curve", "demand_at"}
+    # slope of its Newton steps and the closed-form demand, built by
+    # demand_curve and cached as Application.demand_at.
+    barred = {"dlog_slope", "rate_at_marginal", "demand_curve", "demand_at"}
     path = Path(__file__).resolve().parents[1] / "src" / "nura" / "oracle.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

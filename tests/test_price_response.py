@@ -389,7 +389,7 @@ def test_demand_effort_on_reference_cell(cell, capacity, monkeypatch):
         staged(counted(protocol.round_bids, "demand"), "bid"),
     )
     for cls in (SigmoidalUtility, LogarithmicUtility):
-        for method in ("dlog_evaluate", "dlog_and_slope"):
+        for method in ("dlog_evaluate", "dlog_slope"):
             monkeypatch.setattr(cls, method, counted(getattr(cls, method), "dlog"))
     demand = counted(price_response.app_rate_at_price, "demand")
     monkeypatch.setattr(price_response, "app_rate_at_price", demand)

@@ -12,7 +12,6 @@ from nura import (
     ContractError,
     DomainError,
     NonConvergenceError,
-    ProtocolError,
     ProtocolParams,
     SigmoidalUtility,
     UserClass,
@@ -262,7 +261,7 @@ def test_duplicate_user_ids_rejected(cell):
 
 
 def test_no_participants_rejected():
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ContractError, match="at least one user is required"):
         run_first_stage([], 10.0, _params())
 
 

@@ -367,6 +367,17 @@ def test_sweep_whose_point_count_overflows_is_refused(cell, monkeypatch):
         sweep_R(cell, 1.0, 1e308, 1e-300)
 
 
+@pytest.mark.parametrize("bounds, capacities", [
+    ((0.1, 0.3, 0.1), [0.1, 0.2, 0.3]),  # the last point was 0.30000000000000004
+    ((0.7, 2.1, 0.7), [0.7, 1.4, 2.1]),  # and 2.0999999999999996
+    ((5.0, 12.0, 5.0), [5.0, 10.0]),  # 5 does not divide 7: the sweep stops short of 12
+])
+def test_a_sweep_ends_at_r_end_where_its_step_divides_the_range(cell, monkeypatch, bounds,
+                                                                capacities):
+    monkeypatch.setattr(scenario, "run_once", lambda config, keep_trace=False: config.capacity)
+    assert sweep_R(cell, *bounds) == capacities
+
+
 def test_sweep_collects_failures(cell):
     crippled = replace(cell, protocol=ProtocolParams(max_rounds=5))
     with pytest.raises(SweepError) as excinfo:
@@ -454,6 +465,33 @@ def test_schedule_user_mismatch_detected(cell):
     with pytest.raises(ValidationError) as excinfo:
         run_schedule(cell, bad)
     assert "ghost" in str(excinfo.value)
+
+
+def test_a_schedule_row_with_the_wrong_number_of_weights_names_its_user(cell):
+    schedule = load_schedule(bundled_schedule_path())
+    short = replace(schedule.epochs[0], weights={**schedule.epochs[0].weights, "ue3": (1.0,)})
+    with pytest.raises(ValidationError) as excinfo:
+        run_schedule(cell, replace(schedule, epochs=(short,)))
+    assert excinfo.value.violations == [
+        "epoch [0.0, 10.0]: user 'ue3' has 2 applications but 1 weights"]
+
+
+def test_a_schedule_epoch_without_a_users_weights_names_its_user(cell):
+    schedule = load_schedule(bundled_schedule_path())
+    weights = {uid: row for uid, row in schedule.epochs[0].weights.items() if uid != "ue4"}
+    partial = replace(schedule.epochs[0], weights=weights)
+    with pytest.raises(ValidationError) as excinfo:
+        run_schedule(cell, replace(schedule, epochs=(partial,)))
+    assert excinfo.value.violations == ["epoch [0.0, 10.0]: no weights for user 'ue4'"]
+
+
+def test_schedule_rejects_an_epoch_without_weights(tmp_path):
+    path = tmp_path / "sched.yaml"
+    path.write_text("epochs:\n  - {start: 0, end: 10, weights: {}}\n")
+    with pytest.raises(ValidationError) as excinfo:
+        load_schedule(path)
+    assert any(violation.endswith(".epochs[0].weights: expected a nonempty mapping")
+               for violation in excinfo.value.violations)
 
 
 # ---------------------------------------------------------------------------

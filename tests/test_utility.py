@@ -27,7 +27,7 @@ from nura import (
     scenario_to_dict,
     user_rate_at_price,
 )
-from nura.utility import NEG_INF
+from nura.utility import NEG_INF, CaseFlag, RegimeTable, app_rows, regime_table
 
 SIG_STEEP = SigmoidalUtility(a=3.0, b=20.0)
 SIG_SHALLOW = SigmoidalUtility(a=1.0, b=30.0)
@@ -137,7 +137,7 @@ def test_dlog_where_the_rate_product_underflows_matches_mpmath(utility, rate):
             reference = k_ / ((1 + k_ * r_) * mpmath.log1p(k_ * r_))
         reference = float(reference)
     assert_close(utility.dlog_evaluate(rate), reference, rel=1e-15)
-    assert utility.dlog_and_slope(rate) == (1.0 / rate, -1.0 / rate)
+    assert utility.dlog_slope(rate) == -1.0 / rate
 
 
 def test_sigmoid_midpoint_is_half():
@@ -208,7 +208,7 @@ def _assert_slope_matches_central_difference(utility, rate):
     numeric = (
         math.log(utility.dlog_evaluate(rate + h)) - math.log(utility.dlog_evaluate(rate - h))
     ) / (2.0 * h)
-    assert utility.dlog_and_slope(rate)[1] == pytest.approx(numeric, rel=1e-4, abs=1e-14 / h)
+    assert utility.dlog_slope(rate) == pytest.approx(numeric, rel=1e-4, abs=1e-14 / h)
 
 
 @given(
@@ -242,13 +242,13 @@ def test_dlog_slope_saturation_branch_and_small_rates(rate):
     utility = SigmoidalUtility(a=10.0, b=1e-3)
     _assert_slope_matches_central_difference(utility, rate)
     if rate > 70.0:
-        assert utility.dlog_and_slope(rate)[1] == -10.0
+        assert utility.dlog_slope(rate) == -10.0
 
 
 @pytest.mark.parametrize("utility", [SIG_STEEP, LOG_FAST])
 def test_dlog_slope_rejects_nonpositive_rate(utility):
     with pytest.raises(DomainError):
-        utility.dlog_and_slope(0.0)
+        utility.dlog_slope(0.0)
 
 
 def _separate_dlog_slope(utility, rate):
@@ -296,13 +296,12 @@ def _separate_dlog_slope(utility, rate):
 @example(LogarithmicUtility(k=1.0, r_max=10.0), -323.3)  # k / denormal overflows to inf
 @example(LogarithmicUtility(k=1e-6, r_max=10.0), -300.0)  # tiny but resolved
 @settings(max_examples=400, deadline=None, derandomize=True)
-def test_fused_kernel_is_dlog_evaluate_and_the_separate_slope(utility, log10_rate):
+def test_dlog_slope_is_the_separate_slope(utility, log10_rate):
     rate = 10.0**log10_rate
     assume(rate > 0.0)
-    dlog, slope = utility.dlog_and_slope(rate)
-    assert dlog == utility.dlog_evaluate(rate)  # bit-equal, inf included
+    slope = utility.dlog_slope(rate)
     assert slope == _separate_dlog_slope(utility, rate)
-    assert slope < 0.0 <= dlog  # (ln U)' underflows past a(r - b) = 745
+    assert slope < 0.0
 
 
 @pytest.mark.parametrize(
@@ -316,7 +315,7 @@ def test_cached_constants_follow_replace_and_stay_out_of_equality(utility, chang
     fresh = type(utility)(**{**params, **changes})
     rates = [1e-3, 0.5, 20.0, 60.0, 400.0]
     for rate in rates:
-        assert changed.dlog_and_slope(rate) == fresh.dlog_and_slope(rate)
+        assert changed.dlog_slope(rate) == fresh.dlog_slope(rate)
         assert changed.dlog_evaluate(rate) == fresh.dlog_evaluate(rate)
         assert changed.log_evaluate(rate) == fresh.log_evaluate(rate)
     assert any(changed.log_evaluate(rate) != utility.log_evaluate(rate) for rate in rates)
@@ -334,7 +333,7 @@ def test_cached_constants_survive_the_scenario_round_trip():
     again = scenario_from_dict(tree)
     assert again == config and scenario_to_dict(again) == tree
     for app, original in zip(again.users[0].apps, apps):
-        assert app.utility.dlog_and_slope(7.5) == original.utility.dlog_and_slope(7.5)
+        assert app.utility.dlog_slope(7.5) == original.utility.dlog_slope(7.5)
         assert app.utility.log_evaluate(7.5) == original.utility.log_evaluate(7.5)
 
 
@@ -363,9 +362,11 @@ def test_offset_and_total_target_follow_replace_and_stay_out_of_equality():
     assert (app.offset, plain.offset, user.total_target, user.is_vip) == (20.0, 0.0, 20.0, True)
     retargeted = replace(app, target_rate=7.5)
     assert retargeted.offset == 7.5 and replace(retargeted, target_rate=None).offset == 0.0
-    changed = replace(user, user_class=UserClass.REGULAR, apps=(retargeted, retargeted))
-    assert changed.total_target == 15.0 and not changed.is_vip
-    back = replace(changed, user_class=UserClass.VIP, apps=(replace(retargeted, target_rate=20.0),
+    changed = replace(user, apps=(retargeted, retargeted))
+    assert changed.total_target == 15.0 and changed.is_vip
+    regular = replace(changed, user_class=UserClass.REGULAR, apps=(plain, plain))
+    assert regular.total_target == 0.0 and not regular.is_vip
+    back = replace(regular, user_class=UserClass.VIP, apps=(replace(retargeted, target_rate=20.0),
                                                            plain))
     assert back == user and hash(back) == hash(user) and repr(back) == repr(user)
     assert back.total_target == 20.0 and back.is_vip
@@ -380,6 +381,33 @@ def test_offset_and_total_target_follow_replace_and_stay_out_of_equality():
                                             {"utility", "weight"}]
     again = scenario_from_dict(scenario_to_dict(config)).users[0]
     assert (again.total_target, again.is_vip, again) == (20.0, True, user)
+
+
+def test_a_regular_user_must_not_carry_a_target():
+    # Built through the API next to a VIP (the same curve, target 1) at
+    # R = 2, it made each solver fail or answer differently.
+    target = Application(LogarithmicUtility(k=1.0, r_max=10.0), 1.0, target_rate=5.0)
+    with pytest.raises(DomainError, match="regular user 'r' must not carry target rates"):
+        UserProfile("r", UserClass.REGULAR, beta=1.0, apps=(target,))
+
+
+def test_a_table_carries_its_row_limits_however_it_is_built():
+    # Each row takes at most min(its cap, its user's cap, the budget).
+    curve = LogarithmicUtility(k=1.0, r_max=10.0)
+    v = UserProfile("v", UserClass.VIP, beta=1.0, apps=(
+        Application(curve, 0.5, target_rate=4.0), Application(curve, 0.25, target_rate=1.0),
+        Application(curve, 0.25)))
+    w = UserProfile("w", UserClass.VIP, beta=2.0, apps=(Application(curve, 1.0, target_rate=10.0),))
+    scarce = CaseFlag.TARGETS_EXCEED_CAPACITY
+    table = regime_table([v, w], 6.0)
+    assert (table.case, table.user_caps) == (scarce, (5.0, 10.0))
+    assert table.limits == (4.0, 1.0, 5.0, 6.0)
+    # As run_first_stage builds a capped user's re-clear: its own rows, its
+    # share as the budget and no user cap.
+    own = RegimeTable(scarce, (v,), 2.5, (math.inf,), app_rows([v], scarce))
+    assert own.limits == (2.5, 1.0, 2.5)
+    assert replace(own, budget=0.5).limits == (0.5, 0.5, 0.5)
+    assert "limits" not in {field.name for field in fields(own)}
 
 
 def test_cached_demand_survives_the_scenario_round_trip():
@@ -548,6 +576,8 @@ def test_sigmoid_value_in_unit_interval(a, b, rate):
         lambda: LogarithmicUtility(k=0.5, r_max=math.inf),
         # a (1 + e^{-ab}) overflows: (ln U)'(1) was nan
         lambda: SigmoidalUtility(a=1e308, b=1e-310),
+        lambda: Application(utility="sigmoidal", weight=1.0),
+        lambda: UserProfile("u", "vip", beta=1.0, apps=(Application(LOG_FAST, 1.0),)),
     ],
 )
 def test_bad_parameters_rejected(factory):
