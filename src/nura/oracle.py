@@ -12,7 +12,8 @@ price, found by the oracle's own Illinois steps (regula falsi that
 halves a stale end's value) on dlog_evaluate alone, in the rate for a
 sigmoid and in ln(rate + offset) for a log curve. Each distinct row
 (curve, factor, offset, limit) is searched once per price, with its
-bound dlog_evaluate and ln factor taken once per solve. It never calls
+bound dlog_evaluate, its ln factor and its g at 0 and at its limit taken
+once per solve. It never calls
 the production demand solver or its Newton kernel, so a bug there
 cannot certify itself; it shares with the pipeline only the statement of
 the problem in the utility module: the regime table, with its input
@@ -51,8 +52,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ContractError, DomainError, SolverError
-from .utility import (NEG_INF, LogarithmicUtility, RegimeTable, UserProfile, add_up, objective,
-                      regime_table, sigmoid_plateau)
+from .utility import (NEG_INF, CaseFlag, LogarithmicUtility, RegimeTable, UserProfile, add_up,
+                      objective, regime_table, sigmoid_plateau)
 
 _FLOAT_MAX = sys.float_info.max
 _PRICE_FLOOR = math.ulp(0.0)  # the smallest positive float
@@ -95,7 +96,7 @@ def _log_slope(dlog, arg: float) -> float:
 
 
 def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
-            lower: tuple | None = None) -> tuple[float, tuple | None]:
+            lower: tuple | None = None, ends: list | None = None) -> tuple[float, tuple | None]:
     """Rate in [0, limit] maximizing factor * ln U(rate + offset) - price * rate,
     and the search's final bracket.
 
@@ -121,11 +122,13 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
     (equal where it is exact or an end of [0, limit]). higher and lower are
     the brackets returned at a higher and at a lower price, or None. Their
     ends, sign-tested on their g - shift at this price, start the search
-    with no evaluation; 0 and limit stand in for a missing end.
+    with no evaluation; 0 and limit stand in for a missing end, their g
+    read from and kept in ends, the row's [g(0), g(limit)], where given.
     """
     if row is None:
         return 0.0, None
     dlog, log_factor, offset, limit, in_log = row
+    ends = ends or [None, None]
     shift = log_price - log_factor
     lo, g_lo, hi, g_hi = 0.0, None, limit, None
     for rate, g in (higher or ()) + (lower or ()):
@@ -141,13 +144,13 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
     if g_lo is None:  # lo is 0
         if hi == 0.0 and g_hi is not None:
             return 0.0, ((0.0, g_hi), (0.0, g_hi))
-        g_lo = _log_slope(dlog, offset)
+        g_lo = ends[0] = _log_slope(dlog, offset) if ends[0] is None else ends[0]
         if g_lo - shift <= 0.0:
             return 0.0, ((0.0, g_lo), (0.0, g_lo))
     if g_hi is None:  # hi is limit
         if lo == limit:
             return limit, ((limit, g_lo), (limit, g_lo))
-        g_hi = _log_slope(dlog, limit + offset)
+        g_hi = ends[1] = _log_slope(dlog, limit + offset) if ends[1] is None else ends[1]
         if g_hi - shift >= 0.0:
             return limit, ((limit, g_hi), (limit, g_hi))
     f_lo, f_hi = g_lo - shift, g_hi - shift
@@ -293,8 +296,6 @@ def _clear(demand: Callable[..., tuple[list[float], object, list[tuple[float, fl
         amounts, state, exits = demand(price, higher, lower)
         total = add_up(amounts)
         g = math.log(total) - log_budget if total > 0.0 else -math.inf
-        if not exits:
-            return _Trial(price, g, total, amounts, state, exits)
         held, outs = 0.0, []
         for out, amount in sorted(exits, reverse=True):  # the rows leaving last first
             held += amount
@@ -479,62 +480,72 @@ def centralized_solve(
     for index, entry in enumerate(table.rows):
         groups[entry.user_slot].append(index)
     # Equal rows start every search from equal brackets, so each is searched
-    # once per price; dlog_evaluate is bound per solve (tracers rebind it).
+    # once per price; dlog_evaluate is bound per solve (tracers rebind it),
+    # and each row's g at 0 and at its limit is evaluated once per solve.
     distinct: dict[tuple, int] = {}
     kinds = [distinct.setdefault((entry.app.utility, entry.factor, entry.offset, limit),
                                  len(distinct)) for entry, limit in zip(table.rows, table.limits)]
     searches = [None if factor == 0.0 else (utility.dlog_evaluate, math.log(factor), offset, cap,
                                             isinstance(utility, LogarithmicUtility))
                 for utility, factor, offset, cap in distinct]
+    ends = [[None, None] for _ in distinct]
     plateau_of = [sigmoid_plateau(utility, factor) for utility, factor, _, _ in distinct]
 
     def plateaus(indices) -> list[tuple[float, float]]:
         return sorted({plateau_of[kinds[i]] for i in indices} - {None})
 
-    def rates_at(indices, price, higher, lower) -> tuple[list[float], dict, dict[int, float]]:
-        # The rows' rates; each kind's (rate, bracket), the state that _clear
-        # passes back as higher / lower; and for each row at its limit past
-        # this price (by its place in indices) the price where it leaves it,
-        # e^{g(limit) + ln factor}, from the g(limit) in its bracket.
+    def layout(indices) -> tuple[list[int], list[int]]:
+        # A clearing's rows' kinds, and the distinct ones in first-seen order.
+        row_kinds = [kinds[i] for i in indices]
+        return row_kinds, list(dict.fromkeys(row_kinds))
+
+    def rates_at(rows, price, higher, lower) -> tuple[list[float], dict, dict[int, float]]:
+        # The rates of the rows laid out by layout; each kind's (rate, bracket),
+        # the state that _clear passes back as higher / lower; and for each row
+        # at its limit past this price (by its place in the rows) the price
+        # where it leaves it, e^{g(limit) + ln factor}, from its bracket.
+        row_kinds, order = rows
         log_price = math.log(price)
         found, leaving = {}, {}
-        for kind in dict.fromkeys(kinds[i] for i in indices):
+        for kind in order:
             row = searches[kind]
             rate, bracket = found[kind] = _demand(row, log_price, higher and higher[kind][1],
-                                                  lower and lower[kind][1])
+                                                  lower and lower[kind][1], ends[kind])
             if bracket and rate == row[3] and bracket[1][1] + row[1] > log_price:
                 leaving[kind] = math.exp(min(bracket[1][1] + row[1], _LOG_FLOAT_MAX))
-        rates = [found[kinds[i]][0] for i in indices]
+        rates = [found[kind][0] for kind in row_kinds]
         if leaving:
-            leaving = {j: leaving[kinds[i]] for j, i in enumerate(indices) if kinds[i] in leaving}
+            leaving = {j: leaving[kind] for j, kind in enumerate(row_kinds) if kind in leaving}
         return rates, found, leaving
 
+    def splitting(group):  # each row is its own amount
+        rows = layout(group)
+
+        def split(price, higher, lower) -> tuple[list[float], dict, list[tuple[float, float]]]:
+            rates, state, leaving = rates_at(rows, price, higher, lower)
+            return rates, state, [(leave, rates[j]) for j, leave in leaving.items()]
+        return split
+
     every_row = range(len(table.rows))
+    if table.case is not CaseFlag.TARGETS_EXCEED_CAPACITY:  # no user is capped
+        return _assemble(users, table, _clear(splitting(every_row), table.budget,
+                                              plateaus(every_row)), "dual_bisection")
+    everything = layout(every_row)
     tried: list[tuple[float, dict]] = []  # the global clearing's trials: price and state
 
     def competing(price, higher, lower) -> tuple[list[float], dict, list[tuple[float, float]]]:
-        rates, state, leaving = rates_at(every_row, price, higher, lower)
+        rates, state, leaving = rates_at(everything, price, higher, lower)
         tried.append((price, state))
-        amounts: list[float] = []
-        for group, cap in zip(groups, table.user_caps):
-            if cap == math.inf:
-                amounts.extend(rates[i] for i in group)
-            else:
-                amounts.append(min(add_up(rates[i] for i in group), cap))
+        amounts = [min(add_up(rates[i] for i in group), cap)
+                   for group, cap in zip(groups, table.user_caps)]
         exits: list[tuple[float, float]] = []
-        if leaving:  # the rows leaving last hold up to a capped user's cap
+        if leaving:  # the rows leaving last hold up to the user's cap
             for group, cap in zip(groups, table.user_caps):
                 for leave, rate in sorted(((leaving[i], rates[i]) for i in group if i in leaving),
                                           reverse=True):
                     exits.append((leave, min(rate, cap)))
                     cap -= min(rate, cap)
         return amounts, state, exits
-
-    def splitting(group):
-        def split(price, higher, lower) -> tuple[list[float], dict, list[tuple[float, float]]]:
-            rates, state, leaving = rates_at(group, price, higher, lower)
-            return rates, state, [(leave, rates[j]) for j, leave in leaving.items()]
-        return split
 
     def nearest(group, share: float) -> tuple[float, dict]:
         # The global trial where the group's rows came nearest share, in ln.
@@ -543,23 +554,18 @@ def centralized_solve(
             return abs(math.log(total / share)) if total > 0.0 else math.inf
         return min(tried, key=off)
 
-    shares = iter(_clear(competing, table.budget, plateaus(every_row)))
     # Users equal in row kinds and share (positive floats are equal only
     # bit for bit) split alike, so each such split is cleared once.
     splits: dict[tuple, list[float]] = {}
     rates: list[float] = []
-    for group, cap in zip(groups, table.user_caps):
-        if cap == math.inf:
-            rates.extend(next(shares) for _ in group)
-            continue
-        share = next(shares)
+    for group, share in zip(groups, _clear(competing, table.budget, plateaus(every_row))):
         if share > 0.0:
             key = (tuple(kinds[i] for i in group), share)
-            if key not in splits:  # its rows are its amounts
+            if key not in splits:
                 splits[key] = _clear(splitting(group), share, plateaus(group),
                                      nearest(group, share))
             rates.extend(splits[key])
-        else:  # a VIP without targets has nothing to split under scarcity
+        else:  # a VIP without targets has nothing to split
             rates.extend(0.0 for _ in group)
     return _assemble(users, table, rates, "dual_bisection")
 
@@ -573,22 +579,9 @@ def _assemble(
     per_user: dict[str, list[float]] = {u.user_id: [] for u in table.participants}
     for entry, rate in zip(table.rows, rates):
         per_user[table.participants[entry.user_slot].user_id].append(rate + entry.offset)
-    app_rates = {}
-    user_rates = {}
-    for user in users:
-        if user.user_id in per_user:
-            finals = per_user[user.user_id]
-            app_rates[user.user_id] = tuple(finals)
-            user_rates[user.user_id] = add_up(finals)
-        else:
-            app_rates[user.user_id] = tuple(0.0 for _ in user.apps)
-            user_rates[user.user_id] = 0.0
-    return OracleResult(
-        user_rates=user_rates,
-        app_rates=app_rates,
-        objective=objective(table.rows, rates),
-        method=method,
-    )
+    app_rates = {u.user_id: tuple(per_user.get(u.user_id, [0.0] * len(u.apps))) for u in users}
+    return OracleResult({uid: add_up(finals) for uid, finals in app_rates.items()}, app_rates,
+                        objective(table.rows, rates), method)
 
 
 def grid_search_solve(
