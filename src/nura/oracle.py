@@ -8,35 +8,18 @@ budget (and, under scarce capacity, per-user and per-application caps).
 centralized_solve clears one global price. Each application's demand at
 a price is the rate, at most its cap, its user's cap and the budget,
 where its marginal value factor * (ln U)'(rate + offset) meets the
-price, found by the oracle's own Illinois steps (regula falsi that
-halves a stale end's value) on dlog_evaluate alone, in the rate for a
-sigmoid and in ln(rate + offset) for a log curve. Each distinct row
-(curve, factor, offset, limit) is searched once per price, with its
-bound dlog_evaluate, its ln factor and its g at 0 and at its limit taken
-once per solve. It never calls
-the production demand solver or its Newton kernel, so a bug there
-cannot certify itself; it shares with the pipeline only the statement of
-the problem in the utility module: the regime table, with its input
-checks and row limits, the objective, and each sigmoid row's plateau,
-which chooses trial prices only. One clearing routine finds the price where total demand,
-added left to right, meets the budget, by interpolating
-ln(total / budget) in ln p through the last trials, with regula falsi
-against one-sided creep and bisection as guards. Each search returns
-its final bracket with the derivative values at its ends, and the
-searches at the two ends of the price bracket start the next trial's,
-whose rate they enclose, with no evaluation. A row at its limit reports
-the price where it leaves it, e^{g(limit) + ln factor}, read off that
-bracket, so that a clearing whose total sits flat on such rows jumps to
-their exits instead of stepping across them.
-Where a step lands next to the plateau price p0 of one of its sigmoid
-rows, the price where that row's demand crosses the curve's flat
-stretch, the steps take s = asinh((p - p0) / w) for ln p: w is the width
-of that crossing, beyond it s is ln|p - p0| less a constant, and the
-row's demand is linear in s throughout. The routine tops every
-application up from its demand at the upper price toward its demand at
-the lower one, by the same fraction. It also splits a capped user's
-share among its applications, starting from the clearing's trial where
-that user's rows came nearest the share, once per distinct split.
+price, found by the oracle's own Anderson-Bjorck steps (regula falsi
+that scales down a stale end's value; _demand) on dlog_evaluate alone.
+It never calls the production demand solver or its Newton kernel, so a
+bug there cannot certify itself; it shares with the pipeline only the
+statement of the problem in the utility module: the regime table, with
+its input checks and row limits, the objective, and each sigmoid row's
+plateau, which chooses trial prices only. One clearing routine (_clear)
+finds the price where total demand, added left to right, meets the
+budget, and tops every application up from its demand at the upper
+price toward its demand at the lower one by the same fraction. It also
+splits a capped user's share among its applications, once per distinct
+split.
 
 grid_search_solve is the brute-force anti-hallucination oracle for tiny
 instances: exhaustive enumeration over the step-grid of the feasible
@@ -69,6 +52,10 @@ _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 _STALL_STEPS = 4
 _MAX_DEMAND_STEPS = 5 * 2100
 _MAX_PRICE_STEPS = 5 * 70
+# Within this of its plateau price in ln p, the rounding of a sigmoid row's
+# g fixes its rate only to 1e-10 / a or worse (g' ~ a * 1e-6), and where a
+# search settles in that range moves the clearing's trials: steps halve there.
+_NEAR_PLATEAU = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,19 +83,25 @@ def _log_slope(dlog, arg: float) -> float:
 
 
 def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
-            lower: tuple | None = None, ends: list | None = None) -> tuple[float, tuple | None]:
+            lower: tuple | None = None, ends: list | None = None,
+            halve: bool = False) -> tuple[float, tuple | None]:
     """Rate in [0, limit] maximizing factor * ln U(rate + offset) - price * rate,
     and the search's final bracket.
 
-    row is (bound dlog_evaluate, ln factor, offset, limit, whether the curve
-    is logarithmic), or None for a zero factor, whose rate is 0 (bracket
-    None). ln U is strictly concave, so this is where g = ln (ln U)'(rate +
-    offset) falls to shift = ln price - ln factor. Illinois steps find it on
-    g - shift, which decreases in the rate: regula falsi, halving the value
-    at an end kept twice running (Dowell & Jarratt 1971). They interpolate
-    in the rate for a sigmoid, and in ln(rate + offset) for a log curve,
-    where g is nearly linear. From lo = offset = 0, where (ln U)' goes as
-    1 / rate, they try e^{-shift}, or past hi a step of slope -1 in ln rate
+    row is (bound dlog_evaluate, ln factor, offset, limit, whether the
+    curve is logarithmic), or None for a zero factor, whose rate is 0
+    (bracket None). ln U is strictly concave, so this is where g = ln (ln
+    U)'(rate + offset) falls to shift = ln price - ln factor.
+    Anderson-Bjorck steps find it on g - shift, which decreases in the
+    rate: regula falsi that scales the value at an end kept twice running
+    by m = 1 - f_new / f_old of the moving end, or by 1/2 where m <= 0
+    (Anderson & Bjorck 1973), so that they do not creep toward the root
+    from one side, as halving it (Illinois; Dowell & Jarratt 1971) did on a
+    sigmoid's convex flat stretch; with halve (a sigmoid row priced within
+    _NEAR_PLATEAU of its plateau price) they halve it. They interpolate in
+    the rate for a sigmoid, and in ln(rate + offset) for a log curve, where
+    g is nearly linear. From lo = offset = 0, where (ln U)' goes as 1 /
+    rate, they try e^{-shift}, or past hi a step of slope -1 in ln rate
     from hi; a sigmoid, whose (ln U)' goes so only below 1 / a, tries
     e^{-shift} only where bisection would take 10 steps to reach it. While
     one end's g is infinite (a rate of 0 at offset 0, or a slope that
@@ -195,11 +188,13 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
             return rate, ((rate, g), (rate, g))
         if value > 0.0:
             if kept > 0:
-                f_hi *= 0.5
+                weight = 0.5 if halve else 1.0 - value / f_lo
+                f_hi *= weight if weight > 0.0 else 0.5
             lo, g_lo, f_lo, kept = rate, g, value, 1
         else:
             if kept < 0:
-                f_lo *= 0.5
+                weight = 0.5 if halve else 1.0 - value / f_hi
+                f_lo *= weight if weight > 0.0 else 0.5
             hi, g_hi, f_hi, kept = rate, g, value, -1
     else:
         raise SolverError(f"demand bracket ({lo}, {hi}) did not close", bracket=(lo, hi))
@@ -456,9 +451,7 @@ def _clear(demand: Callable[..., tuple[list[float], object, list[tuple[float, fl
     return [u + fraction * (v - u) for u, v in zip(upper.amounts, lower.amounts)]
 
 
-def centralized_solve(
-    users: Sequence[UserProfile], capacity: float
-) -> OracleResult:
+def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleResult:
     """Solve the global allocation problem by clearing one dual price.
 
     The regime table sets who enters, the budget priced out above the
@@ -480,8 +473,8 @@ def centralized_solve(
     for index, entry in enumerate(table.rows):
         groups[entry.user_slot].append(index)
     # Equal rows start every search from equal brackets, so each is searched
-    # once per price; dlog_evaluate is bound per solve (tracers rebind it),
-    # and each row's g at 0 and at its limit is evaluated once per solve.
+    # once per price; dlog_evaluate is bound, and g at 0 and at the limit
+    # is evaluated, once per solve (tracers rebind dlog_evaluate).
     distinct: dict[tuple, int] = {}
     kinds = [distinct.setdefault((entry.app.utility, entry.factor, entry.offset, limit),
                                  len(distinct)) for entry, limit in zip(table.rows, table.limits)]
@@ -490,6 +483,7 @@ def centralized_solve(
                 for utility, factor, offset, cap in distinct]
     ends = [[None, None] for _ in distinct]
     plateau_of = [sigmoid_plateau(utility, factor) for utility, factor, _, _ in distinct]
+    log_p0 = [math.log(p[0]) if p and p[0] > 0.0 else math.inf for p in plateau_of]
 
     def plateaus(indices) -> list[tuple[float, float]]:
         return sorted({plateau_of[kinds[i]] for i in indices} - {None})
@@ -509,8 +503,9 @@ def centralized_solve(
         found, leaving = {}, {}
         for kind in order:
             row = searches[kind]
-            rate, bracket = found[kind] = _demand(row, log_price, higher and higher[kind][1],
-                                                  lower and lower[kind][1], ends[kind])
+            rate, bracket = found[kind] = _demand(
+                row, log_price, higher and higher[kind][1], lower and lower[kind][1], ends[kind],
+                abs(log_price - log_p0[kind]) < _NEAR_PLATEAU)
             if bracket and rate == row[3] and bracket[1][1] + row[1] > log_price:
                 leaving[kind] = math.exp(min(bracket[1][1] + row[1], _LOG_FLOAT_MAX))
         rates = [found[kind][0] for kind in row_kinds]
@@ -570,12 +565,8 @@ def centralized_solve(
     return _assemble(users, table, rates, "dual_bisection")
 
 
-def _assemble(
-    users: Sequence[UserProfile],
-    table: RegimeTable,
-    rates: Sequence[float],
-    method: str,
-) -> OracleResult:
+def _assemble(users: Sequence[UserProfile], table: RegimeTable, rates: Sequence[float],
+              method: str) -> OracleResult:
     per_user: dict[str, list[float]] = {u.user_id: [] for u in table.participants}
     for entry, rate in zip(table.rows, rates):
         per_user[table.participants[entry.user_slot].user_id].append(rate + entry.offset)
