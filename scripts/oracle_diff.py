@@ -19,7 +19,8 @@ to `oracle._demand` over all of a cell's clearings); run_once's are its
 clearing trials (each `intra_ue.clear_price` call's
 `intra_ue.app_rate_at_price` calls over its rows, summed over the cell).
 For the oracle it also prints each side's total `dlog_evaluate` calls
-(both utility classes, counted on the class) over the set, and its price
+(both utility classes, counted on the class) over the set, the number of
+`oracle._demand` searches that took 12 or more of them, and its price
 trials counted per `oracle._clear` call (the distinct log prices within
 it): summed over the first clearings, summed over the capped users'
 splits, and the most in any one clearing. The script and its
@@ -42,11 +43,13 @@ from wide_trees import wide_tree  # noqa: E402
 WIDE_SCALES = (12, 60, 300)
 WIDE_DRAWS = 400
 SOLVERS = ("centralized_solve", "run_once")
+LONG_SEARCH = 12  # dlog_evaluate calls that make an oracle row search a long one
 
 # Run in the checkout: reads {set: [tree, ...]} on stdin, prints
-# {set: [[label, R, {solver: [outcome, trials, dlog calls, clearings]}], ...]},
-# an outcome being the user rates or the name of the NuraError raised, and
-# clearings the oracle's distinct log prices per clearing, in order. The
+# {set: [[label, R, {solver: [outcome, trials, dlog calls, clearings, long]}], ...]},
+# an outcome being the user rates or the name of the NuraError raised,
+# clearings the oracle's distinct log prices per clearing, in order, and
+# long the oracle's searches of LONG_SEARCH or more dlog calls. The
 # counters wrap with any arguments, so that they fit every version of what
 # they wrap.
 _CHILD = """
@@ -60,6 +63,7 @@ prices = set()
 clearings = []  # the distinct log prices of each oracle clearing so far
 trials = [0.0, 0]  # clearing trials so far, demand calls in this clearing
 calls = [0]  # dlog_evaluate calls
+long = [0]  # searches of LONG_SEARCH or more of them
 
 def counting(original):
     def dlog_evaluate(*args):
@@ -74,7 +78,10 @@ def searched(*args, original=oracle._demand):
     prices.add(args[1])
     if clearings:
         clearings[-1].add(args[1])
-    return original(*args)
+    before = calls[0]
+    out = original(*args)
+    long[0] += calls[0] - before >= LONG_SEARCH
+    return out
 
 def clearing(*args, original=oracle._clear):
     clearings.append(set())
@@ -102,7 +109,7 @@ def outcomes(make):
     try:
         config = make()
     except NuraError as exc:
-        return None, {solver: [type(exc).__name__, 0, 0, []]
+        return None, {solver: [type(exc).__name__, 0, 0, [], 0]
                       for solver in ("centralized_solve", "run_once")}
     out = {}
     for solver, solve in (("centralized_solve", certified),
@@ -110,13 +117,13 @@ def outcomes(make):
         prices.clear()
         clearings.clear()
         trials[0] = 0.0
-        calls[0] = 0
+        calls[0] = long[0] = 0
         try:
             rates = solve(config)
         except NuraError as exc:
             rates = type(exc).__name__
         out[solver] = [rates, len(prices) if solver == "centralized_solve" else trials[0], calls[0],
-                       [len(tried) for tried in clearings]]
+                       [len(tried) for tried in clearings], long[0]]
     return config.capacity, out
 
 def solved(labelled):
@@ -134,7 +141,8 @@ print(json.dumps(out))
 
 
 def _solve_all(checkout: Path, trees: dict) -> dict:
-    done = subprocess.run([sys.executable, "-c", _CHILD], cwd=checkout, input=json.dumps(trees),
+    child = f"LONG_SEARCH = {LONG_SEARCH}\n{_CHILD}"
+    done = subprocess.run([sys.executable, "-c", child], cwd=checkout, input=json.dumps(trees),
                           capture_output=True, text=True)
     if done.returncode:  # an exception other than a NuraError
         sys.exit(f"{checkout}:\n{done.stderr}")
@@ -165,11 +173,13 @@ def main(argv=None) -> None:
         for solver in SOLVERS:
             differ, worst, rose, fell, total, totals = [], 0.0, 0, 0, 0.0, 0.0
             called, calls = 0, 0  # each side's dlog_evaluate calls
+            slow, slows = 0, 0  # each side's searches of LONG_SEARCH or more of them
             split = [[0, 0, 0], [0, 0, 0]]  # each side's first, split and most clearing trials
             for (label, capacity, parent), (_, _, change) in zip(cells, new[name]):
-                (before, tried, dlogs, was), (after, tries, dlogs_now, now) = (parent[solver],
-                                                                              change[solver])
+                (before, tried, dlogs, was, long), (after, tries, dlogs_now, now, longs) = (
+                    parent[solver], change[solver])
                 called, calls = called + dlogs, calls + dlogs_now
+                slow, slows = slow + long, slows + longs
                 for side, counts in zip(split, (was, now)):
                     side[0] += counts[0] if counts else 0
                     side[1] += sum(counts[1:])
@@ -185,7 +195,8 @@ def main(argv=None) -> None:
             print(f"  {solver}: classes {_classes(cells, solver)} -> {_classes(new[name], solver)}"
                   f"; {len(differ)} change outcome class, max |d user rate| / R = {worst:.3g}, "
                   f"trials {total:g} -> {totals:g} ({rose} rose, {fell} fell)"
-                  + (f", dlog_evaluate calls {called} -> {calls}; per clearing: first"
+                  + (f", dlog_evaluate calls {called} -> {calls}, searches of"
+                     f" {LONG_SEARCH}+ calls {slow} -> {slows}; per clearing: first"
                      f" {split[0][0]} -> {split[1][0]}, splits {split[0][1]} -> {split[1][1]},"
                      f" most {split[0][2]} -> {split[1][2]}"
                      if solver == "centralized_solve" else ""))

@@ -90,8 +90,8 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
 
     row is (bound dlog_evaluate, ln factor, offset, limit, whether the
     curve is logarithmic), or None for a zero factor, whose rate is 0
-    (bracket None). ln U is strictly concave, so this is where g = ln (ln
-    U)'(rate + offset) falls to shift = ln price - ln factor.
+    (bracket None). ln U is strictly concave, so this is where
+    g = ln (ln U)'(rate + offset) falls to shift = ln price - ln factor.
     Anderson-Bjorck steps find it on g - shift, which decreases in the
     rate: regula falsi that scales the value at an end kept twice running
     by m = 1 - f_new / f_old of the moving end, or by 1/2 where m <= 0
