@@ -23,8 +23,20 @@ For the oracle it also prints each side's total `dlog_evaluate` calls
 `oracle._demand` searches that took 12 or more of them, and its price
 trials counted per `oracle._clear` call (the distinct log prices within
 it): summed over the first clearings, summed over the capped users'
-splits, and the most in any one clearing. The script and its
-subprocesses use the standard library only.
+splits, and the most in any one clearing. Last, as its accuracy, it
+prints each side's worst stationarity spread over the solved cells, with
+the number of cells whose spread rose and fell: per clearing, the
+largest max - min of ln(factor * dlog_evaluate(app rate)) over its rows
+strictly between 0 and their limit, the rows, factors, offsets and
+limits read from `utility.regime_table`. A clearing is all the users
+below their cap together, or one capped user's rows. The oracle's
+amounts are exact only to its clearing tolerance, tol = 1e-9 * budget,
+so a user within tol of its cap counts as capped, a row within tol of 0
+or of its limit as at that bound, and a row whose dlog_evaluate
+underflows to 0 is left out. At the optimum every row left in meets its
+clearing's price in marginal value, so the spread reads 0 there; it
+needs no reference solve. The script and its subprocesses use the
+standard library only.
 """
 
 from __future__ import annotations
@@ -46,18 +58,20 @@ SOLVERS = ("centralized_solve", "run_once")
 LONG_SEARCH = 12  # dlog_evaluate calls that make an oracle row search a long one
 
 # Run in the checkout: reads {set: [tree, ...]} on stdin, prints
-# {set: [[label, R, {solver: [outcome, trials, dlog calls, clearings, long]}], ...]},
+# {set: [[label, R, {solver: [outcome, trials, dlog calls, clearings, long, spread]}], ...]},
 # an outcome being the user rates or the name of the NuraError raised,
-# clearings the oracle's distinct log prices per clearing, in order, and
-# long the oracle's searches of LONG_SEARCH or more dlog calls. The
+# clearings the oracle's distinct log prices per clearing, in order, long
+# the oracle's searches of LONG_SEARCH or more dlog calls and spread its
+# stationarity spread (0 where it raised). The
 # counters wrap with any arguments, so that they fit every version of what
 # they wrap.
 _CHILD = """
-import json, sys, warnings
+import json, math, sys, warnings
 sys.path[:0] = ["src", "bench"]
 import cells
 from nura import NuraError, centralized_solve, intra_ue, oracle, protocol, run_once
 from nura import LogarithmicUtility, SigmoidalUtility, scenario_from_dict
+from nura.utility import regime_table
 
 prices = set()
 clearings = []  # the distinct log prices of each oracle clearing so far
@@ -103,27 +117,53 @@ intra_ue.app_rate_at_price = demanded
 intra_ue.clear_price = protocol.clear_price = cleared
 
 def certified(config):
-    return centralized_solve(config.users, config.capacity).user_rates
+    return centralized_solve(config.users, config.capacity)
+
+def spread(config, result):
+    # The worst max - min of ln(factor * (ln U)'(app rate)) per clearing over
+    # its rows strictly between 0 and their limit, each give or take tol.
+    table = regime_table(config.users, config.capacity)
+    tol = 1e-9 * table.budget
+    finals = [rate for user in table.participants for rate in result.app_rates[user.user_id]]
+    users = [[] for _ in table.participants]
+    for row, limit, final in zip(table.rows, table.limits, finals):
+        users[row.user_slot].append((row, limit, final))
+    clearings, free = [], []
+    for cap, rows in zip(table.user_caps, users):
+        values = []
+        for row, limit, final in rows:
+            slope = tol < final - row.offset < limit - tol and row.app.utility.dlog_evaluate(final)
+            if slope:
+                values.append(math.log(row.factor) + math.log(slope))
+        if sum(final - row.offset for row, _, final in rows) >= cap - tol:
+            clearings.append(values)
+        else:
+            free.extend(values)
+    return max(max(values) - min(values) for values in clearings + [free, [0.0]] if values)
 
 def outcomes(make):
     try:
         config = make()
     except NuraError as exc:
-        return None, {solver: [type(exc).__name__, 0, 0, [], 0]
+        return None, {solver: [type(exc).__name__, 0, 0, [], 0, 0.0]
                       for solver in ("centralized_solve", "run_once")}
     out = {}
     for solver, solve in (("centralized_solve", certified),
-                          ("run_once", lambda config: run_once(config).user_rates)):
+                          ("run_once", run_once)):
         prices.clear()
         clearings.clear()
         trials[0] = 0.0
         calls[0] = long[0] = 0
         try:
-            rates = solve(config)
+            result = solve(config)
         except NuraError as exc:
-            rates = type(exc).__name__
+            rates, result = type(exc).__name__, None
+        else:
+            rates = result.user_rates
         out[solver] = [rates, len(prices) if solver == "centralized_solve" else trials[0], calls[0],
                        [len(tried) for tried in clearings], long[0]]
+        out[solver].append(spread(config, result) if result and solver == "centralized_solve"
+                           else 0.0)
     return config.capacity, out
 
 def solved(labelled):
@@ -175,9 +215,13 @@ def main(argv=None) -> None:
             called, calls = 0, 0  # each side's dlog_evaluate calls
             slow, slows = 0, 0  # each side's searches of LONG_SEARCH or more of them
             split = [[0, 0, 0], [0, 0, 0]]  # each side's first, split and most clearing trials
+            spreads, wider, narrower = [0.0, 0.0], 0, 0  # each side's worst stationarity spread
             for (label, capacity, parent), (_, _, change) in zip(cells, new[name]):
-                (before, tried, dlogs, was, long), (after, tries, dlogs_now, now, longs) = (
-                    parent[solver], change[solver])
+                (before, tried, dlogs, was, long, spread), (
+                    after, tries, dlogs_now, now, longs, spread_now) = parent[solver], change[solver]
+                spreads = [max(spreads[0], spread), max(spreads[1], spread_now)]
+                wider += spread_now > spread
+                narrower += spread_now < spread
                 called, calls = called + dlogs, calls + dlogs_now
                 slow, slows = slow + long, slows + longs
                 for side, counts in zip(split, (was, now)):
@@ -198,7 +242,8 @@ def main(argv=None) -> None:
                   + (f", dlog_evaluate calls {called} -> {calls}, searches of"
                      f" {LONG_SEARCH}+ calls {slow} -> {slows}; per clearing: first"
                      f" {split[0][0]} -> {split[1][0]}, splits {split[0][1]} -> {split[1][1]},"
-                     f" most {split[0][2]} -> {split[1][2]}"
+                     f" most {split[0][2]} -> {split[1][2]}; worst stationarity spread"
+                     f" {spreads[0]:.3g} -> {spreads[1]:.3g} ({wider} rose, {narrower} fell)"
                      if solver == "centralized_solve" else ""))
             for line in differ:
                 print(f"    {line}")

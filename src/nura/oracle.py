@@ -9,12 +9,15 @@ centralized_solve clears one global price. Each application's demand at
 a price is the rate, at most its cap, its user's cap and the budget,
 where its marginal value factor * (ln U)'(rate + offset) meets the
 price, found by the oracle's own Anderson-Bjorck steps (regula falsi
-that scales down a stale end's value; _demand) on dlog_evaluate alone.
-It never calls the production demand solver or its Newton kernel, so a
-bug there cannot certify itself; it shares with the pipeline only the
-statement of the problem in the utility module: the regime table, with
-its input checks and row limits, the objective, and each sigmoid row's
-plateau, which chooses trial prices only. One clearing routine (_clear)
+that scales down a stale end's value; _demand) on dlog_evaluate alone;
+a sigmoid row's search first probes where the asymptotes of its curve's
+(ln U)' on either side of the flat stretch meet the price, a point read
+off the curve's a and b that chooses where to evaluate only. It never
+calls the production demand solver or its Newton kernel, so a bug there
+cannot certify itself; it shares with the pipeline only the statement of
+the problem in the utility module: the regime table, with its input
+checks and row limits, the objective, and each sigmoid row's plateau,
+which chooses trial prices only. One clearing routine (_clear)
 finds the price where total demand, added left to right, meets the
 budget, and tops every application up from its demand at the upper
 price toward its demand at the lower one by the same fraction. It also
@@ -56,6 +59,10 @@ _MAX_PRICE_STEPS = 5 * 70
 # g fixes its rate only to 1e-10 / a or worse (g' ~ a * 1e-6), and where a
 # search settles in that range moves the clearing's trials: steps halve there.
 _NEAR_PLATEAU = 1e-6
+# A sigmoid row's bracket wider than this times hi is probed first at its
+# curve's asymptotic root, then this far from it, relatively, toward the root.
+_PROBE_WIDTH = 1e-6
+_PROBE_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -82,16 +89,54 @@ def _log_slope(dlog, arg: float) -> float:
     return math.log(slope) if slope > 0.0 else -math.inf
 
 
+def _curve(utility) -> tuple[float, float, float] | None:
+    """A row's curve as _demand reads it: None for a log curve, searched in
+    ln(rate + offset); (a, b, ln(a(1 + e^{-ab}))) for a sigmoid."""
+    if isinstance(utility, LogarithmicUtility):
+        return None
+    return utility.a, utility.b, math.log(utility.a * (1.0 + math.exp(-utility.a * utility.b)))
+
+
+def _asymptotic_root(curve: tuple[float, float, float], shift: float) -> float:
+    """Where (ln U)' of the sigmoid curve = (a, b, ln(a(1 + e^{-ab}))) meets
+    e^{shift} by the asymptotes on either side of its flat stretch, in
+    rate + offset; nan at u = 0.
+
+    (ln U)' = a(1 + e^{-ab}) / D, D = e^{a(r-b)} + 1 - e^{-ab} - e^{-ar},
+    so the root has D = e^u, u = ln(a(1 + e^{-ab})) - shift. Past the flat
+    stretch (u > 0) D goes as e^{a(r-b)} + 1, below it (u < 0) as 1 - e^{-ar}.
+    """
+    a, b, log_scale = curve
+    u = log_scale - shift
+    if u > 700.0:  # expm1(u) overflows; ln expm1(u) = u to double precision
+        return b + u / a
+    if u > 0.0:
+        return b + math.log(math.expm1(u)) / a
+    if u < 0.0:
+        return -math.log(-math.expm1(u)) / a
+    return math.nan
+
+
 def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
             lower: tuple | None = None, ends: list | None = None,
             halve: bool = False) -> tuple[float, tuple | None]:
     """Rate in [0, limit] maximizing factor * ln U(rate + offset) - price * rate,
     and the search's final bracket.
 
-    row is (bound dlog_evaluate, ln factor, offset, limit, whether the
-    curve is logarithmic), or None for a zero factor, whose rate is 0
-    (bracket None). ln U is strictly concave, so this is where
-    g = ln (ln U)'(rate + offset) falls to shift = ln price - ln factor.
+    row is (bound dlog_evaluate, ln factor, offset, limit, curve), curve
+    None for a log curve and (a, b, ln(a(1 + e^{-ab}))) for a sigmoid
+    (_curve), or None for a zero factor, whose rate is 0 (bracket None).
+    ln U is strictly concave, so this is where g = ln (ln U)'(rate +
+    offset) falls to shift = ln price - ln factor.
+
+    A sigmoid row whose bracket is wider than _PROBE_WIDTH * hi is probed
+    first at its curve's asymptotic root less the offset
+    (_asymptotic_root; none at u = 0, nor where it falls outside the
+    bracket), and then _PROBE_STEP from it, relatively, toward the root,
+    so that the steps below start from two finite ends, often a few 1e-6
+    apart around the root. The probes choose points only: each updates
+    the bracket by the sign of its g - shift, as a step does.
+
     Anderson-Bjorck steps find it on g - shift, which decreases in the
     rate: regula falsi that scales the value at an end kept twice running
     by m = 1 - f_new / f_old of the moving end, or by 1/2 where m <= 0
@@ -120,7 +165,7 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
     """
     if row is None:
         return 0.0, None
-    dlog, log_factor, offset, limit, in_log = row
+    dlog, log_factor, offset, limit, curve = row
     ends = ends or [None, None]
     shift = log_price - log_factor
     lo, g_lo, hi, g_hi = 0.0, None, limit, None
@@ -147,6 +192,21 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
         if g_hi - shift >= 0.0:
             return limit, ((limit, g_hi), (limit, g_hi))
     f_lo, f_hi = g_lo - shift, g_hi - shift
+    if curve is not None and hi - lo > _PROBE_WIDTH * hi:
+        root, toward = _asymptotic_root(curve, shift), 0.0
+        for _ in range(2):  # the asymptotic root, then next to it toward the root
+            rate = root * (1.0 + toward) - offset
+            if not lo < rate < hi:  # also nan
+                break
+            g = _log_slope(dlog, rate + offset)
+            value = g - shift
+            if value == 0.0:
+                return rate, ((rate, g), (rate, g))
+            if value > 0.0:
+                lo, g_lo, f_lo, toward = rate, g, value, _PROBE_STEP
+            else:
+                hi, g_hi, f_hi, toward = rate, g, value, -_PROBE_STEP
+    in_log = curve is None
     kept, widths = 0, []  # kept: +1 if the last step kept hi, -1 if it kept lo
     for step in range(_MAX_DEMAND_STEPS):
         width = hi - lo
@@ -479,7 +539,7 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
     kinds = [distinct.setdefault((entry.app.utility, entry.factor, entry.offset, limit),
                                  len(distinct)) for entry, limit in zip(table.rows, table.limits)]
     searches = [None if factor == 0.0 else (utility.dlog_evaluate, math.log(factor), offset, cap,
-                                            isinstance(utility, LogarithmicUtility))
+                                            _curve(utility))
                 for utility, factor, offset, cap in distinct]
     ends = [[None, None] for _ in distinct]
     plateau_of = [sigmoid_plateau(utility, factor) for utility, factor, _, _ in distinct]

@@ -10,7 +10,10 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nura import (
     Application,
@@ -31,6 +34,7 @@ from nura import (
     scenario,
 )
 from nura.utility import add_up, regime_table
+from test_price_response import _mpmath_demand
 from wide_trees import wide_tree
 
 
@@ -261,7 +265,8 @@ def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeyp
     steps, 49k with every row searched, not each distinct one); nested
     bisections took 542753. With each row's g at 0 and at its limit
     evaluated once per solve and Anderson-Bjorck weights in the row
-    searches they take 9509."""
+    searches they took 9509; with each sigmoid search probed first at its
+    curve's asymptotic root, 6441."""
     calls = _count_derivative_calls(monkeypatch)
     configs = [replace(cell, capacity=5.0 * i) for i in range(1, 41)] + [
         scenario._apply_weights(cell, epoch)
@@ -269,7 +274,7 @@ def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeyp
     ]
     for config in configs:
         centralized_solve(config.users, config.capacity)
-    assert calls[0] <= 10_000
+    assert calls[0] <= 7_000
 
 
 @pytest.mark.parametrize("capacity", [25.0, 40.0])
@@ -295,7 +300,8 @@ def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
     decades. Stepping to the ends' geometric mean there, and jumping the
     price search to the exits of rows at their limit, they took 33863;
     with each row's g at 0 and at its limit evaluated once per solve and
-    Anderson-Bjorck weights in the row searches, 31491. The outcome
+    Anderson-Bjorck weights in the row searches, 31491; with each sigmoid
+    search probed first at its curve's asymptotic root, 25047. The outcome
     classes stay as they were."""
     calls = _count_derivative_calls(monkeypatch)
     rng = random.Random(1)
@@ -311,7 +317,7 @@ def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
             else:
                 outcomes["solved"] += 1
     assert outcomes == {"solved": 167, "SolverError": 66, "ValidationError": 167}
-    assert calls[0] <= 33_000
+    assert calls[0] <= 27_000
 
 
 def test_certifying_the_benchmark_large_cell_takes_few_derivative_calls(monkeypatch):
@@ -321,7 +327,8 @@ def test_certifying_the_benchmark_large_cell_takes_few_derivative_calls(monkeypa
     the geometric mean of the ends there, and interpolating the price
     through the last three trials, it took 5349 in 7; with each row's g at
     0 and at its limit evaluated once per solve and Anderson-Bjorck
-    weights in the row searches, 4502 in 7."""
+    weights in the row searches, 4502 in 7; with each sigmoid search
+    probed first at its curve's asymptotic root, 3323 in 7."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import cells
 
@@ -329,7 +336,7 @@ def test_certifying_the_benchmark_large_cell_takes_few_derivative_calls(monkeypa
     calls = _count_derivative_calls(monkeypatch)
     searched = _spy_on_searches(monkeypatch)
     assert _price_trials(config, searched) <= 7
-    assert calls[0] <= 4_750
+    assert calls[0] <= 3_500
 
 
 @pytest.mark.parametrize("capacity", [30.0, 120.0])
@@ -527,7 +534,7 @@ def test_a_search_started_from_its_own_bracket_evaluates_nothing(utility, offset
         calls.append(rate)
         return utility.dlog_evaluate(rate)
 
-    row = (dlog, math.log(0.5), offset, 40.0, isinstance(utility, LogarithmicUtility))
+    row = (dlog, math.log(0.5), offset, 40.0, oracle._curve(utility))
     for log_price in (-5.0, -4.0, -3.0):
         rate, bracket = oracle._demand(row, log_price)
         assert calls and 0.0 < rate < 40.0
@@ -544,20 +551,67 @@ def test_a_search_next_to_a_flat_end_does_not_stall():
     falsi lands next to the upper end again and again. Halving the kept
     end's value each time (Illinois) took 21 evaluations, bisecting after
     every fourth; weighting it by 1 - f_new / f_old of the moving end
-    (Anderson-Bjorck) takes 6."""
+    (Anderson-Bjorck) took 6. The first probe, at the curve's asymptotic
+    root 3.763721426185066, lands on the root, so the search now takes 1."""
     calls = []
 
     def dlog(rate, utility=SigmoidalUtility(a=3.0, b=20.0)):
         calls.append(rate)
         return utility.dlog_evaluate(rate)
 
-    row = (dlog, math.log(0.5), 0.0, 5.0, False)
+    row = (dlog, math.log(0.5), 0.0, 5.0, oracle._curve(SigmoidalUtility(a=3.0, b=20.0)))
     higher = ((0.23104895821917712, 1.7917597751305625),
               (0.23104895821929264, 1.791759775130216))
     lower = ((3.775438037540996, 1.0986243403288496),) * 2
     rate, ((lo, _), (hi, _)) = oracle._demand(row, 0.405477590918451, higher, lower)
     assert lo <= rate <= hi and hi - lo <= 1e-12 * hi
     assert len(calls) <= 8
+
+
+# The sigmoid ranges of the fuzz generator in bench/cells.py, as in
+# test_price_response, prices 1e-6..1e3 given in ln p, an offset (abundant)
+# or none, and a limit below or above the demand; the carried brackets come
+# from searches at step above and below the price.
+@given(
+    a=st.sampled_from([0.1, 0.5, 1.0, 3.0, 10.0]),
+    b=st.floats(5.0, 60.0),
+    weight=st.floats(0.01, 1.0),
+    log_price=st.floats(-6.0 * math.log(10.0), 3.0 * math.log(10.0)),
+    offset=st.one_of(st.just(0.0), st.floats(1.0, 30.0)),
+    limit=st.floats(1.0, 300.0),
+    step=st.floats(1e-9, 1.0),
+)
+# Each first probe: at u > 700, past the flat stretch, below it, none at
+# u = 0 exactly, one past a limit set between the root and the asymptotic
+# root, and above an offset; ue1's row, whose first probe lands on its root.
+@example(10.0, 5.0, 1.0, math.log(1e-305), 0.0, 200.0, 1e-3)
+@example(1.0, 10.0, 0.5, math.log(0.01), 0.0, 100.0, 1e-3)
+@example(1.0, 10.0, 0.5, math.log(5.0), 0.0, 100.0, 1e-3)
+@example(1.0, 10.0, 1.0, math.log(1.0 + math.exp(-10.0)), 0.0, 100.0, 1e-3)
+@example(1.0, 10.0, 0.5, math.log(5.0), 0.0, 0.10536275765180018, 1e-3)
+@example(3.0, 20.0, 0.5, math.log(0.1), 10.0, 50.0, 1e-3)
+@example(3.0, 20.0, 0.5, 0.405477590918451, 0.0, 5.0, 1e-3)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_cold_and_carried_sigmoid_searches_match_mpmath(
+        a, b, weight, log_price, offset, limit, step):
+    """Each search's rate lies between the exact demands at 1e-13 above and
+    below the price in ln p, give or take its final 1e-12 * hi bracket: g
+    and the shift are rounded to about that, which on the flat stretch
+    leaves the rate itself loose."""
+    utility = SigmoidalUtility(a, b)
+    row = (utility.dlog_evaluate, math.log(weight), offset, limit, oracle._curve(utility))
+    near = abs(log_price - row[1] - row[4][2]) < oracle._NEAR_PLATEAU
+    ends = [None, None]
+    higher = oracle._demand(row, log_price + step, ends=ends)[1]
+    lower = oracle._demand(row, log_price - step, ends=ends)[1]
+    rates = [oracle._demand(row, log_price, halve=near)[0]] + [
+        oracle._demand(row, log_price, *brackets, ends, near)[0]
+        for brackets in ((higher, None), (None, lower), (higher, lower))]
+    with mpmath.workdps(40 + int(a * b / 2.3)):
+        least, most = (_mpmath_demand(a, b, weight, mpmath.exp(mpmath.mpf(log_price) + off),
+                                      limit, offset) for off in (1e-13, -1e-13))
+    for rate in rates:
+        assert least * (1.0 - 1e-12) <= rate <= most * (1.0 + 1e-12), (rates, least, most)
 
 
 def _water_fill(weights, limits, budget):
