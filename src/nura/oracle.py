@@ -9,15 +9,16 @@ centralized_solve clears one global price. Each application's demand at
 a price is the rate, at most its cap, its user's cap and the budget,
 where its marginal value factor * (ln U)'(rate + offset) meets the
 price, found by the oracle's own Anderson-Bjorck steps (regula falsi
-that scales down a stale end's value; _demand) on dlog_evaluate alone;
-a sigmoid row's search first probes where the asymptotes of its curve's
+that scales down a stale end's value; _demand) on dlog_evaluate alone,
+one step rule for every row, reading only the row and the price; a
+sigmoid row's search first probes where the asymptotes of its curve's
 (ln U)' on either side of the flat stretch meet the price, a point read
 off the curve's a and b that chooses where to evaluate only. It never
 calls the production demand solver or its Newton kernel, so a bug there
 cannot certify itself; it shares with the pipeline only the statement of
 the problem in the utility module: the regime table, with its input
 checks and row limits, the objective, and each sigmoid row's plateau,
-which chooses trial prices only. One clearing routine (_clear)
+which chooses _clear's trial prices only. One clearing routine (_clear)
 finds the price where total demand, added left to right, meets the
 budget, and tops every application up from its demand at the upper
 price toward its demand at the lower one by the same fraction. It also
@@ -55,10 +56,6 @@ _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 _STALL_STEPS = 4
 _MAX_DEMAND_STEPS = 5 * 2100
 _MAX_PRICE_STEPS = 5 * 70
-# Within this of its plateau price in ln p, the rounding of a sigmoid row's
-# g fixes its rate only to 1e-10 / a or worse (g' ~ a * 1e-6), and where a
-# search settles in that range moves the clearing's trials: steps halve there.
-_NEAR_PLATEAU = 1e-6
 # A sigmoid row's bracket wider than this times hi is probed first at its
 # curve's asymptotic root, then this far from it, relatively, toward the root.
 _PROBE_WIDTH = 1e-6
@@ -105,6 +102,8 @@ def _asymptotic_root(curve: tuple[float, float, float], shift: float) -> float:
     (ln U)' = a(1 + e^{-ab}) / D, D = e^{a(r-b)} + 1 - e^{-ab} - e^{-ar},
     so the root has D = e^u, u = ln(a(1 + e^{-ab})) - shift. Past the flat
     stretch (u > 0) D goes as e^{a(r-b)} + 1, below it (u < 0) as 1 - e^{-ar}.
+    ln(1 - e^u) is taken as log1mexp (Maechler 2012): below -ln 2 the log
+    of 1 - e^u, a float next to 1, would keep only its rounding.
     """
     a, b, log_scale = curve
     u = log_scale - shift
@@ -112,14 +111,15 @@ def _asymptotic_root(curve: tuple[float, float, float], shift: float) -> float:
         return b + u / a
     if u > 0.0:
         return b + math.log(math.expm1(u)) / a
+    if u < -_LN2:
+        return -math.log1p(-math.exp(u)) / a
     if u < 0.0:
         return -math.log(-math.expm1(u)) / a
     return math.nan
 
 
 def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
-            lower: tuple | None = None, ends: list | None = None,
-            halve: bool = False) -> tuple[float, tuple | None]:
+            lower: tuple | None = None, ends: list | None = None) -> tuple[float, tuple | None]:
     """Rate in [0, limit] maximizing factor * ln U(rate + offset) - price * rate,
     and the search's final bracket.
 
@@ -142,8 +142,8 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
     by m = 1 - f_new / f_old of the moving end, or by 1/2 where m <= 0
     (Anderson & Bjorck 1973), so that they do not creep toward the root
     from one side, as halving it (Illinois; Dowell & Jarratt 1971) did on a
-    sigmoid's convex flat stretch; with halve (a sigmoid row priced within
-    _NEAR_PLATEAU of its plateau price) they halve it. They interpolate in
+    sigmoid's convex flat stretch. Every row takes this one rule, whatever
+    its price: the search reads no plateau. They interpolate in
     the rate for a sigmoid, and in ln(rate + offset) for a log curve, where
     g is nearly linear. From lo = offset = 0, where (ln U)' goes as 1 /
     rate, they try e^{-shift}, or past hi a step of slope -1 in ln rate
@@ -248,12 +248,12 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
             return rate, ((rate, g), (rate, g))
         if value > 0.0:
             if kept > 0:
-                weight = 0.5 if halve else 1.0 - value / f_lo
+                weight = 1.0 - value / f_lo
                 f_hi *= weight if weight > 0.0 else 0.5
             lo, g_lo, f_lo, kept = rate, g, value, 1
         else:
             if kept < 0:
-                weight = 0.5 if halve else 1.0 - value / f_hi
+                weight = 1.0 - value / f_hi
                 f_lo *= weight if weight > 0.0 else 0.5
             hi, g_hi, f_hi, kept = rate, g, value, -1
     else:
@@ -467,8 +467,8 @@ def _clear(demand: Callable[..., tuple[list[float], object, list[tuple[float, fl
                 and not any(inside(p0, w, lo, hi) for p0, w in plateaus))):
             anchor = None
             span, x = landing(lo, hi)
-        near = [(p0, w) for p0, w in plateaus if 0.5 * lo <= p0 <= 2.0 * lo
-                and kept(p0, w, lo) and (p0, w) not in left] if anchor is None else ()
+        near = [(p0, w) for p0, w in plateaus
+                if kept(p0, w, lo) and (p0, w) not in left] if anchor is None else ()
         if near:  # those nearer where the step in ln p lands than last is, or in a
             # bracket that has stalled or that a jump has just closed
             aim = lo * math.exp(min(max(x, -700.0), 700.0)) if x == x else last.price
@@ -543,7 +543,6 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
                 for utility, factor, offset, cap in distinct]
     ends = [[None, None] for _ in distinct]
     plateau_of = [sigmoid_plateau(utility, factor) for utility, factor, _, _ in distinct]
-    log_p0 = [math.log(p[0]) if p and p[0] > 0.0 else math.inf for p in plateau_of]
 
     def plateaus(indices) -> list[tuple[float, float]]:
         return sorted({plateau_of[kinds[i]] for i in indices} - {None})
@@ -564,8 +563,7 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
         for kind in order:
             row = searches[kind]
             rate, bracket = found[kind] = _demand(
-                row, log_price, higher and higher[kind][1], lower and lower[kind][1], ends[kind],
-                abs(log_price - log_p0[kind]) < _NEAR_PLATEAU)
+                row, log_price, higher and higher[kind][1], lower and lower[kind][1], ends[kind])
             if bracket and rate == row[3] and bracket[1][1] + row[1] > log_price:
                 leaving[kind] = math.exp(min(bracket[1][1] + row[1], _LOG_FLOAT_MAX))
         rates = [found[kind][0] for kind in row_kinds]

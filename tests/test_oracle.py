@@ -266,7 +266,9 @@ def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeyp
     bisections took 542753. With each row's g at 0 and at its limit
     evaluated once per solve and Anderson-Bjorck weights in the row
     searches they took 9509; with each sigmoid search probed first at its
-    curve's asymptotic root, 6441."""
+    curve's asymptotic root, 6441; with every row search weighted by
+    Anderson-Bjorck, also next to a plateau price, 6376, and with the
+    asymptotic root below the flat stretch taken as log1mexp, 6380."""
     calls = _count_derivative_calls(monkeypatch)
     configs = [replace(cell, capacity=5.0 * i) for i in range(1, 41)] + [
         scenario._apply_weights(cell, epoch)
@@ -301,7 +303,10 @@ def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
     price search to the exits of rows at their limit, they took 33863;
     with each row's g at 0 and at its limit evaluated once per solve and
     Anderson-Bjorck weights in the row searches, 31491; with each sigmoid
-    search probed first at its curve's asymptotic root, 25047. The outcome
+    search probed first at its curve's asymptotic root, 25047, also with
+    every row search weighted by Anderson-Bjorck next to a plateau price;
+    with the asymptotic root below the flat stretch taken as log1mexp,
+    whose digits the log of a float next to 1 lost, 20626. The outcome
     classes stay as they were."""
     calls = _count_derivative_calls(monkeypatch)
     rng = random.Random(1)
@@ -317,7 +322,7 @@ def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
             else:
                 outcomes["solved"] += 1
     assert outcomes == {"solved": 167, "SolverError": 66, "ValidationError": 167}
-    assert calls[0] <= 27_000
+    assert calls[0] <= 21_700
 
 
 def test_certifying_the_benchmark_large_cell_takes_few_derivative_calls(monkeypatch):
@@ -328,7 +333,10 @@ def test_certifying_the_benchmark_large_cell_takes_few_derivative_calls(monkeypa
     through the last three trials, it took 5349 in 7; with each row's g at
     0 and at its limit evaluated once per solve and Anderson-Bjorck
     weights in the row searches, 4502 in 7; with each sigmoid search
-    probed first at its curve's asymptotic root, 3323 in 7."""
+    probed first at its curve's asymptotic root, 3323 in 7, also with
+    every row search weighted by Anderson-Bjorck next to a plateau price;
+    with the asymptotic root below the flat stretch taken as log1mexp,
+    3334 in 7."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import cells
 
@@ -583,7 +591,9 @@ def test_a_search_next_to_a_flat_end_does_not_stall():
 )
 # Each first probe: at u > 700, past the flat stretch, below it, none at
 # u = 0 exactly, one past a limit set between the root and the asymptotic
-# root, and above an offset; ue1's row, whose first probe lands on its root.
+# root, and above an offset; ue1's row, whose first probe lands on its root;
+# ue1's curve priced 1e-8 and 1e-7 in ln p on each side of its plateau
+# price 1.5, where the rounding of g fixes the rate most loosely.
 @example(10.0, 5.0, 1.0, math.log(1e-305), 0.0, 200.0, 1e-3)
 @example(1.0, 10.0, 0.5, math.log(0.01), 0.0, 100.0, 1e-3)
 @example(1.0, 10.0, 0.5, math.log(5.0), 0.0, 100.0, 1e-3)
@@ -591,6 +601,10 @@ def test_a_search_next_to_a_flat_end_does_not_stall():
 @example(1.0, 10.0, 0.5, math.log(5.0), 0.0, 0.10536275765180018, 1e-3)
 @example(3.0, 20.0, 0.5, math.log(0.1), 10.0, 50.0, 1e-3)
 @example(3.0, 20.0, 0.5, 0.405477590918451, 0.0, 5.0, 1e-3)
+@example(3.0, 20.0, 0.5, math.log(1.5) - 1e-7, 0.0, 50.0, 1e-9)
+@example(3.0, 20.0, 0.5, math.log(1.5) - 1e-8, 0.0, 50.0, 1e-9)
+@example(3.0, 20.0, 0.5, math.log(1.5) + 1e-8, 0.0, 50.0, 1e-9)
+@example(3.0, 20.0, 0.5, math.log(1.5) + 1e-7, 0.0, 50.0, 1e-9)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_cold_and_carried_sigmoid_searches_match_mpmath(
         a, b, weight, log_price, offset, limit, step):
@@ -600,18 +614,31 @@ def test_cold_and_carried_sigmoid_searches_match_mpmath(
     leaves the rate itself loose."""
     utility = SigmoidalUtility(a, b)
     row = (utility.dlog_evaluate, math.log(weight), offset, limit, oracle._curve(utility))
-    near = abs(log_price - row[1] - row[4][2]) < oracle._NEAR_PLATEAU
     ends = [None, None]
     higher = oracle._demand(row, log_price + step, ends=ends)[1]
     lower = oracle._demand(row, log_price - step, ends=ends)[1]
-    rates = [oracle._demand(row, log_price, halve=near)[0]] + [
-        oracle._demand(row, log_price, *brackets, ends, near)[0]
+    rates = [oracle._demand(row, log_price)[0]] + [
+        oracle._demand(row, log_price, *brackets, ends)[0]
         for brackets in ((higher, None), (None, lower), (higher, lower))]
     with mpmath.workdps(40 + int(a * b / 2.3)):
         least, most = (_mpmath_demand(a, b, weight, mpmath.exp(mpmath.mpf(log_price) + off),
                                       limit, offset) for off in (1e-13, -1e-13))
     for rate in rates:
         assert least * (1.0 - 1e-12) <= rate <= most * (1.0 + 1e-12), (rates, least, most)
+
+
+@pytest.mark.parametrize("u", [-1.0, -20.0, -40.0])
+def test_the_asymptotic_root_below_the_flat_stretch_matches_mpmath(u):
+    """Below the flat stretch the asymptotic root is -ln(1 - e^u) / a.
+    Taken as -ln(-expm1(u)) / a, the log of a float next to 1, it kept
+    only the rounding of 1 - e^u: 5e-8 relative at u = -20, and 0.0 in
+    place of 4.2e-18 / a at u = -40."""
+    curve = oracle._curve(SigmoidalUtility(a=3.0, b=20.0))
+    shift = curve[2] - u
+    with mpmath.workdps(50):
+        exact = -mpmath.log1p(-mpmath.exp(mpmath.mpf(curve[2] - shift))) / 3
+    root = oracle._asymptotic_root(curve, shift)
+    assert root == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def _water_fill(weights, limits, budget):
