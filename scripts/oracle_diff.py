@@ -23,7 +23,8 @@ For the oracle it also prints each side's total `dlog_evaluate` calls
 `oracle._demand` searches that took 12 or more of them, and its price
 trials counted per `oracle._clear` call (the distinct log prices within
 it): summed over the first clearings, summed over the capped users'
-splits, and the most in any one clearing. Last, as its accuracy, it
+splits, and the most in any one clearing; and each side's number of
+splits, every clearing after a cell's first. Last, as its accuracy, it
 prints each side's worst stationarity spread over the solved cells, with
 the number of cells whose spread rose and fell: per clearing, the
 largest max - min of ln(factor * dlog_evaluate(app rate)) over its rows
@@ -214,7 +215,8 @@ def main(argv=None) -> None:
             differ, worst, rose, fell, total, totals = [], 0.0, 0, 0, 0.0, 0.0
             called, calls = 0, 0  # each side's dlog_evaluate calls
             slow, slows = 0, 0  # each side's searches of LONG_SEARCH or more of them
-            split = [[0, 0, 0], [0, 0, 0]]  # each side's first, split and most clearing trials
+            # each side's first, split and most clearing trials, and its splits
+            split = [[0, 0, 0, 0], [0, 0, 0, 0]]
             spreads, wider, narrower = [0.0, 0.0], 0, 0  # each side's worst stationarity spread
             for (label, capacity, parent), (_, _, change) in zip(cells, new[name]):
                 (before, tried, dlogs, was, long, spread), (
@@ -228,6 +230,7 @@ def main(argv=None) -> None:
                     side[0] += counts[0] if counts else 0
                     side[1] += sum(counts[1:])
                     side[2] = max([side[2]] + counts)
+                    side[3] += max(len(counts) - 1, 0)
                 if _class(before) != _class(after):
                     differ.append(f"{label}: {_class(before)} -> {_class(after)}")
                 elif not isinstance(before, str):
@@ -241,7 +244,8 @@ def main(argv=None) -> None:
                   f"trials {total:g} -> {totals:g} ({rose} rose, {fell} fell)"
                   + (f", dlog_evaluate calls {called} -> {calls}, searches of"
                      f" {LONG_SEARCH}+ calls {slow} -> {slows}; per clearing: first"
-                     f" {split[0][0]} -> {split[1][0]}, splits {split[0][1]} -> {split[1][1]},"
+                     f" {split[0][0]} -> {split[1][0]}, splits {split[0][1]} -> {split[1][1]}"
+                     f" in {split[0][3]} -> {split[1][3]} clearings,"
                      f" most {split[0][2]} -> {split[1][2]}; worst stationarity spread"
                      f" {spreads[0]:.3g} -> {spreads[1]:.3g} ({wider} rose, {narrower} fell)"
                      if solver == "centralized_solve" else ""))

@@ -21,9 +21,10 @@ checks and row limits, the objective, and each sigmoid row's plateau,
 which chooses _clear's trial prices only. One clearing routine (_clear)
 finds the price where total demand, added left to right, meets the
 budget, and tops every application up from its demand at the upper
-price toward its demand at the lower one by the same fraction. It also
-splits a capped user's share among its applications, once per distinct
-split.
+price toward its demand at the lower one by the same fraction. Under
+scarce capacity it also splits the share of each user the clearing caps
+among its applications, from the clearing's upper end, once per
+distinct split; every other user keeps its rows as cleared.
 
 grid_search_solve is the brute-force anti-hallucination oracle for tiny
 instances: exhaustive enumeration over the step-grid of the feasible
@@ -277,8 +278,9 @@ class _Trial(NamedTuple):
 def _clear(demand: Callable[..., tuple[list[float], object, list[tuple[float, float]]]],
            budget: float,
            plateaus: Sequence[tuple[float, float]] = (),
-           start: tuple[float, object] = (1.0, None)) -> list[float]:
-    """Amounts summing to budget at the price where demand meets it.
+           start: tuple[float, object] = (1.0, None)) -> tuple[list[float], float, _Trial, _Trial]:
+    """Amounts summing to budget at the price where demand meets it, the
+    fraction that tops them up and the upper and lower end trials.
 
     demand(price, higher, lower) returns nonincreasing amounts, a state of
     the searches behind them, and the exits: for each row at its limit
@@ -508,7 +510,8 @@ def _clear(demand: Callable[..., tuple[list[float], object, list[tuple[float, fl
             upper = last
     gap = lower.total - upper.total
     fraction = (budget - upper.total) / gap if gap > 0.0 else 0.0
-    return [u + fraction * (v - u) for u, v in zip(upper.amounts, lower.amounts)]
+    return ([u + fraction * (v - u) for u, v in zip(upper.amounts, lower.amounts)],
+            fraction, upper, lower)
 
 
 def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleResult:
@@ -520,13 +523,13 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
     utilities evaluated at the raw rates. Abundant capacity: all users,
     every target granted off the top, utilities evaluated above targets.
 
-    Uncapped users compete application by application; a capped user
-    competes as one amount, its demand held at its cap, and that amount
-    is then cleared among its own applications, starting from the
-    clearing's trial where the sum of those rows came nearest it (in ln),
-    with the searches there as its first trial's start. A row of a capped
-    user holds its limit toward the clearing's exits only up to the cap,
-    the rows leaving last first.
+    Under scarce capacity each user competes as one amount, its demand
+    held at its cap, a row holding its limit toward the clearing's exits
+    only up to the cap, the rows leaving last first. A user whose rows at
+    the clearing's lower end add up to no more than its cap (a zero
+    multiplier) keeps them, topped up by the clearing's fraction; every
+    other user's share is cleared among its own rows from the clearing's
+    upper end, its price and its searches starting the first trial.
     """
     table = regime_table(users, capacity)
     groups: list[list[int]] = [[] for _ in table.participants]
@@ -582,13 +585,11 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
     every_row = range(len(table.rows))
     if table.case is not CaseFlag.TARGETS_EXCEED_CAPACITY:  # no user is capped
         return _assemble(users, table, _clear(splitting(every_row), table.budget,
-                                              plateaus(every_row)), "dual_bisection")
+                                              plateaus(every_row))[0], "dual_bisection")
     everything = layout(every_row)
-    tried: list[tuple[float, dict]] = []  # the global clearing's trials: price and state
 
     def competing(price, higher, lower) -> tuple[list[float], dict, list[tuple[float, float]]]:
         rates, state, leaving = rates_at(everything, price, higher, lower)
-        tried.append((price, state))
         amounts = [min(add_up(rates[i] for i in group), cap)
                    for group, cap in zip(groups, table.user_caps)]
         exits: list[tuple[float, float]] = []
@@ -600,26 +601,23 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
                     cap -= min(rate, cap)
         return amounts, state, exits
 
-    def nearest(group, share: float) -> tuple[float, dict]:
-        # The global trial where the group's rows came nearest share, in ln.
-        def off(trial) -> float:
-            total = add_up(trial[1][kinds[i]][0] for i in group)
-            return abs(math.log(total / share)) if total > 0.0 else math.inf
-        return min(tried, key=off)
-
+    shares, fraction, upper, lower = _clear(competing, table.budget, plateaus(every_row))
     # Users equal in row kinds and share (positive floats are equal only
     # bit for bit) split alike, so each such split is cleared once.
     splits: dict[tuple, list[float]] = {}
     rates: list[float] = []
-    for group, share in zip(groups, _clear(competing, table.budget, plateaus(every_row))):
-        if share > 0.0:
-            key = (tuple(kinds[i] for i in group), share)
-            if key not in splits:
-                splits[key] = _clear(splitting(group), share, plateaus(group),
-                                     nearest(group, share))
-            rates.extend(splits[key])
-        else:  # a VIP without targets has nothing to split
-            rates.extend(0.0 for _ in group)
+    for group, share, cap in zip(groups, shares, table.user_caps):
+        row_kinds = tuple(kinds[i] for i in group)
+        pairs = [(upper.state[kind][0], lower.state[kind][0]) for kind in row_kinds]
+        # Below its cap at the lower end, a user is below it across the bracket;
+        # a zero share past it takes fraction 0 and rows all 0 at the upper end.
+        if share == 0.0 or add_up(v for _, v in pairs) <= cap:
+            rates.extend(u + fraction * (v - u) for u, v in pairs)
+            continue
+        if (row_kinds, share) not in splits:
+            splits[row_kinds, share] = _clear(splitting(group), share, plateaus(group),
+                                              (upper.price, upper.state))[0]
+        rates.extend(splits[row_kinds, share])
     return _assemble(users, table, rates, "dual_bisection")
 
 

@@ -277,11 +277,17 @@ def test_the_oracle_certifies_tiny_capacities(cell, capacity):
 def test_a_capacity_below_every_demand_raises_in_both_solvers(cell):
     # Validation accepts R = 1e-310, but the demands at the largest float
     # price still overspend a budget that small.
+    # Each error carries the last price bracket it tried, a pair lo <= hi.
     config = scenario_from_dict({**scenario_to_dict(cell), "R": 1e-310})
-    with pytest.raises(SolverError, match=r"demand .* exceeds the budget .* at every price up to"):
+    with pytest.raises(SolverError, match=r"demand .* exceeds the budget .* at every price up to"
+                       ) as solved:
         run_once(config)
-    with pytest.raises(SolverError, match="total demand stays above budget at any price"):
+    with pytest.raises(SolverError, match="total demand stays above budget at any price"
+                       ) as certified:
         centralized_solve(config.users, config.capacity)
+    for raised in (solved, certified):
+        lo, hi = raised.value.bracket
+        assert lo <= hi
 
 
 def _sigmoid_a_1e301(ue1):

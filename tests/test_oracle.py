@@ -468,17 +468,18 @@ def test_equal_capped_users_with_equal_shares_split_once(cell, monkeypatch):
 
 
 def test_splits_start_from_the_clearing_in_few_price_trials(cell, monkeypatch):
-    """At R = 5, 10, ..., 50 the capped users' splits (every clearing after
-    a solve's first) took 214 price trials in all from p = 1, and 148 from
-    the global clearing's upper end stepping out by at least 2; from the
-    global trial where the user's rows came nearest its share, stepping
-    by e^{4|g|} there, they take 77, and the global clearings 65 for 90. A
-    split's first trial repeats a global price, so demand calls are
-    counted, not distinct prices."""
+    """At R = 5, 10, ..., 50 the global clearings take 65 price trials for
+    the 10 cells. Only the users they cap are split, each from the global
+    clearing's upper end stepping by e^{4|g|} there: ue1 at R = 25 to 50
+    and ue2 at R = 50, 7 trials each, 49 in all. Splitting every VIP with
+    a share as well, also those below their caps, each from the global
+    trial where its rows came nearest its share, took 77. A split's first
+    trial repeats a global price, so demand calls are counted, not
+    distinct prices."""
     clearings = [_demand_calls(replace(cell, capacity=5.0 * i), monkeypatch)
                  for i in range(1, 11)]
     assert sum(calls[0] for calls in clearings) <= 65
-    assert sum(sum(calls[1:]) for calls in clearings) <= 77
+    assert sum(sum(calls[1:]) for calls in clearings) <= 49
 
 
 def _demand_calls(config, monkeypatch) -> list[int]:
@@ -512,12 +513,16 @@ def test_a_clearing_whose_total_sits_on_a_clipped_row_jumps_to_its_exit(cell, mo
     assert _demand_calls(replace(cell, capacity=50.0), monkeypatch)[2] <= 8
 
 
-def test_a_split_started_next_to_its_root_steps_by_its_own_reach(cell, monkeypatch):
-    """At R = 15 ue1's split starts 1.1e-8 below the plateau price 1.5,
-    with a total 1.1e-8 short of its share: a first step of at least x2
-    and secant steps from one side took 17 trials, each halving the gap;
-    a first step of e^{4|g|} takes 2."""
-    assert _demand_calls(replace(cell, capacity=15.0), monkeypatch)[1] <= 4
+def test_users_below_their_caps_keep_the_clearings_rows_unsplit(cell, monkeypatch):
+    """At R = 15 both VIPs sit below their caps (ue1 14.018 of 20, ue2
+    0.982 of 30), so their caps' multipliers are 0 and their rows keep
+    the global clearing's price: one clearing and no split. Each used to
+    be split again on its own rows."""
+    table = regime_table(cell.users, 15.0)
+    result = centralized_solve(cell.users, 15.0)
+    for user, cap in zip(table.participants, table.user_caps):
+        assert result.user_rates[user.user_id] < cap
+    assert len(_demand_calls(replace(cell, capacity=15.0), monkeypatch)) == 1
 
 
 @pytest.mark.parametrize("capacity", [25.0, 30.0, 35.0, 40.0, 45.0])
@@ -681,7 +686,7 @@ def test_a_closed_form_demand_clipped_at_a_tiny_budget_clears_in_few_trials():
         amounts = [min(w / price, limit) for w, limit in zip(weights, limits)]
         return amounts, amounts, _exits(weights, limits, price)
 
-    got = oracle._clear(demand, budget)
+    got = oracle._clear(demand, budget)[0]
     assert got == pytest.approx(_water_fill(weights, limits, budget)[0], abs=1e-9 * budget)
     assert len(calls) <= 6
 
@@ -706,11 +711,37 @@ def test_clearing_a_closed_form_demand_meets_the_exact_amounts():
                         totals.append(add_up(amounts))
                         return amounts, amounts, _exits(weights, limits, price)
 
-                    got = oracle._clear(demand, budget, plateaus)
+                    got = oracle._clear(demand, budget, plateaus)[0]
                     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * budget
                     near = [total for total in totals if abs(total - budget) <= 0.5e-9 * budget]
                     stops.update("lower" if total > budget else "upper" for total in near)
     assert stops == {"lower", "upper"}
+
+
+def test_a_warm_start_next_to_the_root_steps_out_by_its_own_reach():
+    """Amounts w / p started 1e-8 short of the budget: with the searches'
+    state (a warm start, as a split's from the global clearing is) the
+    first step out is e^{4|g|}, since such a start often lies next to the
+    root; cold, it is a factor of 2. At ref_sweep R = 15 a split started
+    1.1e-8 below the plateau price 1.5 took 17 trials stepping out by 2
+    and 2 stepping out by e^{4|g|}. Either way these amounts, g linear in
+    ln p, clear in 3 trials within 1e-9 * budget of the exact ones."""
+    weights, budget = [1.0, 2.0, 3.0], 6.0
+    want, root = _water_fill(weights, [budget] * 3, budget)
+    start = root / (1.0 - 1e-8)
+    g = math.log1p(-1e-8)
+    for state, first_step in (("warm", 4.0 * abs(g)), (None, math.log(2.0))):
+        prices = []
+
+        def demand(price, higher, lower):
+            prices.append(price)
+            amounts = [w / price for w in weights]
+            return amounts, amounts, []
+
+        got = oracle._clear(demand, budget, (), (start, state))[0]
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * budget
+        assert math.log(prices[0] / prices[1]) == pytest.approx(first_step, rel=1e-6)
+        assert len(prices) <= 3
 
 
 @pytest.mark.parametrize("off", [1e-10, 1e-8, -1e-10, -1e-8])
@@ -726,7 +757,7 @@ def test_a_total_near_the_budget_at_the_end_of_the_price_range_clears_there(off)
 
     for plateaus in [[], *_wrong_plateaus(1.0)]:
         if abs(off) < 5e-10:
-            got = sum(oracle._clear(demand, budget, plateaus))
+            got = sum(oracle._clear(demand, budget, plateaus)[0])
             assert got == pytest.approx(budget, rel=1e-9)
         else:
             with pytest.raises(SolverError, match="above" if off > 0.0 else "below"):

@@ -207,6 +207,13 @@ def test_user_rate_scales_price_by_beta():
     assert user_rate_at_price(user, price=1.0 / 11.0, user_cap=8.0) == 8.0
 
 
+def test_a_negative_user_cap_is_rejected():
+    user = UserProfile("u", UserClass.VIP, beta=1.0, apps=(log_app(),))
+    assert user_rate_at_price(user, price=0.5, user_cap=0.0) == 0.0
+    with pytest.raises(DomainError, match="user_cap must be nonnegative"):
+        user_rate_at_price(user, price=0.5, user_cap=-1.0)
+
+
 # ---------------------------------------------------------------------------
 # closed forms against bisection on the same stationarity condition
 
