@@ -10,17 +10,17 @@ a price is the rate, at most its cap, its user's cap and the budget,
 where its marginal value factor * (ln U)'(rate + offset) meets the
 price, found by the oracle's own Anderson-Bjorck steps (regula falsi
 that scales down a stale end's value; _demand) on dlog_evaluate alone,
-one step rule for every row, reading only the row and the price; a
-sigmoid row's search first probes where the asymptotes of its curve's
-(ln U)' on either side of the flat stretch meet the price, a point read
-off the curve's a and b that chooses where to evaluate only. It never
-calls the production demand solver or its Newton kernel, so a bug there
-cannot certify itself; it shares with the pipeline only the statement of
-the problem in the utility module: the regime table, with its input
-checks and row limits, the objective, and each sigmoid row's plateau,
-which chooses _clear's trial prices only. One clearing routine (_clear)
-finds the price where total demand, added left to right, meets the
-budget, and tops every application up from its demand at the upper
+in ln(rate + offset) for every row, reading only the row and the price;
+a sigmoid row's search first probes, once, where the asymptotes of its
+curve's (ln U)' on either side of the flat stretch meet the price, a
+point read off the curve's a and b that chooses where to evaluate only.
+It never calls the production demand solver or its Newton kernel, so a
+bug there cannot certify itself; it shares with the pipeline only the
+statement of the problem in the utility module: the regime table, with
+its input checks and row limits, the objective, and each sigmoid row's
+plateau, which chooses _clear's trial prices only. One clearing routine
+(_clear) finds the price where total demand, added left to right, meets
+the budget, and tops every application up from its demand at the upper
 price toward its demand at the lower one by the same fraction. Under
 scarce capacity it also splits the share of each user the clearing caps
 among its applications, from the clearing's upper end, once per
@@ -50,17 +50,17 @@ _LOG_MAX_STRETCH = 512 * _LN2  # the widest step out, a factor of 2^512
 _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 # A step that finds its bracket not halved within the last _STALL_STEPS
 # steps bisects it, so the bracket halves at least once in every 5 steps.
-# A rate bracket, under 2^1024 wide, reaches adjacent floats (2^-1074
-# apart) within 2098 halvings. A price bracket lies in the float range, so
-# it is under 2^11 wide in ln p and reaches adjacent floats (2^-53 apart
-# in ln p) within 64. The bounds leave a few halvings to rounding.
+# A bracket in x = ln(rate + offset) or ln p lies in the float range, so
+# it is under 2^11 wide and reaches adjacent floats (2^-53 apart) within
+# 64 halvings. A rate bracket, under 2^1024 wide, reaches adjacent floats
+# (2^-1074 apart) within 2098 more, where a row search bisects in the
+# rate. The bounds leave a few halvings to rounding.
 _STALL_STEPS = 4
-_MAX_DEMAND_STEPS = 5 * 2100
+_MAX_DEMAND_STEPS = 5 * 2170
 _MAX_PRICE_STEPS = 5 * 70
 # A sigmoid row's bracket wider than this times hi is probed first at its
-# curve's asymptotic root, then this far from it, relatively, toward the root.
+# curve's asymptotic root.
 _PROBE_WIDTH = 1e-6
-_PROBE_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ def _log_slope(dlog, arg: float) -> float:
 
 
 def _curve(utility) -> tuple[float, float, float] | None:
-    """A row's curve as _demand reads it: None for a log curve, searched in
-    ln(rate + offset); (a, b, ln(a(1 + e^{-ab}))) for a sigmoid."""
+    """A row's curve as _demand reads it: None for a log curve, which it
+    does not probe; (a, b, ln(a(1 + e^{-ab}))) for a sigmoid."""
     if isinstance(utility, LogarithmicUtility):
         return None
     return utility.a, utility.b, math.log(utility.a * (1.0 + math.exp(-utility.a * utility.b)))
@@ -131,31 +131,28 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
     offset) falls to shift = ln price - ln factor.
 
     A sigmoid row whose bracket is wider than _PROBE_WIDTH * hi is probed
-    first at its curve's asymptotic root less the offset
-    (_asymptotic_root; none at u = 0, nor where it falls outside the
-    bracket), and then _PROBE_STEP from it, relatively, toward the root,
-    so that the steps below start from two finite ends, often a few 1e-6
-    apart around the root. The probes choose points only: each updates
-    the bracket by the sign of its g - shift, as a step does.
+    once, at its curve's asymptotic root less the offset (_asymptotic_root;
+    none at u = 0, nor where it falls outside the bracket). The probe
+    chooses a point only: it updates the bracket by the sign of its
+    g - shift, as a step does.
 
     Anderson-Bjorck steps find it on g - shift, which decreases in the
     rate: regula falsi that scales the value at an end kept twice running
     by m = 1 - f_new / f_old of the moving end, or by 1/2 where m <= 0
     (Anderson & Bjorck 1973), so that they do not creep toward the root
     from one side, as halving it (Illinois; Dowell & Jarratt 1971) did on a
-    sigmoid's convex flat stretch. Every row takes this one rule, whatever
-    its price: the search reads no plateau. They interpolate in
-    the rate for a sigmoid, and in ln(rate + offset) for a log curve, where
-    g is nearly linear. From lo = offset = 0, where (ln U)' goes as 1 /
-    rate, they try e^{-shift}, or past hi a step of slope -1 in ln rate
-    from hi; a sigmoid, whose (ln U)' goes so only below 1 / a, tries
-    e^{-shift} only where bisection would take 10 steps to reach it. While
-    one end's g is infinite (a rate of 0 at offset 0, or a slope that
-    underflows) and the bracket spans over a factor of 4 in rate + offset,
-    it steps to the geometric mean of the ends' rate + offset instead of
-    bisecting across decades. A step that lands within 0.5e-12 * hi of an
-    end goes that far past it instead, so a root hugging an end is closed
-    in one step (Brent 1973, ch. 4).
+    sigmoid's convex flat stretch. Every row takes the same rules, whatever
+    its curve and price: the search reads no plateau. Each step and each
+    bisection works in x = ln(rate + offset), where a log curve's g is
+    nearly linear and an end whose g is infinite (a rate of 0 at offset 0,
+    or a slope that underflows) is left in few bisections across decades;
+    a bisection whose midpoint in x rounds onto an end, or whose lo +
+    offset is 0, takes the midpoint in the rate. From lo = offset = 0,
+    where (ln U)' goes as 1 / rate (a sigmoid's below 1 / a), the step is
+    e^{-shift}, or past hi a step of slope -1 in ln rate from hi. A step
+    that lands within 0.5e-12 * hi of an end goes that far past it
+    instead, so a root hugging an end is closed in one step (Brent 1973,
+    ch. 4).
 
     The bracket is ((lo, g(lo)), (hi, g(hi))), ends that enclose the rate
     (equal where it is exact or an end of [0, limit]). higher and lower are
@@ -193,21 +190,17 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
         if g_hi - shift >= 0.0:
             return limit, ((limit, g_hi), (limit, g_hi))
     f_lo, f_hi = g_lo - shift, g_hi - shift
-    if curve is not None and hi - lo > _PROBE_WIDTH * hi:
-        root, toward = _asymptotic_root(curve, shift), 0.0
-        for _ in range(2):  # the asymptotic root, then next to it toward the root
-            rate = root * (1.0 + toward) - offset
-            if not lo < rate < hi:  # also nan
-                break
+    if curve is not None and hi - lo > _PROBE_WIDTH * hi:  # probe the asymptotic root
+        rate = _asymptotic_root(curve, shift) - offset
+        if lo < rate < hi:  # also not nan
             g = _log_slope(dlog, rate + offset)
             value = g - shift
             if value == 0.0:
                 return rate, ((rate, g), (rate, g))
             if value > 0.0:
-                lo, g_lo, f_lo, toward = rate, g, value, _PROBE_STEP
+                lo, g_lo, f_lo = rate, g, value
             else:
-                hi, g_hi, f_hi, toward = rate, g, value, -_PROBE_STEP
-    in_log = curve is None
+                hi, g_hi, f_hi = rate, g, value
     kept, widths = 0, []  # kept: +1 if the last step kept hi, -1 if it kept lo
     for step in range(_MAX_DEMAND_STEPS):
         width = hi - lo
@@ -215,21 +208,14 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
             break
         widths.append(width)
         gap = f_lo - f_hi
+        x_lo = math.log(lo + offset) if lo + offset > 0.0 else -math.inf
+        x_hi = math.log(hi + offset)
         if step >= _STALL_STEPS and width > 0.5 * widths[step - _STALL_STEPS]:
             rate = math.nan  # stalled: bisect, below
         elif 0.0 < gap < math.inf:  # so f_lo < inf and lo + offset > 0
-            if in_log:
-                x_lo = math.log(lo + offset)
-                rate = math.exp(x_lo + f_lo / gap * (math.log(hi + offset) - x_lo)) - offset
-            else:
-                rate = lo + f_lo / gap * width
+            rate = math.exp(x_lo + f_lo / gap * (x_hi - x_lo)) - offset
         elif lo + offset == 0.0:  # both are 0, where (ln U)' goes as 1 / rate
-            if -shift >= math.log(hi):  # e^{-shift} >= hi
-                rate = hi * math.exp(g_hi - shift)
-            else:  # a sigmoid's (ln U)' goes so only below 1 / a
-                rate = math.exp(-shift) if in_log or -shift < math.log(hi / 1024.0) else math.nan
-        elif hi + offset > 4.0 * (lo + offset):  # one end's g is infinite: step in ln(rate + offset)
-            rate = math.sqrt(lo + offset) * math.sqrt(hi + offset) - offset
+            rate = hi * math.exp(g_hi - shift) if -shift >= x_hi else math.exp(-shift)
         else:
             rate = math.nan
         nudge = 0.5e-12 * hi
@@ -237,10 +223,12 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
             rate = lo + nudge
         elif hi - rate < nudge:
             rate = hi - nudge
-        if not lo < rate < hi:
-            rate = lo + 0.5 * width
+        if not lo < rate < hi:  # bisect in ln(rate + offset), else in the rate
+            rate = math.exp(0.5 * (x_lo + x_hi)) - offset
             if not lo < rate < hi:
-                break  # adjacent floats
+                rate = lo + 0.5 * width
+                if not lo < rate < hi:
+                    break  # adjacent floats
         arg = rate + offset  # _log_slope(dlog, arg), written out
         slope = dlog(arg) if arg > 0.0 else math.inf
         g = math.log(slope) if slope > 0.0 else -math.inf
