@@ -152,7 +152,9 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
     e^{-shift}, or past hi a step of slope -1 in ln rate from hi. A step
     that lands within 0.5e-12 * hi of an end goes that far past it
     instead, so a root hugging an end is closed in one step (Brent 1973,
-    ch. 4).
+    ch. 4). The rate returned is the secant root of the final bracket, in
+    the rate, through the unweighted g - shift at its ends, or its midpoint
+    where an end's g is infinite.
 
     The bracket is ((lo, g(lo)), (hi, g(hi))), ends that enclose the rate
     (equal where it is exact or an end of [0, limit]). higher and lower are
@@ -247,7 +249,9 @@ def _demand(row: tuple | None, log_price: float, higher: tuple | None = None,
             hi, g_hi, f_hi, kept = rate, g, value, -1
     else:
         raise SolverError(f"demand bracket ({lo}, {hi}) did not close", bracket=(lo, hi))
-    return lo + 0.5 * (hi - lo), ((lo, g_lo), (hi, g_hi))
+    f_lo, f_hi = g_lo - shift, g_hi - shift  # unweighted
+    part = f_lo / (f_lo - f_hi) if f_lo < math.inf and f_hi > -math.inf else 0.5
+    return lo + part * (hi - lo), ((lo, g_lo), (hi, g_hi))
 
 
 class _Trial(NamedTuple):

@@ -257,7 +257,7 @@ def _count_derivative_calls(monkeypatch) -> list[int]:
 
 def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeypatch):
     """Certifying the 40 sweep points and the 3 schedule epochs at R = 200
-    costs few dlog_evaluate calls: 5726, with every row search stepping in
+    costs few dlog_evaluate calls: 5751, with every row search stepping in
     ln(rate + offset) and each sigmoid search probed once, at its curve's
     asymptotic root."""
     calls = _count_derivative_calls(monkeypatch)
@@ -287,7 +287,7 @@ def test_certifying_a_cell_whose_roots_hug_their_brackets_takes_few_derivative_c
 def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
     """Certifying the 400 trees drawn at s = 300 (tests/wide_trees.py),
     whose searches span hundreds of decades of rate, costs few
-    dlog_evaluate calls (20333) and keeps each tree's outcome class:
+    dlog_evaluate calls (20315) and keeps each tree's outcome class:
     solved, or a typed error."""
     calls = _count_derivative_calls(monkeypatch)
     rng = random.Random(1)
@@ -309,7 +309,7 @@ def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
 def test_certifying_the_benchmark_large_cell_takes_few_derivative_calls(monkeypatch):
     """Certifying the benchmark's large_cell, 64 jittered users at
     R = 3200 with no curve shared between users, costs few price trials
-    (7) and few dlog_evaluate calls (3163)."""
+    (7) and few dlog_evaluate calls (3169)."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import cells
 
@@ -318,6 +318,27 @@ def test_certifying_the_benchmark_large_cell_takes_few_derivative_calls(monkeypa
     searched = _spy_on_searches(monkeypatch)
     assert _price_trials(config, searched) <= 7
     assert calls[0] <= 3_300
+
+
+def test_the_benchmark_large_cell_meets_one_marginal_value_to_rounding(monkeypatch):
+    """Every row of large_cell strictly inside its limits, give or take the
+    clearing tolerance, meets one price in marginal value: each row search
+    returns the secant root of its final bracket, not its midpoint (a
+    spread of 3.1e-14 against 3.9e-11)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import cells
+
+    config = scenario.scenario_from_dict(cells.large_tree(7))
+    assert config.capacity == 3200.0
+    result = centralized_solve(config.users, config.capacity)
+    table = regime_table(config.users, config.capacity)
+    tol = 1e-9 * table.budget
+    finals = [rate for user in table.participants for rate in result.app_rates[user.user_id]]
+    marginals = [math.log(row.factor * row.app.utility.dlog_evaluate(final))
+                 for row, limit, final in zip(table.rows, table.limits, finals)
+                 if tol < final - row.offset < limit - tol]
+    assert len(marginals) > 64
+    assert max(marginals) - min(marginals) <= 1e-12
 
 
 @pytest.mark.parametrize("capacity", [30.0, 120.0])
