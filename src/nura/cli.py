@@ -1,8 +1,11 @@
 """Command-line surface: run, sweep, schedule, and validate subcommands.
 
 Exit codes: 0 success, 2 validation failure (bad files or a validate
-run whose deviation exceeds the tolerance), 3 non-convergence, 4 I/O
-problems. There is no seed flag anywhere; every run is deterministic.
+run whose deviation exceeds the tolerance) or any other library error,
+3 non-convergence, 4 I/O problems. A sweep whose points fail exits 3
+only when every failed point failed to converge (ProtocolError), and 2
+otherwise; either way it lists every failed point. There is no seed
+flag anywhere; every run is deterministic.
 """
 
 from __future__ import annotations
@@ -170,7 +173,11 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
-    except (ProtocolError, SweepError) as exc:
+    except SweepError as exc:
+        converging = all(isinstance(error, ProtocolError) for _, error in exc.failures)
+        print(f"{'convergence error' if converging else 'error'}: {exc}", file=sys.stderr)
+        return _EXIT_NO_CONVERGENCE if converging else _EXIT_VALIDATION
+    except ProtocolError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return _EXIT_NO_CONVERGENCE
     except OSError as exc:

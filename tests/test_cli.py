@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -259,23 +260,59 @@ def test_run_leaves_the_certifier_unloaded_and_validate_loads_it():
     assert result.returncode == 0, result.stderr
 
 
+STARVED_SCENARIO = """\
+R: 40.0
+protocol: {max_rounds: 5}
+users:
+  - id: v
+    class: vip
+    beta: 1.0
+    apps:
+      - utility: {kind: sigmoidal, a: 1.0, b: 30.0}
+        weight: 1.0
+        target_rate: 50.0
+"""
+
+# One sigmoid whose demand saturates below R = 191 at every price: a solver
+# error, not a failure to converge.
+SATURATING_SCENARIO = """\
+R: 191.0
+users:
+  - id: u
+    class: regular
+    beta: 1.0
+    apps:
+      - utility: {kind: sigmoidal, a: 10.0, b: 23.4}
+        weight: 1.0
+"""
+
+
 def test_round_limit_is_convergence_error(tmp_path, capsys):
     scenario = tmp_path / "starved.yaml"
-    scenario.write_text(
-        "R: 40.0\n"
-        "protocol: {max_rounds: 5}\n"
-        "users:\n"
-        "  - id: v\n"
-        "    class: vip\n"
-        "    beta: 1.0\n"
-        "    apps:\n"
-        "      - utility: {kind: sigmoidal, a: 1.0, b: 30.0}\n"
-        "        weight: 1.0\n"
-        "        target_rate: 50.0\n"
-    )
+    scenario.write_text(STARVED_SCENARIO)
     code = main(["run", "--scenario", str(scenario)])
     assert code == 3
     assert "convergence error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, capacity, code, prefix", [
+    (STARVED_SCENARIO, "40", 3, "convergence error: "),
+    (SATURATING_SCENARIO, "191", 2, "error: "),
+], ids=["starved", "saturating"])
+def test_a_failed_sweep_exits_as_run_does_on_its_points(text, capacity, code, prefix, tmp_path,
+                                                       capsys):
+    """A sweep exits 3 only when every failed point failed to converge, and
+    otherwise 2 with the "error:" prefix that run prints for the same cell."""
+    scenario = tmp_path / "cell.yaml"
+    scenario.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the saturation warning
+        assert main(["run", "--scenario", str(scenario)]) == code
+        assert main(["sweep", "--scenario", str(scenario), "--r-start", capacity,
+                     "--r-end", capacity, "--r-step", "1", "--out", str(tmp_path / "out")]) == code
+    run_err, sweep_err = capsys.readouterr().err.strip().split("\n")
+    assert run_err.startswith(prefix) and sweep_err.startswith(prefix)
+    assert f"1 of 1 sweep points failed: R={capacity}: " in sweep_err
 
 
 def test_unwritable_output_is_io_error(tmp_path, capsys):
