@@ -27,12 +27,10 @@ from .price_response import (
     vip_bid,
 )
 from .protocol import (
-    CaseFlag,
     FirstStageResult,
     ProtocolParams,
     RoundState,
     allocate_internal,
-    determine_case,
     run_first_stage,
     trace_records,
 )
@@ -55,10 +53,12 @@ from .scenario import (
 )
 from .utility import (
     Application,
+    CaseFlag,
     LogarithmicUtility,
     SigmoidalUtility,
     UserClass,
     UserProfile,
+    determine_case,
 )
 
 if TYPE_CHECKING:

@@ -38,10 +38,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import ContractError, DomainError, NonConvergenceError
 from .intra_ue import clear_price
 from .price_response import bidders, round_bids, vip_bid  # noqa: F401 (tracers rebind vip_bid here)
-
-# determine_case is re-exported: the regime is part of this stage's interface.
 from .utility import CaseFlag, RegimeTable, UserProfile, add_up, regime_table
-from .utility import determine_case  # noqa: F401
 
 
 @dataclass(frozen=True)

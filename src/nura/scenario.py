@@ -25,10 +25,10 @@ from typing import Sequence
 import yaml
 
 from .errors import ContractError, DomainError, NuraError, SweepError, ValidationError
-from .protocol import CaseFlag, ProtocolParams, RoundState, allocate_internal
-from .protocol import run_first_stage, trace_records
+from .protocol import ProtocolParams, RoundState, allocate_internal, run_first_stage, trace_records
 from .utility import (
     Application,
+    CaseFlag,
     LogarithmicUtility,
     SigmoidalUtility,
     UserClass,
