@@ -49,12 +49,13 @@ _LN2 = math.log(2.0)
 _LOG_MAX_STRETCH = 512 * _LN2  # the widest step out, a factor of 2^512
 _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 # A step that finds its bracket not halved within the last _STALL_STEPS
-# steps bisects it, so the bracket halves at least once in every 5 steps.
-# A bracket in x = ln(rate + offset) or ln p lies in the float range, so
+# steps bisects it, so at least one step in every 5 is a bisection. A
+# bracket in x = ln(rate + offset) or in ln p lies in the float range, so
 # it is under 2^11 wide and reaches adjacent floats (2^-53 apart) within
-# 64 halvings. A rate bracket, under 2^1024 wide, reaches adjacent floats
-# (2^-1074 apart) within 2098 more, where a row search bisects in the
-# rate. The bounds leave a few halvings to rounding.
+# 64 bisections. A row search bisects in the rate while lo + offset is 0
+# or where the midpoint in x rounds onto an end, and a rate bracket, under
+# 2^1024 wide, reaches adjacent floats (2^-1074 apart) within 2098 of
+# those. The bounds leave a few halvings to rounding.
 _STALL_STEPS = 4
 _MAX_DEMAND_STEPS = 5 * 2170
 _MAX_PRICE_STEPS = 5 * 70
