@@ -54,6 +54,8 @@ def app_rate_at_price(
     if app.weight == 0.0 or cap == 0.0:
         return 0.0
     rate = app.demand_at(price) - case.app_offset(app)
+    if 0.0 < rate < cap:  # interior: the clamp below would return it as is
+        return rate
     if rate == cap == math.inf:
         raise SolverError(f"demand at price {price} exceeds float range", bracket=(0.0, rate))
     return min(max(rate, 0.0), cap)
