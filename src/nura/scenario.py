@@ -33,6 +33,7 @@ from .utility import (
     SigmoidalUtility,
     UserClass,
     UserProfile,
+    add_up,
 )
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9_.-]+$")
@@ -240,8 +241,8 @@ def _check_weight_row(weights: list[float | None], path: str, violations: list[s
         if w is not None and not 0.0 <= w <= 1.0:
             violations.append(f"{path}[{j}]: weight must lie in [0, 1], got {w!r}")
             ok = False
-    if ok and abs(sum(weights) - 1.0) > 1e-9:
-        violations.append(f"{path}: weights must sum to 1, got {sum(weights)!r}")
+    if ok and abs(add_up(weights) - 1.0) > 1e-9:
+        violations.append(f"{path}: weights must sum to 1, got {add_up(weights)!r}")
         ok = False
     return ok
 
@@ -328,7 +329,7 @@ def _warn_if_capacity_dwarfs_saturation(config: ScenarioConfig) -> None:
     # Past these per-app scales the utilities are flat (sigmoid > 0.999)
     # or formally above 1 (logarithmic beyond r_max); allocations out
     # there are legal but usually indicate a misconfigured capacity.
-    saturation = sum(
+    saturation = add_up(
         u.b + 10.0 / u.a if isinstance(u, SigmoidalUtility) else u.r_max
         for u in (app.utility for user in config.users for app in user.apps)
     )

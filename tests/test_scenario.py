@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -133,6 +134,16 @@ def test_validation_rejects_weights_not_summing_to_one():
     with pytest.raises(ValidationError) as excinfo:
         scenario_from_dict(raw)
     assert "sum" in str(excinfo.value)
+
+
+def test_a_weight_sum_is_reported_as_added_left_to_right():
+    # CPython 3.12+ compensates sum(), which reads 1.1 here.
+    raw = _minimal_dict()
+    app = raw["users"][0]["apps"][0]
+    raw["users"][0]["apps"] = [{**app, "weight": w} for w in [0.7, 0.1, 0.1, 0.1, 0.1]]
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(raw)
+    assert "users[0].apps: weights must sum to 1, got 1.0999999999999999" in str(excinfo.value)
 
 
 def test_validation_rejects_duplicate_ids():
@@ -288,6 +299,24 @@ def test_oversized_capacity_warns():
     raw = _minimal_dict()
     raw["R"] = 1000.0  # saturation scale is r_max = 20
     with pytest.warns(RuntimeWarning):
+        scenario_from_dict(raw)
+
+
+def test_the_saturation_scale_is_added_left_to_right():
+    # r_max 20.1 + 20.3 + 20.1 is 60.50000000000001 left to right and 60.5
+    # compensated (CPython 3.12+ sum): R equal to the former does not warn.
+    raw = _minimal_dict()
+    raw["users"] = [
+        {"id": f"u{i}", "class": "regular", "beta": 1.0, "apps": [
+            {"utility": {"kind": "logarithmic", "k": 1.0, "r_max": r_max}, "weight": 1.0}]}
+        for i, r_max in enumerate([20.1, 20.3, 20.1])
+    ]
+    raw["R"] = 60.50000000000001
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scenario_from_dict(raw)
+    raw["R"] = math.nextafter(raw["R"], math.inf)
+    with pytest.warns(RuntimeWarning, match="saturation scale 60.5;"):
         scenario_from_dict(raw)
 
 
