@@ -4,8 +4,11 @@ Exit codes: 0 success, 2 validation failure (bad files or a validate
 run whose deviation exceeds the tolerance) or any other library error,
 3 non-convergence, 4 I/O problems. A sweep whose points fail exits 3
 only when every failed point failed to converge (ProtocolError), and 2
-otherwise; either way it lists every failed point. There is no seed
-flag anywhere; every run is deterministic.
+otherwise; either way it lists every failed point, after writing both
+CSV files from the points that solved, if any did. Each warning a
+command raises (such as a capacity past the scenario's saturation
+scale) is printed as one "warning: <message>" line on stderr. There is
+no seed flag anywhere; every run is deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import NuraError, ProtocolError, SweepError, ValidationError
@@ -95,13 +99,21 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_scenario(args.scenario)
-    records = sweep_R(config, args.r_start, args.r_end, args.r_step)
-    out = Path(args.out)
+    try:
+        records = sweep_R(config, args.r_start, args.r_end, args.r_step)
+    except SweepError as exc:
+        if exc.completed:  # write the points that solved, then report the failures
+            _write_sweep(exc.completed, Path(args.out))
+        raise
+    _write_sweep(records, Path(args.out))
+    return _EXIT_OK
+
+
+def _write_sweep(records, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(records, out / "allocations.csv", kind="allocations")
     emit_csv(records, out / "app_allocations.csv", kind="app_allocations")
     print(f"{len(records)} runs written to {out}/allocations.csv and app_allocations.csv")
-    return _EXIT_OK
 
 
 def _cmd_schedule(args) -> int:
@@ -159,6 +171,10 @@ def _cmd_validate(args) -> int:
     return _EXIT_OK
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -169,7 +185,9 @@ def main(argv=None) -> int:
         "validate": _cmd_validate,
     }
     try:
-        return handlers[args.command](args)
+        with warnings.catch_warnings():  # restores showwarning on the way out
+            warnings.showwarning = _show_warning
+            return handlers[args.command](args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION

@@ -315,6 +315,49 @@ def test_a_failed_sweep_exits_as_run_does_on_its_points(text, capacity, code, pr
     assert f"1 of 1 sweep points failed: R={capacity}: " in sweep_err
 
 
+def test_a_failed_sweep_writes_the_points_that_solved(tmp_path, capsys):
+    """The saturating cell swept from 20 to 191 by 57 solves R = 20 alone:
+    both CSV files hold that point, and the sweep still exits 2, listing
+    the three failed points."""
+    scenario = tmp_path / "cell.yaml"
+    scenario.write_text(SATURATING_SCENARIO)
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", str(scenario), "--r-start", "20", "--r-end", "191",
+                 "--r-step", "57", "--out", str(out)]) == 2
+    allocations = (out / "allocations.csv").read_text().splitlines()
+    assert allocations[0].startswith("R,") and len(allocations) == 2
+    assert allocations[1].startswith("20,")
+    apps = (out / "app_allocations.csv").read_text().splitlines()
+    assert apps[1:] == ["20,u,1,20"]
+    captured = capsys.readouterr()
+    assert "1 runs written to" in captured.out
+    warning, error = captured.err.strip().split("\n")
+    assert warning.startswith("warning: capacity 191.0 exceeds the combined saturation scale")
+    assert error.startswith("error: 3 of 4 sweep points failed: R=77: ")
+
+
+def test_warnings_are_printed_as_one_line_each(tmp_path):
+    """The saturation warning of a scenario file is one "warning:" line,
+    without the path, line number and source line of Python's format."""
+    scenario = tmp_path / "cell.yaml"
+    scenario.write_text(SATURATING_SCENARIO)
+    result = subprocess.run(
+        [sys.executable, "-m", "nura", "run", "--scenario", str(scenario)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert [line for line in lines if line.startswith("warning: ")] == [
+        "warning: capacity 191.0 exceeds the combined saturation scale 24.4; "
+        "allocations beyond 100% utilization are plausible"
+    ]
+    assert len(lines) == 2 and lines[1].startswith("error: demand saturates")
+    assert "scenario.py" not in result.stderr
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("")  # a file where the directory should go
