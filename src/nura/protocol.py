@@ -17,10 +17,15 @@ add_up does (the same bits on every CPython version), and whether any
 bid moved by delta or more; round 1 takes both from the start bids
 against bids of 0. Each round's bid dict goes into the trace uncopied.
 Damped bids stop short of the fixed point, so the rates come from one
-exact clearing (intra_ue.clear_price) that starts from the stop round's
-price. Its rows are each user's split of its rate (the allocation), but
-a capped user's rows, its demand at that price, may pass its rate: then
-its own rows clear its share again from the final price.
+exact clearing (intra_ue.clear_price). The round prices converge
+linearly, so it starts from Aitken's delta-squared estimate of their
+limit over the last three prices where their last two steps shrink one
+way (run_first_stage gives the rule), else from the stop round's price.
+The clearing meets its tolerance from any start: the start changes its
+trials, not its accuracy. Its rows are each user's split of its rate
+(the allocation), but a capped user's rows, its demand at the final
+price, may pass its rate: then its own rows clear its share again from
+the final price.
 
 When the VIP users' aggregate target rates reach the capacity, only VIP
 users participate and their demand is capped at their targets, per
@@ -120,7 +125,11 @@ def run_first_stage(
     Synchronous rounds: price from current bids, then all participants
     respond, then repeat. Deterministic: identical inputs produce an
     identical trace. Raises NonConvergenceError (with the trace attached)
-    if max_rounds passes without the stop test firing.
+    if max_rounds passes without the stop test firing. The clearing
+    starts from p2 - d2^2 / (d2 - d1), Aitken's estimate over the last
+    three round prices p0, p1, p2 (d1 = p1 - p0, d2 = p2 - p1), if at
+    least three rounds ran, 0 < d2 / d1 < 1 and the estimate is positive
+    and finite, and from the stop round's price otherwise.
     """
     if params is None:
         params = ProtocolParams()
@@ -159,6 +168,14 @@ def run_first_stage(
             rounds=params.max_rounds,
         )
 
+    if round_index >= 3:
+        # Aitken's delta-squared estimate of the limit of the last three prices.
+        p0, p1, p2 = (state.price for state in trace[-3:])
+        d1, d2 = p1 - p0, p2 - p1
+        if d1 != 0.0 and 0.0 < d2 / d1 < 1.0:
+            estimate = p2 - d2 * d2 / (d2 - d1)
+            if 0.0 < estimate < math.inf:
+                price = estimate
     final_price, shares, row_rates = clear_price(table, price)
     rates = dict.fromkeys((user.user_id for user in users), 0.0)
     app_rates = {user.user_id: (0.0,) * len(user.apps) for user in users}

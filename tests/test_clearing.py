@@ -4,6 +4,7 @@ import random
 import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -95,6 +96,76 @@ def _clearing_trials(monkeypatch, run, prices=None):
     monkeypatch.setattr(intra_ue, "clear_price", clearing)
     monkeypatch.setattr(protocol, "clear_price", clearing)
     return run(), trials
+
+
+def _bench_cells(monkeypatch):
+    """The benchmark's cells module, imported from bench/."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import cells
+
+    return cells
+
+
+def _clearing_starts(monkeypatch):
+    """The start price of each clear_price call run_first_stage makes, in order."""
+    starts = []
+
+    def clearing(table, price, original=intra_ue.clear_price):
+        starts.append(price)
+        return original(table, price)
+
+    monkeypatch.setattr(protocol, "clear_price", clearing)
+    return starts
+
+
+def test_the_benchmark_large_cell_clears_in_two_trials(monkeypatch):
+    """large_cell's stop round price lies 2.5e-3 from the cleared price in
+    ln p, and a clearing started there took 3 trials. The Aitken estimate
+    of the last three round prices lies 2.6e-6 from it: 2 trials."""
+    config = scenario_from_dict(_bench_cells(monkeypatch).large_tree(7))
+    _, trials = _clearing_trials(monkeypatch, lambda: run_once(config))
+    assert trials == [2], trials
+
+
+def test_the_reference_sweep_clears_in_few_trials(monkeypatch):
+    """The clearings of the benchmark's 43 reference-sweep cells, the 40
+    capacities and the schedule's 3 epochs, took 192 trials in all from
+    the stop rounds' prices, and take 170 from the Aitken estimates."""
+    configs = [config for _, config in _bench_cells(monkeypatch).ref_sweep(7)[0]]
+    assert len(configs) == 43
+    _, trials = _clearing_trials(monkeypatch, lambda: [run_once(c) for c in configs])
+    assert sum(trials) <= 175, sum(trials)
+
+
+def test_the_clearing_starts_from_the_aitken_estimate_of_the_last_three_prices(monkeypatch):
+    config = scenario_from_dict(_bench_cells(monkeypatch).large_tree(7))
+    starts = _clearing_starts(monkeypatch)
+    first = run_first_stage(config.users, config.capacity, config.protocol)
+    p0, p1, p2 = (state.price for state in first.trace[-3:])
+    d1, d2 = p1 - p0, p2 - p1
+    assert 0.0 < d2 / d1 < 1.0
+    assert starts[0] == p2 - d2 * d2 / (d2 - d1) != p2
+
+
+@pytest.mark.parametrize("capacity, ratio", [(5.0, -1.18), (30.0, 18.2)],
+                         ids=["alternating", "growing"])
+def test_the_clearing_starts_from_the_stop_price_unless_steps_shrink_one_way(
+        cell, capacity, ratio, monkeypatch):
+    """At R = 5 the last two price steps alternate in sign, at R = 30 the
+    last one is 18 times the one before: no linear rate to extrapolate."""
+    starts = _clearing_starts(monkeypatch)
+    first = run_first_stage(cell.users, capacity)
+    p0, p1, p2 = (state.price for state in first.trace[-3:])
+    assert (p2 - p1) / (p1 - p0) == pytest.approx(ratio, rel=0.01)
+    assert starts[0] == p2
+
+
+def test_a_run_that_stops_at_round_1_clears_from_its_price(cell, monkeypatch):
+    # Start bids below delta stop the loop at once.
+    starts = _clearing_starts(monkeypatch)
+    first = run_first_stage(cell.users, 100.0, ProtocolParams(w_init=1e-4))
+    assert first.rounds_used == 1
+    assert starts[0] == first.trace[0].price
 
 
 @pytest.mark.parametrize("capacity", [10.0, 15.0, 60.0, 65.0, 85.0])
