@@ -254,13 +254,16 @@ class LogarithmicUtility:
         return math.log(num) - self._log_norm
 
     def dlog_evaluate(self, rate: float) -> float:
-        """d/dr ln U(r) = k / ((1 + k r) ln(1 + k r))."""
+        """d/dr ln U(r) = k / ((1 + k r) ln(1 + k r)); 1 / (r ln(k r)) to
+        rounding where the denominator overflows, k r past 2.56e305."""
         if rate <= 0.0:
             raise DomainError(f"rate must be positive, got {rate!r}")
         kr = self.k * rate
         denom = (1.0 + kr) * math.log1p(kr)
         if denom <= 0.0:  # k * rate underflowed to 0: 1 / rate is the leading term
             return 1.0 / rate
+        if denom == math.inf:
+            return 1.0 / rate / (math.log(self.k) + math.log(rate))
         return self.k / denom
 
     def dlog_slope(self, rate: float) -> float:

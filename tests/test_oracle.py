@@ -288,7 +288,9 @@ def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
     """Certifying the 400 trees drawn at s = 300 (tests/wide_trees.py),
     whose searches span hundreds of decades of rate, costs few
     dlog_evaluate calls (20315) and keeps each tree's outcome class:
-    solved, or a typed error."""
+    solved, or a typed error. Once dlog_evaluate stopped returning 0.0
+    past k r = 2.56e305, draws 16, 35, 148, 151, 197 and 366 went from
+    SolverError to solved (19115 calls)."""
     calls = _count_derivative_calls(monkeypatch)
     rng = random.Random(1)
     outcomes = Counter()
@@ -302,7 +304,7 @@ def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
                 outcomes[type(exc).__name__] += 1
             else:
                 outcomes["solved"] += 1
-    assert outcomes == {"solved": 167, "SolverError": 66, "ValidationError": 167}
+    assert outcomes == {"solved": 173, "SolverError": 60, "ValidationError": 167}
     assert calls[0] <= 21_700
 
 

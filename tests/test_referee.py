@@ -92,12 +92,7 @@ def test_every_answer_of_both_solvers_passes_the_exact_check(name):
 # ROADMAP item that names their fault.
 _FAILING = {
     (42, "centralized_solve"): "item 10: a 6.9e-6 gap in ln p, not yet shrunk to a cell",
-    (50, "centralized_solve"): "item 15: dlog_evaluate returns 0.0 past k * r = 2.56e305",
-    (185, "centralized_solve"): "item 15: dlog_evaluate returns 0.0 past k * r = 2.56e305",
     (230, "centralized_solve"): "item 10: an 8.0e-7 gap in ln p, not yet shrunk to a cell",
-    (235, "centralized_solve"): "item 15: dlog_evaluate returns 0.0 past k * r = 2.56e305",
-    (325, "centralized_solve"): "item 15: dlog_evaluate returns 0.0 past k * r = 2.56e305",
-    (339, "centralized_solve"): "item 15: dlog_evaluate returns 0.0 past k * r = 2.56e305",
 }
 
 

@@ -140,6 +140,29 @@ def test_dlog_where_the_rate_product_underflows_matches_mpmath(utility, rate):
     assert utility.dlog_slope(rate) == -1.0 / rate
 
 
+# k r from 10^305.5 up: the rate log-uniform from there (or 1e-300) to 1e300.
+@given(log10_k=st.floats(6.0, 300.0), part=st.floats(0.0, 1.0))
+# Wide-range draw 185's log row at its s = 300 answer: 0.0 in place of 1.414e-123.
+@example(math.log10(1.478e187), (120.0 - (305.5 - math.log10(1.478e187))) / (300.0 - (
+    305.5 - math.log10(1.478e187))))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_log_dlog_where_its_denominator_overflows_matches_mpmath(log10_k, part):
+    """Past k r = 2.56e305, (1 + k r) ln(1 + k r) overflows, and the method
+    returned 0.0 where (ln U)' is a normal float."""
+    least = max(305.5 - log10_k, -300.0)
+    rate = 10.0 ** (least + part * (300.0 - least))
+    utility = LogarithmicUtility(k=10.0**log10_k, r_max=10.0**-log10_k)
+    with mpmath.workdps(50):
+        k_, r_ = mpmath.mpf(utility.k), mpmath.mpf(rate)
+        reference = float(k_ / ((1 + k_ * r_) * mpmath.log1p(k_ * r_)))
+    assert_close(utility.dlog_evaluate(rate), reference, rel=1e-12)
+
+
+def test_log_dlog_of_wide_range_draw_185_is_not_zero():
+    value = LogarithmicUtility(k=1.478e187, r_max=1.0).dlog_evaluate(1e120)
+    assert value == pytest.approx(1.414e-123, rel=1e-3, abs=0.0)
+
+
 def test_sigmoid_midpoint_is_half():
     # U(b) = (1 - e^{-ab}) / 2; for ab = 60 the correction is ~4e-27, so
     # the result is 0.5 up to rounding of the exp/expm1 pair (a couple of
