@@ -281,6 +281,16 @@ def _mpmath_demand(a, b, weight, price, cap, offset):
         return float((lo + hi) / 2 - offset)
 
 
+def _mpmath_log_demand(k, weight, price, cap, offset):
+    """Reference log demand in mpmath: v = ln(1 + k r) is the Lambert W of
+    z = k * weight / price (Corless et al., 1996), so r = expm1(W(z)) / k;
+    less the offset and clamped to [0, cap] as the demand is."""
+    with mpmath.workdps(40):
+        k, weight, price = (mpmath.mpf(v) for v in (k, weight, price))
+        rate = mpmath.expm1(mpmath.lambertw(k * weight / price).real) / k - offset
+        return float(min(max(rate, 0), cap))
+
+
 # The sigmoid ranges of the fuzz generator in bench/cells.py, prices
 # 1e-6..1e3, and a target that is an offset (abundant), a cap (scarce)
 # or absent.
@@ -335,6 +345,35 @@ def test_log_demand_closed_form_matches_bisection(
     reference = _bisection_demand(app, price, cap, case, 1e-10)
     assert 0.0 <= rate <= cap
     assert rate == pytest.approx(reference, abs=1e-10, rel=1e-12)
+
+
+@given(
+    log10_k=st.floats(-6.0, 3.0),
+    r_max=st.floats(1.0, 200.0),
+    log10_weight=st.floats(-300.0, 0.0),
+    log10_price=st.floats(-150.0, 6.0),
+    target=st.one_of(st.none(), st.floats(1.0, 30.0)),
+    case=st.sampled_from(list(CaseFlag)),
+)
+# The examples of the bisection test above: z about 1e-312, a denormal;
+# demand of about 1e147, uncapped and capped; z = e^-13.9.
+@example(-6.0, 10.0, -300.0, 6.0, None, CaseFlag.TARGETS_BELOW_CAPACITY)
+@example(-6.0, 10.0, 0.0, -150.0, None, CaseFlag.TARGETS_BELOW_CAPACITY)
+@example(-6.0, 10.0, 0.0, -150.0, 5.0, CaseFlag.TARGETS_EXCEED_CAPACITY)
+@example(0.0, 10.0, 0.0, 13.9 / math.log(10.0), None, CaseFlag.TARGETS_BELOW_CAPACITY)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_log_demand_closed_form_matches_mpmath(
+    log10_k, r_max, log10_weight, log10_price, target, case
+):
+    """The closed form against the Lambert W in mpmath, over the ranges of
+    the bisection test: it is the demand both solvers read."""
+    app = Application(LogarithmicUtility(10.0**log10_k, r_max), 10.0**log10_weight, target)
+    price = 10.0**log10_price
+    cap = case.app_cap(app)
+    rate = app_rate_at_price(app, price, cap, case)
+    offset = case.app_offset(app)
+    reference = _mpmath_log_demand(app.utility.k, app.weight, price, cap, offset)
+    assert rate == pytest.approx(reference, rel=1e-12, abs=1e-13 * (reference + offset))
 
 
 def test_log_demand_past_float_range_raises():
