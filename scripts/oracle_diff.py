@@ -14,14 +14,14 @@ solver it prints each side's count of every outcome class (solved, or
 the NuraError class raised), every cell whose class differs, the largest
 |change in a user rate| / R over the cells both sides solve, and each
 side's total trials with the number of cells whose trials rose and fell.
-The oracle's trials are its price trials (the distinct log prices passed
-to `oracle._demand` over all of a cell's clearings); run_once's are its
+The oracle's trials are its price trials (the distinct prices its
+clearings, `oracle._clear`, ask their demand callback for, over all of a
+cell's clearings); run_once's are its
 clearing trials (each `intra_ue.clear_price` call's
 `intra_ue.app_rate_at_price` calls over its rows, summed over the cell).
 For the oracle it also prints each side's total `dlog_evaluate` calls
-(both utility classes, counted on the class) over the set, the number of
-`oracle._demand` searches that took 12 or more of them, and its price
-trials counted per `oracle._clear` call (the distinct log prices within
+(both utility classes, counted on the class) over the set, and its price
+trials counted per `oracle._clear` call (the distinct prices within
 it): summed over the first clearings, summed over the capped users'
 splits, and the most in any one clearing; and each side's number of
 splits, every clearing after a cell's first. Last, as its accuracy, it
@@ -56,16 +56,13 @@ from wide_trees import wide_tree  # noqa: E402
 WIDE_SCALES = (12, 60, 300)
 WIDE_DRAWS = 400
 SOLVERS = ("centralized_solve", "run_once")
-LONG_SEARCH = 12  # dlog_evaluate calls that make an oracle row search a long one
 
 # Run in the checkout: reads {set: [tree, ...]} on stdin, prints
-# {set: [[label, R, {solver: [outcome, trials, dlog calls, clearings, long, spread]}], ...]},
+# {set: [[label, R, {solver: [outcome, trials, dlog calls, clearings, spread]}], ...]},
 # an outcome being the user rates or the name of the NuraError raised,
-# clearings the oracle's distinct log prices per clearing, in order, long
-# the oracle's searches of LONG_SEARCH or more dlog calls and spread its
-# stationarity spread (0 where it raised). The
-# counters wrap with any arguments, so that they fit every version of what
-# they wrap.
+# clearings the oracle's distinct prices per clearing, in order, and spread
+# its stationarity spread (0 where it raised). The counters wrap with any
+# further arguments, so that they fit every version of what they wrap.
 _CHILD = """
 import json, math, sys, warnings
 sys.path[:0] = ["src", "bench"]
@@ -75,10 +72,9 @@ from nura import LogarithmicUtility, SigmoidalUtility, scenario_from_dict
 from nura.utility import regime_table
 
 prices = set()
-clearings = []  # the distinct log prices of each oracle clearing so far
+clearings = []  # the distinct prices of each oracle clearing so far
 trials = [0.0, 0]  # clearing trials so far, demand calls in this clearing
 calls = [0]  # dlog_evaluate calls
-long = [0]  # searches of LONG_SEARCH or more of them
 
 def counting(original):
     def dlog_evaluate(*args):
@@ -89,18 +85,15 @@ def counting(original):
 for utility in (SigmoidalUtility, LogarithmicUtility):
     utility.dlog_evaluate = counting(utility.dlog_evaluate)
 
-def searched(*args, original=oracle._demand):
-    prices.add(args[1])
-    if clearings:
-        clearings[-1].add(args[1])
-    before = calls[0]
-    out = original(*args)
-    long[0] += calls[0] - before >= LONG_SEARCH
-    return out
+def clearing(demand, *args, original=oracle._clear):
+    tried = set()
+    clearings.append(tried)
 
-def clearing(*args, original=oracle._clear):
-    clearings.append(set())
-    return original(*args)
+    def priced(price, *carried):
+        prices.add(price)
+        tried.add(price)
+        return demand(price, *carried)
+    return original(priced, *args)
 
 def demanded(*args, original=intra_ue.app_rate_at_price):
     trials[1] += 1
@@ -112,7 +105,6 @@ def cleared(table, *args, original=intra_ue.clear_price):
     trials[0] += trials[1] / len(table.rows)
     return out
 
-oracle._demand = searched
 oracle._clear = clearing
 intra_ue.app_rate_at_price = demanded
 intra_ue.clear_price = protocol.clear_price = cleared
@@ -146,7 +138,7 @@ def outcomes(make):
     try:
         config = make()
     except NuraError as exc:
-        return None, {solver: [type(exc).__name__, 0, 0, [], 0, 0.0]
+        return None, {solver: [type(exc).__name__, 0, 0, [], 0.0]
                       for solver in ("centralized_solve", "run_once")}
     out = {}
     for solver, solve in (("centralized_solve", certified),
@@ -154,7 +146,7 @@ def outcomes(make):
         prices.clear()
         clearings.clear()
         trials[0] = 0.0
-        calls[0] = long[0] = 0
+        calls[0] = 0
         try:
             result = solve(config)
         except NuraError as exc:
@@ -162,7 +154,7 @@ def outcomes(make):
         else:
             rates = result.user_rates
         out[solver] = [rates, len(prices) if solver == "centralized_solve" else trials[0], calls[0],
-                       [len(tried) for tried in clearings], long[0]]
+                       [len(tried) for tried in clearings]]
         out[solver].append(spread(config, result) if result and solver == "centralized_solve"
                            else 0.0)
     return config.capacity, out
@@ -182,8 +174,7 @@ print(json.dumps(out))
 
 
 def _solve_all(checkout: Path, trees: dict) -> dict:
-    child = f"LONG_SEARCH = {LONG_SEARCH}\n{_CHILD}"
-    done = subprocess.run([sys.executable, "-c", child], cwd=checkout, input=json.dumps(trees),
+    done = subprocess.run([sys.executable, "-c", _CHILD], cwd=checkout, input=json.dumps(trees),
                           capture_output=True, text=True)
     if done.returncode:  # an exception other than a NuraError
         sys.exit(f"{checkout}:\n{done.stderr}")
@@ -214,18 +205,16 @@ def main(argv=None) -> None:
         for solver in SOLVERS:
             differ, worst, rose, fell, total, totals = [], 0.0, 0, 0, 0.0, 0.0
             called, calls = 0, 0  # each side's dlog_evaluate calls
-            slow, slows = 0, 0  # each side's searches of LONG_SEARCH or more of them
             # each side's first, split and most clearing trials, and its splits
             split = [[0, 0, 0, 0], [0, 0, 0, 0]]
             spreads, wider, narrower = [0.0, 0.0], 0, 0  # each side's worst stationarity spread
             for (label, capacity, parent), (_, _, change) in zip(cells, new[name]):
-                (before, tried, dlogs, was, long, spread), (
-                    after, tries, dlogs_now, now, longs, spread_now) = parent[solver], change[solver]
+                (before, tried, dlogs, was, spread), (
+                    after, tries, dlogs_now, now, spread_now) = parent[solver], change[solver]
                 spreads = [max(spreads[0], spread), max(spreads[1], spread_now)]
                 wider += spread_now > spread
                 narrower += spread_now < spread
                 called, calls = called + dlogs, calls + dlogs_now
-                slow, slows = slow + long, slows + longs
                 for side, counts in zip(split, (was, now)):
                     side[0] += counts[0] if counts else 0
                     side[1] += sum(counts[1:])
@@ -242,8 +231,7 @@ def main(argv=None) -> None:
             print(f"  {solver}: classes {_classes(cells, solver)} -> {_classes(new[name], solver)}"
                   f"; {len(differ)} change outcome class, max |d user rate| / R = {worst:.3g}, "
                   f"trials {total:g} -> {totals:g} ({rose} rose, {fell} fell)"
-                  + (f", dlog_evaluate calls {called} -> {calls}, searches of"
-                     f" {LONG_SEARCH}+ calls {slow} -> {slows}; per clearing: first"
+                  + (f", dlog_evaluate calls {called} -> {calls}; per clearing: first"
                      f" {split[0][0]} -> {split[1][0]}, splits {split[0][1]} -> {split[1][1]}"
                      f" in {split[0][3]} -> {split[1][3]} clearings,"
                      f" most {split[0][2]} -> {split[1][2]}; worst stationarity spread"

@@ -34,7 +34,6 @@ from nura import (
     scenario,
 )
 from nura.utility import add_up, regime_table
-from test_price_response import _mpmath_demand
 from wide_trees import wide_tree
 
 
@@ -255,78 +254,99 @@ def _count_derivative_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def _distinct_rows(config) -> int:
+    """The rows of the config's regime table, rows equal in application,
+    beta, offset and limit counted once."""
+    table = regime_table(config.users, config.capacity)
+    return len({(row.app, table.participants[row.user_slot].beta, row.offset, limit)
+                for row, limit in zip(table.rows, table.limits)})
+
+
+def _certify_counting(configs, monkeypatch) -> list[int]:
+    """The dlog_evaluate calls of each config's certification, each
+    checked to be at most one per distinct row."""
+    calls = _count_derivative_calls(monkeypatch)
+    counts = []
+    for config in configs:
+        before = calls[0]
+        centralized_solve(config.users, config.capacity)
+        counts.append(calls[0] - before)
+        assert counts[-1] <= _distinct_rows(config), config.capacity
+    return counts
+
+
 def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeypatch):
     """Certifying the 40 sweep points and the 3 schedule epochs at R = 200
-    costs few dlog_evaluate calls: 5751, with every row search stepping in
-    ln(rate + offset) and each sigmoid search probed once, at its curve's
-    asymptotic root."""
-    calls = _count_derivative_calls(monkeypatch)
+    reads each distinct row's exit price once per solve, with one
+    dlog_evaluate call: 242 calls, where the oracle's own row searches took
+    5751."""
     configs = [replace(cell, capacity=5.0 * i) for i in range(1, 41)] + [
         scenario._apply_weights(cell, epoch)
         for epoch in load_schedule(bundled_schedule_path()).epochs
     ]
-    for config in configs:
-        centralized_solve(config.users, config.capacity)
-    assert calls[0] <= 6_000
+    assert sum(_certify_counting(configs, monkeypatch)) <= 242
 
 
 @pytest.mark.parametrize("capacity", [25.0, 40.0])
 def test_certifying_a_cell_whose_roots_hug_their_brackets_takes_few_derivative_calls(
         cell, capacity, monkeypatch):
     """At R = 25 ue1's sigmoid row searched [19.858533752246814, 20] for a
-    root 8.2e-12 above its lower end, bisecting the whole bracket, in 35
-    evaluations; at R = 40 ue2's log row restarted from 0 when a carried
-    end 1.8e-13 above its root failed its sign test, and took 41. The
-    cells cost 588 and 560 calls so, and 332 and 325 stepping past the
-    end and carrying the bracket."""
-    calls = _count_derivative_calls(monkeypatch)
-    centralized_solve(cell.users, capacity)
-    assert calls[0] <= 400
+    root 8.2e-12 above its lower end, and at R = 40 ue2's log row restarted
+    from 0 when a carried end 1.8e-13 above its root failed its sign test:
+    the oracle's own row searches took 588 and 560 calls, and 332 and 325
+    once they stepped past the end and carried the bracket. Reading each
+    row's closed-form demand, they take one per distinct row."""
+    _certify_counting([replace(cell, capacity=capacity)], monkeypatch)
 
 
 def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
     """Certifying the 400 trees drawn at s = 300 (tests/wide_trees.py),
-    whose searches span hundreds of decades of rate, costs few
-    dlog_evaluate calls (20315) and keeps each tree's outcome class:
-    solved, or a typed error. Once dlog_evaluate stopped returning 0.0
-    past k r = 2.56e305, draws 16, 35, 148, 151, 197 and 366 went from
-    SolverError to solved (19115 calls)."""
-    calls = _count_derivative_calls(monkeypatch)
+    whose demands span hundreds of decades of rate, takes one
+    dlog_evaluate call per distinct row and keeps each tree's outcome
+    class: solved, or a typed error. The oracle's own row searches took
+    20315 calls for 167 solved and 66 SolverError. Reading the closed-form
+    demand, draws 16, 35, 148 and 366 solve, and draws 50, 110, 186, 297
+    and 339 raise the SolverError of a price / beta that underflows to 0;
+    every answer passes tests/referee.py."""
     rng = random.Random(1)
     outcomes = Counter()
+    configs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for _ in range(400):
             try:
-                config = scenario.scenario_from_dict(wide_tree(rng, 300))
-                centralized_solve(config.users, config.capacity)
+                configs.append(scenario.scenario_from_dict(wide_tree(rng, 300)))
             except NuraError as exc:
                 outcomes[type(exc).__name__] += 1
-            else:
-                outcomes["solved"] += 1
-    assert outcomes == {"solved": 173, "SolverError": 60, "ValidationError": 167}
-    assert calls[0] <= 21_700
+    for config in configs:
+        try:
+            _certify_counting([config], monkeypatch)
+        except NuraError as exc:
+            outcomes[type(exc).__name__] += 1
+        else:
+            outcomes["solved"] += 1
+    assert outcomes == {"solved": 166, "SolverError": 67, "ValidationError": 167}
 
 
 def test_certifying_the_benchmark_large_cell_takes_few_derivative_calls(monkeypatch):
     """Certifying the benchmark's large_cell, 64 jittered users at
     R = 3200 with no curve shared between users, costs few price trials
-    (7) and few dlog_evaluate calls (3169)."""
+    (7) and one dlog_evaluate call per row (128; the oracle's own row
+    searches took 3169)."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import cells
 
     config = scenario.scenario_from_dict(cells.large_tree(7))
-    calls = _count_derivative_calls(monkeypatch)
-    searched = _spy_on_searches(monkeypatch)
-    assert _price_trials(config, searched) <= 7
-    assert calls[0] <= 3_300
+    assert _price_trials(config, monkeypatch) <= 7
+    assert _certify_counting([config], monkeypatch) == [128]
 
 
 def test_the_benchmark_large_cell_meets_one_marginal_value_to_rounding(monkeypatch):
     """Every row of large_cell strictly inside its limits, give or take the
-    clearing tolerance, meets one price in marginal value: each row search
-    returns the secant root of its final bracket, not its midpoint (a
-    spread of 3.1e-14 against 3.9e-11)."""
+    clearing tolerance, meets one price in marginal value: a spread of
+    1.8e-14 reading the closed-form demand, 3.1e-14 where the oracle's own
+    row searches took the secant root of their final bracket and 3.9e-11
+    where they took its midpoint."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import cells
 
@@ -352,34 +372,43 @@ def test_users_equal_but_for_their_ids_get_equal_bits(cell, capacity):
         r.hex() for r in result.app_rates["ue1"]]
 
 
-def _spy_on_searches(monkeypatch):
-    """The rows _demand is asked to search, each with its log price."""
-    searched = []
-
-    def spy(row, log_price, *brackets, original=oracle._demand):
-        searched.append((row, log_price))
-        return original(row, log_price, *brackets)
-
-    monkeypatch.setattr(oracle, "_demand", spy)
-    return searched
-
-
 def test_each_price_trial_searches_each_distinct_row_once(cell, monkeypatch):
     """Above the targets, ue3's and ue4's log rows equal ue1's and ue2's
-    (same curve, factor, offset 0 and limit the budget), so each price
-    trial of the one clearing searches 6 rows for 8."""
+    (same application, beta, offset 0 and limit the budget), so each price
+    trial of the one clearing reads 6 closed-form demands for 8 rows."""
     assert len(regime_table(cell.users, 100.0).rows) == 8
-    searched = _spy_on_searches(monkeypatch)
-    centralized_solve(cell.users, 100.0)
-    per_trial = Counter(log_price for _, log_price in searched)
-    assert len(per_trial) > 1 and set(per_trial.values()) == {6}
+    read = Counter()
+    for cls in (SigmoidalUtility, LogarithmicUtility):
+        def curve(self, weight, original=cls.demand_curve):
+            demand = original(self, weight)
+
+            def counted(price):
+                read[price] += 1
+                return demand(price)
+            return counted
+
+        monkeypatch.setattr(cls, "demand_curve", curve)
+    users = [replace(user, apps=tuple(replace(app) for app in user.apps)) for user in cell.users]
+    centralized_solve(users, 100.0)
+    assert len(read) > 1 and set(read.values()) == {6}
 
 
-def _price_trials(config, searched):
-    """Distinct prices over all of centralized_solve's clearings."""
-    searched.clear()
-    centralized_solve(config.users, config.capacity)
-    return len({log_price for _, log_price in searched})
+def _price_trials(config, monkeypatch) -> int:
+    """Distinct prices over all of centralized_solve's clearings, as their
+    demand callbacks are asked for them."""
+    prices = set()
+
+    def counted(demand, *rest, original=oracle._clear):
+        def tried(price):
+            prices.add(price)
+            return demand(price)
+
+        return original(tried, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_clear", counted)
+        centralized_solve(config.users, config.capacity)
+    return len(prices)
 
 
 def test_the_reference_cell_clears_in_few_price_trials(cell, monkeypatch):
@@ -391,9 +420,8 @@ def test_the_reference_cell_clears_in_few_price_trials(cell, monkeypatch):
         scenario._apply_weights(cell, epoch)
         for epoch in load_schedule(bundled_schedule_path()).epochs
     ]
-    searched = _spy_on_searches(monkeypatch)
     for config in configs:
-        assert _price_trials(config, searched) <= 9, config.capacity
+        assert _price_trials(config, monkeypatch) <= 9, config.capacity
 
 
 def test_the_reference_sweep_tries_few_prices(cell, monkeypatch):
@@ -408,8 +436,7 @@ def test_the_reference_sweep_tries_few_prices(cell, monkeypatch):
         scenario._apply_weights(cell, epoch)
         for epoch in load_schedule(bundled_schedule_path()).epochs
     ]
-    searched = _spy_on_searches(monkeypatch)
-    trials = [_price_trials(config, searched) for config in configs]
+    trials = [_price_trials(config, monkeypatch) for config in configs]
     assert sum(trials[:10]) <= 121
     assert sum(trials[10:]) <= 249
 
@@ -424,8 +451,7 @@ def test_a_cell_clearing_next_to_a_plateau_price_takes_few_price_trials(
     exit of the row at its limit there and interpolating the total, linear
     in s, they take 8, 8, 7 and 6."""
     most = {10.0: 8, 15.0: 8, 60.0: 7, 65.0: 6}[capacity]
-    searched = _spy_on_searches(monkeypatch)
-    trials = _price_trials(replace(cell, capacity=capacity), searched)
+    trials = _price_trials(replace(cell, capacity=capacity), monkeypatch)
     assert trials <= most, (trials, before)
 
 
@@ -439,8 +465,7 @@ def test_certifying_256_jittered_users_takes_few_price_trials(monkeypatch):
     import cells
 
     config = scenario.scenario_from_dict(cells.large_tree(7, users=256))
-    searched = _spy_on_searches(monkeypatch)
-    assert _price_trials(config, searched) <= 16
+    assert _price_trials(config, monkeypatch) <= 16
 
 
 def test_equal_capped_users_with_equal_shares_split_once(cell, monkeypatch):
@@ -531,117 +556,6 @@ def test_a_split_far_from_a_plateau_in_its_bracket_keeps_away_from_it(
     assert _demand_calls(replace(cell, capacity=capacity), monkeypatch)[1] <= 7
 
 
-@pytest.mark.parametrize("utility, offset", [(LOG_UNIT, 0.0), (LOG_UNIT, 4.0),
-                                             (SigmoidalUtility(a=1.0, b=10.0), 0.0)])
-def test_a_search_started_from_its_own_bracket_evaluates_nothing(utility, offset):
-    """Both ends of a returned bracket keep their derivative values, so a
-    search at the same price started from it, as a split's first trial is
-    from the clearing's, repeats the rate without evaluating."""
-    calls = []
-
-    def dlog(rate):
-        calls.append(rate)
-        return utility.dlog_evaluate(rate)
-
-    row = (dlog, math.log(0.5), offset, 40.0, oracle._curve(utility))
-    for log_price in (-5.0, -4.0, -3.0):
-        rate, bracket = oracle._demand(row, log_price)
-        assert calls and 0.0 < rate < 40.0
-        calls.clear()
-        assert oracle._demand(row, log_price, bracket, None) == (rate, bracket)
-        assert oracle._demand(row, log_price, None, bracket) == (rate, bracket)
-        assert not calls
-
-
-def test_a_search_next_to_a_flat_end_does_not_stall():
-    """ue1's sigmoid row, priced 1.25e-5 above its plateau price 1.5 in
-    ln p, from the brackets of a reference-sweep trial: g - shift at the
-    lower end is 1.6e6 times that at the upper one in size, so regula
-    falsi lands next to the upper end again and again. Halving the kept
-    end's value each time (Illinois) took 21 evaluations, bisecting after
-    every fourth; weighting it by 1 - f_new / f_old of the moving end
-    (Anderson-Bjorck) took 6. The first probe, at the curve's asymptotic
-    root 3.763721426185066, lands on the root, so the search now takes 1."""
-    calls = []
-
-    def dlog(rate, utility=SigmoidalUtility(a=3.0, b=20.0)):
-        calls.append(rate)
-        return utility.dlog_evaluate(rate)
-
-    row = (dlog, math.log(0.5), 0.0, 5.0, oracle._curve(SigmoidalUtility(a=3.0, b=20.0)))
-    higher = ((0.23104895821917712, 1.7917597751305625),
-              (0.23104895821929264, 1.791759775130216))
-    lower = ((3.775438037540996, 1.0986243403288496),) * 2
-    rate, ((lo, _), (hi, _)) = oracle._demand(row, 0.405477590918451, higher, lower)
-    assert lo <= rate <= hi and hi - lo <= 1e-12 * hi
-    assert len(calls) <= 8
-
-
-# The sigmoid ranges of the fuzz generator in bench/cells.py, as in
-# test_price_response, prices 1e-6..1e3 given in ln p, an offset (abundant)
-# or none, and a limit below or above the demand; the carried brackets come
-# from searches at step above and below the price.
-@given(
-    a=st.sampled_from([0.1, 0.5, 1.0, 3.0, 10.0]),
-    b=st.floats(5.0, 60.0),
-    weight=st.floats(0.01, 1.0),
-    log_price=st.floats(-6.0 * math.log(10.0), 3.0 * math.log(10.0)),
-    offset=st.one_of(st.just(0.0), st.floats(1.0, 30.0)),
-    limit=st.floats(1.0, 300.0),
-    step=st.floats(1e-9, 1.0),
-)
-# Each first probe: at u > 700, past the flat stretch, below it, none at
-# u = 0 exactly, one past a limit set between the root and the asymptotic
-# root, and above an offset; ue1's row, whose first probe lands on its root;
-# ue1's curve priced 1e-8 and 1e-7 in ln p on each side of its plateau
-# price 1.5, where the rounding of g fixes the rate most loosely.
-@example(10.0, 5.0, 1.0, math.log(1e-305), 0.0, 200.0, 1e-3)
-@example(1.0, 10.0, 0.5, math.log(0.01), 0.0, 100.0, 1e-3)
-@example(1.0, 10.0, 0.5, math.log(5.0), 0.0, 100.0, 1e-3)
-@example(1.0, 10.0, 1.0, math.log(1.0 + math.exp(-10.0)), 0.0, 100.0, 1e-3)
-@example(1.0, 10.0, 0.5, math.log(5.0), 0.0, 0.10536275765180018, 1e-3)
-@example(3.0, 20.0, 0.5, math.log(0.1), 10.0, 50.0, 1e-3)
-@example(3.0, 20.0, 0.5, 0.405477590918451, 0.0, 5.0, 1e-3)
-@example(3.0, 20.0, 0.5, math.log(1.5) - 1e-7, 0.0, 50.0, 1e-9)
-@example(3.0, 20.0, 0.5, math.log(1.5) - 1e-8, 0.0, 50.0, 1e-9)
-@example(3.0, 20.0, 0.5, math.log(1.5) + 1e-8, 0.0, 50.0, 1e-9)
-@example(3.0, 20.0, 0.5, math.log(1.5) + 1e-7, 0.0, 50.0, 1e-9)
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_cold_and_carried_sigmoid_searches_match_mpmath(
-        a, b, weight, log_price, offset, limit, step):
-    """Each search's rate lies between the exact demands at 1e-13 above and
-    below the price in ln p, give or take its final 1e-12 * hi bracket: g
-    and the shift are rounded to about that, which on the flat stretch
-    leaves the rate itself loose."""
-    utility = SigmoidalUtility(a, b)
-    row = (utility.dlog_evaluate, math.log(weight), offset, limit, oracle._curve(utility))
-    ends = [None, None]
-    higher = oracle._demand(row, log_price + step, ends=ends)[1]
-    lower = oracle._demand(row, log_price - step, ends=ends)[1]
-    rates = [oracle._demand(row, log_price)[0]] + [
-        oracle._demand(row, log_price, *brackets, ends)[0]
-        for brackets in ((higher, None), (None, lower), (higher, lower))]
-    with mpmath.workdps(40 + int(a * b / 2.3)):
-        least, most = (_mpmath_demand(a, b, weight, mpmath.exp(mpmath.mpf(log_price) + off),
-                                      limit, offset) for off in (1e-13, -1e-13))
-    for rate in rates:
-        assert least * (1.0 - 1e-12) <= rate <= most * (1.0 + 1e-12), (rates, least, most)
-
-
-@pytest.mark.parametrize("u", [-1.0, -20.0, -40.0])
-def test_the_asymptotic_root_below_the_flat_stretch_matches_mpmath(u):
-    """Below the flat stretch the asymptotic root is -ln(1 - e^u) / a.
-    Taken as -ln(-expm1(u)) / a, the log of a float next to 1, it kept
-    only the rounding of 1 - e^u: 5e-8 relative at u = -20, and 0.0 in
-    place of 4.2e-18 / a at u = -40."""
-    curve = oracle._curve(SigmoidalUtility(a=3.0, b=20.0))
-    shift = curve[2] - u
-    with mpmath.workdps(50):
-        exact = -mpmath.log1p(-mpmath.exp(mpmath.mpf(curve[2] - shift))) / 3
-    root = oracle._asymptotic_root(curve, shift)
-    assert root == pytest.approx(float(exact), rel=1e-14, abs=0.0)
-
-
 def _water_fill(weights, limits, budget):
     """Exact amounts min(w / p, limit) summing to budget, and that p."""
     clipped = set()
@@ -677,10 +591,10 @@ def test_a_closed_form_demand_clipped_at_a_tiny_budget_clears_in_few_trials():
     limits = [budget] * len(weights)
     calls = []
 
-    def demand(price, higher, lower):
+    def demand(price):
         calls.append(price)
         amounts = [min(w / price, limit) for w, limit in zip(weights, limits)]
-        return amounts, amounts, _exits(weights, limits, price)
+        return amounts, _exits(weights, limits, price)
 
     got = oracle._clear(demand, budget)[0]
     assert got == pytest.approx(_water_fill(weights, limits, budget)[0], abs=1e-9 * budget)
@@ -702,10 +616,10 @@ def test_clearing_a_closed_form_demand_meets_the_exact_amounts():
                 for plateaus in [[], *_wrong_plateaus(root)]:
                     totals = []
 
-                    def demand(price, higher, lower):
+                    def demand(price):
                         amounts = [min(w / price, limit) for w, limit in zip(weights, limits)]
                         totals.append(add_up(amounts))
-                        return amounts, amounts, _exits(weights, limits, price)
+                        return amounts, _exits(weights, limits, price)
 
                     got = oracle._clear(demand, budget, plateaus)[0]
                     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * budget
@@ -715,26 +629,28 @@ def test_clearing_a_closed_form_demand_meets_the_exact_amounts():
 
 
 def test_a_warm_start_next_to_the_root_steps_out_by_its_own_reach():
-    """Amounts w / p started 1e-8 short of the budget: with the searches'
-    state (a warm start, as a split's from the global clearing is) the
+    """Amounts w / p started 1e-8 short of the budget: from a given start
+    price (a warm start, as a split's from the global clearing is) the
     first step out is e^{4|g|}, since such a start often lies next to the
-    root; cold, it is a factor of 2. At ref_sweep R = 15 a split started
-    1.1e-8 below the plateau price 1.5 took 17 trials stepping out by 2
-    and 2 stepping out by e^{4|g|}. Either way these amounts, g linear in
-    ln p, clear in 3 trials within 1e-9 * budget of the exact ones."""
-    weights, budget = [1.0, 2.0, 3.0], 6.0
-    want, root = _water_fill(weights, [budget] * 3, budget)
-    start = root / (1.0 - 1e-8)
+    root; cold, from p = 1, it is a factor of 2. At ref_sweep R = 15 a
+    split started 1.1e-8 below the plateau price 1.5 took 17 trials
+    stepping out by 2 and 2 stepping out by e^{4|g|}. Either way these
+    amounts, g linear in ln p, clear in 3 trials within 1e-9 * budget of
+    the exact ones."""
+    weights = [1.0, 2.0, 3.0]
     g = math.log1p(-1e-8)
-    for state, first_step in (("warm", 4.0 * abs(g)), (None, math.log(2.0))):
+    for start, first_step in ((1.0 / (1.0 - 1e-8), 4.0 * abs(g)), (None, math.log(2.0))):
+        # The root lies 1e-8 below the first price in ln p either way.
+        budget = 6.0 / (1.0 - 1e-8) if start is None else 6.0
+        want = _water_fill(weights, [budget] * 3, budget)[0]
         prices = []
 
-        def demand(price, higher, lower):
+        def demand(price):
             prices.append(price)
             amounts = [w / price for w in weights]
-            return amounts, amounts, []
+            return amounts, []
 
-        got = oracle._clear(demand, budget, (), (start, state))[0]
+        got = oracle._clear(demand, budget, (), start)[0]
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * budget
         assert math.log(prices[0] / prices[1]) == pytest.approx(first_step, rel=1e-6)
         assert len(prices) <= 3
@@ -747,9 +663,9 @@ def test_a_total_near_the_budget_at_the_end_of_the_price_range_clears_there(off)
     off raises, as it did at any distance. Wrong plateaus change neither."""
     budget, near = 2.0, 2.0 * (1.0 + off)
 
-    def demand(price, higher, lower):
+    def demand(price):
         amounts = [near, 1.0 / price] if off > 0.0 else [min(1.0 / price, near)]
-        return amounts, amounts, []
+        return amounts, []
 
     for plateaus in [[], *_wrong_plateaus(1.0)]:
         if abs(off) < 5e-10:
@@ -765,22 +681,31 @@ def test_a_total_near_the_budget_at_the_end_of_the_price_range_clears_there(off)
     (100.0, {(10.0, 70.0), (20.0, 70.0)}),  # abundant: above the targets
 ])
 def test_rows_differing_only_in_offset_or_limit_are_searched_apart(
-        capacity, offsets_and_limits, monkeypatch):
+        capacity, offsets_and_limits):
+    """Two VIPs with the same log curve and weight, targets 10 and 20.
+    Scarce (R = 25), a's row is capped at 10 and b takes the other 15;
+    abundant (R = 100), each row meets the price at the same final rate,
+    50, from offsets 10 and 20. A row read in place of the other would
+    give both the same rate above its offset."""
     users = [_user(uid, UserClass.VIP, [_app(LOG_UNIT, 1.0, target)])
              for uid, target in (("a", 10.0), ("b", 20.0))]
-    searched = _spy_on_searches(monkeypatch)
-    centralized_solve(users, capacity)
-    assert {row[2:4] for row, _ in searched} == offsets_and_limits
+    table = regime_table(users, capacity)
+    assert {(row.offset, limit) for row, limit in zip(table.rows, table.limits)} == (
+        offsets_and_limits)
+    result = centralized_solve(users, capacity)
+    want = {25.0: (10.0, 15.0), 100.0: (50.0, 50.0)}[capacity]
+    assert (result.app_rates["a"][0], result.app_rates["b"][0]) == pytest.approx(want, rel=1e-9)
 
 
 def test_oracle_imports_only_errors_and_utility():
-    # The reference solver may share the problem statement (the regime
-    # table in utility) with the pipeline, but none of its demand code,
-    # so a pipeline bug cannot certify itself.
-    # Nor does it use the utility methods only the pipeline uses: the
-    # slope of its Newton steps and the closed-form demand, built by
-    # demand_curve and cached as Application.demand_at.
-    barred = {"dlog_slope", "rate_at_marginal", "demand_curve", "demand_at"}
+    # The reference solver shares the problem statement in utility with
+    # the pipeline (the regime table, the objective, the plateaus) and each
+    # application's closed-form demand, Application.demand_at, but none of
+    # the pipeline's clearing code. Nor does it use the slope of the
+    # pipeline's Newton steps, or build demands of its own. The answer's
+    # independence rests on tests/referee.py, which checks every answer of
+    # both solvers against the KKT conditions in mpmath.
+    barred = {"dlog_slope", "rate_at_marginal", "demand_curve"}
     path = Path(__file__).resolve().parents[1] / "src" / "nura" / "oracle.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -1,7 +1,7 @@
 """One digest over the oracle's rates and objectives on the pinned cells.
 
 centralized_solve certifies the pipeline, so its own bits are pinned as
-the pipeline's are: any change to the oracle's demand search, its
+the pipeline's are: any change to the demand the oracle reads, its
 clearings or its totals that moves a single bit of a user rate, an
 application rate or the objective moves the digest. Rework that claims
 to be bit-identical must leave it as it is.
@@ -16,7 +16,7 @@ from nura import centralized_solve
 # SHA-256 of _digest_lines over test_trace_pin's _cells, frozen from the
 # code it guards; totals are added left to right, so it holds on every
 # supported CPython.
-PINNED = "86237af7a4056ec7ce5ab3999ad36eb5d0f0a4a4887fc9b92ce5112c80272972"
+PINNED = "3407425375ca08121e282ef8240524fd628150cdd5436f51a399cb02ad8db1bc"
 
 
 def _digest_lines(result):

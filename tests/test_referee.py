@@ -88,21 +88,11 @@ def test_every_answer_of_both_solvers_passes_the_exact_check(name):
     assert answers and not failed, failed
 
 
-# The answers at s = 300 that fail the check, by draw and solver, with the
-# ROADMAP item that names their fault.
-_FAILING = {
-    (42, "centralized_solve"): "item 10: a 6.9e-6 gap in ln p, not yet shrunk to a cell",
-    (230, "centralized_solve"): "item 10: an 8.0e-7 gap in ln p, not yet shrunk to a cell",
-}
-
-
 def _wide_params():
     for s in (60, 300):
         for draw, tree in enumerate(_wide(s)):
             for solver in SOLVERS:
-                reason = _FAILING.get((draw, solver)) if s == 300 else None
-                marks = [pytest.mark.xfail(reason=reason, strict=True)] if reason else []
-                yield pytest.param(tree, solver, marks=marks, id=f"s={s}-draw{draw}-{solver}")
+                yield pytest.param(tree, solver, id=f"s={s}-draw{draw}-{solver}")
 
 
 @pytest.mark.slow
