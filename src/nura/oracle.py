@@ -330,7 +330,7 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
     the clearing's lower end add up to no more than its cap (a zero
     multiplier) keeps them, topped up by the clearing's fraction; every
     other user's share is cleared among its own rows, from the clearing's
-    upper end. Both ends' rates are read again there.
+    upper end. The rows' rates at both ends are read again for this.
     """
     table = regime_table(users, capacity)
     groups: list[list[int]] = [[] for _ in table.participants]

@@ -54,8 +54,8 @@ def _digits(values) -> int:
 def kkt_gap(config, app_rates, rel: float = 1e-9) -> float:
     """The answer's largest violation of the optimality conditions in ln p."""
     table = regime_table(config.users, config.capacity)
-    slots = {user.user_id for user in table.participants}
-    if any(rate != 0.0 for user in config.users if user.user_id not in slots
+    taking_part = {user.user_id for user in table.participants}
+    if any(rate != 0.0 for user in config.users if user.user_id not in taking_part
            for rate in app_rates[user.user_id]):
         return math.inf
     finals = [rate for user in table.participants for rate in app_rates[user.user_id]]

@@ -142,9 +142,6 @@ def test_dlog_where_the_rate_product_underflows_matches_mpmath(utility, rate):
 
 # k r from 10^305.5 up: the rate log-uniform from there (or 1e-300) to 1e300.
 @given(log10_k=st.floats(6.0, 300.0), part=st.floats(0.0, 1.0))
-# Wide-range draw 185's log row at its s = 300 answer: 0.0 in place of 1.414e-123.
-@example(math.log10(1.478e187), (120.0 - (305.5 - math.log10(1.478e187))) / (300.0 - (
-    305.5 - math.log10(1.478e187))))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_log_dlog_where_its_denominator_overflows_matches_mpmath(log10_k, part):
     """Past k r = 2.56e305, (1 + k r) ln(1 + k r) overflows, and the method
@@ -159,6 +156,7 @@ def test_log_dlog_where_its_denominator_overflows_matches_mpmath(log10_k, part):
 
 
 def test_log_dlog_of_wide_range_draw_185_is_not_zero():
+    # Draw 185's log row at the oracle's s = 300 answer; the method gave 0.0.
     value = LogarithmicUtility(k=1.478e187, r_max=1.0).dlog_evaluate(1e120)
     assert value == pytest.approx(1.414e-123, rel=1e-3, abs=0.0)
 
