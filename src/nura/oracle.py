@@ -8,12 +8,13 @@ budget (and, under scarce capacity, per-user and per-application caps).
 centralized_solve clears one global price by its own search. It shares
 with the pipeline what the utility module states: the regime table, with
 its input checks and row limits, the objective, each sigmoid row's
-plateau, and each application's closed-form demand (Application.demand_at):
-a row's rate at a price p is that demand at p / beta less its offset,
-clipped to [0, limit]. It shares nothing of how the pipeline clears: it
-never calls clear_price, the bidding rounds, app_rate_at_price or
-dlog_slope, and it reads each row's exit price, where the row leaves its
-limit, once per solve as factor * dlog_evaluate(limit + offset). The
+plateau, and each application's closed-form demand
+(Application.demand_at): a row's rate at a price p is that demand at p /
+beta less its offset, clipped to [0, limit]. It shares nothing of how
+the pipeline clears: it never calls clear_price, the bidding rounds,
+app_rate_at_price or dlog_slope. It reads a row's exit price, where the
+row leaves its limit, factor * dlog_evaluate(limit + offset), once per
+solve, and only once a price trial finds the row at its limit. The
 independent check of its answers, as of the pipeline's, is
 tests/referee.py: the KKT conditions in mpmath, from the utility's
 definition. One clearing routine (_clear) finds the price where total
@@ -341,61 +342,60 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
     kinds = [distinct.setdefault((entry.app, table.participants[entry.user_slot].beta,
                                   entry.offset, limit), len(distinct))
              for entry, limit in zip(table.rows, table.limits)]
-    rows = list(distinct)
-    plateau_of = [sigmoid_plateau(app.utility, beta * app.weight) for app, beta, _, _ in rows]
-    # Where each leaves its limit, factor * (ln U)'(limit + offset); 0 at limit 0.
-    exit_of = [min(beta * app.weight * app.utility.dlog_evaluate(limit + offset), _FLOAT_MAX)
-               if app.demand_at and limit > 0.0 else 0.0 for app, beta, offset, limit in rows]
+    rows = [(app.demand_at, beta, offset, limit) for app, beta, offset, limit in distinct]
+    curves = [(beta * app.weight, app.utility) for app, beta, _, _ in distinct]
+    plateau_of = [sigmoid_plateau(utility, factor) for factor, utility in curves]
+    exit_of: list[float | None] = [None] * len(rows)  # read when a trial first needs it
 
     def plateaus(indices) -> list[tuple[float, float]]:
         return sorted({plateau_of[kinds[i]] for i in indices} - {None})
 
-    def layout(indices) -> tuple[list[int], list[int]]:
-        # A clearing's rows' kinds, and the distinct ones in first-seen order.
-        row_kinds = [kinds[i] for i in indices]
-        return row_kinds, list(dict.fromkeys(row_kinds))
+    def read(row_kinds, price) -> tuple[list[float], dict[int, float]]:
+        # The rates of rows of these kinds, each kind's read once: its demand
+        # at price / beta less its offset, in [0, limit] (0 where price / beta
+        # overflows, an error where it is 0); and by its place, the exit price
+        # of each row at its limit, factor * (ln U)'(limit + offset), 0 at limit 0.
+        seen, rates, leaving = {}, [], {}
+        for j, kind in enumerate(row_kinds):
+            demand_at, beta, offset, limit = rows[kind]
+            r = seen.get(kind)
+            if r is None:
+                scaled = price / beta
+                if demand_at is None or scaled == math.inf:
+                    r = 0.0
+                elif scaled == 0.0:
+                    raise SolverError(f"price {price!r} / beta {beta!r} underflows to 0",
+                                      bracket=(0.0, price))
+                else:
+                    r = demand_at(scaled) - offset
+                    if 0.0 > r:
+                        r = 0.0
+                    if limit < r:
+                        r = limit
+                seen[kind] = r
+            rates.append(r)
+            if r == limit:
+                out = exit_of[kind]
+                if out is None:
+                    factor, utility = curves[kind]
+                    out = exit_of[kind] = min(factor * utility.dlog_evaluate(limit + offset),
+                                              _FLOAT_MAX) if demand_at and limit > 0.0 else 0.0
+                leaving[j] = out
+        return rates, leaving
 
-    def rates_at(order, price) -> dict[int, float]:
-        # Each kind's rate: its demand at price / beta less its offset, in
-        # [0, limit]; 0 where price / beta overflows, an error where it is 0.
-        rates = {}
-        for kind in order:
-            app, beta, offset, limit = rows[kind]
-            scaled = price / beta
-            if app.demand_at is None or scaled == math.inf:
-                rates[kind] = 0.0
-            elif scaled == 0.0:
-                raise SolverError(f"price {price!r} / beta {beta!r} underflows to 0",
-                                  bracket=(0.0, price))
-            else:
-                rates[kind] = min(max(app.demand_at(scaled) - offset, 0.0), limit)
-        return rates
-
-    def rates_and_exits(rows_laid_out, price) -> tuple[list[float], dict[int, float]]:
-        # The rates of the rows laid out by layout, and the exit price of each
-        # row at its limit, by its place in the rows.
-        row_kinds, order = rows_laid_out
-        found = rates_at(order, price)
-        rates = [found[kind] for kind in row_kinds]
-        return rates, {j: exit_of[kind] for j, kind in enumerate(row_kinds)
-                       if rates[j] == rows[kind][3]}
-
-    def splitting(group):  # each row is its own amount
-        laid_out = layout(group)
-
+    def splitting(row_kinds):  # each row is its own amount
         def split(price) -> tuple[list[float], list[tuple[float, float]]]:
-            rates, leaving = rates_and_exits(laid_out, price)
+            rates, leaving = read(row_kinds, price)
             return rates, [(leave, rates[j]) for j, leave in leaving.items()]
         return split
 
     every_row = range(len(table.rows))
     if table.case is not CaseFlag.TARGETS_EXCEED_CAPACITY:  # no user is capped
-        return _assemble(users, table, _clear(splitting(every_row), table.budget,
+        return _assemble(users, table, _clear(splitting(kinds), table.budget,
                                               plateaus(every_row))[0], "dual_bisection")
-    everything = layout(every_row)
 
     def competing(price) -> tuple[list[float], list[tuple[float, float]]]:
-        rates, leaving = rates_and_exits(everything, price)
+        rates, leaving = read(kinds, price)
         amounts = [min(add_up(rates[i] for i in group), cap)
                    for group, cap in zip(groups, table.user_caps)]
         exits: list[tuple[float, float]] = []
@@ -408,21 +408,21 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
         return amounts, exits
 
     shares, fraction, upper, lower = _clear(competing, table.budget, plateaus(every_row))
-    at_upper, at_lower = (rates_at(everything[1], end.price) for end in (upper, lower))
+    at_upper, at_lower = (read(kinds, end.price)[0] for end in (upper, lower))
     # Users equal in row kinds and share (positive floats are equal only
     # bit for bit) split alike, so each such split is cleared once.
     splits: dict[tuple, list[float]] = {}
     rates: list[float] = []
     for group, share, cap in zip(groups, shares, table.user_caps):
-        row_kinds = tuple(kinds[i] for i in group)
-        pairs = [(at_upper[kind], at_lower[kind]) for kind in row_kinds]
+        pairs = [(at_upper[i], at_lower[i]) for i in group]
         # Below its cap at the lower end, a user is below it across the bracket;
         # a zero share past it takes fraction 0 and rows all 0 at the upper end.
         if share == 0.0 or add_up(v for _, v in pairs) <= cap:
             rates.extend(u + fraction * (v - u) for u, v in pairs)
             continue
+        row_kinds = tuple(kinds[i] for i in group)
         if (row_kinds, share) not in splits:
-            splits[row_kinds, share] = _clear(splitting(group), share, plateaus(group),
+            splits[row_kinds, share] = _clear(splitting(row_kinds), share, plateaus(group),
                                               upper.price)[0]
         rates.extend(splits[row_kinds, share])
     return _assemble(users, table, rates, "dual_bisection")

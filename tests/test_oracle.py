@@ -31,6 +31,7 @@ from nura import (
     scenario,
 )
 from nura.utility import add_up, regime_table
+from referee import kkt_gap
 from wide_trees import wide_tree
 
 
@@ -278,14 +279,15 @@ def _certify_counting(configs, monkeypatch) -> list:
 
 def test_certifying_the_reference_sweep_takes_few_derivative_calls(cell, monkeypatch):
     """Certifying the 40 sweep points and the 3 schedule epochs at R = 200
-    reads each distinct row's exit price once per solve, with one
-    dlog_evaluate call: 242 calls, where the oracle's own row searches took
-    5751."""
+    reads a distinct row's exit price, with one dlog_evaluate call, only
+    once a price trial finds the row at its limit, once per solve: 24
+    calls, where reading every row's exit before the search took 242 and
+    the oracle's own row searches 5751."""
     configs = [replace(cell, capacity=5.0 * i) for i in range(1, 41)] + [
         scenario._apply_weights(cell, epoch)
         for epoch in load_schedule(bundled_schedule_path()).epochs
     ]
-    assert sum(_certify_counting(configs, monkeypatch)) <= 242
+    assert sum(_certify_counting(configs, monkeypatch)) <= 24
 
 
 @pytest.mark.parametrize("capacity", [25.0, 40.0])
@@ -296,7 +298,8 @@ def test_certifying_a_cell_whose_roots_hug_their_brackets_takes_few_derivative_c
     from 0 when a carried end 1.8e-13 above its root failed its sign test:
     the oracle's own row searches took 588 and 560 calls, and 332 and 325
     once they stepped past the end and carried the bracket. Reading each
-    row's closed-form demand, they take one per distinct row."""
+    row's closed-form demand, they take at most one per distinct row: 2
+    each, for the two rows a price trial finds at their limit."""
     [calls] = _certify_counting([replace(cell, capacity=capacity)], monkeypatch)
     assert isinstance(calls, int)  # solved
 
@@ -328,14 +331,40 @@ def test_certifying_wide_range_trees_takes_few_derivative_calls(monkeypatch):
 def test_certifying_the_benchmark_large_cell_takes_few_derivative_calls(monkeypatch):
     """Certifying the benchmark's large_cell, 64 jittered users at
     R = 3200 with no curve shared between users, costs few price trials
-    (7) and one dlog_evaluate call per row (128; the oracle's own row
-    searches took 3169)."""
+    (7) and no dlog_evaluate call: no row reaches its limit, the budget,
+    so no exit price is read (128 calls reading every row's exit before
+    the search; the oracle's own row searches took 3169)."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import cells
 
     config = scenario.scenario_from_dict(cells.large_tree(7))
     assert _price_trials(config, monkeypatch) <= 7
-    assert _certify_counting([config], monkeypatch) == [128]
+    assert _certify_counting([config], monkeypatch) == [0]
+
+
+def test_a_scarce_row_held_at_its_limit_reads_its_exit_and_jumps_to_it(cell, monkeypatch):
+    """At R = 5 capacity is scarce and the first price trial, p = 1, holds
+    ue1's sigmoid row at its limit, the budget 5. The clearing reads that
+    row's exit price there, the one dlog_evaluate call of the solve, jumps
+    to it as its next trial, and its answer passes tests/referee.py."""
+    app = cell.users[0].apps[0]
+    assert isinstance(app.utility, SigmoidalUtility) and cell.users[0].beta == 1.0
+    leave = app.weight * app.utility.dlog_evaluate(5.0)
+    calls = _count_derivative_calls(monkeypatch)
+    prices = []
+
+    def traced(demand, *rest, original=oracle._clear):
+        def tried(price):
+            prices.append(price)
+            return demand(price)
+
+        return original(tried, *rest)
+
+    monkeypatch.setattr(oracle, "_clear", traced)
+    result = centralized_solve(cell.users, 5.0)
+    assert calls == [1]
+    assert prices[:2] == [1.0, leave]
+    assert kkt_gap(replace(cell, capacity=5.0), result.app_rates) == 0.0
 
 
 def test_the_benchmark_large_cell_meets_one_marginal_value_to_rounding(monkeypatch):
