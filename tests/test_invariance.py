@@ -1,13 +1,18 @@
-"""Exact relations between cells: units of price and the order of users.
+"""Exact relations between cells: units of price, units of rate and the
+order of users.
 
 Doubling every beta doubles the price at which each application demands
 a given rate, and nothing else: the allocation is the same. Multiplying
 every beta by 2^30 rescales every price exactly, so a solver whose path
 depends on the units of price (a start price, a bracket, a floor) shows
-it here. Listing the users in reverse order changes no user's problem.
-Both solvers must keep the outcome class of each of the benchmark's
-fuzz cells at seed 7 under either change, and every user rate within
-max(0.1, 0.5% of R).
+it here. Measuring rate in units 1 / lambda multiplies R, every b, r_max
+and target by lambda and divides every a and k by lambda: each a r, a b
+and k r the utility forms is unchanged, exactly so for lambda = 2^20 or
+2^-20, and the allocation scales by lambda, so a solver whose path
+depends on the units of rate shows it here. Listing the users in reverse
+order changes no user's problem. Both solvers must keep the outcome class
+of each of the benchmark's fuzz cells at seed 7 under each change, and
+every user rate, scaled back, within 1e-8 R.
 """
 
 import copy
@@ -28,13 +33,41 @@ def _scaled_betas(tree):
     tree = copy.deepcopy(tree)
     for user in tree["users"]:
         user["beta"] *= 2.0 ** 30
-    return tree
+    return tree, 1.0
+
+
+def _scaled_units(scale):
+    def change(tree):
+        tree = copy.deepcopy(tree)
+        tree["R"] *= scale
+        for user in tree["users"]:
+            for app in user["apps"]:
+                utility = app["utility"]
+                if utility["kind"] == "sigmoidal":
+                    utility["a"] /= scale
+                    utility["b"] *= scale
+                else:
+                    utility["k"] /= scale
+                    utility["r_max"] *= scale
+                if "target_rate" in app:
+                    app["target_rate"] *= scale
+        return tree, scale
+    return change
 
 
 def _reversed_users(tree):
     tree = copy.deepcopy(tree)
     tree["users"].reverse()
-    return tree
+    return tree, 1.0
+
+
+# Each change returns the changed tree and the factor it scales the rates by.
+CHANGES = {
+    "betas_times_2_30": _scaled_betas,
+    "users_reversed": _reversed_users,
+    "units_times_2_20": _scaled_units(2.0 ** 20),
+    "units_over_2_20": _scaled_units(2.0 ** -20),
+}
 
 
 @pytest.fixture(scope="module")
@@ -60,18 +93,17 @@ def _outcome(solve, tree):
         return type(exc).__name__
 
 
-@pytest.mark.parametrize("change", [_scaled_betas, _reversed_users],
-                         ids=["betas_times_2_30", "users_reversed"])
+@pytest.mark.parametrize("change", CHANGES)
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_fuzz_cells_solve_alike_under_an_exact_change(fuzz_trees, solver, change):
     solve = SOLVERS[solver]
     for tree in fuzz_trees:
-        want, got = _outcome(solve, tree), _outcome(solve, change(tree))
+        changed, scale = CHANGES[change](tree)
+        want, got = _outcome(solve, tree), _outcome(solve, changed)
         label = tree["description"]
         if isinstance(want, str) or isinstance(got, str):
             assert want == got, (label, want, got)
             continue
-        tol = max(0.1, 0.005 * tree["R"])
         assert want.keys() == got.keys(), label
         for uid, rate in want.items():
-            assert abs(got[uid] - rate) <= tol, (label, uid, rate, got[uid])
+            assert abs(got[uid] / scale - rate) <= 1e-8 * tree["R"], (label, uid, rate, got[uid])
