@@ -24,20 +24,13 @@ For the oracle it also prints each side's total `dlog_evaluate` calls
 trials counted per `oracle._clear` call (the distinct prices within
 it): summed over the first clearings, summed over the capped users'
 splits, and the most in any one clearing; and each side's number of
-splits, every clearing after a cell's first. Last, as its accuracy, it
-prints each side's worst stationarity spread over the solved cells, with
-the number of cells whose spread rose and fell: per clearing, the
-largest max - min of ln(factor * dlog_evaluate(app rate)) over its rows
-strictly between 0 and their limit, the rows, factors, offsets and
-limits read from `utility.regime_table`. A clearing is all the users
-below their cap together, or one capped user's rows. The oracle's
-amounts are exact only to its clearing tolerance, tol = 1e-9 * budget,
-so a user within tol of its cap counts as capped, a row within tol of 0
-or of its limit as at that bound, and a row whose dlog_evaluate
-underflows to 0 is left out. At the optimum every row left in meets its
-clearing's price in marginal value, so the spread reads 0 there; it
-needs no reference solve. The script and its subprocesses use the
-standard library only.
+splits, every clearing after a cell's first. Last, as each solver's
+accuracy, it prints each side's count of solved answers that fail
+`tests/referee.py`'s exact check (`kkt_gap` > 0, the KKT conditions in
+mpmath) and its worst gap in ln p. The check is this script's own
+`tests/referee.py`, run in each checkout's subprocess against that
+checkout's `utility.regime_table`, so mpmath must be installed; the rest
+of the script uses the standard library only.
 """
 
 from __future__ import annotations
@@ -50,26 +43,29 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+_TESTS = Path(__file__).resolve().parents[1] / "tests"
+sys.path.insert(0, str(_TESTS))
 from wide_trees import wide_tree  # noqa: E402
 
 WIDE_SCALES = (12, 60, 300)
 WIDE_DRAWS = 400
 SOLVERS = ("centralized_solve", "run_once")
 
-# Run in the checkout: reads {set: [tree, ...]} on stdin, prints
-# {set: [[label, R, {solver: [outcome, trials, dlog calls, clearings, spread]}], ...]},
+# Run in the checkout with the referee's directory as its argument: reads
+# {set: [tree, ...]} on stdin, prints
+# {set: [[label, R, {solver: [outcome, trials, dlog calls, clearings, gap]}], ...]},
 # an outcome being the user rates or the name of the NuraError raised,
-# clearings the oracle's distinct prices per clearing, in order, and spread
-# its stationarity spread (0 where it raised). The counters wrap with any
-# further arguments, so that they fit every version of what they wrap.
+# clearings the oracle's distinct prices per clearing, in order, and gap the
+# referee's kkt_gap of the answer (None where it raised). The counters wrap
+# with any further arguments, so that they fit every version of what they wrap.
 _CHILD = """
-import json, math, sys, warnings
+import json, sys, warnings
 sys.path[:0] = ["src", "bench"]
+sys.path.append(sys.argv[1])
 import cells
+from referee import kkt_gap
 from nura import NuraError, centralized_solve, intra_ue, oracle, protocol, run_once
 from nura import LogarithmicUtility, SigmoidalUtility, scenario_from_dict
-from nura.utility import regime_table
 
 prices = set()
 clearings = []  # the distinct prices of each oracle clearing so far
@@ -112,33 +108,11 @@ intra_ue.clear_price = protocol.clear_price = cleared
 def certified(config):
     return centralized_solve(config.users, config.capacity)
 
-def spread(config, result):
-    # The worst max - min of ln(factor * (ln U)'(app rate)) per clearing over
-    # its rows strictly between 0 and their limit, each give or take tol.
-    table = regime_table(config.users, config.capacity)
-    tol = 1e-9 * table.budget
-    finals = [rate for user in table.participants for rate in result.app_rates[user.user_id]]
-    users = [[] for _ in table.participants]
-    for row, limit, final in zip(table.rows, table.limits, finals):
-        users[row.user_slot].append((row, limit, final))
-    clearings, free = [], []
-    for cap, rows in zip(table.user_caps, users):
-        values = []
-        for row, limit, final in rows:
-            slope = tol < final - row.offset < limit - tol and row.app.utility.dlog_evaluate(final)
-            if slope:
-                values.append(math.log(row.factor) + math.log(slope))
-        if sum(final - row.offset for row, _, final in rows) >= cap - tol:
-            clearings.append(values)
-        else:
-            free.extend(values)
-    return max(max(values) - min(values) for values in clearings + [free, [0.0]] if values)
-
 def outcomes(make):
     try:
         config = make()
     except NuraError as exc:
-        return None, {solver: [type(exc).__name__, 0, 0, [], 0.0]
+        return None, {solver: [type(exc).__name__, 0, 0, [], None]
                       for solver in ("centralized_solve", "run_once")}
     out = {}
     for solver, solve in (("centralized_solve", certified),
@@ -150,13 +124,14 @@ def outcomes(make):
         try:
             result = solve(config)
         except NuraError as exc:
-            rates, result = type(exc).__name__, None
+            rates, gap = type(exc).__name__, None
         else:
             rates = result.user_rates
         out[solver] = [rates, len(prices) if solver == "centralized_solve" else trials[0], calls[0],
                        [len(tried) for tried in clearings]]
-        out[solver].append(spread(config, result) if result and solver == "centralized_solve"
-                           else 0.0)
+        if not isinstance(rates, str):
+            gap = kkt_gap(config, result.app_rates)
+        out[solver].append(gap)
     return config.capacity, out
 
 def solved(labelled):
@@ -174,8 +149,8 @@ print(json.dumps(out))
 
 
 def _solve_all(checkout: Path, trees: dict) -> dict:
-    done = subprocess.run([sys.executable, "-c", _CHILD], cwd=checkout, input=json.dumps(trees),
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", _CHILD, str(_TESTS)], cwd=checkout,
+                          input=json.dumps(trees), capture_output=True, text=True)
     if done.returncode:  # an exception other than a NuraError
         sys.exit(f"{checkout}:\n{done.stderr}")
     return json.loads(done.stdout)
@@ -207,13 +182,14 @@ def main(argv=None) -> None:
             called, calls = 0, 0  # each side's dlog_evaluate calls
             # each side's first, split and most clearing trials, and its splits
             split = [[0, 0, 0, 0], [0, 0, 0, 0]]
-            spreads, wider, narrower = [0.0, 0.0], 0, 0  # each side's worst stationarity spread
+            failing, gaps = [0, 0], [0.0, 0.0]  # each side's answers failing the referee, worst gap
             for (label, capacity, parent), (_, _, change) in zip(cells, new[name]):
-                (before, tried, dlogs, was, spread), (
-                    after, tries, dlogs_now, now, spread_now) = parent[solver], change[solver]
-                spreads = [max(spreads[0], spread), max(spreads[1], spread_now)]
-                wider += spread_now > spread
-                narrower += spread_now < spread
+                (before, tried, dlogs, was, gap), (
+                    after, tries, dlogs_now, now, gap_now) = parent[solver], change[solver]
+                for side, value in enumerate((gap, gap_now)):
+                    if value:  # None where the solver raised, 0 where the answer passes
+                        failing[side] += 1
+                        gaps[side] = max(gaps[side], value)
                 called, calls = called + dlogs, calls + dlogs_now
                 for side, counts in zip(split, (was, now)):
                     side[0] += counts[0] if counts else 0
@@ -234,9 +210,10 @@ def main(argv=None) -> None:
                   + (f", dlog_evaluate calls {called} -> {calls}; per clearing: first"
                      f" {split[0][0]} -> {split[1][0]}, splits {split[0][1]} -> {split[1][1]}"
                      f" in {split[0][3]} -> {split[1][3]} clearings,"
-                     f" most {split[0][2]} -> {split[1][2]}; worst stationarity spread"
-                     f" {spreads[0]:.3g} -> {spreads[1]:.3g} ({wider} rose, {narrower} fell)"
-                     if solver == "centralized_solve" else ""))
+                     f" most {split[0][2]} -> {split[1][2]}"
+                     if solver == "centralized_solve" else "")
+                  + f"; failing the referee {failing[0]} -> {failing[1]},"
+                    f" worst gap {gaps[0]:.3g} -> {gaps[1]:.3g}")
             for line in differ:
                 print(f"    {line}")
 
