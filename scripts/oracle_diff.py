@@ -125,13 +125,10 @@ def outcomes(make):
             result = solve(config)
         except NuraError as exc:
             rates, gap = type(exc).__name__, None
-        else:
-            rates = result.user_rates
+        else:  # the referee's mpmath touches no counter
+            rates, gap = result.user_rates, kkt_gap(config, result.app_rates)
         out[solver] = [rates, len(prices) if solver == "centralized_solve" else trials[0], calls[0],
-                       [len(tried) for tried in clearings]]
-        if not isinstance(rates, str):
-            gap = kkt_gap(config, result.app_rates)
-        out[solver].append(gap)
+                       [len(tried) for tried in clearings], gap]
     return config.capacity, out
 
 def solved(labelled):
