@@ -20,7 +20,9 @@ cell's clearings); run_once's are its
 clearing trials (each `intra_ue.clear_price` call's
 `intra_ue.app_rate_at_price` calls over its rows, summed over the cell).
 For the oracle it also prints each side's total `dlog_evaluate` calls
-(both utility classes, counted on the class) over the set, and its price
+(both utility classes, counted on the class) and closed-form demand
+evaluations (calls of the demand functions that both classes'
+`demand_curve` return, wrapped before any cell is built) over the set, and its price
 trials counted per `oracle._clear` call (the distinct prices within
 it): summed over the first clearings, summed over the capped users'
 splits, and the most in any one clearing; and each side's number of
@@ -53,10 +55,11 @@ SOLVERS = ("centralized_solve", "run_once")
 
 # Run in the checkout with the referee's directory as its argument: reads
 # {set: [tree, ...]} on stdin, prints
-# {set: [[label, R, {solver: [outcome, trials, dlog calls, clearings, gap]}], ...]},
+# {set: [[label, R, {solver: [outcome, trials, dlog calls, clearings, gap, demands]}], ...]},
 # an outcome being the user rates or the name of the NuraError raised,
 # clearings the oracle's distinct prices per clearing, in order, and gap the
-# referee's kkt_gap of the answer (None where it raised). The counters wrap
+# referee's kkt_gap of the answer (None where it raised) and demands the closed-form
+# demand evaluations. The counters wrap
 # with any further arguments, so that they fit every version of what they wrap.
 _CHILD = """
 import json, sys, warnings
@@ -70,7 +73,7 @@ from nura import LogarithmicUtility, SigmoidalUtility, scenario_from_dict
 prices = set()
 clearings = []  # the distinct prices of each oracle clearing so far
 trials = [0.0, 0]  # clearing trials so far, demand calls in this clearing
-calls = [0]  # dlog_evaluate calls
+calls = [0, 0]  # dlog_evaluate calls, closed-form demand evaluations
 
 def counting(original):
     def dlog_evaluate(*args):
@@ -78,8 +81,19 @@ def counting(original):
         return original(*args)
     return dlog_evaluate
 
+def reading(original):
+    def demand_curve(*args):
+        demand = original(*args)
+
+        def counted(*args):
+            calls[1] += 1
+            return demand(*args)
+        return counted
+    return demand_curve
+
 for utility in (SigmoidalUtility, LogarithmicUtility):
     utility.dlog_evaluate = counting(utility.dlog_evaluate)
+    utility.demand_curve = reading(utility.demand_curve)
 
 def clearing(demand, *args, original=oracle._clear):
     tried = set()
@@ -112,7 +126,7 @@ def outcomes(make):
     try:
         config = make()
     except NuraError as exc:
-        return None, {solver: [type(exc).__name__, 0, 0, [], None]
+        return None, {solver: [type(exc).__name__, 0, 0, [], None, 0]
                       for solver in ("centralized_solve", "run_once")}
     out = {}
     for solver, solve in (("centralized_solve", certified),
@@ -120,7 +134,7 @@ def outcomes(make):
         prices.clear()
         clearings.clear()
         trials[0] = 0.0
-        calls[0] = 0
+        calls[:] = [0, 0]
         try:
             result = solve(config)
         except NuraError as exc:
@@ -128,7 +142,7 @@ def outcomes(make):
         else:  # the referee's mpmath touches no counter
             rates, gap = result.user_rates, kkt_gap(config, result.app_rates)
         out[solver] = [rates, len(prices) if solver == "centralized_solve" else trials[0], calls[0],
-                       [len(tried) for tried in clearings], gap]
+                       [len(tried) for tried in clearings], gap, calls[1]]
     return config.capacity, out
 
 def solved(labelled):
@@ -177,17 +191,20 @@ def main(argv=None) -> None:
         for solver in SOLVERS:
             differ, worst, rose, fell, total, totals = [], 0.0, 0, 0, 0.0, 0.0
             called, calls = 0, 0  # each side's dlog_evaluate calls
+            read, reads = 0, 0  # each side's closed-form demand evaluations
             # each side's first, split and most clearing trials, and its splits
             split = [[0, 0, 0, 0], [0, 0, 0, 0]]
             failing, gaps = [0, 0], [0.0, 0.0]  # each side's answers failing the referee, worst gap
             for (label, capacity, parent), (_, _, change) in zip(cells, new[name]):
-                (before, tried, dlogs, was, gap), (
-                    after, tries, dlogs_now, now, gap_now) = parent[solver], change[solver]
+                (before, tried, dlogs, was, gap, demands), (
+                    after, tries, dlogs_now, now, gap_now, demands_now) = (parent[solver],
+                                                                          change[solver])
                 for side, value in enumerate((gap, gap_now)):
                     if value:  # None where the solver raised, 0 where the answer passes
                         failing[side] += 1
                         gaps[side] = max(gaps[side], value)
                 called, calls = called + dlogs, calls + dlogs_now
+                read, reads = read + demands, reads + demands_now
                 for side, counts in zip(split, (was, now)):
                     side[0] += counts[0] if counts else 0
                     side[1] += sum(counts[1:])
@@ -204,7 +221,8 @@ def main(argv=None) -> None:
             print(f"  {solver}: classes {_classes(cells, solver)} -> {_classes(new[name], solver)}"
                   f"; {len(differ)} change outcome class, max |d user rate| / R = {worst:.3g}, "
                   f"trials {total:g} -> {totals:g} ({rose} rose, {fell} fell)"
-                  + (f", dlog_evaluate calls {called} -> {calls}; per clearing: first"
+                  + (f", dlog_evaluate calls {called} -> {calls},"
+                     f" demand evaluations {read} -> {reads}; per clearing: first"
                      f" {split[0][0]} -> {split[1][0]}, splits {split[0][1]} -> {split[1][1]}"
                      f" in {split[0][3]} -> {split[1][3]} clearings,"
                      f" most {split[0][2]} -> {split[1][2]}"

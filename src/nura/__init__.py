@@ -20,12 +20,7 @@ from .errors import (
     SweepError,
     ValidationError,
 )
-from .price_response import (
-    app_rate_at_price,
-    damp_bid,
-    user_rate_at_price,
-    vip_bid,
-)
+from .price_response import app_rate_at_price, damp_bid, user_rate_at_price, vip_bid
 from .protocol import (
     FirstStageResult,
     ProtocolParams,

@@ -7,23 +7,19 @@ budget (and, under scarce capacity, per-user and per-application caps).
 
 centralized_solve clears one global price by its own search. It shares
 with the pipeline what the utility module states: the regime table, with
-its input checks and row limits, the objective, each sigmoid row's
-plateau, and each application's closed-form demand
-(Application.demand_at): a row's rate at a price p is that demand at p /
-beta less its offset, clipped to [0, limit]. It shares nothing of how
-the pipeline clears: it never calls clear_price, the bidding rounds,
-app_rate_at_price or dlog_slope. It reads a row's exit price, where the
-row leaves its limit, factor * dlog_evaluate(limit + offset), once per
-solve, and only once a price trial finds the row at its limit. The
-independent check of its answers, as of the pipeline's, is
-tests/referee.py: the KKT conditions in mpmath, from the utility's
-definition. One clearing routine (_clear) finds the price where total
-demand, added left to right, meets the budget, and tops every
-application up from its demand at the upper price toward its demand at
-the lower one by the same fraction. Under scarce capacity it also splits
-the share of each user the clearing caps among its applications, from
-the clearing's upper end, once per distinct split; every other user
-keeps its rows as cleared.
+its input checks, row limits and curve grouping (the curves the bidding
+rounds read), the objective, each sigmoid row's plateau, and each
+application's closed-form demand (Application.demand_at). A price trial
+reads each curve of its rows once, at p / beta, and each row's rate as
+that less its offset, clipped to [0, limit]. It shares nothing of how the
+pipeline clears: it never calls clear_price, the bidding rounds,
+app_rate_at_price or dlog_slope. A row's exit price, where it leaves its
+limit, factor * dlog_evaluate(limit + offset), is read once per solve,
+when a trial first finds the row there. One clearing routine (_clear)
+clears the price, and under scarce capacity the share of each user it
+caps among that user's rows. The independent check of its answers, as of
+the pipeline's, is tests/referee.py: the KKT conditions in mpmath, from
+the utility's definition.
 
 grid_search_solve is the brute-force anti-hallucination oracle for tiny
 instances: exhaustive enumeration over the step-grid of the feasible
@@ -337,78 +333,70 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
     groups: list[list[int]] = [[] for _ in table.participants]
     for index, entry in enumerate(table.rows):
         groups[entry.user_slot].append(index)
-    # Equal rows read equal rates, so each is read once per price.
+    # Rows equal in curve, offset and limit read equal rates and exit prices.
     distinct: dict[tuple, int] = {}
-    kinds = [distinct.setdefault((entry.app, table.participants[entry.user_slot].beta,
-                                  entry.offset, limit), len(distinct))
-             for entry, limit in zip(table.rows, table.limits)]
-    rows = [(app.demand_at, beta, offset, limit) for app, beta, offset, limit in distinct]
-    curves = [(beta * app.weight, app.utility) for app, beta, _, _ in distinct]
-    plateau_of = [sigmoid_plateau(utility, factor) for factor, utility in curves]
-    exit_of: list[float | None] = [None] * len(rows)  # read when a trial first needs it
+    kinds = [distinct.setdefault((curve, entry.offset, limit), len(distinct))
+             for curve, entry, limit in zip(table.curve_of, table.rows, table.limits)]
+    plateau_of = [sigmoid_plateau(app.utility, beta * app.weight) for app, beta in table.curves]
+    exit_of: list[float | None] = [None] * len(distinct)  # read when a trial first needs it
 
-    def plateaus(indices) -> list[tuple[float, float]]:
-        return sorted({plateau_of[kinds[i]] for i in indices} - {None})
+    def reader(indices) -> tuple[Callable[[float], tuple[list[float], list]], list]:
+        # A price trial on these rows, each its own amount, with the exit of each at
+        # its limit (0 at weight 0 or limit 0, kept in exit_of); and their plateaus.
+        own = sorted({table.curve_of[i] for i in indices} - {None})
+        curves = [(table.curves[c][0].demand_at, table.curves[c][1]) for c in own]
+        zero, place = len(own), {c: at for at, c in enumerate(own)}  # a weight-0 row reads 0
+        entries = [(place.get(table.curve_of[i], zero), table.rows[i].offset, table.limits[i],
+                    kinds[i], table.rows[i]) for i in indices]
 
-    def read(row_kinds, price) -> tuple[list[float], dict[int, float]]:
-        # The rates of rows of these kinds, each kind's read once: its demand
-        # at price / beta less its offset, in [0, limit] (0 where price / beta
-        # overflows, an error where it is 0); and by its place, the exit price
-        # of each row at its limit, factor * (ln U)'(limit + offset), 0 at limit 0.
-        seen, rates, leaving = {}, [], {}
-        for j, kind in enumerate(row_kinds):
-            demand_at, beta, offset, limit = rows[kind]
-            r = seen.get(kind)
-            if r is None:
+        def read(price) -> tuple[list[float], list[tuple[float, float]]]:
+            values = []
+            for demand_at, beta in curves:
                 scaled = price / beta
-                if demand_at is None or scaled == math.inf:
-                    r = 0.0
-                elif scaled == 0.0:
+                if 0.0 < scaled <= _FLOAT_MAX:
+                    values.append(demand_at(scaled))
+                elif scaled:  # inf
+                    values.append(0.0)
+                else:
                     raise SolverError(f"price {price!r} / beta {beta!r} underflows to 0",
                                       bracket=(0.0, price))
-                else:
-                    r = demand_at(scaled) - offset
-                    if 0.0 > r:
-                        r = 0.0
-                    if limit < r:
-                        r = limit
-                seen[kind] = r
-            rates.append(r)
-            if r == limit:
-                out = exit_of[kind]
-                if out is None:
-                    factor, utility = curves[kind]
-                    out = exit_of[kind] = min(factor * utility.dlog_evaluate(limit + offset),
-                                              _FLOAT_MAX) if demand_at and limit > 0.0 else 0.0
-                leaving[j] = out
-        return rates, leaving
+            values.append(0.0)
+            rates, exits = [], []
+            for at, offset, limit, kind, entry in entries:
+                r = values[at] - offset
+                if 0.0 > r:
+                    r = 0.0
+                if limit < r:
+                    r = limit
+                rates.append(r)
+                if r == limit:
+                    out = exit_of[kind]
+                    if out is None:
+                        out = exit_of[kind] = min(entry.factor * entry.app.utility.dlog_evaluate(
+                            limit + offset), _FLOAT_MAX) if at < zero and limit > 0.0 else 0.0
+                    exits.append((out, r))
+            return rates, exits
+        return read, sorted({plateau_of[c] for c in own} - {None})
 
-    def splitting(row_kinds):  # each row is its own amount
-        def split(price) -> tuple[list[float], list[tuple[float, float]]]:
-            rates, leaving = read(row_kinds, price)
-            return rates, [(leave, rates[j]) for j, leave in leaving.items()]
-        return split
-
-    every_row = range(len(table.rows))
+    read, plateaus = reader(range(len(table.rows)))
     if table.case is not CaseFlag.TARGETS_EXCEED_CAPACITY:  # no user is capped
-        return _assemble(users, table, _clear(splitting(kinds), table.budget,
-                                              plateaus(every_row))[0], "dual_bisection")
+        return _assemble(users, table, _clear(read, table.budget, plateaus)[0], "dual_bisection")
 
     def competing(price) -> tuple[list[float], list[tuple[float, float]]]:
-        rates, leaving = read(kinds, price)
+        rates, exits = read(price)
         amounts = [min(add_up(rates[i] for i in group), cap)
                    for group, cap in zip(groups, table.user_caps)]
-        exits: list[tuple[float, float]] = []
-        if leaving:  # the rows leaving last hold up to the user's cap
+        if exits:  # the rows leaving last hold up to the user's cap
+            exits = []
             for group, cap in zip(groups, table.user_caps):
-                for leave, rate in sorted(((leaving[i], rates[i]) for i in group if i in leaving),
-                                          reverse=True):
+                for leave, rate in sorted(((exit_of[kinds[i]], rates[i]) for i in group
+                                           if rates[i] == table.limits[i]), reverse=True):
                     exits.append((leave, min(rate, cap)))
                     cap -= min(rate, cap)
         return amounts, exits
 
-    shares, fraction, upper, lower = _clear(competing, table.budget, plateaus(every_row))
-    at_upper, at_lower = (read(kinds, end.price)[0] for end in (upper, lower))
+    shares, fraction, upper, lower = _clear(competing, table.budget, plateaus)
+    at_upper, at_lower = (read(end.price)[0] for end in (upper, lower))
     # Users equal in row kinds and share (positive floats are equal only
     # bit for bit) split alike, so each such split is cleared once.
     splits: dict[tuple, list[float]] = {}
@@ -422,8 +410,8 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
             continue
         row_kinds = tuple(kinds[i] for i in group)
         if (row_kinds, share) not in splits:
-            splits[row_kinds, share] = _clear(splitting(row_kinds), share, plateaus(group),
-                                              upper.price)[0]
+            own, own_plateaus = reader(group)
+            splits[row_kinds, share] = _clear(own, share, own_plateaus, upper.price)[0]
         rates.extend(splits[row_kinds, share])
     return _assemble(users, table, rates, "dual_bisection")
 

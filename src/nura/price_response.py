@@ -3,27 +3,27 @@
 Given a shadow price p, each application demands the rate maximizing
 weight * ln U(r + c) - p * (r + c). Because ln U is strictly concave,
 the first-order condition weight * (ln U)'(r + c) = p has at most one
-root, and both curve shapes give it in closed form: a Lambert W value
-for a log curve, the root of a quadratic in e^{ar} for a sigmoid. Each
-Application caches that closed form for its weight (demand_at, built by
-the utility's demand_curve), so no demand needs a start, a tolerance or
-a per-call constant. The capacity regime sets c (the target when
-capacity is abundant, else 0): app_rate_at_price, used by the clearings.
+root, which both curve shapes give in closed form, cached on each
+Application for its weight (demand_at, built by the utility's
+demand_curve). The capacity regime sets c (the target when capacity is
+abundant, else 0): app_rate_at_price, used by the clearings.
 
 The bidding rounds read a BidLayout that bidders builds once per run
-from the run's RegimeTable: each distinct (utility, weight, beta) once
-as a curve, and per participant its rows' curve slots, offsets and
-caps. round_bids is one whole round in one pass: it evaluates each
-curve once at price / beta, then for each participant in layout order
-adds its rows' min(max(r - c, 0), cap) left to right, clips the sum at
-the user's cap, bids price times that demand plus the user's offsets,
-moved from its last bid by at most the round's step, and adds the bid
-to the round's total and stop test, which it returns with the bids.
-The step shrinks exponentially, so the bidding protocol's fixed-point
-iteration cannot oscillate forever; damp_bid, looked up per bid, only
-clamps. user_rate_at_price adds one user's app_rate_at_price over its
-applications the same way, and vip_bid is round_bids for one user,
-through a one-user layout.
+from the run's RegimeTable: the table's curves, each distinct (utility,
+weight, beta) once, and per participant its rows' curve slots, offsets
+and caps. The certifier (oracle.centralized_solve) reads a price through
+the same curves, but none of the clearing, the rounds, app_rate_at_price
+or dlog_slope. round_bids is one whole round in one pass: it evaluates
+each curve once at price / beta, then for each participant in layout
+order adds its rows' min(max(r - c, 0), cap) left to right, clips the
+sum at the user's cap, bids price times that demand plus the user's
+offsets, moved from its last bid by at most the round's step, and adds
+the bid to the round's total and stop test, which it returns with the
+bids. The step shrinks exponentially, so the bidding protocol's
+fixed-point iteration cannot oscillate forever; damp_bid, looked up per
+bid, only clamps. user_rate_at_price adds one user's app_rate_at_price
+over its applications the same way, and vip_bid is round_bids for one
+user, through a one-user layout.
 """
 
 from __future__ import annotations
@@ -84,23 +84,17 @@ class BidLayout(NamedTuple):
 
 def bidders(table: RegimeTable) -> BidLayout:
     """The table's participants as a BidLayout, in order, each bounded by
-    its user cap above its offset."""
+    its user cap above its offset, on the table's curves."""
     users, case = table.participants, table.case
-    slots: dict[tuple, int] = {}
-    curves = []
     rows: list[list] = [[] for _ in users]
-    for row in table.rows:
-        if row.app.weight != 0.0:
-            beta = users[row.user_slot].beta
-            slot = slots.setdefault((row.app.utility, row.app.weight, beta), len(curves))
-            if slot == len(curves):
-                curves.append((row.app.demand_at, beta))
+    for row, slot in zip(table.rows, table.curve_of):
+        if slot is not None:
             rows[row.user_slot].append((slot, row.offset, row.cap))
     members = tuple(
         Bidder(user.user_id, user.beta, cap, case.user_offset(user), tuple(user_rows))
         for user, cap, user_rows in zip(users, table.user_caps, rows)
     )
-    return BidLayout(tuple(curves), members)
+    return BidLayout(tuple((app.demand_at, beta) for app, beta in table.curves), members)
 
 
 def round_bids(

@@ -19,7 +19,8 @@ overflow, and saturation degrades gracefully rather than raising.
 The problem's statement lives here too, read by the bidding stage, the
 intra-user split and the certifying solvers alike: the checks on their
 input, the capacity regime (CaseFlag) with each row's limit under it,
-each sigmoid row's plateau, and the objective the rows are scored by.
+the rows grouped by curve (RegimeTable), each sigmoid row's plateau, and
+the objective the rows are scored by.
 """
 
 from __future__ import annotations
@@ -453,8 +454,12 @@ class RegimeTable:
     participants are the users taking part, in declaration order; budget
     is the capacity they share above their offsets; user_caps holds each
     participant's cap (inf for none) and rows their applications, user by
-    user. limits, set once from the fields and not a field itself, holds
-    the most each row can take: min(its cap, its user's cap, the budget).
+    user. Set once from the fields, and not fields themselves: limits, the
+    most each row can take, min(its cap, its user's cap, the budget); and
+    the curve grouping the bidding rounds and the certifier both read a
+    price through: curves, one (application, beta) per distinct (utility,
+    weight, beta) of a weighted row, in first-appearance order, and
+    curve_of, each row's index into curves (None at weight 0).
     """
 
     case: CaseFlag
@@ -464,9 +469,19 @@ class RegimeTable:
     rows: tuple[AppRow, ...]
 
     def __post_init__(self) -> None:
-        caps, budget = self.user_caps, self.budget
-        limits = tuple(min(row.cap, caps[row.user_slot], budget) for row in self.rows)
-        object.__setattr__(self, "limits", limits)
+        caps, budget, users = self.user_caps, self.budget, self.participants
+        limits = [min(row.cap, caps[row.user_slot], budget) for row in self.rows]
+        slots: dict[tuple, int] = {}  # (utility, weight, beta) -> its index in curves
+        curves, curve_of = [], []
+        for row in self.rows:
+            app, beta = row.app, users[row.user_slot].beta
+            slot = None if app.weight == 0.0 else slots.setdefault(
+                (app.utility, app.weight, beta), len(slots))
+            if slot == len(curves):
+                curves.append((app, beta))
+            curve_of.append(slot)
+        for name, value in ("limits", limits), ("curves", curves), ("curve_of", curve_of):
+            object.__setattr__(self, name, tuple(value))
 
 
 def app_rows(users: Sequence[UserProfile], case: CaseFlag) -> tuple[AppRow, ...]:

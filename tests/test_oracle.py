@@ -399,9 +399,10 @@ def test_users_equal_but_for_their_ids_get_equal_bits(cell, capacity):
 
 
 def test_each_price_trial_searches_each_distinct_row_once(cell, monkeypatch):
-    """Above the targets, ue3's and ue4's log rows equal ue1's and ue2's
-    (same application, beta, offset 0 and limit the budget), so each price
-    trial of the one clearing reads 6 closed-form demands for 8 rows."""
+    """Above the targets, ue3's and ue4's rows sit on ue1's and ue2's
+    curves (same utility, weight and beta): their log rows equal ue1's and
+    ue2's, their sigmoid rows differ only in offset. Each price trial of the
+    one clearing reads each curve once: 4 closed-form demands for 8 rows."""
     assert len(regime_table(cell.users, 100.0).rows) == 8
     read = Counter()
     for cls in (SigmoidalUtility, LogarithmicUtility):
@@ -416,7 +417,7 @@ def test_each_price_trial_searches_each_distinct_row_once(cell, monkeypatch):
         monkeypatch.setattr(cls, "demand_curve", curve)
     users = [replace(user, apps=tuple(replace(app) for app in user.apps)) for user in cell.users]
     centralized_solve(users, 100.0)
-    assert len(read) > 1 and set(read.values()) == {6}
+    assert len(read) > 1 and set(read.values()) == {4}
 
 
 def _price_trials(config, monkeypatch) -> int:
