@@ -237,22 +237,27 @@ class LogarithmicUtility:
                 f"(k={self.k!r}, r_max={self.r_max!r})"
             )
         # ln of the normalisation, set once; not a field (see SigmoidalUtility).
-        object.__setattr__(self, "_log_norm", math.log(norm))
+        object.__setattr__(self, "_log_norm", self._log_log1p(self.r_max))
+
+    def _log_log1p(self, rate: float) -> float:  # ln ln(1 + k rate) for rate > 0
+        # Where k rate leaves the normal range, ln(1 + k rate) is k rate or ln k + ln rate.
+        kr = self.k * rate
+        if kr < _TINY:
+            return math.log(self.k) + math.log(rate)
+        return math.log(math.log1p(kr) if kr < math.inf else math.log(self.k) + math.log(rate))
 
     def evaluate(self, rate: float) -> float:
         if rate < 0.0:
             raise DomainError(f"rate must be nonnegative, got {rate!r}")
-        return math.log1p(self.k * rate) / math.log1p(self.k * self.r_max)
+        num, norm = math.log1p(self.k * rate), math.log1p(self.k * self.r_max)
+        if rate > 0.0 and not (_TINY <= num < math.inf and _TINY <= norm):
+            return math.exp(self._log_log1p(rate) - self._log_norm)
+        return num / norm
 
     def log_evaluate(self, rate: float) -> float:
         if rate < 0.0:
             raise DomainError(f"rate must be nonnegative, got {rate!r}")
-        if rate == 0.0:
-            return NEG_INF
-        num = math.log1p(self.k * rate)
-        if num <= 0.0:  # k*rate underflowed to zero
-            return NEG_INF
-        return math.log(num) - self._log_norm
+        return NEG_INF if rate == 0.0 else self._log_log1p(rate) - self._log_norm
 
     def dlog_evaluate(self, rate: float) -> float:
         """d/dr ln U(r) = k / ((1 + k r) ln(1 + k r)); 1 / (r ln(k r)) to
@@ -261,7 +266,7 @@ class LogarithmicUtility:
             raise DomainError(f"rate must be positive, got {rate!r}")
         kr = self.k * rate
         denom = (1.0 + kr) * math.log1p(kr)
-        if denom <= 0.0:  # k * rate underflowed to 0: 1 / rate is the leading term
+        if denom < _TINY:  # k * rate is subnormal or 0: 1 / rate to rounding
             return 1.0 / rate
         if denom == math.inf:
             return 1.0 / rate / (math.log(self.k) + math.log(rate))
@@ -273,8 +278,10 @@ class LogarithmicUtility:
             raise DomainError(f"rate must be positive, got {rate!r}")
         kr = self.k * rate
         log_term = math.log1p(kr)
-        if log_term <= 0.0:  # k * rate underflowed to 0
+        if log_term < _TINY:  # k * rate is subnormal or 0: -1 / rate to rounding
             return -1.0 / rate
+        if log_term == math.inf:  # k / (1 + k r) is 1 / r, ln(1 + k r) ln k + ln r, to rounding
+            return -1.0 / rate * (1.0 + 1.0 / (math.log(self.k) + math.log(rate)))
         return -self.k / (1.0 + kr) * (1.0 + 1.0 / log_term)
 
     def demand_curve(self, weight: float) -> Callable[[float], float]:

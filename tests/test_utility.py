@@ -155,6 +155,54 @@ def test_log_dlog_where_its_denominator_overflows_matches_mpmath(log10_k, part):
     assert_close(utility.dlog_evaluate(rate), reference, rel=1e-12)
 
 
+def _exact_log_curve(k, r_max, rate):
+    """The log curve's evaluate, log_evaluate, dlog_evaluate and dlog_slope
+    at the rate, from their definitions in 60-digit mpmath, each with the
+    scale its error is measured against: its own size, or for log_evaluate,
+    a difference of two logs that cancel near r_max, the larger of those."""
+    with mpmath.workdps(60):
+        k_, r_max_, r_ = (mpmath.mpf(v) for v in (k, r_max, rate))
+        num, norm = mpmath.log1p(k_ * r_), mpmath.log1p(k_ * r_max_)
+        values = {"evaluate": num / norm, "log_evaluate": mpmath.log(num) - mpmath.log(norm),
+                  "dlog_evaluate": k_ / ((1 + k_ * r_) * num),
+                  "dlog_slope": -k_ / (1 + k_ * r_) * (1 + 1 / num)}
+        scales = {name: abs(value) for name, value in values.items()}
+        scales["log_evaluate"] = max(abs(mpmath.log(num)), abs(mpmath.log(norm)))
+        return {name: (float(value), float(scales[name])) for name, value in values.items()}
+
+
+# k, r_max and the rate log-uniform over 1e-300..1e300, each drawn on its own.
+@given(exponents=st.tuples(*[st.floats(-300.0, 300.0)] * 3))
+@example(exponents=(187.1696744340588, 100.0, 130.0))  # k = 1.478e187
+@example(exponents=(-200.0, 250.0, -150.0))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_log_curve_where_k_rate_leaves_the_normal_range_matches_mpmath(exponents):
+    """Where k r overflowed, evaluate and log_evaluate returned inf and
+    dlog_slope -0.0; where it underflowed, log_evaluate returned -inf, and
+    where it or k r_max was subnormal, digits were lost. Wherever the exact
+    value is a normal float, each method is within 1e-12 of it (relative to
+    its scale)."""
+    k, r_max, rate = (10.0**e for e in exponents)
+    try:
+        utility = LogarithmicUtility(k=k, r_max=r_max)
+    except DomainError:  # ln(1 + k r_max) is 0 or inf in floats
+        assume(False)
+    for name, (reference, scale) in _exact_log_curve(k, r_max, rate).items():
+        if 2.2250738585072014e-308 <= abs(reference) < math.inf:
+            value = getattr(utility, name)(rate)
+            assert abs(value - reference) <= 1e-12 * scale, (name, value, reference)
+
+
+def test_log_curve_past_the_float_range_of_k_rate():
+    # The two cells of the audit: k r = 1.478e317 overflows, k r = 1e-350 underflows.
+    wide = LogarithmicUtility(k=1.478e187, r_max=1e100)
+    assert wide.evaluate(1e130) == pytest.approx(1.1045, rel=1e-4, abs=0.0)
+    assert wide.log_evaluate(1e130) == pytest.approx(0.09936, rel=1e-4, abs=0.0)
+    assert wide.dlog_slope(1e130) == pytest.approx(-1.0014e-130, rel=1e-4, abs=0.0)
+    narrow = LogarithmicUtility(k=1e-200, r_max=1e250)
+    assert narrow.log_evaluate(1e-150) == pytest.approx(-810.65, rel=1e-5, abs=0.0)
+
+
 def test_log_dlog_of_wide_range_draw_185_is_not_zero():
     # Draw 185's log row at the oracle's s = 300 answer; the method gave 0.0.
     value = LogarithmicUtility(k=1.478e187, r_max=1.0).dlog_evaluate(1e120)
