@@ -14,14 +14,21 @@ end-to-end metric per side, how many pairs the change won per metric
 (lower is better for all of them), whether every run of both sides
 printed the same digest (a change that must not move any output shows
 true), and one `--trace 1` line per side for the per-layer metrics.
-For each end-to-end metric of the change checkout's BENCHMARK.json it
-also holds `gain_shown`, true when the change won at least 9 in 10 of
-the pairs (a tie counts for neither side) and its median is lower than
-the parent's by more than the parent's q3 - q1, and `regressed`, true
-when the change's median exceeds the parent's by more than the metric's
-relative `bound`. Once the file is written, one stdout line per workload
-and gated metric gives both medians, the change in %, the pairs won,
-`gain_shown`, `regressed` and `digests_agree`.
+Per side it sums the runs' `attempted` and `failed` operations and
+records whether every run was `correct` (under `outcomes`). For each
+end-to-end metric of the change checkout's BENCHMARK.json it also holds
+`gain_shown`, true when the change won at least 9 in 10 of the pairs (a
+tie counts for neither side), its median is lower than the parent's by
+more than the parent's q3 - q1, every change run was correct and the
+change failed no larger share of its operations than the parent;
+`regressed`, true when the change's median exceeds the parent's by more
+than the metric's relative `bound`; and `unresolved`, true when the
+parent's runs spread too widely to tell, (q3 - q1) / median above that
+bound, unless every change run beat every parent run (a metric read once
+per run, such as `large_cell`'s certification, can spread so). Once the
+file is written, one stdout line per workload and gated metric gives both
+medians, the change in %, the pairs won, `gain_shown`, `regressed`,
+`unresolved` and `digests_agree`, and one more line both sides' outcomes.
 """
 
 from __future__ import annotations
@@ -86,16 +93,32 @@ def main(argv=None) -> None:
         summary = {side: _summary(runs[side]) for side in sides}
         old, new = summary["parent"], summary["change"]
         gated = [name for name in bounds if name in old]
+        outcomes = {side: {"attempted": sum(run["attempted"] for run in runs[side]),
+                           "failed": sum(run["failed"] for run in runs[side]),
+                           "correct": all(run["correct"] for run in runs[side])}
+                    for side in sides}
+        before, after = outcomes["parent"], outcomes["change"]
+        # failed / attempted compared without a division, so 0 attempted counts as no share
+        sound = after["correct"] and (after["failed"] * before["attempted"]
+                                      <= before["failed"] * after["attempted"])
+        values = {side: {name: [run["metrics"][name]["value"] for run in runs[side]]
+                         for name in gated} for side in sides}
         result["workloads"][workload] = {
             "summary": summary,
+            "outcomes": outcomes,
             "change_wins": wins,
             "gain_shown": {
-                name: wins[name] * 10 >= 9 * args.pairs
+                name: sound and wins[name] * 10 >= 9 * args.pairs
                 and old[name]["median"] - new[name]["median"] > old[name]["q3"] - old[name]["q1"]
                 for name in gated
             },
             "regressed": {
                 name: new[name]["median"] > old[name]["median"] * (1.0 + bounds[name])
+                for name in gated
+            },
+            "unresolved": {
+                name: (old[name]["q3"] - old[name]["q1"]) > bounds[name] * old[name]["median"]
+                and not max(values["change"][name]) < min(values["parent"][name])
                 for name in gated
             },
             "digests_agree": len({run["digest"] for side in sides for run in runs[side]}) == 1,
@@ -111,7 +134,11 @@ def main(argv=None) -> None:
             print(f"{workload} {name}: {before:.6g} -> {after:.6g} {old[name]['unit']} "
                   f"({(after / before - 1.0) * 100.0:+.1f}%), won {entry['change_wins'][name]}"
                   f"/{args.pairs}, gain_shown {entry['gain_shown'][name]}, "
-                  f"regressed {entry['regressed'][name]}, digests_agree {entry['digests_agree']}")
+                  f"regressed {entry['regressed'][name]}, unresolved {entry['unresolved'][name]}, "
+                  f"digests_agree {entry['digests_agree']}")
+        print(f"{workload} outcomes: " + "; ".join(
+            f"{side} {counts['failed']} of {counts['attempted']} failed, correct {counts['correct']}"
+            for side, counts in entry["outcomes"].items()))
 
 
 if __name__ == "__main__":
