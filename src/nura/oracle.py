@@ -17,9 +17,11 @@ app_rate_at_price or dlog_slope. A row's exit price, where it leaves its
 limit, factor * dlog_evaluate(limit + offset), is read once per solve,
 when a trial first finds the row there. One clearing routine (_clear)
 clears the price, and under scarce capacity the share of each user it
-caps among that user's rows. The independent check of its answers, as of
-the pipeline's, is tests/referee.py: the KKT conditions in mpmath, from
-the utility's definition.
+caps among that user's rows. A result's objective is computed on first
+read, not in the solve: the tests and scripts/pin_check.py read it, the
+CLI, the benchmark and scripts/oracle_diff.py do not. The independent
+check of its answers, as of the pipeline's, is tests/referee.py: the KKT
+conditions in mpmath, from the utility's definition.
 
 grid_search_solve is the brute-force anti-hallucination oracle for tiny
 instances: exhaustive enumeration over the step-grid of the feasible
@@ -31,11 +33,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ContractError, DomainError, SolverError
-from .utility import (NEG_INF, CaseFlag, RegimeTable, UserProfile, add_up, objective,
+from .utility import (NEG_INF, AppRow, CaseFlag, RegimeTable, UserProfile, add_up, objective,
                       regime_table, sigmoid_plateau)
 
 _FLOAT_MAX = sys.float_info.max
@@ -57,14 +60,27 @@ class OracleResult:
 
     user_rates and app_rates cover every user (zeros for users excluded
     under scarce capacity); app_rates are final per-application rates,
-    targets included when capacity is abundant. objective is the
-    weighted log-domain value over participating users.
+    targets included when capacity is abundant. objective, the weighted
+    log-domain value over participating users, is not a field: it is
+    computed on first read, then cached, from the rows and their rates
+    above the offsets, which the result keeps as Application keeps
+    demand_at (a dataclasses.replace copy keeps none). The tests and
+    scripts/pin_check.py read it; the CLI, the benchmark and
+    scripts/oracle_diff.py read the rates only.
     """
 
     user_rates: dict[str, float]
     app_rates: dict[str, tuple[float, ...]]
-    objective: float
     method: str
+    rows: InitVar[Sequence[AppRow] | None] = None
+    rates: InitVar[Sequence[float] | None] = None
+
+    def __post_init__(self, rows: Sequence[AppRow] | None, rates: Sequence[float] | None) -> None:
+        object.__setattr__(self, "_terms", (rows, rates))
+
+    @cached_property
+    def objective(self) -> float:
+        return objective(*self._terms)
 
 
 class _Trial(NamedTuple):
@@ -330,9 +346,6 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
     upper end. The rows' rates at both ends are read again for this.
     """
     table = regime_table(users, capacity)
-    groups: list[list[int]] = [[] for _ in table.participants]
-    for index, entry in enumerate(table.rows):
-        groups[entry.user_slot].append(index)
     # Rows equal in curve, offset and limit read equal rates and exit prices.
     distinct: dict[tuple, int] = {}
     kinds = [distinct.setdefault((curve, entry.offset, limit), len(distinct))
@@ -381,6 +394,9 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
     read, plateaus = reader(range(len(table.rows)))
     if table.case is not CaseFlag.TARGETS_EXCEED_CAPACITY:  # no user is capped
         return _assemble(users, table, _clear(read, table.budget, plateaus)[0], "dual_bisection")
+    groups: list[list[int]] = [[] for _ in table.participants]
+    for index, entry in enumerate(table.rows):
+        groups[entry.user_slot].append(index)
 
     def competing(price) -> tuple[list[float], list[tuple[float, float]]]:
         rates, exits = read(price)
@@ -418,12 +434,13 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
 
 def _assemble(users: Sequence[UserProfile], table: RegimeTable, rates: Sequence[float],
               method: str) -> OracleResult:
-    per_user: dict[str, list[float]] = {u.user_id: [] for u in table.participants}
+    finals: list[list[float]] = [[] for _ in table.participants]
     for entry, rate in zip(table.rows, rates):
-        per_user[table.participants[entry.user_slot].user_id].append(rate + entry.offset)
-    app_rates = {u.user_id: tuple(per_user.get(u.user_id, [0.0] * len(u.apps))) for u in users}
-    return OracleResult({uid: add_up(finals) for uid, finals in app_rates.items()}, app_rates,
-                        objective(table.rows, rates), method)
+        finals[entry.user_slot].append(rate + entry.offset)
+    per_user = {u.user_id: tuple(own) for u, own in zip(table.participants, finals)}
+    app_rates = {u.user_id: per_user.get(u.user_id) or (0.0,) * len(u.apps) for u in users}
+    return OracleResult({uid: add_up(own) for uid, own in app_rates.items()}, app_rates, method,
+                        table.rows, rates)
 
 
 def grid_search_solve(

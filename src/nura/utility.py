@@ -108,10 +108,9 @@ class SigmoidalUtility:
         x = self.a * (rate - self.b)
         if x <= 0.0:
             if ar <= 700.0:
-                num = math.expm1(ar)
-                if num <= 0.0:  # a*rate underflowed to zero
-                    return NEG_INF
-                return -ab + math.log(num) - math.log1p(math.exp(x))
+                if ar < _TINY:  # a * rate is subnormal or 0: ln(e^{ar} - 1) is ln a + ln rate
+                    return -ab + math.log(self.a) + math.log(rate) - math.log1p(math.exp(x))
+                return -ab + math.log(math.expm1(ar)) - math.log1p(math.exp(x))
             return x + math.log1p(-math.exp(-ar)) - math.log1p(math.exp(x))
         # ln(1 - e^{-ar}) as log1mexp (Maechler, 2012): e^{-ar} may round to 1
         # here, as ar >= x > 0 may be tiny; ln 2 splits the two accurate forms.
@@ -416,21 +415,22 @@ class CaseFlag(Enum):
 
     def app_offset(self, app: Application) -> float:
         """Rate granted to the application before it competes."""
-        return 0.0 if self is CaseFlag.TARGETS_EXCEED_CAPACITY else app.offset
+        return 0.0 if self is _SCARCE else app.offset
 
     def app_cap(self, app: Application) -> float:
         """Bound on the application's rate above its offset (inf: unbounded)."""
-        if self is CaseFlag.TARGETS_EXCEED_CAPACITY and app.target_rate is not None:
-            return app.target_rate
-        return math.inf
+        return app.target_rate if self is _SCARCE and app.target_rate is not None else math.inf
 
     def user_offset(self, user: UserProfile) -> float:
         """Rate granted to the user before it competes: its apps' offsets."""
-        return 0.0 if self is CaseFlag.TARGETS_EXCEED_CAPACITY else user.total_target
+        return 0.0 if self is _SCARCE else user.total_target
 
     def user_cap(self, user: UserProfile) -> float:
         """Bound on the user's rate above its offset (inf: unbounded)."""
-        return user.total_target if self is CaseFlag.TARGETS_EXCEED_CAPACITY else math.inf
+        return user.total_target if self is _SCARCE else math.inf
+
+
+_SCARCE = CaseFlag.TARGETS_EXCEED_CAPACITY  # CaseFlag.X is slow before 3.12 (EnumMeta.__getattr__)
 
 
 def determine_case(users: Sequence[UserProfile], capacity: float) -> CaseFlag:
@@ -438,9 +438,7 @@ def determine_case(users: Sequence[UserProfile], capacity: float) -> CaseFlag:
     if not (math.isfinite(capacity) and capacity > 0.0):
         raise DomainError(f"capacity must be positive, got {capacity!r}")
     total = add_up(user.total_target for user in users if user.is_vip)
-    if total >= capacity:
-        return CaseFlag.TARGETS_EXCEED_CAPACITY
-    return CaseFlag.TARGETS_BELOW_CAPACITY
+    return _SCARCE if total >= capacity else CaseFlag.TARGETS_BELOW_CAPACITY
 
 
 class AppRow(NamedTuple):
@@ -493,11 +491,9 @@ class RegimeTable:
 
 def app_rows(users: Sequence[UserProfile], case: CaseFlag) -> tuple[AppRow, ...]:
     """Rows of the users' applications in order; user_slot indexes users."""
-    return tuple(
-        AppRow(slot, app, user.beta * app.weight, case.app_offset(app), case.app_cap(app))
-        for slot, user in enumerate(users)
-        for app in user.apps
-    )
+    offset, cap, make = case.app_offset, case.app_cap, AppRow._make
+    return tuple(make((slot, app, user.beta * app.weight, offset(app), cap(app)))
+                 for slot, user in enumerate(users) for app in user.apps)
 
 
 def regime_table(users: Sequence[UserProfile], capacity: float) -> RegimeTable:
@@ -510,17 +506,10 @@ def regime_table(users: Sequence[UserProfile], capacity: float) -> RegimeTable:
         raise ContractError("at least one user is required")
     if len({user.user_id for user in users}) != len(users):
         raise ContractError("user ids must be unique")
-    if case is CaseFlag.TARGETS_EXCEED_CAPACITY:
-        participants = tuple(user for user in users if user.is_vip)
-    else:
-        participants = tuple(users)
-    return RegimeTable(
-        case=case,
-        participants=participants,
-        budget=capacity - add_up(case.user_offset(user) for user in participants),
-        user_caps=tuple(case.user_cap(user) for user in participants),
-        rows=app_rows(participants, case),
-    )
+    participants = tuple(user for user in users if user.is_vip) if case is _SCARCE else tuple(users)
+    return RegimeTable(case=case, participants=participants, rows=app_rows(participants, case),
+                       budget=capacity - add_up(case.user_offset(user) for user in participants),
+                       user_caps=tuple(case.user_cap(user) for user in participants))
 
 
 def sigmoid_plateau(utility: UtilityFunction, factor: float) -> tuple[float, float] | None:

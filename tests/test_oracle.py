@@ -30,7 +30,7 @@ from nura import (
     run_first_stage,
     scenario,
 )
-from nura.utility import add_up, regime_table
+from nura.utility import CaseFlag, add_up, objective, regime_table
 from referee import kkt_gap
 from wide_trees import wide_tree
 
@@ -232,6 +232,25 @@ def test_objective_reported_consistently(cell):
             assert value > NEG_INF
             total += user.beta * app.weight * value
     assert result.objective == pytest.approx(total, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("capacity, case", [(40.0, CaseFlag.TARGETS_EXCEED_CAPACITY),
+                                            (150.0, CaseFlag.TARGETS_BELOW_CAPACITY)])
+def test_the_objective_is_computed_on_first_read_and_kept(cell, capacity, case, monkeypatch):
+    # Neither the CLI nor the benchmark reads it, so the solve leaves it to the first read.
+    calls = []
+
+    def counted(rows, rates):
+        calls.append(capacity)
+        return objective(rows, rates)
+
+    monkeypatch.setattr(oracle, "objective", counted)
+    result = centralized_solve(cell.users, capacity)
+    assert calls == []
+    first = result.objective
+    assert calls == [capacity]
+    assert result.objective == first and calls == [capacity]
+    assert regime_table(cell.users, capacity).case is case
 
 
 def test_methods_labelled():

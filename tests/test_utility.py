@@ -6,6 +6,7 @@ defining formulas; the library must reproduce them in double precision.
 
 import math
 import pickle
+import warnings
 from dataclasses import fields, replace
 
 import mpmath
@@ -23,11 +24,14 @@ from nura import (
     UserClass,
     UserProfile,
     app_rate_at_price,
+    bundled_scenario_path,
+    load_scenario,
     scenario_from_dict,
     scenario_to_dict,
     user_rate_at_price,
 )
 from nura.utility import NEG_INF, CaseFlag, RegimeTable, app_rows, regime_table
+from test_invariance import _fuzz_trees
 
 SIG_STEEP = SigmoidalUtility(a=3.0, b=20.0)
 SIG_SHALLOW = SigmoidalUtility(a=1.0, b=30.0)
@@ -138,6 +142,18 @@ def test_dlog_where_the_rate_product_underflows_matches_mpmath(utility, rate):
         reference = float(reference)
     assert_close(utility.dlog_evaluate(rate), reference, rel=1e-15)
     assert utility.dlog_slope(rate) == -1.0 / rate
+
+
+@pytest.mark.parametrize("a, b, rate", [(1e-300, 20.0, 1e-300), (1e-300, 20.0, 2.5e-301),
+                                        (1e-20, 5.0, 1e-305), (1e-20, 5.0, 1e-300)])
+def test_sigmoid_log_evaluate_where_a_rate_leaves_the_normal_range_matches_mpmath(a, b, rate):
+    # a r is 0 or subnormal (the last case), where ln U is finite; it was
+    # -inf at 0, and lost digits with those of a r when subnormal.
+    with mpmath.workdps(50):
+        a_, b_, r_ = (mpmath.mpf(v) for v in (a, b, rate))
+        reference = float(-a_ * b_ + mpmath.log(mpmath.expm1(a_ * r_))
+                          - mpmath.log1p(mpmath.exp(a_ * (r_ - b_))))
+    assert_close(SigmoidalUtility(a=a, b=b).log_evaluate(rate), reference, rel=1e-14)
 
 
 # k r from 10^305.5 up: the rate log-uniform from there (or 1e-300) to 1e300.
@@ -477,6 +493,71 @@ def test_a_table_carries_its_row_limits_however_it_is_built():
     assert own.limits == (2.5, 1.0, 2.5)
     assert replace(own, budget=0.5).limits == (0.5, 0.5, 0.5)
     assert "limits" not in {field.name for field in fields(own)}
+
+
+def _restated_table(users, capacity):
+    """regime_table's fields stated again from CaseFlag's four methods."""
+    case = regime_table(users, capacity).case
+    participants = [user for user in users
+                    if user.is_vip or case is CaseFlag.TARGETS_BELOW_CAPACITY]
+    pairs = [(slot, user, app) for slot, user in enumerate(participants) for app in user.apps]
+    rows = [(slot, app, user.beta * app.weight, case.app_offset(app), case.app_cap(app))
+            for slot, user, app in pairs]
+    granted = 0.0  # added left to right
+    for user in participants:
+        granted += case.user_offset(user)
+    budget = capacity - granted
+    user_caps = [case.user_cap(user) for user in participants]
+    limits = [min(cap, user_caps[slot], budget) for slot, _, _, _, cap in rows]
+    keys, curves, curve_of = [], [], []
+    for _, user, app in pairs:
+        if app.weight == 0.0:
+            curve_of.append(None)
+            continue
+        key = (app.utility, app.weight, user.beta)
+        if key not in keys:
+            keys.append(key)
+            curves.append((app, user.beta))
+        curve_of.append(keys.index(key))
+    return participants, rows, limits, budget, user_caps, curves, curve_of
+
+
+def _reference_with_ue3_at_beta_2():
+    cell = load_scenario(bundled_scenario_path())
+    users = tuple(replace(user, beta=2.0) if user.user_id == "ue3" else user for user in cell.users)
+    return [(users, 5.0 * step) for step in range(1, 41)]
+
+
+def _fuzz_cells(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the saturation warning
+        configs = [scenario_from_dict(tree) for tree in _fuzz_trees(seed)]
+    return [(config.users, config.capacity) for config in configs]
+
+
+@pytest.mark.parametrize("cells", ["fuzz 3", "fuzz 7", "fuzz 8", "fuzz 11", "reference"])
+def test_a_regime_table_restated_through_the_case_methods(cells):
+    # Each regime rule is stated once, in CaseFlag; the table holds what they give.
+    inputs = (_reference_with_ue3_at_beta_2() if cells == "reference"
+              else _fuzz_cells(int(cells.split()[1])))
+    cases = set()
+    for users, capacity in inputs:
+        table = regime_table(users, capacity)
+        cases.add(table.case)
+        participants, rows, limits, budget, user_caps, curves, curve_of = _restated_table(
+            users, capacity)
+        assert table.participants == tuple(participants)
+        assert [tuple(row) for row in table.rows] == rows
+        assert all(row.app is want[1] for row, want in zip(table.rows, rows))
+        assert table.limits == tuple(limits)
+        assert table.budget == budget
+        assert table.user_caps == tuple(user_caps)
+        assert table.curves == tuple(curves)
+        assert all(got is want for (got, _), (want, _) in zip(table.curves, curves))
+        assert table.curve_of == tuple(curve_of)
+    assert cases == set(CaseFlag)  # both regimes
+    if cells == "reference":  # ue3 at beta 2 reads its own curves, not ue1's; ue4 reads ue2's
+        assert regime_table(*inputs[-1]).curve_of == (0, 1, 2, 3, 4, 5, 2, 3)
 
 
 def test_cached_demand_survives_the_scenario_round_trip():
