@@ -2,9 +2,9 @@
 
 clear_price finds the price at which a regime table's participants
 spend its budget: each application demands the rate where its marginal
-value meets price / beta, in closed form at each trial price, up to its
-row's limit in the table; an uncapped user competes app by app, a capped
-one as min(its demand, its cap). One safeguarded Newton search finds
+value meets price / beta, in closed form at each trial price, less its
+row's offset and up to its row's limit in the table; an uncapped user
+competes app by app, a capped one as min(its demand, its cap). One safeguarded Newton search finds
 that price from a given start price, in a coordinate t of the price:
 ln p, in which log apps' total demand is nearly linear, or next to a
 sigmoid row's plateau price p0 (utility.sigmoid_plateau), where steps in
@@ -19,8 +19,8 @@ version.
 
 The bidding stage ends with one clearing (protocol) of every
 participant's rows, and clears a capped user's own rows again where they
-pass its rate: on U(r) with targets as caps under scarce capacity, else
-on U(r + target), rates including it.
+pass its rate, on the same rows: targets are caps under scarce capacity,
+else offsets, which the rates include.
 """
 
 from __future__ import annotations
@@ -61,17 +61,17 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
     between them: a demand jumps there. The plateaus choose trial prices
     only: the bracket updates, the stop tests and the top-up ignore them.
     """
-    rows, caps, budget, case = table.rows, table.user_caps, table.budget, table.case
+    rows, caps, budget = table.rows, table.user_caps, table.budget
     betas = [user.beta for user in table.participants]
     ceiling = sys.float_info.max * min(1.0, *betas)  # keeps every price / beta finite
-    entries = [(row.app, betas[row.user_slot], limit, row.user_slot)
+    entries = [(row.app, betas[row.user_slot], limit, row.user_slot, row.offset)
                for row, limit in zip(rows, table.limits)]
 
     def demand(price: float) -> tuple[list[float], list[float], float]:  # shares, rates, total
         rates = []
         shares = [0.0] * len(caps)
-        for app, beta, limit, slot in entries:
-            rate = app_rate_at_price(app, price / beta, limit, case)
+        for app, beta, limit, slot, offset in entries:
+            rate = app_rate_at_price(app, price / beta, limit, offset)
             rates.append(rate)
             shares[slot] += rate
         total = 0.0  # added left to right, the same bits on every CPython
@@ -107,7 +107,7 @@ def clear_price(table: RegimeTable, price: float) -> tuple[float, list[float], l
         # free rows demand a positive rate (their slopes give the step).
         room = free = False
         moving = []
-        for row, (_, _, limit, slot), rate in zip(rows, entries, rates):
+        for row, (_, _, limit, slot, _), rate in zip(rows, entries, rates):
             if rate < limit and shares[slot] < caps[slot]:
                 room = True
                 if row.app.weight > 0.0:

@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ContractError, DomainError, SolverError
-from .utility import (NEG_INF, AppRow, CaseFlag, RegimeTable, UserProfile, add_up, objective,
+from .utility import (NEG_INF, AppRow, RegimeTable, UserProfile, add_up, objective,
                       regime_table, sigmoid_plateau)
 
 _FLOAT_MAX = sys.float_info.max
@@ -392,7 +392,7 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
         return read, sorted({plateau_of[c] for c in own} - {None})
 
     read, plateaus = reader(range(len(table.rows)))
-    if table.case is not CaseFlag.TARGETS_EXCEED_CAPACITY:  # no user is capped
+    if min(table.user_caps) == math.inf:  # no user is capped
         return _assemble(users, table, _clear(read, table.budget, plateaus)[0], "dual_bisection")
     groups: list[list[int]] = [[] for _ in table.participants]
     for index, entry in enumerate(table.rows):

@@ -5,13 +5,14 @@ weight * ln U(r + c) - p * (r + c). Because ln U is strictly concave,
 the first-order condition weight * (ln U)'(r + c) = p has at most one
 root, which both curve shapes give in closed form, cached on each
 Application for its weight (demand_at, built by the utility's
-demand_curve). The capacity regime sets c (the target when capacity is
-abundant, else 0): app_rate_at_price, used by the clearings.
+demand_curve). c is its row's offset, set by regime_table with the
+row's cap: app_rate_at_price, which the clearings call per row.
 
 The bidding rounds read a BidLayout that bidders builds once per run
 from the run's RegimeTable: the table's curves, each distinct (utility,
 weight, beta) once, and per participant its rows' curve slots, offsets
-and caps. The certifier (oracle.centralized_solve) reads a price through
+and caps, its user cap, and its offset: its rows' offsets added in row
+order. The certifier (oracle.centralized_solve) reads a price through
 the same curves, but none of the clearing, the rounds, app_rate_at_price
 or dlog_slope. round_bids is one whole round in one pass: it evaluates
 each curve once at price / beta, then for each participant in layout
@@ -21,9 +22,9 @@ offsets, moved from its last bid by at most the round's step, and adds
 the bid to the round's total and stop test, which it returns with the
 bids. The step shrinks exponentially, so the bidding protocol's
 fixed-point iteration cannot oscillate forever; damp_bid, looked up per
-bid, only clamps. user_rate_at_price adds one user's app_rate_at_price
-over its applications the same way, and vip_bid is round_bids for one
-user, through a one-user layout.
+bid, only clamps. user_rate_at_price adds app_rate_at_price over one
+participant's rows of a table the same way, and vip_bid is round_bids for
+one participant of the table's layout.
 """
 
 from __future__ import annotations
@@ -32,28 +33,25 @@ import math
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import DomainError, SolverError
-from .utility import Application, CaseFlag, RegimeTable, UserProfile, app_rows
+from .utility import Application, RegimeTable
 
 
-def app_rate_at_price(
-    app: Application,
-    price: float,
-    cap: float = math.inf,
-    case: CaseFlag = CaseFlag.TARGETS_BELOW_CAPACITY,
-) -> float:
+def app_rate_at_price(app: Application, price: float, cap: float = math.inf,
+                      offset: float = 0.0) -> float:
     """Rate maximizing weight * ln U(r + c) - price * (r + c) over [0, cap].
 
-    c is the application's offset under the capacity regime. Zero-weight
+    c is offset, the rate granted before the application competes (its
+    row's offset; 0.0, the default, grants nothing). Zero-weight
     applications demand nothing; otherwise the root of the first-order
     condition, less c, is clamped to [0, cap].
     """
     if not 0.0 < price < math.inf:
         raise DomainError(f"price must be positive, got {price!r}")
-    if cap < 0.0:
+    if not cap >= 0.0:
         raise DomainError(f"cap must be nonnegative, got {cap!r}")
     if app.weight == 0.0 or cap == 0.0:
         return 0.0
-    rate = app.demand_at(price) - case.app_offset(app)
+    rate = app.demand_at(price) - offset
     if 0.0 < rate < cap:  # interior: the clamp below would return it as is
         return rate
     if rate == cap == math.inf:
@@ -84,15 +82,18 @@ class BidLayout(NamedTuple):
 
 def bidders(table: RegimeTable) -> BidLayout:
     """The table's participants as a BidLayout, in order, each bounded by
-    its user cap above its offset, on the table's curves."""
-    users, case = table.participants, table.case
+    its user cap above its offset, its rows' offsets added in row order, on
+    the table's curves."""
+    users = table.participants
     rows: list[list] = [[] for _ in users]
+    offsets = [0.0] * len(users)
     for row, slot in zip(table.rows, table.curve_of):
+        offsets[row.user_slot] += row.offset
         if slot is not None:
             rows[row.user_slot].append((slot, row.offset, row.cap))
     members = tuple(
-        Bidder(user.user_id, user.beta, cap, case.user_offset(user), tuple(user_rows))
-        for user, cap, user_rows in zip(users, table.user_caps, rows)
+        Bidder(user.user_id, user.beta, cap, offset, tuple(user_rows))
+        for user, cap, offset, user_rows in zip(users, table.user_caps, offsets, rows)
     )
     return BidLayout(tuple((app.demand_at, beta) for app, beta in table.curves), members)
 
@@ -141,17 +142,15 @@ def round_bids(
     return bids, total, moved
 
 
-def user_rate_at_price(
-    user: UserProfile, price: float, user_cap: float = math.inf,
-    case: CaseFlag = CaseFlag.TARGETS_BELOW_CAPACITY,
-) -> float:
-    """The demand of one user under the regime: its applications' demands
-    at price / beta added left to right, capped in total by user_cap."""
-    if user_cap < 0.0:
-        raise DomainError(f"user_cap must be nonnegative, got {user_cap!r}")
+def user_rate_at_price(table: RegimeTable, slot: int, price: float) -> float:
+    """The demand of the table's participant at slot: its rows' demands at
+    price / beta, each between 0 and its cap above its offset, added left
+    to right and capped in total by its user cap."""
+    beta, user_cap = table.participants[slot].beta, table.user_caps[slot]
     total = 0.0
-    for app in user.apps:
-        total += app_rate_at_price(app, price / user.beta, case.app_cap(app), case)
+    for row in table.rows:
+        if row.user_slot == slot:
+            total += app_rate_at_price(row.app, price / beta, row.cap, row.offset)
     return total if total <= user_cap else user_cap
 
 
@@ -168,12 +167,13 @@ def damp_bid(proposed: float, prev: float, step: float) -> float:
 
 
 def vip_bid(
-    user: UserProfile, price: float, round_index: int, prev_bid: float, l1: float, l2: float,
-    *, case: CaseFlag,
+    table: RegimeTable, slot: int, price: float, round_index: int, prev_bid: float,
+    l1: float, l2: float,
 ) -> float:
-    """The bid of one user for round round_index under the regime (capped
-    per application and in total when capacity is scarce)."""
-    rows = app_rows((user,), case)
-    layout = bidders(RegimeTable(case, (user,), math.inf, (case.user_cap(user),), rows))
+    """The bid for round round_index of the table's participant at slot,
+    from prev_bid, as round_bids makes it on the table's layout."""
+    curves, members = bidders(table)
+    member = members[slot]
     step = l1 * math.exp(-round_index / l2)
-    return round_bids(layout, price, step, {user.user_id: prev_bid}, math.inf)[0][user.user_id]
+    prev = {member.user_id: prev_bid}
+    return round_bids(BidLayout(curves, (member,)), price, step, prev, math.inf)[0][member.user_id]

@@ -18,9 +18,9 @@ overflow, and saturation degrades gracefully rather than raising.
 
 The problem's statement lives here too, read by the bidding stage, the
 intra-user split and the certifying solvers alike: the checks on their
-input, the capacity regime (CaseFlag) with each row's limit under it,
-the rows grouped by curve (RegimeTable), each sigmoid row's plateau, and
-the objective the rows are scored by.
+input, the capacity regime's rules (regime_table; CaseFlag only names
+it), the rows they give, grouped by curve (RegimeTable), each sigmoid
+row's plateau, and the objective the rows are scored by.
 """
 
 from __future__ import annotations
@@ -399,35 +399,11 @@ class UserProfile:
 
 
 class CaseFlag(Enum):
-    """Capacity regime of one solve, fixed by determine_case.
-
-    Scarce capacity (the VIP targets reach it): only VIP users take part,
-    nothing is granted off the top, and each target caps its
-    application's rate and, summed, its user's rate. Abundant capacity:
-    every user takes part, every target is granted off the top as an
-    offset, and nothing is capped. These methods and regime_table are the
-    only statement of these rules; the solvers read them through a
-    RegimeTable or through a CaseFlag argument.
-    """
+    """Capacity regime of one solve, fixed by determine_case: a label. Its
+    rules are stated in regime_table; solvers read them from its table."""
 
     TARGETS_EXCEED_CAPACITY = "targets_exceed_capacity"
     TARGETS_BELOW_CAPACITY = "targets_below_capacity"
-
-    def app_offset(self, app: Application) -> float:
-        """Rate granted to the application before it competes."""
-        return 0.0 if self is _SCARCE else app.offset
-
-    def app_cap(self, app: Application) -> float:
-        """Bound on the application's rate above its offset (inf: unbounded)."""
-        return app.target_rate if self is _SCARCE and app.target_rate is not None else math.inf
-
-    def user_offset(self, user: UserProfile) -> float:
-        """Rate granted to the user before it competes: its apps' offsets."""
-        return 0.0 if self is _SCARCE else user.total_target
-
-    def user_cap(self, user: UserProfile) -> float:
-        """Bound on the user's rate above its offset (inf: unbounded)."""
-        return user.total_target if self is _SCARCE else math.inf
 
 
 _SCARCE = CaseFlag.TARGETS_EXCEED_CAPACITY  # CaseFlag.X is slow before 3.12 (EnumMeta.__getattr__)
@@ -489,15 +465,13 @@ class RegimeTable:
             object.__setattr__(self, name, tuple(value))
 
 
-def app_rows(users: Sequence[UserProfile], case: CaseFlag) -> tuple[AppRow, ...]:
-    """Rows of the users' applications in order; user_slot indexes users."""
-    offset, cap, make = case.app_offset, case.app_cap, AppRow._make
-    return tuple(make((slot, app, user.beta * app.weight, offset(app), cap(app)))
-                 for slot, user in enumerate(users) for app in user.apps)
-
-
 def regime_table(users: Sequence[UserProfile], capacity: float) -> RegimeTable:
-    """Decide the regime for this capacity and lay out who shares what.
+    """Decide the regime for this capacity and lay out who shares what, by
+    the regime's rules, stated here only. Scarce capacity (the VIP targets
+    reach it): only VIPs take part, each target caps its application's rate
+    and, added up, its user's, and the budget is the capacity. Abundant:
+    every user takes part, each target is its row's offset, granted off
+    the top, nothing is capped, and the budget is what the offsets leave.
 
     Every solver's input is checked here: a positive finite capacity
     (DomainError), and at least one user, with unique ids (ContractError)."""
@@ -506,10 +480,18 @@ def regime_table(users: Sequence[UserProfile], capacity: float) -> RegimeTable:
         raise ContractError("at least one user is required")
     if len({user.user_id for user in users}) != len(users):
         raise ContractError("user ids must be unique")
-    participants = tuple(user for user in users if user.is_vip) if case is _SCARCE else tuple(users)
-    return RegimeTable(case=case, participants=participants, rows=app_rows(participants, case),
-                       budget=capacity - add_up(case.user_offset(user) for user in participants),
-                       user_caps=tuple(case.user_cap(user) for user in participants))
+    make, inf = AppRow._make, math.inf
+    if case is _SCARCE:
+        participants = tuple(user for user in users if user.is_vip)
+        rows = tuple(make((slot, app, user.beta * app.weight, 0.0, app.target_rate or inf))
+                     for slot, user in enumerate(participants) for app in user.apps)
+        return RegimeTable(case, participants, capacity,
+                           tuple(user.total_target for user in participants), rows)
+    participants = tuple(users)
+    rows = tuple(make((slot, app, user.beta * app.weight, app.offset, inf))
+                 for slot, user in enumerate(participants) for app in user.apps)
+    budget = capacity - add_up(user.total_target for user in participants)
+    return RegimeTable(case, participants, budget, (inf,) * len(participants), rows)
 
 
 def sigmoid_plateau(utility: UtilityFunction, factor: float) -> tuple[float, float] | None:

@@ -80,11 +80,11 @@ def _clearing_trials(monkeypatch, run, prices=None):
     collects the price / beta of every call."""
     calls, trials = [0], []
 
-    def counted(app, price, limit, case, original=intra_ue.app_rate_at_price):
+    def counted(app, price, limit, offset, original=intra_ue.app_rate_at_price):
         calls[0] += 1
         if prices is not None:
             prices.append(price)
-        return original(app, price, limit, case)
+        return original(app, price, limit, offset)
 
     def clearing(table, price, original=intra_ue.clear_price):
         calls[0] = 0

@@ -23,7 +23,7 @@ from nura import (
     scenario_from_dict,
 )
 from nura.intra_ue import clear_price
-from nura.utility import NEG_INF, RegimeTable, add_up, app_rows, objective, regime_table
+from nura.utility import NEG_INF, AppRow, RegimeTable, add_up, objective, regime_table
 
 SCARCE = CaseFlag.TARGETS_EXCEED_CAPACITY
 ABUNDANT = CaseFlag.TARGETS_BELOW_CAPACITY
@@ -43,10 +43,20 @@ def _ue1():
     )
 
 
+def _rows(user, case):
+    """The user's rows under the regime, stated here: under scarce capacity
+    each target caps its application's rate; under abundant capacity it is
+    granted as the row's offset and nothing is capped."""
+    scarce = case is SCARCE
+    return tuple(AppRow(0, app, user.beta * app.weight, 0.0 if scarce else app.offset,
+                        (app.target_rate or math.inf) if scarce else math.inf)
+                 for app in user.apps)
+
+
 def _split(user, budget, case, price=1.0):
     """Per-row rates above the offsets and the user's share from one
     clearing of budget among the user's applications, started at price."""
-    table = RegimeTable(case, (user,), budget, (math.inf,), app_rows([user], case))
+    table = RegimeTable(case, (user,), budget, (math.inf,), _rows(user, case))
     _, shares, rates = clear_price(table, price)
     return rates, shares[0]
 
@@ -76,7 +86,7 @@ def test_negative_budget_rejected():
 
 def _split_value(user, rates, case):
     """The objective of one user's split, rates above the offsets."""
-    return objective(app_rows([user], case), rates)
+    return objective(_rows(user, case), rates)
 
 
 def _scan_best(user, budget, case, step):
@@ -116,7 +126,8 @@ def test_scarce_split_beats_exhaustive_scan():
 def test_pairwise_transfer_certificate(budget, case):
     """Moving epsilon between any app pair must not improve the split."""
     user = _ue1()
-    extras, _ = _split(user, budget - case.user_offset(user), case)
+    granted = 0.0 if case is SCARCE else user.total_target
+    extras, _ = _split(user, budget - granted, case)
     base = _split_value(user, extras, case)
     eps = 0.01
     n = len(extras)
@@ -127,7 +138,7 @@ def test_pairwise_transfer_certificate(budget, case):
             trial = list(extras)
             trial[i] -= eps
             trial[j] += eps
-            if trial[j] > case.app_cap(user.apps[j]):
+            if trial[j] > _rows(user, case)[j].cap:
                 continue
             assert _split_value(user, trial, case) <= base + 1e-6
 

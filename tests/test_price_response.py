@@ -35,6 +35,16 @@ def log_app(weight=1.0, target=None):
     return Application(utility=UNIT_LOG, weight=weight, target_rate=target)
 
 
+def _offset_and_cap(app, case):
+    """The application's row offset and cap under the regime, stated here:
+    under abundant capacity its target is granted as an offset and nothing
+    is capped; under scarce capacity nothing is granted and its target, if
+    any, caps its rate."""
+    if case is CaseFlag.TARGETS_BELOW_CAPACITY:
+        return app.offset, math.inf
+    return 0.0, math.inf if app.target_rate is None else app.target_rate
+
+
 # ---------------------------------------------------------------------------
 # closed-form demands
 
@@ -81,8 +91,9 @@ def test_demand_monotone_in_price():
 def test_cap_binds_at_low_price():
     assert app_rate_at_price(log_app(), price=0.01, cap=4.0) == 4.0
     assert app_rate_at_price(log_app(), price=0.01, cap=0.0) == 0.0
-    with pytest.raises(DomainError):
-        app_rate_at_price(log_app(), price=0.01, cap=-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="cap must be nonnegative"):
+            app_rate_at_price(log_app(), price=0.01, cap=bad)
 
 
 def test_negative_cap_rejected_before_early_exits():
@@ -106,15 +117,15 @@ def test_offset_shifts_demand_down():
     # with the target already granted the FOC root moves to rate+target,
     # so the surplus demand drops by exactly the target
     app = log_app(target=3.0)
-    with_offset = app_rate_at_price(app, price=0.1, case=CaseFlag.TARGETS_BELOW_CAPACITY)
-    without = app_rate_at_price(app, price=0.1, case=CaseFlag.TARGETS_EXCEED_CAPACITY)
+    with_offset = app_rate_at_price(app, price=0.1, offset=app.offset)
+    without = app_rate_at_price(app, price=0.1)
     assert without == pytest.approx(4.728925565386941, abs=1e-6)
     assert with_offset == pytest.approx(4.728925565386941 - 3.0, abs=1e-6)
 
 
 def test_offset_demand_zero_when_target_saturates():
     app = log_app(target=10.0)
-    assert app_rate_at_price(app, price=0.5, case=CaseFlag.TARGETS_BELOW_CAPACITY) == 0.0
+    assert app_rate_at_price(app, price=0.5, offset=app.offset) == 0.0
 
 
 def test_price_validation():
@@ -127,9 +138,7 @@ def test_price_validation():
 # demand as argmax: golden-section and grid cross-checks
 
 
-def _surplus(app, case, price):
-    offset = case.app_offset(app)
-
+def _surplus(app, offset, price):
     def value(rate):
         if rate + offset <= 0.0:
             return -math.inf
@@ -150,8 +159,9 @@ def _surplus(app, case, price):
     ],
 )
 def test_demand_matches_golden_section(app, price):
-    rate = app_rate_at_price(app, price)
-    value = _surplus(app, CaseFlag.TARGETS_BELOW_CAPACITY, price)
+    # the target, where there is one, is granted as an offset
+    rate = app_rate_at_price(app, price, offset=app.offset)
+    value = _surplus(app, app.offset, price)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     utility = app.utility
     lo, hi = 0.0, utility.b if isinstance(utility, SigmoidalUtility) else utility.r_max
@@ -202,30 +212,29 @@ def test_user_rate_scales_price_by_beta():
     user = UserProfile("u", UserClass.REGULAR, beta=2.0, apps=apps)
     # per-app price (1/11)/2, FOC constant w/p = 11: same root as the
     # single-app weight-1 case, twice
-    total = user_rate_at_price(user, price=1.0 / 11.0)
+    total = user_rate_at_price(regime_table([user], 100.0), 0, price=1.0 / 11.0)
     assert total == pytest.approx(2.0 * 5.089113931609503, abs=1e-5)
-    assert user_rate_at_price(user, price=1.0 / 11.0, user_cap=8.0) == 8.0
-
-
-def test_a_negative_user_cap_is_rejected():
-    user = UserProfile("u", UserClass.VIP, beta=1.0, apps=(log_app(),))
-    assert user_rate_at_price(user, price=0.5, user_cap=0.0) == 0.0
-    with pytest.raises(DomainError, match="user_cap must be nonnegative"):
-        user_rate_at_price(user, price=0.5, user_cap=-1.0)
+    # a VIP whose target of 8 caps its first app (under 5.09) and, under
+    # scarce capacity, its total; under abundant capacity the target is
+    # granted, and the first app demands nothing above it
+    vip = replace(user, user_class=UserClass.VIP, apps=(log_app(0.5, target=8.0), apps[1]))
+    assert user_rate_at_price(regime_table([vip], 8.0), 0, price=1.0 / 11.0) == 8.0
+    abundant = user_rate_at_price(regime_table([vip], 100.0), 0, price=1.0 / 11.0)
+    assert abundant == pytest.approx(5.089113931609503, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
 # closed forms against bisection on the same stationarity condition
 
 
-def _bisection_demand(app, price, cap, case, abs_tol):
-    """Reference demand: bisect weight * (ln U)'(r + c) = price on [0, cap].
+def _bisection_demand(app, price, cap, offset, abs_tol):
+    """Reference demand: bisect weight * (ln U)'(r + c) = price on [0, cap],
+    c being offset.
 
     Zero demand when the marginal a hair above zero (abs_tol, or 0 with
     an offset) is already below the price; midpoint steps stop once the
     bracket is at most abs_tol wide.
     """
-    offset = case.app_offset(app)
 
     def above(rate):
         return app.weight * app.utility.dlog_evaluate(rate + offset) > price
@@ -312,9 +321,9 @@ def _mpmath_log_demand(k, weight, price, cap, offset):
 def test_sigmoid_demand_closed_form_matches_mpmath(a, b, weight, log10_price, target, case):
     app = Application(SigmoidalUtility(a, b), weight, target)
     price = 10.0**log10_price
-    cap = case.app_cap(app)
-    rate = app_rate_at_price(app, price, cap, case)
-    reference = _mpmath_demand(a, b, weight, price, cap, case.app_offset(app))
+    offset, cap = _offset_and_cap(app, case)
+    rate = app_rate_at_price(app, price, cap, offset)
+    reference = _mpmath_demand(a, b, weight, price, cap, offset)
     assert 0.0 <= rate <= cap
     assert rate == pytest.approx(reference, abs=1e-12 * max(abs(reference), 1.0), rel=0.0)
 
@@ -340,9 +349,9 @@ def test_log_demand_closed_form_matches_bisection(
 ):
     app = Application(LogarithmicUtility(10.0**log10_k, r_max), 10.0**log10_weight, target)
     price = 10.0**log10_price
-    cap = case.app_cap(app)
-    rate = app_rate_at_price(app, price, cap, case)
-    reference = _bisection_demand(app, price, cap, case, 1e-10)
+    offset, cap = _offset_and_cap(app, case)
+    rate = app_rate_at_price(app, price, cap, offset)
+    reference = _bisection_demand(app, price, cap, offset, 1e-10)
     assert 0.0 <= rate <= cap
     assert rate == pytest.approx(reference, abs=1e-10, rel=1e-12)
 
@@ -369,9 +378,8 @@ def test_log_demand_closed_form_matches_mpmath(
     the bisection test: it is the demand both solvers read."""
     app = Application(LogarithmicUtility(10.0**log10_k, r_max), 10.0**log10_weight, target)
     price = 10.0**log10_price
-    cap = case.app_cap(app)
-    rate = app_rate_at_price(app, price, cap, case)
-    offset = case.app_offset(app)
+    offset, cap = _offset_and_cap(app, case)
+    rate = app_rate_at_price(app, price, cap, offset)
     reference = _mpmath_log_demand(app.utility.k, app.weight, price, cap, offset)
     assert rate == pytest.approx(reference, rel=1e-12, abs=1e-13 * (reference + offset))
 
@@ -660,16 +668,13 @@ def _vip():
 
 def test_vip_bid_scarce_form():
     # per-app FOC demand at p=0.05 is ~4.73, total ~9.46, capped at the
-    # total target 4
-    user = _vip()
-    bid = vip_bid(
-        user, 0.05, 50, prev_bid=0.0, l1=5.0, l2=10.0, case=CaseFlag.TARGETS_EXCEED_CAPACITY
-    )
+    # total target 4; the target reaches R = 4, so capacity is scarce
+    table = regime_table([_vip()], 4.0)
+    assert table.case is CaseFlag.TARGETS_EXCEED_CAPACITY
+    bid = vip_bid(table, 0, 0.05, 50, prev_bid=0.0, l1=5.0, l2=10.0)
     # round 50 step 5e^{-5} ~ 0.0337 from 0: damping binds
     assert bid == pytest.approx(5.0 * math.exp(-5.0), rel=1e-12)
-    bid = vip_bid(
-        user, 0.05, 1, prev_bid=0.19, l1=5.0, l2=10.0, case=CaseFlag.TARGETS_EXCEED_CAPACITY
-    )
+    bid = vip_bid(table, 0, 0.05, 1, prev_bid=0.19, l1=5.0, l2=10.0)
     assert bid == pytest.approx(0.05 * 4.0, abs=1e-8)  # undamped: p * capped rate
 
 
@@ -677,9 +682,8 @@ def test_vip_bid_abundant_form():
     # surplus demands at p=0.05 with w=0.5: FOC root y-1 = 4.7289255654
     # (w/p = 10); the targeted app keeps the surplus above 4, and the
     # bid covers surplus + target
-    user = _vip()
-    bid = vip_bid(
-        user, 0.05, 1, prev_bid=0.9, l1=50.0, l2=10.0, case=CaseFlag.TARGETS_BELOW_CAPACITY
-    )
+    table = regime_table([_vip()], 100.0)
+    assert table.case is CaseFlag.TARGETS_BELOW_CAPACITY
+    bid = vip_bid(table, 0, 0.05, 1, prev_bid=0.9, l1=50.0, l2=10.0)
     surplus = (4.728925565386941 - 4.0) + 4.728925565386941
     assert bid == pytest.approx(0.05 * (surplus + 4.0), abs=1e-6)

@@ -301,12 +301,17 @@ def test_single_vip_takes_whole_scarce_pool():
 
 
 def _paper_bid(user, case, price, prev_bid, round_index, params):
-    """The paper's damped bid, restated from the per-application demand."""
+    """The paper's damped bid, restated from the per-application demand:
+    under scarce capacity each target caps its application's rate and,
+    added up, the user's; under abundant capacity the targets are granted
+    as offsets and nothing is capped."""
+    scarce = case is CaseFlag.TARGETS_EXCEED_CAPACITY
     total = sum(
-        app_rate_at_price(app, price / user.beta, case.app_cap(app), case) for app in user.apps
+        app_rate_at_price(app, price / user.beta, (app.target_rate or math.inf) if scarce
+                          else math.inf, 0.0 if scarce else app.offset) for app in user.apps
     )
-    total = min(total, case.user_cap(user))
-    proposed = price * (total + case.user_offset(user))
+    total = min(total, user.total_target if scarce else math.inf)
+    proposed = price * (total + (0.0 if scarce else user.total_target))
     return damp_bid(proposed, prev_bid, params.l1 * math.exp(-round_index / params.l2))
 
 

@@ -30,7 +30,7 @@ from nura import (
     scenario_to_dict,
     user_rate_at_price,
 )
-from nura.utility import NEG_INF, CaseFlag, RegimeTable, app_rows, regime_table
+from nura.utility import NEG_INF, CaseFlag, RegimeTable, regime_table
 from test_invariance import _fuzz_trees
 
 SIG_STEEP = SigmoidalUtility(a=3.0, b=20.0)
@@ -489,25 +489,41 @@ def test_a_table_carries_its_row_limits_however_it_is_built():
     assert table.limits == (4.0, 1.0, 5.0, 6.0)
     # As run_first_stage builds a capped user's re-clear: its own rows, its
     # share as the budget and no user cap.
-    own = RegimeTable(scarce, (v,), 2.5, (math.inf,), app_rows([v], scarce))
+    own = RegimeTable(scarce, (v,), 2.5, (math.inf,), table.rows[:3])
     assert own.limits == (2.5, 1.0, 2.5)
     assert replace(own, budget=0.5).limits == (0.5, 0.5, 0.5)
     assert "limits" not in {field.name for field in fields(own)}
 
 
+def _target_total(user):
+    total = 0.0  # added left to right
+    for app in user.apps:
+        total += 0.0 if app.target_rate is None else app.target_rate
+    return total
+
+
 def _restated_table(users, capacity):
-    """regime_table's fields stated again from CaseFlag's four methods."""
-    case = regime_table(users, capacity).case
-    participants = [user for user in users
-                    if user.is_vip or case is CaseFlag.TARGETS_BELOW_CAPACITY]
+    """regime_table's fields stated again from the regime's rules. Capacity
+    is scarce when the VIPs' targets, added up, reach it: then only VIPs
+    take part, each target caps its application's rate and, added up, its
+    user's, and the budget is the capacity. Else every user takes part,
+    each target is granted as its row's offset, nothing is capped, and the
+    budget is what the offsets leave."""
+    vip_targets = 0.0
+    for user in users:
+        if user.is_vip:
+            vip_targets += _target_total(user)
+    scarce = vip_targets >= capacity
+    participants = [user for user in users if user.is_vip or not scarce]
     pairs = [(slot, user, app) for slot, user in enumerate(participants) for app in user.apps]
-    rows = [(slot, app, user.beta * app.weight, case.app_offset(app), case.app_cap(app))
+    rows = [(slot, app, user.beta * app.weight, 0.0 if scarce else app.offset,
+             (math.inf if app.target_rate is None else app.target_rate) if scarce else math.inf)
             for slot, user, app in pairs]
     granted = 0.0  # added left to right
     for user in participants:
-        granted += case.user_offset(user)
+        granted += 0.0 if scarce else _target_total(user)
     budget = capacity - granted
-    user_caps = [case.user_cap(user) for user in participants]
+    user_caps = [_target_total(user) if scarce else math.inf for user in participants]
     limits = [min(cap, user_caps[slot], budget) for slot, _, _, _, cap in rows]
     keys, curves, curve_of = [], [], []
     for _, user, app in pairs:
@@ -519,7 +535,8 @@ def _restated_table(users, capacity):
             keys.append(key)
             curves.append((app, user.beta))
         curve_of.append(keys.index(key))
-    return participants, rows, limits, budget, user_caps, curves, curve_of
+    case = CaseFlag.TARGETS_EXCEED_CAPACITY if scarce else CaseFlag.TARGETS_BELOW_CAPACITY
+    return case, participants, rows, limits, budget, user_caps, curves, curve_of
 
 
 def _reference_with_ue3_at_beta_2():
@@ -536,16 +553,17 @@ def _fuzz_cells(seed):
 
 
 @pytest.mark.parametrize("cells", ["fuzz 3", "fuzz 7", "fuzz 8", "fuzz 11", "reference"])
-def test_a_regime_table_restated_through_the_case_methods(cells):
-    # Each regime rule is stated once, in CaseFlag; the table holds what they give.
+def test_a_regime_table_restated_from_the_rules(cells):
+    # Each regime rule is stated once, in regime_table; the table holds what they give.
     inputs = (_reference_with_ue3_at_beta_2() if cells == "reference"
               else _fuzz_cells(int(cells.split()[1])))
     cases = set()
     for users, capacity in inputs:
         table = regime_table(users, capacity)
         cases.add(table.case)
-        participants, rows, limits, budget, user_caps, curves, curve_of = _restated_table(
+        case, participants, rows, limits, budget, user_caps, curves, curve_of = _restated_table(
             users, capacity)
+        assert table.case is case
         assert table.participants == tuple(participants)
         assert [tuple(row) for row in table.rows] == rows
         assert all(row.app is want[1] for row, want in zip(table.rows, rows))
@@ -577,7 +595,8 @@ def test_a_weightless_application_builds_no_demand_and_demands_nothing():
     assert replace(Application(SIG_STEEP, 0.5), weight=0.0).demand_at is None
     assert app_rate_at_price(app, 1e-6) == 0.0
     user = UserProfile("u", UserClass.REGULAR, beta=1.0, apps=(app, Application(LOG_SLOW, 1.0)))
-    assert user_rate_at_price(user, 0.1) == app_rate_at_price(user.apps[1], 0.1)
+    assert user_rate_at_price(regime_table([user], 1.0), 0, 0.1) == app_rate_at_price(
+        user.apps[1], 0.1)
 
 
 @pytest.mark.parametrize(
