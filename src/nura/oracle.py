@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -52,6 +52,7 @@ _LOG_MAX_STRETCH = 512 * _LN2  # the widest step out, a factor of 2^512
 # leaves a few halvings to rounding.
 _STALL_STEPS = 4
 _MAX_PRICE_STEPS = 5 * 70
+_MAX_GRID_POINTS = 1_000_000  # objective calls; the grid's time grows as (R / step)^2
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,9 @@ class OracleResult:
     under scarce capacity); app_rates are final per-application rates,
     targets included when capacity is abundant. objective, the weighted
     log-domain value over participating users, is not a field: it is
-    computed on first read, then cached, from the rows and their rates
-    above the offsets, which the result keeps as Application keeps
-    demand_at (a dataclasses.replace copy keeps none). The tests and
+    computed on first read, then cached, from rows and rates, the rows
+    and their rates above the offsets, fields that == and repr ignore (a
+    dataclasses.replace copy keeps them). The tests and
     scripts/pin_check.py read it; the CLI, the benchmark and
     scripts/oracle_diff.py read the rates only.
     """
@@ -72,15 +73,12 @@ class OracleResult:
     user_rates: dict[str, float]
     app_rates: dict[str, tuple[float, ...]]
     method: str
-    rows: InitVar[Sequence[AppRow] | None] = None
-    rates: InitVar[Sequence[float] | None] = None
-
-    def __post_init__(self, rows: Sequence[AppRow] | None, rates: Sequence[float] | None) -> None:
-        object.__setattr__(self, "_terms", (rows, rates))
+    rows: Sequence[AppRow] = field(default=(), compare=False, repr=False)
+    rates: Sequence[float] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def objective(self) -> float:
-        return objective(*self._terms)
+        return objective(self.rows, self.rates)
 
 
 class _Trial(NamedTuple):
@@ -448,8 +446,10 @@ def grid_search_solve(
 ) -> OracleResult:
     """Exhaustive argmax over the step-grid of the feasible region.
 
-    Guarded to at most 3 applications total; beyond that the grid is
-    refused rather than silently truncated. Iteration is lexicographic
+    Guarded to at most 3 applications total and to a grid of at most
+    _MAX_GRID_POINTS points, counted before any is enumerated as the
+    product of limit / step + 1 over the enumerated rows; beyond that the
+    grid is refused rather than silently truncated. Iteration is lexicographic
     in (user declaration order, application index) and ties go to the
     lexicographically smallest tuple. The last coordinate is not
     enumerated: the objective increases in it, so it takes the largest
@@ -462,6 +462,13 @@ def grid_search_solve(
     n = len(entries)
     if n > 3:
         raise ContractError(f"grid search is guarded to at most 3 applications, got {n}")
+    points = 1.0  # the weighted rows but the last are enumerated, each up to its limit
+    for entry, limit in zip(entries[:-1], limits):
+        if entry.factor > 0.0:
+            points *= limit / step + 1.0
+    if points > _MAX_GRID_POINTS:
+        raise ContractError(f"grid search is guarded to {_MAX_GRID_POINTS} points, got about "
+                            f"{points:.4g} at step {step!r}")
 
     values = [0.0] * n
     user_used = [0.0] * len(table.participants)

@@ -102,6 +102,27 @@ def test_validate_reports_grid_for_small_scenarios(tmp_path, capsys):
     assert "grid search" in out
 
 
+def test_validate_skips_a_grid_past_its_bound(tmp_path, capsys, monkeypatch):
+    # Three apps at R = 200 and step 0.01: about 4e8 grid points.
+    scenario = tmp_path / "three.yaml"
+    scenario.write_text(TINY_SCENARIO.replace("weight: 1.0\n", """weight: 0.5
+      - utility: {kind: sigmoidal, a: 1.0, b: 6.0}
+        weight: 0.5
+""", 1))
+
+    def called(rows, rates):
+        raise AssertionError("the grid was enumerated")
+
+    monkeypatch.setattr("nura.oracle.objective", called)
+    code = main(["validate", "--scenario", str(scenario), "--r", "200", "--grid-step", "0.01"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [line for line in lines if "grid search" in line] == [
+        "grid search skipped: grid search is guarded to 1000000 points, got about 4e+08 "
+        "at step 0.01"]
+    assert lines[-1].startswith("OK")
+
+
 def test_validate_fails_on_impossible_tolerance(capsys, monkeypatch):
     # The two exact solvers agree to rounding, which no tolerance may
     # rely on; the reference is moved 1e-6 off, far past the 1e-12.

@@ -156,6 +156,23 @@ def test_grid_refuses_large_instances(cell):
         grid_search_solve(cell.users, 60.0)  # 8 applications
 
 
+def test_grid_refuses_a_grid_past_its_bound_before_any_objective_call(monkeypatch):
+    # Two users, three apps: at R = 200 and step 0.01 the grid has about
+    # (200 / 0.01)^2 points; it ran about 8 minutes before it was bounded.
+    users = [
+        _user("a", UserClass.REGULAR, [_app(LogarithmicUtility(k=2.0, r_max=30.0), 0.5),
+                                       _app(SigmoidalUtility(a=1.0, b=6.0), 0.5)]),
+        _user("b", UserClass.REGULAR, [_app(LOG_UNIT, 1.0)]),
+    ]
+
+    def called(rows, rates):
+        raise AssertionError("the grid was enumerated")
+
+    monkeypatch.setattr(oracle, "objective", called)
+    with pytest.raises(ContractError, match=r"guarded to 1000000 points, got about 4e\+08 at step 0\.01"):
+        grid_search_solve(users, 200.0, step=0.01)
+
+
 def test_grid_zero_weight_tie_prefers_smallest():
     user = _user(
         "flat",
@@ -251,6 +268,15 @@ def test_the_objective_is_computed_on_first_read_and_kept(cell, capacity, case, 
     assert calls == [capacity]
     assert result.objective == first and calls == [capacity]
     assert regime_table(cell.users, capacity).case is case
+
+
+@pytest.mark.parametrize("capacity", [40.0, 150.0])  # scarce, abundant
+def test_a_replaced_result_keeps_its_objective(cell, capacity):
+    # The copy raised TypeError on reading it, its rows and rates lost.
+    result = centralized_solve(cell.users, capacity)
+    copy = replace(result, method="x")
+    assert copy.objective == result.objective
+    assert "rows" not in repr(copy) and replace(copy, rows=(), rates=()) == copy  # not compared
 
 
 def test_methods_labelled():

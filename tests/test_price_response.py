@@ -91,21 +91,21 @@ def test_demand_monotone_in_price():
 def test_cap_binds_at_low_price():
     assert app_rate_at_price(log_app(), price=0.01, cap=4.0) == 4.0
     assert app_rate_at_price(log_app(), price=0.01, cap=0.0) == 0.0
-    for bad in (-1.0, math.nan):
-        with pytest.raises(DomainError, match="cap must be nonnegative"):
-            app_rate_at_price(log_app(), price=0.01, cap=bad)
-
-
-def test_negative_cap_rejected_before_early_exits():
-    # zero weight returns 0 before any solve, and a vanishing demand
-    # (about weight / price near rate 0) is still solved; a negative cap
-    # is an error in both
     with pytest.raises(DomainError):
-        app_rate_at_price(log_app(weight=0.0), price=0.01, cap=-1.0)
+        app_rate_at_price(log_app(), price=0.01, cap=-1.0)
+
+
+@pytest.mark.parametrize("cap", [-1.0, math.nan])
+def test_negative_cap_rejected_before_early_exits(cap):
+    # zero weight returns 0 before any solve, and a vanishing demand
+    # (about weight / price near rate 0) is still solved; a negative or
+    # nan cap is an error in both (a nan cap returned 0.0)
+    with pytest.raises(DomainError, match="cap must be nonnegative"):
+        app_rate_at_price(log_app(weight=0.0), price=0.01, cap=cap)
     sigmoid = Application(utility=SigmoidalUtility(a=1.0, b=20.0), weight=0.5)
     assert app_rate_at_price(sigmoid, price=1e12) == pytest.approx(5.0e-13, rel=1e-12)
-    with pytest.raises(DomainError):
-        app_rate_at_price(sigmoid, price=1e12, cap=-1.0)
+    with pytest.raises(DomainError, match="cap must be nonnegative"):
+        app_rate_at_price(sigmoid, price=1e12, cap=cap)
 
 
 def test_cap_slack_at_high_price():

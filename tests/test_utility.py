@@ -30,6 +30,7 @@ from nura import (
     scenario_to_dict,
     user_rate_at_price,
 )
+from nura.price_response import bidders
 from nura.utility import NEG_INF, CaseFlag, RegimeTable, regime_table
 from test_invariance import _fuzz_trees
 
@@ -576,6 +577,24 @@ def test_a_regime_table_restated_from_the_rules(cells):
     assert cases == set(CaseFlag)  # both regimes
     if cells == "reference":  # ue3 at beta 2 reads its own curves, not ue1's; ue4 reads ue2's
         assert regime_table(*inputs[-1]).curve_of == (0, 1, 2, 3, 4, 5, 2, 3)
+
+
+@pytest.mark.parametrize("cells", ["fuzz 3", "fuzz 7", "fuzz 8", "fuzz 11", "reference"])
+def test_each_bidders_offset_is_what_its_user_is_granted(cells):
+    # bidders adds each member's rows' offsets in row order: bit for bit its
+    # user's total_target under abundant capacity, and 0.0 under scarce.
+    cell = load_scenario(bundled_scenario_path())
+    inputs = ([(cell.users, 5.0 * step) for step in range(1, 41)] if cells == "reference"
+              else _fuzz_cells(int(cells.split()[1])))
+    cases = set()
+    for users, capacity in inputs:
+        table = regime_table(users, capacity)
+        cases.add(table.case)
+        scarce = table.case is CaseFlag.TARGETS_EXCEED_CAPACITY
+        want = [0.0 if scarce else user.total_target for user in table.participants]
+        got = [member.offset for member in bidders(table).members]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert cases == set(CaseFlag)  # both regimes
 
 
 def test_cached_demand_survives_the_scenario_round_trip():
