@@ -4,13 +4,14 @@ clear_price finds the price at which a regime table's participants
 spend its budget: each application demands the rate where its marginal
 value meets price / beta, in closed form at each trial price, less its
 row's offset and up to its row's limit in the table; an uncapped user
-competes app by app, a capped one as min(its demand, its cap). One safeguarded Newton search finds
-that price from a given start price, in a coordinate t of the price:
-ln p, in which log apps' total demand is nearly linear, or next to a
-sigmoid row's plateau price p0 (utility.sigmoid_plateau), where steps in
-ln p overshoot, s = asinh((p - p0) / d), in which that row's demand is
-linear. Where demand jumps across a relative price
-change below what t resolves (a sigmoid's flat stretch), every amount
+competes app by app, a capped one as min(its demand, its cap). One
+safeguarded Newton search finds that price from a given start price, in
+a coordinate t of the price: ln p, in which log apps' total demand is
+nearly linear, or next to a sigmoid row's plateau price p0
+(utility.sigmoid_plateau), where steps in ln p overshoot,
+s = asinh((p - p0) / d), in which that row's demand is linear. Where
+demand jumps across a relative price change below what t resolves (a
+sigmoid's flat stretch), every amount
 is topped up between its demands at the ends of a 1e-10-wide bracket by
 one common fraction. Each trial is one loop over the rows for the
 demands and one for the step's bookkeeping, and every total is added

@@ -52,7 +52,7 @@ _LOG_MAX_STRETCH = 512 * _LN2  # the widest step out, a factor of 2^512
 # leaves a few halvings to rounding.
 _STALL_STEPS = 4
 _MAX_PRICE_STEPS = 5 * 70
-_MAX_GRID_POINTS = 1_000_000  # objective calls; the grid's time grows as (R / step)^2
+_MAX_GRID_POINTS = 1_000_000  # at most as many objective calls; time grows as (R / step)^2
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ class OracleResult:
     under scarce capacity); app_rates are final per-application rates,
     targets included when capacity is abundant. objective, the weighted
     log-domain value over participating users, is not a field: it is
-    computed on first read, then cached, from rows and rates, the rows
-    and their rates above the offsets, fields that == and repr ignore (a
-    dataclasses.replace copy keeps them). The tests and
+    computed on first read, then cached, from rows and rates (the rows
+    and their rates above the offsets), two fields that == and repr
+    ignore and that a dataclasses.replace copy keeps. The tests and
     scripts/pin_check.py read it; the CLI, the benchmark and
     scripts/oracle_diff.py read the rates only.
     """
@@ -448,12 +448,12 @@ def grid_search_solve(
 
     Guarded to at most 3 applications total and to a grid of at most
     _MAX_GRID_POINTS points, counted before any is enumerated as the
-    product of limit / step + 1 over the enumerated rows; beyond that the
-    grid is refused rather than silently truncated. Iteration is lexicographic
-    in (user declaration order, application index) and ties go to the
-    lexicographically smallest tuple. The last coordinate is not
-    enumerated: the objective increases in it, so it takes the largest
-    feasible value outright.
+    product of limit / step + 1 over the enumerated rows; beyond that
+    the grid is refused rather than silently truncated. Iteration is
+    lexicographic in (user declaration order, application index) and
+    ties go to the lexicographically smallest tuple. The last coordinate
+    is not enumerated: the objective increases in it, so it takes the
+    largest feasible value outright.
     """
     table = regime_table(users, capacity)
     if not (math.isfinite(step) and step > 0.0):

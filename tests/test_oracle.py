@@ -158,7 +158,7 @@ def test_grid_refuses_large_instances(cell):
 
 def test_grid_refuses_a_grid_past_its_bound_before_any_objective_call(monkeypatch):
     # Two users, three apps: at R = 200 and step 0.01 the grid has about
-    # (200 / 0.01)^2 points; it ran about 8 minutes before it was bounded.
+    # (200 / 0.01)^2 points, minutes of enumeration if it were not refused.
     users = [
         _user("a", UserClass.REGULAR, [_app(LogarithmicUtility(k=2.0, r_max=30.0), 0.5),
                                        _app(SigmoidalUtility(a=1.0, b=6.0), 0.5)]),
@@ -169,7 +169,8 @@ def test_grid_refuses_a_grid_past_its_bound_before_any_objective_call(monkeypatc
         raise AssertionError("the grid was enumerated")
 
     monkeypatch.setattr(oracle, "objective", called)
-    with pytest.raises(ContractError, match=r"guarded to 1000000 points, got about 4e\+08 at step 0\.01"):
+    refused = r"guarded to 1000000 points, got about 4e\+08 at step 0\.01"
+    with pytest.raises(ContractError, match=refused):
         grid_search_solve(users, 200.0, step=0.01)
 
 
