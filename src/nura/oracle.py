@@ -52,7 +52,7 @@ _LOG_MAX_STRETCH = 512 * _LN2  # the widest step out, a factor of 2^512
 # leaves a few halvings to rounding.
 _STALL_STEPS = 4
 _MAX_PRICE_STEPS = 5 * 70
-_MAX_GRID_POINTS = 1_000_000  # at most as many objective calls; time grows as (R / step)^2
+_MAX_GRID_POINTS = 1_000_000  # objective calls; their number grows as (R / step)^2
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,7 @@ def _clear(demand: Callable[[float], tuple[list[float], list[tuple[float, float]
     """
     log_budget = math.log(budget)
     tol = 1e-9 * budget
+    new = tuple.__new__  # _Trial's own __new__ runs as a Python frame
 
     def trial(price: float) -> _Trial:
         amounts, exits = demand(price)
@@ -170,7 +171,7 @@ def _clear(demand: Callable[[float], tuple[list[float], list[tuple[float, float]
             held += amount
             if out > price:
                 outs.append((out, held))
-        return _Trial(price, g, total, amounts, outs)
+        return new(_Trial, (price, g, total, amounts, outs))
 
     def exit_below(at: _Trial, hi: float) -> float:
         """The highest exit below hi up to which at's rows at their limit
@@ -447,9 +448,11 @@ def grid_search_solve(
     """Exhaustive argmax over the step-grid of the feasible region.
 
     Guarded to at most 3 applications total and to a grid of at most
-    _MAX_GRID_POINTS points, counted before any is enumerated as the
-    product of limit / step + 1 over the enumerated rows; beyond that
-    the grid is refused rather than silently truncated. Iteration is
+    _MAX_GRID_POINTS points, the objective calls of the enumeration,
+    counted exactly before any is made; beyond that the grid is refused
+    rather than silently truncated. The count walks the values of the
+    rows enumerated before the last one and adds that row's number of
+    values, which it takes from its limit. Iteration is
     lexicographic in (user declaration order, application index) and
     ties go to the lexicographically smallest tuple. The last coordinate
     is not enumerated: the objective increases in it, so it takes the
@@ -462,41 +465,53 @@ def grid_search_solve(
     n = len(entries)
     if n > 3:
         raise ContractError(f"grid search is guarded to at most 3 applications, got {n}")
-    points = 1.0  # the weighted rows but the last are enumerated, each up to its limit
-    for entry, limit in zip(entries[:-1], limits):
-        if entry.factor > 0.0:
-            points *= limit / step + 1.0
-    if points > _MAX_GRID_POINTS:
-        raise ContractError(f"grid search is guarded to {_MAX_GRID_POINTS} points, got about "
-                            f"{points:.4g} at step {step!r}")
-
     values = [0.0] * n
     user_used = [0.0] * len(table.participants)
+
+    def span(j: int, remaining: float) -> tuple[float, int]:
+        """Row j's limit, within what is left of the budget and its user's
+        cap, and how many grid values up to it an enumerated row takes: one,
+        0.0, at weight 0, where all choices tie and the smallest is kept."""
+        slot = entries[j].user_slot
+        lim = max(min(remaining, limits[j], user_caps[slot] - user_used[slot]), 0.0)
+        return lim, int(math.floor(lim / step + 1e-9)) + 1 if entries[j].factor > 0.0 else 1
+
+    def points(j: int, remaining: float) -> int:  # the objective calls from row j on
+        if j == n - 1:
+            return 1
+        lim, count = span(j, remaining)
+        if j == n - 2:
+            return count
+        total, slot = 0, entries[j].user_slot
+        for i in range(count):
+            q = min(i * step, lim)
+            user_used[slot] += q
+            total += points(j + 1, remaining - q)
+            user_used[slot] -= q
+        return total
+
+    grid = points(0, table.budget)
+    if grid > _MAX_GRID_POINTS:
+        raise ContractError(f"grid search is guarded to {_MAX_GRID_POINTS} points, got {grid} "
+                            f"at step {step!r}")
     best: list[float] | None = None
     best_objective = NEG_INF
 
     def recurse(j: int, remaining: float) -> None:
         nonlocal best, best_objective
-        entry = entries[j]
-        slot = entry.user_slot  # the row's limit, within what is left of the budget and user cap
-        lim = max(min(remaining, limits[j], user_caps[slot] - user_used[slot]), 0.0)
+        lim, count = span(j, remaining)
         if j == n - 1:
             # Objective is nondecreasing in the last coordinate, largest
             # feasible value wins; zero-weight apps are flat, so they
             # take 0 (the lexicographically smallest choice).
-            values[j] = lim if entry.factor > 0.0 else 0.0
+            values[j] = lim if entries[j].factor > 0.0 else 0.0
             candidate = objective(entries, values)
             if best is None or candidate > best_objective:
                 best = values.copy()
                 best_objective = candidate
             return
-        if entry.factor == 0.0:
-            # All choices tie; keep the smallest.
-            values[j] = 0.0
-            recurse(j + 1, remaining)
-            return
-        count = int(math.floor(lim / step + 1e-9))
-        for i in range(count + 1):
+        slot = entries[j].user_slot
+        for i in range(count):
             q = min(i * step, lim)
             values[j] = q
             user_used[slot] += q

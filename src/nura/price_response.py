@@ -91,11 +91,12 @@ def bidders(table: RegimeTable) -> BidLayout:
         offsets[row.user_slot] += row.offset
         if slot is not None:
             rows[row.user_slot].append((slot, row.offset, row.cap))
+    new = tuple.__new__  # a NamedTuple's own __new__ runs as a Python frame
     members = tuple(
-        Bidder(user.user_id, user.beta, cap, offset, tuple(user_rows))
+        new(Bidder, (user.user_id, user.beta, cap, offset, tuple(user_rows)))
         for user, cap, offset, user_rows in zip(users, table.user_caps, offsets, rows)
     )
-    return BidLayout(tuple((app.demand_at, beta) for app, beta in table.curves), members)
+    return new(BidLayout, (tuple((app.demand_at, beta) for app, beta in table.curves), members))
 
 
 def round_bids(

@@ -16,6 +16,9 @@ round's dict. It returns the bids, their total added left to right as
 add_up does (the same bits on every CPython version), and whether any
 bid moved by delta or more; round 1 takes both from the start bids
 against bids of 0. Each round's bid dict goes into the trace uncopied.
+Trace entries are RoundStates built by tuple.__new__, as the records
+made per round, trial or row are across the package: a NamedTuple's
+own __new__ runs as a Python frame, about half of each entry's cost.
 Damped bids stop short of the fixed point, so the rates come from one
 exact clearing (intra_ue.clear_price). The round prices converge
 linearly, so it starts from Aitken's delta-squared estimate of their
@@ -150,12 +153,13 @@ def run_first_stage(
     bids = {bidder.user_id: w_init for bidder in layout.members}
     total, moved = add_up(bids.values()), not w_init < delta
     trace: list[RoundState] = []
+    new = tuple.__new__  # RoundState's own __new__ runs as a Python frame
 
     for round_index in range(1, params.max_rounds + 1):
         price = total / capacity
         if price < floor:
             price = floor
-        trace.append(RoundState(round_index, bids, price, not moved))
+        trace.append(new(RoundState, (round_index, bids, price, not moved)))
         if not moved:
             break
         bids, total, moved = round_bids(layout, price, l1 * math.exp(-(round_index + 1) / l2),

@@ -26,7 +26,7 @@ row's plateau, and the objective the rows are scored by.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
@@ -337,9 +337,13 @@ class Application:
 
     The target rate doubles as the offset added to the rate argument in
     the objective: a target-bearing application is evaluated at
-    (extra rate + target). Two attributes are set once from the fields:
-    offset, that target (0.0 without one), and demand_at, the utility's
-    demand_curve at the weight (None at weight 0, which demands nothing).
+    (extra rate + target). Three attributes are set once from the fields:
+    offset, that target (0.0 without one); demand_at, the utility's
+    demand_curve at the weight (None at weight 0, which demands nothing);
+    and curve_key, the utility's class, its field values and the weight,
+    a plain tuple equal exactly where (utility, weight) are under
+    dataclass ==, which RegimeTable groups curves by without running the
+    dataclass-generated __hash__ and __eq__ as Python frames.
     """
 
     utility: UtilityFunction
@@ -359,6 +363,9 @@ class Application:
         object.__setattr__(self, "offset", 0.0 if self.target_rate is None else self.target_rate)
         curve = self.utility.demand_curve(self.weight) if self.weight > 0.0 else None
         object.__setattr__(self, "demand_at", curve)
+        utility = self.utility
+        values = tuple(getattr(utility, f.name) for f in fields(utility) if f.compare)
+        object.__setattr__(self, "curve_key", (type(utility), *values, self.weight))
 
     def __reduce__(self):  # rebuild demand rather than pickle a closure
         return (Application, (self.utility, self.weight, self.target_rate))
@@ -452,12 +459,12 @@ class RegimeTable:
     def __post_init__(self) -> None:
         caps, budget, users = self.user_caps, self.budget, self.participants
         limits = [min(row.cap, caps[row.user_slot], budget) for row in self.rows]
-        slots: dict[tuple, int] = {}  # (utility, weight, beta) -> its index in curves
+        slots: dict[tuple, int] = {}  # (curve_key, beta) -> its index in curves
         curves, curve_of = [], []
         for row in self.rows:
             app, beta = row.app, users[row.user_slot].beta
             slot = None if app.weight == 0.0 else slots.setdefault(
-                (app.utility, app.weight, beta), len(slots))
+                (app.curve_key, beta), len(slots))
             if slot == len(curves):
                 curves.append((app, beta))
             curve_of.append(slot)
@@ -480,15 +487,15 @@ def regime_table(users: Sequence[UserProfile], capacity: float) -> RegimeTable:
         raise ContractError("at least one user is required")
     if len({user.user_id for user in users}) != len(users):
         raise ContractError("user ids must be unique")
-    make, inf = AppRow._make, math.inf
+    new, inf = tuple.__new__, math.inf  # AppRow's own __new__ and _make are Python frames
     if case is _SCARCE:
         participants = tuple(user for user in users if user.is_vip)
-        rows = tuple(make((slot, app, user.beta * app.weight, 0.0, app.target_rate or inf))
+        rows = tuple(new(AppRow, (slot, app, user.beta * app.weight, 0.0, app.target_rate or inf))
                      for slot, user in enumerate(participants) for app in user.apps)
         return RegimeTable(case, participants, capacity,
                            tuple(user.total_target for user in participants), rows)
     participants = tuple(users)
-    rows = tuple(make((slot, app, user.beta * app.weight, app.offset, inf))
+    rows = tuple(new(AppRow, (slot, app, user.beta * app.weight, app.offset, inf))
                  for slot, user in enumerate(participants) for app in user.apps)
     budget = capacity - add_up(user.total_target for user in participants)
     return RegimeTable(case, participants, budget, (inf,) * len(participants), rows)

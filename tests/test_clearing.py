@@ -31,6 +31,7 @@ from nura import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from nura.utility import regime_table
 
 CURVATURES = (0.1, 0.5, 1, 3, 10)
 BETAS = (0.5, 1, 2, 5)
@@ -359,6 +360,19 @@ def test_a_capacity_below_every_demand_raises_in_both_solvers(cell):
     for raised in (solved, certified):
         lo, hi = raised.value.bracket
         assert lo <= hi
+
+
+def test_a_clearing_out_of_steps_raises_with_its_bracket(cell, monkeypatch):
+    # From p = 1 the reference cell's clearing at R = 100 takes more than
+    # five trials; after four the bracket holds the price it clears at.
+    table = regime_table(cell.users, 100.0)
+    cleared = intra_ue.clear_price(table, 1.0)[0]
+    monkeypatch.setattr(intra_ue, "_MAX_PRICE_STEPS", 4)
+    with pytest.raises(SolverError, match="meets the budget") as raised:
+        intra_ue.clear_price(table, 1.0)
+    lo, hi = raised.value.bracket
+    assert str(raised.value) == f"no price in ({lo}, {hi}) meets the budget {table.budget}"
+    assert 0.0 < lo < cleared < hi < 1.0
 
 
 def _sigmoid_a_1e301(ue1):

@@ -157,8 +157,8 @@ def test_grid_refuses_large_instances(cell):
 
 
 def test_grid_refuses_a_grid_past_its_bound_before_any_objective_call(monkeypatch):
-    # Two users, three apps: at R = 200 and step 0.01 the grid has about
-    # (200 / 0.01)^2 points, minutes of enumeration if it were not refused.
+    # Two users, three apps: at R = 200 and step 0.01 the grid has
+    # 20001 * 20002 / 2 points, minutes of enumeration if it were not refused.
     users = [
         _user("a", UserClass.REGULAR, [_app(LogarithmicUtility(k=2.0, r_max=30.0), 0.5),
                                        _app(SigmoidalUtility(a=1.0, b=6.0), 0.5)]),
@@ -169,9 +169,48 @@ def test_grid_refuses_a_grid_past_its_bound_before_any_objective_call(monkeypatc
         raise AssertionError("the grid was enumerated")
 
     monkeypatch.setattr(oracle, "objective", called)
-    refused = r"guarded to 1000000 points, got about 4e\+08 at step 0\.01"
+    refused = r"guarded to 1000000 points, got 200030001 at step 0\.01"
     with pytest.raises(ContractError, match=refused):
         grid_search_solve(users, 200.0, step=0.01)
+
+
+def test_grid_bound_counts_the_objective_calls_exactly(monkeypatch):
+    # Two users, three apps at R = 2 and step 0.1: the first row takes 21
+    # values and the second what the first leaves, 21 * 22 / 2 = 231 points
+    # in all, though the product of their counts is 21^2 = 441.
+    users = [
+        _user("a", UserClass.REGULAR, [_app(LogarithmicUtility(k=2.0, r_max=30.0), 0.5),
+                                       _app(SigmoidalUtility(a=1.0, b=6.0), 0.5)]),
+        _user("b", UserClass.REGULAR, [_app(LOG_UNIT, 1.0)]),
+    ]
+    calls = []
+
+    def counted(rows, rates):
+        calls.append(tuple(rates))
+        return objective(rows, rates)
+
+    monkeypatch.setattr(oracle, "objective", counted)
+    monkeypatch.setattr(oracle, "_MAX_GRID_POINTS", 231)
+    grid = grid_search_solve(users, 2.0, step=0.1)
+    assert len(calls) == 231 and len(set(calls)) == 231
+    assert grid.user_rates == pytest.approx(centralized_solve(users, 2.0).user_rates, abs=0.1)
+    calls.clear()
+    monkeypatch.setattr(oracle, "_MAX_GRID_POINTS", 230)
+    with pytest.raises(ContractError, match=r"guarded to 230 points, got 231 at step 0\.1$"):
+        grid_search_solve(users, 2.0, step=0.1)
+    assert calls == []
+
+
+def test_a_price_search_out_of_steps_raises_with_its_bracket(cell, monkeypatch):
+    # The reference cell at R = 100 clears in two steps of the bracketed
+    # search; one step leaves a bracket that holds the pipeline's price.
+    final_price = run_first_stage(cell.users, 100.0).final_price
+    monkeypatch.setattr(oracle, "_MAX_PRICE_STEPS", 1)
+    with pytest.raises(SolverError, match="did not close") as raised:
+        centralized_solve(cell.users, 100.0)
+    lo, hi = raised.value.bracket
+    assert str(raised.value) == f"price bracket ({lo}, {hi}) did not close"
+    assert lo < final_price < hi
 
 
 def test_grid_zero_weight_tie_prefers_smallest():

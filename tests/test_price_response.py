@@ -1,8 +1,10 @@
 """Demand solves and bid shaping against closed forms and brute force."""
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -26,6 +28,7 @@ from nura import (
     vip_bid,
 )
 from nura.utility import add_up, regime_table
+from test_invariance import _fuzz_trees
 
 # log1p(k * r_max) = 1 exactly, so demand has the closed form w/p - 1
 UNIT_LOG = LogarithmicUtility(k=1.0, r_max=math.e - 1.0)
@@ -475,7 +478,22 @@ def _curve_slots(users, capacity):
     return slots, len(layout.curves)
 
 
-def test_bidders_share_a_curve_only_at_equal_utility_weight_and_beta(cell):
+def _curves_by_equality(table):
+    """Each row's curve slot, grouping rows by dataclass equality of
+    (utility, weight, beta) in first-appearance order; None at weight 0."""
+    keys, curve_of = [], []
+    for row in table.rows:
+        if row.app.weight == 0.0:
+            curve_of.append(None)
+            continue
+        key = (row.app.utility, row.app.weight, table.participants[row.user_slot].beta)
+        if key not in keys:
+            keys.append(key)
+        curve_of.append(keys.index(key))
+    return tuple(curve_of)
+
+
+def test_bidders_share_a_curve_only_at_equal_utility_weight_and_beta(cell, monkeypatch):
     # ue3 and ue4 hold ue1's and ue2's curves and weights at beta 1
     slots, distinct = _curve_slots(cell.users, 200.0)
     assert slots == {"ue1": [0, 1], "ue2": [2, 3], "ue3": [0, 1], "ue4": [2, 3]}
@@ -491,6 +509,28 @@ def test_bidders_share_a_curve_only_at_equal_utility_weight_and_beta(cell):
     assert slots["ue4"] == [4, 5] and distinct == 6
     # under scarce capacity only the VIPs bid
     assert _curve_slots(cell.users, 40.0) == ({"ue1": [0, 1], "ue2": [2, 3]}, 4)
+    # the curve's class counts: equal fields of a sigmoid and a log curve are two curves
+    sig, log = SigmoidalUtility(a=2, b=50), LogarithmicUtility(k=2, r_max=50)
+    users = [UserProfile(uid, UserClass.REGULAR, 1.0, (Application(utility, 0.5),))
+             for uid, utility in (("s", sig), ("l", log))]
+    assert _curve_slots(users, 10.0) == ({"s": [0], "l": [1]}, 2)
+    # equal utilities built apart are one curve, ints and floats alike
+    users = [UserProfile(uid, UserClass.REGULAR, 1.0, (Application(utility, 0.5),))
+             for uid, utility in (("a", SigmoidalUtility(a=2, b=50)),
+                                  ("b", SigmoidalUtility(a=2.0, b=50.0)))]
+    assert users[0].apps[0].utility is not users[1].apps[0].utility
+    assert _curve_slots(users, 10.0) == ({"a": [0], "b": [0]}, 1)
+    # on the fuzz cells and the benchmark's large cell, rows group as by ==
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import cells
+
+    trees = [tree for seed in (3, 7, 8, 11) for tree in _fuzz_trees(seed)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the saturation warning
+        configs = [scenario.scenario_from_dict(tree) for tree in trees + [cells.large_tree(7)]]
+    for config in configs:
+        table = regime_table(config.users, config.capacity)
+        assert table.curve_of == _curves_by_equality(table)
 
 
 # ---------------------------------------------------------------------------

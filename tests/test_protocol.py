@@ -13,6 +13,7 @@ from nura import (
     DomainError,
     NonConvergenceError,
     ProtocolParams,
+    RoundState,
     SigmoidalUtility,
     UserClass,
     UserProfile,
@@ -21,12 +22,13 @@ from nura import (
     damp_bid,
     determine_case,
     load_schedule,
+    oracle,
     price_response,
     run_first_stage,
     scenario,
     trace_records,
 )
-from nura.utility import add_up, regime_table
+from nura.utility import AppRow, add_up, regime_table
 
 
 def _params(**kw):
@@ -225,6 +227,27 @@ def test_nonconvergence_carries_trace(cell):
         run_first_stage(cell.users, 55.0, ProtocolParams(max_rounds=10))
     assert excinfo.value.rounds == 10
     assert len(excinfo.value.trace) == 10
+
+
+def test_records_made_per_round_trial_row_and_member_are_their_named_tuples(cell):
+    # They are built by tuple.__new__, which checks neither the class's
+    # fields nor their number: each must be its NamedTuple, field for field.
+    def made(record, cls):
+        return type(record) is cls and record == cls(*record)
+
+    for capacity in (5.0 * step for step in range(1, 41)):
+        assert all(made(state, RoundState)
+                   for state in run_first_stage(cell.users, capacity, cell.protocol).trace)
+        table = regime_table(cell.users, capacity)
+        assert all(made(row, AppRow) for row in table.rows)
+        layout = price_response.bidders(table)
+        assert made(layout, price_response.BidLayout)
+        assert all(made(member, price_response.Bidder) for member in layout.members)
+    with pytest.raises(NonConvergenceError) as excinfo:
+        run_first_stage(cell.users, 55.0, ProtocolParams(max_rounds=10))
+    assert all(made(state, RoundState) for state in excinfo.value.trace)
+    _, _, upper, lower = oracle._clear(lambda price: ([2.0 / price], []), 1.0)
+    assert made(upper, oracle._Trial) and made(lower, oracle._Trial)
 
 
 def test_each_round_after_the_first_damps_each_bid_once(cell, monkeypatch):
