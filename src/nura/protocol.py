@@ -18,7 +18,7 @@ bid moved by delta or more; round 1 takes both from the start bids
 against bids of 0. Each round's bid dict goes into the trace uncopied.
 Trace entries are RoundStates built by tuple.__new__, as the records
 made per round, trial or row are across the package: a NamedTuple's
-own __new__ runs as a Python frame, about half of each entry's cost.
+own __new__ runs as a Python frame, nearly half of each entry's cost.
 Damped bids stop short of the fixed point, so the rates come from one
 exact clearing (intra_ue.clear_price). The round prices converge
 linearly, so it starts from Aitken's delta-squared estimate of their
