@@ -449,10 +449,12 @@ def grid_search_solve(
 
     Guarded to at most 3 applications total and to a grid of at most
     _MAX_GRID_POINTS points, the objective calls of the enumeration,
-    counted exactly before any is made; beyond that the grid is refused
-    rather than silently truncated. The count walks the values of the
-    rows enumerated before the last one and adds that row's number of
-    values, which it takes from its limit. Iteration is
+    counted before any is made; beyond that the grid is refused rather
+    than silently truncated. The count walks the values of the rows
+    enumerated before the last one and adds that row's number of values,
+    which it takes from its limit; it stops once past the bound, so a
+    refusal costs at most _MAX_GRID_POINTS + 1 steps at any size and
+    reports the count reached. Iteration is
     lexicographic in (user declaration order, application index) and
     ties go to the lexicographically smallest tuple. The last coordinate
     is not enumerated: the objective increases in it, so it takes the
@@ -476,7 +478,10 @@ def grid_search_solve(
         lim = max(min(remaining, limits[j], user_caps[slot] - user_used[slot]), 0.0)
         return lim, int(math.floor(lim / step + 1e-9)) + 1 if entries[j].factor > 0.0 else 1
 
-    def points(j: int, remaining: float) -> int:  # the objective calls from row j on
+    def points(j: int, remaining: float) -> int:
+        """The objective calls recurse makes from row j on, walked as it
+        walks them (keep the two in step), up to the first count past the
+        bound: each value adds at least one point, so that ends the walk."""
         if j == n - 1:
             return 1
         lim, count = span(j, remaining)
@@ -484,6 +489,8 @@ def grid_search_solve(
             return count
         total, slot = 0, entries[j].user_slot
         for i in range(count):
+            if total > _MAX_GRID_POINTS:
+                break
             q = min(i * step, lim)
             user_used[slot] += q
             total += points(j + 1, remaining - q)
@@ -492,8 +499,8 @@ def grid_search_solve(
 
     grid = points(0, table.budget)
     if grid > _MAX_GRID_POINTS:
-        raise ContractError(f"grid search is guarded to {_MAX_GRID_POINTS} points, got {grid} "
-                            f"at step {step!r}")
+        raise ContractError(f"grid search is guarded to {_MAX_GRID_POINTS} points, got at least "
+                            f"{grid} at step {step!r}")
     best: list[float] | None = None
     best_objective = NEG_INF
 

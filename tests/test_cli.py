@@ -103,7 +103,8 @@ def test_validate_reports_grid_for_small_scenarios(tmp_path, capsys):
 
 
 def test_validate_skips_a_grid_past_its_bound(tmp_path, capsys, monkeypatch):
-    # Three apps at R = 200 and step 0.01: 200 030 001 grid points.
+    # Three apps at R = 200 and step 0.01: 200 030 001 grid points, counted
+    # up to the first first-row value past 10^6.
     scenario = tmp_path / "three.yaml"
     scenario.write_text(TINY_SCENARIO.replace("weight: 1.0\n", """weight: 0.5
       - utility: {kind: sigmoidal, a: 1.0, b: 6.0}
@@ -118,7 +119,7 @@ def test_validate_skips_a_grid_past_its_bound(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert [line for line in lines if "grid search" in line] == [
-        "grid search skipped: grid search is guarded to 1000000 points, got 200030001 "
+        "grid search skipped: grid search is guarded to 1000000 points, got at least 1018776 "
         "at step 0.01"]
     assert lines[-1].startswith("OK")
 

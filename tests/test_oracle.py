@@ -158,7 +158,8 @@ def test_grid_refuses_large_instances(cell):
 
 def test_grid_refuses_a_grid_past_its_bound_before_any_objective_call(monkeypatch):
     # Two users, three apps: at R = 200 and step 0.01 the grid has
-    # 20001 * 20002 / 2 points, minutes of enumeration if it were not refused.
+    # 20001 * 20002 / 2 points, minutes of enumeration if it were not refused;
+    # the count stops at the first first-row value that takes it past 10^6.
     users = [
         _user("a", UserClass.REGULAR, [_app(LogarithmicUtility(k=2.0, r_max=30.0), 0.5),
                                        _app(SigmoidalUtility(a=1.0, b=6.0), 0.5)]),
@@ -169,7 +170,7 @@ def test_grid_refuses_a_grid_past_its_bound_before_any_objective_call(monkeypatc
         raise AssertionError("the grid was enumerated")
 
     monkeypatch.setattr(oracle, "objective", called)
-    refused = r"guarded to 1000000 points, got 200030001 at step 0\.01"
+    refused = r"guarded to 1000000 points, got at least 1018776 at step 0\.01"
     with pytest.raises(ContractError, match=refused):
         grid_search_solve(users, 200.0, step=0.01)
 
@@ -196,9 +197,39 @@ def test_grid_bound_counts_the_objective_calls_exactly(monkeypatch):
     assert grid.user_rates == pytest.approx(centralized_solve(users, 2.0).user_rates, abs=0.1)
     calls.clear()
     monkeypatch.setattr(oracle, "_MAX_GRID_POINTS", 230)
-    with pytest.raises(ContractError, match=r"guarded to 230 points, got 231 at step 0\.1$"):
+    refused = r"guarded to 230 points, got at least 231 at step 0\.1$"
+    with pytest.raises(ContractError, match=refused):
         grid_search_solve(users, 2.0, step=0.1)
     assert calls == []
+
+
+def test_grid_refusal_stops_counting_past_the_bound(monkeypatch):
+    # A zero-weight second row takes one value, so each of the first row's
+    # 10^9 values at R = 1 and step 1e-9 adds one point: the count must stop
+    # at the bound's 1001st point, not walk them all.
+    users = [
+        _user("a", UserClass.REGULAR, [_app(LOG_UNIT, 1.0), _app(LOG_UNIT, 0.0)]),
+        _user("b", UserClass.REGULAR, [_app(LOG_UNIT, 1.0)]),
+    ]
+    reads = []
+
+    class Limits(tuple):
+        def __getitem__(self, j):
+            reads.append(j)
+            if len(reads) > 2000:
+                raise AssertionError("the count walked on past the bound")
+            return tuple.__getitem__(self, j)
+
+    def counted_table(users, capacity):
+        table = regime_table(users, capacity)
+        object.__setattr__(table, "limits", Limits(table.limits))
+        return table
+
+    monkeypatch.setattr(oracle, "regime_table", counted_table)
+    monkeypatch.setattr(oracle, "_MAX_GRID_POINTS", 1000)
+    with pytest.raises(ContractError, match=r"guarded to 1000 points, got at least 1001 at"):
+        grid_search_solve(users, 1.0, step=1e-9)
+    assert reads.count(1) == 1001 and len(reads) == 1002
 
 
 def test_a_price_search_out_of_steps_raises_with_its_bracket(cell, monkeypatch):
