@@ -11,15 +11,18 @@ its input checks, row limits and curve grouping (the curves the bidding
 rounds read), the objective, each sigmoid row's plateau, and each
 application's closed-form demand (Application.demand_at). A price trial
 reads each curve of its rows once, at p / beta, and each row's rate as
-that less its offset, clipped to [0, limit]. It shares nothing of how the
-pipeline clears: it never calls clear_price, the bidding rounds,
-app_rate_at_price or dlog_slope. A row's exit price, where it leaves its
-limit, factor * dlog_evaluate(limit + offset), is read once per solve,
-when a trial first finds the row there. One clearing routine (_clear)
-clears the price, and under scarce capacity the share of each user it
-caps among that user's rows. A result's objective is computed on first
-read, not in the solve: the tests and scripts/pin_check.py read it, the
-CLI, the benchmark and scripts/oracle_diff.py do not. The independent
+that less its offset, clipped to [0, limit], in one pass over the rows;
+the whole table's trial reads the table's curve grouping as it stands.
+It shares nothing of how the pipeline clears: it never calls
+clear_price, the bidding rounds, app_rate_at_price or dlog_slope. A
+row's exit price, where it leaves its limit, factor * dlog_evaluate(limit
++ offset), is read when a trial first finds the row there, once per solve
+for all rows equal in curve, offset and limit. One clearing routine
+(_clear) clears the price, and under scarce capacity the share of each
+user it caps among that user's rows; a result counts the trials of all
+of them. A result's objective is computed on first read, not in the
+solve: the tests and scripts/pin_check.py read it, the CLI, the
+benchmark and scripts/oracle_diff.py do not. The independent
 check of its answers, as of the pipeline's, is tests/referee.py: the KKT
 conditions in mpmath, from the utility's definition.
 
@@ -67,7 +70,9 @@ class OracleResult:
     and their rates above the offsets), two fields that == and repr
     ignore and that a dataclasses.replace copy keeps. The tests and
     scripts/pin_check.py read it; the CLI, the benchmark and
-    scripts/oracle_diff.py read the rates only.
+    scripts/oracle_diff.py read the rates only. trials, which == and
+    repr ignore too, counts the price trials of all the solve's
+    clearings, the capped users' splits included (0 for the grid).
     """
 
     user_rates: dict[str, float]
@@ -75,6 +80,7 @@ class OracleResult:
     method: str
     rows: Sequence[AppRow] = field(default=(), compare=False, repr=False)
     rates: Sequence[float] = field(default=(), compare=False, repr=False)
+    trials: int = field(default=0, compare=False, repr=False)
 
     @cached_property
     def objective(self) -> float:
@@ -96,17 +102,20 @@ class _Trial(NamedTuple):
 def _clear(demand: Callable[[float], tuple[list[float], list[tuple[float, float]]]],
            budget: float,
            plateaus: Sequence[tuple[float, float]] = (),
-           start: float | None = None) -> tuple[list[float], float, _Trial, _Trial]:
+           start: float | None = None) -> tuple[list[float], float, _Trial, _Trial, int]:
     """Amounts summing to budget at the price where demand meets it, the
-    fraction that tops them up and the upper and lower end trials.
+    fraction that tops them up, the upper and lower end trials and the
+    number of trials, the calls of demand.
 
     demand(price) returns nonincreasing amounts and the exits: for each row
     at its limit, the price where it leaves it and the amount it holds until
-    then. The search runs on g = ln(total / budget) in ln p, nearly linear
-    where demand goes as 1 / p. From the first price, start (a warm start)
-    or else p = 1, it steps out by twice the secant's reach through the last
-    two trials (slope -1 after one), which mirrors a linear g's root, but at
-    least by a floor and at most by 2^512. The floor starts at a factor of
+    then. A trial adds the amounts up left to right, as add_up does, in one
+    pass, and orders the exits only where there are some. The search runs
+    on g = ln(total / budget) in ln p, nearly linear where demand goes as
+    1 / p. From the first price, start (a warm start) or else p = 1, it
+    steps out by twice the secant's reach through the last two trials
+    (slope -1 after one), which mirrors a linear g's root, but at least by
+    a floor and at most by 2^512. The floor starts at a factor of
     2, or of e^{min(4|g|, ln 2)} at a warm start, which often lies next to
     the root, and squares on each step. Bracketed, it takes the secant
     through the last two trials, or, where those straddle the root, inverse
@@ -160,17 +169,25 @@ def _clear(demand: Callable[[float], tuple[list[float], list[tuple[float, float]
     """
     log_budget = math.log(budget)
     tol = 1e-9 * budget
+    near_tol = 0.5 * tol  # an end this near the budget stops the search
     new = tuple.__new__  # _Trial's own __new__ runs as a Python frame
+    trials = 0
 
     def trial(price: float) -> _Trial:
+        nonlocal trials
+        trials += 1
         amounts, exits = demand(price)
-        total = add_up(amounts)
+        total = 0.0
+        for amount in amounts:  # left to right, as add_up adds
+            total += amount
         g = math.log(total) - log_budget if total > 0.0 else -math.inf
-        held, outs = 0.0, []
-        for out, amount in sorted(exits, reverse=True):  # the rows leaving last first
-            held += amount
-            if out > price:
-                outs.append((out, held))
+        outs = []
+        if exits:
+            held = 0.0
+            for out, amount in sorted(exits, reverse=True):  # the rows leaving last first
+                held += amount
+                if out > price:
+                    outs.append((out, held))
         return new(_Trial, (price, g, total, amounts, outs))
 
     def exit_below(at: _Trial, hi: float) -> float:
@@ -190,7 +207,7 @@ def _clear(demand: Callable[[float], tuple[list[float], list[tuple[float, float]
     jumped = False  # whether last was an exit jump
     while last.total > budget if up else last.total < budget:
         if last.price == (_FLOAT_MAX if up else _PRICE_FLOOR):
-            if abs(last.total - budget) > 0.5 * tol:
+            if abs(last.total - budget) > near_tol:
                 raise SolverError(f"total demand stays {'above' if up else 'below'} budget at "
                                   "any price", bracket=tuple(sorted((previous.price, last.price))))
             previous = last  # the end of the price range is within tol / 2
@@ -218,15 +235,12 @@ def _clear(demand: Callable[[float], tuple[list[float], list[tuple[float, float]
 
     widths: list[float] = []
     anchor = width = None  # the plateau (p0, w) the search steps around, if any
-    left: set[tuple[float, float]] = set()  # the plateaus it has stepped around
+    ahead = list(plateaus)  # those it has not stepped around
     run = 1  # the trials in a row on last's side of the root since the last jump
     older = None
 
     def level(price: float) -> float:  # the search variable s around the plateau
         return math.asinh((price - anchor) / width)
-
-    def kept(p0: float, w: float, lo: float) -> bool:  # s as fine as ln p in the bracket
-        return 0.5 * lo <= p0 and p0 + w * (w / p0) <= 2.0 * lo
 
     def inside(p0: float, w: float, lo: float, hi: float) -> bool:  # give or take 4 w
         return lo - 4.0 * w <= p0 <= hi + 4.0 * w
@@ -268,22 +282,25 @@ def _clear(demand: Callable[[float], tuple[list[float], list[tuple[float, float]
         return span, x
 
     steps = 0
-    while lower.total - budget > 0.5 * tol and budget - upper.total > 0.5 * tol:
+    while lower.total - budget > near_tol and budget - upper.total > near_tol:
         if steps == _MAX_PRICE_STEPS * (len(plateaus) + 1):
             raise SolverError(f"price bracket ({lower.price}, {upper.price}) did not close",
                               bracket=(lower.price, upper.price))
         lo, hi = lower.price, upper.price
+        half, twice = 0.5 * lo, 2.0 * lo  # s is as fine as ln p in the bracket where
+        # half <= p0 and p0 + w^2 / p0 <= twice
         span, x = landing(lo, hi)
         stalled = len(widths) >= _STALL_STEPS and span > 0.5 * widths[-_STALL_STEPS]
         # A phase ends for good once s is coarser than ln p, or where its plateau
         # lies outside a bracket that has stalled or that holds another one.
-        if anchor is not None and not (kept(anchor, width, lo) and (
-                inside(anchor, width, lo, hi) or not stalled
-                and not any(inside(p0, w, lo, hi) for p0, w in plateaus))):
+        if anchor is not None and not (
+                half <= anchor and anchor + width * (width / anchor) <= twice and (
+                    inside(anchor, width, lo, hi) or not stalled
+                    and not any(inside(p0, w, lo, hi) for p0, w in plateaus))):
             anchor = None
             span, x = landing(lo, hi)
-        near = [(p0, w) for p0, w in plateaus
-                if kept(p0, w, lo) and (p0, w) not in left] if anchor is None else ()
+        near = [(p0, w) for p0, w in ahead
+                if half <= p0 and p0 + w * (w / p0) <= twice] if anchor is None and ahead else ()
         if near:  # those nearer where the step in ln p lands than last is, or in a
             # bracket that has stalled or that a jump has just closed
             aim = lo * math.exp(min(max(x, -700.0), 700.0)) if x == x else last.price
@@ -293,7 +310,7 @@ def _clear(demand: Callable[[float], tuple[list[float], list[tuple[float, float]
             if near:  # the nearest the bracket, then the nearest the landing, starts a phase
                 anchor, width = min(near, key=lambda plateau: (
                     max(lo - plateau[0], plateau[0] - hi, 0.0) / plateau[0], abs(aim - plateau[0])))
-                left.add((anchor, width))
+                ahead.remove((anchor, width))
                 widths = []
                 span, x = landing(lo, hi)
         widths.append(span)
@@ -324,7 +341,7 @@ def _clear(demand: Callable[[float], tuple[list[float], list[tuple[float, float]
     gap = lower.total - upper.total
     fraction = (budget - upper.total) / gap if gap > 0.0 else 0.0
     return ([u + fraction * (v - u) for u, v in zip(upper.amounts, lower.amounts)],
-            fraction, upper, lower)
+            fraction, upper, lower, trials)
 
 
 def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleResult:
@@ -343,23 +360,37 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
     multiplier) keeps them, topped up by the clearing's fraction; every
     other user's share is cleared among its own rows, from the clearing's
     upper end. The rows' rates at both ends are read again for this.
+
+    The whole table's trial reads the table's curves by its curve_of as
+    they stand; a split's reads its user's curves, in table order. Exit
+    prices are kept per row and read by (curve, offset, limit), when a
+    trial first finds a row of that kind at its limit; a split's key, its
+    rows' kinds and its share, is built only for a user past its cap.
     """
     table = regime_table(users, capacity)
-    # Rows equal in curve, offset and limit read equal rates and exit prices.
-    distinct: dict[tuple, int] = {}
-    kinds = [distinct.setdefault((curve, entry.offset, limit), len(distinct))
-             for curve, entry, limit in zip(table.curve_of, table.rows, table.limits)]
+    rows, limits, curve_of, caps = table.rows, table.limits, table.curve_of, table.user_caps
     plateau_of = [sigmoid_plateau(app.utility, beta * app.weight) for app, beta in table.curves]
-    exit_of: list[float | None] = [None] * len(distinct)  # read when a trial first needs it
+    exit_of: list[float | None] = [None] * len(rows)  # each row's, once a trial needs it
+    exit_at: dict[tuple, float] = {}  # by (curve, offset, limit), which fix it
 
-    def reader(indices) -> tuple[Callable[[float], tuple[list[float], list]], list]:
-        # A price trial on these rows, each its own amount, with the exit of each at
-        # its limit (0 at weight 0 or limit 0, kept in exit_of); and their plateaus.
-        own = sorted({table.curve_of[i] for i in indices} - {None})
+    def exit_price(i: int) -> float:
+        """Row i's exit price, where it leaves its limit: read once for all
+        rows equal in curve, offset and limit; 0 at weight 0 or limit 0."""
+        row, curve, limit = rows[i], curve_of[i], limits[i]
+        key = (curve, row.offset, limit)
+        out = exit_at.get(key)
+        if out is None:
+            out = exit_at[key] = min(row.factor * row.app.utility.dlog_evaluate(
+                limit + row.offset), _FLOAT_MAX) if curve is not None and limit > 0.0 else 0.0
+        exit_of[i] = out
+        return out
+
+    def reader(own, entries) -> tuple[Callable[[float], tuple[list[float], list]], list]:
+        # A price trial on the rows of entries, each its own amount, with the exit
+        # of each at its limit; and their plateaus. own lists the table's curves
+        # they read, and an entry is (its curve's place in own, len(own) at weight
+        # 0, where it reads 0; its offset; its limit; its index in the table).
         curves = [(table.curves[c][0].demand_at, table.curves[c][1]) for c in own]
-        zero, place = len(own), {c: at for at, c in enumerate(own)}  # a weight-0 row reads 0
-        entries = [(place.get(table.curve_of[i], zero), table.rows[i].offset, table.limits[i],
-                    kinds[i], table.rows[i]) for i in indices]
 
         def read(price) -> tuple[list[float], list[tuple[float, float]]]:
             values = []
@@ -374,7 +405,7 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
                                       bracket=(0.0, price))
             values.append(0.0)
             rates, exits = [], []
-            for at, offset, limit, kind, entry in entries:
+            for at, offset, limit, i in entries:
                 r = values[at] - offset
                 if 0.0 > r:
                     r = 0.0
@@ -382,64 +413,79 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
                     r = limit
                 rates.append(r)
                 if r == limit:
-                    out = exit_of[kind]
-                    if out is None:
-                        out = exit_of[kind] = min(entry.factor * entry.app.utility.dlog_evaluate(
-                            limit + offset), _FLOAT_MAX) if at < zero and limit > 0.0 else 0.0
-                    exits.append((out, r))
+                    out = exit_of[i]
+                    exits.append((exit_price(i) if out is None else out, r))
             return rates, exits
         return read, sorted({plateau_of[c] for c in own} - {None})
 
-    read, plateaus = reader(range(len(table.rows)))
-    if min(table.user_caps) == math.inf:  # no user is capped
-        return _assemble(users, table, _clear(read, table.budget, plateaus)[0], "dual_bisection")
-    groups: list[list[int]] = [[] for _ in table.participants]
-    for index, entry in enumerate(table.rows):
-        groups[entry.user_slot].append(index)
+    zero = len(table.curves)
+    read, plateaus = reader(range(zero), [
+        (zero if curve is None else curve, row.offset, limit, i)
+        for i, (curve, row, limit) in enumerate(zip(curve_of, rows, limits))])
+    if min(caps) == math.inf:  # no user is capped
+        rates, _, _, _, trials = _clear(read, table.budget, plateaus)
+        return _assemble(users, table, rates, "dual_bisection", trials)
+    groups, start = [], 0  # each user's rows, (start, stop): the table lays them out user by user
+    for user in table.participants:
+        groups.append((start, start + len(user.apps)))
+        start += len(user.apps)
 
     def competing(price) -> tuple[list[float], list[tuple[float, float]]]:
         rates, exits = read(price)
-        amounts = [min(add_up(rates[i] for i in group), cap)
-                   for group, cap in zip(groups, table.user_caps)]
+        amounts = [min(add_up(rates[start:stop]), cap) for (start, stop), cap in zip(groups, caps)]
         if exits:  # the rows leaving last hold up to the user's cap
             exits = []
-            for group, cap in zip(groups, table.user_caps):
-                for leave, rate in sorted(((exit_of[kinds[i]], rates[i]) for i in group
-                                           if rates[i] == table.limits[i]), reverse=True):
+            for (start, stop), cap in zip(groups, caps):
+                for leave, rate in sorted(((exit_of[i], rates[i]) for i in range(start, stop)
+                                           if rates[i] == limits[i]), reverse=True):
                     exits.append((leave, min(rate, cap)))
                     cap -= min(rate, cap)
         return amounts, exits
 
-    shares, fraction, upper, lower = _clear(competing, table.budget, plateaus)
+    shares, fraction, upper, lower, trials = _clear(competing, table.budget, plateaus)
     at_upper, at_lower = (read(end.price)[0] for end in (upper, lower))
-    # Users equal in row kinds and share (positive floats are equal only
-    # bit for bit) split alike, so each such split is cleared once.
+    # Users equal in row kinds, (curve, offset, limit), and share (positive floats
+    # are equal only bit for bit) split alike, so each such split is cleared once.
     splits: dict[tuple, list[float]] = {}
     rates: list[float] = []
-    for group, share, cap in zip(groups, shares, table.user_caps):
-        pairs = [(at_upper[i], at_lower[i]) for i in group]
+    for (start, stop), share, cap in zip(groups, shares, caps):
         # Below its cap at the lower end, a user is below it across the bracket;
         # a zero share past it takes fraction 0 and rows all 0 at the upper end.
-        if share == 0.0 or add_up(v for _, v in pairs) <= cap:
-            rates.extend(u + fraction * (v - u) for u, v in pairs)
+        if share == 0.0 or add_up(at_lower[start:stop]) <= cap:
+            rates.extend(u + fraction * (v - u)
+                         for u, v in zip(at_upper[start:stop], at_lower[start:stop]))
             continue
-        row_kinds = tuple(kinds[i] for i in group)
-        if (row_kinds, share) not in splits:
-            own, own_plateaus = reader(group)
-            splits[row_kinds, share] = _clear(own, share, own_plateaus, upper.price)[0]
-        rates.extend(splits[row_kinds, share])
-    return _assemble(users, table, rates, "dual_bisection")
+        group = range(start, stop)
+        kinds = tuple((curve_of[i], rows[i].offset, limits[i]) for i in group)
+        if (kinds, share) not in splits:
+            own = sorted({curve_of[i] for i in group} - {None})
+            place = {c: at for at, c in enumerate(own)}
+            own_read, own_plateaus = reader(own, [
+                (place.get(curve_of[i], len(own)), rows[i].offset, limits[i], i) for i in group])
+            split, _, _, _, count = _clear(own_read, share, own_plateaus, upper.price)
+            splits[kinds, share] = split
+            trials += count
+        rates.extend(splits[kinds, share])
+    return _assemble(users, table, rates, "dual_bisection", trials)
 
 
 def _assemble(users: Sequence[UserProfile], table: RegimeTable, rates: Sequence[float],
-              method: str) -> OracleResult:
-    finals: list[list[float]] = [[] for _ in table.participants]
-    for entry, rate in zip(table.rows, rates):
-        finals[entry.user_slot].append(rate + entry.offset)
-    per_user = {u.user_id: tuple(own) for u, own in zip(table.participants, finals)}
-    app_rates = {u.user_id: per_user.get(u.user_id) or (0.0,) * len(u.apps) for u in users}
-    return OracleResult({uid: add_up(own) for uid, own in app_rates.items()}, app_rates, method,
-                        table.rows, rates)
+              method: str, trials: int = 0) -> OracleResult:
+    rows, participants = table.rows, table.participants
+    finals = [rate + row.offset for row, rate in zip(rows, rates)]
+    app_rates, user_rates, start, slot = {}, {}, 0, 0
+    for user in users:  # the participants among them, in order, hold the rows user by user
+        if slot < len(participants) and participants[slot] is user:
+            stop = start + len(user.apps)
+            own = tuple(finals[start:stop])
+            start, slot = stop, slot + 1
+        else:
+            own = (0.0,) * len(user.apps)
+        total = 0.0
+        for rate in own:  # left to right, as add_up adds
+            total += rate
+        app_rates[user.user_id], user_rates[user.user_id] = own, total
+    return OracleResult(user_rates, app_rates, method, rows, rates, trials)
 
 
 def grid_search_solve(

@@ -458,14 +458,22 @@ class RegimeTable:
 
     def __post_init__(self) -> None:
         caps, budget, users = self.user_caps, self.budget, self.participants
-        limits = [min(row.cap, caps[row.user_slot], budget) for row in self.rows]
+        limits, curves, curve_of = [], [], []
         slots: dict[tuple, int] = {}  # (curve_key, beta) -> its index in curves
-        curves, curve_of = [], []
-        for row in self.rows:
-            app, beta = row.app, users[row.user_slot].beta
-            slot = None if app.weight == 0.0 else slots.setdefault(
-                (app.curve_key, beta), len(slots))
-            if slot == len(curves):
+        for user_slot, app, _, _, limit in self.rows:  # an AppRow's fields, its cap last
+            if caps[user_slot] < limit:  # min(cap, user cap, budget), as min() takes it
+                limit = caps[user_slot]
+            if budget < limit:
+                limit = budget
+            limits.append(limit)
+            if app.weight == 0.0:
+                curve_of.append(None)
+                continue
+            beta = users[user_slot].beta
+            key = (app.curve_key, beta)
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(curves)
                 curves.append((app, beta))
             curve_of.append(slot)
         for name, value in ("limits", limits), ("curves", curves), ("curve_of", curve_of):
@@ -490,13 +498,13 @@ def regime_table(users: Sequence[UserProfile], capacity: float) -> RegimeTable:
     new, inf = tuple.__new__, math.inf  # AppRow's own __new__ and _make are Python frames
     if case is _SCARCE:
         participants = tuple(user for user in users if user.is_vip)
-        rows = tuple(new(AppRow, (slot, app, user.beta * app.weight, 0.0, app.target_rate or inf))
-                     for slot, user in enumerate(participants) for app in user.apps)
+        rows = tuple([new(AppRow, (slot, app, user.beta * app.weight, 0.0, app.target_rate or inf))
+                      for slot, user in enumerate(participants) for app in user.apps])
         return RegimeTable(case, participants, capacity,
                            tuple(user.total_target for user in participants), rows)
     participants = tuple(users)
-    rows = tuple(new(AppRow, (slot, app, user.beta * app.weight, app.offset, inf))
-                 for slot, user in enumerate(participants) for app in user.apps)
+    rows = tuple([new(AppRow, (slot, app, user.beta * app.weight, app.offset, inf))
+                  for slot, user in enumerate(participants) for app in user.apps])
     budget = capacity - add_up(user.total_target for user in participants)
     return RegimeTable(case, participants, budget, (inf,) * len(participants), rows)
 

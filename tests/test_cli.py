@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -417,3 +418,18 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "run" in result.stdout and "validate" in result.stdout
+
+
+@pytest.mark.parametrize("module", ["nura", "nura.cli"])
+def test_module_guards_run_main_in_process(module, monkeypatch, capsys):
+    """python -m nura and python -m nura.cli, run in this process: each
+    guard hands the command line to main, which prints the help and exits 0."""
+    monkeypatch.setattr(sys, "argv", ["nura", "--help"])
+    with warnings.catch_warnings():
+        # runpy's note that nura.cli was imported, with the package, before it ran
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_module(module, run_name="__main__")
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert "run" in out and "validate" in out

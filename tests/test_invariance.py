@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from nura import NuraError, centralized_solve, run_once, scenario_from_dict
+from nura.utility import add_up
 
 SOLVERS = {
     "run_once": run_once,
@@ -84,8 +85,10 @@ FLIPS = (
 )
 
 
-@functools.lru_cache(maxsize=None)
-def _fuzz_trees(seed):
+def _drawn(builder, *args):
+    """A tree list or tree of bench/cells.py, drawn as CPython 3.11 draws it.
+    Its weights are normalised by sum(), which CPython 3.12 compensates;
+    rebound for the draw, sum adds them left to right on every version."""
     import sys
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -93,7 +96,16 @@ def _fuzz_trees(seed):
         import cells
     finally:
         sys.path.pop(0)
-    return cells.fuzz_trees(seed)
+    cells.sum = add_up
+    try:
+        return getattr(cells, builder)(*args)
+    finally:
+        del cells.sum
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_trees(seed):
+    return _drawn("fuzz_trees", seed)
 
 
 @pytest.fixture(scope="module")

@@ -32,6 +32,7 @@ from nura import (
 )
 from nura.utility import CaseFlag, add_up, objective, regime_table
 from referee import kkt_gap
+from test_trace_pin import _cells
 from wide_trees import wide_tree
 
 
@@ -552,6 +553,31 @@ def _price_trials(config, monkeypatch) -> int:
         patch.setattr(oracle, "_clear", counted)
         centralized_solve(config.users, config.capacity)
     return len(prices)
+
+
+def test_a_result_counts_the_demand_calls_of_all_its_clearings(cell, monkeypatch):
+    """OracleResult.trials counts the price trials of every clearing of a
+    certification, the capped users' splits included: the calls of the
+    demand callbacks of its _clear calls, repeated prices and all. It is
+    left out of == and repr. 371 over the trace pin's 44 cells."""
+    calls = []
+
+    def counted(demand, *rest, original=oracle._clear):
+        def tried(price):
+            calls.append(price)
+            return demand(price)
+
+        return original(tried, *rest)
+
+    monkeypatch.setattr(oracle, "_clear", counted)
+    total = 0
+    for config in _cells(cell):
+        calls.clear()
+        result = centralized_solve(config.users, config.capacity)
+        assert result.trials == len(calls) > 0
+        assert result == replace(result, trials=0) and "trials" not in repr(result)
+        total += result.trials
+    assert total == 371
 
 
 def test_the_reference_cell_clears_in_few_price_trials(cell, monkeypatch):

@@ -246,7 +246,7 @@ def test_records_made_per_round_trial_row_and_member_are_their_named_tuples(cell
     with pytest.raises(NonConvergenceError) as excinfo:
         run_first_stage(cell.users, 55.0, ProtocolParams(max_rounds=10))
     assert all(made(state, RoundState) for state in excinfo.value.trace)
-    _, _, upper, lower = oracle._clear(lambda price: ([2.0 / price], []), 1.0)
+    _, _, upper, lower, _ = oracle._clear(lambda price: ([2.0 / price], []), 1.0)
     assert made(upper, oracle._Trial) and made(lower, oracle._Trial)
 
 
