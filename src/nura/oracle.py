@@ -10,7 +10,8 @@ with the pipeline what the utility module states: the regime table, with
 its input checks, row limits and curve grouping (the curves the bidding
 rounds read), the objective, each sigmoid row's plateau, and each
 application's closed-form demand (Application.demand_at). A price trial
-reads each curve of its rows once, at p / beta, and each row's rate as
+takes (p / beta, ln(p / beta)) once per distinct beta of its rows, reads
+each of their curves once at its beta's pair, and each row's rate as
 that less its offset, clipped to [0, limit], in one pass over the rows;
 the whole table's trial reads the table's curve grouping as it stands.
 It shares nothing of how the pipeline clears: it never calls
@@ -359,10 +360,13 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
     the clearing's lower end add up to no more than its cap (a zero
     multiplier) keeps them, topped up by the clearing's fraction; every
     other user's share is cleared among its own rows, from the clearing's
-    upper end. The rows' rates at both ends are read again for this.
+    upper end. The rows' rates at both ends are those the clearing's end
+    trials read, kept by trial price: no end is read twice.
 
-    The whole table's trial reads the table's curves by its curve_of as
-    they stand; a split's reads its user's curves, in table order. Exit
+    A trial reads its rows' curves beta by beta into a list by table
+    curve, so every row reads its value at its curve_of as it stands; the
+    whole table's trial reads all the table's curves, a split's only its
+    user's, at the user's one beta. Exit
     prices are kept per row and read by (curve, offset, limit), when a
     trial first finds a row of that kind at its limit; a split's key, its
     rows' kinds and its share, is built only for a user past its cap.
@@ -385,25 +389,33 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
         exit_of[i] = out
         return out
 
-    def reader(own, entries) -> tuple[Callable[[float], tuple[list[float], list]], list]:
-        # A price trial on the rows of entries, each its own amount, with the exit
-        # of each at its limit; and their plateaus. own lists the table's curves
-        # they read, and an entry is (its curve's place in own, len(own) at weight
-        # 0, where it reads 0; its offset; its limit; its index in the table).
-        curves = [(table.curves[c][0].demand_at, table.curves[c][1]) for c in own]
+    zero = len(table.curves)  # the place of the 0 that a row of weight 0 reads
+
+    def reader(own, indices) -> tuple[Callable[[float], tuple[list[float], list]], list]:
+        # A price trial on the table's rows at indices, each its own amount, with
+        # the exit of each at its limit; and their plateaus. own lists the table's
+        # curves they read, in table order. The trial reads them grouped by beta,
+        # each beta first where own first has it, taking p / beta and its ln once
+        # per group, into a list by table curve, which holds 0 where none is read.
+        by_beta: dict[float, list[tuple[int, Callable[[float, float], float]]]] = {}
+        for c in own:
+            app, beta = table.curves[c]
+            by_beta.setdefault(beta, []).append((c, app.demand_at))
+        groups = list(by_beta.items())
+        entries = [(zero if curve_of[i] is None else curve_of[i], rows[i].offset, limits[i], i)
+                   for i in indices]
 
         def read(price) -> tuple[list[float], list[tuple[float, float]]]:
-            values = []
-            for demand_at, beta in curves:
+            values = [0.0] * (zero + 1)  # a curve whose p / beta is inf reads 0 too
+            for beta, demands in groups:
                 scaled = price / beta
                 if 0.0 < scaled <= _FLOAT_MAX:
-                    values.append(demand_at(scaled))
-                elif scaled:  # inf
-                    values.append(0.0)
-                else:
+                    ln_scaled = math.log(scaled)
+                    for c, demand_at in demands:
+                        values[c] = demand_at(scaled, ln_scaled)
+                elif not scaled:
                     raise SolverError(f"price {price!r} / beta {beta!r} underflows to 0",
                                       bracket=(0.0, price))
-            values.append(0.0)
             rates, exits = [], []
             for at, offset, limit, i in entries:
                 r = values[at] - offset
@@ -418,10 +430,7 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
             return rates, exits
         return read, sorted({plateau_of[c] for c in own} - {None})
 
-    zero = len(table.curves)
-    read, plateaus = reader(range(zero), [
-        (zero if curve is None else curve, row.offset, limit, i)
-        for i, (curve, row, limit) in enumerate(zip(curve_of, rows, limits))])
+    read, plateaus = reader(range(zero), range(len(rows)))
     if min(caps) == math.inf:  # no user is capped
         rates, _, _, _, trials = _clear(read, table.budget, plateaus)
         return _assemble(users, table, rates, "dual_bisection", trials)
@@ -430,8 +439,11 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
         groups.append((start, start + len(user.apps)))
         start += len(user.apps)
 
+    kept: dict[float, list[float]] = {}  # each trial's row rates, by its price
+
     def competing(price) -> tuple[list[float], list[tuple[float, float]]]:
         rates, exits = read(price)
+        kept[price] = rates
         amounts = [min(add_up(rates[start:stop]), cap) for (start, stop), cap in zip(groups, caps)]
         if exits:  # the rows leaving last hold up to the user's cap
             exits = []
@@ -443,7 +455,7 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
         return amounts, exits
 
     shares, fraction, upper, lower, trials = _clear(competing, table.budget, plateaus)
-    at_upper, at_lower = (read(end.price)[0] for end in (upper, lower))
+    at_upper, at_lower = kept[upper.price], kept[lower.price]
     # Users equal in row kinds, (curve, offset, limit), and share (positive floats
     # are equal only bit for bit) split alike, so each such split is cleared once.
     splits: dict[tuple, list[float]] = {}
@@ -458,10 +470,7 @@ def centralized_solve(users: Sequence[UserProfile], capacity: float) -> OracleRe
         group = range(start, stop)
         kinds = tuple((curve_of[i], rows[i].offset, limits[i]) for i in group)
         if (kinds, share) not in splits:
-            own = sorted({curve_of[i] for i in group} - {None})
-            place = {c: at for at, c in enumerate(own)}
-            own_read, own_plateaus = reader(own, [
-                (place.get(curve_of[i], len(own)), rows[i].offset, limits[i], i) for i in group])
+            own_read, own_plateaus = reader(sorted({curve_of[i] for i in group} - {None}), group)
             split, _, _, _, count = _clear(own_read, share, own_plateaus, upper.price)
             splits[kinds, share] = split
             trials += count

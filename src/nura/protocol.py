@@ -8,10 +8,11 @@ threshold delta. The participants are laid out once per run as a
 price_response BidLayout, read from the run's regime table. A round is
 the price (floored), its trace entry and one price_response.round_bids
 call with the round's damping step l1 * e^{-n / l2}. That call is the
-whole round in one pass: every distinct demand curve is evaluated once,
-users that share one (same utility, weight and beta) read the same
-value, and each user's rows are added, capped and turned into its
-damped bid in member order, next to its last bid in the previous
+whole round in one pass: the price is divided by each distinct beta and
+its ln taken once, every distinct demand curve is evaluated once at its
+beta's pair, users that share one (same utility, weight and beta) read
+the same value, and each user's rows are added, capped and turned into
+its damped bid in member order, next to its last bid in the previous
 round's dict. It returns the bids, their total added left to right as
 add_up does (the same bits on every CPython version), and whether any
 bid moved by delta or more; round 1 takes both from the start bids

@@ -11,7 +11,9 @@ Every solver in this package works on ln U and its rate derivative, so
 the numerically delicate pieces are concentrated in this module; the
 pipeline's demand (the rate where weight * (ln U)' meets a price) is
 here too, as demand_curve, one closed form per shape with its per-weight
-constants taken once, cached on each Application as demand_at. All
+constants taken once, cached on each Application as demand_at; it reads
+a price p as (p, ln p), so a caller reading many curves at one p takes
+its ln once. All
 branches exponentiate only non-positive (or safely bounded) arguments;
 steepness-times-inflection products up to about 700 are handled without
 overflow, and saturation degrades gracefully rather than raising.
@@ -69,6 +71,7 @@ class SigmoidalUtility:
         _require_positive_finite(self.b, "b")
         # Per-curve constants; not fields, so ==, hash, repr and replace see a, b only.
         object.__setattr__(self, "_e_ab", math.exp(-self.a * self.b))
+        object.__setattr__(self, "_e_half_ab", math.exp(-0.5 * self.a * self.b))
         object.__setattr__(self, "_scale", self.a * (1.0 + self._e_ab))
         if self._scale == math.inf:  # (ln U)' near rate 0 and the demand need it
             raise DomainError(
@@ -163,9 +166,10 @@ class SigmoidalUtility:
             return -1.0 / rate
         return -self.a * (e_x + e_ar) / denom
 
-    def demand_curve(self, weight: float) -> Callable[[float], float]:
+    def demand_curve(self, weight: float) -> Callable[[float, float], float]:
         """The rate r >= 0 with weight * (ln U)'(r) = price, in closed form,
-        as a function of price; weight must be positive.
+        as a function of the price and its ln, which the caller takes once
+        for all the curves it reads at that price; weight must be positive.
 
         With t = e^{ar} - 1 the denominator of dlog_evaluate is
         (e^{-ab} t^2 + (1 + e^{-ab}) t) / (1 + t), so t is the positive
@@ -176,7 +180,8 @@ class SigmoidalUtility:
         root is taken in the rationalized form, for B <= 0 as ln t, so
         nothing is divided by an e^{-ab} that has underflowed. Past
         M = e^700 this is the deep-saturation branch of dlog_evaluate,
-        r = b + ln M / a. Where M underflows, (ln U)' is 1 / r to within
+        r = b + ln M / a, ln M being ln(weight a (1 + e^{-ab})) less the
+        given ln price. Where M underflows, (ln U)' is 1 / r to within
         rounding, so the rate is weight / price.
         """
         a, b, e_ab = self.a, self.b, self._e_ab
@@ -192,10 +197,10 @@ class SigmoidalUtility:
         a_lo, w_lo = a - a_hi, weight - w_hi
         aw_lo = ((a_hi * w_hi - aw) + a_hi * w_lo + a_lo * w_hi) + a_lo * w_lo
 
-        def demand(price: float) -> float:
+        def demand(price: float, ln_price: float) -> float:
             m = scaled / price
             if m > 1.0142320547350045e304:  # e^700; inf when m overflows
-                return b + (log_scaled - log(price)) / a
+                return b + (log_scaled - ln_price) / a
             if m < _TINY:
                 return weight / price
             half_b = half_c * ((price - aw) - aw_lo) / price
@@ -283,9 +288,10 @@ class LogarithmicUtility:
             return -1.0 / rate * (1.0 + 1.0 / (math.log(self.k) + math.log(rate)))
         return -self.k / (1.0 + kr) * (1.0 + 1.0 / log_term)
 
-    def demand_curve(self, weight: float) -> Callable[[float], float]:
+    def demand_curve(self, weight: float) -> Callable[[float, float], float]:
         """The rate r with weight * (ln U)'(r) = price as a function of
-        price, inf past float range; weight must be positive.
+        price and ln price (taken once by the caller, as for the sigmoid),
+        inf past float range; weight must be positive.
 
         v = ln(1 + k r) solves v e^v = z, ln z = ln k - (ln price - ln weight):
         it is the Lambert W of z (Corless et al., 1996). Below z = 1e-6 the series
@@ -299,8 +305,8 @@ class LogarithmicUtility:
         log, log1p, exp, expm1 = math.log, math.log1p, math.exp, math.expm1
         log_k, log_w = log(k), log(weight)
 
-        def demand(price: float) -> float:
-            log_z = log_k - (log(price) - log_w)
+        def demand(price: float, ln_price: float) -> float:
+            log_z = log_k - (ln_price - log_w)
             if log_z < -13.8:
                 z = exp(log_z)
                 if z < _TINY:
@@ -523,8 +529,8 @@ def sigmoid_plateau(utility: UtilityFunction, factor: float) -> tuple[float, flo
     """
     if not isinstance(utility, SigmoidalUtility) or factor == 0.0:
         return None
-    p0 = factor * utility.a * (1.0 + math.exp(-utility.a * utility.b))
-    return p0, max(2.0 * p0 * math.exp(-0.5 * utility.a * utility.b), 2.0 * math.ulp(p0))
+    p0 = factor * utility.a * (1.0 + utility._e_ab)
+    return p0, max(2.0 * p0 * utility._e_half_ab, 2.0 * math.ulp(p0))
 
 
 def objective(rows: Sequence[AppRow], rates: Sequence[float]) -> float:

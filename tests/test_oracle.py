@@ -27,11 +27,13 @@ from nura import (
     grid_search_solve,
     load_schedule,
     oracle,
+    price_response,
     run_first_stage,
     scenario,
 )
 from nura.utility import CaseFlag, add_up, objective, regime_table
 from referee import kkt_gap
+from test_price_response import DividedPrice, two_beta_users
 from test_trace_pin import _cells
 from wide_trees import wide_tree
 
@@ -515,26 +517,106 @@ def test_users_equal_but_for_their_ids_get_equal_bits(cell, capacity):
         r.hex() for r in result.app_rates["ue1"]]
 
 
+def _counting_demand_reads(monkeypatch) -> Counter:
+    """The closed-form demands read, by price, by the applications built
+    from now on."""
+    read = Counter()
+    for cls in (SigmoidalUtility, LogarithmicUtility):
+        def curve(self, weight, original=cls.demand_curve):
+            demand = original(self, weight)
+
+            def counted(price, ln_price):
+                read[price] += 1
+                return demand(price, ln_price)
+            return counted
+
+        monkeypatch.setattr(cls, "demand_curve", curve)
+    return read
+
+
 def test_each_price_trial_searches_each_distinct_row_once(cell, monkeypatch):
     """Above the targets, ue3's and ue4's rows sit on ue1's and ue2's
     curves (same utility, weight and beta): their log rows equal ue1's and
     ue2's, their sigmoid rows differ only in offset. Each price trial of the
     one clearing reads each curve once: 4 closed-form demands for 8 rows."""
     assert len(regime_table(cell.users, 100.0).rows) == 8
-    read = Counter()
-    for cls in (SigmoidalUtility, LogarithmicUtility):
-        def curve(self, weight, original=cls.demand_curve):
-            demand = original(self, weight)
-
-            def counted(price):
-                read[price] += 1
-                return demand(price)
-            return counted
-
-        monkeypatch.setattr(cls, "demand_curve", curve)
+    read = _counting_demand_reads(monkeypatch)
     users = [replace(user, apps=tuple(replace(app) for app in user.apps)) for user in cell.users]
     centralized_solve(users, 100.0)
     assert len(read) > 1 and set(read.values()) == {4}
+
+
+def test_a_scarce_certification_reads_demand_in_its_price_trials_only(cell, monkeypatch):
+    """At R = 40 both VIPs compete, each capped: each trial of the one
+    clearing reads the table's 4 curves and each trial of a capped user's
+    split its user's 2. The rates at the clearing's ends are those its end
+    trials read, so no demand is read outside a trial; reading both ends
+    again took 8 more."""
+    read = _counting_demand_reads(monkeypatch)
+    users = tuple(replace(user, apps=tuple(replace(app) for app in user.apps))
+                  for user in cell.users)
+    assert len(regime_table(users, 40.0).curves) == 4
+    trials = _demand_calls(replace(cell, users=users, capacity=40.0), monkeypatch)
+    assert len(trials) > 1
+    assert sum(read.values()) == 4 * trials[0] + 2 * sum(trials[1:])
+
+
+@pytest.mark.parametrize("capacity", [50.0, 200.0])
+def test_each_price_trial_divides_the_price_once_per_beta(cell, capacity, monkeypatch):
+    """With ue2 and ue4 at beta 2, each trial of the one clearing divides
+    the price once per beta, 2 divisions for its 4 curves, and each trial
+    of a capped user's split (both VIPs at R = 50) once, for its user's
+    beta; each curve dividing it took 4 per trial of the clearing and 2
+    per trial of a split."""
+    clearings = []
+
+    def counted(demand, *rest, original=oracle._clear):
+        divisions = []
+        clearings.append(divisions)
+
+        def tried(price):
+            DividedPrice.count = 0
+            out = demand(DividedPrice(price))
+            divisions.append(DividedPrice.count)
+            return out
+
+        return original(tried, *rest)
+
+    users = two_beta_users(cell)
+    plain = centralized_solve(users, capacity)
+    monkeypatch.setattr(oracle, "_clear", counted)
+    assert centralized_solve(users, capacity) == plain
+    assert set(clearings[0]) == {2}
+    assert all(set(split) == {1} for split in clearings[1:])
+    assert len(clearings) == (3 if capacity == 50.0 else 1)
+
+
+def test_a_trial_reads_0_where_price_over_beta_is_inf_and_raises_where_it_underflows(
+        cell, monkeypatch):
+    """The whole table's trial divides the price once per beta: where the
+    quotient is inf, every row at that beta reads 0, and where it
+    underflows to 0 the trial raises, naming the first such beta."""
+    betas = {"ue2": 1e-300, "ue4": 2.0}
+    users = tuple(replace(user, beta=betas.get(user.user_id, 1.0)) for user in cell.users)
+    table = regime_table(users, 200.0)
+
+    def capture(demand, *rest):
+        raise LookupError(demand)
+
+    monkeypatch.setattr(oracle, "_clear", capture)
+    with pytest.raises(LookupError) as captured:
+        centralized_solve(users, 200.0)
+    [read] = captured.value.args
+    rates, exits = read(1e9)  # 1e9 / 1e-300 overflows: ue2's rows read 0
+    want = []
+    for row, limit in zip(table.rows, table.limits):
+        beta = table.participants[row.user_slot].beta
+        want.append(0.0 if beta == 1e-300 else price_response.app_rate_at_price(
+            row.app, 1e9 / beta, limit, row.offset))
+    assert rates == want and exits == []
+    assert rates[3] == 0.0 < rates[1]  # ue2's log row reads 0, ue1's does not
+    with pytest.raises(SolverError, match=r"price 5e-324 / beta 2\.0 underflows to 0"):
+        read(5e-324)
 
 
 def _price_trials(config, monkeypatch) -> int:

@@ -23,6 +23,7 @@ from nura import (
     UserProfile,
     app_rate_at_price,
     damp_bid,
+    run_first_stage,
     run_once,
     user_rate_at_price,
     vip_bid,
@@ -475,7 +476,7 @@ def _curve_slots(users, capacity):
     table = regime_table(users, capacity)
     layout = price_response.bidders(table)
     slots = {member.user_id: [slot for slot, _, _ in member.rows] for member in layout.members}
-    return slots, len(layout.curves)
+    return slots, sum(len(demands) for _, demands in layout.groups)
 
 
 def _curves_by_equality(table):
@@ -548,14 +549,31 @@ _BETAS = (0.5, 1.0, 2.0, 5.0)
 def _reference_demands(layout, price):
     """Each member's min(max(v - c, 0), lim), added left to right, then
     clipped at the member's cap."""
+    curves = [(curve, beta) for beta, demands in layout.groups for curve in demands]
     out = []
     for member in layout.members:
         total = 0.0
         for slot, offset, lim in member.rows:
-            curve, beta = layout.curves[slot]
-            total = total + min(max(curve(price / beta) - offset, 0.0), lim)
+            curve, beta = curves[slot]
+            total = total + min(max(curve(price / beta, math.log(price / beta)) - offset, 0.0),
+                                lim)
         out.append(min(total, member.cap))
     return out
+
+
+def _layout(curves, members):
+    """The BidLayout of curves, each (demand, beta), and members, each
+    (user_id, beta, cap, offset, rows) with its rows' slots indexing
+    curves: the curves grouped by beta, the betas in the order the members
+    and then the curves first hold them, and the slots taken again."""
+    betas = list(dict.fromkeys([member[1] for member in members] + [b for _, b in curves]))
+    order = [slot for beta in betas for slot, (_, b) in enumerate(curves) if b == beta]
+    place = {slot: at for at, slot in enumerate(order)}
+    groups = tuple((beta, tuple(curve for curve, b in curves if b == beta)) for beta in betas)
+    return price_response.BidLayout(groups, tuple(
+        price_response.Bidder(user_id, betas.index(beta), cap, offset,
+                              tuple((place[slot], c, lim) for slot, c, lim in rows))
+        for user_id, beta, cap, offset, rows in members))
 
 
 @st.composite
@@ -574,13 +592,13 @@ def _layouts(draw):
             slot = slots.setdefault((app_index, beta), len(curves))
             if slot == len(curves):
                 curves.append((_CURVE_APPS[app_index].demand_at, beta))
-            demand = curves[slot][0](price / beta)
+            demand = curves[slot][0](price / beta, math.log(price / beta))
             offset = draw(fraction) * demand
             cap = draw(st.one_of(st.just(math.inf), fraction.map(lambda f: f * demand)))
             rows.append((slot, offset, cap))
         cap = draw(st.one_of(st.just(math.inf), st.floats(0.0, 200.0)))
-        members.append(price_response.Bidder(f"u{index}", beta, cap, 0.0, tuple(rows)))
-    return price, price_response.BidLayout(tuple(curves), tuple(members))
+        members.append((f"u{index}", beta, cap, 0.0, tuple(rows)))
+    return price, _layout(curves, members)
 
 
 @settings(max_examples=300, deadline=None)
@@ -597,7 +615,7 @@ def test_demands_add_each_members_rows_left_to_right(drawn):
 
 
 def _member(user_id, beta, rows, cap=math.inf):
-    return price_response.Bidder(user_id, beta, cap, 0.0, tuple(rows))
+    return user_id, beta, cap, 0.0, tuple(rows)
 
 
 def _undamped_bids(layout, price):
@@ -611,12 +629,12 @@ def test_demands_raise_at_the_first_member_out_of_range():
     curves = tuple((app.demand_at, beta) for app in _CURVE_APPS[:1] for beta in (2.0, 0.5, 5.0))
     fine = _member("a", 2.0, [(0, 0.0, 5.0)])
     high, low = _member("b", 0.5, [(1, 0.0, 5.0)]), _member("c", 5.0, [(2, 0.0, 5.0)])
-    layout = price_response.BidLayout(curves, (fine, high, low))
+    layout = _layout(curves, (fine, high, low))
     with pytest.raises(DomainError, match=r"price must be positive, got inf"):
         _undamped_bids(layout, 1e308)  # 1e308 / 0.5 overflows
     with pytest.raises(DomainError, match=r"price must be positive, got 0\.0"):
         _undamped_bids(layout, 5e-324)  # 5e-324 / 5 underflows
-    layout = price_response.BidLayout(curves, (fine, low, high))
+    layout = _layout(curves, (fine, low, high))
     with pytest.raises(DomainError, match=r"price must be positive, got 0\.0"):
         _undamped_bids(layout, 5e-324)
 
@@ -628,7 +646,7 @@ def test_demands_past_float_range_raise_only_uncapped():
     capped = _member("a", 1.0, [(0, 3.0, 7.0), (0, 0.0, 2.0)])
     uncapped = _member("b", 1.0, [(0, 0.0, 1.0), (0, 0.0, math.inf)])
     low = _member("c", 5.0, [(1, 0.0, math.inf)])
-    layout = price_response.BidLayout(curves, (capped, _member("d", 1.0, [(0, 0.0, 7.0)], 4.0)))
+    layout = _layout(curves, (capped, _member("d", 1.0, [(0, 0.0, 7.0)], 4.0)))
     price = 5e-324
     bids, total, moved = _undamped_bids(layout, price)
     assert bids == {"a": price * (9.0 + 0.0), "d": price * (4.0 + 0.0)}
@@ -637,20 +655,19 @@ def test_demands_past_float_range_raise_only_uncapped():
     bids, total, moved = _undamped_bids(layout, 1e-300)
     assert bids == {"a": 1e-300 * 9.0, "d": 1e-300 * 4.0}
     assert total == 1e-300 * 9.0 + 1e-300 * 4.0 and not moved
-    layout = price_response.BidLayout(curves, (capped, uncapped, low))
+    layout = _layout(curves, (capped, uncapped, low))
     with pytest.raises(SolverError, match="demand at price 5e-324 exceeds float range"):
         _undamped_bids(layout, price)
     # members raise in order: the one out of range comes first here
-    layout = price_response.BidLayout(curves, (capped, low, uncapped))
+    layout = _layout(curves, (capped, low, uncapped))
     with pytest.raises(DomainError, match=r"got 0\.0"):
         _undamped_bids(layout, price)
 
 
 def test_a_round_moved_when_a_bid_changed_by_delta_or_more_or_its_last_bid_is_nan():
     # members without rows bid price * offset, here exactly 3 and 5
-    members = tuple(price_response.Bidder(uid, 1.0, math.inf, offset, ())
-                    for uid, offset in (("a", 3.0), ("b", 5.0)))
-    layout = price_response.BidLayout((), members)
+    members = tuple((uid, 1.0, math.inf, offset, ()) for uid, offset in (("a", 3.0), ("b", 5.0)))
+    layout = _layout((), members)
 
     def one_round(last_a, last_b, step=math.inf):
         return price_response.round_bids(layout, 1.0, step, {"a": last_a, "b": last_b}, 0.25)
@@ -665,6 +682,44 @@ def test_a_round_moved_when_a_bid_changed_by_delta_or_more_or_its_last_bid_is_na
     # damped bids are what is added and tested
     assert one_round(0.0, 5.0, step=0.25) == ({"a": 0.25, "b": 5.0}, 5.25, True)
     assert one_round(0.0, 5.0, step=0.125) == ({"a": 0.125, "b": 5.0}, 5.125, False)
+
+
+class DividedPrice(float):
+    """A price that counts how often it is divided, in DividedPrice.count;
+    a quotient is a plain float."""
+
+    count = 0
+
+    def __truediv__(self, other):
+        DividedPrice.count += 1
+        return float.__truediv__(self, other)
+
+
+def two_beta_users(cell):
+    """The reference users with ue2 and ue4 at beta 2: two betas, with two
+    distinct curves at each, which ue3 and ue4 share with ue1 and ue2."""
+    return tuple(replace(user, beta=2.0) if user.user_id in ("ue2", "ue4") else user
+                 for user in cell.users)
+
+
+@pytest.mark.parametrize("capacity", [50.0, 200.0])  # scarce: ue1 and ue2 bid; abundant: all
+def test_a_round_divides_the_price_once_per_beta(cell, capacity, monkeypatch):
+    # A round takes price / beta once per distinct beta, for every curve and
+    # member at that beta: 2 divisions a round, where each curve and each
+    # member dividing it took 6 (scarce) and 8 (abundant).
+    divisions = []
+
+    def counted(layout, price, *rest, original=protocol.round_bids):
+        DividedPrice.count = 0
+        out = original(layout, DividedPrice(price), *rest)
+        divisions.append(DividedPrice.count)
+        return out
+
+    monkeypatch.setattr(protocol, "round_bids", counted)
+    result = run_first_stage(two_beta_users(cell), capacity, cell.protocol)
+    assert len(divisions) == result.rounds_used - 1 > 0 and set(divisions) == {2}
+    monkeypatch.undo()
+    assert run_first_stage(two_beta_users(cell), capacity, cell.protocol) == result
 
 
 # ---------------------------------------------------------------------------

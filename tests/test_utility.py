@@ -429,16 +429,17 @@ def test_cached_demand_follows_replace_and_stays_out_of_equality(utility):
     app = Application(utility, 0.5, target_rate=20.0)
     changed = replace(app, weight=0.9)
     prices = [1e-3, 0.1, 1.0, 2.7, 10.0]
-    demand = [utility.demand_curve(0.9)(price) for price in prices]
-    assert [changed.demand_at(price) for price in prices] == demand
-    assert [app.demand_at(price) for price in prices] != demand
+    demand = [utility.demand_curve(0.9)(price, math.log(price)) for price in prices]
+    assert [changed.demand_at(price, math.log(price)) for price in prices] == demand
+    assert [app.demand_at(price, math.log(price)) for price in prices] != demand
     back = replace(changed, weight=0.5)
     assert back.demand_at is not app.demand_at
     assert back == app and hash(back) == hash(app) and repr(back) == repr(app)
     assert [field.name for field in fields(app)] == ["utility", "weight", "target_rate"]
     again = pickle.loads(pickle.dumps(app))
     assert again == app
-    assert [again.demand_at(p) for p in prices] == [app.demand_at(p) for p in prices]
+    assert [again.demand_at(p, math.log(p)) for p in prices] == [
+        app.demand_at(p, math.log(p)) for p in prices]
 
 
 def test_offset_and_total_target_follow_replace_and_stay_out_of_equality():
@@ -605,7 +606,8 @@ def test_cached_demand_survives_the_scenario_round_trip():
     again = scenario_from_dict(scenario_to_dict(config))
     for app, original in zip(again.users[0].apps, apps):
         for price in (1e-3, 0.05, 0.75, 4.0):
-            assert app.demand_at(price) == original.demand_at(price)
+            assert app.demand_at(price, math.log(price)) == original.demand_at(
+                price, math.log(price))
 
 
 def test_a_weightless_application_builds_no_demand_and_demands_nothing():
@@ -633,7 +635,7 @@ def test_demand_where_the_closed_form_underflows_is_weight_over_price(utility, w
     # rounding, so the demand is w / p, a normal float here. The
     # reference solves the same roots (Lambert W, the quadratic in
     # t = e^{ar} - 1) in mpmath, which does not underflow.
-    rate = utility.demand_curve(weight)(price)
+    rate = utility.demand_curve(weight)(price, math.log(price))
     assert rate == weight / price and rate >= 2.2250738585072014e-308
     with mpmath.workdps(50):
         w_, p_ = mpmath.mpf(weight), mpmath.mpf(price)
@@ -667,7 +669,7 @@ def test_sigmoid_demand_on_both_sides_of_deep_saturation_matches_mpmath(
     # The reference solves w (ln U)'(r) = p in mpmath at 60 digits, in logs.
     a, b = utility.a, utility.b
     assert (weight * a * (1.0 + math.exp(-a * b)) / price > math.exp(700.0)) is deep
-    rate = utility.demand_curve(weight)(price)
+    rate = utility.demand_curve(weight)(price, math.log(price))
     with mpmath.workdps(60):
         a_, b_, w_, p_ = (mpmath.mpf(v) for v in (a, b, weight, price))
         e_ab = mpmath.exp(-a_ * b_)
@@ -688,7 +690,7 @@ def test_sigmoid_demand_on_both_sides_of_deep_saturation_matches_mpmath(
 )
 def test_sigmoid_demand_where_a_times_b_overflows_is_finite(weight, price, reference):
     # ln t = a b + ln(...) overflowed to inf, and the demand with it.
-    rate = SigmoidalUtility(a=1e160, b=1e160).demand_curve(weight)(price)
+    rate = SigmoidalUtility(a=1e160, b=1e160).demand_curve(weight)(price, math.log(price))
     assert rate == pytest.approx(reference, rel=1e-15)
 
 
